@@ -9,7 +9,7 @@
 //! sliding window, byte-delta gauge, loss guards) — cheap, but measured
 //! here so a detector change that regresses it shows up.
 
-use columnsgd::cluster::{FailurePlan, NetworkModel, Recorder};
+use columnsgd::cluster::{ClusterConfig, FailurePlan, NetworkModel, Recorder};
 use columnsgd::core::{ColumnSgdConfig, ColumnSgdEngine};
 use columnsgd::data::synth;
 use columnsgd::ml::ModelSpec;
@@ -27,13 +27,14 @@ fn bench_monitor_overhead(c: &mut Criterion) {
 
     g.bench_function("lr_k4_detached", |bch| {
         bch.iter(|| {
-            let mut e = ColumnSgdEngine::new_traced(
+            let mut e = ColumnSgdEngine::new_clustered(
                 &ds,
                 4,
                 cfg(),
                 NetworkModel::CLUSTER1,
                 FailurePlan::none(),
                 Recorder::disabled(),
+                &ClusterConfig::in_proc(),
             )
             .expect("engine");
             black_box(e.train().expect("train"));
@@ -42,13 +43,14 @@ fn bench_monitor_overhead(c: &mut Criterion) {
 
     g.bench_function("lr_k4_attached", |bch| {
         bch.iter(|| {
-            let mut e = ColumnSgdEngine::new_traced(
+            let mut e = ColumnSgdEngine::new_clustered(
                 &ds,
                 4,
                 cfg(),
                 NetworkModel::CLUSTER1,
                 FailurePlan::none(),
                 Recorder::disabled(),
+                &ClusterConfig::in_proc(),
             )
             .expect("engine");
             e.attach_monitor(Monitor::new(MonitorConfig::default()));

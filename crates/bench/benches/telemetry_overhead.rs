@@ -6,7 +6,7 @@
 //! so `lr_k4_disabled` is the number to watch for regressions.
 
 use columnsgd::cluster::telemetry::profile;
-use columnsgd::cluster::{FailurePlan, NetworkModel, Recorder};
+use columnsgd::cluster::{ClusterConfig, FailurePlan, NetworkModel, Recorder};
 use columnsgd::core::{ColumnSgdConfig, ColumnSgdEngine};
 use columnsgd::data::synth;
 use columnsgd::ml::ModelSpec;
@@ -23,13 +23,14 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
 
     g.bench_function("lr_k4_disabled", |bch| {
         bch.iter(|| {
-            let mut e = ColumnSgdEngine::new_traced(
+            let mut e = ColumnSgdEngine::new_clustered(
                 &ds,
                 4,
                 cfg(),
                 NetworkModel::CLUSTER1,
                 FailurePlan::none(),
                 Recorder::disabled(),
+                &ClusterConfig::in_proc(),
             )
             .expect("engine");
             black_box(e.train().expect("train"));
@@ -39,13 +40,14 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     g.bench_function("lr_k4_enabled", |bch| {
         bch.iter(|| {
             let recorder = Recorder::new();
-            let mut e = ColumnSgdEngine::new_traced(
+            let mut e = ColumnSgdEngine::new_clustered(
                 &ds,
                 4,
                 cfg(),
                 NetworkModel::CLUSTER1,
                 FailurePlan::none(),
                 recorder.clone(),
+                &ClusterConfig::in_proc(),
             )
             .expect("engine");
             black_box(e.train().expect("train"));
@@ -59,13 +61,14 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
         profile::set_enabled(true);
         bch.iter(|| {
             let recorder = Recorder::new();
-            let mut e = ColumnSgdEngine::new_traced(
+            let mut e = ColumnSgdEngine::new_clustered(
                 &ds,
                 4,
                 cfg(),
                 NetworkModel::CLUSTER1,
                 FailurePlan::none(),
                 recorder.clone(),
+                &ClusterConfig::in_proc(),
             )
             .expect("engine");
             black_box(e.train().expect("train"));

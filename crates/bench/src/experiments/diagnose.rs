@@ -12,7 +12,9 @@
 //! stream, the property the CI gate relies on).
 
 use columnsgd::cluster::telemetry::analyze;
-use columnsgd::cluster::{FailurePlan, Monitor, MonitorConfig, NetworkModel, Recorder};
+use columnsgd::cluster::{
+    ClusterConfig, FailurePlan, Monitor, MonitorConfig, NetworkModel, Recorder,
+};
 use columnsgd::core::{ColumnSgdConfig, ColumnSgdEngine, TrainOutcome};
 use columnsgd::data::DatasetPreset;
 use columnsgd::ml::ModelSpec;
@@ -33,13 +35,14 @@ fn run_once(scale: f64) -> (TrainOutcome, Recorder) {
         .with_seed(31);
     let plan = FailurePlan::with_straggler(5.0, 7);
     let recorder = Recorder::new();
-    let mut e = ColumnSgdEngine::new_traced(
+    let mut e = ColumnSgdEngine::new_clustered(
         &ds,
         WORKERS,
         cfg,
         NetworkModel::CLUSTER1,
         plan,
         recorder.clone(),
+        &ClusterConfig::in_proc(),
     )
     .expect("engine");
     e.attach_monitor(Monitor::new(MonitorConfig::default()));

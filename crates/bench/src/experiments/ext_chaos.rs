@@ -13,7 +13,7 @@
 //! visibility from the comm records' fault annotations, and the byte
 //! totals are asserted to reconcile exactly with the router's meter.
 
-use columnsgd::cluster::{ChaosSpec, FailurePlan, NetworkModel, Recorder};
+use columnsgd::cluster::{ChaosSpec, ClusterConfig, FailurePlan, NetworkModel, Recorder};
 use columnsgd::core::{ColumnSgdConfig, ColumnSgdEngine};
 use columnsgd::data::DatasetPreset;
 use columnsgd::ml::ModelSpec;
@@ -66,13 +66,14 @@ pub fn run(scale: f64) -> Report {
             .with_max_task_retries(10);
         let chaos = ChaosSpec::uniform(101, wire_p, crash_p);
         let recorder = Recorder::new();
-        let mut e = ColumnSgdEngine::new_traced(
+        let mut e = ColumnSgdEngine::new_clustered(
             &ds,
             4,
             cfg,
             NetworkModel::CLUSTER1,
             FailurePlan::with_chaos(chaos),
             recorder.clone(),
+            &ClusterConfig::in_proc(),
         )
         .expect("engine");
         let out = e.train().expect("training must survive every chaos level");

@@ -21,7 +21,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use columnsgd::cluster::telemetry::{profile, Event};
-use columnsgd::cluster::{FailurePlan, NetworkModel, Recorder};
+use columnsgd::cluster::{ClusterConfig, FailurePlan, NetworkModel, Recorder};
 use columnsgd::core::{ColumnSgdConfig, ColumnSgdEngine};
 use columnsgd::data::DatasetPreset;
 use columnsgd::ml::ModelSpec;
@@ -81,13 +81,14 @@ fn profiled_run(scale: f64) -> (String, usize) {
         .with_seed(31)
         .with_threads_per_worker(1);
     let recorder = Recorder::new();
-    let mut e = ColumnSgdEngine::new_traced(
+    let mut e = ColumnSgdEngine::new_clustered(
         &ds,
         2,
         cfg,
         NetworkModel::CLUSTER1,
         FailurePlan::none(),
         recorder.clone(),
+        &ClusterConfig::in_proc(),
     )
     .expect("engine");
     e.train().expect("train");

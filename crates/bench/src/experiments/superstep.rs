@@ -5,7 +5,7 @@
 
 use std::time::Instant;
 
-use columnsgd::cluster::{FailurePlan, NetworkModel, Recorder};
+use columnsgd::cluster::{ClusterConfig, FailurePlan, NetworkModel, Recorder};
 use columnsgd::core::{ColumnSgdConfig, ColumnSgdEngine};
 use columnsgd::ml::ModelSpec;
 use serde_json::json;
@@ -64,13 +64,14 @@ pub fn run(scale: f64) -> Report {
             .with_iterations(10)
             .with_threads_per_worker(threads);
         let recorder = Recorder::new();
-        let mut e = ColumnSgdEngine::new_traced(
+        let mut e = ColumnSgdEngine::new_clustered(
             &ds,
             K,
             cfg,
             NetworkModel::CLUSTER1,
             FailurePlan::none(),
             recorder.clone(),
+            &ClusterConfig::in_proc(),
         )
         .expect("engine");
         let _ = e.train().expect("train");

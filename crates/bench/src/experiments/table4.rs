@@ -1,6 +1,6 @@
 //! Table IV: per-iteration time of training LR across the systems.
 
-use columnsgd::cluster::{FailurePlan, NetworkModel, Recorder};
+use columnsgd::cluster::{ClusterConfig, FailurePlan, NetworkModel, Recorder};
 use columnsgd::core::{ColumnSgdConfig, ColumnSgdEngine};
 use columnsgd::ml::ModelSpec;
 use columnsgd::rowsgd::{RowSgdConfig, RowSgdEngine, RowSgdVariant};
@@ -48,9 +48,16 @@ pub fn run(scale: f64) -> Report {
             .with_batch_size(b)
             .with_iterations(iters);
         let recorder = Recorder::new();
-        let mut e =
-            ColumnSgdEngine::new_traced(&ds, k, cfg, net, FailurePlan::none(), recorder.clone())
-                .expect("engine");
+        let mut e = ColumnSgdEngine::new_clustered(
+            &ds,
+            k,
+            cfg,
+            net,
+            FailurePlan::none(),
+            recorder.clone(),
+            &ClusterConfig::in_proc(),
+        )
+        .expect("engine");
         let col = e.train().expect("train").mean_iteration_s(iters as usize);
         // The per-phase split of the ColumnSGD column comes straight from
         // the recorded superstep spans — no separate bookkeeping.

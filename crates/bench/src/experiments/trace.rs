@@ -11,7 +11,7 @@
 use std::path::PathBuf;
 
 use columnsgd::cluster::telemetry::SCHEMA_VERSION;
-use columnsgd::cluster::{FailureEvent, FailurePlan, NetworkModel, Recorder};
+use columnsgd::cluster::{ClusterConfig, FailureEvent, FailurePlan, NetworkModel, Recorder};
 use columnsgd::core::{ColumnSgdConfig, ColumnSgdEngine};
 use columnsgd::data::DatasetPreset;
 use columnsgd::ml::ModelSpec;
@@ -48,9 +48,16 @@ pub fn run(scale: f64) -> Report {
         .with_learning_rate(0.5)
         .with_seed(29);
     let recorder = Recorder::new();
-    let mut e =
-        ColumnSgdEngine::new_traced(&ds, 4, cfg, NetworkModel::CLUSTER1, plan, recorder.clone())
-            .expect("engine");
+    let mut e = ColumnSgdEngine::new_clustered(
+        &ds,
+        4,
+        cfg,
+        NetworkModel::CLUSTER1,
+        plan,
+        recorder.clone(),
+        &ClusterConfig::in_proc(),
+    )
+    .expect("engine");
     let out = e.train().expect("train");
     recorder.write_jsonl(&out_path).expect("write trace");
     let s = recorder.summary();

@@ -347,8 +347,8 @@ fn main() {
             exit(e.exit_code())
         });
         engine.attach_monitor(monitor);
-        if metrics.is_some() {
-            eprintln!("note: the elastic engine does not feed the metrics registry yet");
+        if let Some(m) = &metrics {
+            engine.attach_metrics(m.clone());
         }
         let outcome = engine.train().unwrap_or_else(|e| {
             eprintln!("training failed: {e}");

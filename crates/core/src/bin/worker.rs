@@ -3,8 +3,7 @@
 //! Spawned by the engine's TCP backend, one process per worker. The
 //! bootstrap — hub address, worker id, cluster shape, full training
 //! config, and this worker's scripted-failure schedule — arrives as a
-//! single hex-armored line on stdin (see `columnsgd_core::host::BootSpec`;
-//! the vendored `serde` is a facade, so the encoding is hand-rolled).
+//! single hex-armored line on stdin (see `columnsgd_core::host::BootSpec`).
 //!
 //! The process connects to the master's `TcpHub`, runs the ordinary
 //! `run_worker` mailbox loop, and exits when the master shuts the run
@@ -85,7 +84,8 @@ fn main() {
     // Same contract as the engine's guarded threads: a panic anywhere in
     // the worker loop becomes a WorkerPanic to the master, then we die.
     let result = catch_unwind(AssertUnwindSafe(move || {
-        run_worker(ep, worker, k, dim, cfg, script, recorder, ship)
+        let held = cfg.partitions_of(worker);
+        run_worker(ep, worker, k, &held, dim, cfg, script, recorder, ship)
     }));
     if let Err(payload) = result {
         let info = panic_message(payload.as_ref());

@@ -2,11 +2,10 @@
 
 use columnsgd_data::ColumnPartitioner;
 use columnsgd_ml::{ModelSpec, OptimizerKind, UpdateParams};
-use serde::{Deserialize, Serialize};
 
 /// Which column-partitioning scheme to use (the "predefined partitioning
 /// scheme" of Algorithm 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PartitionScheme {
     /// Round-robin (the paper's example; robust to index-popularity skew).
     #[default]
@@ -16,7 +15,7 @@ pub enum PartitionScheme {
 }
 
 /// Full configuration of a ColumnSGD training run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColumnSgdConfig {
     /// The model to train.
     pub model: ModelSpec,
@@ -65,7 +64,7 @@ pub struct ColumnSgdConfig {
 }
 
 /// Stale-statistics policy (extension; see [`ColumnSgdConfig::staleness`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StaleStats {
     /// Use the K-1 on-time partials as-is (biased toward zero on the
     /// missing partition's features).

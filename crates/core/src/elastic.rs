@@ -37,30 +37,29 @@
 //! the workspace `panic-hygiene` lint — faults surface as typed
 //! [`TrainError`]s, never panics.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use columnsgd_cluster::clock::IterationTime;
-use columnsgd_cluster::telemetry::{FaultRecord, KernelRecord, Phase, RunStamp, SuperstepSpan};
+use columnsgd_cluster::telemetry::{FaultRecord, MetricsRegistry, RunStamp};
 use columnsgd_cluster::wire::ENVELOPE_BYTES;
 use columnsgd_cluster::{
-    spawn_guarded, DiagnosticKind, Diagnostics, Endpoint, Envelope, FailurePlan, Membership,
+    spawn_guarded, ClusterConfig, DiagnosticKind, Diagnostics, Endpoint, FailurePlan, Membership,
     MembershipError, MembershipEvent, Monitor, NetError, NetworkModel, NodeId, RebalancePlan,
-    Recorder, Router, ShardMove, ShardRole, SimClock, SuperstepObs, TrafficStats, WorkerState,
+    Recorder, Router, ShardMove, ShardRole, SimClock, TrafficStats, TransportKind, WorkerState,
 };
 use columnsgd_data::block::Block;
 use columnsgd_data::workset::split_block;
-use columnsgd_data::{Dataset, TwoPhaseIndex, Workset};
+use columnsgd_data::{Dataset, Workset};
 use columnsgd_ml::metrics::Curve;
 use columnsgd_ml::spec::reduce_stats;
 use columnsgd_ml::ParamSet;
 
 use crate::config::ColumnSgdConfig;
-use crate::engine::{LoadReport, PER_OBJECT_S};
 use crate::error::{DetectionMethod, FaultKind, RecoveryEvent, TrainError};
+use crate::master::{LoadReport, MasterCore, Probed, Superstep, PER_OBJECT_S};
 use crate::msg::ColMsg;
-use crate::worker::{run_worker_dynamic, WorkerScript};
+use crate::worker::{run_worker, WorkerScript};
 
 /// A scheduled membership transition, applied at the start of the named
 /// iteration (between supersteps, when no task is in flight).
@@ -207,31 +206,17 @@ struct TaskReply {
     sample_s: f64,
 }
 
-/// Outcome of probing a silent worker (mirrors the static engine).
-enum Probed {
-    Alive { loaded: bool },
-    Dead,
-    Deferred,
-}
-
-/// The elastic ColumnSGD driver.
+/// The elastic ColumnSGD driver. The master plumbing it shares with the
+/// static engine lives in the master core; this file keeps what dynamic
+/// membership adds: the slot table, shard migration, and speculation.
 pub struct ElasticEngine {
     cfg: ElasticConfig,
-    net: NetworkModel,
-    plan: FailurePlan,
-    master: Endpoint<ColMsg>,
+    core: MasterCore,
     router: Router<ColMsg>,
     handles: Vec<Option<JoinHandle<()>>>,
     /// Endpoints of slots not yet spawned (taken on Join).
     spares: Vec<Option<Endpoint<ColMsg>>>,
     membership: Membership,
-    traffic: TrafficStats,
-    recorder: Recorder,
-    monitor: Monitor,
-    pending: VecDeque<Envelope<ColMsg>>,
-    blocks: Vec<Block>,
-    index: TwoPhaseIndex,
-    dim: u64,
     load_report: LoadReport,
     migrations: u64,
     migration_bytes: u64,
@@ -247,8 +232,9 @@ pub struct ElasticEngine {
 }
 
 impl ElasticEngine {
-    /// Builds the elastic cluster, runs the initial shard placement, and
-    /// waits for every shard (and replica) to install.
+    /// Builds the elastic cluster in-process with telemetry off, runs the
+    /// initial shard placement, and waits for every shard (and replica) to
+    /// install.
     ///
     /// # Errors
     /// [`TrainError::InvalidPlan`] for impossible shapes (zero workers,
@@ -264,62 +250,18 @@ impl ElasticEngine {
         net: NetworkModel,
         plan: FailurePlan,
     ) -> Result<Self, TrainError> {
-        Self::new_traced(dataset, cfg, net, plan, Recorder::disabled())
-    }
-
-    /// [`ElasticEngine::new`] with a telemetry [`Recorder`] attached.
-    ///
-    /// # Errors
-    /// Same contract as [`ElasticEngine::new`].
-    ///
-    /// # Panics
-    /// Same contract as [`ElasticEngine::new`].
-    pub fn new_traced(
-        dataset: &Dataset,
-        cfg: ElasticConfig,
-        net: NetworkModel,
-        plan: FailurePlan,
-        recorder: Recorder,
-    ) -> Result<Self, TrainError> {
-        assert!(!dataset.is_empty(), "cannot train on an empty dataset");
-        let queue = dataset.into_block_queue(cfg.base.block_size);
-        let blocks: Vec<Block> = queue.iter().cloned().collect();
-        Self::from_blocks_traced(blocks, dataset.dimension(), cfg, net, plan, recorder)
-    }
-
-    /// [`ElasticEngine::new_traced`] with an explicit transport backend
-    /// (see [`ElasticEngine::from_blocks_clustered`] for why only the
-    /// in-process backend is accepted).
-    ///
-    /// # Errors
-    /// Same contract as [`ElasticEngine::from_blocks_clustered`].
-    ///
-    /// # Panics
-    /// Same contract as [`ElasticEngine::new`].
-    pub fn new_clustered(
-        dataset: &Dataset,
-        cfg: ElasticConfig,
-        net: NetworkModel,
-        plan: FailurePlan,
-        recorder: Recorder,
-        cluster: &columnsgd_cluster::ClusterConfig,
-    ) -> Result<Self, TrainError> {
-        assert!(!dataset.is_empty(), "cannot train on an empty dataset");
-        let queue = dataset.into_block_queue(cfg.base.block_size);
-        let blocks: Vec<Block> = queue.iter().cloned().collect();
-        Self::from_blocks_clustered(
-            blocks,
-            dataset.dimension(),
+        Self::new_clustered(
+            dataset,
             cfg,
             net,
             plan,
-            recorder,
-            cluster,
+            Recorder::disabled(),
+            &ClusterConfig::in_proc(),
         )
     }
 
-    /// [`ElasticEngine::from_blocks_traced`] with an explicit transport
-    /// backend selection.
+    /// [`ElasticEngine::new`] with a telemetry [`Recorder`] attached and an
+    /// explicit transport backend selection.
     ///
     /// The elastic runtime is in-process only for now: live migration
     /// hands a spare worker's pre-created mailbox across scale events and
@@ -331,16 +273,19 @@ impl ElasticEngine {
     /// # Errors
     /// [`TrainError::InvalidPlan`] when `cluster` selects the TCP
     /// backend; otherwise the [`ElasticEngine::new`] contract.
-    pub fn from_blocks_clustered(
-        blocks: Vec<Block>,
-        dim: u64,
+    ///
+    /// # Panics
+    /// Same contract as [`ElasticEngine::new`].
+    pub fn new_clustered(
+        dataset: &Dataset,
         cfg: ElasticConfig,
         net: NetworkModel,
         plan: FailurePlan,
         recorder: Recorder,
-        cluster: &columnsgd_cluster::ClusterConfig,
+        cluster: &ClusterConfig,
     ) -> Result<Self, TrainError> {
-        if cluster.transport != columnsgd_cluster::TransportKind::InProc {
+        assert!(!dataset.is_empty(), "cannot train on an empty dataset");
+        if cluster.transport != TransportKind::InProc {
             return Err(TrainError::InvalidPlan(format!(
                 "the elastic engine requires the in-process transport \
                  (got `{}`): dynamic membership hands locally hosted \
@@ -348,31 +293,9 @@ impl ElasticEngine {
                 cluster.transport
             )));
         }
-        Self::from_blocks_traced(blocks, dim, cfg, net, plan, recorder)
-    }
-
-    /// Builds the elastic engine from pre-cut blocks.
-    ///
-    /// # Errors
-    /// Same contract as [`ElasticEngine::new`].
-    pub fn from_blocks_traced(
-        blocks: Vec<Block>,
-        dim: u64,
-        cfg: ElasticConfig,
-        net: NetworkModel,
-        plan: FailurePlan,
-        recorder: Recorder,
-    ) -> Result<Self, TrainError> {
-        if blocks.is_empty() {
-            return Err(TrainError::LoadFailed("empty block set".to_string()));
-        }
-        for (pos, b) in blocks.iter().enumerate() {
-            if b.id() != pos as u64 {
-                return Err(TrainError::LoadFailed(
-                    "blocks must carry dense sequential ids (0, 1, …)".to_string(),
-                ));
-            }
-        }
+        let queue = dataset.into_block_queue(cfg.base.block_size);
+        let blocks: Vec<Block> = queue.iter().cloned().collect();
+        let dim = dataset.dimension();
         let mut cfg = cfg;
         if cfg.base.backup_s != 0 {
             return Err(TrainError::InvalidPlan(
@@ -386,9 +309,6 @@ impl ElasticEngine {
                 "speculation requires replication (a backup holder to race)".to_string(),
             ));
         }
-        if cfg.base.threads_per_worker == 0 {
-            cfg.base.threads_per_worker = net.cores.max(1);
-        }
         let membership = Membership::new(
             cfg.max_workers,
             cfg.max_workers,
@@ -401,8 +321,6 @@ impl ElasticEngine {
                 cfg.initial_workers, cfg.max_workers, cfg.replicate
             ))
         })?;
-        plan.validate(cfg.max_workers)
-            .map_err(TrainError::InvalidPlan)?;
         for ev in &cfg.schedule {
             if ev.worker >= cfg.max_workers {
                 return Err(TrainError::InvalidPlan(format!(
@@ -411,38 +329,24 @@ impl ElasticEngine {
                 )));
             }
         }
-        recorder.set_pricing(net.link_pricing());
-        recorder.begin(RunStamp {
-            config_hash: cfg.base.fingerprint(),
-            seed: cfg.base.seed,
-            chaos_seed: plan.chaos.map(|c| c.seed),
-            pool_width: cfg.base.threads_per_worker as u64,
-            workers: cfg.max_workers as u64,
-        });
+        let slots = cfg.max_workers;
+        cfg.base = MasterCore::open_run(cfg.base, slots, &net, &plan, &blocks, &recorder)?;
         let traffic = TrafficStats::new();
         let mut ids = vec![NodeId::Master];
-        ids.extend((0..cfg.max_workers).map(NodeId::Worker));
+        ids.extend((0..slots).map(NodeId::Worker));
         let (router, mut endpoints): (Router<ColMsg>, Vec<Endpoint<ColMsg>>) =
-            Router::with_recorder(&ids, traffic.clone(), plan.chaos, recorder);
+            Router::with_recorder(&ids, traffic.clone(), plan.chaos, recorder.clone());
         let master = endpoints.remove(0);
-        let recorder = router.recorder().clone();
-        let index = TwoPhaseIndex::new(blocks.iter().map(|b| (b.id(), b.nrows())), cfg.base.seed);
+        let core = MasterCore::new(
+            cfg.base, slots, net, plan, master, traffic, recorder, blocks, dim,
+        );
         let mut engine = Self {
-            handles: (0..cfg.max_workers).map(|_| None).collect(),
+            handles: (0..slots).map(|_| None).collect(),
             spares: endpoints.into_iter().map(Some).collect(),
             cfg,
-            net,
-            plan,
-            master,
+            core,
             router,
             membership,
-            traffic,
-            recorder,
-            monitor: Monitor::disabled(),
-            pending: VecDeque::new(),
-            blocks,
-            index,
-            dim,
             load_report: LoadReport {
                 objects: 0,
                 bytes: 0,
@@ -470,7 +374,7 @@ impl ElasticEngine {
     /// scheduled [`ElasticAction::Crash`] against it (a real panic — the
     /// master detects it, it is never told).
     fn script_for(&self, w: usize) -> WorkerScript {
-        let mut script = WorkerScript::from_plan(&self.plan, w);
+        let mut script = WorkerScript::from_plan(&self.core.plan, w);
         for ev in &self.cfg.schedule {
             if ev.worker == w && ev.action == ElasticAction::Crash {
                 script.crashes.push(ev.iteration);
@@ -490,12 +394,15 @@ impl ElasticEngine {
             })?;
         let script = self.script_for(w);
         let parts_total = self.cfg.max_workers;
-        let dim = self.dim;
-        let cfg = self.cfg.base;
+        let dim = self.core.dim;
+        let cfg = self.core.cfg;
+        // Shares the master's recorder, so worker-side kernel and guard
+        // records land directly in the merged trace.
+        let recorder = self.core.recorder.clone();
         self.handles[w] = Some(spawn_guarded(
             format!("colsgd-elastic{w}"),
             ep,
-            move |ep| run_worker_dynamic(ep, w, parts_total, dim, cfg, script),
+            move |ep| run_worker(ep, w, parts_total, &[], dim, cfg, script, recorder, None),
             move |info| ColMsg::WorkerPanic { worker: w, info },
         ));
         Ok(())
@@ -505,12 +412,12 @@ impl ElasticEngine {
     /// static engine's workers initialize (same seed, same global index
     /// mapping), so elastic and static runs start from the same model.
     fn init_params_for(&self, pid: usize) -> ParamSet {
-        let part = self.cfg.base.partitioner(self.cfg.max_workers, self.dim);
-        let local_dim = part.local_dim(pid, self.dim);
-        self.cfg
-            .base
+        let part = self.core.partitioner();
+        let local_dim = part.local_dim(pid, self.core.dim);
+        self.core
+            .cfg
             .model
-            .init_params(local_dim, self.cfg.base.seed, |slot| {
+            .init_params(local_dim, self.core.cfg.seed, |slot| {
                 part.global_index(pid, slot)
             })
     }
@@ -518,8 +425,9 @@ impl ElasticEngine {
     /// Rebuilds partition `pid`'s worksets from the master's block store
     /// (the "HDFS" source), in block order.
     fn shard_worksets(&self, pid: usize) -> Vec<Workset> {
-        let part = self.cfg.base.partitioner(self.cfg.max_workers, self.dim);
-        self.blocks
+        let part = self.core.partitioner();
+        self.core
+            .blocks
             .iter()
             .map(|b| {
                 let mut sets = split_block(b, &part);
@@ -533,8 +441,8 @@ impl ElasticEngine {
     /// primary — and, under replication, its backup — then barriers on the
     /// install acknowledgements.
     fn load(&mut self) -> Result<LoadReport, TrainError> {
-        self.traffic.reset();
-        self.recorder.clear_comm();
+        self.core.traffic.reset();
+        self.core.recorder.clear_comm();
         let p = self.cfg.max_workers;
         let mut expected = 0usize;
         for pid in 0..p {
@@ -546,7 +454,8 @@ impl ElasticEngine {
             let mut targets = vec![primary];
             targets.extend(self.membership.backup_of(pid));
             for to in targets {
-                self.master
+                self.core
+                    .master
                     .send(
                         NodeId::Worker(to),
                         ColMsg::ShardData {
@@ -562,16 +471,21 @@ impl ElasticEngine {
                 expected += 1;
             }
         }
-        let deadline = self.bulk_deadline();
+        // Absolute deadline, refreshed on every acknowledged install:
+        // progress resets the clock, stray messages do not.
+        let mut deadline = Instant::now() + self.core.bulk_deadline();
         let mut acks = 0usize;
         while acks < expected {
-            let env = self.recv_next(deadline).map_err(|e| {
+            let env = self.core.recv_next(deadline).map_err(|e| {
                 TrainError::LoadFailed(format!(
                     "only {acks}/{expected} shard installs acknowledged: {e}"
                 ))
             })?;
             match env.payload {
-                ColMsg::ShardInstalled { epoch: 0, .. } => acks += 1,
+                ColMsg::ShardInstalled { epoch: 0, .. } => {
+                    acks += 1;
+                    deadline = Instant::now() + self.core.bulk_deadline();
+                }
                 other => {
                     eprintln!(
                         "master: dropping unexpected {} during placement",
@@ -580,35 +494,7 @@ impl ElasticEngine {
                 }
             }
         }
-        let total = self.traffic.total();
-        let mut worst = 0.0f64;
-        for node in (0..p).map(NodeId::Worker) {
-            let sent = self.traffic.sent_by(node);
-            let recv = self.traffic.received_by(node);
-            let lane = (sent.bytes + recv.bytes) as f64 / self.net.bandwidth_bytes_per_s
-                + (sent.messages + recv.messages) as f64 * PER_OBJECT_S;
-            worst = worst.max(lane);
-        }
-        Ok(LoadReport {
-            objects: total.messages,
-            bytes: total.bytes,
-            sim_time_s: worst + self.net.latency_s,
-        })
-    }
-
-    fn deadline(&self) -> Duration {
-        Duration::from_millis(self.cfg.base.deadline_ms)
-    }
-
-    fn bulk_deadline(&self) -> Duration {
-        Duration::from_millis(self.cfg.base.deadline_ms.saturating_mul(10))
-    }
-
-    fn recv_next(&mut self, deadline: Duration) -> Result<Envelope<ColMsg>, NetError> {
-        if let Some(env) = self.pending.pop_front() {
-            return Ok(env);
-        }
-        self.master.recv_timeout(deadline)
+        Ok(self.core.price_load())
     }
 
     /// Executes a rebalance plan: every move becomes metered `ShardData`
@@ -619,14 +505,14 @@ impl ElasticEngine {
         if plan.is_empty() {
             return Ok(0.0);
         }
-        let before = self.traffic.total();
+        let before = self.core.traffic.total();
         for mv in &plan.moves {
             self.transfer_shard(t, *mv, plan.epoch)?;
         }
         for d in &plan.drops {
             // Best-effort: a leaver may already be gone; stale drops are
             // epoch-fenced at the worker.
-            let _ = self.master.send_reliable(
+            let _ = self.core.master.send_reliable(
                 NodeId::Worker(d.on),
                 ColMsg::DropShard {
                     pid: d.pid,
@@ -634,14 +520,14 @@ impl ElasticEngine {
                 },
             );
         }
-        let after = self.traffic.total();
+        let after = self.core.traffic.total();
         let bytes = after.bytes - before.bytes;
         let objects = after.messages - before.messages;
         self.migrations += plan.moves.len() as u64;
         self.migration_bytes += bytes;
-        Ok(bytes as f64 / self.net.bandwidth_bytes_per_s
+        Ok(bytes as f64 / self.core.net.bandwidth_bytes_per_s
             + objects as f64 * PER_OBJECT_S
-            + self.net.latency_s)
+            + self.core.net.latency_s)
     }
 
     /// Moves one shard copy to `mv.to`, trying sources in order: the
@@ -673,6 +559,7 @@ impl ElasticEngine {
         for source in sources {
             let sent = match source {
                 Some(src) => self
+                    .core
                     .master
                     .send_reliable(
                         NodeId::Worker(src),
@@ -689,7 +576,8 @@ impl ElasticEngine {
                     // reset to init (the paper's §X crash semantics).
                     let worksets = self.shard_worksets(mv.pid);
                     let params = self.init_params_for(mv.pid);
-                    self.master
+                    self.core
+                        .master
                         .send(
                             NodeId::Worker(mv.to),
                             ColMsg::ShardData {
@@ -729,33 +617,12 @@ impl ElasticEngine {
         epoch: u64,
         to: usize,
     ) -> Result<bool, TrainError> {
-        let wait = self.bulk_deadline();
-        let start = Instant::now();
-        loop {
-            let left = wait.saturating_sub(start.elapsed());
-            if left.is_zero() {
-                return Ok(false);
-            }
-            match self.master.recv_timeout(left) {
-                Ok(env) => match &env.payload {
-                    ColMsg::ShardInstalled {
-                        pid: p,
-                        epoch: e,
-                        worker,
-                    } if *p == pid && *e == epoch && *worker == to => return Ok(true),
-                    // A stale install ack from a superseded plan: drop.
-                    ColMsg::ShardInstalled { .. } => {}
-                    _ => self.pending.push_back(env),
-                },
-                Err(NetError::Timeout) => return Ok(false),
-                Err(e) => {
-                    return Err(TrainError::Network {
-                        iteration: t,
-                        source: e,
-                    })
-                }
-            }
-        }
+        let wait = self.core.bulk_deadline();
+        let installed = |m: &ColMsg| {
+            matches!(m, ColMsg::ShardInstalled { pid: p, epoch: e, worker }
+                if (*p, *e, *worker) == (pid, epoch, to))
+        };
+        Ok(self.core.await_reply(t, wait, installed)?.is_some())
     }
 
     /// Maps a membership-transition error onto the training vocabulary.
@@ -809,6 +676,7 @@ impl ElasticEngine {
             .map_err(|e| Self::membership_err(t, w, e))?;
         let cost = self.execute_plan(t, &plan)?;
         let _ = self
+            .core
             .master
             .send_reliable(NodeId::Worker(w), ColMsg::Shutdown);
         if let Some(h) = self.handles[w].take() {
@@ -820,10 +688,10 @@ impl ElasticEngine {
     /// Scans new monitor events, arming speculation and feeding the scale
     /// policy's per-worker alarm counters.
     fn consume_gauges(&mut self, t: u64, charge: &mut f64) -> Result<(), TrainError> {
-        if !self.monitor.is_enabled() {
+        if !self.core.monitor.is_enabled() {
             return Ok(());
         }
-        let events = self.monitor.events();
+        let events = self.core.monitor.events();
         for ev in &events[self.seen_events.min(events.len())..] {
             let (Some(worker), true) = (
                 ev.worker,
@@ -860,7 +728,7 @@ impl ElasticEngine {
                 else {
                     break; // no capacity left to rotate onto
                 };
-                self.recorder.fault(FaultRecord {
+                self.core.recorder.fault(FaultRecord {
                     iteration: t,
                     worker: w as u64,
                     fault: "policy scale".to_string(),
@@ -879,30 +747,13 @@ impl ElasticEngine {
         Ok(())
     }
 
-    fn note_recovery(&self, ev: RecoveryEvent, recovery: &mut Vec<RecoveryEvent>) {
-        self.recorder.fault(ev.to_fault_record());
-        recovery.push(ev);
-    }
-
-    fn bump_attempts(&self, t: u64, w: usize, attempts: &mut [u64]) -> Result<(), TrainError> {
-        attempts[w] += 1;
-        if attempts[w] > self.cfg.base.max_task_retries {
-            return Err(TrainError::RetriesExhausted {
-                iteration: t,
-                worker: w,
-                attempts: attempts[w],
-            });
-        }
-        Ok(())
-    }
-
     /// Sends one task's `ComputeStatsFor`.
     fn send_task(&self, t: u64, task: &Task, attempts: &[u64]) -> Result<(), NetError> {
-        self.master.send(
+        self.core.master.send(
             NodeId::Worker(task.worker),
             ColMsg::ComputeStatsFor {
                 iteration: t,
-                batch_size: self.cfg.base.batch_size,
+                batch_size: self.core.cfg.batch_size,
                 attempt: attempts[task.worker],
                 pids: task.pids.clone(),
             },
@@ -969,7 +820,7 @@ impl ElasticEngine {
                 lost.extend(task.pids.iter().copied());
             }
         }
-        self.note_recovery(
+        self.core.note_recovery(
             RecoveryEvent {
                 iteration: t,
                 worker: w,
@@ -999,7 +850,7 @@ impl ElasticEngine {
             by_owner.entry(np).or_default().push(pid);
         }
         for (np, pids) in by_owner {
-            self.bump_attempts(t, np, attempts)?;
+            self.core.bump_attempts(t, np, attempts)?;
             for pid in pids {
                 let task = Task {
                     worker: np,
@@ -1019,73 +870,6 @@ impl ElasticEngine {
         Ok(())
     }
 
-    /// Whether buffered traffic already carries evidence about worker `w`
-    /// at iteration `t`.
-    fn pending_has_evidence(&self, t: u64, w: usize) -> bool {
-        self.pending.iter().any(|env| match &env.payload {
-            ColMsg::StatsReplyFor {
-                iteration, worker, ..
-            }
-            | ColMsg::UpdateAck {
-                iteration, worker, ..
-            } => *iteration == t && *worker == w,
-            ColMsg::WorkerPanic { worker, .. } => *worker == w,
-            _ => false,
-        })
-    }
-
-    /// Probes a silent worker over the reliable control plane.
-    fn probe_worker(&mut self, t: u64, w: usize) -> Result<Probed, TrainError> {
-        if self
-            .master
-            .send_reliable(NodeId::Worker(w), ColMsg::Probe { iteration: t })
-            .is_err()
-        {
-            return Ok(Probed::Dead);
-        }
-        let wait = self.deadline();
-        let start = Instant::now();
-        loop {
-            let left = wait.saturating_sub(start.elapsed());
-            if left.is_zero() {
-                return Ok(Probed::Dead);
-            }
-            match self.master.recv_timeout(left) {
-                Ok(env) => match &env.payload {
-                    ColMsg::ProbeAck {
-                        worker,
-                        iteration,
-                        loaded,
-                    } if *worker == w && *iteration == t => {
-                        return Ok(Probed::Alive { loaded: *loaded });
-                    }
-                    ColMsg::ProbeAck { .. } => {}
-                    ColMsg::WorkerPanic { worker, .. } if *worker == w => {
-                        self.pending.push_back(env);
-                        return Ok(Probed::Deferred);
-                    }
-                    ColMsg::StatsReplyFor {
-                        iteration, worker, ..
-                    }
-                    | ColMsg::UpdateAck {
-                        iteration, worker, ..
-                    } if *iteration == t && *worker == w => {
-                        self.pending.push_back(env);
-                        return Ok(Probed::Deferred);
-                    }
-                    _ => self.pending.push_back(env),
-                },
-                Err(NetError::Timeout) => return Ok(Probed::Dead),
-                Err(e) => {
-                    return Err(TrainError::Network {
-                        iteration: t,
-                        source: e,
-                    })
-                }
-            }
-        }
-    }
-
     /// Runs the elastic training loop.
     ///
     /// # Errors
@@ -1095,7 +879,7 @@ impl ElasticEngine {
     pub fn train(&mut self) -> Result<ElasticOutcome, TrainError> {
         let out = self.train_inner();
         if let Err(e) = &out {
-            self.recorder.fault(e.to_fault_record());
+            self.core.recorder.fault(e.to_fault_record());
         }
         out
     }
@@ -1106,11 +890,11 @@ impl ElasticEngine {
         let mut curve = Curve::new("ColumnSGD-elastic");
         let mut recovery: Vec<RecoveryEvent> = Vec::new();
         let slots = self.cfg.max_workers;
-        let width = self.cfg.base.model.stats_width();
-        let stats_len = self.cfg.base.batch_size * width;
-        let deadline = self.deadline();
+        let width = self.core.cfg.model.stats_width();
+        let stats_len = self.core.cfg.batch_size * width;
+        let detect = self.core.deadline();
 
-        for t in 0..self.cfg.base.iterations {
+        for t in 0..self.core.cfg.iterations {
             let issued = Instant::now();
             let mut attempts = vec![0u64; slots];
             let mut charge = 0.0f64;
@@ -1188,11 +972,17 @@ impl ElasticEngine {
             }
 
             // --- step 2: gather -----------------------------------------
+            // Absolute detection deadline: reset on progress (a matched
+            // reply, a handled failure or panic, a completed recovery
+            // round), never on stray traffic. Wall-clock across the whole
+            // barrier is kept as the *measured* gather time.
+            let gather_started = Instant::now();
+            let mut wait_until = gather_started + detect;
             while tasks
                 .iter()
                 .any(|task| !task.excused && task.reply.is_none())
             {
-                match self.recv_next(deadline) {
+                match self.core.recv_next(wait_until) {
                     Ok(env) => match env.payload {
                         ColMsg::StatsReplyFor {
                             iteration,
@@ -1211,7 +1001,8 @@ impl ElasticEngine {
                                 }) else {
                                     continue;
                                 };
-                                self.note_recovery(
+                                wait_until = Instant::now() + detect;
+                                self.core.note_recovery(
                                     RecoveryEvent {
                                         iteration: t,
                                         worker,
@@ -1223,7 +1014,7 @@ impl ElasticEngine {
                                     },
                                     &mut recovery,
                                 );
-                                self.bump_attempts(t, worker, &mut attempts)?;
+                                self.core.bump_attempts(t, worker, &mut attempts)?;
                                 if self.send_task(t, task, &attempts).is_err() {
                                     self.handle_dead_worker(
                                         t,
@@ -1248,6 +1039,7 @@ impl ElasticEngine {
                             });
                             match slot {
                                 Some(idx) => {
+                                    wait_until = Instant::now() + detect;
                                     tasks[idx].reply = Some(TaskReply {
                                         partial,
                                         compute_s,
@@ -1268,6 +1060,7 @@ impl ElasticEngine {
                         }
                         ColMsg::StatsReplyFor { .. } => {} // stale iteration
                         ColMsg::WorkerPanic { worker, .. } => {
+                            wait_until = Instant::now() + detect;
                             self.handle_dead_worker(
                                 t,
                                 worker,
@@ -1314,20 +1107,20 @@ impl ElasticEngine {
                         }
                     },
                     Err(NetError::Timeout) => {
-                        charge += deadline.as_secs_f64();
+                        charge += detect.as_secs_f64();
                         let silent: Vec<usize> = tasks
                             .iter()
                             .filter(|task| !task.excused && task.reply.is_none())
                             .map(|task| task.worker)
                             .collect();
                         for w in silent {
-                            if self.pending_has_evidence(t, w) {
+                            if self.core.pending_has_evidence(t, w) {
                                 continue;
                             }
-                            match self.probe_worker(t, w)? {
+                            match self.core.probe_worker(t, w)? {
                                 Probed::Deferred => {}
                                 Probed::Alive { loaded: true } => {
-                                    self.note_recovery(
+                                    self.core.note_recovery(
                                         RecoveryEvent {
                                             iteration: t,
                                             worker: w,
@@ -1339,7 +1132,7 @@ impl ElasticEngine {
                                         },
                                         &mut recovery,
                                     );
-                                    self.bump_attempts(t, w, &mut attempts)?;
+                                    self.core.bump_attempts(t, w, &mut attempts)?;
                                     for task in &tasks {
                                         if task.worker == w
                                             && task.reply.is_none()
@@ -1366,6 +1159,7 @@ impl ElasticEngine {
                                 }
                             }
                         }
+                        wait_until = Instant::now() + detect;
                     }
                     Err(e) => {
                         return Err(TrainError::Network {
@@ -1376,13 +1170,15 @@ impl ElasticEngine {
                 }
             }
 
+            let gather_wall = gather_started.elapsed().as_secs_f64();
+
             // --- straggler injection (§V-C) -----------------------------
-            let straggler = self.plan.straggler.map(|s| {
+            let straggler = self.core.plan.straggler.map(|s| {
                 let v = s.pick(t, slots);
                 for task in tasks.iter_mut().filter(|task| task.worker == v) {
                     if let Some(r) = &mut task.reply {
-                        r.compute_s +=
-                            (s.factor() - 1.0) * (r.compute_s + self.net.scheduling_overhead_s);
+                        r.compute_s += (s.factor() - 1.0)
+                            * (r.compute_s + self.core.net.scheduling_overhead_s);
                     }
                 }
                 (v, s.factor())
@@ -1426,7 +1222,7 @@ impl ElasticEngine {
                         // The backups won: the primary's reply is the
                         // loser — logged, and only its time is dropped.
                         self.spec_wins += 1;
-                        self.recorder.fault(FaultRecord {
+                        self.core.recorder.fault(FaultRecord {
                             iteration: t,
                             worker: worker as u64,
                             fault: "speculation win".to_string(),
@@ -1440,7 +1236,7 @@ impl ElasticEngine {
                     } else {
                         for &j in &dup_idx {
                             self.spec_losses += 1;
-                            self.recorder.fault(FaultRecord {
+                            self.core.recorder.fault(FaultRecord {
                                 iteration: t,
                                 worker: tasks[j].worker as u64,
                                 fault: "speculation loss".to_string(),
@@ -1458,10 +1254,8 @@ impl ElasticEngine {
                     reduce_stats(&mut agg, &r.partial);
                     counted += 1;
                     reply_bytes.push(
-                        (crate::msg::ColMsg::stats_reply_for_wire_size(
-                            tasks[i].pids.len(),
-                            stats_len,
-                        ) + ENVELOPE_BYTES) as u64,
+                        (ColMsg::stats_reply_for_wire_size(tasks[i].pids.len(), stats_len)
+                            + ENVELOPE_BYTES) as u64,
                     );
                 }
             }
@@ -1476,8 +1270,8 @@ impl ElasticEngine {
                 .filter(|task| task.duplicate_of.is_some() && task.reply.is_some())
             {
                 reply_bytes.push(
-                    (crate::msg::ColMsg::stats_reply_for_wire_size(task.pids.len(), stats_len)
-                        + ENVELOPE_BYTES) as u64,
+                    (ColMsg::stats_reply_for_wire_size(task.pids.len(), stats_len) + ENVELOPE_BYTES)
+                        as u64,
                 );
             }
             let stat_phase = lanes.iter().copied().fold(0.0, f64::max);
@@ -1495,7 +1289,7 @@ impl ElasticEngine {
                     iteration: t,
                     stats: agg.clone(),
                 };
-                if self.master.send(NodeId::Worker(w), msg).is_ok() {
+                if self.core.master.send(NodeId::Worker(w), msg).is_ok() {
                     sent_update[w] = true;
                 } else {
                     self.handle_dead_worker(
@@ -1517,8 +1311,10 @@ impl ElasticEngine {
             let outstanding = |acked: &[bool], sent: &[bool], m: &Membership| {
                 (0..slots).any(|w| sent[w] && !acked[w] && m.state(w) == Some(WorkerState::Active))
             };
+            let bcast_started = Instant::now();
+            let mut wait_until = bcast_started + detect;
             while outstanding(&acked, &sent_update, &self.membership) {
-                match self.recv_next(deadline) {
+                match self.core.recv_next(wait_until) {
                     Ok(env) => match env.payload {
                         ColMsg::UpdateAck {
                             iteration,
@@ -1528,6 +1324,7 @@ impl ElasticEngine {
                             if !acked[worker] {
                                 acked[worker] = true;
                                 update_times[worker] = compute_s;
+                                wait_until = Instant::now() + detect;
                             }
                         }
                         ColMsg::UpdateAck { .. }
@@ -1535,6 +1332,7 @@ impl ElasticEngine {
                         | ColMsg::ProbeAck { .. }
                         | ColMsg::ShardInstalled { .. } => {}
                         ColMsg::WorkerPanic { worker, .. } => {
+                            wait_until = Instant::now() + detect;
                             self.handle_dead_worker(
                                 t,
                                 worker,
@@ -1553,7 +1351,7 @@ impl ElasticEngine {
                         }
                     },
                     Err(NetError::Timeout) => {
-                        charge += deadline.as_secs_f64();
+                        charge += detect.as_secs_f64();
                         let silent: Vec<usize> = (0..slots)
                             .filter(|&w| {
                                 sent_update[w]
@@ -1562,13 +1360,13 @@ impl ElasticEngine {
                             })
                             .collect();
                         for w in silent {
-                            if self.pending_has_evidence(t, w) {
+                            if self.core.pending_has_evidence(t, w) {
                                 continue;
                             }
-                            match self.probe_worker(t, w)? {
+                            match self.core.probe_worker(t, w)? {
                                 Probed::Deferred => {}
                                 Probed::Alive { loaded: true } => {
-                                    self.note_recovery(
+                                    self.core.note_recovery(
                                         RecoveryEvent {
                                             iteration: t,
                                             worker: w,
@@ -1580,11 +1378,11 @@ impl ElasticEngine {
                                         },
                                         &mut recovery,
                                     );
-                                    self.bump_attempts(t, w, &mut attempts)?;
+                                    self.core.bump_attempts(t, w, &mut attempts)?;
                                     // The worker holds iteration t's batch;
                                     // re-sending the broadcast suffices (an
                                     // already-applied update re-acks).
-                                    let _ = self.master.send(
+                                    let _ = self.core.master.send(
                                         NodeId::Worker(w),
                                         ColMsg::Update {
                                             iteration: t,
@@ -1608,6 +1406,7 @@ impl ElasticEngine {
                                 }
                             }
                         }
+                        wait_until = Instant::now() + detect;
                     }
                     Err(e) => {
                         return Err(TrainError::Network {
@@ -1617,6 +1416,7 @@ impl ElasticEngine {
                     }
                 }
             }
+            let bcast_wall = bcast_started.elapsed().as_secs_f64();
             if let Some((v, f)) = straggler {
                 if raced.contains(&v) {
                     // A warm replica holds the same partitions and applied
@@ -1636,12 +1436,11 @@ impl ElasticEngine {
 
             // --- pricing ------------------------------------------------
             let bcast_bytes = (ColMsg::update_wire_size(stats_len) + ENVELOPE_BYTES) as u64;
-            let gather_s = self.net.gather_time(&reply_bytes);
+            let gather_s = self.core.net.gather_time(&reply_bytes);
             let bcast_s = self
+                .core
                 .net
                 .broadcast_time(bcast_bytes, self.membership.active().len());
-            let comm = gather_s + bcast_s;
-
             // --- telemetry + monitor ------------------------------------
             let mut compute_times = vec![0.0f64; slots];
             let mut sample_times = vec![0.0f64; slots];
@@ -1660,101 +1459,34 @@ impl ElasticEngine {
                     sample_times[task.worker] = sample_times[task.worker].max(r.sample_s);
                 }
             }
-            if self.recorder.is_enabled() {
-                self.emit_superstep(
+            let observed = self.monitor_view(&compute_times);
+            self.core.finish_superstep(
+                &Superstep {
                     t,
-                    &sample_times,
-                    &compute_times,
+                    sample_times: &sample_times,
+                    compute_times: &compute_times,
+                    observed: &observed,
                     stat_phase,
-                    gather_s,
-                    bcast_s,
-                    &update_times,
+                    gather: (gather_s, gather_wall),
+                    bcast: (bcast_s, bcast_wall),
+                    update_times: &update_times,
                     upd_phase,
                     charge,
                     counted,
-                );
-            }
-
-            let loss = self
-                .cfg
-                .base
-                .model
-                .loss_from_stats(&self.batch_labels(t), &agg);
-            if charge > 0.0 {
-                clock.charge(charge);
-            }
-            clock.record(IterationTime {
-                compute_s: stat_phase + upd_phase,
-                comm_s: comm,
-                overhead_s: self.net.scheduling_overhead_s,
-            });
-            curve.push(t, clock.elapsed_s(), loss);
-
-            if self.monitor.is_enabled() {
-                // Inactive slots observe the active median so the
-                // sliding-window median is not dragged toward zero by
-                // empty slots (which would alarm on everything).
-                let mut actives: Vec<f64> = self
-                    .membership
-                    .active()
-                    .iter()
-                    .map(|&w| compute_times[w])
-                    .collect();
-                actives.sort_by(f64::total_cmp);
-                let median = actives.get(actives.len() / 2).copied().unwrap_or(0.0);
-                for (w, slot) in compute_times.iter_mut().enumerate() {
-                    if self.membership.state(w) != Some(WorkerState::Active) {
-                        *slot = median;
-                    }
-                }
-                let sent: Vec<u64> = self
-                    .traffic
-                    .per_worker_sent(slots)
-                    .iter()
-                    .map(|s| s.bytes)
-                    .collect();
-                self.monitor.observe_superstep(SuperstepObs {
-                    iteration: t,
-                    compute: &compute_times,
-                    sent_bytes: &sent,
-                    loss,
-                    sim_elapsed_s: clock.elapsed_s(),
-                });
-                if let Some(reason) = self.monitor.should_stop() {
-                    return Err(TrainError::Diverged {
-                        iteration: t,
-                        reason,
-                    });
-                }
-            }
+                    agg: &agg,
+                },
+                &mut clock,
+                &mut curve,
+            )?;
         }
-
-        // Fold master-side profiler accumulation into the trace (no-op
-        // unless both tracing and profiling are enabled); worker samples
-        // from TCP processes already arrived over the telemetry channel.
-        self.recorder.prof_drain(None);
-
-        if self.recorder.is_enabled() {
-            // Tentpole invariant: migration and speculation traffic is
-            // priced by construction — the trace's comm records reconcile
-            // exactly with the router's byte meter.
-            let s = self.recorder.summary();
-            let total = self.traffic.total();
-            if (s.comm_bytes, s.comm_messages) != (total.bytes, total.messages) {
-                return Err(TrainError::Internal(format!(
-                    "telemetry comm records diverge from router metering: \
-                     trace {}B/{} vs meter {}B/{}",
-                    s.comm_bytes, s.comm_messages, total.bytes, total.messages
-                )));
-            }
-        }
+        self.core.finish_train()?;
 
         Ok(ElasticOutcome {
             curve,
             clock,
             recovery,
             run: self.run_stamp(),
-            diagnostics: self.monitor.report(),
+            diagnostics: self.core.monitor.report(),
             membership_log: self.membership.log().to_vec(),
             migrations: self.migrations,
             migration_bytes: self.migration_bytes,
@@ -1763,97 +1495,59 @@ impl ElasticEngine {
         })
     }
 
-    /// Emits the six per-iteration spans plus the kernel record (the
-    /// static engine's schema, so trace tooling works unchanged).
-    #[allow(clippy::too_many_arguments)] // iteration-local measurements
-    fn emit_superstep(
-        &self,
-        t: u64,
-        sample_times: &[f64],
-        compute_times: &[f64],
-        stat_phase: f64,
-        gather_s: f64,
-        bcast_s: f64,
-        update_times: &[f64],
-        upd_phase: f64,
-        charge: f64,
-        counted_workers: usize,
-    ) {
-        let max = |xs: &[f64]| xs.iter().copied().fold(0.0f64, f64::max);
-        let spans = [
-            (Phase::Sample, max(sample_times), sample_times),
-            (Phase::Compute, stat_phase, compute_times),
-            (Phase::Gather, gather_s, &[] as &[f64]),
-            (Phase::Broadcast, bcast_s, &[]),
-            (Phase::Update, upd_phase, update_times),
-            (
-                Phase::Overhead,
-                self.net.scheduling_overhead_s + charge,
-                &[],
-            ),
-        ];
-        for (phase, sim_s, per_worker) in spans {
-            self.recorder.superstep(SuperstepSpan {
-                iteration: t,
-                phase,
-                sim_s,
-                measured_s: if phase.is_timer_derived() { sim_s } else { 0.0 },
-                per_worker: per_worker.to_vec(),
-            });
+    /// The per-slot compute times as the monitor should see them: inactive
+    /// slots observe the active median, so the sliding-window median is
+    /// not dragged toward zero by empty slots (which would alarm on
+    /// everything).
+    fn monitor_view(&self, compute_times: &[f64]) -> Vec<f64> {
+        let mut actives: Vec<f64> = self
+            .membership
+            .active()
+            .iter()
+            .map(|&w| compute_times[w])
+            .collect();
+        actives.sort_by(f64::total_cmp);
+        let median = actives.get(actives.len() / 2).copied().unwrap_or(0.0);
+        let mut view = compute_times.to_vec();
+        for (w, slot) in view.iter_mut().enumerate() {
+            if self.membership.state(w) != Some(WorkerState::Active) {
+                *slot = median;
+            }
         }
-        self.recorder.kernel(KernelRecord {
-            iteration: t,
-            model: self.cfg.base.model.label().to_string(),
-            batch_size: self.cfg.base.batch_size as u64,
-            pool_width: self.cfg.base.threads_per_worker as u64,
-            flops_proxy: self
-                .cfg
-                .base
-                .model
-                .flops_proxy(self.cfg.base.batch_size, counted_workers),
-            worker: None,
-        });
-    }
-
-    /// Labels of the iteration-`t` batch, from the master-side index.
-    fn batch_labels(&self, iteration: u64) -> Vec<f64> {
-        self.index
-            .sample_batch(iteration, self.cfg.base.batch_size)
-            .into_iter()
-            .map(|addr| self.blocks[addr.block as usize].csr().label(addr.offset))
-            .collect()
+        view
     }
 
     /// The run's identity stamp (`workers` counts registered slots).
     pub fn run_stamp(&self) -> RunStamp {
-        RunStamp {
-            config_hash: self.cfg.base.fingerprint(),
-            seed: self.cfg.base.seed,
-            chaos_seed: self.plan.chaos.map(|c| c.seed),
-            pool_width: self.cfg.base.threads_per_worker as u64,
-            workers: self.cfg.max_workers as u64,
-        }
+        self.core.run_stamp()
     }
 
     /// The attached telemetry recorder.
     pub fn recorder(&self) -> &Recorder {
-        &self.recorder
+        &self.core.recorder
     }
 
     /// Attaches an online diagnostics [`Monitor`]; its straggler alarm is
     /// also what arms speculative backup execution.
     pub fn attach_monitor(&mut self, monitor: Monitor) {
-        self.monitor = monitor;
+        self.core.monitor = monitor;
     }
 
     /// The attached diagnostics monitor.
     pub fn monitor(&self) -> &Monitor {
-        &self.monitor
+        &self.core.monitor
+    }
+
+    /// Attaches a [`MetricsRegistry`], fed once per superstep (see
+    /// [`crate::ColumnSgdEngine::attach_metrics`]; per-worker gauges are
+    /// per slot, idle slots reading 0).
+    pub fn attach_metrics(&mut self, metrics: MetricsRegistry) {
+        self.core.attach_metrics(metrics);
     }
 
     /// The shared traffic meter.
     pub fn traffic(&self) -> &TrafficStats {
-        &self.traffic
+        &self.core.traffic
     }
 
     /// The initial-placement cost report.
@@ -1868,7 +1562,7 @@ impl ElasticEngine {
 
     /// The model dimension m.
     pub fn dim(&self) -> u64 {
-        self.dim
+        self.core.dim
     }
 
     /// Fetches every live shard copy as `(worker, pid, params)` — the
@@ -1879,29 +1573,12 @@ impl ElasticEngine {
     /// [`TrainError::Network`] when an active worker cannot answer within
     /// the bulk deadline.
     pub fn collect_replicas(&mut self) -> Result<Vec<(usize, usize, ParamSet)>, TrainError> {
-        let iteration = self.cfg.base.iterations;
-        let net_err = |source| TrainError::Network { iteration, source };
-        let active = self.membership.active();
-        for &w in &active {
-            self.master
-                .send_reliable(NodeId::Worker(w), ColMsg::FetchModel)
-                .map_err(net_err)?;
-        }
-        let deadline = self.bulk_deadline();
-        let mut copies = Vec::new();
-        let mut replied = BTreeSet::new();
-        while replied.len() < active.len() {
-            let env = self.recv_next(deadline).map_err(net_err)?;
-            let ColMsg::ModelReply { worker, parts } = env.payload else {
-                continue; // leftover training traffic
-            };
-            if !replied.insert(worker) {
-                continue;
-            }
-            for (pid, local) in parts {
-                copies.push((worker, pid, local));
-            }
-        }
+        let mut copies: Vec<(usize, usize, ParamSet)> = self
+            .core
+            .fetch_models(&self.membership.active())?
+            .into_iter()
+            .flat_map(|(w, parts)| parts.into_iter().map(move |(pid, local)| (w, pid, local)))
+            .collect();
         copies.sort_by_key(|&(w, pid, _)| (pid, w));
         Ok(copies)
     }
@@ -1913,60 +1590,7 @@ impl ElasticEngine {
     /// [`TrainError::Network`] when an active worker cannot answer within
     /// the bulk deadline.
     pub fn collect_model(&mut self) -> Result<ParamSet, TrainError> {
-        let iteration = self.cfg.base.iterations;
-        let net_err = |source| TrainError::Network { iteration, source };
-        let active = self.membership.active();
-        for &w in &active {
-            self.master
-                .send_reliable(NodeId::Worker(w), ColMsg::FetchModel)
-                .map_err(net_err)?;
-        }
-        let deadline = self.bulk_deadline();
-        let dim = self.dim as usize;
-        let part = self.cfg.base.partitioner(self.cfg.max_workers, self.dim);
-        let mut full = self
-            .cfg
-            .base
-            .model
-            .init_params(dim, self.cfg.base.seed, |s| s as u64);
-        full.reset();
-        let widths = self.cfg.base.model.widths();
-        let mut seen = BTreeSet::new();
-        let mut replied = BTreeSet::new();
-        while replied.len() < active.len() {
-            let env = self.recv_next(deadline).map_err(net_err)?;
-            let ColMsg::ModelReply { worker, parts } = env.payload else {
-                continue; // leftover training traffic
-            };
-            if !replied.insert(worker) {
-                continue;
-            }
-            for (pid, local) in parts {
-                // Prefer the primary's copy; a backup fills in only when
-                // its primary never reports (replicas are in sync after a
-                // clean run anyway).
-                let is_primary = self.membership.primary_of(pid) == Some(worker);
-                if !is_primary && seen.contains(&pid) {
-                    continue;
-                }
-                if is_primary && !seen.insert(pid) {
-                    continue;
-                }
-                if !is_primary {
-                    seen.insert(pid);
-                }
-                let local_dim = part.local_dim(pid, self.dim);
-                for slot in 0..local_dim {
-                    let j = part.global_index(pid, slot) as usize;
-                    for (b, &w) in widths.iter().enumerate() {
-                        for f in 0..w {
-                            full.blocks[b][j * w + f] = local.blocks[b][slot * w + f];
-                        }
-                    }
-                }
-            }
-        }
-        Ok(full)
+        self.core.collect_model(&self.membership.active())
     }
 }
 
@@ -1975,6 +1599,7 @@ impl Drop for ElasticEngine {
         for w in 0..self.cfg.max_workers {
             if self.handles[w].is_some() {
                 let _ = self
+                    .core
                     .master
                     .send_reliable(NodeId::Worker(w), ColMsg::Shutdown);
             }
@@ -1984,5 +1609,90 @@ impl Drop for ElasticEngine {
                 let _ = h.join();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    use columnsgd_data::synth;
+    use columnsgd_ml::ModelSpec;
+
+    use super::*;
+
+    /// Regression: the gather used to hand `recv_next` a per-call budget,
+    /// so every received message — however irrelevant — restarted the full
+    /// detection window. A trickle of stray `ProbeAck`s arriving faster
+    /// than `deadline_ms` then kept a silently dead worker undetected for
+    /// as long as the trickle lasted. With the absolute deadline, stray
+    /// traffic cannot postpone the probe.
+    #[test]
+    fn stray_traffic_cannot_postpone_crash_detection() {
+        const DEADLINE_MS: u64 = 200;
+        let ds = synth::small_test_dataset(200, 40, 7);
+        let cfg = ColumnSgdConfig::new(ModelSpec::Lr)
+            .with_batch_size(32)
+            .with_iterations(2)
+            .with_seed(3)
+            .with_deadline_ms(DEADLINE_MS);
+        let mut engine = ElasticEngine::new(
+            &ds,
+            ElasticConfig::new(cfg, 3, 3).with_replication(),
+            NetworkModel::INSTANT,
+            FailurePlan::none(),
+        )
+        .expect("elastic engine");
+
+        // Kill worker 1 *silently*: swapping its mailbox disconnects the
+        // running thread (it exits without a panic report) while the held
+        // replacement keeps accepting sends that nobody will ever answer.
+        let router = engine.router.clone();
+        let _black_hole = router.reregister(NodeId::Worker(1), 0);
+
+        // Stray control answers, four per detection window, for 20 windows
+        // or until training returns.
+        let stop = Arc::new(AtomicBool::new(false));
+        let trickle = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                for _ in 0..80 {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    let _ = router.send_unmetered(
+                        NodeId::Worker(0),
+                        NodeId::Master,
+                        ColMsg::ProbeAck {
+                            worker: 0,
+                            iteration: u64::MAX,
+                            loaded: true,
+                        },
+                    );
+                    std::thread::sleep(Duration::from_millis(DEADLINE_MS / 4));
+                }
+            })
+        };
+        let out = engine.train();
+        stop.store(true, Ordering::Relaxed);
+        trickle.join().expect("trickle thread");
+
+        let out = out.expect("the warm replica takes over");
+        let ev = out
+            .recovery
+            .iter()
+            .find(|ev| ev.worker == 1)
+            .expect("worker 1's death must be detected");
+        assert_eq!(ev.detection, DetectionMethod::Timeout);
+        // One gather window plus one probe window, with slack — nowhere
+        // near the 20 windows the trickle would otherwise have bought.
+        let bound = 5.0 * DEADLINE_MS as f64 / 1000.0;
+        assert!(
+            ev.detection_latency_s < bound,
+            "detection took {:.3}s (bound {bound}s): stray traffic postponed it",
+            ev.detection_latency_s
+        );
     }
 }

@@ -17,13 +17,12 @@
 //!
 //! # Bootstrap wire format
 //!
-//! The vendored `serde` is a no-op facade, so the worker bootstrap is
-//! hand-encoded with the same primitives as the message codec
-//! ([`columnsgd_cluster::codec`]): a [`BootSpec`] is serialized to bytes,
-//! hex-armored, and written as a single line on the child's stdin. Hex
-//! keeps the channel line-oriented and immune to platform newline
-//! translation; bootstrap happens once per process, so the 2x size is
-//! irrelevant.
+//! The worker bootstrap is hand-encoded with the same primitives as the
+//! message codec ([`columnsgd_cluster::codec`]): a [`BootSpec`] is
+//! serialized to bytes, hex-armored, and written as a single line on the
+//! child's stdin. Hex keeps the channel line-oriented and immune to
+//! platform newline translation; bootstrap happens once per process, so
+//! the 2x size is irrelevant.
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -514,10 +513,11 @@ pub fn spawn_worker_thread(
     recorder: Recorder,
 ) -> JoinHandle<()> {
     let script = WorkerScript::from_plan(plan, w);
+    let held = cfg.partitions_of(w);
     spawn_guarded(
         format!("colsgd-worker{w}"),
         ep,
-        move |ep| run_worker(ep, w, k, dim, cfg, script, recorder, None),
+        move |ep| run_worker(ep, w, k, &held, dim, cfg, script, recorder, None),
         move |info| ColMsg::WorkerPanic { worker: w, info },
     )
 }

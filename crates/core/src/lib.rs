@@ -36,6 +36,7 @@ pub mod elastic;
 pub mod engine;
 pub mod error;
 pub mod host;
+mod master;
 pub mod mlp;
 pub mod msg;
 pub mod pool;
@@ -45,6 +46,7 @@ pub use config::{ColumnSgdConfig, PartitionScheme};
 pub use elastic::{
     ElasticAction, ElasticConfig, ElasticEngine, ElasticEvent, ElasticOutcome, ScalePolicy,
 };
-pub use engine::{ColumnSgdEngine, LoadReport, TrainOutcome, PER_OBJECT_S};
+pub use engine::{ColumnSgdEngine, TrainOutcome};
 pub use error::{DetectionMethod, FaultKind, RecoveryEvent, TrainError};
+pub use master::{LoadReport, PER_OBJECT_S};
 pub use pool::WorkerPool;

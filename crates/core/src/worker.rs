@@ -33,19 +33,16 @@ use columnsgd_data::workset::{split_block, WorksetStore};
 use columnsgd_data::{ColumnPartitioner, TwoPhaseIndex, Workset};
 use columnsgd_linalg::CsrMatrix;
 use columnsgd_ml::spec::reduce_stats;
-use columnsgd_ml::{OptimizerState, ParamSet};
-
-use columnsgd_ml::UpdateScratch;
+use columnsgd_ml::{OptimizerState, ParamSet, UpdateScratch};
 
 use crate::config::ColumnSgdConfig;
 use crate::msg::ColMsg;
 use crate::pool::WorkerPool;
 
 /// The worker-local slice of a failure plan: which of *this* worker's
-/// compute attempts fail, and how. Serializable because the
-/// multi-process backend ships it to worker processes in the stdin
-/// bootstrap line.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+/// compute attempts fail, and how. The multi-process backend ships it to
+/// worker processes in the stdin bootstrap line (`host::BootSpec`).
+#[derive(Debug, Clone, Default)]
 pub struct WorkerScript {
     /// Iterations whose first attempt throws a task exception.
     pub task_failures: Vec<u64>,
@@ -182,12 +179,14 @@ pub struct WorkerNode {
 }
 
 impl WorkerNode {
-    fn new(id: usize, k: usize, dim: u64, cfg: ColumnSgdConfig) -> Self {
-        let part = cfg.partitioner(k, dim);
-        let partitions = cfg
-            .partitions_of(id)
-            .into_iter()
-            .map(|pid| Partition::new(pid, &cfg, &part, dim))
+    /// A worker over `parts_total` logical column partitions that starts
+    /// out holding `held`: its replica group under the bulk-load protocol,
+    /// nothing when shards arrive one by one as [`ColMsg::ShardData`].
+    fn new(id: usize, parts_total: usize, held: &[usize], dim: u64, cfg: ColumnSgdConfig) -> Self {
+        let part = cfg.partitioner(parts_total, dim);
+        let partitions = held
+            .iter()
+            .map(|&pid| Partition::new(pid, &cfg, &part, dim))
             .collect();
         Self {
             id,
@@ -195,24 +194,6 @@ impl WorkerNode {
             part,
             dim,
             partitions,
-            received_worksets: 0,
-            cached_batch: None,
-            addrs: Vec::new(),
-            pool: WorkerPool::new(cfg.threads_per_worker),
-            applied_iteration: None,
-        }
-    }
-
-    /// An elastic worker: partitioned over `parts_total` logical partitions
-    /// but holding nothing until shards arrive as [`ColMsg::ShardData`].
-    fn new_dynamic(id: usize, parts_total: usize, dim: u64, cfg: ColumnSgdConfig) -> Self {
-        let part = cfg.partitioner(parts_total, dim);
-        Self {
-            id,
-            cfg,
-            part,
-            dim,
-            partitions: Vec::new(),
             received_worksets: 0,
             cached_batch: None,
             addrs: Vec::new(),
@@ -291,17 +272,7 @@ impl WorkerNode {
     /// Builds the per-partition two-phase indexes once loading finishes.
     fn finalize_load(&mut self) {
         for p in &mut self.partitions {
-            let layout: Vec<(u64, usize)> = p
-                .store
-                .cumulative_rows()
-                .iter()
-                .scan(0usize, |prev, &(bid, cum)| {
-                    let rows = cum - *prev;
-                    *prev = cum;
-                    Some((bid, rows))
-                })
-                .collect();
-            p.index = Some(TwoPhaseIndex::new(layout, self.cfg.seed));
+            p.index = Some(TwoPhaseIndex::new(block_rows(&p.store), self.cfg.seed));
         }
     }
 
@@ -335,21 +306,34 @@ impl WorkerNode {
     }
 
     /// `computeStatistics` (Algorithm 3 lines 14-16): samples the batch via
-    /// the shared two-phase index and returns the summed partial statistics
-    /// of every held partition (the group aggregate under backup).
+    /// the shared two-phase index and returns the summed partial
+    /// statistics over the held partitions — all of them (the group
+    /// aggregate under backup) or, with `pids`, only the named subset.
+    /// The batch is materialized for *every* held partition either
+    /// way, so a backup that computed only a straggler's partitions can
+    /// still apply the broadcast update to all its shards.
     ///
     /// Partition kernels run on the worker pool; the reduction folds in
     /// fixed partition order, so the result is bit-identical at any pool
     /// width.
-    fn compute_stats(&mut self, iteration: u64) -> Result<Vec<f64>, String> {
+    fn compute_stats(
+        &mut self,
+        iteration: u64,
+        pids: Option<&[usize]>,
+    ) -> Result<Vec<f64>, String> {
         let _prof = ProfScope::enter("worker_stats");
         self.ensure_batch(iteration)?;
         let model = self.cfg.model;
+        let wanted = |pid: usize| pids.is_none_or(|pids| pids.contains(&pid));
         self.pool.for_each_mut(&mut self.partitions, |_, p| {
-            model.compute_stats(&p.params, &p.batch, &mut p.stats);
+            if wanted(p.pid) {
+                model.compute_stats(&p.params, &p.batch, &mut p.stats);
+            } else {
+                p.stats.clear();
+            }
         });
         let mut agg = vec![0.0; self.cfg.batch_size * model.stats_width()];
-        for p in &self.partitions {
+        for p in self.partitions.iter().filter(|p| wanted(p.pid)) {
             reduce_stats(&mut agg, &p.stats);
         }
         Ok(agg)
@@ -428,17 +412,7 @@ impl WorkerNode {
         for ws in worksets {
             p.store.insert(ws);
         }
-        let layout: Vec<(u64, usize)> = p
-            .store
-            .cumulative_rows()
-            .iter()
-            .scan(0usize, |prev, &(bid, cum)| {
-                let rows = cum - *prev;
-                *prev = cum;
-                Some((bid, rows))
-            })
-            .collect();
-        p.index = Some(TwoPhaseIndex::new(layout, self.cfg.seed));
+        p.index = Some(TwoPhaseIndex::new(block_rows(&p.store), self.cfg.seed));
         self.partitions.push(p);
         self.partitions.sort_unstable_by_key(|p| p.pid);
         // The held set changed: cached batches no longer cover it.
@@ -469,38 +443,6 @@ impl WorkerNode {
         }
     }
 
-    /// `computeStatistics` over an explicit partition subset (elastic
-    /// engine). The batch is materialized for *every* held partition — so a
-    /// backup that computed only the straggler's partitions can still apply
-    /// the broadcast update to all its shards — but kernels run only for
-    /// the requested pids. Returns `(covered pids, partial)`.
-    fn compute_stats_for(
-        &mut self,
-        iteration: u64,
-        pids: &[usize],
-    ) -> Result<(Vec<usize>, Vec<f64>), String> {
-        let _prof = ProfScope::enter("worker_stats");
-        self.ensure_batch(iteration)?;
-        let model = self.cfg.model;
-        let wanted = |pid: usize| pids.contains(&pid);
-        self.pool.for_each_mut(&mut self.partitions, |_, p| {
-            if wanted(p.pid) {
-                model.compute_stats(&p.params, &p.batch, &mut p.stats);
-            } else {
-                p.stats.clear();
-            }
-        });
-        let mut agg = vec![0.0; self.cfg.batch_size * model.stats_width()];
-        let mut covered = Vec::new();
-        for p in &self.partitions {
-            if wanted(p.pid) {
-                reduce_stats(&mut agg, &p.stats);
-                covered.push(p.pid);
-            }
-        }
-        Ok((covered, agg))
-    }
-
     /// The worksets of shard `pid` in block-id order plus its current
     /// parameters — the migration payload.
     fn shard_payload(&self, pid: usize) -> Option<(Vec<Workset>, ParamSet)> {
@@ -516,26 +458,186 @@ impl WorkerNode {
     /// workers, but the two-phase index sorts by block id, so the canonical
     /// layout is what must agree.
     fn layout(&self) -> Vec<(u64, usize)> {
-        let mut prev = 0usize;
-        let mut layout: Vec<(u64, usize)> = self.partitions[0]
-            .store
-            .cumulative_rows()
-            .iter()
-            .map(|&(bid, cum)| {
-                let rows = cum - prev;
-                prev = cum;
-                (bid, rows)
-            })
-            .collect();
+        let mut layout = self
+            .partitions
+            .first()
+            .map(|p| block_rows(&p.store))
+            .unwrap_or_default();
         layout.sort_unstable_by_key(|&(bid, _)| bid);
         layout
     }
 }
 
-/// The worker mailbox loop. Runs until [`ColMsg::Shutdown`] or the master
-/// disappears; panics (scripted, chaos, or genuine bugs) unwind out of
-/// here and are converted into [`ColMsg::WorkerPanic`] by the guarded
-/// spawn in the engine.
+/// A store's `(block, rows)` layout in arrival order, recovered from its
+/// cumulative row counts.
+fn block_rows(store: &WorksetStore) -> Vec<(u64, usize)> {
+    let mut prev = 0usize;
+    store
+        .cumulative_rows()
+        .iter()
+        .map(|&(bid, cum)| {
+            let rows = cum - prev;
+            prev = cum;
+            (bid, rows)
+        })
+        .collect()
+}
+
+/// One `computeStatistics` task as it came off the wire: the whole held
+/// set ([`ColMsg::ComputeStats`], `pids: None`) or an explicit partition
+/// subset ([`ColMsg::ComputeStatsFor`]). The reply mirrors the request's
+/// shape; everything else about serving the task is shared.
+struct StatsTask {
+    iteration: u64,
+    batch_size: usize,
+    attempt: u64,
+    pids: Option<Vec<usize>>,
+}
+
+/// Serves one statistics task: scripted faults, request validation, batch
+/// sampling, the kernels, the worker-side records, and the reply.
+fn serve_stats(
+    w: &mut WorkerNode,
+    ep: &Endpoint<ColMsg>,
+    script: &WorkerScript,
+    recorder: &Recorder,
+    flush_telemetry: &impl Fn(),
+    task: StatsTask,
+) {
+    let StatsTask {
+        iteration,
+        batch_size,
+        attempt,
+        pids,
+    } = task;
+    let id = w.id;
+    if script.crashes(id, iteration, attempt) {
+        // lint: allow(panic-hygiene) injected fault: the guarded spawn converts this panic into a WorkerPanic report, which is the detection path under test
+        panic!("injected worker failure at iteration {iteration} attempt {attempt}");
+    }
+    let per_partition = pids.is_some();
+    let reply = |covered: Vec<usize>, partial: Vec<f64>, compute_s: f64, sample_s, task_failed| {
+        if per_partition {
+            ColMsg::StatsReplyFor {
+                iteration,
+                worker: id,
+                pids: covered,
+                partial,
+                compute_s,
+                sample_s,
+                task_failed,
+            }
+        } else {
+            ColMsg::StatsReply {
+                iteration,
+                worker: id,
+                partial,
+                compute_s,
+                sample_s,
+                task_failed,
+            }
+        }
+    };
+    // A task failure is reported, never fatal: the master's retry logic
+    // decides what happens next (Figure 13a).
+    let fail = |reason: &str, compute_s: f64, sample_s: f64| {
+        eprintln!("worker {id}: statistics task t={iteration} failed: {reason}");
+        let _ = ep.send(
+            NodeId::Master,
+            reply(Vec::new(), Vec::new(), compute_s, sample_s, true),
+        );
+    };
+    if batch_size != w.cfg.batch_size {
+        // A malformed task: computing on a differently-sized batch would
+        // ship statistics the master cannot reduce (and silently train on
+        // the wrong data in release builds).
+        let configured = w.cfg.batch_size;
+        fail(
+            &format!("carries batch_size {batch_size}, configured {configured}"),
+            0.0,
+            0.0,
+        );
+        return;
+    }
+    let runnable = w.loaded()
+        && pids
+            .as_ref()
+            .is_none_or(|pids| pids.iter().any(|&pid| w.holds(pid).is_some()));
+    if !runnable {
+        match pids {
+            // A whole-worker task before loading (a stale re-issue raced a
+            // respawn): stay silent — the master's deadline fires and its
+            // probe sees loaded=false, which is what triggers the reload.
+            None => eprintln!("worker {id}: dropping ComputeStats t={iteration} before loading"),
+            // A per-partition request that raced a migration: say so, and
+            // the master re-plans without waiting out a deadline.
+            Some(_) => fail("no requested shard held", 0.0, 0.0),
+        }
+        return;
+    }
+    let start = Instant::now();
+    if script.task_fails(iteration, attempt) {
+        fail("injected task failure", start.elapsed().as_secs_f64(), 0.0);
+        return;
+    }
+    // Time the sampling/assembly sub-phase separately for telemetry;
+    // `compute_stats` below hits the batch cache, so the work is not
+    // repeated. A batch that cannot be assembled (block lost in a reload
+    // race) is a task failure, not a worker death.
+    let sampled = w.ensure_batch(iteration);
+    let sample_s = start.elapsed().as_secs_f64();
+    match sampled.and_then(|()| w.compute_stats(iteration, pids.as_deref())) {
+        Ok(partial) => {
+            // What a per-partition reply covers: the requested shards held
+            // here, in partition order. A whole-worker reply names none.
+            let covered = pids.as_deref().map_or_else(Vec::new, |pids| {
+                let held = w.partitions.iter().map(|p| p.pid);
+                held.filter(|pid| pids.contains(pid)).collect()
+            });
+            recorder.kernel(KernelRecord {
+                iteration,
+                model: w.cfg.model.label().to_string(),
+                batch_size: w.cfg.batch_size as u64,
+                pool_width: w.cfg.threads_per_worker as u64,
+                flops_proxy: w.cfg.model.flops_proxy(w.cfg.batch_size, 1),
+                worker: Some(id as u64),
+            });
+            // Worker-side NaN guard: a diverged kernel is recorded here
+            // even when the statistics never reach the master intact (e.g.
+            // a dropped reply), so TCP traces keep the evidence.
+            if partial.iter().any(|v| !v.is_finite()) {
+                recorder.fault(FaultRecord {
+                    iteration,
+                    worker: id as u64,
+                    fault: "non-finite statistics".to_string(),
+                    detection: "worker guard".to_string(),
+                    detection_latency_s: start.elapsed().as_secs_f64(),
+                    recovery_cost_s: 0.0,
+                    attempt: attempt + 1,
+                    fatal: false,
+                });
+            }
+            flush_telemetry();
+            let compute_s = start.elapsed().as_secs_f64();
+            let _ = ep.send(
+                NodeId::Master,
+                reply(covered, partial, compute_s, sample_s, false),
+            );
+        }
+        Err(e) => fail(&e, start.elapsed().as_secs_f64(), sample_s),
+    }
+}
+
+/// The worker mailbox loop — the one executor behind both engines. Runs
+/// until [`ColMsg::Shutdown`] or the master disappears; panics (scripted,
+/// chaos, or genuine bugs) unwind out of here and are converted into
+/// [`ColMsg::WorkerPanic`] by the guarded spawn in the engine.
+///
+/// The loop serves the whole worker-bound protocol: the bulk load/reload
+/// stream of the static engine (`held` names the partitions the worker
+/// owns from the start) *and* the shard-at-a-time traffic of the elastic
+/// engine (`held` empty; shards arrive as [`ColMsg::ShardData`], tasks name
+/// partition subsets, the held set changes over the worker's lifetime).
 ///
 /// `recorder` receives this worker's kernel and guard records: a clone of
 /// the master's shared recorder in-process, or a worker-local recorder in
@@ -547,7 +649,8 @@ impl WorkerNode {
 pub fn run_worker(
     ep: Endpoint<ColMsg>,
     id: usize,
-    k: usize,
+    parts_total: usize,
+    held: &[usize],
     dim: u64,
     cfg: ColumnSgdConfig,
     script: WorkerScript,
@@ -564,8 +667,8 @@ pub fn run_worker(
             tx.flush(&recorder);
         }
     };
-    let mut w = WorkerNode::new(id, k, dim, cfg);
-    let held = w.partitions.len();
+    let mut w = WorkerNode::new(id, parts_total, held, dim, cfg);
+    let held = held.len();
     let mut load_done_total: Option<usize> = None;
     let mut reload_done_total: Option<usize> = None;
     let mut reload_received = 0usize;
@@ -584,125 +687,37 @@ pub fn run_worker(
                 iteration,
                 batch_size,
                 attempt,
-            } => {
-                if script.crashes(id, iteration, attempt) {
-                    // lint: allow(panic-hygiene) injected fault: the guarded spawn converts this panic into a WorkerPanic report, which is the detection path under test
-                    panic!("injected worker failure at iteration {iteration} attempt {attempt}");
-                }
-                if batch_size != w.cfg.batch_size {
-                    // A malformed task: computing on a differently-sized
-                    // batch would ship statistics the master cannot reduce
-                    // (and silently train on the wrong data in release
-                    // builds). Report a task failure and let the master's
-                    // retry logic decide.
-                    eprintln!(
-                        "worker {id}: ComputeStats t={iteration} carries batch_size \
-                         {batch_size}, configured {}; refusing task",
-                        w.cfg.batch_size
-                    );
-                    let _ = ep.send(
-                        NodeId::Master,
-                        ColMsg::StatsReply {
-                            iteration,
-                            worker: id,
-                            partial: Vec::new(),
-                            compute_s: 0.0,
-                            sample_s: 0.0,
-                            task_failed: true,
-                        },
-                    );
-                    continue;
-                }
-                if !w.loaded() {
-                    // Can't compute without data (e.g. a stale re-issue
-                    // raced a respawn). The master's deadline will fire
-                    // and its probe will see loaded=false.
-                    eprintln!("worker {id}: dropping ComputeStats t={iteration} before loading");
-                    continue;
-                }
-                let start = Instant::now();
-                if script.task_fails(iteration, attempt) {
-                    // Task failure: the task throws; report the exception
-                    // and let the master decide (Figure 13a).
-                    let _ = ep.send(
-                        NodeId::Master,
-                        ColMsg::StatsReply {
-                            iteration,
-                            worker: id,
-                            partial: Vec::new(),
-                            compute_s: start.elapsed().as_secs_f64(),
-                            sample_s: 0.0,
-                            task_failed: true,
-                        },
-                    );
-                } else {
-                    // Time the sampling/assembly sub-phase separately for
-                    // telemetry; `compute_stats` below hits the batch
-                    // cache, so the work is not repeated. A batch that
-                    // cannot be assembled (block lost in a reload race) is
-                    // a task failure, not a worker death: report it and
-                    // let the master's retry logic decide.
-                    let sampled = w.ensure_batch(iteration);
-                    let sample_s = start.elapsed().as_secs_f64();
-                    match sampled.and_then(|()| w.compute_stats(iteration)) {
-                        Ok(partial) => {
-                            recorder.kernel(KernelRecord {
-                                iteration,
-                                model: w.cfg.model.label().to_string(),
-                                batch_size: w.cfg.batch_size as u64,
-                                pool_width: w.cfg.threads_per_worker as u64,
-                                flops_proxy: w.cfg.model.flops_proxy(w.cfg.batch_size, 1),
-                                worker: Some(id as u64),
-                            });
-                            // Worker-side NaN guard: a diverged kernel is
-                            // recorded here even when the statistics never
-                            // reach the master intact (e.g. a dropped
-                            // reply), so TCP traces keep the evidence.
-                            if partial.iter().any(|v| !v.is_finite()) {
-                                recorder.fault(FaultRecord {
-                                    iteration,
-                                    worker: id as u64,
-                                    fault: "non-finite statistics".to_string(),
-                                    detection: "worker guard".to_string(),
-                                    detection_latency_s: start.elapsed().as_secs_f64(),
-                                    recovery_cost_s: 0.0,
-                                    attempt: attempt + 1,
-                                    fatal: false,
-                                });
-                            }
-                            flush_telemetry();
-                            let _ = ep.send(
-                                NodeId::Master,
-                                ColMsg::StatsReply {
-                                    iteration,
-                                    worker: id,
-                                    partial,
-                                    compute_s: start.elapsed().as_secs_f64(),
-                                    sample_s,
-                                    task_failed: false,
-                                },
-                            );
-                        }
-                        Err(e) => {
-                            eprintln!(
-                                "worker {id}: ComputeStats t={iteration} failed: {e}; \
-                                 reporting task failure"
-                            );
-                            let _ = ep.send(
-                                NodeId::Master,
-                                ColMsg::StatsReply {
-                                    iteration,
-                                    worker: id,
-                                    partial: Vec::new(),
-                                    compute_s: start.elapsed().as_secs_f64(),
-                                    sample_s,
-                                    task_failed: true,
-                                },
-                            );
-                        }
-                    }
-                }
-            }
+            } => serve_stats(
+                &mut w,
+                &ep,
+                &script,
+                &recorder,
+                &flush_telemetry,
+                StatsTask {
+                    iteration,
+                    batch_size,
+                    attempt,
+                    pids: None,
+                },
+            ),
+            ColMsg::ComputeStatsFor {
+                iteration,
+                batch_size,
+                attempt,
+                pids,
+            } => serve_stats(
+                &mut w,
+                &ep,
+                &script,
+                &recorder,
+                &flush_telemetry,
+                StatsTask {
+                    iteration,
+                    batch_size,
+                    attempt,
+                    pids: Some(pids),
+                },
+            ),
             ColMsg::Update { iteration, stats } => {
                 if w.applied_iteration == Some(iteration) {
                     // Duplicate broadcast (chaos): the update is already
@@ -760,95 +775,6 @@ pub fn run_worker(
                 reload_done_total = Some(blocks_total);
                 maybe_finish_reload(&mut w, &ep, reload_done_total, reload_received);
             }
-            ColMsg::FetchModel => {
-                let parts = w
-                    .partitions
-                    .iter()
-                    .map(|p| (p.pid, p.params.clone()))
-                    .collect();
-                // Reliable: the inspection path must work even under chaos.
-                let _ = ep.send_reliable(NodeId::Master, ColMsg::ModelReply { worker: id, parts });
-            }
-            // Crash recovery under S-backup: the master restores the
-            // group-current parameters fetched from a surviving replica.
-            ColMsg::InstallParams { parts } => w.install_params(parts),
-            ColMsg::Shutdown => {
-                // Final drain: ship any events the last superstep's replies
-                // did not cover before the connection goes away.
-                flush_telemetry();
-                return;
-            }
-            // Master-bound replies and elastic-only shard traffic are
-            // protocol noise on a static worker: log and drop instead of
-            // panicking. Named variant-by-variant (not a wildcard) so a
-            // new ColMsg variant fails both the compiler's exhaustiveness
-            // check and protocol-conformance until a decision is made.
-            other @ (ColMsg::LoadAck { .. }
-            | ColMsg::StatsReply { .. }
-            | ColMsg::UpdateAck { .. }
-            | ColMsg::ReloadAck { .. }
-            | ColMsg::ModelReply { .. }
-            | ColMsg::ProbeAck { .. }
-            | ColMsg::WorkerPanic { .. }
-            | ColMsg::ComputeStatsFor { .. }
-            | ColMsg::StatsReplyFor { .. }
-            | ColMsg::ShardRequest { .. }
-            | ColMsg::ShardData { .. }
-            | ColMsg::ShardInstalled { .. }
-            | ColMsg::DropShard { .. }) => {
-                eprintln!(
-                    "worker {id}: dropping unexpected {} from {}",
-                    other.name(),
-                    env.from
-                );
-            }
-        }
-
-        // Finalize loading when both the done-marker and all worksets have
-        // arrived (they race on different links).
-        if let Some(total) = load_done_total {
-            if w.received_worksets == total * held && !w.loaded() {
-                w.finalize_load();
-                if ep
-                    .send_reliable(
-                        NodeId::Master,
-                        ColMsg::LoadAck {
-                            worker: id,
-                            layout: w.layout(),
-                        },
-                    )
-                    .is_err()
-                {
-                    // Master gone mid-load: nothing left to serve.
-                    return;
-                }
-                load_done_total = None;
-            }
-        }
-    }
-}
-
-/// The elastic worker mailbox loop. Unlike [`run_worker`] there is no bulk
-/// load phase: shards arrive individually as [`ColMsg::ShardData`] (from
-/// the master at startup, from a peer during migration), compute requests
-/// name explicit partition subsets, and the held set changes over the
-/// worker's lifetime.
-pub fn run_worker_dynamic(
-    ep: Endpoint<ColMsg>,
-    id: usize,
-    parts_total: usize,
-    dim: u64,
-    cfg: ColumnSgdConfig,
-    script: WorkerScript,
-) {
-    let mut w = WorkerNode::new_dynamic(id, parts_total, dim, cfg);
-
-    loop {
-        let env = match ep.recv() {
-            Ok(env) => env,
-            Err(_) => return,
-        };
-        match env.payload {
             ColMsg::ShardData {
                 pid,
                 epoch,
@@ -894,127 +820,30 @@ pub fn run_worker_dynamic(
                 }
             }
             ColMsg::DropShard { pid, epoch } => w.drop_shard(pid, epoch),
-            ColMsg::InstallParams { parts } => w.install_params(parts),
-            ColMsg::ComputeStatsFor {
-                iteration,
-                batch_size,
-                attempt,
-                pids,
-            } => {
-                if script.crashes(id, iteration, attempt) {
-                    // lint: allow(panic-hygiene) injected fault: the guarded spawn converts this panic into a WorkerPanic report, which is the detection path under test
-                    panic!("injected worker failure at iteration {iteration} attempt {attempt}");
-                }
-                let fail = |reason: &str, compute_s: f64, sample_s: f64| {
-                    eprintln!("worker {id}: ComputeStatsFor t={iteration}: {reason}");
-                    ColMsg::StatsReplyFor {
-                        iteration,
-                        worker: id,
-                        pids: Vec::new(),
-                        partial: Vec::new(),
-                        compute_s,
-                        sample_s,
-                        task_failed: true,
-                    }
-                };
-                if batch_size != w.cfg.batch_size {
-                    let _ = ep.send(NodeId::Master, fail("batch size mismatch", 0.0, 0.0));
-                    continue;
-                }
-                if !w.loaded() || pids.iter().all(|&pid| w.holds(pid).is_none()) {
-                    // No requested shard installed here (a request raced a
-                    // migration): report failure so the master re-plans.
-                    let _ = ep.send(NodeId::Master, fail("no requested shard held", 0.0, 0.0));
-                    continue;
-                }
-                let start = Instant::now();
-                if script.task_fails(iteration, attempt) {
-                    let elapsed = start.elapsed().as_secs_f64();
-                    let _ = ep.send(NodeId::Master, fail("injected task failure", elapsed, 0.0));
-                    continue;
-                }
-                let sampled = w.ensure_batch(iteration);
-                let sample_s = start.elapsed().as_secs_f64();
-                match sampled.and_then(|()| w.compute_stats_for(iteration, &pids)) {
-                    Ok((covered, partial)) => {
-                        let _ = ep.send(
-                            NodeId::Master,
-                            ColMsg::StatsReplyFor {
-                                iteration,
-                                worker: id,
-                                pids: covered,
-                                partial,
-                                compute_s: start.elapsed().as_secs_f64(),
-                                sample_s,
-                                task_failed: false,
-                            },
-                        );
-                    }
-                    Err(e) => {
-                        let elapsed = start.elapsed().as_secs_f64();
-                        let _ = ep.send(NodeId::Master, fail(&e, elapsed, sample_s));
-                    }
-                }
-            }
-            ColMsg::Update { iteration, stats } => {
-                if w.applied_iteration == Some(iteration) {
-                    let _ = ep.send(
-                        NodeId::Master,
-                        ColMsg::UpdateAck {
-                            iteration,
-                            worker: id,
-                            compute_s: 0.0,
-                        },
-                    );
-                } else if Some(iteration) == w.batch_iteration() {
-                    let start = Instant::now();
-                    w.update(iteration, &stats);
-                    let _ = ep.send(
-                        NodeId::Master,
-                        ColMsg::UpdateAck {
-                            iteration,
-                            worker: id,
-                            compute_s: start.elapsed().as_secs_f64(),
-                        },
-                    );
-                } else {
-                    eprintln!(
-                        "worker {id}: dropping Update t={iteration} (batch is t={:?})",
-                        w.batch_iteration()
-                    );
-                }
-            }
-            ColMsg::Probe { iteration } => {
-                let _ = ep.send_reliable(
-                    NodeId::Master,
-                    ColMsg::ProbeAck {
-                        worker: id,
-                        iteration,
-                        loaded: w.loaded(),
-                    },
-                );
-            }
             ColMsg::FetchModel => {
                 let parts = w
                     .partitions
                     .iter()
                     .map(|p| (p.pid, p.params.clone()))
                     .collect();
+                // Reliable: the inspection path must work even under chaos.
                 let _ = ep.send_reliable(NodeId::Master, ColMsg::ModelReply { worker: id, parts });
             }
-            ColMsg::Die => w.die(),
-            ColMsg::Shutdown => return,
-            // Static-protocol loading/compute traffic and master-bound
-            // replies are noise on a dynamic worker: log and drop. Named
-            // explicitly so new variants force a decision here (compiler
-            // exhaustiveness + protocol-conformance both fail otherwise).
-            other @ (ColMsg::LoadBlock(..)
-            | ColMsg::ReloadBlock(..)
-            | ColMsg::Workset { .. }
-            | ColMsg::LoadDone { .. }
-            | ColMsg::ReloadDone { .. }
-            | ColMsg::ComputeStats { .. }
-            | ColMsg::LoadAck { .. }
+            // Crash recovery: the master restores current parameters
+            // fetched from a surviving replica.
+            ColMsg::InstallParams { parts } => w.install_params(parts),
+            ColMsg::Shutdown => {
+                // Final drain: ship any events the last superstep's replies
+                // did not cover before the connection goes away.
+                flush_telemetry();
+                return;
+            }
+            // Master-bound replies are protocol noise on a worker: log and
+            // drop instead of panicking. Named variant-by-variant (not a
+            // wildcard) so a new ColMsg variant fails both the compiler's
+            // exhaustiveness check and protocol-conformance until a
+            // decision is made.
+            other @ (ColMsg::LoadAck { .. }
             | ColMsg::StatsReply { .. }
             | ColMsg::StatsReplyFor { .. }
             | ColMsg::UpdateAck { .. }
@@ -1028,6 +857,28 @@ pub fn run_worker_dynamic(
                     other.name(),
                     env.from
                 );
+            }
+        }
+
+        // Finalize bulk loading when both the done-marker and all worksets
+        // have arrived (they race on different links).
+        if let Some(total) = load_done_total {
+            if w.received_worksets == total * held && !w.loaded() {
+                w.finalize_load();
+                if ep
+                    .send_reliable(
+                        NodeId::Master,
+                        ColMsg::LoadAck {
+                            worker: id,
+                            layout: w.layout(),
+                        },
+                    )
+                    .is_err()
+                {
+                    // Master gone mid-load: nothing left to serve.
+                    return;
+                }
+                load_done_total = None;
             }
         }
     }

@@ -3,8 +3,10 @@
 //! migration, speculative backup execution, gauge-driven scale policy, and
 //! seeded chaos determinism.
 
+use columnsgd_cluster::telemetry::{Event, Phase};
 use columnsgd_cluster::{
-    ChaosSpec, FailurePlan, Monitor, MonitorConfig, NetworkModel, Recorder, WorkerState,
+    ChaosSpec, ClusterConfig, FailurePlan, Monitor, MonitorConfig, NetworkModel, Recorder,
+    WorkerState,
 };
 use columnsgd_core::{
     ColumnSgdConfig, ColumnSgdEngine, ElasticAction, ElasticConfig, ElasticEngine, ElasticEvent,
@@ -122,7 +124,7 @@ fn late_join_levels_load_and_converges() {
     let cfg = base_cfg(ModelSpec::Lr);
 
     let recorder = Recorder::new();
-    let mut engine = ElasticEngine::new_traced(
+    let mut engine = ElasticEngine::new_clustered(
         &ds,
         ElasticConfig::new(cfg, 4, 3).with_schedule(vec![ElasticEvent {
             iteration: 5,
@@ -132,6 +134,7 @@ fn late_join_levels_load_and_converges() {
         NetworkModel::CLUSTER1,
         FailurePlan::none(),
         recorder.clone(),
+        &ClusterConfig::in_proc(),
     )
     .expect("elastic engine");
     let out = engine.train().expect("elastic train");
@@ -277,12 +280,13 @@ fn scale_policy_replaces_flagged_straggler() {
     };
 
     let recorder = Recorder::new();
-    let mut engine = ElasticEngine::new_traced(
+    let mut engine = ElasticEngine::new_clustered(
         &ds,
         ecfg,
         NetworkModel::INSTANT,
         FailurePlan::with_pinned_straggler(5.0, 1),
         recorder.clone(),
+        &ClusterConfig::in_proc(),
     )
     .expect("elastic engine");
     engine.attach_monitor(Monitor::new(MonitorConfig {
@@ -426,4 +430,92 @@ fn impossible_elastic_shapes_are_rejected() {
         ElasticEngine::new(&ds, overfull, NetworkModel::INSTANT, FailurePlan::none()),
         Err(TrainError::InvalidPlan(_))
     ));
+}
+
+/// A traced elastic run on the full cluster, in-process.
+fn traced_elastic(ds: &Dataset, cfg: ColumnSgdConfig, recorder: &Recorder) -> ElasticEngine {
+    ElasticEngine::new_clustered(
+        ds,
+        ElasticConfig::new(cfg, 3, 3),
+        NetworkModel::CLUSTER1,
+        FailurePlan::none(),
+        recorder.clone(),
+        &ClusterConfig::in_proc(),
+    )
+    .expect("elastic engine")
+}
+
+/// Elastic workers run the one worker loop and the elastic master the one
+/// superstep tail, so a traced elastic run carries what a static one does:
+/// a kernel record per worker task, measured barrier walls on the
+/// gather/broadcast spans, and the live trace tail.
+#[test]
+fn traced_elastic_run_carries_worker_records_walls_and_live_tail() {
+    let ds = dataset(300, 60, 7);
+    let cfg = base_cfg(ModelSpec::Lr).with_iterations(8);
+    let recorder = Recorder::new();
+    let dir = std::env::temp_dir().join(format!("columnsgd-elastic-tail-{}", std::process::id()));
+    let path = dir.join("live.jsonl");
+    recorder.attach_trace_out(&path).expect("attach live tail");
+
+    let mut engine = traced_elastic(&ds, cfg, &recorder);
+    engine.train().expect("elastic train");
+
+    let events = recorder.events();
+    for w in 0..3u64 {
+        let kernels = events
+            .iter()
+            .filter(|ev| matches!(ev, Event::Kernel(k) if k.worker == Some(w)))
+            .count();
+        assert_eq!(kernels, 8, "worker {w}: one kernel record per task");
+    }
+    for phase in [Phase::Gather, Phase::Broadcast] {
+        let walls: Vec<f64> = events
+            .iter()
+            .filter_map(|ev| match ev {
+                Event::Superstep(s) if s.phase == phase => Some(s.measured_s),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(walls.len(), 8);
+        assert!(
+            walls.iter().all(|&s| s > 0.0),
+            "{phase:?} spans must carry the measured barrier wall: {walls:?}"
+        );
+    }
+    // The superstep tail flushed the live file as the run progressed: it
+    // already holds every event, before any end-of-run export (only the
+    // meta line differs — the sink was attached before the run's stamp).
+    let live = std::fs::read_to_string(&path).expect("read live tail");
+    let full = recorder.to_jsonl();
+    assert!(
+        live.lines().skip(1).eq(full.lines().skip(1)),
+        "live tail must hold the trace's events"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The worker-side NaN guard comes with the shared statistics-task body:
+/// a diverging elastic run leaves "non-finite statistics" fault records
+/// in the trace, stamped by the worker that computed them.
+#[test]
+fn elastic_workers_guard_non_finite_statistics() {
+    let ds = dataset(300, 60, 7);
+    // Least squares with an absurd learning rate overflows within a few
+    // steps: the residuals square the scale every iteration.
+    let cfg = base_cfg(ModelSpec::LeastSquares)
+        .with_iterations(6)
+        .with_learning_rate(1e200);
+    let recorder = Recorder::new();
+    let mut engine = traced_elastic(&ds, cfg, &recorder);
+    engine
+        .train()
+        .expect("no monitor attached, so the run completes");
+    assert!(
+        recorder.events().iter().any(|ev| matches!(
+            ev,
+            Event::Fault(f) if f.fault == "non-finite statistics" && f.detection == "worker guard"
+        )),
+        "a diverged elastic run must record the worker-side guard"
+    );
 }

@@ -3,7 +3,7 @@
 //! computation, straggler handling, and fault tolerance.
 
 use columnsgd_cluster::failure::FailureEvent;
-use columnsgd_cluster::{ChaosSpec, FailurePlan, NetworkModel, NodeId};
+use columnsgd_cluster::{ChaosSpec, ClusterConfig, FailurePlan, NetworkModel, NodeId, Recorder};
 use columnsgd_core::config::PartitionScheme;
 use columnsgd_core::{ColumnSgdConfig, ColumnSgdEngine, DetectionMethod, FaultKind, TrainError};
 use columnsgd_data::{synth, Dataset};
@@ -504,13 +504,15 @@ fn engine_trains_from_streamed_blocks() {
         .with_batch_size(32)
         .with_iterations(100)
         .with_learning_rate(1.0);
-    let mut engine = ColumnSgdEngine::from_blocks(
+    let mut engine = ColumnSgdEngine::from_blocks_clustered(
         blocks,
         dim,
         3,
         cfg,
         NetworkModel::INSTANT,
         FailurePlan::none(),
+        Recorder::disabled(),
+        &ClusterConfig::in_proc(),
     )
     .expect("engine");
     let out = engine.train().expect("train");
@@ -719,10 +721,11 @@ fn worker_refuses_mismatched_batch_size() {
             wep,
             0,
             1,
+            &[0],
             10,
             cfg,
             WorkerScript::default(),
-            columnsgd_cluster::Recorder::disabled(),
+            Recorder::disabled(),
             None,
         )
     });
@@ -811,7 +814,6 @@ fn backup_crash_mid_gather_completes_from_surviving_replica() {
 /// still reconcile with `TrafficStats` exactly when recovery traffic flows.
 #[test]
 fn recovery_reload_is_traced_and_reconciles_with_meter() {
-    use columnsgd_cluster::Recorder;
     let ds = dataset(600, 80, 23);
     let cfg = base_cfg(ModelSpec::Lr).with_iterations(20);
     let plan = FailurePlan {
@@ -822,9 +824,16 @@ fn recovery_reload_is_traced_and_reconciles_with_meter() {
         ..FailurePlan::default()
     };
     let recorder = Recorder::new();
-    let mut engine =
-        ColumnSgdEngine::new_traced(&ds, 3, cfg, NetworkModel::CLUSTER1, plan, recorder.clone())
-            .expect("engine");
+    let mut engine = ColumnSgdEngine::new_clustered(
+        &ds,
+        3,
+        cfg,
+        NetworkModel::CLUSTER1,
+        plan,
+        recorder.clone(),
+        &ClusterConfig::in_proc(),
+    )
+    .expect("engine");
     let out = engine.train().expect("train");
     let total = engine.traffic().total();
     let s = recorder.summary();

@@ -6,28 +6,35 @@ use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 
 use columnsgd_cluster::telemetry::MetricsRegistry;
-use columnsgd_cluster::{FailurePlan, NetworkModel, Recorder};
-use columnsgd_core::{ColumnSgdConfig, ColumnSgdEngine};
+use columnsgd_cluster::{ClusterConfig, FailurePlan, NetworkModel, Recorder};
+use columnsgd_core::{
+    ColumnSgdConfig, ColumnSgdEngine, ElasticAction, ElasticConfig, ElasticEngine, ElasticEvent,
+};
 use columnsgd_data::synth;
 use columnsgd_ml::ModelSpec;
 
 const ITERATIONS: u64 = 8;
 
-fn trained_registry() -> MetricsRegistry {
-    let ds = synth::small_test_dataset(240, 48, 9);
-    let cfg = ColumnSgdConfig::new(ModelSpec::Lr)
+fn cfg() -> ColumnSgdConfig {
+    ColumnSgdConfig::new(ModelSpec::Lr)
         .with_batch_size(32)
         .with_iterations(ITERATIONS)
         .with_learning_rate(0.5)
-        .with_seed(17);
+        .with_seed(17)
+}
+
+fn trained_registry() -> MetricsRegistry {
+    let ds = synth::small_test_dataset(240, 48, 9);
+    let cfg = cfg();
     let metrics = MetricsRegistry::new();
-    let mut engine = ColumnSgdEngine::new_traced(
+    let mut engine = ColumnSgdEngine::new_clustered(
         &ds,
         2,
         cfg,
         NetworkModel::CLUSTER1,
         FailurePlan::none(),
         Recorder::new(),
+        &ClusterConfig::in_proc(),
     )
     .expect("engine");
     engine.attach_metrics(metrics.clone());
@@ -105,4 +112,49 @@ fn snapshot_matches_render() {
         .expect("numeric sample");
     assert!(bytes > 0.0, "comm bytes counter never advanced:\n{written}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The elastic engine feeds the same registry through the shared master
+/// core: every family, one counter tick per superstep, and a per-slot
+/// compute gauge — including the slot that only joins mid-run.
+#[test]
+fn elastic_run_feeds_the_registry() {
+    let ds = synth::small_test_dataset(240, 48, 9);
+    let metrics = MetricsRegistry::new();
+    let mut engine = ElasticEngine::new_clustered(
+        &ds,
+        ElasticConfig::new(cfg(), 3, 2).with_schedule(vec![ElasticEvent {
+            iteration: 3,
+            worker: 2,
+            action: ElasticAction::Join,
+        }]),
+        NetworkModel::CLUSTER1,
+        FailurePlan::none(),
+        Recorder::new(),
+        &ClusterConfig::in_proc(),
+    )
+    .expect("elastic engine");
+    engine.attach_metrics(metrics.clone());
+    engine.train().expect("elastic train");
+
+    let text = metrics.render();
+    for sample in [
+        &format!("columnsgd_supersteps_total {ITERATIONS}"),
+        "# TYPE columnsgd_loss gauge",
+        "# TYPE columnsgd_comm_bytes_total counter",
+        "columnsgd_worker_compute_seconds{worker=\"0\"}",
+        "columnsgd_worker_compute_seconds{worker=\"2\"}",
+        &format!("columnsgd_superstep_compute_seconds_count {ITERATIONS}"),
+    ] {
+        assert!(text.contains(sample), "missing {sample:?} in:\n{text}");
+    }
+    // The byte counter is exported as deltas of the cumulative meter, so
+    // after the last superstep it equals the meter (migration included).
+    let bytes = text
+        .lines()
+        .find_map(|l| l.strip_prefix("columnsgd_comm_bytes_total "))
+        .expect("comm bytes sample")
+        .parse::<f64>()
+        .expect("numeric sample");
+    assert_eq!(bytes, engine.traffic().total().bytes as f64);
 }

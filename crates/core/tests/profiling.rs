@@ -191,13 +191,14 @@ fn profiling_does_not_change_the_trajectory() {
         profile::set_enabled(profiled);
         let cfg = profiled_cfg();
         let ds = synth::small_test_dataset(240, 48, 9);
-        let mut engine = ColumnSgdEngine::new_traced(
+        let mut engine = ColumnSgdEngine::new_clustered(
             &ds,
             2,
             cfg,
             NetworkModel::INSTANT,
             FailurePlan::none(),
             Recorder::disabled(),
+            &ClusterConfig::in_proc(),
         )
         .expect("engine");
         let out = engine.train().expect("train");

@@ -22,14 +22,12 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use serde::{Deserialize, Serialize};
-
 /// Bytes per unit (FP64, as the paper assumes: "2.8 billion parameters
 /// (which is 21GB in FP64)").
 pub const BYTES_PER_UNIT: f64 = 8.0;
 
 /// Workload parameters of the analytic model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Workload {
     /// Model dimension m.
     pub m: f64,
@@ -88,7 +86,7 @@ impl Workload {
 }
 
 /// Memory and communication overheads of one system, in units.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Overheads {
     /// Master (or per-server aggregate) memory.
     pub master_memory: f64,

@@ -16,12 +16,11 @@
 
 use columnsgd_linalg::rng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::block::BlockId;
 
 /// A logical row address: which block, and which ordinal inside it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RowAddr {
     /// Block (= workset) key.
     pub block: BlockId,
@@ -30,7 +29,7 @@ pub struct RowAddr {
 }
 
 /// Deterministic two-phase sampler over a block layout.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TwoPhaseIndex {
     /// `(block id, cumulative row count up to and including this block)`,
     /// in a canonical (sorted by block id) order so every worker builds the

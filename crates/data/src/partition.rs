@@ -6,10 +6,9 @@
 //! ColumnSGD update models without network traffic.
 
 use columnsgd_linalg::FeatureIndex;
-use serde::{Deserialize, Serialize};
 
 /// A deterministic mapping `feature index -> (owner worker, local slot)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColumnPartitioner {
     /// Round-robin: feature `i` goes to worker `i mod k`, slot `i / k`.
     /// The paper's example scheme ("e.g., round robin", Algorithm 4) —

@@ -23,13 +23,12 @@
 
 use columnsgd_linalg::{rng, FeatureIndex, SparseVector, Value};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
 use crate::meta::DatasetMeta;
 
 /// Configuration of the synthetic generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SynthConfig {
     /// Number of rows to generate.
     pub rows: usize,

@@ -14,7 +14,6 @@
 use std::collections::HashMap;
 
 use columnsgd_linalg::{CsrMatrix, FeatureIndex, Value};
-use serde::{Deserialize, Serialize};
 
 use crate::block::{Block, BlockId};
 use crate::partition::ColumnPartitioner;
@@ -24,7 +23,7 @@ use crate::partition::ColumnPartitioner;
 /// Invariant: `data.nrows()` equals the source block's row count — rows with
 /// no features in this partition are present but empty, so the (block,
 /// offset) addressing of the two-phase index stays aligned across workers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workset {
     /// ID of the source block.
     pub block_id: BlockId,
@@ -80,7 +79,7 @@ pub fn split_block(block: &Block, part: &ColumnPartitioner) -> Vec<Workset> {
 /// Metering counts for a dispatch strategy, consumed by the Figure 7
 /// reproduction: how many discrete objects were serialized and shipped, and
 /// how many payload bytes they carried.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DispatchStats {
     /// Number of serialized objects sent over the network.
     pub objects: u64,

@@ -1,7 +1,5 @@
 //! Sparse vectors: the representation of individual (partial) data points.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{DenseVector, FeatureIndex, Value};
 
 /// A sparse vector stored as parallel, index-sorted arrays.
@@ -14,7 +12,7 @@ use crate::{DenseVector, FeatureIndex, Value};
 /// Invariants (enforced by constructors, checked by [`SparseVector::validate`]):
 /// * `indices.len() == values.len()`
 /// * `indices` is strictly increasing (no duplicates)
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SparseVector {
     indices: Vec<FeatureIndex>,
     values: Vec<Value>,

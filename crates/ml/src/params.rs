@@ -1,7 +1,6 @@
 //! Parameter containers, sparse gradients, and update hyper-parameters.
 
 use columnsgd_linalg::{DenseVector, FeatureIndex};
-use serde::{Deserialize, Serialize};
 
 use crate::regularizer::Regularizer;
 
@@ -18,7 +17,7 @@ use crate::regularizer::Regularizer;
 /// The same type represents a *full* model (dimension m, RowSGD) and a
 /// *local partition* (dimension `local_dim`, ColumnSGD) — the layout is
 /// identical, only the feature→slot mapping differs.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ParamSet {
     /// The parameter blocks.
     pub blocks: Vec<DenseVector>,
@@ -71,7 +70,7 @@ impl ParamSet {
 /// `indices` are sorted and unique; `blocks[b]` holds
 /// `indices.len() * widths[b]` values, laid out per feature then per
 /// width-component — the message RowSGD workers push (Algorithm 2 line 15).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SparseGrad {
     /// Touched feature indices, sorted, unique.
     pub indices: Vec<FeatureIndex>,
@@ -162,7 +161,7 @@ impl SparseGrad {
 }
 
 /// Hyper-parameters for one model update.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UpdateParams {
     /// Learning rate η.
     pub learning_rate: f64,

@@ -20,7 +20,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use columnsgd_linalg::{CsrMatrix, FeatureIndex, SparseVector};
 use columnsgd_telemetry::ProfScope;
-use serde::{Deserialize, Serialize};
 
 use crate::fm;
 use crate::glm::{self, GlmKind};
@@ -29,7 +28,7 @@ use crate::optimizer::OptimizerState;
 use crate::params::{ParamSet, SparseGrad, UpdateParams};
 
 /// Which ML model to train.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelSpec {
     /// Logistic regression (binary, labels ±1).
     Lr,

@@ -1,10 +1,9 @@
 //! RowSGD configuration.
 
 use columnsgd_ml::{ModelSpec, OptimizerKind, UpdateParams};
-use serde::{Deserialize, Serialize};
 
 /// Which RowSGD system to emulate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RowSgdVariant {
     /// Spark MLlib: single master, dense model broadcast + dense gradient
     /// aggregation (Algorithm 2).
@@ -36,7 +35,7 @@ impl RowSgdVariant {
 }
 
 /// Full configuration of a RowSGD training run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RowSgdConfig {
     /// The model to train.
     pub model: ModelSpec,

@@ -108,20 +108,6 @@ impl RowSgdEngine {
         Self::with_repartition(dataset, k, cfg, net, false)
     }
 
-    /// [`RowSgdEngine::new`] with a telemetry [`Recorder`] attached: the
-    /// baseline emits the same event vocabulary as the ColumnSGD engine
-    /// (comm records, superstep spans, kernel records), so traces from
-    /// both sides of a Figure 7 comparison line up.
-    pub fn new_traced(
-        dataset: &Dataset,
-        k: usize,
-        cfg: RowSgdConfig,
-        net: NetworkModel,
-        recorder: Recorder,
-    ) -> Result<Self, TrainError> {
-        Self::traced(dataset, k, cfg, net, false, recorder)
-    }
-
     /// Like [`RowSgdEngine::new`], optionally simulating a global row
     /// repartitioning after the initial load (the "MLlib-Repartition"
     /// configuration of Figure 7).
@@ -132,13 +118,24 @@ impl RowSgdEngine {
         net: NetworkModel,
         repartition: bool,
     ) -> Result<Self, TrainError> {
-        Self::traced(dataset, k, cfg, net, repartition, Recorder::disabled())
+        Self::clustered(
+            dataset,
+            k,
+            cfg,
+            net,
+            repartition,
+            Recorder::disabled(),
+            &ClusterConfig::in_proc(),
+        )
     }
 
-    /// [`RowSgdEngine::new_traced`] with an explicit transport: the
-    /// baseline runs over the same [`ClusterConfig`] backends as the
-    /// ColumnSGD engine (in-process channels, or one `rowsgd-worker` OS
-    /// process per worker over loopback TCP).
+    /// [`RowSgdEngine::new`] with a telemetry [`Recorder`] attached — the
+    /// baseline emits the same event vocabulary as the ColumnSGD engine
+    /// (comm records, superstep spans, kernel records), so traces from
+    /// both sides of a Figure 7 comparison line up — and an explicit
+    /// transport: the same [`ClusterConfig`] backends as the ColumnSGD
+    /// engine (in-process channels, or one `rowsgd-worker` OS process per
+    /// worker over loopback TCP).
     pub fn new_clustered(
         dataset: &Dataset,
         k: usize,
@@ -148,25 +145,6 @@ impl RowSgdEngine {
         cluster: &ClusterConfig,
     ) -> Result<Self, TrainError> {
         Self::clustered(dataset, k, cfg, net, false, recorder, cluster)
-    }
-
-    fn traced(
-        dataset: &Dataset,
-        k: usize,
-        cfg: RowSgdConfig,
-        net: NetworkModel,
-        repartition: bool,
-        recorder: Recorder,
-    ) -> Result<Self, TrainError> {
-        Self::clustered(
-            dataset,
-            k,
-            cfg,
-            net,
-            repartition,
-            recorder,
-            &ClusterConfig::in_proc(),
-        )
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -535,7 +513,7 @@ impl RowSgdEngine {
     }
 
     /// The attached telemetry recorder (disabled unless built via
-    /// [`RowSgdEngine::new_traced`]).
+    /// [`RowSgdEngine::new_clustered`]).
     pub fn recorder(&self) -> &Recorder {
         &self.recorder
     }

@@ -24,8 +24,8 @@ use crate::msg::RowMsg;
 pub use columnsgd_core::host::{locate_worker_bin, spawn_boot_process};
 
 /// Everything a `rowsgd-worker` process needs to join the run, shipped as
-/// one hex line on the child's stdin (same armor as the ColumnSGD
-/// bootstrap; the vendored `serde` is a facade, so this is hand-encoded).
+/// one hex line on the child's stdin (same armor and hand-written
+/// encoding as the ColumnSGD bootstrap).
 #[derive(Debug, Clone)]
 pub struct RowBootSpec {
     /// The hub's loopback address, `ip:port`.

@@ -18,12 +18,11 @@
 //!   place, survives.
 
 use columnsgd_ml::ModelSpec;
-use serde::{Deserialize, Serialize};
 
 use crate::config::RowSgdVariant;
 
 /// Estimated peak bytes per node role.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryEstimate {
     /// Master peak bytes.
     pub master: u64,

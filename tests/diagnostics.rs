@@ -3,11 +3,24 @@
 //! the divergence guard surfacing as a typed `TrainError`, and metrics
 //! snapshot streaming.
 
-use columnsgd::cluster::{FailurePlan, NetworkModel, Recorder};
+use columnsgd::cluster::{ClusterConfig, FailurePlan, NetworkModel, Recorder};
 use columnsgd::core::{ColumnSgdConfig, ColumnSgdEngine, TrainError};
 use columnsgd::data::synth;
 use columnsgd::ml::ModelSpec;
 use columnsgd::prelude::{Monitor, MonitorConfig, RowSgdConfig, RowSgdEngine, RowSgdVariant};
+
+/// The monitor's straggler and skew detectors read real compute timers,
+/// so engines training concurrently in this process (the harness runs
+/// tests on parallel threads) raise spurious alarms in each other's
+/// streams. Every test holds this while it trains.
+static ONE_ENGINE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn one_engine() -> std::sync::MutexGuard<'static, ()> {
+    // A test that failed while holding the guard must not fail the rest.
+    ONE_ENGINE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Runs a monitored ColumnSGD job with StragglerLevel-9 injection and
 /// returns the canonical diagnostic stream plus the diagnostics section.
@@ -37,6 +50,7 @@ fn monitored_straggler_run(seed: u64) -> (Vec<String>, columnsgd::prelude::Diagn
 /// straggling must actually trip the straggler detector.
 #[test]
 fn same_seed_runs_emit_identical_diagnostic_streams() {
+    let _one = one_engine();
     let (stream_a, diag_a) = monitored_straggler_run(41);
     let (stream_b, _) = monitored_straggler_run(41);
     assert!(
@@ -58,6 +72,7 @@ fn same_seed_runs_emit_identical_diagnostic_streams() {
 /// `TrainError::Diverged` when the divergence guard is armed to halt.
 #[test]
 fn divergence_guard_halts_with_typed_error() {
+    let _one = one_engine();
     let ds = synth::small_test_dataset(400, 2_000, 7);
     // Least squares with an absurd learning rate blows up geometrically.
     let cfg = ColumnSgdConfig::new(ModelSpec::LeastSquares)
@@ -90,6 +105,7 @@ fn divergence_guard_halts_with_typed_error() {
 /// engine behaves exactly as before (no detector cost, no early stops).
 #[test]
 fn unmonitored_runs_have_empty_diagnostics() {
+    let _one = one_engine();
     let ds = synth::small_test_dataset(400, 2_000, 7);
     let cfg = ColumnSgdConfig::new(ModelSpec::Lr)
         .with_batch_size(64)
@@ -108,6 +124,7 @@ fn unmonitored_runs_have_empty_diagnostics() {
 /// populates the diagnostics section deterministically.
 #[test]
 fn rowsgd_monitor_smoke() {
+    let _one = one_engine();
     let run = |seed: u64| {
         let ds = synth::small_test_dataset(500, 3_000, 19);
         let cfg = RowSgdConfig::new(ModelSpec::Lr, RowSgdVariant::MLlib)
@@ -137,6 +154,7 @@ fn rowsgd_monitor_smoke() {
 /// per superstep, each parseable with the metrics vocabulary.
 #[test]
 fn metrics_sink_streams_snapshots() {
+    let _one = one_engine();
     let dir = std::env::temp_dir().join(format!("columnsgd-diag-{}", std::process::id()));
     let path = dir.join("metrics.jsonl");
     let ds = synth::small_test_dataset(400, 2_000, 7);
@@ -167,19 +185,21 @@ fn metrics_sink_streams_snapshots() {
 /// gauge reads must not perturb the metering.
 #[test]
 fn monitored_traced_run_still_reconciles_bytes() {
+    let _one = one_engine();
     let ds = synth::small_test_dataset(600, 5_000, 11);
     let cfg = ColumnSgdConfig::new(ModelSpec::Lr)
         .with_batch_size(64)
         .with_iterations(6)
         .with_seed(13);
     let recorder = Recorder::new();
-    let mut e = ColumnSgdEngine::new_traced(
+    let mut e = ColumnSgdEngine::new_clustered(
         &ds,
         3,
         cfg,
         NetworkModel::CLUSTER1,
         FailurePlan::none(),
         recorder.clone(),
+        &ClusterConfig::in_proc(),
     )
     .expect("engine");
     e.attach_monitor(Monitor::new(MonitorConfig::default()));

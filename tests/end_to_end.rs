@@ -111,6 +111,56 @@ fn row_and_column_paradigms_agree_on_the_problem() {
     assert!(row_acc > 0.95, "RowSGD accuracy {row_acc}");
 }
 
+/// Both engines drive the one worker loop from the one master core: with
+/// an empty schedule the elastic engine *is* the static engine, bit for
+/// bit (losses and reassembled model), and a scheduled `Join` completes.
+#[test]
+fn elastic_empty_schedule_matches_static() {
+    let ds = columnsgd::data::synth::small_test_dataset(300, 60, 7);
+    let config = ColumnSgdConfig::new(ModelSpec::Lr)
+        .with_batch_size(32)
+        .with_iterations(20)
+        .with_learning_rate(0.5)
+        .with_seed(11);
+    let net = NetworkModel::INSTANT;
+
+    let mut stat =
+        ColumnSgdEngine::new(&ds, 3, config, net, FailurePlan::none()).expect("static engine");
+    let stat_out = stat.train().expect("static train");
+    let stat_model = stat.collect_model().expect("static model");
+
+    let mut elastic = ElasticEngine::new(
+        &ds,
+        ElasticConfig::new(config, 3, 3),
+        net,
+        FailurePlan::none(),
+    )
+    .expect("elastic engine");
+    let elastic_out = elastic.train().expect("elastic train");
+    let elastic_model = elastic.collect_model().expect("elastic model");
+
+    let losses = |c: &columnsgd::ml::metrics::Curve| -> Vec<u64> {
+        c.points.iter().map(|p| p.loss.to_bits()).collect()
+    };
+    assert_eq!(losses(&stat_out.curve), losses(&elastic_out.curve));
+    assert_eq!(stat_model, elastic_model);
+
+    let mut joined = ElasticEngine::new(
+        &ds,
+        ElasticConfig::new(config, 3, 2).with_schedule(vec![ElasticEvent {
+            iteration: 5,
+            worker: 2,
+            action: ElasticAction::Join,
+        }]),
+        net,
+        FailurePlan::none(),
+    )
+    .expect("elastic engine");
+    let out = joined.train().expect("train across a join");
+    assert_eq!(out.curve.points.len(), 20);
+    assert!(out.migrations >= 1, "the joiner must receive a shard");
+}
+
 #[test]
 fn facade_prelude_covers_the_quickstart_surface() {
     // Compile-time check that the prelude exposes the public API the

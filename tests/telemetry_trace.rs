@@ -3,7 +3,7 @@
 //! reconciliation between comm records and the router's byte meter.
 
 use columnsgd::cluster::telemetry::{parse_jsonl, Event, RunStamp, Summary, SCHEMA_VERSION};
-use columnsgd::cluster::{FailurePlan, NetworkModel, Recorder};
+use columnsgd::cluster::{ClusterConfig, FailurePlan, NetworkModel, Recorder};
 use columnsgd::core::{ColumnSgdConfig, ColumnSgdEngine};
 use columnsgd::data::synth;
 use columnsgd::ml::ModelSpec;
@@ -19,13 +19,14 @@ fn traced_run(seed: u64) -> (Recorder, Summary, u64, u64) {
         .with_iterations(6)
         .with_seed(seed);
     let recorder = Recorder::new();
-    let mut e = ColumnSgdEngine::new_traced(
+    let mut e = ColumnSgdEngine::new_clustered(
         &ds,
         3,
         cfg,
         NetworkModel::CLUSTER1,
         FailurePlan::none(),
         recorder.clone(),
+        &ClusterConfig::in_proc(),
     )
     .expect("engine");
     e.train().expect("train");
