@@ -22,7 +22,10 @@
 //! * [`failure`]: straggler and failure injection (§V-C's `StragglerLevel`
 //!   methodology, §X's task/worker failures),
 //! * [`allreduce`]: a ring all-reduce primitive (used by the MLlib*
-//!   baseline).
+//!   baseline),
+//! * [`host`]: the one worker host under every engine — thread or process
+//!   slots that are started, respawned and stopped the same way, the boot
+//!   line a worker process reads, and the `main` of a worker binary.
 //!
 //! **Why simulated time?** The paper's experiments ran on 8–40 machines; a
 //! single host cannot reproduce real network transfer times. Every message
@@ -42,6 +45,7 @@ pub mod clock;
 pub mod codec;
 pub mod config;
 pub mod failure;
+pub mod host;
 pub mod membership;
 pub mod netmodel;
 pub mod node;
@@ -60,6 +64,7 @@ pub use columnsgd_telemetry::{
 };
 pub use config::{ClusterConfig, TransportKind};
 pub use failure::{FailureEvent, FailurePlan, StragglerSpec};
+pub use host::{worker_main, Boot, BootJob, Host, Launcher, WorkerJob};
 pub use membership::{
     Membership, MembershipError, MembershipEvent, RebalancePlan, ShardDrop, ShardMove, ShardRole,
     WorkerState,

@@ -38,15 +38,14 @@
 //! [`TrainError`]s, never panics.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 use columnsgd_cluster::telemetry::{FaultRecord, MetricsRegistry, RunStamp};
 use columnsgd_cluster::wire::ENVELOPE_BYTES;
 use columnsgd_cluster::{
-    spawn_guarded, ClusterConfig, DiagnosticKind, Diagnostics, Endpoint, FailurePlan, Membership,
-    MembershipError, MembershipEvent, Monitor, NetError, NetworkModel, NodeId, RebalancePlan,
-    Recorder, Router, ShardMove, ShardRole, SimClock, TrafficStats, TransportKind, WorkerState,
+    ClusterConfig, DiagnosticKind, Diagnostics, FailurePlan, Membership, MembershipError,
+    MembershipEvent, Monitor, NetError, NetworkModel, NodeId, RebalancePlan, Recorder, ShardMove,
+    ShardRole, SimClock, TrafficStats, TransportKind, WorkerState,
 };
 use columnsgd_data::block::Block;
 use columnsgd_data::workset::split_block;
@@ -59,7 +58,7 @@ use crate::config::ColumnSgdConfig;
 use crate::error::{DetectionMethod, FaultKind, RecoveryEvent, TrainError};
 use crate::master::{LoadReport, MasterCore, Probed, Superstep, PER_OBJECT_S};
 use crate::msg::ColMsg;
-use crate::worker::{run_worker, WorkerScript};
+use crate::worker::WorkerScript;
 
 /// A scheduled membership transition, applied at the start of the named
 /// iteration (between supersteps, when no task is in flight).
@@ -212,10 +211,6 @@ struct TaskReply {
 pub struct ElasticEngine {
     cfg: ElasticConfig,
     core: MasterCore,
-    router: Router<ColMsg>,
-    handles: Vec<Option<JoinHandle<()>>>,
-    /// Endpoints of slots not yet spawned (taken on Join).
-    spares: Vec<Option<Endpoint<ColMsg>>>,
     membership: Membership,
     load_report: LoadReport,
     migrations: u64,
@@ -263,12 +258,12 @@ impl ElasticEngine {
     /// [`ElasticEngine::new`] with a telemetry [`Recorder`] attached and an
     /// explicit transport backend selection.
     ///
-    /// The elastic runtime is in-process only for now: live migration
-    /// hands a spare worker's pre-created mailbox across scale events and
-    /// speculation races replica endpoints — both assume every mailbox is
-    /// locally hosted, which the multi-process TCP backend cannot provide
-    /// (a remote mailbox lives in another process). Rejected loudly here
-    /// rather than failing deep inside a scale event.
+    /// The elastic runtime is in-process only for now. The shared worker
+    /// host no longer stands in the way — a slot is started at its `Join`
+    /// on either backend — but a `columnsgd-worker` process cannot yet be
+    /// booted without partitions, and no workload or test exercises
+    /// membership changes over sockets. Rejected loudly here rather than
+    /// failing deep inside a scale event.
     ///
     /// # Errors
     /// [`TrainError::InvalidPlan`] when `cluster` selects the TCP
@@ -288,8 +283,8 @@ impl ElasticEngine {
         if cluster.transport != TransportKind::InProc {
             return Err(TrainError::InvalidPlan(format!(
                 "the elastic engine requires the in-process transport \
-                 (got `{}`): dynamic membership hands locally hosted \
-                 mailboxes across scale events",
+                 (got `{}`): worker processes cannot join without \
+                 partitions yet",
                 cluster.transport
             )));
         }
@@ -331,21 +326,37 @@ impl ElasticEngine {
         }
         let slots = cfg.max_workers;
         cfg.base = MasterCore::open_run(cfg.base, slots, &net, &plan, &blocks, &recorder)?;
-        let traffic = TrafficStats::new();
-        let mut ids = vec![NodeId::Master];
-        ids.extend((0..slots).map(NodeId::Worker));
-        let (router, mut endpoints): (Router<ColMsg>, Vec<Endpoint<ColMsg>>) =
-            Router::with_recorder(&ids, traffic.clone(), plan.chaos, recorder.clone());
-        let master = endpoints.remove(0);
+        // A scheduled `Crash` is a real panic scripted into the worker —
+        // the master detects it, it is never told.
+        let scripts = (0..slots)
+            .map(|w| {
+                let mut script = WorkerScript::from_plan(&plan, w);
+                let crashes = cfg
+                    .schedule
+                    .iter()
+                    .filter(|ev| ev.worker == w && ev.action == ElasticAction::Crash);
+                script.crashes.extend(crashes.map(|ev| ev.iteration));
+                script
+            })
+            .collect();
+        // A slot is a host slot that is started when its worker joins;
+        // only the initial workers run from bring-up.
         let core = MasterCore::new(
-            cfg.base, slots, net, plan, master, traffic, recorder, blocks, dim,
-        );
+            cfg.base,
+            slots,
+            net,
+            plan,
+            recorder,
+            blocks,
+            dim,
+            cluster,
+            scripts,
+            true, // slots start empty; shards arrive by migration
+            cfg.initial_workers,
+        )?;
         let mut engine = Self {
-            handles: (0..slots).map(|_| None).collect(),
-            spares: endpoints.into_iter().map(Some).collect(),
             cfg,
             core,
-            router,
             membership,
             load_report: LoadReport {
                 objects: 0,
@@ -360,52 +371,11 @@ impl ElasticEngine {
             alarm_counts: BTreeMap::new(),
             seen_events: 0,
         };
-        for w in 0..engine.cfg.initial_workers {
-            engine.spawn_slot(w)?;
-        }
         engine.load_report = engine.load()?;
         // Chaos applies from here on: the initial placement models the
         // HDFS read, outside the paper's fault model.
-        engine.router.arm_chaos();
+        engine.core.master.router().arm_chaos();
         Ok(engine)
-    }
-
-    /// The worker's failure script: its slice of the failure plan plus any
-    /// scheduled [`ElasticAction::Crash`] against it (a real panic — the
-    /// master detects it, it is never told).
-    fn script_for(&self, w: usize) -> WorkerScript {
-        let mut script = WorkerScript::from_plan(&self.core.plan, w);
-        for ev in &self.cfg.schedule {
-            if ev.worker == w && ev.action == ElasticAction::Crash {
-                script.crashes.push(ev.iteration);
-            }
-        }
-        script
-    }
-
-    /// Spawns the supervised worker thread for slot `w`.
-    fn spawn_slot(&mut self, w: usize) -> Result<(), TrainError> {
-        let ep = self
-            .spares
-            .get_mut(w)
-            .and_then(Option::take)
-            .ok_or_else(|| {
-                TrainError::Internal(format!("worker slot {w} has no spare endpoint to spawn"))
-            })?;
-        let script = self.script_for(w);
-        let parts_total = self.cfg.max_workers;
-        let dim = self.core.dim;
-        let cfg = self.core.cfg;
-        // Shares the master's recorder, so worker-side kernel and guard
-        // records land directly in the merged trace.
-        let recorder = self.core.recorder.clone();
-        self.handles[w] = Some(spawn_guarded(
-            format!("colsgd-elastic{w}"),
-            ep,
-            move |ep| run_worker(ep, w, parts_total, &[], dim, cfg, script, recorder, None),
-            move |info| ColMsg::WorkerPanic { worker: w, info },
-        ));
-        Ok(())
     }
 
     /// Fresh model parameters for partition `pid` — identical to what the
@@ -658,9 +628,11 @@ impl ElasticEngine {
         Ok(())
     }
 
-    /// Spawns and admits slot `w`, executing the planner's migrations.
+    /// Starts and admits slot `w`, executing the planner's migrations.
     fn admit_worker(&mut self, t: u64, w: usize) -> Result<f64, TrainError> {
-        self.spawn_slot(w)?;
+        let connect_wait = self.core.bulk_deadline();
+        let started = self.core.host.start_all(w..w + 1, connect_wait);
+        started.map_err(TrainError::Internal)?;
         let plan = self
             .membership
             .admit(w)
@@ -679,9 +651,7 @@ impl ElasticEngine {
             .core
             .master
             .send_reliable(NodeId::Worker(w), ColMsg::Shutdown);
-        if let Some(h) = self.handles[w].take() {
-            let _ = h.join();
-        }
+        self.core.host.reap(w);
         Ok(cost)
     }
 
@@ -785,9 +755,7 @@ impl ElasticEngine {
             .membership
             .mark_dead(w)
             .map_err(|e| Self::membership_err(t, w, e))?;
-        if let Some(h) = self.handles[w].take() {
-            let _ = h.join();
-        }
+        self.core.host.reap(w);
         // Primary re-owning cannot wait (the superstep needs the shard);
         // replication repair can.
         let mut now = RebalancePlan {
@@ -1594,24 +1562,6 @@ impl ElasticEngine {
     }
 }
 
-impl Drop for ElasticEngine {
-    fn drop(&mut self) {
-        for w in 0..self.cfg.max_workers {
-            if self.handles[w].is_some() {
-                let _ = self
-                    .core
-                    .master
-                    .send_reliable(NodeId::Worker(w), ColMsg::Shutdown);
-            }
-        }
-        for h in self.handles.iter_mut() {
-            if let Some(h) = h.take() {
-                let _ = h.join();
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -1649,7 +1599,7 @@ mod tests {
         // Kill worker 1 *silently*: swapping its mailbox disconnects the
         // running thread (it exits without a panic report) while the held
         // replacement keeps accepting sends that nobody will ever answer.
-        let router = engine.router.clone();
+        let router = engine.core.master.router().clone();
         let _black_hole = router.reregister(NodeId::Worker(1), 0);
 
         // Stray control answers, four per detection window, for 20 windows

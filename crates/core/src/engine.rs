@@ -21,14 +21,13 @@
 //! observed events rather than from the injection script.
 
 use std::collections::HashMap;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use columnsgd_cluster::telemetry::{MetricsRegistry, ProfScope, RunStamp};
 use columnsgd_cluster::wire::ENVELOPE_BYTES;
 use columnsgd_cluster::{
-    ClusterConfig, Diagnostics, Endpoint, Envelope, FailurePlan, Monitor, NetError, NetworkModel,
-    NodeId, Recorder, Router, SimClock, TcpHub, TrafficStats, TransportKind,
+    ClusterConfig, Diagnostics, Envelope, FailurePlan, Monitor, NetError, NetworkModel, NodeId,
+    Recorder, SimClock, TrafficStats,
 };
 use columnsgd_data::block::Block;
 use columnsgd_data::Dataset;
@@ -38,7 +37,6 @@ use columnsgd_ml::ParamSet;
 
 use crate::config::ColumnSgdConfig;
 use crate::error::{DetectionMethod, FaultKind, RecoveryEvent, TrainError};
-use crate::host::{spawn_worker_process, spawn_worker_thread, BootSpec, WorkerHost};
 use crate::master::{LoadReport, MasterCore, Probed, Superstep, PER_OBJECT_S};
 use crate::msg::ColMsg;
 use crate::worker::WorkerScript;
@@ -74,14 +72,13 @@ impl TrainOutcome {
 /// guarded threads (in-process transport) or child processes (TCP
 /// transport), chosen by [`ClusterConfig`].
 ///
-/// What it shares with the elastic engine (mailbox, deadlines, probing,
-/// the superstep tail, metrics, the model gather) lives in the master
-/// core; this file keeps what a *fixed* worker set adds: bulk loading,
-/// respawn + partition reload, S-backup groups, and stale statistics.
+/// What it shares with the elastic engine (the worker host, mailbox,
+/// deadlines, probing, the superstep tail, metrics, the model gather)
+/// lives in the master core; this file keeps what a *fixed* worker set
+/// adds: bulk loading, respawn + partition reload, S-backup groups, and
+/// stale statistics.
 pub struct ColumnSgdEngine {
     core: MasterCore,
-    router: Router<ColMsg>,
-    host: WorkerHost,
     load_report: LoadReport,
 }
 
@@ -183,91 +180,12 @@ impl ColumnSgdEngine {
     ) -> Result<Self, TrainError> {
         let _ = cfg.num_groups(k); // validate (S+1) | K early
         let cfg = MasterCore::open_run(cfg, k, &net, &plan, &blocks, &recorder)?;
-        // Backend identity rides on the trace meta line, *not* the
-        // RunStamp: the run id must stay backend-agnostic so inproc and
-        // TCP traces of the same run compare equal in `inspect diff`.
-        match cluster.transport {
-            TransportKind::InProc => recorder.set_backend("inproc", 0),
-            TransportKind::Tcp => recorder.set_backend("tcp", k as u64),
-        }
-        let traced = recorder.is_enabled();
-        let traffic = TrafficStats::new();
-        let mut ids = vec![NodeId::Master];
-        ids.extend((0..k).map(NodeId::Worker));
-        let (master, router, host) = match cluster.transport {
-            TransportKind::InProc => {
-                let (router, mut endpoints): (Router<ColMsg>, Vec<Endpoint<ColMsg>>) =
-                    Router::with_recorder(&ids, traffic.clone(), plan.chaos, recorder.clone());
-                let master = endpoints.remove(0);
-                let handles = endpoints
-                    .into_iter()
-                    .enumerate()
-                    .map(|(w, ep)| {
-                        Some(spawn_worker_thread(
-                            ep,
-                            w,
-                            k,
-                            dim,
-                            cfg,
-                            &plan,
-                            recorder.clone(),
-                        ))
-                    })
-                    .collect();
-                (master, router, WorkerHost::Threads { handles })
-            }
-            TransportKind::Tcp => {
-                let workers: Vec<NodeId> = (0..k).map(NodeId::Worker).collect();
-                let hub = TcpHub::<ColMsg>::bind(&[NodeId::Master], &workers)
-                    .map_err(|e| TrainError::LoadFailed(format!("hub bind: {e}")))?;
-                let router = Router::with_transport(
-                    Arc::new(hub.clone()),
-                    &ids,
-                    traffic.clone(),
-                    plan.chaos,
-                    recorder.clone(),
-                );
-                let master = hub.local_endpoint(NodeId::Master, &router);
-                hub.start(router.clone());
-                let worker_bin = cluster
-                    .worker_bin
-                    .clone()
-                    .map_or_else(default_worker_bin, Ok)
-                    .map_err(TrainError::LoadFailed)?;
-                let mut children = Vec::with_capacity(k);
-                for w in 0..k {
-                    let boot = BootSpec {
-                        addr: hub.addr().to_string(),
-                        worker: w,
-                        k,
-                        dim,
-                        cfg,
-                        script: WorkerScript::from_plan(&plan, w),
-                        traced,
-                    };
-                    let child = spawn_worker_process(&worker_bin, &boot)
-                        .map_err(|e| TrainError::LoadFailed(format!("worker {w}: {e}")))?;
-                    children.push(Some(child));
-                }
-                let connect_wait = Duration::from_millis(cfg.deadline_ms.saturating_mul(10));
-                hub.await_workers(&workers, connect_wait)
-                    .map_err(TrainError::LoadFailed)?;
-                (
-                    master,
-                    router,
-                    WorkerHost::Processes {
-                        hub,
-                        children,
-                        worker_bin,
-                    },
-                )
-            }
-        };
-        let core = MasterCore::new(cfg, k, net, plan, master, traffic, recorder, blocks, dim);
+        let scripts = (0..k).map(|w| WorkerScript::from_plan(&plan, w)).collect();
+        let core = MasterCore::new(
+            cfg, k, net, plan, recorder, blocks, dim, cluster, scripts, false, k,
+        )?;
         let mut engine = Self {
             core,
-            router,
-            host,
             load_report: LoadReport {
                 objects: 0,
                 bytes: 0,
@@ -277,7 +195,7 @@ impl ColumnSgdEngine {
         engine.load_report = engine.load()?;
         // Chaos only applies from here on: losing a load message would
         // model an HDFS failure, outside the paper's fault model.
-        engine.router.arm_chaos();
+        engine.core.master.router().arm_chaos();
         Ok(engine)
     }
 
@@ -1012,16 +930,14 @@ impl ColumnSgdEngine {
     /// Returns the priced reload time.
     fn respawn_worker(&mut self, t: u64, w: usize) -> Result<f64, TrainError> {
         let respawn_wait = self.core.bulk_deadline();
-        self.host.respawn(
-            &self.router,
-            t,
-            w,
-            self.core.slots,
-            self.core.dim,
-            &self.core.cfg,
-            &self.core.plan,
-            respawn_wait,
-        )?;
+        self.core
+            .host
+            .respawn(self.core.master.router(), t, w, respawn_wait)
+            .map_err(|detail| TrainError::WorkerLost {
+                worker: w,
+                iteration: t,
+                detail,
+            })?;
         // The dead incarnation exited before respawn returned, so any
         // panic notice it sent is already queued — drop it, it describes
         // the old incarnation. The fresh one cannot have panicked yet (it
@@ -1211,27 +1127,6 @@ fn discard_partial(
     partials.remove(&worker);
     compute_times[worker] = 0.0;
     sample_times[worker] = 0.0;
-}
-
-/// Default path of the `columnsgd-worker` binary: a sibling of the
-/// currently running executable (Cargo places all workspace binaries in
-/// the same `target/<profile>/` directory).
-fn default_worker_bin() -> Result<std::path::PathBuf, String> {
-    crate::host::locate_worker_bin("columnsgd-worker")
-}
-
-impl Drop for ColumnSgdEngine {
-    fn drop(&mut self) {
-        for w in 0..self.core.slots {
-            // Reliable plane: a chaos-dropped Shutdown would hang the join.
-            // Workers may already be gone; ignore errors.
-            let _ = self
-                .core
-                .master
-                .send_reliable(NodeId::Worker(w), ColMsg::Shutdown);
-        }
-        self.host.shutdown();
-    }
 }
 
 #[cfg(test)]

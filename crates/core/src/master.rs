@@ -9,17 +9,21 @@
 //! probe that classifies a silent worker, the retry budget, the recovery
 //! ledger, load pricing, the master-side label lookup, the per-superstep
 //! tail (trace spans → loss → clock → curve → metrics → live tail →
-//! monitor), the model gather, and the end-of-train trace↔meter
-//! reconciliation.
+//! monitor), the model gather, the end-of-train trace↔meter
+//! reconciliation, and the workers themselves: the core owns the one
+//! [`Host`] the worker slots run on, supplies its [`Launcher`], and stops
+//! the workers when it is dropped.
 
 use std::collections::{BTreeSet, VecDeque};
+use std::net::SocketAddr;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use columnsgd_cluster::clock::IterationTime;
 use columnsgd_cluster::telemetry::{KernelRecord, MetricsRegistry, Phase, RunStamp, SuperstepSpan};
 use columnsgd_cluster::{
-    Endpoint, Envelope, FailurePlan, Monitor, NetError, NetworkModel, NodeId, Recorder, SimClock,
-    SuperstepObs, TrafficStats,
+    spawn_guarded, ClusterConfig, Endpoint, Envelope, FailurePlan, Host, Launcher, Monitor,
+    NetError, NetworkModel, NodeId, Recorder, SimClock, SuperstepObs, TrafficStats,
 };
 use columnsgd_data::block::Block;
 use columnsgd_data::{ColumnPartitioner, TwoPhaseIndex};
@@ -28,7 +32,9 @@ use columnsgd_ml::ParamSet;
 
 use crate::config::ColumnSgdConfig;
 use crate::error::{RecoveryEvent, TrainError};
+use crate::host::{BootSpec, ColBoot};
 use crate::msg::ColMsg;
+use crate::worker::{run_worker, WorkerScript};
 
 /// Serialization cost charged per shipped object when pricing data loading
 /// (the Figure 7 effect: many small objects are expensive even when their
@@ -92,6 +98,65 @@ pub(crate) struct Superstep<'a> {
     pub agg: &'a [f64],
 }
 
+/// How a ColumnSGD worker is launched on the shared [`Host`].
+struct ColLauncher {
+    /// Worker slots, which is also the number of logical partitions.
+    slots: usize,
+    dim: u64,
+    cfg: ColumnSgdConfig,
+    /// Each slot's failure script.
+    scripts: Vec<WorkerScript>,
+    /// Elastic slots start without partitions and are filled by shard
+    /// migration; static ones hold their group's partitions from the start.
+    start_empty: bool,
+    /// Thread workers share the master's recorder, so their kernel and
+    /// guard records land directly in the merged trace with no shipping.
+    recorder: Recorder,
+}
+
+impl Launcher<ColMsg> for ColLauncher {
+    fn worker_bin(&self) -> &'static str {
+        "columnsgd-worker"
+    }
+
+    /// A guarded thread: a panic unwinds into a [`ColMsg::WorkerPanic`]
+    /// to the master.
+    fn thread(&self, w: usize, ep: Endpoint<ColMsg>) -> std::io::Result<JoinHandle<()>> {
+        let (slots, dim, cfg) = (self.slots, self.dim, self.cfg);
+        let script = self.scripts[w].clone();
+        let recorder = self.recorder.clone();
+        let held = if self.start_empty {
+            Vec::new()
+        } else {
+            cfg.partitions_of(w)
+        };
+        Ok(spawn_guarded(
+            format!("colsgd-worker{w}"),
+            ep,
+            move |ep| run_worker(ep, w, slots, &held, dim, cfg, script, recorder, None),
+            move |info| ColMsg::WorkerPanic { worker: w, info },
+        ))
+    }
+
+    /// A `columnsgd-worker` process always holds its group's partitions
+    /// from the start: the boot line cannot say "start empty" yet, which
+    /// is what an elastic slot in a process would need.
+    fn boot_line(&self, w: usize, hub: SocketAddr) -> String {
+        let boot = BootSpec {
+            addr: hub.to_string(),
+            worker: w,
+            k: self.slots,
+            dim: self.dim,
+            job: ColBoot {
+                cfg: self.cfg,
+                script: self.scripts[w].clone(),
+                traced: self.recorder.is_enabled(),
+            },
+        };
+        boot.to_hex_line()
+    }
+}
+
 /// The state and plumbing of a ColumnSGD master that both engines share.
 pub(crate) struct MasterCore {
     pub cfg: ColumnSgdConfig,
@@ -101,6 +166,8 @@ pub(crate) struct MasterCore {
     pub net: NetworkModel,
     pub plan: FailurePlan,
     pub master: Endpoint<ColMsg>,
+    /// Where the worker slots run (threads or processes).
+    pub host: Host<ColMsg>,
     /// Messages received while waiting for something more specific
     /// (probe acks, reload acks, install acks); drained before the mailbox.
     pub pending: VecDeque<Envelope<ColMsg>>,
@@ -170,27 +237,59 @@ impl MasterCore {
         Ok(cfg)
     }
 
-    /// Assembles the core around a connected master endpoint (`cfg` and
-    /// `blocks` as checked by [`MasterCore::open_run`]).
+    /// Brings the cluster up on the backend `cluster` selects — a master
+    /// endpoint plus `slots` worker slots, the first `initial` of them
+    /// started with `scripts[w]` and connected — and assembles the core
+    /// around it (`cfg` and `blocks` as checked by
+    /// [`MasterCore::open_run`]).
+    ///
+    /// # Errors
+    /// [`TrainError::LoadFailed`] when the TCP backend cannot find, spawn
+    /// or connect its worker processes; what was spawned is killed and the
+    /// hub closed.
     #[allow(clippy::too_many_arguments)] // internal assembly step
     pub fn new(
         cfg: ColumnSgdConfig,
         slots: usize,
         net: NetworkModel,
         plan: FailurePlan,
-        master: Endpoint<ColMsg>,
-        traffic: TrafficStats,
         recorder: Recorder,
         blocks: Vec<Block>,
         dim: u64,
-    ) -> Self {
+        cluster: &ClusterConfig,
+        scripts: Vec<WorkerScript>,
+        start_empty: bool,
+        initial: usize,
+    ) -> Result<Self, TrainError> {
+        let traffic = TrafficStats::new();
+        let launcher = ColLauncher {
+            slots,
+            dim,
+            cfg,
+            scripts,
+            start_empty,
+            recorder: recorder.clone(),
+        };
+        let (master, mut host) = Host::bring_up(
+            slots,
+            cluster,
+            traffic.clone(),
+            plan.chaos,
+            recorder.clone(),
+            launcher,
+        )
+        .map_err(TrainError::LoadFailed)?;
+        let connect_wait = Duration::from_millis(cfg.deadline_ms.saturating_mul(10));
+        host.start_all(0..initial, connect_wait)
+            .map_err(TrainError::LoadFailed)?;
         let index = TwoPhaseIndex::new(blocks.iter().map(|b| (b.id(), b.nrows())), cfg.seed);
-        Self {
+        Ok(Self {
             cfg,
             slots,
             net,
             plan,
             master,
+            host,
             pending: VecDeque::new(),
             traffic,
             recorder,
@@ -200,7 +299,7 @@ impl MasterCore {
             blocks,
             index,
             dim,
-        }
+        })
     }
 
     /// The identity stamp describing this run (also written on every
@@ -678,9 +777,21 @@ fn is_evidence(msg: &ColMsg, t: u64, w: usize) -> bool {
     }
 }
 
+impl Drop for MasterCore {
+    fn drop(&mut self) {
+        for w in self.host.running() {
+            // Reliable plane: a chaos-dropped Shutdown would hang the join.
+            // Workers may already be gone; ignore errors.
+            let _ = self
+                .master
+                .send_reliable(NodeId::Worker(w), ColMsg::Shutdown);
+        }
+        self.host.shutdown();
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use columnsgd_cluster::Router;
     use columnsgd_data::synth;
     use columnsgd_ml::ModelSpec;
 
@@ -698,28 +809,23 @@ mod tests {
             .iter()
             .cloned()
             .collect();
-        let recorder = Recorder::new();
-        let traffic = TrafficStats::new();
-        let (_router, mut endpoints) = Router::<ColMsg>::with_recorder(
-            &[NodeId::Master],
-            traffic.clone(),
-            None,
-            recorder.clone(),
-        );
         let core = MasterCore::new(
             cfg,
             1,
             NetworkModel::INSTANT,
             FailurePlan::none(),
-            endpoints.remove(0),
-            traffic.clone(),
-            recorder,
+            Recorder::new(),
             blocks,
             ds.dimension(),
-        );
+            &ClusterConfig::in_proc(),
+            vec![WorkerScript::default()],
+            false,
+            0,
+        )
+        .expect("bring-up");
         assert!(core.finish_train().is_ok(), "empty trace, empty meter");
         // Bytes the meter saw but the trace did not.
-        traffic.record(NodeId::Worker(0), NodeId::Master, 64);
+        core.traffic.record(NodeId::Worker(0), NodeId::Master, 64);
         match core.finish_train() {
             Err(TrainError::Internal(why)) => assert!(why.contains("diverge"), "{why}"),
             other => panic!("expected TrainError::Internal, got {other:?}"),

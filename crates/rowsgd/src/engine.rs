@@ -2,7 +2,7 @@
 //! loop, and prices every iteration with the same network model used for
 //! ColumnSGD.
 
-use std::sync::Arc;
+use std::net::SocketAddr;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -10,8 +10,8 @@ use columnsgd_cluster::clock::IterationTime;
 use columnsgd_cluster::telemetry::{KernelRecord, Phase, ProfScope, RunStamp, SuperstepSpan};
 use columnsgd_cluster::wire::ENVELOPE_BYTES;
 use columnsgd_cluster::{
-    ClusterConfig, Diagnostics, Endpoint, Monitor, NetError, NetworkModel, NodeId, Recorder,
-    Router, SimClock, SuperstepObs, TcpHub, TrafficStats, TransportKind, Wire,
+    ClusterConfig, Diagnostics, Endpoint, Host, Launcher, Monitor, NetError, NetworkModel, NodeId,
+    Recorder, SimClock, SuperstepObs, TrafficStats, Wire,
 };
 use columnsgd_core::TrainError;
 use columnsgd_data::Dataset;
@@ -20,7 +20,7 @@ use columnsgd_ml::metrics::Curve;
 use columnsgd_ml::{OptimizerState, ParamSet, SparseGrad};
 
 use crate::config::{RowSgdConfig, RowSgdVariant};
-use crate::host::{default_worker_bin, spawn_boot_process, RowBootSpec, RowHost};
+use crate::host::RowBootSpec;
 use crate::msg::RowMsg;
 use crate::worker::run_row_worker;
 
@@ -67,14 +67,50 @@ pub struct LoadReport {
     pub sim_time_s: f64,
 }
 
-/// The RowSGD driver (master + virtual servers + K worker threads).
+/// How a RowSGD worker is launched on the shared [`Host`]. The baseline
+/// detects faults but never recovers, so its threads are plain (a panic
+/// is not reported, the master's deadline finds out) and nothing is
+/// respawned.
+struct RowLauncher {
+    k: usize,
+    dim: u64,
+    cfg: RowSgdConfig,
+    recorder: Recorder,
+}
+
+impl Launcher<RowMsg> for RowLauncher {
+    fn worker_bin(&self) -> &'static str {
+        "rowsgd-worker"
+    }
+
+    fn thread(&self, w: usize, ep: Endpoint<RowMsg>) -> std::io::Result<JoinHandle<()>> {
+        let (k, dim, cfg) = (self.k, self.dim, self.cfg);
+        let rec = self.recorder.clone();
+        std::thread::Builder::new()
+            .name(format!("rowsgd-worker{w}"))
+            .spawn(move || run_row_worker(ep, w, k, dim, cfg, rec))
+    }
+
+    fn boot_line(&self, w: usize, hub: SocketAddr) -> String {
+        let boot = RowBootSpec {
+            addr: hub.to_string(),
+            worker: w,
+            k: self.k,
+            dim: self.dim,
+            job: self.cfg,
+        };
+        boot.to_hex_line()
+    }
+}
+
+/// The RowSGD driver (master + virtual servers + K workers).
 pub struct RowSgdEngine {
     cfg: RowSgdConfig,
     k: usize,
     p: usize,
     net: NetworkModel,
     master: Endpoint<RowMsg>,
-    host: RowHost,
+    host: Host<RowMsg>,
     traffic: TrafficStats,
     recorder: Recorder,
     monitor: Monitor,
@@ -175,76 +211,27 @@ impl RowSgdEngine {
             pool_width: 1,
             workers: k as u64,
         });
-        // Backend identity rides on the trace meta line, not the RunStamp
-        // (the run id must stay backend-agnostic for cross-backend diffs).
-        match cluster.transport {
-            TransportKind::InProc => recorder.set_backend("inproc", 0),
-            TransportKind::Tcp => recorder.set_backend("tcp", k as u64),
-        }
         let traffic = TrafficStats::new();
         let p = cfg.num_servers(k);
-        let mut ids = vec![NodeId::Master];
-        ids.extend((0..k).map(NodeId::Worker));
         let dim = dataset.dimension();
-        let (master, host) = match cluster.transport {
-            TransportKind::InProc => {
-                let (_router, mut endpoints) =
-                    Router::with_recorder(&ids, traffic.clone(), None, recorder.clone());
-                let master = endpoints.remove(0);
-                let mut handles: Vec<JoinHandle<()>> = Vec::with_capacity(k);
-                for (w, ep) in endpoints.into_iter().enumerate() {
-                    let rec = recorder.clone();
-                    let handle = std::thread::Builder::new()
-                        .name(format!("rowsgd-worker{w}"))
-                        .spawn(move || run_row_worker(ep, w, k, dim, cfg, rec))
-                        .map_err(|e| TrainError::WorkerLost {
-                            worker: w,
-                            iteration: 0,
-                            detail: format!("could not spawn worker thread: {e}"),
-                        })?;
-                    handles.push(handle);
-                }
-                (master, RowHost::Threads(handles))
-            }
-            TransportKind::Tcp => {
-                let workers: Vec<NodeId> = (0..k).map(NodeId::Worker).collect();
-                let hub = TcpHub::<RowMsg>::bind(&[NodeId::Master], &workers)
-                    .map_err(|e| TrainError::LoadFailed(format!("hub bind: {e}")))?;
-                let router = Router::with_transport(
-                    Arc::new(hub.clone()),
-                    &ids,
-                    traffic.clone(),
-                    None,
-                    recorder.clone(),
-                );
-                let master = hub.local_endpoint(NodeId::Master, &router);
-                hub.start(router);
-                let worker_bin = cluster
-                    .worker_bin
-                    .clone()
-                    .map_or_else(default_worker_bin, Ok)
-                    .map_err(TrainError::LoadFailed)?;
-                let mut children = Vec::with_capacity(k);
-                for w in 0..k {
-                    let boot = RowBootSpec {
-                        addr: hub.addr().to_string(),
-                        worker: w,
-                        k,
-                        dim,
-                        cfg,
-                    };
-                    let child = spawn_boot_process(&worker_bin, &boot.to_hex_line())
-                        .map_err(|e| TrainError::LoadFailed(format!("worker {w}: {e}")))?;
-                    children.push(child);
-                }
-                hub.await_workers(
-                    &workers,
-                    Duration::from_millis(cfg.deadline_ms.saturating_mul(10)),
-                )
-                .map_err(TrainError::LoadFailed)?;
-                (master, RowHost::Processes { hub, children })
-            }
+        let launcher = RowLauncher {
+            k,
+            dim,
+            cfg,
+            recorder: recorder.clone(),
         };
+        let (master, mut host) = Host::bring_up(
+            k,
+            cluster,
+            traffic.clone(),
+            None,
+            recorder.clone(),
+            launcher,
+        )
+        .map_err(TrainError::LoadFailed)?;
+        let connect_wait = Duration::from_millis(cfg.deadline_ms.saturating_mul(10));
+        host.start_all(0..k, connect_wait)
+            .map_err(TrainError::LoadFailed)?;
 
         let params = if cfg.variant == RowSgdVariant::MLlibStar {
             None
@@ -1026,7 +1013,7 @@ impl RowSgdEngine {
 
 impl Drop for RowSgdEngine {
     fn drop(&mut self) {
-        for w in 0..self.k {
+        for w in self.host.running() {
             let _ = self.master.send(NodeId::Worker(w), RowMsg::Shutdown);
         }
         self.host.shutdown();

@@ -161,6 +161,45 @@ fn elastic_empty_schedule_matches_static() {
     assert!(out.migrations >= 1, "the joiner must receive a shard");
 }
 
+/// The worker host's respawn path, in tier-1: a scripted crash kills a
+/// worker thread mid-run, the master detects it, the host restarts the
+/// slot, the partition is reloaded, and training completes — the same
+/// way, bit for bit, on a second same-seed run.
+#[test]
+fn crash_respawn_recovers() {
+    let ds = columnsgd::data::synth::small_test_dataset(300, 60, 7);
+    let config = ColumnSgdConfig::new(ModelSpec::Lr)
+        .with_batch_size(32)
+        .with_iterations(20)
+        .with_learning_rate(0.5)
+        .with_seed(11);
+    let run = || {
+        let plan = FailurePlan {
+            events: vec![columnsgd::cluster::FailureEvent::WorkerFailure {
+                iteration: 8,
+                worker: 1,
+            }],
+            ..FailurePlan::none()
+        };
+        let mut engine =
+            ColumnSgdEngine::new(&ds, 3, config, NetworkModel::INSTANT, plan).expect("engine");
+        let outcome = engine.train().expect("train across a crash");
+        assert_eq!(outcome.curve.points.len(), 20);
+        assert_eq!(outcome.recovery.len(), 1, "{:?}", outcome.recovery);
+        let ev = outcome.recovery[0];
+        assert_eq!((ev.iteration, ev.worker), (8, 1));
+        assert_eq!(ev.fault, FaultKind::WorkerFailure);
+        let losses: Vec<u64> = outcome
+            .curve
+            .points
+            .iter()
+            .map(|p| p.loss.to_bits())
+            .collect();
+        losses
+    };
+    assert_eq!(run(), run());
+}
+
 #[test]
 fn facade_prelude_covers_the_quickstart_surface() {
     // Compile-time check that the prelude exposes the public API the
