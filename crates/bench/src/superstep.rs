@@ -31,7 +31,7 @@ struct WorkerSim {
     batch: CsrMatrix,
     /// Tuned path: reused partial-statistics buffer.
     stats: Vec<f64>,
-    /// Tuned path: persistent update scratch (SPA + probability buffer).
+    /// Tuned path: persistent update scratch (accumulator + probability buffer).
     scratch: UpdateScratch,
 }
 

@@ -128,11 +128,11 @@ pub fn accumulate_grad(
         }
         for (&j, &x) in idx.iter().zip(val) {
             let j = j as usize;
-            accum.add(0, j, c * x);
+            let (gw, gv) = accum.row(j).split_at_mut(1);
+            gw[0] += c * x;
             let vrow = &v[j * factors..(j + 1) * factors];
-            for (f, &vjf) in vrow.iter().enumerate() {
-                let sf = row_stats[1 + f];
-                accum.add(1, j * factors + f, c * (x * sf - vjf * x * x));
+            for ((g, &vjf), &sf) in gv.iter_mut().zip(vrow).zip(&row_stats[1..]) {
+                *g += c * (x * sf - vjf * x * x);
             }
         }
     }

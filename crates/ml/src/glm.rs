@@ -95,7 +95,7 @@ pub fn accumulate_grad(kind: GlmKind, batch: &CsrMatrix, dots: &[f64], accum: &m
             continue;
         }
         for (&j, &x) in idx.iter().zip(val) {
-            accum.add(0, j as usize, c * x);
+            accum.row(j as usize)[0] += c * x;
         }
     }
 }

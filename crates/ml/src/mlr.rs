@@ -66,21 +66,11 @@ pub fn accuracy(classes: usize, labels: &[f64], logits: &[f64]) -> f64 {
 }
 
 /// Accumulates the batch gradient: for each class `c`,
-/// `g_c += (softmax_c - 1{y=c}) · x` (Equation 8).
-pub fn accumulate_grad(
-    classes: usize,
-    batch: &CsrMatrix,
-    logits: &[f64],
-    accum: &mut impl GradSink,
-) {
-    let mut probs = vec![0.0; classes];
-    accumulate_grad_with(classes, batch, logits, &mut probs, accum);
-}
-
-/// [`accumulate_grad`] with a caller-owned softmax buffer, so the hot path
-/// allocates nothing (`probs` is resized to `classes` and reused).
+/// `g_c += (softmax_c - 1{y=c}) · x` (Equation 8). `probs` is the
+/// caller-owned softmax buffer (resized to `classes` and reused), so the
+/// hot path allocates nothing.
 #[allow(clippy::needless_range_loop)] // `c` is a class id, not a position
-pub fn accumulate_grad_with(
+pub fn accumulate_grad(
     classes: usize,
     batch: &CsrMatrix,
     logits: &[f64],
@@ -99,7 +89,7 @@ pub fn accumulate_grad_with(
                 continue;
             }
             for (&j, &x) in idx.iter().zip(val) {
-                accum.add(c, j as usize, coeff * x);
+                accum.row(j as usize)[c] += coeff * x;
             }
         }
     }
@@ -148,7 +138,7 @@ mod tests {
         let mut accum = GradAccum::new(&[1, 1]);
         // One example, class 0, uniform logits over 2 classes.
         let b = CsrMatrix::from_rows(&[(0.0, SparseVector::from_pairs(vec![(0, 1.0)]))]);
-        accumulate_grad(2, &b, &[0.0, 0.0], &mut accum);
+        accumulate_grad(2, &b, &[0.0, 0.0], &mut Vec::new(), &mut accum);
         let g = accum.to_sparse_grad();
         // Class 0: p - 1 = -0.5 (descend ⇒ weight grows); class 1: p = +0.5.
         assert!((g.blocks[0][0] + 0.5).abs() < 1e-12);
@@ -159,7 +149,8 @@ mod tests {
     fn grad_rows_sum_to_zero_across_classes() {
         // Σ_c (p_c - t_c) = 0, so per-feature gradients sum to zero.
         let mut accum = GradAccum::new(&[1, 1, 1]);
-        accumulate_grad(3, &batch(), &[0.3, -0.2, 0.9, 1.0, 0.0, -1.0], &mut accum);
+        let logits = [0.3, -0.2, 0.9, 1.0, 0.0, -1.0];
+        accumulate_grad(3, &batch(), &logits, &mut Vec::new(), &mut accum);
         let g = accum.to_sparse_grad();
         for pos in 0..g.nnz() {
             let total: f64 = (0..3).map(|c| g.blocks[c][pos]).sum();

@@ -16,6 +16,8 @@
 
 use columnsgd_linalg::DenseVector;
 
+use crate::params::UpdateParams;
+
 /// Which optimizer to run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OptimizerKind {
@@ -104,37 +106,48 @@ impl OptimizerState {
     }
 
     /// Marks the start of a new global step (one mini-batch). Must be
-    /// called once per iteration before `apply` (used by Adam's bias
+    /// called once per iteration before `apply_runs` (used by Adam's bias
     /// correction).
     pub fn begin_step(&mut self) {
         self.step += 1;
     }
 
-    /// Applies one coordinate's gradient `g` to `model[coord]` in block
-    /// `block`.
-    pub fn apply(
+    /// Steps every non-zero coordinate of `runs` in block `block`. A run
+    /// `(base, g_sums)` carries the summed batch gradients of coordinates
+    /// `base..base + g_sums.len()`; each is stepped once with
+    /// `g_sum * inv_b + ∇Ω(w)`. The optimizer is dispatched once per call,
+    /// so the inner loops are straight slice loops.
+    pub fn apply_runs<'a>(
         &mut self,
         block: usize,
         model: &mut DenseVector,
-        coord: usize,
-        g: f64,
-        learning_rate: f64,
+        runs: impl Iterator<Item = (usize, &'a [f64])>,
+        inv_b: f64,
+        up: &UpdateParams,
     ) {
+        // By-value copy: the inlined regularizer match is a loop invariant.
+        let (lr, reg) = (up.learning_rate, up.regularizer);
+        let grad = |g_sum: f64, w: f64| g_sum * inv_b + reg.subgradient(w);
+        let model = model.as_mut_slice();
         match (&mut self.blocks[block], self.kind) {
             (BlockState::Sgd, OptimizerKind::Sgd) => {
-                model[coord] -= learning_rate * g;
+                each_nonzero(model, runs, grad, |_, w, g| *w -= lr * g);
             }
             (BlockState::AdaGrad { acc }, OptimizerKind::AdaGrad { eps }) => {
-                acc[coord] += g * g;
-                model[coord] -= learning_rate * g / (acc[coord].sqrt() + eps);
+                each_nonzero(model, runs, grad, |coord, w, g| {
+                    acc[coord] += g * g;
+                    *w -= lr * g / (acc[coord].sqrt() + eps);
+                });
             }
             (BlockState::Adam { m, v }, OptimizerKind::Adam { beta1, beta2, eps }) => {
-                m[coord] = beta1 * m[coord] + (1.0 - beta1) * g;
-                v[coord] = beta2 * v[coord] + (1.0 - beta2) * g * g;
                 let t = self.step.max(1) as f64;
-                let m_hat = m[coord] / (1.0 - beta1.powf(t));
-                let v_hat = v[coord] / (1.0 - beta2.powf(t));
-                model[coord] -= learning_rate * m_hat / (v_hat.sqrt() + eps);
+                each_nonzero(model, runs, grad, |coord, w, g| {
+                    m[coord] = beta1 * m[coord] + (1.0 - beta1) * g;
+                    v[coord] = beta2 * v[coord] + (1.0 - beta2) * g * g;
+                    let m_hat = m[coord] / (1.0 - beta1.powf(t));
+                    let v_hat = v[coord] / (1.0 - beta2.powf(t));
+                    *w -= lr * m_hat / (v_hat.sqrt() + eps);
+                });
             }
             _ => unreachable!("block state and kind always agree by construction"),
         }
@@ -159,6 +172,24 @@ impl OptimizerState {
     }
 }
 
+/// Calls `step(coord, &mut model[coord], grad(g_sum, model[coord]))` for
+/// every coordinate of `runs` whose summed gradient is not exactly zero.
+fn each_nonzero<'a>(
+    model: &mut [f64],
+    runs: impl Iterator<Item = (usize, &'a [f64])>,
+    grad: impl Fn(f64, f64) -> f64,
+    mut step: impl FnMut(usize, &mut f64, f64),
+) {
+    for (base, g_sums) in runs {
+        let ws = &mut model[base..base + g_sums.len()];
+        for (i, (w, &g_sum)) in ws.iter_mut().zip(g_sums).enumerate() {
+            if g_sum != 0.0 {
+                step(base + i, w, grad(g_sum, *w));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,23 +198,61 @@ mod tests {
         (OptimizerState::new(kind, &[4]), DenseVector::zeros(4))
     }
 
+    /// One unregularized step of `model[coord]` with gradient `g`.
+    fn apply(opt: &mut OptimizerState, model: &mut DenseVector, coord: usize, g: f64, lr: f64) {
+        let g = [g];
+        let run = std::iter::once((coord, &g[..]));
+        opt.apply_runs(0, model, run, 1.0, &UpdateParams::plain(lr));
+    }
+
     #[test]
     fn sgd_step() {
         let (mut opt, mut w) = one_block(OptimizerKind::Sgd);
         opt.begin_step();
-        opt.apply(0, &mut w, 1, 2.0, 0.1);
+        apply(&mut opt, &mut w, 1, 2.0, 0.1);
         assert!((w[1] + 0.2).abs() < 1e-15);
         assert_eq!(w[0], 0.0);
+    }
+
+    #[test]
+    fn runs_skip_exact_zeros_and_add_the_subgradient() {
+        let up = UpdateParams {
+            learning_rate: 0.1,
+            regularizer: crate::Regularizer::L2(0.5),
+        };
+        for kind in [
+            OptimizerKind::Sgd,
+            OptimizerKind::adagrad(),
+            OptimizerKind::adam(),
+        ] {
+            let start = DenseVector::from_vec(vec![1.0, 2.0, -3.0, 0.5]);
+            // Coordinate 1 has an exact-zero sum: no step (not even the
+            // regularizer's) and no optimizer state — the same as a run
+            // that never mentions it.
+            let (mut opt, mut w) = (OptimizerState::new(kind, &[4]), start.clone());
+            opt.begin_step();
+            opt.apply_runs(0, &mut w, std::iter::once((1, &[0.0, 4.0][..])), 0.5, &up);
+            let (mut opt2, mut w2) = (OptimizerState::new(kind, &[4]), start.clone());
+            opt2.begin_step();
+            opt2.apply_runs(0, &mut w2, std::iter::once((2, &[4.0][..])), 0.5, &up);
+            assert_eq!((&w, &opt), (&w2, &opt2), "{kind:?}");
+            assert_eq!((w[0], w[1], w[3]), (1.0, 2.0, 0.5));
+            assert!(w[2] < -3.0, "{kind:?}: a positive gradient lowers w");
+            if kind == OptimizerKind::Sgd {
+                // g = 4·0.5 + 0.5·(−3) = 0.5.
+                assert_eq!(w[2], -3.0 - 0.1 * 0.5);
+            }
+        }
     }
 
     #[test]
     fn adagrad_shrinks_effective_rate() {
         let (mut opt, mut w) = one_block(OptimizerKind::adagrad());
         opt.begin_step();
-        opt.apply(0, &mut w, 0, 1.0, 0.1);
+        apply(&mut opt, &mut w, 0, 1.0, 0.1);
         let first = -w[0];
         opt.begin_step();
-        opt.apply(0, &mut w, 0, 1.0, 0.1);
+        apply(&mut opt, &mut w, 0, 1.0, 0.1);
         let second = -w[0] - first;
         assert!(second < first, "AdaGrad must decay: {first} then {second}");
         // First step is ~η·g/√(g²) = η.
@@ -194,7 +263,7 @@ mod tests {
     fn adam_first_step_close_to_lr() {
         let (mut opt, mut w) = one_block(OptimizerKind::adam());
         opt.begin_step();
-        opt.apply(0, &mut w, 2, 5.0, 0.01);
+        apply(&mut opt, &mut w, 2, 5.0, 0.01);
         // With bias correction, the first Adam step has magnitude ≈ η.
         assert!((w[2].abs() - 0.01).abs() < 1e-4, "step was {}", w[2]);
     }
@@ -207,7 +276,7 @@ mod tests {
         for _ in 0..2_000 {
             opt.begin_step();
             let g = 2.0 * (w[0] - 3.0);
-            opt.apply(0, &mut w, 0, g, 0.05);
+            apply(&mut opt, &mut w, 0, g, 0.05);
         }
         assert!((w[0] - 3.0).abs() < 0.05, "converged to {}", w[0]);
     }
@@ -216,12 +285,12 @@ mod tests {
     fn reset_block_clears_state() {
         let (mut opt, mut w) = one_block(OptimizerKind::adagrad());
         opt.begin_step();
-        opt.apply(0, &mut w, 0, 1.0, 0.1);
+        apply(&mut opt, &mut w, 0, 1.0, 0.1);
         opt.reset_block(0);
         // After reset the next step behaves like the first.
         let before = w[0];
         opt.begin_step();
-        opt.apply(0, &mut w, 0, 1.0, 0.1);
+        apply(&mut opt, &mut w, 0, 1.0, 0.1);
         assert!(((w[0] - before).abs() - 0.1).abs() < 1e-6);
     }
 

@@ -16,7 +16,7 @@
 //! model mathematics — differences in the experiments are attributable to
 //! the parallelization strategy alone.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use columnsgd_linalg::{CsrMatrix, FeatureIndex, SparseVector};
 use columnsgd_telemetry::ProfScope;
@@ -176,7 +176,7 @@ impl ModelSpec {
                 glm::accumulate_grad(self.glm_kind().expect("glm"), batch, stats, accum);
             }
             ModelSpec::Mlr { classes } => {
-                mlr::accumulate_grad_with(classes, batch, stats, probs, accum);
+                mlr::accumulate_grad(classes, batch, stats, probs, accum);
             }
             ModelSpec::Fm { factors } => fm::accumulate_grad(factors, params, batch, stats, accum),
         }
@@ -198,20 +198,14 @@ impl ModelSpec {
     ) {
         let mut accum = GradAccum::new(&self.widths());
         self.accumulate_grad(params, batch, stats, &mut accum);
-        opt.begin_step();
-        let inv_b = 1.0 / total_batch.max(1) as f64;
-        for (block, coord, g_sum) in accum.iter_coords() {
-            let w = params.blocks[block][coord];
-            let g = g_sum * inv_b + up.regularizer.subgradient(w);
-            opt.apply(block, &mut params.blocks[block], coord, g, up.learning_rate);
-        }
+        step_blocks(params, opt, up, total_batch, |block| accum.runs(block));
     }
 
     /// Allocation-free [`ModelSpec::update_from_stats`]: identical
     /// mathematics and bit-identical results, but the gradient accumulator
     /// and every scratch buffer live in the caller-owned
     /// [`UpdateScratch`], so the per-iteration hot path performs no heap
-    /// allocation after the first call at a given model shape.
+    /// allocation once the scratch has seen its largest batch.
     ///
     /// Equivalence holds because both paths fold the same per-coordinate
     /// `+=` sequence and apply each touched coordinate exactly once
@@ -231,15 +225,11 @@ impl ModelSpec {
         scratch: &mut UpdateScratch,
     ) {
         let _prof = ProfScope::enter("kernel_update");
-        scratch.spa.ensure(params);
-        self.accumulate_grad_into(params, batch, stats, &mut scratch.probs, &mut scratch.spa);
-        opt.begin_step();
-        let inv_b = 1.0 / total_batch.max(1) as f64;
-        scratch.spa.drain(|block, coord, g_sum| {
-            let w = params.blocks[block][coord];
-            let g = g_sum * inv_b + up.regularizer.subgradient(w);
-            opt.apply(block, &mut params.blocks[block], coord, g, up.learning_rate);
-        });
+        let UpdateScratch { accum, probs } = scratch;
+        accum.ensure(params);
+        self.accumulate_grad_into(params, batch, stats, probs, accum);
+        step_blocks(params, opt, up, total_batch, |block| accum.runs(block));
+        accum.clear();
     }
 
     /// Mean loss over a batch given the complete statistics.
@@ -290,24 +280,14 @@ impl ModelSpec {
         up: &UpdateParams,
         total_batch: usize,
     ) {
-        opt.begin_step();
-        let inv_b = 1.0 / total_batch.max(1) as f64;
         let widths = self.widths();
-        for (pos, &j) in grad.indices.iter().enumerate() {
-            let j = j as usize;
-            for (block, &width) in widths.iter().enumerate() {
-                for f in 0..width {
-                    let g_sum = grad.blocks[block][pos * width + f];
-                    if g_sum == 0.0 {
-                        continue;
-                    }
-                    let coord = j * width + f;
-                    let w = params.blocks[block][coord];
-                    let g = g_sum * inv_b + up.regularizer.subgradient(w);
-                    opt.apply(block, &mut params.blocks[block], coord, g, up.learning_rate);
-                }
-            }
-        }
+        step_blocks(params, opt, up, total_batch, |block| {
+            let width = widths[block];
+            // An empty gradient may carry no blocks at all.
+            let values = grad.blocks.get(block).map_or(&[][..], Vec::as_slice);
+            let rows = grad.indices.iter().zip(values.chunks_exact(width));
+            rows.map(move |(&j, g_sums)| (j as usize * width, g_sums))
+        });
     }
 
     /// Model output for a single example against a full model: the margin
@@ -339,91 +319,128 @@ pub fn reduce_stats(acc: &mut [f64], partial: &[f64]) {
     }
 }
 
-/// Destination for accumulated gradient coordinates.
-///
-/// The model kernels emit `(block, coordinate, value)` triples in a
-/// deterministic order (row by row, nonzero by nonzero); a sink folds them
-/// however it likes. Two implementations exist: [`GradAccum`] (sorted,
-/// sparse — the reference, and the RowSGD message builder) and the dense
-/// sparse-accumulator inside [`UpdateScratch`] (the allocation-free hot
-/// path). Because both fold the identical `+=` sequence per coordinate,
-/// their per-coordinate sums are bit-identical.
-pub trait GradSink {
-    /// Adds `val` to coordinate `coord` of block `block`.
-    fn add(&mut self, block: usize, coord: usize, val: f64);
-}
-
-impl GradSink for GradAccum {
-    fn add(&mut self, block: usize, coord: usize, val: f64) {
-        GradAccum::add(self, block, coord, val);
+/// One optimizer step over every block of `params`: `runs(block)` yields
+/// the block's `(base coordinate, summed gradients)` runs, one per touched
+/// feature. Every coordinate is stepped exactly once through
+/// per-coordinate state, so the order of runs cannot change any result.
+fn step_blocks<'a, I: Iterator<Item = (usize, &'a [f64])>>(
+    params: &mut ParamSet,
+    opt: &mut OptimizerState,
+    up: &UpdateParams,
+    total_batch: usize,
+    runs: impl Fn(usize) -> I,
+) {
+    opt.begin_step();
+    let inv_b = 1.0 / total_batch.max(1) as f64;
+    for (block, model) in params.blocks.iter_mut().enumerate() {
+        opt.apply_runs(block, model, runs(block), inv_b, up);
     }
 }
 
-/// Dense sparse-accumulator (SPA): per-block dense gradient buffers sized
-/// to the parameter blocks, plus a touched-coordinate list and a mark
-/// array so only touched entries are visited and cleared. Replaces the
-/// `BTreeMap`-backed [`GradAccum`] in the update hot path: accumulation is
-/// an array `+=` instead of a tree insert, and nothing allocates after the
-/// first use at a given model shape.
+/// Maps `(feature, gradient row)` to the feature's run in `block`: its
+/// base coordinate and the block's lanes of the row.
+fn block_run<'a>(
+    widths: &[usize],
+    block: usize,
+) -> impl Fn((&usize, &'a [f64])) -> (usize, &'a [f64]) {
+    let (off, width) = (widths[..block].iter().sum::<usize>(), widths[block]);
+    move |(&feature, row)| (feature * width, &row[off..off + width])
+}
+
+/// Destination for accumulated gradients, one row per touched feature.
+///
+/// The model kernels `+=` into rows in a deterministic order (row by row,
+/// nonzero by nonzero); a sink only decides where a feature's row lives.
+/// Two implementations exist: [`GradAccum`] (sorted — the reference, and
+/// the RowSGD message builder) and the compact accumulator inside
+/// [`UpdateScratch`] (the allocation-free hot path). Because both fold the
+/// identical `+=` sequence per coordinate, their sums are bit-identical.
+pub trait GradSink {
+    /// The gradient row of local `feature`: Σwidths lanes laid out block
+    /// after block (block `b` starts at lane `Σ widths[..b]`), all zero
+    /// on first touch.
+    fn row(&mut self, feature: usize) -> &mut [f64];
+}
+
+/// Compact sparse accumulator: memory follows the batch, not the model.
+/// A `u32` slot map over local features (4 B each, pages never written
+/// stay unmapped), the touched features in arrival order, and one
+/// contiguous buffer holding a row of `lanes` gradients per touched
+/// feature. Between calls the slot map and the buffer are all zero.
 #[derive(Debug, Default)]
 struct SparseAccum {
-    grad: Vec<Vec<f64>>,
-    touched: Vec<Vec<usize>>,
-    mark: Vec<Vec<bool>>,
+    /// Per local feature: 0 = untouched, else 1 + its position in `touched`.
+    slot: Vec<u32>,
+    touched: Vec<usize>,
+    /// Rows of `touched`, then zeros; grown geometrically, never shrunk.
+    grad: Vec<f64>,
+    widths: Vec<usize>,
+    lanes: usize,
 }
 
 impl SparseAccum {
-    /// Sizes the buffers for `params`, reallocating only on shape growth.
+    /// Shapes the (all-zero) accumulator for `params`.
     fn ensure(&mut self, params: &ParamSet) {
-        self.grad.resize_with(params.blocks.len(), Vec::new);
-        self.touched.resize_with(params.blocks.len(), Vec::new);
-        self.mark.resize_with(params.blocks.len(), Vec::new);
-        for (b, block) in params.blocks.iter().enumerate() {
-            if self.grad[b].len() < block.len() {
-                self.grad[b].resize(block.len(), 0.0);
-                self.mark[b].resize(block.len(), false);
-            }
+        let dim = params.dim();
+        assert!(
+            dim <= u32::MAX as usize,
+            "{dim} features overflow u32 slots"
+        );
+        if self.slot.len() < dim {
+            self.slot = vec![0; dim];
         }
+        self.widths.clone_from(&params.widths);
+        self.lanes = params.widths.iter().sum();
     }
 
-    /// Visits every touched coordinate in arrival order, skipping exact
-    /// zeros (the [`GradAccum::iter_coords`] contract), and resets the
-    /// visited entries so the accumulator is clean for the next batch.
-    fn drain(&mut self, mut f: impl FnMut(usize, usize, f64)) {
-        for (block, touched) in self.touched.iter_mut().enumerate() {
-            let grad = &mut self.grad[block];
-            let mark = &mut self.mark[block];
-            for &coord in touched.iter() {
-                let g = grad[coord];
-                grad[coord] = 0.0;
-                mark[coord] = false;
-                if g != 0.0 {
-                    f(block, coord, g);
-                }
-            }
-            touched.clear();
+    #[cold]
+    fn grow(&mut self) {
+        let len = (2 * self.grad.len()).max(64 * self.lanes);
+        self.grad.resize(len, 0.0);
+    }
+
+    /// The runs of `block`, one per touched feature in arrival order.
+    fn runs(&self, block: usize) -> impl Iterator<Item = (usize, &[f64])> {
+        let rows = self.grad.chunks_exact(self.lanes);
+        self.touched
+            .iter()
+            .zip(rows)
+            .map(block_run(&self.widths, block))
+    }
+
+    /// Back to all-zero, touching only what the batch touched.
+    fn clear(&mut self) {
+        for &feature in &self.touched {
+            self.slot[feature] = 0;
         }
+        self.grad[..self.touched.len() * self.lanes].fill(0.0);
+        self.touched.clear();
     }
 }
 
 impl GradSink for SparseAccum {
-    fn add(&mut self, block: usize, coord: usize, val: f64) {
-        if !self.mark[block][coord] {
-            self.mark[block][coord] = true;
-            self.touched[block].push(coord);
+    #[inline]
+    fn row(&mut self, feature: usize) -> &mut [f64] {
+        let mut pos = self.slot[feature] as usize;
+        if pos == 0 {
+            self.touched.push(feature);
+            pos = self.touched.len();
+            self.slot[feature] = pos as u32; // pos <= dim, which `ensure` checked fits
+            if self.grad.len() < pos * self.lanes {
+                self.grow();
+            }
         }
-        self.grad[block][coord] += val;
+        &mut self.grad[(pos - 1) * self.lanes..pos * self.lanes]
     }
 }
 
-/// Caller-owned scratch space for [`ModelSpec::update_from_stats_with`]
-/// (and any other kernel that wants reusable buffers). Holds the dense
-/// gradient sparse-accumulator and the MLR softmax buffer; after the first
-/// update at a given model shape, the kernel path performs no further heap
-/// allocation.
+/// Caller-owned scratch space for [`ModelSpec::update_from_stats_with`]:
+/// the compact gradient accumulator and the MLR softmax buffer. It costs
+/// 4 B per local feature (lazily zeroed) plus `8·Σwidths` B per feature
+/// the largest batch touched — nothing scales with the parameter count.
 #[derive(Debug, Default)]
 pub struct UpdateScratch {
-    spa: SparseAccum,
+    accum: SparseAccum,
     probs: Vec<f64>,
 }
 
@@ -434,11 +451,18 @@ impl UpdateScratch {
     }
 }
 
-/// Sparse gradient accumulator keyed by (block, feature).
+/// Sparse gradient accumulator keyed by feature, sorted.
 #[derive(Debug, Clone, Default)]
 pub struct GradAccum {
     widths: Vec<usize>,
-    maps: Vec<BTreeMap<usize, Vec<f64>>>,
+    rows: BTreeMap<usize, Vec<f64>>,
+}
+
+impl GradSink for GradAccum {
+    fn row(&mut self, feature: usize) -> &mut [f64] {
+        let lanes = self.widths.iter().sum();
+        self.rows.entry(feature).or_insert_with(|| vec![0.0; lanes])
+    }
 }
 
 impl GradAccum {
@@ -446,63 +470,48 @@ impl GradAccum {
     pub fn new(widths: &[usize]) -> Self {
         Self {
             widths: widths.to_vec(),
-            maps: widths.iter().map(|_| BTreeMap::new()).collect(),
+            rows: BTreeMap::new(),
         }
-    }
-
-    /// Adds `val` to coordinate `coord` (= feature·width + component) of
-    /// block `block`.
-    pub fn add(&mut self, block: usize, coord: usize, val: f64) {
-        let width = self.widths[block];
-        let feature = coord / width;
-        let comp = coord % width;
-        self.maps[block]
-            .entry(feature)
-            .or_insert_with(|| vec![0.0; width])[comp] += val;
     }
 
     /// Whether nothing was accumulated.
     pub fn is_empty(&self) -> bool {
-        self.maps.iter().all(BTreeMap::is_empty)
+        self.rows.is_empty()
     }
 
-    /// Iterates all `(block, coordinate, value)` triples, skipping exact
-    /// zeros.
+    /// The runs of `block`, one per touched feature in feature order.
+    fn runs(&self, block: usize) -> impl Iterator<Item = (usize, &[f64])> {
+        let rows = self
+            .rows
+            .iter()
+            .map(|(feature, row)| (feature, row.as_slice()));
+        rows.map(block_run(&self.widths, block))
+    }
+
+    /// Iterates all `(block, coordinate, value)` triples block by block in
+    /// coordinate order, skipping exact zeros.
     pub fn iter_coords(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
-        self.maps.iter().enumerate().flat_map(move |(b, map)| {
-            let width = self.widths[b];
-            map.iter().flat_map(move |(&feature, vals)| {
-                vals.iter()
-                    .enumerate()
-                    .filter(|(_, &v)| v != 0.0)
-                    .map(move |(f, &v)| (b, feature * width + f, v))
+        (0..self.widths.len()).flat_map(move |block| {
+            self.runs(block).flat_map(move |(base, row)| {
+                let nonzero = row.iter().enumerate().filter(|(_, &v)| v != 0.0);
+                nonzero.map(move |(f, &v)| (block, base + f, v))
             })
         })
     }
 
-    /// Materializes the accumulator as a [`SparseGrad`] over the union of
-    /// touched features.
+    /// Materializes the accumulator as a [`SparseGrad`] over the touched
+    /// features.
     pub fn to_sparse_grad(&self) -> SparseGrad {
-        let features: BTreeSet<usize> = self.maps.iter().flat_map(|m| m.keys().copied()).collect();
-        let indices: Vec<FeatureIndex> = features.iter().map(|&f| f as FeatureIndex).collect();
-        let blocks = self
-            .maps
-            .iter()
-            .enumerate()
-            .map(|(b, map)| {
-                let width = self.widths[b];
-                let mut vals = Vec::with_capacity(indices.len() * width);
-                for &f in &features {
-                    match map.get(&f) {
-                        Some(v) => vals.extend_from_slice(v),
-                        None => vals.extend(std::iter::repeat_n(0.0, width)),
-                    }
-                }
-                vals
+        let blocks = (0..self.widths.len())
+            .map(|block| {
+                let mut values = Vec::with_capacity(self.rows.len() * self.widths[block]);
+                self.runs(block)
+                    .for_each(|(_, row)| values.extend_from_slice(row));
+                values
             })
             .collect();
         SparseGrad {
-            indices,
+            indices: self.rows.keys().map(|&f| f as FeatureIndex).collect(),
             blocks,
             widths: self.widths.clone(),
         }
@@ -551,15 +560,126 @@ mod tests {
     fn grad_accum_roundtrip() {
         let mut a = GradAccum::new(&[1, 2]);
         assert!(a.is_empty());
-        a.add(0, 3, 1.0);
-        a.add(0, 3, 2.0);
-        a.add(1, 7, 5.0); // feature 3, comp 1
+        a.row(3)[0] += 1.0;
+        a.row(3)[0] += 2.0;
+        a.row(3)[2] += 5.0; // block 1, feature 3, comp 1
         let g = a.to_sparse_grad();
         assert_eq!(g.indices, vec![3]);
         assert_eq!(g.blocks[0], vec![3.0]);
         assert_eq!(g.blocks[1], vec![0.0, 5.0]);
         let coords: Vec<_> = a.iter_coords().collect();
         assert_eq!(coords, vec![(0, 3, 3.0), (1, 7, 5.0)]);
+    }
+
+    /// The `GradAccum` contract for one block layout: features touched
+    /// out of order (9, 2, 5; feature 5 only with zeros) with lane `l` of
+    /// feature `j` holding `10·j + l`, except an exact zero in the last
+    /// lane of feature 2.
+    fn check_grad_accum_contract(widths: &[usize]) {
+        let lanes: usize = widths.iter().sum();
+        let mut a = GradAccum::new(widths);
+        for j in [9usize, 2, 5, 9] {
+            let row = a.row(j);
+            assert_eq!(row.len(), lanes);
+            for (l, g) in row.iter_mut().enumerate() {
+                // Feature 9 is visited twice: halves fold to the whole.
+                *g += if j == 5 {
+                    0.0
+                } else {
+                    (10 * j + l) as f64 / (1 + j / 9) as f64
+                };
+            }
+        }
+        a.row(2)[lanes - 1] = 0.0;
+        let value = |j: usize, l: usize| {
+            if j == 5 || (j == 2 && l == lanes - 1) {
+                0.0
+            } else {
+                (10 * j + l) as f64
+            }
+        };
+
+        // Sorted indices (zero rows included: the feature was touched),
+        // per block `indices.len() × width` values, feature-major.
+        let g = a.to_sparse_grad();
+        assert_eq!(g.indices, vec![2, 5, 9]);
+        assert_eq!(g.widths, widths);
+        assert_eq!(g.blocks.len(), widths.len());
+        let mut expect_coords = Vec::new();
+        let mut off = 0;
+        for (b, &w) in widths.iter().enumerate() {
+            let expect: Vec<f64> = [2usize, 5, 9]
+                .iter()
+                .flat_map(|&j| (0..w).map(move |f| (j, f)))
+                .map(|(j, f)| value(j, off + f))
+                .collect();
+            assert_eq!(g.blocks[b], expect, "widths {widths:?} block {b}");
+            assert_eq!(g.blocks[b].len(), g.indices.len() * w);
+            // Block by block, then by coordinate, exact zeros skipped.
+            for j in [2usize, 9] {
+                for f in 0..w {
+                    if value(j, off + f) != 0.0 {
+                        expect_coords.push((b, j * w + f, value(j, off + f)));
+                    }
+                }
+            }
+            off += w;
+        }
+        assert_eq!(a.iter_coords().collect::<Vec<_>>(), expect_coords);
+    }
+
+    #[test]
+    fn grad_accum_contract_across_layouts() {
+        check_grad_accum_contract(&[1]);
+        check_grad_accum_contract(&[1, 1, 1]);
+        check_grad_accum_contract(&[1, 4]);
+    }
+
+    #[test]
+    fn scratch_memory_follows_the_batch_not_the_model() {
+        let spec = ModelSpec::Fm { factors: 10 };
+        let dim = 1usize << 20;
+        let mut p = spec.init_params(dim, 3, |s| s as u64);
+        let mut opt = OptimizerState::for_params(OptimizerKind::Sgd, &p);
+        // 64 rows × 16 non-zeros, strided so most features are distinct
+        // and a few repeat across rows.
+        let rows: Vec<(f64, SparseVector)> = (0..64u64)
+            .map(|i| {
+                let pairs = (0..16u64).map(|k| ((i * 7919 + k * 65_537) % dim as u64, 0.5));
+                let pairs: BTreeMap<u64, f64> = pairs.collect();
+                (
+                    if i % 2 == 0 { 1.0 } else { -1.0 },
+                    SparseVector::from_pairs(pairs.into_iter().collect()),
+                )
+            })
+            .collect();
+        let batch = CsrMatrix::from_rows(&rows);
+        let distinct: std::collections::BTreeSet<u64> = batch
+            .iter_rows()
+            .flat_map(|(_, idx, _)| idx.iter().copied())
+            .collect();
+        let mut stats = Vec::new();
+        spec.compute_stats(&p, &batch, &mut stats);
+        let mut scratch = UpdateScratch::new();
+        let up = UpdateParams::plain(0.05);
+        spec.update_from_stats_with(&mut p, &mut opt, &batch, &stats, &up, 64, &mut scratch);
+
+        let accum = &scratch.accum;
+        assert_eq!(accum.lanes, 11);
+        // Grown by doubling from 64 rows: under twice what the batch needs.
+        let need = distinct.len().max(64) * 11;
+        assert!(accum.grad.len() >= distinct.len() * 11);
+        assert!(
+            accum.grad.len() < 2 * need,
+            "{} vs {need}",
+            accum.grad.len()
+        );
+        assert!(accum.grad.len() < dim, "nothing is sized by the model");
+        assert!(accum.grad.iter().all(|&g| g == 0.0));
+        assert_eq!(accum.slot.len(), dim);
+        assert!(accum.slot.iter().all(|&s| s == 0));
+        assert!(accum.touched.is_empty());
+        assert!(accum.touched.capacity() < dim);
     }
 
     #[test]

@@ -4,23 +4,27 @@
 //! `update_from_stats_with` with a persistent [`UpdateScratch`]) must be
 //! **bit-identical** to the straightforward path (fresh vectors +
 //! `update_from_stats` over the `BTreeMap`-backed `GradAccum`) — for every
-//! model family, across random batches, partition counts, and optimizers,
-//! and across consecutive iterations reusing the same scratch buffers.
+//! model family, across random batches, partition counts, optimizers and
+//! regularizers, and across consecutive iterations reusing the same scratch
+//! buffers — including batches whose feature sets shrink, move and grow
+//! from one call to the next, and a larger model on the same scratch.
+//! Feature ranges are small (≤ 32) so that rows share features and
+//! coordinates fold several `+=` terms.
 //!
 //! Equivalence is exact, not approximate: both paths fold the identical
 //! per-coordinate `+=` sequence, and optimizer state is per-coordinate, so
 //! the only difference (gradient application *order*) cannot change any
 //! coordinate's value. `assert_eq!` on the raw f64 bits enforces this.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use columnsgd_data::block::Block;
 use columnsgd_data::workset::split_block;
 use columnsgd_data::{ColumnPartitioner, Workset};
-use columnsgd_linalg::SparseVector;
+use columnsgd_linalg::{CsrMatrix, SparseVector};
 use columnsgd_ml::spec::reduce_stats;
 use columnsgd_ml::{
-    ModelSpec, OptimizerKind, OptimizerState, ParamSet, UpdateParams, UpdateScratch,
+    ModelSpec, OptimizerKind, OptimizerState, ParamSet, Regularizer, UpdateParams, UpdateScratch,
 };
 use proptest::prelude::*;
 
@@ -43,6 +47,27 @@ fn optimizer_strategy() -> impl Strategy<Value = OptimizerKind> {
         Just(OptimizerKind::adagrad()),
         Just(OptimizerKind::adam()),
     ]
+}
+
+fn update_strategy() -> impl Strategy<Value = UpdateParams> {
+    let regularizer = prop_oneof![
+        Just(Regularizer::None),
+        (0.001f64..0.5).prop_map(Regularizer::L2),
+        (0.001f64..0.5).prop_map(Regularizer::L1),
+    ];
+    regularizer.prop_map(|regularizer| UpdateParams {
+        learning_rate: 0.3,
+        regularizer,
+    })
+}
+
+/// Raw rows: `(label seed, [(feature seed, value)])`, mapped onto a
+/// concrete feature set by the test.
+type RawRows = Vec<(u64, Vec<(u64, f64)>)>;
+
+fn raw_rows_strategy(features: std::ops::Range<u64>) -> impl Strategy<Value = RawRows> {
+    let row = prop::collection::vec((features, -2.0f64..2.0), 1..8);
+    prop::collection::vec((0u64..1_000, row), 1usize..16)
 }
 
 /// One partition's state, kept twice: the reference (fresh allocations,
@@ -68,14 +93,21 @@ fn lanes(
         .collect()
 }
 
-fn materialize_rows(
+fn materialize_rows(model: ModelSpec, raw_rows: &RawRows) -> Vec<(f64, SparseVector)> {
+    materialize_rows_onto(model, raw_rows, |j| j)
+}
+
+/// [`materialize_rows`] with every feature seed sent through `feature_of`.
+fn materialize_rows_onto(
     model: ModelSpec,
-    raw_rows: &[(u64, Vec<(u64, f64)>)],
+    raw_rows: &RawRows,
+    feature_of: impl Fn(u64) -> u64,
 ) -> Vec<(f64, SparseVector)> {
     raw_rows
         .iter()
         .map(|(raw_label, pairs)| {
-            let dedup: BTreeMap<u64, f64> = pairs.iter().copied().collect();
+            let dedup: BTreeMap<u64, f64> =
+                pairs.iter().map(|&(j, x)| (feature_of(j), x)).collect();
             let label = match model {
                 ModelSpec::Mlr { classes } => (raw_label % classes as u64) as f64,
                 _ => {
@@ -100,12 +132,9 @@ proptest! {
             1usize..6,
             8u64..32,
         ).prop_flat_map(|(model, optimizer, k, dim)| {
-            let rows = prop::collection::vec(
-                (0u64..1_000, prop::collection::vec((0u64..dim, -2.0f64..2.0), 1..8)),
-                1usize..16,
-            );
-            (Just(model), Just(optimizer), Just(k), Just(dim), rows)
-        })
+            (Just(model), Just(optimizer), Just(k), Just(dim), raw_rows_strategy(0..dim))
+        }),
+        up in update_strategy(),
     ) {
         let rows = materialize_rows(model, &raw_rows);
         let b = rows.len();
@@ -122,7 +151,6 @@ proptest! {
         let mut stats_bufs: Vec<Vec<f64>> = vec![Vec::new(); k];
         let mut scratches: Vec<UpdateScratch> = (0..k).map(|_| UpdateScratch::new()).collect();
         let mut agg = Vec::new();
-        let up = UpdateParams::plain(0.3);
 
         for iter in 0..ITERS {
             // Reference statistics: fresh vectors every time.
@@ -175,6 +203,87 @@ proptest! {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// One scratch, a full model (K = 1), and a batch sequence built to
+    /// stress the accumulator's reset: features of batch t+1 are a strict
+    /// subset of batch t's, then disjoint from them, then a superset, and
+    /// finally a model twice as large takes over the same scratch.
+    #[test]
+    fn persistent_scratch_survives_changing_feature_sets_and_shapes(
+        (model, optimizer, up, dim) in
+            (model_strategy(), optimizer_strategy(), update_strategy(), 8u64..32),
+        (rows_a, rows_b, rows_c, rows_d, rows_e) in (
+            raw_rows_strategy(0..1_000),
+            raw_rows_strategy(0..1_000),
+            raw_rows_strategy(0..1_000),
+            raw_rows_strategy(0..1_000),
+            raw_rows_strategy(0..1_000),
+        ),
+    ) {
+        let half = dim / 2;
+        let touched = |rows: &[(f64, SparseVector)]| -> Vec<u64> {
+            let set: BTreeSet<u64> = rows.iter().flat_map(|(_, x)| x.iter().map(|(j, _)| j)).collect();
+            set.into_iter().collect()
+        };
+        let all_of = |features: &[u64]| {
+            (1.0, SparseVector::from_pairs(features.iter().map(|&j| (j, 0.75)).collect()))
+        };
+
+        // A: the lower half, at least features 0 and 1.
+        let mut a = materialize_rows_onto(model, &rows_a, |j| j % half);
+        a.push(all_of(&[0, 1]));
+        let in_a = touched(&a);
+        // B: a strict subset of A's features (all but its largest).
+        let b = materialize_rows_onto(model, &rows_b, |j| in_a[j as usize % (in_a.len() - 1)]);
+        // C: the upper half only — disjoint from A and B.
+        let c = materialize_rows_onto(model, &rows_c, |j| half + j % (dim - half));
+        let in_c = touched(&c);
+        // D: everything C touched, feature 0, and whatever else falls out.
+        let mut d = materialize_rows_onto(model, &rows_d, |j| j % dim);
+        d.push(all_of(&in_c));
+        d.push(all_of(&[0]));
+        // E: a model twice as large, touching its last feature.
+        let dim_e = 2 * dim + 3;
+        let mut e = materialize_rows_onto(model, &rows_e, |j| j % dim_e);
+        e.push(all_of(&[dim_e - 1]));
+
+        let in_b = touched(&b);
+        let in_d = touched(&d);
+        prop_assert!(in_b.len() < in_a.len() && in_b.iter().all(|j| in_a.contains(j)));
+        prop_assert!(in_c.iter().all(|j| !in_a.contains(j)));
+        prop_assert!(in_d.len() > in_c.len() && in_c.iter().all(|j| in_d.contains(j)));
+
+        let mut scratch = UpdateScratch::new();
+        let mut stats = Vec::new();
+        for (dim, batches) in [(dim, vec![a, b, c, d]), (dim_e, vec![e])] {
+            let fresh = || {
+                let params = model.init_params(dim as usize, SEED, |slot| slot as u64);
+                let opt = OptimizerState::for_params(optimizer, &params);
+                Lane { params, opt }
+            };
+            let (mut reference, mut tuned) = (fresh(), fresh());
+            for (step, rows) in batches.iter().enumerate() {
+                let batch = CsrMatrix::from_rows(rows);
+                let n = batch.nrows();
+                model.compute_stats(&reference.params, &batch, &mut stats);
+                model.update_from_stats(&mut reference.params, &mut reference.opt, &batch, &stats, &up, n);
+                model.update_from_stats_with(
+                    &mut tuned.params, &mut tuned.opt, &batch, &stats, &up, n, &mut scratch,
+                );
+                for (bi, (rb, tb)) in reference.params.blocks.iter().zip(&tuned.params.blocks).enumerate() {
+                    for (coord, (x, y)) in rb.as_slice().iter().zip(tb.as_slice()).enumerate() {
+                        prop_assert_eq!(
+                            x.to_bits(),
+                            y.to_bits(),
+                            "dim {} step {}: block {} coord {}: {} vs {}",
+                            dim, step, bi, coord, x, y
+                        );
+                    }
+                }
+                prop_assert!(reference.opt == tuned.opt, "dim {} step {}: optimizer state", dim, step);
             }
         }
     }

@@ -966,15 +966,9 @@ impl RowSgdEngine {
             .ok_or_else(|| TrainError::Internal("MLlib master has no model".to_string()))?;
         opt.begin_step();
         let inv_b = 1.0 / cfg.batch_size.max(1) as f64;
-        for (b, gb) in agg.blocks.iter().enumerate() {
-            for (coord, &g_sum) in gb.as_slice().iter().enumerate() {
-                if g_sum == 0.0 {
-                    continue;
-                }
-                let w = params.blocks[b][coord];
-                let g = g_sum * inv_b + cfg.update.regularizer.subgradient(w);
-                opt.apply(b, &mut params.blocks[b], coord, g, cfg.update.learning_rate);
-            }
+        for (b, (model, gb)) in params.blocks.iter_mut().zip(&agg.blocks).enumerate() {
+            let run = std::iter::once((0, gb.as_slice()));
+            opt.apply_runs(b, model, run, inv_b, &cfg.update);
         }
         Ok(())
     }

@@ -14,7 +14,7 @@ use columnsgd_cluster::{Endpoint, NodeId, Recorder};
 use columnsgd_linalg::rng;
 use columnsgd_linalg::{CsrMatrix, SparseVector};
 use columnsgd_ml::spec::GradAccum;
-use columnsgd_ml::{OptimizerState, ParamSet, SparseGrad};
+use columnsgd_ml::{OptimizerState, ParamSet, SparseGrad, UpdateScratch};
 use rand::Rng;
 
 use crate::config::{RowSgdConfig, RowSgdVariant};
@@ -40,8 +40,9 @@ struct RowWorker {
     dim: u64,
     cfg: RowSgdConfig,
     rows: Vec<(f64, SparseVector)>,
-    /// MLlib*: the local model replica + optimizer.
-    replica: Option<(ParamSet, OptimizerState)>,
+    /// MLlib*: the local model replica, its optimizer and the update
+    /// kernel's scratch.
+    replica: Option<(ParamSet, OptimizerState, UpdateScratch)>,
     /// Batch sampled while answering `RequestIndices`, consumed by the
     /// following `SparseModelGrad` (PsSparse two-round protocol).
     pending_batch: Option<(u64, CsrMatrix)>,
@@ -152,16 +153,22 @@ impl RowWorker {
     fn local_step(&mut self, t: u64) -> Result<f64, String> {
         let batch = self.sample_batch(t);
         let share = batch.nrows();
-        let (params, opt) = self
+        let (params, opt, scratch) = self
             .replica
             .as_mut()
             .ok_or("LocalStep on a worker without a model replica")?;
         let mut stats = Vec::new();
         self.cfg.model.compute_stats(params, &batch, &mut stats);
         let loss = self.cfg.model.loss_from_stats(batch.labels(), &stats);
-        self.cfg
-            .model
-            .update_from_stats(params, opt, &batch, &stats, &self.cfg.update, share);
+        self.cfg.model.update_from_stats_with(
+            params,
+            opt,
+            &batch,
+            &stats,
+            &self.cfg.update,
+            share,
+            scratch,
+        );
         Ok(loss)
     }
 
@@ -182,7 +189,7 @@ impl RowWorker {
             return Ok(());
         }
         let deadline = Duration::from_millis(self.cfg.deadline_ms);
-        let (params, _) = self
+        let (params, ..) = self
             .replica
             .as_mut()
             .ok_or("ring AllReduce on a worker without a model replica")?;
@@ -330,7 +337,7 @@ pub fn run_row_worker(
     let replica = if cfg.variant == RowSgdVariant::MLlibStar {
         let params = cfg.model.init_params(dim as usize, cfg.seed, |s| s as u64);
         let opt = OptimizerState::for_params(cfg.optimizer, &params);
-        Some((params, opt))
+        Some((params, opt, UpdateScratch::new()))
     } else {
         None
     };
@@ -483,7 +490,7 @@ pub fn run_row_worker(
                 let params = w
                     .replica
                     .as_ref()
-                    .map(|(p, _)| p.clone())
+                    .map(|(p, ..)| p.clone())
                     .unwrap_or_default();
                 if ep
                     .send(NodeId::Master, RowMsg::ModelReply { worker: id, params })
