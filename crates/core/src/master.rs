@@ -1,26 +1,34 @@
-//! The master core: everything the static and the elastic engine do the
-//! same way.
+//! The master core: Algorithm 3's superstep loop, written once, and
+//! everything else the static and the elastic engine do the same way.
 //!
-//! Both engines drive Algorithm 3 from one master endpoint and differ only
-//! in *who* they drive (a fixed worker set with bulk loading, respawn and
-//! S-backup groups, versus a membership state machine with shard
-//! migration and speculation). What does not depend on that lives here,
-//! once: the buffered mailbox with its absolute detection deadlines, the
+//! Both engines drive the same BSP superstep from one master endpoint —
+//! issue `computeStatistics`, gather, reduce, broadcast, `updateModel`,
+//! barrier — and differ only in a [`Placement`] policy: *who* computes
+//! which partitions and *what a missing worker means* (a fixed worker set
+//! with respawn, reload and S-backup groups, versus a membership state
+//! machine with shard migration and speculation). The loop
+//! ([`MasterCore::train`]) lives here with what it needs: the [`Task`]
+//! table, the one barrier with its absolute detection deadlines, the
 //! probe that classifies a silent worker, the retry budget, the recovery
 //! ledger, load pricing, the master-side label lookup, the per-superstep
 //! tail (trace spans → loss → clock → curve → metrics → live tail →
 //! monitor), the model gather, the end-of-train trace↔meter
 //! reconciliation, and the workers themselves: the core owns the one
 //! [`Host`] the worker slots run on, supplies its [`Launcher`], and stops
-//! the workers when it is dropped.
+//! the workers when it is dropped. This is the only master-side module
+//! that reads a clock.
 
+use std::borrow::Cow;
 use std::collections::{BTreeSet, VecDeque};
 use std::net::SocketAddr;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use columnsgd_cluster::clock::IterationTime;
-use columnsgd_cluster::telemetry::{KernelRecord, MetricsRegistry, Phase, RunStamp, SuperstepSpan};
+use columnsgd_cluster::telemetry::{
+    KernelRecord, MetricsRegistry, Phase, ProfScope, RunStamp, SuperstepSpan,
+};
+use columnsgd_cluster::wire::ENVELOPE_BYTES;
 use columnsgd_cluster::{
     spawn_guarded, ClusterConfig, Endpoint, Envelope, FailurePlan, Host, Launcher, Monitor,
     NetError, NetworkModel, NodeId, Recorder, SimClock, SuperstepObs, TrafficStats,
@@ -31,7 +39,8 @@ use columnsgd_ml::metrics::Curve;
 use columnsgd_ml::ParamSet;
 
 use crate::config::ColumnSgdConfig;
-use crate::error::{RecoveryEvent, TrainError};
+use crate::engine::TrainOutcome;
+use crate::error::{DetectionMethod, FaultKind, RecoveryEvent, TrainError};
 use crate::host::{BootSpec, ColBoot};
 use crate::msg::ColMsg;
 use crate::worker::{run_worker, WorkerScript};
@@ -96,6 +105,210 @@ pub(crate) struct Superstep<'a> {
     pub counted: usize,
     /// The aggregated statistics that were broadcast.
     pub agg: &'a [f64],
+}
+
+/// One `computeStatistics` task of a superstep.
+///
+/// Empty `pids` means "everything you hold": the task travels as
+/// [`ColMsg::ComputeStats`] and is answered by [`ColMsg::StatsReply`]; a
+/// named partition set travels as [`ColMsg::ComputeStatsFor`] and is
+/// answered by [`ColMsg::StatsReplyFor`]. The fold of the two shapes
+/// happens here, in the task table, not in the message enum.
+pub(crate) struct Task {
+    pub worker: usize,
+    pub pids: Vec<usize>,
+    /// `Some(primary_worker)` for a speculative duplicate of that
+    /// worker's task on a backup holder.
+    pub duplicate_of: Option<usize>,
+    pub reply: Option<TaskReply>,
+    /// The gather barrier no longer waits for this task: its worker was
+    /// lost and somebody else covers the partitions. A reply that still
+    /// lands before the barrier closes folds like any other.
+    pub excused: bool,
+}
+
+impl Task {
+    pub fn new(worker: usize, pids: Vec<usize>, duplicate_of: Option<usize>) -> Self {
+        Self {
+            worker,
+            pids,
+            duplicate_of,
+            reply: None,
+            excused: false,
+        }
+    }
+
+    fn outstanding(&self) -> bool {
+        !self.excused && self.reply.is_none()
+    }
+}
+
+/// The statistics a task came back with.
+pub(crate) struct TaskReply {
+    pub partial: Vec<f64>,
+    pub compute_s: f64,
+    pub sample_s: f64,
+}
+
+/// The state of the superstep in flight, shared by the loop and its
+/// [`Placement`] policy: the task table, the retry counters, the recovery
+/// charge and the run's recovery log.
+pub(crate) struct Step {
+    pub t: u64,
+    /// When the superstep started: the origin of every detection latency.
+    issued: Instant,
+    /// Per-slot attempt counters of this superstep.
+    pub attempts: Vec<u64>,
+    /// Simulated seconds spent on detection waits, reloads and migrations
+    /// this superstep, charged to the clock as pure overhead.
+    pub charge: f64,
+    pub tasks: Vec<Task>,
+    /// Every fault detected and recovered from so far, in detection order.
+    pub recovery: Vec<RecoveryEvent>,
+}
+
+impl Step {
+    fn new(slots: usize) -> Self {
+        Self {
+            t: 0,
+            issued: Instant::now(),
+            attempts: vec![0; slots],
+            charge: 0.0,
+            tasks: Vec::new(),
+            recovery: Vec::new(),
+        }
+    }
+
+    fn begin(&mut self, t: u64) {
+        self.t = t;
+        self.issued = Instant::now();
+        self.attempts.fill(0);
+        self.charge = 0.0;
+        self.tasks.clear();
+    }
+
+    /// The task a reply from `worker` covering `pids` answers, success or
+    /// failure alike. Duplicates (chaos, redundant re-issues) find their
+    /// task already answered and match nothing.
+    fn awaiting(&self, worker: usize, pids: &[usize]) -> Option<usize> {
+        self.tasks
+            .iter()
+            .position(|task| task.worker == worker && task.reply.is_none() && task.pids == pids)
+    }
+
+    /// Per-slot `(compute, sample)` seconds as billed to telemetry and the
+    /// monitor. Only replies that were *kept* are billed — a failed
+    /// attempt burns wall-clock the master already accounts as recovery
+    /// charge, and a discarded reply takes its bill with it. A worker's
+    /// primary tasks serialize on its lane, so compute adds up, while the
+    /// batch is sampled once and cached, so only the first task pays (the
+    /// rest report ~0). Speculative duplicates overlap on idle pool slots
+    /// and are excluded — charging them would make the backup look like a
+    /// straggler to the monitor and cascade the arming.
+    fn lane_times(&self, slots: usize) -> (Vec<f64>, Vec<f64>) {
+        let mut compute = vec![0.0f64; slots];
+        let mut sample = vec![0.0f64; slots];
+        for task in &self.tasks {
+            if let Some(r) = &task.reply {
+                if task.duplicate_of.is_none() {
+                    compute[task.worker] += r.compute_s;
+                }
+                sample[task.worker] = sample[task.worker].max(r.sample_s);
+            }
+        }
+        (compute, sample)
+    }
+}
+
+/// How the master found out that a worker can no longer serve.
+pub(crate) struct Lost {
+    pub worker: usize,
+    pub detection: DetectionMethod,
+    /// The process answered the probe but holds no data (as opposed to
+    /// being gone altogether).
+    pub unloaded: bool,
+    /// Detected while statistics were being gathered (orphaned tasks can
+    /// be re-issued) rather than during the update barrier.
+    pub gathering: bool,
+}
+
+/// What a [`Placement`] makes of a closed gather barrier.
+pub(crate) struct Reduced {
+    /// The aggregated statistics to broadcast.
+    pub agg: Vec<f64>,
+    /// Effective statistics-phase seconds (the slowest lane that counts).
+    pub stat_phase: f64,
+    /// Replies folded into `agg`.
+    pub counted: usize,
+    /// Modeled gather seconds for the replies that crossed the wire.
+    pub gather_s: f64,
+    /// The workers that apply this superstep's update.
+    pub updaters: Vec<usize>,
+}
+
+/// The straggler injected into a superstep: `(victim slot, factor)`.
+pub(crate) type Straggler = Option<(usize, f64)>;
+
+/// What differs between the engines that run [`MasterCore::train`]: who
+/// computes which partitions, and what a missing worker means.
+pub(crate) trait Placement {
+    /// Name of the convergence curve.
+    const LABEL: &'static str;
+
+    /// Applies whatever changes the worker set between supersteps and
+    /// fills `step.tasks` with this superstep's statistics tasks.
+    fn place(&mut self, core: &mut MasterCore, step: &mut Step) -> Result<(), TrainError>;
+
+    /// Recovers from a lost worker — respawn it, or move its partitions —
+    /// logging the fault with [`MasterCore::note`], and returns the tasks
+    /// the loop must (re-)issue. Nothing is re-issued after the gather:
+    /// there the loop re-drives a worker that is still in service through
+    /// the update on its own.
+    fn worker_down(
+        &mut self,
+        core: &mut MasterCore,
+        step: &mut Step,
+        lost: Lost,
+    ) -> Result<Vec<usize>, TrainError>;
+
+    /// Whether slot `w` is expected to answer at all.
+    fn in_service(&self, _w: usize) -> bool {
+        true
+    }
+
+    /// Reduces the gathered (straggler-inflated) replies.
+    fn reduce(
+        &mut self,
+        core: &MasterCore,
+        step: &Step,
+        straggler: Straggler,
+    ) -> Result<Reduced, TrainError>;
+
+    /// Closes the update barrier: applies the straggler to the measured
+    /// `update_times`, runs whatever recovery was deferred to after the
+    /// barrier (charging `step.charge`), and returns the effective
+    /// update-phase seconds.
+    fn finish_update(
+        &mut self,
+        core: &mut MasterCore,
+        step: &mut Step,
+        update_times: &mut [f64],
+        straggler: Straggler,
+    ) -> Result<f64, TrainError>;
+
+    /// The per-slot compute times as the monitor's straggler detector
+    /// should see them.
+    fn observed<'a>(&self, compute_times: &'a [f64]) -> Cow<'a, [f64]> {
+        Cow::Borrowed(compute_times)
+    }
+}
+
+/// The update barrier's state: who must acknowledge what.
+struct Acks<'a> {
+    agg: &'a [f64],
+    updaters: &'a [usize],
+    acked: Vec<bool>,
+    update_times: Vec<f64>,
 }
 
 /// How a ColumnSGD worker is launched on the shared [`Host`].
@@ -415,13 +628,13 @@ impl MasterCore {
 
     /// Increments a worker's attempt counter, failing when the retry
     /// budget (`max_task_retries`) is exhausted.
-    pub fn bump_attempts(&self, t: u64, w: usize, attempts: &mut [u64]) -> Result<(), TrainError> {
-        attempts[w] += 1;
-        if attempts[w] > self.cfg.max_task_retries {
+    pub fn bump_attempts(&self, step: &mut Step, w: usize) -> Result<(), TrainError> {
+        step.attempts[w] += 1;
+        if step.attempts[w] > self.cfg.max_task_retries {
             return Err(TrainError::RetriesExhausted {
-                iteration: t,
+                iteration: step.t,
                 worker: w,
-                attempts: attempts[w],
+                attempts: step.attempts[w],
             });
         }
         Ok(())
@@ -429,9 +642,57 @@ impl MasterCore {
 
     /// Logs a recovered fault on both ledgers: the outcome's recovery log
     /// and the telemetry fault stream.
-    pub fn note_recovery(&self, ev: RecoveryEvent, recovery: &mut Vec<RecoveryEvent>) {
+    pub fn note(
+        &self,
+        step: &mut Step,
+        worker: usize,
+        fault: FaultKind,
+        detection: DetectionMethod,
+        recovery_cost_s: f64,
+    ) {
+        let ev = RecoveryEvent {
+            iteration: step.t,
+            worker,
+            fault,
+            detection,
+            detection_latency_s: step.issued.elapsed().as_secs_f64(),
+            recovery_cost_s,
+            attempt: step.attempts[worker],
+        };
         self.recorder.fault(ev.to_fault_record());
-        recovery.push(ev);
+        step.recovery.push(ev);
+    }
+
+    /// The load barrier: waits until `accept` has taken `n` acknowledgements
+    /// (`what` names them in the error). The bulk deadline is absolute and
+    /// refreshed on every accepted ack — progress resets the clock, stray
+    /// messages (`accept` returns `false`) are logged and dropped and do
+    /// not.
+    ///
+    /// # Errors
+    /// [`TrainError::LoadFailed`] when the deadline passes first, or
+    /// whatever `accept` rejects an ack with.
+    pub fn await_acks(
+        &mut self,
+        n: usize,
+        what: &str,
+        mut accept: impl FnMut(ColMsg) -> Result<bool, TrainError>,
+    ) -> Result<(), TrainError> {
+        let mut deadline = Instant::now() + self.bulk_deadline();
+        let mut acks = 0;
+        while acks < n {
+            let env = self
+                .recv_next(deadline)
+                .map_err(|e| TrainError::LoadFailed(format!("only {acks}/{n} {what}: {e}")))?;
+            let name = env.payload.name();
+            if accept(env.payload)? {
+                acks += 1;
+                deadline = Instant::now() + self.bulk_deadline();
+            } else {
+                eprintln!("master: dropping unexpected {name} during load");
+            }
+        }
+        Ok(())
     }
 
     /// Prices the metered loading traffic into a simulated makespan.
@@ -749,6 +1010,444 @@ impl MasterCore {
     }
 }
 
+/// Algorithm 3, once: the superstep loop both engines run, over a
+/// [`Placement`] policy.
+impl MasterCore {
+    /// Runs the full training loop and returns the outcome.
+    ///
+    /// # Errors
+    /// [`TrainError::RetriesExhausted`] when one worker's task keeps
+    /// failing past the retry budget, [`TrainError::WorkerLost`] when the
+    /// policy cannot bring a worker back or re-own its partitions,
+    /// [`TrainError::Network`] if the master's own mailbox fails, and
+    /// [`TrainError::Diverged`] when the monitor's loss guard trips.
+    pub fn train<P: Placement>(&mut self, p: &mut P) -> Result<TrainOutcome, TrainError> {
+        let out = self.train_inner(p);
+        if let Err(e) = &out {
+            // Terminal errors join the telemetry fault stream as
+            // `fatal: true` records — one unified vocabulary for
+            // recovered and unrecoverable faults.
+            self.recorder.fault(e.to_fault_record());
+        }
+        out
+    }
+
+    fn train_inner<P: Placement>(&mut self, p: &mut P) -> Result<TrainOutcome, TrainError> {
+        let mut clock = SimClock::new();
+        let mut curve = Curve::new(P::LABEL);
+        let mut step = Step::new(self.slots);
+
+        for t in 0..self.cfg.iterations {
+            step.begin(t);
+            p.place(self, &mut step)?;
+
+            // --- step 1: computeStatistics -----------------------------
+            {
+                let _prof = ProfScope::enter("issue");
+                for i in 0..step.tasks.len() {
+                    self.issue(p, &mut step, i)?;
+                }
+            }
+
+            // --- step 2: gather + reduce -------------------------------
+            let prof_gather = ProfScope::enter("gather");
+            let gather_wall = self.barrier(p, &mut step, None)?;
+            drop(prof_gather);
+
+            // Straggler injection (§V-C methodology). StragglerLevel is
+            // "the ratio between the extra time a straggler needs to
+            // finish a task and the time that a non-straggler worker
+            // needs" — a *task* pays both compute and the per-task
+            // executor overhead, so the inflation applies to their sum
+            // (the extra time then lands on the barrier).
+            let straggler = self
+                .plan
+                .straggler
+                .map(|s| (s.pick(t, self.slots), s.factor()));
+            if let Some((victim, factor)) = straggler {
+                let overhead = self.net.scheduling_overhead_s;
+                let replies = step.tasks.iter_mut().filter(|task| task.worker == victim);
+                for r in replies.filter_map(|task| task.reply.as_mut()) {
+                    r.compute_s += (factor - 1.0) * (r.compute_s + overhead);
+                }
+            }
+
+            let prof_reduce = ProfScope::enter("reduce");
+            let red = p.reduce(self, &step, straggler)?;
+            drop(prof_reduce);
+
+            // --- step 3: broadcast + updateModel ------------------------
+            let prof_bcast = ProfScope::enter("broadcast");
+            let mut acks = Acks {
+                agg: &red.agg,
+                updaters: &red.updaters,
+                acked: vec![false; self.slots],
+                update_times: vec![0.0f64; self.slots],
+            };
+            for &w in &red.updaters {
+                let msg = ColMsg::Update {
+                    iteration: t,
+                    stats: red.agg.clone(),
+                };
+                if self.master.send(NodeId::Worker(w), msg).is_err() {
+                    let how = DetectionMethod::SendFailure;
+                    self.worker_lost(p, &mut step, w, how, false, Some(&mut acks))?;
+                }
+            }
+            let bcast_wall = self.barrier(p, &mut step, Some(&mut acks))?;
+            drop(prof_bcast);
+            let mut update_times = acks.update_times;
+            let upd_phase = p.finish_update(self, &mut step, &mut update_times, straggler)?;
+
+            // --- pricing -------------------------------------------------
+            // Analytic wire sizes, so no throwaway message (or clone of
+            // the aggregate) is ever materialized just to measure it. The
+            // analytic helpers are pinned equal to `wire_size()` by test.
+            let bcast_bytes = (ColMsg::update_wire_size(red.agg.len()) + ENVELOPE_BYTES) as u64;
+            let bcast_s = self.net.broadcast_time(bcast_bytes, red.updaters.len());
+            let (compute_times, sample_times) = step.lane_times(self.slots);
+            self.finish_superstep(
+                &Superstep {
+                    t,
+                    sample_times: &sample_times,
+                    compute_times: &compute_times,
+                    observed: &p.observed(&compute_times),
+                    stat_phase: red.stat_phase,
+                    gather: (red.gather_s, gather_wall),
+                    bcast: (bcast_s, bcast_wall),
+                    update_times: &update_times,
+                    upd_phase,
+                    charge: step.charge,
+                    counted: red.counted,
+                    agg: &red.agg,
+                },
+                &mut clock,
+                &mut curve,
+            )?;
+        }
+        self.finish_train()?;
+
+        Ok(TrainOutcome {
+            curve,
+            clock,
+            recovery: step.recovery,
+            run: self.run_stamp(),
+            diagnostics: self.monitor.report(),
+        })
+    }
+
+    /// Puts task `i` on the wire: `ComputeStats` for "everything you
+    /// hold", `ComputeStatsFor` for a named partition set.
+    fn send_task(&self, step: &Step, i: usize) -> Result<(), NetError> {
+        let task = &step.tasks[i];
+        let (iteration, batch_size) = (step.t, self.cfg.batch_size);
+        let attempt = step.attempts[task.worker];
+        let msg = if task.pids.is_empty() {
+            ColMsg::ComputeStats {
+                iteration,
+                batch_size,
+                attempt,
+            }
+        } else {
+            ColMsg::ComputeStatsFor {
+                iteration,
+                batch_size,
+                attempt,
+                pids: task.pids.clone(),
+            }
+        };
+        self.master.send(NodeId::Worker(task.worker), msg)
+    }
+
+    /// Issues task `i`. A dead mailbox is a detected worker failure: the
+    /// policy recovers and the task (or whatever replaced it) goes out
+    /// again.
+    fn issue<P: Placement>(
+        &mut self,
+        p: &mut P,
+        step: &mut Step,
+        i: usize,
+    ) -> Result<(), TrainError> {
+        if self.send_task(step, i).is_ok() {
+            return Ok(());
+        }
+        let w = step.tasks[i].worker;
+        self.worker_lost(p, step, w, DetectionMethod::SendFailure, false, None)
+    }
+
+    /// Hands a lost worker to the policy and re-drives what is left of the
+    /// superstep for it: the tasks the policy names while gathering
+    /// (`acks` is `None`), the whole update sequence afterwards — unless
+    /// the worker's ack was already counted, in which case the applied
+    /// update died with it (exactly the §X data-loss semantics) and there
+    /// is nothing to re-await.
+    fn worker_lost<P: Placement>(
+        &mut self,
+        p: &mut P,
+        step: &mut Step,
+        w: usize,
+        detection: DetectionMethod,
+        unloaded: bool,
+        acks: Option<&mut Acks<'_>>,
+    ) -> Result<(), TrainError> {
+        let lost = Lost {
+            worker: w,
+            detection,
+            unloaded,
+            gathering: acks.is_none(),
+        };
+        let again = p.worker_down(self, step, lost)?;
+        match acks {
+            None => {
+                for i in again {
+                    self.issue(p, step, i)?;
+                }
+            }
+            Some(acks) => {
+                if !acks.acked[w] && p.in_service(w) {
+                    self.resequence(step, w, acks.agg);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Re-drives worker `w` through this superstep's update: its tasks
+    /// once more (idempotently re-sampling the batch; the replies are
+    /// discarded) followed by the `Update`. A worker that already applied
+    /// the update simply re-acks.
+    fn resequence(&self, step: &Step, w: usize, agg: &[f64]) {
+        // Send failures here mean the worker died between the probe and
+        // now; the next deadline round detects and handles it.
+        for i in (0..step.tasks.len()).filter(|&i| step.tasks[i].worker == w) {
+            let _ = self.send_task(step, i);
+        }
+        let _ = self.master.send(
+            NodeId::Worker(w),
+            ColMsg::Update {
+                iteration: step.t,
+                stats: agg.to_vec(),
+            },
+        );
+    }
+
+    /// Folds one statistics reply, matched to its task by `(worker,
+    /// pids)`. A failed task (§X: "start a new task … no additional work on
+    /// data loading is required") is logged and that task re-sent. Returns
+    /// whether the reply answered anything.
+    fn fold_reply<P: Placement>(
+        &mut self,
+        p: &mut P,
+        step: &mut Step,
+        worker: usize,
+        pids: &[usize],
+        reply: TaskReply,
+        task_failed: bool,
+    ) -> Result<bool, TrainError> {
+        let Some(i) = step.awaiting(worker, pids) else {
+            // A duplicate (chaos), or a partial cover from a raced
+            // migration: drop; the deadline path re-drives if needed.
+            eprintln!(
+                "master: dropping unmatched statistics from worker {worker} \
+                 ({} pids) at t={}",
+                pids.len(),
+                step.t
+            );
+            return Ok(false);
+        };
+        if task_failed {
+            let (fault, how) = (FaultKind::TaskFailure, DetectionMethod::ErrorReply);
+            self.note(step, worker, fault, how, 0.0);
+            self.bump_attempts(step, worker)?;
+            self.issue(p, step, i)?;
+        } else {
+            step.tasks[i].reply = Some(reply);
+        }
+        Ok(true)
+    }
+
+    /// The BSP barrier, for both halves of the superstep: while gathering
+    /// (`acks` is `None`) it waits for every task that is not excused,
+    /// afterwards for the update acknowledgement of every updater still
+    /// in service. Returns the wall-clock seconds spent, the *measured*
+    /// barrier time for transport cross-checks.
+    ///
+    /// The detection deadline is absolute: reset on progress (a matched
+    /// reply or ack, a handled panic, a completed recovery round), never
+    /// on stray traffic. When it expires, every silent worker without
+    /// buffered evidence is probed: alive and loaded means a lost task or
+    /// message (re-sent), anything else a lost worker.
+    fn barrier<P: Placement>(
+        &mut self,
+        p: &mut P,
+        step: &mut Step,
+        mut acks: Option<&mut Acks<'_>>,
+    ) -> Result<f64, TrainError> {
+        let detect = self.deadline();
+        let gathering = acks.is_none();
+        let started = Instant::now();
+        let mut wait_until = started + detect;
+        loop {
+            let open = match &acks {
+                None => step.tasks.iter().any(Task::outstanding),
+                Some(a) => a.updaters.iter().any(|&w| !a.acked[w] && p.in_service(w)),
+            };
+            if !open {
+                return Ok(started.elapsed().as_secs_f64());
+            }
+            let env = match self.recv_next(wait_until) {
+                Ok(env) => env,
+                Err(NetError::Timeout) => {
+                    // Detection: deadline expired with answers missing.
+                    step.charge += detect.as_secs_f64();
+                    let mut silent: Vec<usize> = match &acks {
+                        None => {
+                            let late = step.tasks.iter().filter(|task| task.outstanding());
+                            late.map(|task| task.worker).collect()
+                        }
+                        Some(a) => {
+                            let late = a.updaters.iter().filter(|&&w| !a.acked[w]);
+                            late.copied().collect()
+                        }
+                    };
+                    silent.sort_unstable();
+                    silent.dedup();
+                    for w in silent {
+                        if !p.in_service(w) || self.pending_has_evidence(step.t, w) {
+                            continue;
+                        }
+                        let unloaded = match self.probe_worker(step.t, w)? {
+                            Probed::Deferred => continue,
+                            Probed::Alive { loaded: true } => {
+                                let how = DetectionMethod::Timeout;
+                                self.note(step, w, FaultKind::TaskFailure, how, 0.0);
+                                self.bump_attempts(step, w)?;
+                                match acks.as_deref() {
+                                    None => {
+                                        for i in 0..step.tasks.len() {
+                                            let task = &step.tasks[i];
+                                            if task.worker == w && task.outstanding() {
+                                                self.issue(p, step, i)?;
+                                            }
+                                        }
+                                    }
+                                    Some(a) => self.resequence(step, w, a.agg),
+                                }
+                                continue;
+                            }
+                            Probed::Alive { loaded: false } => true,
+                            Probed::Dead => false,
+                        };
+                        let how = DetectionMethod::Timeout;
+                        self.worker_lost(p, step, w, how, unloaded, acks.as_deref_mut())?;
+                    }
+                    wait_until = Instant::now() + detect;
+                    continue;
+                }
+                Err(source) => {
+                    return Err(TrainError::Network {
+                        iteration: step.t,
+                        source,
+                    })
+                }
+            };
+            let progress = match env.payload {
+                ColMsg::StatsReply {
+                    iteration,
+                    worker,
+                    partial,
+                    compute_s,
+                    sample_s,
+                    task_failed,
+                } if iteration == step.t && gathering => {
+                    let reply = TaskReply {
+                        partial,
+                        compute_s,
+                        sample_s,
+                    };
+                    self.fold_reply(p, step, worker, &[], reply, task_failed)?
+                }
+                ColMsg::StatsReplyFor {
+                    iteration,
+                    worker,
+                    pids,
+                    partial,
+                    compute_s,
+                    sample_s,
+                    task_failed,
+                } if iteration == step.t && gathering => {
+                    let reply = TaskReply {
+                        partial,
+                        compute_s,
+                        sample_s,
+                    };
+                    self.fold_reply(p, step, worker, &pids, reply, task_failed)?
+                }
+                ColMsg::UpdateAck {
+                    iteration,
+                    worker,
+                    compute_s,
+                } if iteration == step.t => match acks.as_deref_mut() {
+                    Some(a) if !a.acked[worker] => {
+                        a.acked[worker] = true;
+                        a.update_times[worker] = compute_s;
+                        true
+                    }
+                    _ => false,
+                },
+                ColMsg::WorkerPanic { worker, .. } => {
+                    let how = DetectionMethod::PanicReport;
+                    self.worker_lost(p, step, worker, how, false, acks.as_deref_mut())?;
+                    true
+                }
+                // Late answers from an earlier iteration or the other half
+                // of this one, and stray control answers from resolved
+                // recoveries.
+                ColMsg::StatsReply { .. }
+                | ColMsg::StatsReplyFor { .. }
+                | ColMsg::UpdateAck { .. }
+                | ColMsg::ProbeAck { .. }
+                | ColMsg::ShardInstalled { .. } => false,
+                // Worker-bound commands echoed back (chaos, a misrouted
+                // frame) or stale loading-phase acks: noise on the
+                // master's mailbox. Named explicitly — this arm is the
+                // master side's decision record for every ColMsg variant
+                // it does not service, and protocol-conformance holds it
+                // to that.
+                other @ (ColMsg::LoadBlock(..)
+                | ColMsg::ReloadBlock(..)
+                | ColMsg::Workset { .. }
+                | ColMsg::LoadDone { .. }
+                | ColMsg::ReloadDone { .. }
+                | ColMsg::LoadAck { .. }
+                | ColMsg::ReloadAck { .. }
+                | ColMsg::ComputeStats { .. }
+                | ColMsg::ComputeStatsFor { .. }
+                | ColMsg::Update { .. }
+                | ColMsg::InstallParams { .. }
+                | ColMsg::Probe { .. }
+                | ColMsg::ModelReply { .. }
+                | ColMsg::Die
+                | ColMsg::FetchModel
+                | ColMsg::Shutdown
+                | ColMsg::ShardRequest { .. }
+                | ColMsg::ShardData { .. }
+                | ColMsg::DropShard { .. }) => {
+                    let phase = if gathering { "gather" } else { "update" };
+                    eprintln!(
+                        "master: dropping unexpected {} during {phase}",
+                        other.name()
+                    );
+                    false
+                }
+            };
+            if progress {
+                wait_until = Instant::now() + detect;
+            }
+        }
+    }
+}
+
 fn stamp(cfg: &ColumnSgdConfig, plan: &FailurePlan, slots: usize) -> RunStamp {
     RunStamp {
         config_hash: cfg.fingerprint(),
@@ -797,11 +1496,9 @@ mod tests {
 
     use super::*;
 
-    /// A trace that disagrees with the meter ends the run with a typed
-    /// error — for both engines, since both close through here — never a
-    /// panic.
-    #[test]
-    fn trace_meter_divergence_is_a_typed_error() {
+    /// A core over `slots` registered but unstarted worker slots: sends
+    /// succeed, nobody answers.
+    fn idle_core(slots: usize) -> MasterCore {
         let ds = synth::small_test_dataset(40, 8, 1);
         let cfg = ColumnSgdConfig::new(ModelSpec::Lr);
         let blocks: Vec<Block> = ds
@@ -809,20 +1506,131 @@ mod tests {
             .iter()
             .cloned()
             .collect();
-        let core = MasterCore::new(
+        MasterCore::new(
             cfg,
-            1,
+            slots,
             NetworkModel::INSTANT,
             FailurePlan::none(),
             Recorder::new(),
             blocks,
             ds.dimension(),
             &ClusterConfig::in_proc(),
-            vec![WorkerScript::default()],
+            vec![WorkerScript::default(); slots],
             false,
             0,
         )
-        .expect("bring-up");
+        .expect("bring-up")
+    }
+
+    /// A placement the fold tests never consult.
+    struct NoPlacement;
+
+    impl Placement for NoPlacement {
+        const LABEL: &'static str = "test";
+        fn place(&mut self, _: &mut MasterCore, _: &mut Step) -> Result<(), TrainError> {
+            unreachable!()
+        }
+        fn worker_down(
+            &mut self,
+            _: &mut MasterCore,
+            _: &mut Step,
+            _: Lost,
+        ) -> Result<Vec<usize>, TrainError> {
+            unreachable!()
+        }
+        fn reduce(
+            &mut self,
+            _: &MasterCore,
+            _: &Step,
+            _: Straggler,
+        ) -> Result<Reduced, TrainError> {
+            unreachable!()
+        }
+        fn finish_update(
+            &mut self,
+            _: &mut MasterCore,
+            _: &mut Step,
+            _: &mut [f64],
+            _: Straggler,
+        ) -> Result<f64, TrainError> {
+            unreachable!()
+        }
+    }
+
+    /// A step over one whole-worker task per slot, as the static engine
+    /// places them.
+    fn whole_worker_step(slots: usize) -> Step {
+        let mut step = Step::new(slots);
+        step.tasks
+            .extend((0..slots).map(|w| Task::new(w, Vec::new(), None)));
+        step
+    }
+
+    fn reply(partial: Vec<f64>, compute_s: f64, sample_s: f64) -> TaskReply {
+        TaskReply {
+            partial,
+            compute_s,
+            sample_s,
+        }
+    }
+
+    #[test]
+    fn compute_time_charges_only_the_counted_attempt() {
+        // Regression: a scripted TaskFailure used to leave its compute
+        // time accumulated (`+=`) on top of the successful retry's, so a
+        // worker that failed once was billed for both attempts.
+        let mut core = idle_core(2);
+        let mut step = whole_worker_step(2);
+        let p = &mut NoPlacement;
+
+        // Attempt 0 throws after burning 5 s: logged, retried, nothing
+        // billed, no partial kept.
+        let failed = core.fold_reply(p, &mut step, 1, &[], reply(Vec::new(), 5.0, 1.0), true);
+        assert!(failed.expect("within the retry budget"));
+        assert_eq!(step.lane_times(2), (vec![0.0, 0.0], vec![0.0, 0.0]));
+        assert!(step.tasks[1].reply.is_none());
+        assert_eq!((step.recovery.len(), step.attempts[1]), (1, 1));
+        assert_eq!(step.recovery[0].detection, DetectionMethod::ErrorReply);
+
+        // Attempt 1 succeeds in 2 s: kept and billed exactly 2 s.
+        let kept = core.fold_reply(p, &mut step, 1, &[], reply(vec![1.0], 2.0, 0.5), false);
+        assert!(kept.expect("fold"));
+        assert_eq!(step.lane_times(2), (vec![0.0, 2.0], vec![0.0, 0.5]));
+
+        // A duplicate reply (chaos) answers nothing and must change
+        // neither the partial nor the bill.
+        let dup = core.fold_reply(p, &mut step, 1, &[], reply(vec![9.0], 9.0, 9.0), false);
+        assert!(!dup.expect("fold"));
+        assert_eq!(step.lane_times(2), (vec![0.0, 2.0], vec![0.0, 0.5]));
+        let kept = step.tasks[1].reply.as_ref().expect("kept reply");
+        assert_eq!(kept.partial, vec![1.0]);
+    }
+
+    #[test]
+    fn crash_discards_partial_and_its_bill() {
+        let mut core = idle_core(2);
+        let mut step = whole_worker_step(2);
+        let p = &mut NoPlacement;
+        let first = core.fold_reply(p, &mut step, 0, &[], reply(vec![3.0], 4.0, 0.25), false);
+        assert!(first.expect("fold"));
+        // What a crash does to the pre-crash reply (the respawned
+        // incarnation's reply, and only it, may be counted).
+        step.tasks[0].reply = None;
+        assert_eq!(step.lane_times(2), (vec![0.0, 0.0], vec![0.0, 0.0]));
+        // The respawned incarnation's reply is then billed normally.
+        let second = core.fold_reply(p, &mut step, 0, &[], reply(vec![7.0], 1.0, 0.125), false);
+        assert!(second.expect("fold"));
+        assert_eq!(step.lane_times(2), (vec![1.0, 0.0], vec![0.125, 0.0]));
+        let kept = step.tasks[0].reply.as_ref().expect("kept reply");
+        assert_eq!(kept.partial, vec![7.0]);
+    }
+
+    /// A trace that disagrees with the meter ends the run with a typed
+    /// error — for both engines, since both close through here — never a
+    /// panic.
+    #[test]
+    fn trace_meter_divergence_is_a_typed_error() {
+        let core = idle_core(1);
         assert!(core.finish_train().is_ok(), "empty trace, empty meter");
         // Bytes the meter saw but the trace did not.
         core.traffic.record(NodeId::Worker(0), NodeId::Master, 64);

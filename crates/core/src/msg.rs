@@ -167,7 +167,9 @@ pub enum ColMsg {
         iteration: u64,
         /// Reporting worker.
         worker: usize,
-        /// Partitions actually covered (requested ∩ held, in pid order).
+        /// Partitions actually covered (requested ∩ held, in pid order) —
+        /// or, when `task_failed`, the partitions that were *requested*,
+        /// echoed verbatim so the master can match the failure to its task.
         pids: Vec<usize>,
         /// Partial statistics summed over `pids`.
         partial: Vec<f64>,

@@ -539,12 +539,15 @@ fn serve_stats(
         }
     };
     // A task failure is reported, never fatal: the master's retry logic
-    // decides what happens next (Figure 13a).
+    // decides what happens next (Figure 13a). A failed per-partition task
+    // echoes the *requested* partitions, so the master can tell which of
+    // this worker's tasks to retry.
     let fail = |reason: &str, compute_s: f64, sample_s: f64| {
         eprintln!("worker {id}: statistics task t={iteration} failed: {reason}");
+        let asked = pids.clone().unwrap_or_default();
         let _ = ep.send(
             NodeId::Master,
-            reply(Vec::new(), Vec::new(), compute_s, sample_s, true),
+            reply(asked, Vec::new(), compute_s, sample_s, true),
         );
     };
     if batch_size != w.cfg.batch_size {
@@ -564,7 +567,7 @@ fn serve_stats(
             .as_ref()
             .is_none_or(|pids| pids.iter().any(|&pid| w.holds(pid).is_some()));
     if !runnable {
-        match pids {
+        match &pids {
             // A whole-worker task before loading (a stale re-issue raced a
             // respawn): stay silent — the master's deadline fires and its
             // probe sees loaded=false, which is what triggers the reload.

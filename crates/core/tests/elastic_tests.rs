@@ -519,3 +519,59 @@ fn elastic_workers_guard_non_finite_statistics() {
         "a diverged elastic run must record the worker-side guard"
     );
 }
+
+/// A failed per-partition task names its partitions in the failure reply,
+/// so the master retries *that* task. Worker 0 owns two partitions (two
+/// single-pid tasks); one scripted task failure fails both attempt-0
+/// tasks, and each is re-sent once. The parent commit's failure replies
+/// could not name their task: the master retried the worker's first
+/// outstanding task twice, never the second, and only healed through the
+/// detection deadline — the whole default retry budget for one fault.
+#[test]
+fn task_failure_on_multi_partition_worker_retries_the_failed_task() {
+    use columnsgd_cluster::FailureEvent;
+    use columnsgd_core::{DetectionMethod, FaultKind};
+
+    let ds = dataset(400, 80, 7);
+    let cfg = base_cfg(ModelSpec::Lr).with_deadline_ms(700);
+    let failing = || FailurePlan {
+        events: vec![FailureEvent::TaskFailure {
+            iteration: 5,
+            worker: 0,
+        }],
+        ..FailurePlan::default()
+    };
+
+    let clean = run_elastic(&ds, ElasticConfig::new(cfg, 4, 2), FailurePlan::none());
+    let healed = run_elastic(&ds, ElasticConfig::new(cfg, 4, 2), failing());
+
+    assert_eq!(
+        losses(&clean),
+        losses(&healed),
+        "a retried task must not change a single bit"
+    );
+    let log: Vec<_> = healed
+        .recovery
+        .iter()
+        .map(|ev| (ev.iteration, ev.worker, ev.fault, ev.detection))
+        .collect();
+    let error_reply = (5, 0, FaultKind::TaskFailure, DetectionMethod::ErrorReply);
+    assert_eq!(
+        log,
+        vec![error_reply; 2],
+        "one error reply per failed task, and no deadline"
+    );
+    assert!(
+        healed.recovery.iter().all(|ev| ev.attempt < 2),
+        "two retries are all this fault may cost: {:?}",
+        healed.recovery
+    );
+
+    // With a budget of two the parent ran out of retries on this fault.
+    let tight = run_elastic(
+        &ds,
+        ElasticConfig::new(cfg.with_max_task_retries(2), 4, 2),
+        failing(),
+    );
+    assert_eq!(losses(&clean), losses(&tight));
+}

@@ -20,7 +20,7 @@ use std::time::Duration;
 
 use columnsgd_cluster::telemetry::{profile, Event};
 use columnsgd_cluster::{ClusterConfig, FailurePlan, NetworkModel, Recorder};
-use columnsgd_core::{ColumnSgdConfig, ColumnSgdEngine};
+use columnsgd_core::{ColumnSgdConfig, ColumnSgdEngine, ElasticConfig, ElasticEngine};
 use columnsgd_data::synth;
 use columnsgd_ml::ModelSpec;
 
@@ -136,6 +136,39 @@ fn flame_fold_is_deterministic_inproc() {
         assert!(
             fold_a.lines().any(|l| l.starts_with(&format!("{stack} "))),
             "expected stack {stack:?} missing from fold:\n{fold_a}"
+        );
+    }
+}
+
+/// The elastic engine runs the same superstep loop, so a profiled elastic
+/// run folds the same four master phases, once per superstep each.
+#[test]
+fn elastic_run_folds_the_same_master_phases() {
+    let _g = PROF_LOCK.lock().unwrap();
+    discard_residue();
+    profile::set_enabled(true);
+    let cfg = profiled_cfg();
+    let ds = synth::small_test_dataset(240, 48, 9);
+    let recorder = Recorder::new();
+    let mut engine = ElasticEngine::new_clustered(
+        &ds,
+        ElasticConfig::new(cfg, 2, 2),
+        NetworkModel::INSTANT,
+        FailurePlan::none(),
+        recorder.clone(),
+        &ClusterConfig::in_proc(),
+    )
+    .expect("elastic engine");
+    engine.train().expect("elastic train");
+    profile::set_enabled(false);
+    let fold = fold_calls(&recorder.events());
+    discard_residue();
+
+    for phase in ["issue", "gather", "reduce", "broadcast"] {
+        assert!(
+            fold.lines()
+                .any(|l| l == format!("master;{phase} {}", cfg.iterations)),
+            "expected one master;{phase} call per superstep in fold:\n{fold}"
         );
     }
 }

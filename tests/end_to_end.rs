@@ -200,6 +200,44 @@ fn crash_respawn_recovers() {
     assert_eq!(run(), run());
 }
 
+/// The worker-down path of the *elastic* placement through the same
+/// superstep loop: a scheduled crash under replication is detected, the
+/// warm replica is promoted and the orphaned task moves to it — and the
+/// loss curve stays bit-identical to the failure-free run.
+#[test]
+fn elastic_crash_with_replication_matches_failure_free() {
+    let ds = columnsgd::data::synth::small_test_dataset(300, 60, 7);
+    let config = ColumnSgdConfig::new(ModelSpec::Lr)
+        .with_batch_size(32)
+        .with_iterations(20)
+        .with_learning_rate(0.5)
+        .with_seed(11)
+        .with_deadline_ms(500);
+    let run = |schedule: Vec<ElasticEvent>| {
+        let cfg = ElasticConfig::new(config, 3, 3)
+            .with_replication()
+            .with_schedule(schedule);
+        let mut engine = ElasticEngine::new(&ds, cfg, NetworkModel::INSTANT, FailurePlan::none())
+            .expect("elastic engine");
+        let out = engine.train().expect("elastic train");
+        let losses: Vec<u64> = out.curve.points.iter().map(|p| p.loss.to_bits()).collect();
+        (out, losses)
+    };
+    let (clean, clean_losses) = run(Vec::new());
+    let (crashed, crashed_losses) = run(vec![ElasticEvent {
+        iteration: 8,
+        worker: 1,
+        action: ElasticAction::Crash,
+    }]);
+    assert!(clean.recovery.is_empty());
+    assert_eq!(clean_losses, crashed_losses);
+    assert_eq!(crashed.recovery.len(), 1, "{:?}", crashed.recovery);
+    let ev = crashed.recovery[0];
+    assert_eq!((ev.iteration, ev.worker), (8, 1));
+    assert_eq!(ev.fault, FaultKind::WorkerFailure);
+    assert!(crashed.migrations >= 1, "the lost replica must be repaired");
+}
+
 #[test]
 fn facade_prelude_covers_the_quickstart_surface() {
     // Compile-time check that the prelude exposes the public API the
