@@ -571,22 +571,57 @@ pub fn encode_envelope<M: WireCodec>(
     payload: &M,
     plane: Plane,
 ) -> Result<Vec<u8>, CodecError> {
-    let _prof = ProfScope::enter("codec_encode");
-    let body_len = payload.wire_size();
-    let expected = body_len + ENVELOPE_BYTES;
-    let mut out = Vec::with_capacity(expected);
-    put_u64(&mut out, encode_node(from));
-    put_u64(&mut out, encode_node(to));
-    put_u64(&mut out, u64::from(plane_byte(plane)));
-    put_u64(&mut out, body_len as u64);
-    payload.encode_body(&mut out)?;
-    if out.len() != expected {
-        return Err(CodecError::SizeMismatch {
-            expected,
-            actual: out.len(),
-        });
-    }
+    let mut out = Vec::new();
+    put_envelope(&mut out, from, to, payload, payload.wire_size(), plane)?;
     Ok(out)
+}
+
+/// [`encode_envelope`] behind its 4-byte stream length prefix, into a
+/// buffer the caller keeps across frames. `out` ends up holding exactly
+/// the bytes `write_frame(encode_envelope(..))` puts on the stream, ready
+/// for one [`write_prefixed_frame`]. A buffer far larger than this frame
+/// and the one it still holds (more than 4× both, and over 64 KiB) is
+/// released first.
+pub fn encode_envelope_into<M: WireCodec>(
+    out: &mut Vec<u8>,
+    from: NodeId,
+    to: NodeId,
+    payload: &M,
+    plane: Plane,
+) -> Result<(), CodecError> {
+    let body_len = payload.wire_size();
+    let len = u32::try_from(body_len + ENVELOPE_BYTES)
+        .map_err(|_| CodecError::Unsupported("frame exceeds u32 length".to_string()))?;
+    recycle(out, 4 + len as usize);
+    out.extend_from_slice(&len.to_le_bytes());
+    put_envelope(out, from, to, payload, body_len, plane)
+}
+
+/// Appends the envelope of `payload` (whose `wire_size()` is `body_len`)
+/// to `out`: the one encoder behind both public entry points, and the one
+/// place the metering invariant is asserted.
+fn put_envelope<M: WireCodec>(
+    out: &mut Vec<u8>,
+    from: NodeId,
+    to: NodeId,
+    payload: &M,
+    body_len: usize,
+    plane: Plane,
+) -> Result<(), CodecError> {
+    let _prof = ProfScope::enter("codec_encode");
+    let expected = body_len + ENVELOPE_BYTES;
+    let start = out.len();
+    out.reserve(expected);
+    put_u64(out, encode_node(from));
+    put_u64(out, encode_node(to));
+    put_u64(out, u64::from(plane_byte(plane)));
+    put_u64(out, body_len as u64);
+    payload.encode_body(out)?;
+    let actual = out.len() - start;
+    if actual != expected {
+        return Err(CodecError::SizeMismatch { expected, actual });
+    }
+    Ok(())
 }
 
 /// Encodes the hello frame a worker process sends right after connecting
@@ -650,7 +685,7 @@ pub fn decode_body_checked<M: WireCodec>(frame: &[u8]) -> Result<M, CodecError> 
 // Telemetry-plane frames
 // ---------------------------------------------------------------------------
 //
-// Telemetry frames reuse the 32-byte envelope header (so `read_frame`'s
+// Telemetry frames reuse the 32-byte envelope header (so `read_frame_into`'s
 // length bounds and the header length check hold unchanged) with frame-kind
 // byte 2, but their bodies are *not* protocol payloads: the hub intercepts
 // them before `decode_body_checked` / `Router::ingress`, so they are never
@@ -939,9 +974,26 @@ pub fn decode_telemetry_body(frame: &[u8]) -> Result<TelemetryPayload, CodecErro
 // Physical stream framing
 // ---------------------------------------------------------------------------
 
-/// Maximum accepted frame (1 GiB) — a corrupt length prefix must not
-/// trigger an unbounded allocation.
+/// Largest accepted frame (1 GiB); a longer length prefix is corrupt.
 const MAX_FRAME: usize = 1 << 30;
+
+/// Frame buffers up to this capacity are always kept for the next frame;
+/// it is also the most a read reserves before body bytes arrive.
+const RETAIN_FLOOR: usize = 64 << 10;
+
+/// Empties a reused frame buffer for a frame of `len` bytes. A buffer
+/// larger than [`RETAIN_FLOOR`] and more than 4× both `len` and the frame
+/// it still holds is released instead: large frames that stop coming (the
+/// load-phase worksets) do not pin their buffer for the rest of the run,
+/// while a stream alternating large and small frames keeps the buffer its
+/// large frames need.
+fn recycle(buf: &mut Vec<u8>, len: usize) {
+    let keep_for = len.max(buf.len());
+    if buf.capacity() > keep_for.saturating_mul(4) && buf.capacity() > RETAIN_FLOOR {
+        *buf = Vec::new();
+    }
+    buf.clear();
+}
 
 /// Writes one frame: 4-byte LE physical length prefix + frame bytes.
 pub fn write_frame<W: Write>(w: &mut W, frame: &[u8]) -> io::Result<()> {
@@ -952,9 +1004,32 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
+/// Writes a frame [`encode_envelope_into`] built, length prefix included,
+/// with one `write_all`: the bytes of [`write_frame`] without a separate
+/// 4-byte segment ahead of the body under `TCP_NODELAY`.
+pub fn write_prefixed_frame<W: Write>(w: &mut W, prefixed: &[u8]) -> io::Result<()> {
+    debug_assert!(
+        prefixed.len() >= 4 && prefixed[..4] == ((prefixed.len() - 4) as u32).to_le_bytes(),
+        "buffer does not start with its own length prefix"
+    );
+    w.write_all(prefixed)?;
+    w.flush()
+}
+
 /// Reads one frame. `Ok(None)` means clean EOF at a frame boundary (the
 /// peer closed its socket).
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
+    let mut frame = Vec::new();
+    Ok(read_frame_into(r, &mut frame)?.map(|_| frame))
+}
+
+/// Reads one frame into `buf`, a buffer the reader keeps across frames,
+/// and returns its length `n`: the frame is `buf[..n]`, with no tail of an
+/// earlier, longer frame behind it. `Ok(None)` means clean EOF at a frame
+/// boundary. The buffer grows with the bytes that arrive, never ahead of
+/// them: a length prefix alone reserves at most 64 KiB. The buffer is
+/// released under the same rule as [`encode_envelope_into`]'s.
+pub fn read_frame_into<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> io::Result<Option<usize>> {
     let mut len_buf = [0u8; 4];
     match r.read_exact(&mut len_buf) {
         Ok(()) => {}
@@ -968,9 +1043,15 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
             format!("bad frame length {len}"),
         ));
     }
-    let mut frame = vec![0u8; len];
-    r.read_exact(&mut frame)?;
-    Ok(Some(frame))
+    recycle(buf, len);
+    buf.reserve(len.min(RETAIN_FLOOR));
+    if r.take(len as u64).read_to_end(buf)? < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("stream ended inside a {len}-byte frame"),
+        ));
+    }
+    Ok(Some(len))
 }
 
 #[cfg(test)]
@@ -1190,6 +1271,39 @@ mod tests {
         let got = read_frame(&mut cursor).unwrap().unwrap();
         assert_eq!(got, frame);
         assert!(read_frame(&mut cursor).unwrap().is_none(), "clean EOF");
+    }
+
+    #[test]
+    fn a_length_prefix_alone_buys_no_large_allocation() {
+        let mut stream = (MAX_FRAME as u32).to_le_bytes().to_vec();
+        stream.extend_from_slice(&[7; 10]);
+        let mut buf = Vec::new();
+        let err = read_frame_into(&mut std::io::Cursor::new(stream), &mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(
+            buf.capacity() <= RETAIN_FLOOR,
+            "capacity {}",
+            buf.capacity()
+        );
+    }
+
+    #[test]
+    fn alternating_large_and_small_frames_keep_one_buffer() {
+        let big = vec![0.5f64; 30_000];
+        let big = encode_envelope(NodeId::Master, NodeId::Worker(0), &big, Plane::Data).unwrap();
+        let small = encode_envelope(NodeId::Master, NodeId::Worker(0), &7u64, Plane::Data).unwrap();
+        let mut stream = Vec::new();
+        for _ in 0..3 {
+            write_frame(&mut stream, &big).unwrap();
+            write_frame(&mut stream, &small).unwrap();
+        }
+        let mut r = std::io::Cursor::new(stream);
+        let mut buf = Vec::new();
+        read_frame_into(&mut r, &mut buf).unwrap();
+        let kept = (buf.as_ptr(), buf.capacity());
+        while read_frame_into(&mut r, &mut buf).unwrap().is_some() {
+            assert_eq!((buf.as_ptr(), buf.capacity()), kept, "buffer was replaced");
+        }
     }
 
     #[test]

@@ -34,6 +34,7 @@
 //! process, calls [`TcpHub::disconnect`], spawns a fresh process, and
 //! [`TcpHub::await_workers`] for the new connection.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -46,8 +47,8 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::codec::{
     decode_body_checked, decode_envelope_header, decode_telemetry_body, encode_clock_echo,
-    encode_clock_probe, encode_envelope, encode_hello, encode_telemetry_events, read_frame,
-    write_frame, FrameKind, TelemetryPayload,
+    encode_clock_probe, encode_envelope_into, encode_hello, encode_telemetry_events,
+    read_frame_into, write_frame, write_prefixed_frame, FrameKind, TelemetryPayload,
 };
 use crate::node::NodeId;
 use crate::router::{Endpoint, Envelope, NetError, Router};
@@ -55,6 +56,33 @@ use crate::telemetry::{Plane, ProfScope, Recorder};
 use crate::traffic::TrafficStats;
 use crate::transport::{Reregistered, Transport};
 use crate::WireCodec;
+
+thread_local! {
+    /// The calling thread's outgoing frame buffer, reused across frames.
+    /// One per sending thread rather than per connection: the master
+    /// broadcasts to every worker from one thread, and per-connection
+    /// buffers would keep K copies of the largest frame alive.
+    static FRAME_OUT: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Frames `env` into this thread's buffer, then writes it to `writer`
+/// with one `write_all`. Encoding happens before the lock is taken, so
+/// concurrent senders on one socket serialize only on the write.
+fn write_envelope<M: WireCodec>(
+    writer: &Mutex<TcpStream>,
+    env: &Envelope<M>,
+    plane: Plane,
+) -> Result<(), NetError> {
+    FRAME_OUT.with_borrow_mut(|buf| {
+        // The encoder re-asserts the metering invariant (frame len ==
+        // wire_size + ENVELOPE_BYTES).
+        encode_envelope_into(buf, env.from, env.to, &env.payload, plane)
+            .expect("protocol payload must encode within its wire_size");
+        let mut stream = writer.lock();
+        // lint: allow(blocking-under-lock) the writer mutex IS the write serialization point: concurrent senders (hub deliver()s, a worker's deliver and telemetry flush) must not interleave frame bytes
+        write_prefixed_frame(&mut *stream, buf).map_err(|_| NetError::NodeDown(env.to))
+    })
+}
 
 /// A locally hosted mailbox (the master's, on the hub side).
 struct LocalSlot<M> {
@@ -208,12 +236,15 @@ impl<M: WireCodec + Clone + Send + 'static> TcpHub<M> {
     /// then the ingress read loop.
     fn serve_conn(&self, mut stream: TcpStream) {
         let _ = stream.set_nodelay(true);
+        // This reader's frame buffer, reused for every frame of the
+        // connection.
+        let mut buf = Vec::new();
         // Hello: the first frame names the connecting worker.
-        let hello = match read_frame(&mut stream) {
-            Ok(Some(f)) => f,
+        let n = match read_frame_into(&mut stream, &mut buf) {
+            Ok(Some(n)) => n,
             _ => return,
         };
-        let header = match decode_envelope_header(&hello) {
+        let header = match decode_envelope_header(&buf[..n]) {
             Ok(h) if h.kind == FrameKind::Hello => h,
             _ => return, // not a worker of ours; drop the connection
         };
@@ -254,12 +285,13 @@ impl<M: WireCodec + Clone + Send + 'static> TcpHub<M> {
         // Ingress loop: worker-originated frames enter the metering layer
         // here, through the exact same Router paths as in-process sends.
         // EOF or a read error ends the loop: the worker process is gone.
-        while let Ok(Some(frame)) = read_frame(&mut stream) {
+        while let Ok(Some(n)) = read_frame_into(&mut stream, &mut buf) {
+            let frame = &buf[..n];
             // Per-frame switching cost (header decode, telemetry
             // interception, body decode, ingress) under one profiler
             // frame; the guard drops on every `continue`/`break` path.
             let _prof = ProfScope::enter("hub_switch");
-            let Ok(header) = decode_envelope_header(&frame) else {
+            let Ok(header) = decode_envelope_header(frame) else {
                 break; // corrupt stream: treat as death
             };
             let plane = match header.kind {
@@ -268,7 +300,7 @@ impl<M: WireCodec + Clone + Send + 'static> TcpHub<M> {
                 // `Router::ingress` path: they never touch `TrafficStats`,
                 // so trace shipping cannot skew trace↔meter reconciliation.
                 FrameKind::Telemetry => {
-                    match decode_telemetry_body(&frame) {
+                    match decode_telemetry_body(frame) {
                         Ok(TelemetryPayload::ClockEcho {
                             master_nanos,
                             client_nanos,
@@ -293,7 +325,7 @@ impl<M: WireCodec + Clone + Send + 'static> TcpHub<M> {
                 }
                 FrameKind::Hello => continue,
             };
-            let Ok(payload) = decode_body_checked::<M>(&frame) else {
+            let Ok(payload) = decode_body_checked::<M>(frame) else {
                 break;
             };
             let env = Envelope {
@@ -311,7 +343,7 @@ impl<M: WireCodec + Clone + Send + 'static> TcpHub<M> {
             // sending worker would have seen in-process; over a
             // socket the sender is remote, so the hub absorbs it
             // (the loss is detected by deadlines, like any drop).
-            let _ = router.ingress(env, frame.len(), plane);
+            let _ = router.ingress(env, n, plane);
         }
         self.mark_conn_dead(who, generation);
     }
@@ -410,8 +442,7 @@ impl<M: WireCodec + Clone + Send + 'static> Transport<M> for TcpHub<M> {
             let to = env.to;
             return tx.send(env).map_err(|_| NetError::NodeDown(to));
         }
-        // Remote worker: frame and write. The encoder re-asserts the
-        // metering invariant (frame len == wire_size + ENVELOPE_BYTES).
+        // Remote worker: frame and write.
         let writer = {
             let conns = self.inner.conns.lock();
             let conn = conns.get(&env.to).ok_or(NetError::UnknownNode(env.to))?;
@@ -420,11 +451,7 @@ impl<M: WireCodec + Clone + Send + 'static> Transport<M> for TcpHub<M> {
             }
             conn.writer.clone().ok_or(NetError::NodeDown(env.to))?
         };
-        let frame = encode_envelope(env.from, env.to, &env.payload, plane)
-            .expect("protocol payload must encode within its wire_size");
-        let mut stream = writer.lock();
-        // lint: allow(blocking-under-lock) the writer mutex IS the write serialization point: concurrent deliver()s must not interleave frame bytes
-        write_frame(&mut *stream, &frame).map_err(|_| NetError::NodeDown(env.to))
+        write_envelope(&writer, &env, plane)
     }
 
     fn reregister(&self, id: NodeId) -> Reregistered<M> {
@@ -490,9 +517,11 @@ impl<M: WireCodec + Clone + Send + 'static> Transport<M> for TcpHub<M> {
 
 struct ClientInner<M> {
     me: NodeId,
-    /// Shared with [`TelemetryTx`] and the reader thread's echo path:
-    /// `write_frame` issues two writes, so every frame producer must
-    /// serialize on this one lock or frames interleave on the socket.
+    /// Shared with [`TelemetryTx`] and the reader thread's echo path. A
+    /// message frame is one `write_all`, but that is several `write`s for
+    /// a frame larger than the socket buffer, and telemetry frames go out
+    /// as prefix + body: every frame producer must serialize on this one
+    /// lock or frames interleave on the socket.
     writer: Arc<Mutex<TcpStream>>,
     /// Loopback for self-sends (a worker dispatching a workset to itself
     /// crosses no wire, in either backend).
@@ -577,17 +606,20 @@ impl<M: WireCodec + Clone + Send + 'static> TcpClient<M> {
             .name(format!("tcp-client-read-{me}"))
             .spawn(move || {
                 // Feed incoming frames into the local mailbox. Dropping
-                // `local_tx` on exit disconnects the mailbox.
+                // `local_tx` on exit disconnects the mailbox. `buf` is this
+                // reader's frame buffer, reused for every frame.
+                let mut buf = Vec::new();
                 loop {
-                    match read_frame(&mut read_half) {
-                        Ok(Some(frame)) => {
-                            let Ok(header) = decode_envelope_header(&frame) else {
+                    match read_frame_into(&mut read_half, &mut buf) {
+                        Ok(Some(n)) => {
+                            let frame = &buf[..n];
+                            let Ok(header) = decode_envelope_header(frame) else {
                                 return;
                             };
                             let plane_ok = match header.kind {
                                 FrameKind::Message(_) => true,
                                 FrameKind::Telemetry => {
-                                    match decode_telemetry_body(&frame) {
+                                    match decode_telemetry_body(frame) {
                                         Ok(TelemetryPayload::ClockProbe { master_nanos }) => {
                                             let client_nanos = origin.elapsed().as_nanos() as u64;
                                             let echo = encode_clock_echo(
@@ -615,7 +647,7 @@ impl<M: WireCodec + Clone + Send + 'static> TcpClient<M> {
                             if !plane_ok {
                                 continue;
                             }
-                            let Ok(payload) = decode_body_checked::<M>(&frame) else {
+                            let Ok(payload) = decode_body_checked::<M>(frame) else {
                                 return;
                             };
                             let env = Envelope {
@@ -682,11 +714,7 @@ impl<M: WireCodec + Clone + Send + 'static> Transport<M> for TcpClient<M> {
                 .send(env)
                 .map_err(|_| NetError::NodeDown(to));
         }
-        let frame = encode_envelope(env.from, env.to, &env.payload, plane)
-            .expect("protocol payload must encode within its wire_size");
-        let mut stream = self.inner.writer.lock();
-        // lint: allow(blocking-under-lock) the writer mutex IS the write serialization point: deliver and telemetry flush share one socket
-        write_frame(&mut *stream, &frame).map_err(|_| NetError::NodeDown(env.to))
+        write_envelope(&self.inner.writer, &env, plane)
     }
 
     fn reregister(&self, id: NodeId) -> Reregistered<M> {

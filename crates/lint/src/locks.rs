@@ -39,7 +39,9 @@ const BLOCKING_CALLS: &[&str] = &[
     "recv_timeout",
     "deliver",
     "write_frame",
+    "write_prefixed_frame",
     "read_frame",
+    "read_frame_into",
     "write_all",
     "read_exact",
     "flush",

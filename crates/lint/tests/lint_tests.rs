@@ -265,6 +265,11 @@ fn blocking_under_lock_detected_not_staged() {
         msgs.iter().any(|m| m.contains("`write_frame`")),
         "blocking call taking a temporary guard in its args must fire: {msgs:?}"
     );
+    assert!(
+        msgs.iter()
+            .any(|m| m.contains("`write_prefixed_frame`") && m.contains("`writer`")),
+        "a prefixed frame write under the writer guard must fire: {msgs:?}"
+    );
     fs::remove_dir_all(&base).ok();
 
     let base = inject_tree("block-good", &[("q.rs", "blocking_good.rs")]);

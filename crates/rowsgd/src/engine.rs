@@ -554,27 +554,20 @@ impl RowSgdEngine {
     /// One MLlib iteration: broadcast the dense model, gather dense
     /// gradients, update at the master (Algorithm 2).
     fn iteration_mllib(&mut self, t: u64) -> Result<(IterationTime, f64), TrainError> {
-        let model_msg_bytes;
+        let mut model_msg_bytes = 0;
         {
             let (params, _) = self
                 .params
                 .as_ref()
                 .ok_or_else(|| TrainError::Internal("MLlib master has no model".to_string()))?;
-            model_msg_bytes = (RowMsg::FullModelGrad {
-                iteration: t,
-                params: params.clone(),
-            })
-            .wire_size() as u64
-                + ENVELOPE_BYTES as u64;
             for w in 0..self.k {
+                let msg = RowMsg::FullModelGrad {
+                    iteration: t,
+                    params: params.clone(),
+                };
+                model_msg_bytes = msg.wire_size() as u64 + ENVELOPE_BYTES as u64;
                 self.master
-                    .send(
-                        NodeId::Worker(w),
-                        RowMsg::FullModelGrad {
-                            iteration: t,
-                            params: params.clone(),
-                        },
-                    )
+                    .send(NodeId::Worker(w), msg)
                     .map_err(|e| TrainError::WorkerLost {
                         worker: w,
                         iteration: t,
@@ -811,11 +804,6 @@ impl RowSgdEngine {
             let (params, _) = self.params.as_ref().ok_or_else(|| {
                 TrainError::Internal("parameter-server plane has no model".to_string())
             })?;
-            let msg = RowMsg::FullModelGrad {
-                iteration: t,
-                params: params.clone(),
-            };
-            let total_bytes = msg.wire_size() as u64 + ENVELOPE_BYTES as u64;
             for w in 0..self.k {
                 for p in 0..self.p {
                     let share =
@@ -828,7 +816,6 @@ impl RowSgdEngine {
                     );
                     pull_down_per_server[p].push(share);
                 }
-                let _ = total_bytes;
                 router
                     .send_unmetered(
                         NodeId::Master,

@@ -3,7 +3,7 @@
 //! the divergence guard surfacing as a typed `TrainError`, and metrics
 //! snapshot streaming.
 
-use columnsgd::cluster::{ClusterConfig, FailurePlan, NetworkModel, Recorder};
+use columnsgd::cluster::{ClusterConfig, DiagnosticKind, FailurePlan, NetworkModel, Recorder};
 use columnsgd::core::{ColumnSgdConfig, ColumnSgdEngine, TrainError};
 use columnsgd::data::synth;
 use columnsgd::ml::ModelSpec;
@@ -137,9 +137,19 @@ fn rowsgd_monitor_smoke() {
         let out = e.train().expect("train");
         assert_eq!(out.curve.points.len(), 6, "no guard should trip here");
         assert!(out.diagnostics.halted.is_none());
+        // Straggler and partition-skew alarms read real compute timers, so
+        // two same-seed runs may differ in them; the seed fixes the rest.
         out.diagnostics
             .events
             .iter()
+            .filter(|ev| {
+                matches!(
+                    ev.kind,
+                    DiagnosticKind::LossDivergence
+                        | DiagnosticKind::NanLoss
+                        | DiagnosticKind::CommImbalance
+                )
+            })
             .map(|ev| ev.canonical())
             .collect::<Vec<_>>()
     };
