@@ -3,7 +3,7 @@
 //!
 //! Failures are injected *at the worker* (the master never reads the
 //! injection script); everything reported here comes from the master's
-//! own [`RecoveryEvent`](columnsgd::core::RecoveryEvent) log — what it
+//! own [`RecoveryEvent`] log — what it
 //! detected, how, and what the recovery cost.
 
 use columnsgd::cluster::failure::FailureEvent;

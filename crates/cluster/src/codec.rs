@@ -597,6 +597,17 @@ pub fn encode_envelope_into<M: WireCodec>(
     put_envelope(out, from, to, payload, body_len, plane)
 }
 
+/// Readdresses a frame [`encode_envelope_into`] built to `to` by rewriting
+/// the header's 8-byte `to` field in place: the frame then equals
+/// `encode_envelope_into(.., to, ..)` byte for byte. One encode serves a
+/// broadcast to any number of destinations.
+///
+/// # Panics
+/// Panics if `prefixed` is shorter than its length prefix plus a header.
+pub fn readdress_prefixed_frame(prefixed: &mut [u8], to: NodeId) {
+    prefixed[4 + 8..4 + 16].copy_from_slice(&encode_node(to).to_le_bytes());
+}
+
 /// Appends the envelope of `payload` (whose `wire_size()` is `body_len`)
 /// to `out`: the one encoder behind both public entry points, and the one
 /// place the metering invariant is asserted.

@@ -2,7 +2,8 @@
 //!
 //! Every node owns an [`Endpoint`]: a receiver for its mailbox plus a
 //! handle to the [`Router`] for sending. All traffic flows through
-//! [`Router::send`], which meters payload + envelope bytes in the shared
+//! [`Router::send`] (or [`Router::broadcast`], its one-payload, K-destination
+//! form), which meters payload + envelope bytes in the shared
 //! [`TrafficStats`] — nothing can cross a node boundary unmetered, which
 //! is what makes the communication claims of the reproduction checkable.
 //! Metering happens *before* hand-off, so neither the receiver nor the
@@ -369,6 +370,55 @@ impl<M: Wire> Router<M> {
         }
     }
 
+    /// Meters one data-plane message `from → to` and draws its chaos fault.
+    /// The link's sequence number advances, the bytes land in the meter
+    /// and the trace (twice for a duplicate), and the message held back on
+    /// this link, if any, is taken out: the caller delivers it behind the
+    /// current one — that is the reordering.
+    fn admit(&self, from: NodeId, to: NodeId, payload: &M) -> (WireFault, Option<Envelope<M>>) {
+        let bytes = payload.wire_size() + ENVELOPE_BYTES;
+        let chaos = self
+            .chaos
+            .as_deref()
+            .filter(|c| from != to && c.spec.is_active() && c.armed.load(Ordering::Acquire));
+        let fault = match chaos {
+            Some(c) => {
+                let seq = {
+                    let mut seqs = c.seq.lock();
+                    let s = seqs.entry((from, to)).or_insert(0);
+                    let cur = *s;
+                    *s += 1;
+                    cur
+                };
+                c.spec.wire_fault(link_hash(from, to), seq)
+            }
+            None => WireFault::Deliver,
+        };
+        if from != to {
+            let observed = match fault {
+                WireFault::Deliver => None,
+                WireFault::Drop => Some(CommFault::Dropped),
+                WireFault::Duplicate => Some(CommFault::Duplicated),
+                WireFault::Delay => Some(CommFault::Delayed),
+            };
+            let copies = if fault == WireFault::Duplicate { 2 } else { 1 };
+            for _ in 0..copies {
+                self.traffic.record(from, to, bytes);
+                self.record_comm(from, to, bytes, payload.kind(), Plane::Data, observed);
+            }
+        }
+        let released = chaos.and_then(|c| c.held.lock().remove(&(from, to)));
+        (fault, released)
+    }
+
+    /// Holds `env` back on its link until the next data-plane message
+    /// there (a delay fault, which only an armed chaos spec draws).
+    fn hold(&self, env: Envelope<M>) {
+        if let Some(c) = &self.chaos {
+            c.held.lock().insert((env.from, env.to), env);
+        }
+    }
+
     /// Sends `payload` from `from` to `to`, metering its wire footprint.
     /// Subject to chaos injection once armed.
     ///
@@ -385,68 +435,76 @@ impl<M: Wire> Router<M> {
     where
         M: Clone,
     {
-        let bytes = payload.wire_size() + ENVELOPE_BYTES;
-        let chaos = self
-            .chaos
-            .as_ref()
-            .filter(|c| from != to && c.spec.is_active() && c.armed.load(Ordering::Acquire));
-        let fault = match chaos {
-            Some(c) => {
-                let seq = {
-                    let mut seqs = c.seq.lock();
-                    let s = seqs.entry((from, to)).or_insert(0);
-                    let cur = *s;
-                    *s += 1;
-                    cur
-                };
-                c.spec.wire_fault(link_hash(from, to), seq)
-            }
-            None => WireFault::Deliver,
-        };
-        if from != to {
-            self.traffic.record(from, to, bytes);
-            let observed = match fault {
-                WireFault::Deliver => None,
-                WireFault::Drop => Some(CommFault::Dropped),
-                WireFault::Duplicate => Some(CommFault::Duplicated),
-                WireFault::Delay => Some(CommFault::Delayed),
-            };
-            self.record_comm(from, to, bytes, payload.kind(), Plane::Data, observed);
-        }
-        // Any message held back on this link is released by this send
-        // (delivered behind the current message — that is the reordering).
-        let released = chaos.and_then(|c| c.held.lock().remove(&(from, to)));
+        let (fault, released) = self.admit(from, to, &payload);
         let env = Envelope { from, to, payload };
         match fault {
             WireFault::Deliver => self.push(env, Plane::Data)?,
-            WireFault::Drop => {
-                // Metered, never enqueued. The sender cannot tell.
-            }
+            // Metered, never enqueued. The sender cannot tell.
+            WireFault::Drop => {}
             WireFault::Duplicate => {
-                if from != to {
-                    self.traffic.record(from, to, bytes);
-                    self.record_comm(
-                        from,
-                        to,
-                        bytes,
-                        env.payload.kind(),
-                        Plane::Data,
-                        Some(CommFault::Duplicated),
-                    );
-                }
                 self.push(env.clone(), Plane::Data)?;
                 self.push(env, Plane::Data)?;
             }
-            WireFault::Delay => {
-                if let Some(c) = chaos {
-                    c.held.lock().insert((from, to), env);
+            WireFault::Delay => self.hold(env),
+        }
+        match released {
+            Some(held) => self.push(held, Plane::Data),
+            None => Ok(()),
+        }
+    }
+
+    /// Sends one `payload` from `from` to every node in `tos` (each named
+    /// once) and returns one result per destination, in `tos` order. A
+    /// failed destination does not stop the others.
+    ///
+    /// Metering, telemetry and chaos are exactly those of `tos.len()`
+    /// sequential [`Router::send`]s in `tos` order: the same per-link
+    /// sequence numbers, fault draws, `CommRecord`s and mailbox contents.
+    /// Only delivery differs: every destination that draws no fault goes
+    /// into one [`Transport::deliver_all`] call, so the TCP hub encodes
+    /// the payload once, and only a duplicated or delayed destination
+    /// clones it.
+    pub fn broadcast(&self, from: NodeId, tos: &[NodeId], payload: &M) -> Vec<Result<(), NetError>>
+    where
+        M: Clone,
+    {
+        let mut results = vec![Ok(()); tos.len()];
+        let mut clean = Vec::with_capacity(tos.len());
+        let mut released = Vec::new();
+        for (i, &to) in tos.iter().enumerate() {
+            let (fault, held) = self.admit(from, to, payload);
+            let copy = || Envelope {
+                from,
+                to,
+                payload: payload.clone(),
+            };
+            match fault {
+                WireFault::Deliver => clean.push(i),
+                WireFault::Drop => {}
+                WireFault::Duplicate => {
+                    results[i] = self
+                        .push(copy(), Plane::Data)
+                        .and_then(|()| self.push(copy(), Plane::Data));
                 }
+                WireFault::Delay => self.hold(copy()),
+            }
+            released.extend(held.map(|env| (i, env)));
+        }
+        let targets: Vec<NodeId> = clean.iter().map(|&i| tos[i]).collect();
+        let delivered = self
+            .transport
+            .deliver_all(from, &targets, payload, Plane::Data);
+        for (i, result) in clean.into_iter().zip(delivered) {
+            results[i] = result;
+        }
+        // A held message follows its link's current one, as in `send`,
+        // and dies with it when that delivery failed.
+        for (i, env) in released {
+            if results[i].is_ok() {
+                results[i] = self.push(env, Plane::Data);
             }
         }
-        if let Some(held) = released {
-            self.push(held, Plane::Data)?;
-        }
-        Ok(())
+        results
     }
 
     /// Sends on the reliable control plane: metered exactly like
@@ -582,6 +640,15 @@ impl<M: Wire> Endpoint<M> {
         M: Clone,
     {
         self.router.send(self.id, to, payload)
+    }
+
+    /// Sends one data-plane `payload` from this node to every node in
+    /// `tos` (see [`Router::broadcast`]): one result per destination.
+    pub fn broadcast(&self, tos: &[NodeId], payload: &M) -> Vec<Result<(), NetError>>
+    where
+        M: Clone,
+    {
+        self.router.broadcast(self.id, tos, payload)
     }
 
     /// Sends a control-plane message from this node (chaos never applies).

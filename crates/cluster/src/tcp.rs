@@ -48,7 +48,8 @@ use parking_lot::{Mutex, RwLock};
 use crate::codec::{
     decode_body_checked, decode_envelope_header, decode_telemetry_body, encode_clock_echo,
     encode_clock_probe, encode_envelope_into, encode_hello, encode_telemetry_events,
-    read_frame_into, write_frame, write_prefixed_frame, FrameKind, TelemetryPayload,
+    read_frame_into, readdress_prefixed_frame, write_frame, write_prefixed_frame, FrameKind,
+    TelemetryPayload,
 };
 use crate::node::NodeId;
 use crate::router::{Endpoint, Envelope, NetError, Router};
@@ -60,8 +61,9 @@ use crate::WireCodec;
 thread_local! {
     /// The calling thread's outgoing frame buffer, reused across frames.
     /// One per sending thread rather than per connection: the master
-    /// broadcasts to every worker from one thread, and per-connection
-    /// buffers would keep K copies of the largest frame alive.
+    /// broadcasts to every worker from one thread, encoding the frame
+    /// once, and per-connection buffers would keep K copies of the
+    /// largest frame alive.
     static FRAME_OUT: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -78,10 +80,24 @@ fn write_envelope<M: WireCodec>(
         // wire_size + ENVELOPE_BYTES).
         encode_envelope_into(buf, env.from, env.to, &env.payload, plane)
             .expect("protocol payload must encode within its wire_size");
-        let mut stream = writer.lock();
-        // lint: allow(blocking-under-lock) the writer mutex IS the write serialization point: concurrent senders (hub deliver()s, a worker's deliver and telemetry flush) must not interleave frame bytes
-        write_prefixed_frame(&mut *stream, buf).map_err(|_| NetError::NodeDown(env.to))
+        write_locked(writer, buf, env.to)
     })
+}
+
+/// Writes one prefixed frame bound for `to` under its connection's writer
+/// lock.
+fn write_locked(writer: &Mutex<TcpStream>, prefixed: &[u8], to: NodeId) -> Result<(), NetError> {
+    let mut stream = writer.lock();
+    // lint: allow(blocking-under-lock) the writer mutex IS the write serialization point: concurrent senders (hub deliver()s, a worker's deliver and telemetry flush) must not interleave frame bytes
+    write_prefixed_frame(&mut *stream, prefixed).map_err(|_| NetError::NodeDown(to))
+}
+
+/// Where the hub hands a message for one destination.
+enum Route<M> {
+    /// A locally hosted mailbox (the master's).
+    Local(Sender<Envelope<M>>),
+    /// A worker process's connection.
+    Remote(Arc<Mutex<TcpStream>>),
 }
 
 /// A locally hosted mailbox (the master's, on the hub side).
@@ -424,34 +440,82 @@ impl<M: WireCodec + Clone + Send + 'static> TcpHub<M> {
     }
 }
 
+impl<M> TcpHub<M> {
+    /// Resolves `to` to its mailbox sender or connection writer. Both are
+    /// cloned out of their maps so no guard is held while sending — a
+    /// send under `local` would serialize every local deliver against
+    /// `reregister`'s write lock.
+    fn route(&self, to: NodeId) -> Result<Route<M>, NetError> {
+        if let Some(slot) = self.inner.local.read().get(&to) {
+            if !slot.alive {
+                return Err(NetError::NodeDown(to));
+            }
+            return Ok(Route::Local(slot.tx.clone()));
+        }
+        let conns = self.inner.conns.lock();
+        let conn = conns.get(&to).ok_or(NetError::UnknownNode(to))?;
+        if !conn.alive {
+            return Err(NetError::NodeDown(to));
+        }
+        conn.writer
+            .clone()
+            .map(Route::Remote)
+            .ok_or(NetError::NodeDown(to))
+    }
+}
+
 impl<M: WireCodec + Clone + Send + 'static> Transport<M> for TcpHub<M> {
     fn deliver(&self, env: Envelope<M>, plane: Plane) -> Result<(), NetError> {
-        // Locally hosted node (the master): hand off on the channel.
-        // Clone the sender out of the slot map and release the read
-        // guard before sending — a send under `local` would serialize
-        // every local deliver against `reregister`'s write lock.
-        let local_tx = {
-            let local = self.inner.local.read();
-            match local.get(&env.to) {
-                Some(slot) if !slot.alive => return Err(NetError::NodeDown(env.to)),
-                Some(slot) => Some(slot.tx.clone()),
-                None => None,
+        match self.route(env.to)? {
+            // Locally hosted node (the master): hand off on the channel.
+            Route::Local(tx) => {
+                let to = env.to;
+                tx.send(env).map_err(|_| NetError::NodeDown(to))
             }
-        };
-        if let Some(tx) = local_tx {
-            let to = env.to;
-            return tx.send(env).map_err(|_| NetError::NodeDown(to));
+            // Remote worker: frame and write.
+            Route::Remote(writer) => write_envelope(&writer, &env, plane),
         }
-        // Remote worker: frame and write.
-        let writer = {
-            let conns = self.inner.conns.lock();
-            let conn = conns.get(&env.to).ok_or(NetError::UnknownNode(env.to))?;
-            if !conn.alive {
-                return Err(NetError::NodeDown(env.to));
-            }
-            conn.writer.clone().ok_or(NetError::NodeDown(env.to))?
+    }
+
+    /// Encodes the payload once into this thread's frame buffer, then for
+    /// each live connection rewrites only the header's `to` field and
+    /// writes the frame: one `codec_encode` per broadcast, and each
+    /// destination's bytes equal `encode_envelope(from, to, ..)`.
+    fn deliver_all(
+        &self,
+        from: NodeId,
+        tos: &[NodeId],
+        payload: &M,
+        plane: Plane,
+    ) -> Vec<Result<(), NetError>> {
+        let mut results = Vec::with_capacity(tos.len());
+        let mut remote = Vec::with_capacity(tos.len());
+        for (i, &to) in tos.iter().enumerate() {
+            results.push(match self.route(to) {
+                Ok(Route::Local(tx)) => {
+                    let payload = payload.clone();
+                    tx.send(Envelope { from, to, payload })
+                        .map_err(|_| NetError::NodeDown(to))
+                }
+                Ok(Route::Remote(writer)) => {
+                    remote.push((i, writer));
+                    Ok(())
+                }
+                Err(e) => Err(e),
+            });
+        }
+        let Some(&(first, _)) = remote.first() else {
+            return results;
         };
-        write_envelope(&writer, &env, plane)
+        FRAME_OUT.with_borrow_mut(|buf| {
+            encode_envelope_into(buf, from, tos[first], payload, plane)
+                .expect("protocol payload must encode within its wire_size");
+            for (i, writer) in remote {
+                readdress_prefixed_frame(buf, tos[i]);
+                results[i] = write_locked(&writer, buf, tos[i]);
+            }
+        });
+        results
     }
 
     fn reregister(&self, id: NodeId) -> Reregistered<M> {

@@ -15,7 +15,8 @@
 //!   worker↔worker traffic.
 //!
 //! Because the router performs metering *before* calling
-//! [`Transport::deliver`], swapping the transport cannot change a single
+//! [`Transport::deliver`] (or [`Transport::deliver_all`] for a
+//! broadcast), swapping the transport cannot change a single
 //! metered byte — which is the refactor's whole point: the two backends
 //! must agree bit-for-bit on everything except wall-clock time.
 //!
@@ -58,6 +59,29 @@ pub trait Transport<M>: Send + Sync {
     /// are already metered by the router; `plane` tags control-plane
     /// traffic for backends that put it on the wire.
     fn deliver(&self, env: Envelope<M>, plane: Plane) -> Result<(), NetError>;
+
+    /// Moves one payload from `from` to every node in `tos`, returning
+    /// one result per destination in `tos` order; a failed destination
+    /// does not stop the others. The bytes are already metered by the
+    /// router. The default clones the payload once per destination; a
+    /// backend that serializes overrides it to encode once.
+    fn deliver_all(
+        &self,
+        from: NodeId,
+        tos: &[NodeId],
+        payload: &M,
+        plane: Plane,
+    ) -> Vec<Result<(), NetError>>
+    where
+        M: Clone,
+    {
+        tos.iter()
+            .map(|&to| {
+                let payload = payload.clone();
+                self.deliver(Envelope { from, to, payload }, plane)
+            })
+            .collect()
+    }
 
     /// Replaces `id`'s mailbox for a respawned node, draining whatever
     /// the dead incarnation never consumed.

@@ -1073,23 +1073,30 @@ impl MasterCore {
             }
 
             let prof_reduce = ProfScope::enter("reduce");
-            let red = p.reduce(self, &step, straggler)?;
+            let mut red = p.reduce(self, &step, straggler)?;
             drop(prof_reduce);
 
             // --- step 3: broadcast + updateModel ------------------------
+            // The aggregate moves into one `Update` that is broadcast by
+            // reference and moves back out: no per-worker copy.
             let prof_bcast = ProfScope::enter("broadcast");
+            let tos: Vec<NodeId> = red.updaters.iter().map(|&w| NodeId::Worker(w)).collect();
+            let msg = ColMsg::Update {
+                iteration: t,
+                stats: std::mem::take(&mut red.agg),
+            };
+            let sent = self.master.broadcast(&tos, &msg);
+            if let ColMsg::Update { stats, .. } = msg {
+                red.agg = stats;
+            }
             let mut acks = Acks {
                 agg: &red.agg,
                 updaters: &red.updaters,
                 acked: vec![false; self.slots],
                 update_times: vec![0.0f64; self.slots],
             };
-            for &w in &red.updaters {
-                let msg = ColMsg::Update {
-                    iteration: t,
-                    stats: red.agg.clone(),
-                };
-                if self.master.send(NodeId::Worker(w), msg).is_err() {
+            for (&w, result) in red.updaters.iter().zip(sent) {
+                if result.is_err() {
                     let how = DetectionMethod::SendFailure;
                     self.worker_lost(p, &mut step, w, how, false, Some(&mut acks))?;
                 }

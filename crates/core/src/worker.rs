@@ -448,8 +448,7 @@ impl WorkerNode {
     fn shard_payload(&self, pid: usize) -> Option<(Vec<Workset>, ParamSet)> {
         let slot = self.holds(pid)?;
         let p = &self.partitions[slot];
-        let mut worksets: Vec<Workset> = p.store.iter().map(|(_, ws)| ws.clone()).collect();
-        worksets.sort_unstable_by_key(|ws| ws.block_id);
+        let worksets: Vec<Workset> = p.store.iter().map(|(_, ws)| ws.clone()).collect();
         Some((worksets, p.params.clone()))
     }
 

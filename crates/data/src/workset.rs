@@ -11,8 +11,6 @@
 //! CSR×dense product against the local model partition with no per-nonzero
 //! translation during training.
 
-use std::collections::HashMap;
-
 use columnsgd_linalg::{CsrMatrix, FeatureIndex, Value};
 
 use crate::block::{Block, BlockId};
@@ -126,10 +124,13 @@ pub fn naive_dispatch_stats(block: &Block, part: &ColumnPartitioner) -> Dispatch
 }
 
 /// The per-worker store of received worksets (Algorithm 4 line 7:
-/// "Organize all worksets in each worker as a hash map").
+/// "Organize all worksets in each worker as a hash map"). The map is a
+/// block-id-sorted vector: a worker holds few blocks and looks one up per
+/// sampled row, so a binary search beats hashing the id.
 #[derive(Debug, Clone, Default)]
 pub struct WorksetStore {
-    map: HashMap<BlockId, Workset>,
+    /// Worksets sorted by block id.
+    sorted: Vec<Workset>,
     /// Block IDs in insertion order with cumulative row counts, kept for
     /// O(log #blocks) row addressing by the two-phase index.
     order: Vec<(BlockId, usize)>,
@@ -150,16 +151,23 @@ impl WorksetStore {
     pub fn insert(&mut self, ws: Workset) {
         let rows = ws.nrows();
         let bid = ws.block_id;
-        let prev = self.map.insert(bid, ws);
-        assert!(prev.is_none(), "duplicate workset for block {bid}");
+        let at = self.position(bid);
+        assert!(at.is_err(), "duplicate workset for block {bid}");
+        self.sorted.insert(at.unwrap_or_else(|at| at), ws);
         self.total_rows += rows;
         let prior = self.order.last().map_or(0, |&(_, cum)| cum);
         self.order.push((bid, prior + rows));
     }
 
+    /// Where `block_id` is (`Ok`) or would be inserted (`Err`).
+    fn position(&self, block_id: BlockId) -> Result<usize, usize> {
+        self.sorted
+            .binary_search_by_key(&block_id, |ws| ws.block_id)
+    }
+
     /// Number of worksets held.
     pub fn num_blocks(&self) -> usize {
-        self.map.len()
+        self.sorted.len()
     }
 
     /// Total rows across all worksets.
@@ -169,19 +177,19 @@ impl WorksetStore {
 
     /// The workset for `block_id`, if present.
     pub fn get(&self, block_id: BlockId) -> Option<&Workset> {
-        self.map.get(&block_id)
+        self.position(block_id).ok().map(|i| &self.sorted[i])
     }
 
     /// Removes every workset (worker-failure recovery path).
     pub fn clear(&mut self) {
-        self.map.clear();
+        self.sorted.clear();
         self.order.clear();
         self.total_rows = 0;
     }
 
-    /// Iterates `(block_id, workset)` in unspecified order.
+    /// Iterates `(block_id, workset)` in block-id order.
     pub fn iter(&self) -> impl Iterator<Item = (&BlockId, &Workset)> {
-        self.map.iter()
+        self.sorted.iter().map(|ws| (&ws.block_id, ws))
     }
 
     /// Block IDs with cumulative row counts in insertion order — the
@@ -269,17 +277,19 @@ mod tests {
     fn store_tracks_rows_and_blocks() {
         let p = ColumnPartitioner::round_robin(2);
         let mut store = WorksetStore::new();
-        for id in 0..3u64 {
+        for id in [2u64, 0, 1] {
             let ws = split_block(&block(id, 4, 8), &p);
             store.insert(ws.into_iter().next().unwrap());
         }
         assert_eq!(store.num_blocks(), 3);
         assert_eq!(store.total_rows(), 12);
-        assert!(store.get(1).is_some());
+        assert_eq!(store.get(1).map(|ws| ws.block_id), Some(1));
         assert!(store.get(9).is_none());
+        // Iteration is by block id; row addressing keeps arrival order.
+        let ids: Vec<u64> = store.iter().map(|(&bid, _)| bid).collect();
+        assert_eq!(ids, vec![0, 1, 2]);
         let cum = store.cumulative_rows();
-        assert_eq!(cum.len(), 3);
-        assert_eq!(cum[2].1, 12);
+        assert_eq!(cum, &[(2, 4), (0, 8), (1, 12)]);
         store.clear();
         assert_eq!(store.total_rows(), 0);
     }

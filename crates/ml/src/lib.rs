@@ -38,4 +38,4 @@ pub mod spec;
 pub use optimizer::{OptimizerKind, OptimizerState};
 pub use params::{ParamSet, SparseGrad, UpdateParams};
 pub use regularizer::Regularizer;
-pub use spec::{GradSink, ModelSpec, UpdateScratch};
+pub use spec::{GradSink, ModelSpec, SparseAccum, UpdateScratch};

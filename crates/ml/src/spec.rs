@@ -351,10 +351,11 @@ fn block_run<'a>(
 ///
 /// The model kernels `+=` into rows in a deterministic order (row by row,
 /// nonzero by nonzero); a sink only decides where a feature's row lives.
-/// Two implementations exist: [`GradAccum`] (sorted — the reference, and
-/// the RowSGD message builder) and the compact accumulator inside
-/// [`UpdateScratch`] (the allocation-free hot path). Because both fold the
-/// identical `+=` sequence per coordinate, their sums are bit-identical.
+/// Two implementations exist: [`GradAccum`] (sorted — the reference) and
+/// the compact [`SparseAccum`] (the allocation-free hot path of both
+/// engines: inside [`UpdateScratch`] for ColumnSGD, owned by each RowSGD
+/// worker). Because both fold the identical `+=` sequence per coordinate,
+/// their sums are bit-identical.
 pub trait GradSink {
     /// The gradient row of local `feature`: Σwidths lanes laid out block
     /// after block (block `b` starts at lane `Σ widths[..b]`), all zero
@@ -366,9 +367,11 @@ pub trait GradSink {
 /// A `u32` slot map over local features (4 B each, pages never written
 /// stay unmapped), the touched features in arrival order, and one
 /// contiguous buffer holding a row of `lanes` gradients per touched
-/// feature. Between calls the slot map and the buffer are all zero.
+/// feature. Reused across batches: [`SparseAccum::reset`] before each
+/// one, then read it out with [`SparseAccum::scatter_into`] or
+/// [`SparseAccum::to_sparse_grad`].
 #[derive(Debug, Default)]
-struct SparseAccum {
+pub struct SparseAccum {
     /// Per local feature: 0 = untouched, else 1 + its position in `touched`.
     slot: Vec<u32>,
     touched: Vec<usize>,
@@ -379,6 +382,64 @@ struct SparseAccum {
 }
 
 impl SparseAccum {
+    /// An empty accumulator. Buffers are sized lazily on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Empties the accumulator of the previous batch and shapes it for
+    /// `params`, ready to fold the next one.
+    pub fn reset(&mut self, params: &ParamSet) {
+        self.clear();
+        self.ensure(params);
+    }
+
+    /// Adds every accumulated row into the dense `params`-shaped blocks
+    /// of `dense`. Into zeroed blocks this leaves each touched
+    /// coordinate holding exactly its sum (`0.0 + g == g`).
+    pub fn scatter_into(&self, dense: &mut ParamSet) {
+        for (block, values) in dense.blocks.iter_mut().enumerate() {
+            let values = values.as_mut_slice();
+            for (base, run) in self.runs(block) {
+                for (d, g) in values[base..base + run.len()].iter_mut().zip(run) {
+                    *d += g;
+                }
+            }
+        }
+    }
+
+    /// Materializes the accumulator as a [`SparseGrad`] over the touched
+    /// features in feature order — the same message
+    /// [`GradAccum::to_sparse_grad`] builds from the same folds.
+    pub fn to_sparse_grad(&self) -> SparseGrad {
+        let mut order: Vec<(usize, usize)> = self
+            .touched
+            .iter()
+            .enumerate()
+            .map(|(pos, &feature)| (feature, pos))
+            .collect();
+        order.sort_unstable();
+        let mut off = 0;
+        let blocks = self
+            .widths
+            .iter()
+            .map(|&width| {
+                let mut values = Vec::with_capacity(order.len() * width);
+                for &(_, pos) in &order {
+                    let row = pos * self.lanes + off;
+                    values.extend_from_slice(&self.grad[row..row + width]);
+                }
+                off += width;
+                values
+            })
+            .collect();
+        SparseGrad {
+            indices: order.iter().map(|&(f, _)| f as FeatureIndex).collect(),
+            blocks,
+            widths: self.widths.clone(),
+        }
+    }
+
     /// Shapes the (all-zero) accumulator for `params`.
     fn ensure(&mut self, params: &ParamSet) {
         let dim = params.dim();

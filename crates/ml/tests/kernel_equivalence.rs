@@ -9,7 +9,9 @@
 //! buffers — including batches whose feature sets shrink, move and grow
 //! from one call to the next, and a larger model on the same scratch.
 //! Feature ranges are small (≤ 32) so that rows share features and
-//! coordinates fold several `+=` terms.
+//! coordinates fold several `+=` terms. The RowSGD reply path (one reused
+//! `SparseAccum` read out as a sparse or a dense gradient) is pinned to
+//! `GradAccum` the same way.
 //!
 //! Equivalence is exact, not approximate: both paths fold the identical
 //! per-coordinate `+=` sequence, and optimizer state is per-coordinate, so
@@ -22,9 +24,10 @@ use columnsgd_data::block::Block;
 use columnsgd_data::workset::split_block;
 use columnsgd_data::{ColumnPartitioner, Workset};
 use columnsgd_linalg::{CsrMatrix, SparseVector};
-use columnsgd_ml::spec::reduce_stats;
+use columnsgd_ml::spec::{reduce_stats, GradAccum};
 use columnsgd_ml::{
-    ModelSpec, OptimizerKind, OptimizerState, ParamSet, Regularizer, UpdateParams, UpdateScratch,
+    ModelSpec, OptimizerKind, OptimizerState, ParamSet, Regularizer, SparseAccum, SparseGrad,
+    UpdateParams, UpdateScratch,
 };
 use proptest::prelude::*;
 
@@ -284,6 +287,69 @@ proptest! {
                     }
                 }
                 prop_assert!(reference.opt == tuned.opt, "dim {} step {}: optimizer state", dim, step);
+            }
+        }
+    }
+
+    /// The RowSGD worker's reply path: one [`SparseAccum`], reused across
+    /// batches whose feature sets and model sizes change and across the
+    /// block layouts `[1]`, `[1, 1, 1]` and `[1, 4]`, reads out exactly
+    /// what a fresh `GradAccum` over the same folds does — as a sorted
+    /// `SparseGrad`, and scattered into a zeroed dense reply.
+    #[test]
+    fn reused_sparse_accum_reads_out_like_grad_accum(
+        batches in prop::collection::vec((8u64..40, raw_rows_strategy(0..1_000)), 1..6),
+    ) {
+        let mut accum = SparseAccum::new();
+        let mut stats = Vec::new();
+        for model in [ModelSpec::Lr, ModelSpec::Mlr { classes: 3 }, ModelSpec::Fm { factors: 4 }] {
+            for (step, (dim, raw_rows)) in batches.iter().enumerate() {
+                let rows = materialize_rows_onto(model, raw_rows, |j| j % dim);
+                let batch = CsrMatrix::from_rows(&rows);
+                let params = model.init_params(*dim as usize, SEED, |slot| slot as u64);
+                model.compute_stats(&params, &batch, &mut stats);
+
+                let mut reference = GradAccum::new(&model.widths());
+                model.accumulate_grad(&params, &batch, &stats, &mut reference);
+                accum.reset(&params);
+                model.accumulate_grad(&params, &batch, &stats, &mut accum);
+
+                let (want, got) = (reference.to_sparse_grad(), accum.to_sparse_grad());
+                prop_assert_eq!(&got.indices, &want.indices, "{:?} step {}: indices", model, step);
+                prop_assert_eq!(&got.widths, &want.widths, "{:?} step {}: widths", model, step);
+                prop_assert_eq!(
+                    bits(got.blocks.iter().flatten()),
+                    bits(want.blocks.iter().flatten()),
+                    "{:?} step {}: sparse values", model, step
+                );
+
+                let mut want_dense = ParamSet::zeros(*dim as usize, &model.widths());
+                scatter_grad(&want, &mut want_dense);
+                let mut got_dense = ParamSet::zeros(*dim as usize, &model.widths());
+                accum.scatter_into(&mut got_dense);
+                prop_assert_eq!(
+                    bits(got_dense.blocks.iter().flat_map(|b| b.as_slice())),
+                    bits(want_dense.blocks.iter().flat_map(|b| b.as_slice())),
+                    "{:?} step {}: dense values", model, step
+                );
+            }
+        }
+    }
+}
+
+/// Raw bits of a run of gradients (exact comparison, `-0.0` and NaN
+/// payloads included).
+fn bits<'a>(values: impl Iterator<Item = &'a f64>) -> Vec<u64> {
+    values.map(|v| v.to_bits()).collect()
+}
+
+/// Scatters a sorted sparse gradient into zeroed dense blocks: the dense
+/// reply an MLlib worker built from a `GradAccum` message.
+fn scatter_grad(grad: &SparseGrad, dense: &mut ParamSet) {
+    for (pos, &j) in grad.indices.iter().enumerate() {
+        for (b, &w) in grad.widths.iter().enumerate() {
+            for f in 0..w {
+                dense.blocks[b][j as usize * w + f] += grad.blocks[b][pos * w + f];
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Byte-level serialization for [`RowMsg`] — the RowSGD wire format.
 //!
 //! Same contract as the ColumnSGD codec (`columnsgd_core::codec`): every
-//! encoded body is **exactly** [`Wire::wire_size`] bytes, pinned by the
+//! encoded body is **exactly** [`Wire::wire_size`](columnsgd_cluster::Wire::wire_size) bytes, pinned by the
 //! framing layer's size assertion and by the round-trip test below, so
 //! the analytic byte accounting and the physically shipped frames agree
 //! on both transports. The dense/sparse parameter payloads reuse the

@@ -554,26 +554,28 @@ impl RowSgdEngine {
     /// One MLlib iteration: broadcast the dense model, gather dense
     /// gradients, update at the master (Algorithm 2).
     fn iteration_mllib(&mut self, t: u64) -> Result<(IterationTime, f64), TrainError> {
-        let mut model_msg_bytes = 0;
-        {
-            let (params, _) = self
-                .params
-                .as_ref()
-                .ok_or_else(|| TrainError::Internal("MLlib master has no model".to_string()))?;
-            for w in 0..self.k {
-                let msg = RowMsg::FullModelGrad {
-                    iteration: t,
-                    params: params.clone(),
-                };
-                model_msg_bytes = msg.wire_size() as u64 + ENVELOPE_BYTES as u64;
-                self.master
-                    .send(NodeId::Worker(w), msg)
-                    .map_err(|e| TrainError::WorkerLost {
-                        worker: w,
-                        iteration: t,
-                        detail: format!("model broadcast undeliverable: {e}"),
-                    })?;
-            }
+        // The model moves into one message that is broadcast by reference
+        // and moves back out: no per-worker copy.
+        let (params, _) = self
+            .params
+            .as_mut()
+            .ok_or_else(|| TrainError::Internal("MLlib master has no model".to_string()))?;
+        let msg = RowMsg::FullModelGrad {
+            iteration: t,
+            params: std::mem::take(params),
+        };
+        let workers: Vec<NodeId> = (0..self.k).map(NodeId::Worker).collect();
+        let sent = self.master.broadcast(&workers, &msg);
+        let model_msg_bytes = (msg.wire_size() + ENVELOPE_BYTES) as u64;
+        if let RowMsg::FullModelGrad { params: model, .. } = msg {
+            *params = model;
+        }
+        for (w, result) in sent.into_iter().enumerate() {
+            result.map_err(|e| TrainError::WorkerLost {
+                worker: w,
+                iteration: t,
+                detail: format!("model broadcast undeliverable: {e}"),
+            })?;
         }
         // Buffer replies per worker and fold them in worker-id order below:
         // floating-point sums depend on fold order, so aggregating in
@@ -586,7 +588,10 @@ impl RowSgdEngine {
         let mut got = 0;
         let mut wait_until = Instant::now() + self.deadline();
         while got < self.k {
-            match self.recv_next(wait_until, t)? {
+            let msg = self.recv_next(wait_until, t)?;
+            // Priced exactly as the router metered it.
+            let reply_bytes = (msg.wire_size() + ENVELOPE_BYTES) as u64;
+            match msg {
                 RowMsg::GradReplyDense {
                     worker,
                     grad,
@@ -595,7 +600,7 @@ impl RowSgdEngine {
                     ..
                 } => {
                     wait_until = Instant::now() + self.deadline();
-                    grad_bytes = grad.wire_size() as u64 + 64;
+                    grad_bytes = reply_bytes;
                     compute[worker] = compute_s;
                     if replies[worker].replace((grad, loss)).is_none() {
                         got += 1;
@@ -1044,5 +1049,57 @@ fn mean(xs: &[f64]) -> f64 {
         0.0
     } else {
         xs.iter().sum::<f64>() / xs.len() as f64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use columnsgd_cluster::telemetry::Event;
+    use columnsgd_data::synth;
+    use columnsgd_ml::ModelSpec;
+
+    /// MLlib prices each gathered dense gradient at exactly the bytes the
+    /// router metered for its `GradReplyDense` (payload + envelope).
+    #[test]
+    fn mllib_gather_is_priced_at_metered_reply_bytes() {
+        let (k, iterations) = (3, 2);
+        let ds = synth::small_test_dataset(200, 40, 3);
+        let cfg = RowSgdConfig::new(ModelSpec::Lr, RowSgdVariant::MLlib)
+            .with_batch_size(30)
+            .with_iterations(iterations);
+        let net = NetworkModel::CLUSTER1;
+        let recorder = Recorder::new();
+        let mut engine = RowSgdEngine::new_clustered(
+            &ds,
+            k,
+            cfg,
+            net,
+            recorder.clone(),
+            &ClusterConfig::in_proc(),
+        )
+        .expect("engine");
+        engine.train().expect("train");
+
+        let events = recorder.events();
+        let replies: Vec<u64> = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::Comm(c) if c.kind == "GradReplyDense" => Some(c.wire_bytes),
+                _ => None,
+            })
+            .collect();
+        let gathers: Vec<f64> = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::Superstep(s) if s.phase == Phase::Gather => Some(s.sim_s),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(replies.len(), k * iterations as usize);
+        assert_eq!(gathers.len(), iterations as usize);
+        for (metered, priced) in replies.chunks(k).zip(gathers) {
+            assert_eq!(priced.to_bits(), net.gather_time(metered).to_bits());
+        }
     }
 }

@@ -13,25 +13,26 @@ use columnsgd_cluster::telemetry::FaultRecord;
 use columnsgd_cluster::{Endpoint, NodeId, Recorder};
 use columnsgd_linalg::rng;
 use columnsgd_linalg::{CsrMatrix, SparseVector};
-use columnsgd_ml::spec::GradAccum;
-use columnsgd_ml::{OptimizerState, ParamSet, SparseGrad, UpdateScratch};
+use columnsgd_ml::{OptimizerState, ParamSet, SparseAccum, SparseGrad, UpdateScratch};
 use rand::Rng;
 
 use crate::config::{RowSgdConfig, RowSgdVariant};
 use crate::msg::RowMsg;
 
-/// Computes `(summed gradient, mean batch loss)` in one statistics pass.
+/// Folds the summed batch gradient into `accum` (reset first) and returns
+/// the mean batch loss, from one statistics pass.
 pub fn grad_and_loss(
     spec: columnsgd_ml::ModelSpec,
     params: &ParamSet,
     batch: &CsrMatrix,
-) -> (SparseGrad, f64) {
+    accum: &mut SparseAccum,
+) -> f64 {
     let mut stats = Vec::new();
     spec.compute_stats(params, batch, &mut stats);
     let loss = spec.loss_from_stats(batch.labels(), &stats);
-    let mut accum = GradAccum::new(&spec.widths());
-    spec.accumulate_grad(params, batch, &stats, &mut accum);
-    (accum.to_sparse_grad(), loss)
+    accum.reset(params);
+    spec.accumulate_grad(params, batch, &stats, accum);
+    loss
 }
 
 struct RowWorker {
@@ -40,6 +41,9 @@ struct RowWorker {
     dim: u64,
     cfg: RowSgdConfig,
     rows: Vec<(f64, SparseVector)>,
+    /// The gradient accumulator, reused across steps (MLlib and the PS
+    /// variants).
+    accum: SparseAccum,
     /// MLlib*: the local model replica, its optimizer and the update
     /// kernel's scratch.
     replica: Option<(ParamSet, OptimizerState, UpdateScratch)>,
@@ -70,10 +74,11 @@ impl RowWorker {
         (self.cfg.batch_size / self.k).max(1)
     }
 
-    /// MLlib / PsDense: gradient against a freshly pulled full model.
-    fn dense_model_grad(&mut self, t: u64, params: &ParamSet) -> (SparseGrad, f64) {
+    /// MLlib / PsDense: gradient against a freshly pulled full model, left
+    /// in `self.accum`; returns the batch loss.
+    fn dense_model_grad(&mut self, t: u64, params: &ParamSet) -> f64 {
         let batch = self.sample_batch(t);
-        grad_and_loss(self.cfg.model, params, &batch)
+        grad_and_loss(self.cfg.model, params, &batch, &mut self.accum)
     }
 
     /// PsSparse round 1: sample the batch and extract its distinct indices.
@@ -134,7 +139,8 @@ impl RowWorker {
             }
             compact_batch.push_raw_row(label, &slots, &vals);
         }
-        let (grad_c, loss) = grad_and_loss(self.cfg.model, &compact, &compact_batch);
+        let loss = grad_and_loss(self.cfg.model, &compact, &compact_batch, &mut self.accum);
+        let grad_c = self.accum.to_sparse_grad();
         // Map gradient indices back to the global space.
         let grad = SparseGrad {
             indices: grad_c
@@ -347,10 +353,10 @@ pub fn run_row_worker(
         dim,
         cfg,
         rows: Vec::new(),
+        accum: SparseAccum::new(),
         replica,
         pending_batch: None,
     };
-    let _ = w.dim;
     // Ring chunks that raced ahead of this worker's LocalStep.
     let mut early_chunks: std::collections::VecDeque<(u8, u32, Vec<f64>)> =
         std::collections::VecDeque::new();
@@ -377,7 +383,7 @@ pub fn run_row_worker(
             }
             RowMsg::FullModelGrad { iteration, params } => {
                 let start = Instant::now();
-                let (grad, loss) = w.dense_model_grad(iteration, &params);
+                let loss = w.dense_model_grad(iteration, &params);
                 guard_loss(iteration, loss);
                 let compute_s = start.elapsed().as_secs_f64();
                 let is_ps = !w.cfg.variant.is_spark();
@@ -385,7 +391,7 @@ pub fn run_row_worker(
                     RowSgdVariant::MLlib => {
                         // MLlib materializes dense gradients (treeAggregate).
                         let mut dense = ParamSet::zeros(w.dim as usize, &w.cfg.model.widths());
-                        scatter_grad(&grad, &mut dense);
+                        w.accum.scatter_into(&mut dense);
                         RowMsg::GradReplyDense {
                             iteration,
                             worker: id,
@@ -397,7 +403,7 @@ pub fn run_row_worker(
                     _ => RowMsg::GradReplySparse {
                         iteration,
                         worker: id,
-                        grad,
+                        grad: w.accum.to_sparse_grad(),
                         loss,
                         compute_s,
                     },
@@ -522,18 +528,6 @@ pub fn run_row_worker(
     }
 }
 
-/// Scatters a sparse gradient into dense blocks (MLlib's representation).
-pub fn scatter_grad(grad: &SparseGrad, dense: &mut ParamSet) {
-    for (pos, &j) in grad.indices.iter().enumerate() {
-        let j = j as usize;
-        for (b, &w) in grad.widths.iter().enumerate() {
-            for f in 0..w {
-                dense.blocks[b][j * w + f] += grad.blocks[b][pos * w + f];
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,34 +541,9 @@ mod tests {
             (1.0, SparseVector::from_pairs(vec![(0, 1.0), (3, 2.0)])),
             (-1.0, SparseVector::from_pairs(vec![(5, 1.0)])),
         ]);
-        let (g1, loss) = grad_and_loss(spec, &params, &batch);
-        let g2 = spec.row_gradient(&params, &batch);
-        assert_eq!(g1, g2);
+        let mut accum = SparseAccum::new();
+        let loss = grad_and_loss(spec, &params, &batch, &mut accum);
+        assert_eq!(accum.to_sparse_grad(), spec.row_gradient(&params, &batch));
         assert!((loss - std::f64::consts::LN_2).abs() < 1e-12); // zero model
-    }
-
-    #[test]
-    fn scatter_grad_places_values() {
-        let grad = SparseGrad {
-            indices: vec![1, 3],
-            blocks: vec![vec![10.0, 30.0]],
-            widths: vec![1],
-        };
-        let mut dense = ParamSet::zeros(5, &[1]);
-        scatter_grad(&grad, &mut dense);
-        assert_eq!(dense.blocks[0].as_slice(), &[0.0, 10.0, 0.0, 30.0, 0.0]);
-    }
-
-    #[test]
-    fn scatter_grad_multiblock() {
-        let grad = SparseGrad {
-            indices: vec![2],
-            blocks: vec![vec![1.0], vec![5.0, 6.0]],
-            widths: vec![1, 2],
-        };
-        let mut dense = ParamSet::zeros(3, &[1, 2]);
-        scatter_grad(&grad, &mut dense);
-        assert_eq!(dense.blocks[0].as_slice(), &[0.0, 0.0, 1.0]);
-        assert_eq!(dense.blocks[1].as_slice(), &[0.0, 0.0, 0.0, 0.0, 5.0, 6.0]);
     }
 }

@@ -969,7 +969,7 @@ impl Recorder {
     }
 
     /// Canonical event lines for determinism checks: measured-time fields
-    /// are stripped (see [`Event::to_canonical_value`]) and lines sorted,
+    /// are stripped (see `Event::to_canonical_value`) and lines sorted,
     /// so two same-seed runs compare equal even though worker threads
     /// interleave differently.
     pub fn canonical_lines(&self) -> Vec<String> {
