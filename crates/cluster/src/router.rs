@@ -520,46 +520,8 @@ impl<M: Wire> Router<M> {
         self.push(Envelope { from, to, payload }, Plane::Control)
     }
 
-    /// Delivers `payload` physically but records its bytes on a different
-    /// *logical* link.
-    ///
-    /// The RowSGD parameter-server baselines host their P servers on the
-    /// driver process (one OS thread) while modelling them as distinct
-    /// nodes: a model shard that logically travels `Server(p) → Worker(w)`
-    /// is physically delivered from the master endpoint, and this method
-    /// meters it on the logical link so per-server traffic (and therefore
-    /// per-server-link pricing) stays exact.
-    pub fn send_via(
-        &self,
-        physical_from: NodeId,
-        logical_from: NodeId,
-        to: NodeId,
-        payload: M,
-    ) -> Result<(), NetError> {
-        let bytes = payload.wire_size() + ENVELOPE_BYTES;
-        if logical_from != to {
-            self.traffic.record(logical_from, to, bytes);
-            self.record_comm(
-                logical_from,
-                to,
-                bytes,
-                payload.kind(),
-                Plane::Virtual,
-                None,
-            );
-        }
-        self.push(
-            Envelope {
-                from: physical_from,
-                to,
-                payload,
-            },
-            Plane::Data,
-        )
-    }
-
     /// Delivers `payload` without recording any traffic. Only for payloads
-    /// whose bytes are metered separately via [`Router::meter_only`] on
+    /// whose bytes are metered separately via [`Router::meter_as`] on
     /// logical links (e.g. a model pull that logically arrives from P
     /// parameter servers but is physically one message from the driver).
     pub fn send_unmetered(&self, from: NodeId, to: NodeId, payload: M) -> Result<(), NetError> {
@@ -568,13 +530,8 @@ impl<M: Wire> Router<M> {
 
     /// Records traffic on a logical link without a physical delivery (the
     /// receiving logic runs in-process, e.g. a virtual server receiving a
-    /// push that the driver thread handles directly).
-    pub fn meter_only(&self, from: NodeId, to: NodeId, bytes: usize) {
-        self.meter_as(from, to, bytes, "meter");
-    }
-
-    /// Like [`Router::meter_only`] but with an explicit message-kind label
-    /// for telemetry (the RowSGD baselines label their virtual
+    /// push that the driver thread handles directly), labelled `kind` for
+    /// telemetry (the RowSGD baselines label their virtual
     /// parameter-server traffic: pulls, pushes, shuffles).
     pub fn meter_as(&self, from: NodeId, to: NodeId, bytes: usize, kind: &str) {
         if from != to {

@@ -366,7 +366,7 @@ impl ElasticEngine {
         let load_report = placement.load(&mut core)?;
         // Chaos applies from here on: the initial placement models the
         // HDFS read, outside the paper's fault model.
-        core.master.router().arm_chaos();
+        core.rt.master.router().arm_chaos();
         Ok(Self {
             core,
             load_report,
@@ -404,30 +404,30 @@ impl ElasticEngine {
 
     /// The attached telemetry recorder.
     pub fn recorder(&self) -> &Recorder {
-        &self.core.recorder
+        &self.core.rt.recorder
     }
 
     /// Attaches an online diagnostics [`Monitor`]; its straggler alarm is
     /// also what arms speculative backup execution.
     pub fn attach_monitor(&mut self, monitor: Monitor) {
-        self.core.monitor = monitor;
+        self.core.rt.monitor = monitor;
     }
 
     /// The attached diagnostics monitor.
     pub fn monitor(&self) -> &Monitor {
-        &self.core.monitor
+        &self.core.rt.monitor
     }
 
     /// Attaches a [`MetricsRegistry`], fed once per superstep (see
     /// [`crate::ColumnSgdEngine::attach_metrics`]; per-worker gauges are
     /// per slot, idle slots reading 0).
     pub fn attach_metrics(&mut self, metrics: MetricsRegistry) {
-        self.core.attach_metrics(metrics);
+        self.core.rt.attach_metrics(metrics);
     }
 
     /// The shared traffic meter.
     pub fn traffic(&self) -> &TrafficStats {
-        &self.core.traffic
+        &self.core.rt.traffic
     }
 
     /// The initial-placement cost report.
@@ -515,7 +515,7 @@ fn await_install(
         matches!(m, ColMsg::ShardInstalled { pid: p, epoch: e, worker }
             if (*p, *e, *worker) == (pid, epoch, to))
     };
-    Ok(core.await_reply(t, wait, installed)?.is_some())
+    Ok(core.rt.await_reply(t, wait, installed)?.is_some())
 }
 
 /// Maps a membership-transition error onto the training vocabulary.
@@ -536,10 +536,11 @@ impl ElasticPlacement {
     /// primary — and, under replication, its backup — then barriers on the
     /// install acknowledgements.
     fn load(&mut self, core: &mut MasterCore) -> Result<LoadReport, TrainError> {
-        core.traffic.reset();
-        core.recorder.clear_comm();
+        core.rt.traffic.reset();
+        core.rt.recorder.clear_comm();
         let p = self.cfg.max_workers;
-        let mut expected = 0usize;
+        // One ack slot per shard copy shipped: `(pid, worker)`.
+        let mut installs = Vec::new();
         for pid in 0..p {
             let worksets = shard_worksets(core, pid);
             let params = init_params_for(core, pid);
@@ -549,7 +550,8 @@ impl ElasticPlacement {
             let mut targets = vec![primary];
             targets.extend(self.membership.backup_of(pid));
             for to in targets {
-                core.master
+                core.rt
+                    .master
                     .send(
                         NodeId::Worker(to),
                         ColMsg::ShardData {
@@ -562,12 +564,19 @@ impl ElasticPlacement {
                     .map_err(|e| {
                         TrainError::LoadFailed(format!("shard {pid} dispatch to {to}: {e}"))
                     })?;
-                expected += 1;
+                installs.push((pid, to));
             }
         }
-        core.await_acks(expected, "shard installs acknowledged", |msg| {
-            Ok(matches!(msg, ColMsg::ShardInstalled { epoch: 0, .. }))
-        })?;
+        // Only the epoch-0 placement is in flight until this barrier closes.
+        let slot = |pid, worker| installs.iter().position(|&i| i == (pid, worker));
+        core.await_acks(
+            installs.len(),
+            "shard installs acknowledged",
+            |msg| match msg {
+                ColMsg::ShardInstalled { pid, worker, .. } => Some((slot(pid, worker)?, ())),
+                _ => None,
+            },
+        )?;
         Ok(core.price_load())
     }
 
@@ -584,14 +593,14 @@ impl ElasticPlacement {
         if plan.is_empty() {
             return Ok(0.0);
         }
-        let before = core.traffic.total();
+        let before = core.rt.traffic.total();
         for mv in &plan.moves {
             self.transfer_shard(core, t, *mv, plan.epoch)?;
         }
         for d in &plan.drops {
             // Best-effort: a leaver may already be gone; stale drops are
             // epoch-fenced at the worker.
-            let _ = core.master.send_reliable(
+            let _ = core.rt.master.send_reliable(
                 NodeId::Worker(d.on),
                 ColMsg::DropShard {
                     pid: d.pid,
@@ -599,7 +608,7 @@ impl ElasticPlacement {
                 },
             );
         }
-        let after = core.traffic.total();
+        let after = core.rt.traffic.total();
         let bytes = after.bytes - before.bytes;
         let objects = after.messages - before.messages;
         self.migrations += plan.moves.len() as u64;
@@ -644,6 +653,7 @@ impl ElasticPlacement {
         for source in sources {
             let sent = match source {
                 Some(src) => core
+                    .rt
                     .master
                     .send_reliable(
                         NodeId::Worker(src),
@@ -660,7 +670,8 @@ impl ElasticPlacement {
                     // reset to init (the paper's §X crash semantics).
                     let worksets = shard_worksets(core, mv.pid);
                     let params = init_params_for(core, mv.pid);
-                    core.master
+                    core.rt
+                        .master
                         .send(
                             NodeId::Worker(mv.to),
                             ColMsg::ShardData {
@@ -715,7 +726,7 @@ impl ElasticPlacement {
     /// Starts and admits slot `w`, executing the planner's migrations.
     fn admit_worker(&mut self, core: &mut MasterCore, t: u64, w: usize) -> Result<f64, TrainError> {
         let connect_wait = core.bulk_deadline();
-        let started = core.host.start_all(w..w + 1, connect_wait);
+        let started = core.rt.host.start_all(w..w + 1, connect_wait);
         started.map_err(TrainError::Internal)?;
         let plan = self
             .membership
@@ -732,9 +743,10 @@ impl ElasticPlacement {
             .map_err(|e| membership_err(t, w, e))?;
         let cost = self.execute_plan(core, t, &plan)?;
         let _ = core
+            .rt
             .master
             .send_reliable(NodeId::Worker(w), ColMsg::Shutdown);
-        core.host.reap(w);
+        core.rt.host.reap(w);
         Ok(cost)
     }
 
@@ -742,10 +754,10 @@ impl ElasticPlacement {
     /// policy's per-worker alarm counters.
     fn consume_gauges(&mut self, core: &mut MasterCore, step: &mut Step) -> Result<(), TrainError> {
         let t = step.t;
-        if !core.monitor.is_enabled() {
+        if !core.rt.monitor.is_enabled() {
             return Ok(());
         }
-        let events = core.monitor.events();
+        let events = core.rt.monitor.events();
         for ev in &events[self.seen_events.min(events.len())..] {
             let (Some(worker), true) = (
                 ev.worker,
@@ -782,7 +794,7 @@ impl ElasticPlacement {
                 else {
                     break; // no capacity left to rotate onto
                 };
-                core.recorder.fault(FaultRecord {
+                core.rt.recorder.fault(FaultRecord {
                     iteration: t,
                     worker: w as u64,
                     fault: "policy scale".to_string(),
@@ -861,7 +873,7 @@ impl Placement for ElasticPlacement {
             .membership
             .mark_dead(w)
             .map_err(|e| membership_err(t, w, e))?;
-        core.host.reap(w);
+        core.rt.host.reap(w);
         // Primary re-owning cannot wait (the superstep needs the shard);
         // replication repair can.
         let (now, later) = plan
@@ -938,7 +950,7 @@ impl Placement for ElasticPlacement {
             (ColMsg::stats_reply_for_wire_size(task.pids.len(), stats_len) + ENVELOPE_BYTES) as u64
         };
         let spec_fault = |worker: usize, fault: &str, detection: &str, saved_s: f64| {
-            core.recorder.fault(FaultRecord {
+            core.rt.recorder.fault(FaultRecord {
                 iteration: t,
                 worker: worker as u64,
                 fault: fault.to_string(),
@@ -1091,7 +1103,7 @@ mod tests {
         // Kill worker 1 *silently*: swapping its mailbox disconnects the
         // running thread (it exits without a panic report) while the held
         // replacement keeps accepting sends that nobody will ever answer.
-        let router = engine.core.master.router().clone();
+        let router = engine.core.rt.master.router().clone();
         let _black_hole = router.reregister(NodeId::Worker(1), 0);
 
         // Stray control answers, four per detection window, for 20 windows

@@ -188,7 +188,7 @@ impl ColumnSgdEngine {
         let load_report = load(&mut core)?;
         // Chaos only applies from here on: losing a load message would
         // model an HDFS failure, outside the paper's fault model.
-        core.master.router().arm_chaos();
+        core.rt.master.router().arm_chaos();
         Ok(Self { core, load_report })
     }
 
@@ -199,7 +199,7 @@ impl ColumnSgdEngine {
 
     /// The shared traffic meter.
     pub fn traffic(&self) -> &TrafficStats {
-        &self.core.traffic
+        &self.core.rt.traffic
     }
 
     /// Number of workers.
@@ -227,7 +227,7 @@ impl ColumnSgdEngine {
     /// The attached telemetry recorder (disabled unless one was passed to
     /// [`ColumnSgdEngine::new_clustered`]).
     pub fn recorder(&self) -> &Recorder {
-        &self.core.recorder
+        &self.core.rt.recorder
     }
 
     /// Attaches an online diagnostics [`Monitor`]: every superstep's
@@ -235,13 +235,13 @@ impl ColumnSgdEngine {
     /// bytes, batch loss) are fed through its streaming detectors, and a
     /// stop request becomes [`TrainError::Diverged`].
     pub fn attach_monitor(&mut self, monitor: Monitor) {
-        self.core.monitor = monitor;
+        self.core.rt.monitor = monitor;
     }
 
     /// The attached diagnostics monitor (disabled unless
     /// [`ColumnSgdEngine::attach_monitor`] was called).
     pub fn monitor(&self) -> &Monitor {
-        &self.core.monitor
+        &self.core.rt.monitor
     }
 
     /// Attaches a [`MetricsRegistry`]: registers the engine's metric
@@ -249,7 +249,7 @@ impl ColumnSgdEngine {
     /// from observations the engine already collects — the data plane is
     /// never metered twice.
     pub fn attach_metrics(&mut self, metrics: MetricsRegistry) {
-        self.core.attach_metrics(metrics);
+        self.core.rt.attach_metrics(metrics);
     }
 
     /// Gathers every model partition and reassembles the full model —
@@ -276,18 +276,20 @@ impl ColumnSgdEngine {
 /// worker (round-robin over idle workers), which shuffles CSR worksets
 /// to their owners; then barriers on every worker's LoadAck.
 fn load(core: &mut MasterCore) -> Result<LoadReport, TrainError> {
-    core.traffic.reset();
+    core.rt.traffic.reset();
     // Keep the trace reconciled with the meter: load-phase comm
     // records describe bytes the reset just forgot.
-    core.recorder.clear_comm();
+    core.rt.recorder.clear_comm();
     for (i, block) in core.blocks.iter().enumerate() {
         let splitter = NodeId::Worker(i % core.slots);
-        core.master
+        core.rt
+            .master
             .send(splitter, ColMsg::LoadBlock(block.clone()))
             .map_err(|e| TrainError::LoadFailed(format!("block dispatch: {e}")))?;
     }
     for w in 0..core.slots {
-        core.master
+        core.rt
+            .master
             .send(
                 NodeId::Worker(w),
                 ColMsg::LoadDone {
@@ -296,25 +298,21 @@ fn load(core: &mut MasterCore) -> Result<LoadReport, TrainError> {
             )
             .map_err(|e| TrainError::LoadFailed(format!("load-done marker: {e}")))?;
     }
+    let layouts = core.await_acks(
+        core.slots,
+        "workers acknowledged loading",
+        |msg| match msg {
+            ColMsg::LoadAck { worker, layout } => Some((worker, layout)),
+            _ => None,
+        },
+    )?;
     // Every partition must expose the identical (block → rows) layout
     // or two-phase sampling would diverge.
-    let mut reference_layout: Option<Vec<(u64, usize)>> = None;
-    let accept = |msg: ColMsg| {
-        let ColMsg::LoadAck { layout, .. } = msg else {
-            return Ok(false);
-        };
-        match &reference_layout {
-            None => reference_layout = Some(layout),
-            Some(r) if r == &layout => {}
-            Some(_) => {
-                return Err(TrainError::LoadFailed(
-                    "divergent workset layouts across workers".to_string(),
-                ))
-            }
-        }
-        Ok(true)
-    };
-    core.await_acks(core.slots, "workers acknowledged loading", accept)?;
+    if layouts.windows(2).any(|pair| pair[0] != pair[1]) {
+        return Err(TrainError::LoadFailed(
+            "divergent workset layouts across workers".to_string(),
+        ));
+    }
     Ok(core.price_load())
 }
 
@@ -482,8 +480,9 @@ impl Placement for FixedWorkers {
 /// Returns the priced reload time.
 fn respawn_worker(core: &mut MasterCore, t: u64, w: usize) -> Result<f64, TrainError> {
     let respawn_wait = core.bulk_deadline();
-    core.host
-        .respawn(core.master.router(), t, w, respawn_wait)
+    core.rt
+        .host
+        .respawn(core.rt.master.router(), t, w, respawn_wait)
         .map_err(|detail| TrainError::WorkerLost {
             worker: w,
             iteration: t,
@@ -494,14 +493,14 @@ fn respawn_worker(core: &mut MasterCore, t: u64, w: usize) -> Result<f64, TrainE
     // the old incarnation. The fresh one cannot have panicked yet (it
     // has not been handed a compute task).
     let stale = |env: &Envelope<ColMsg>| matches!(&env.payload, ColMsg::WorkerPanic { worker, .. } if *worker == w);
-    core.pending.retain(|env| !stale(env));
+    core.rt.pending.retain(|env| !stale(env));
     let mut kept = Vec::new();
-    while let Some(env) = core.master.try_recv() {
+    while let Some(env) = core.rt.master.try_recv() {
         if !stale(&env) {
             kept.push(env);
         }
     }
-    core.pending.extend(kept);
+    core.rt.pending.extend(kept);
 
     let reload = reload_worker(core, t, w)?;
     let restore = restore_params(core, t, w)?;
@@ -524,6 +523,7 @@ fn restore_params(core: &mut MasterCore, t: u64, w: usize) -> Result<f64, TrainE
     let g = w / r;
     for donor in (g * r..(g + 1) * r).filter(|&m| m != w) {
         if core
+            .rt
             .master
             .send_reliable(NodeId::Worker(donor), ColMsg::FetchModel)
             .is_err()
@@ -534,6 +534,7 @@ fn restore_params(core: &mut MasterCore, t: u64, w: usize) -> Result<f64, TrainE
         let from_donor =
             |m: &ColMsg| matches!(m, ColMsg::ModelReply { worker, .. } if *worker == donor);
         let Some(ColMsg::ModelReply { parts, .. }) = core
+            .rt
             .await_reply(t, wait, from_donor)?
             .map(|env| env.payload)
         else {
@@ -545,7 +546,8 @@ fn restore_params(core: &mut MasterCore, t: u64, w: usize) -> Result<f64, TrainE
         let bytes = (1 + ENVELOPE_BYTES) // FetchModel is a bare tag
             + (1 + 8 + 8 + parts_bytes + ENVELOPE_BYTES)
             + (1 + 8 + parts_bytes + ENVELOPE_BYTES);
-        core.master
+        core.rt
+            .master
             .send_reliable(NodeId::Worker(w), ColMsg::InstallParams { parts })
             .map_err(|e| TrainError::WorkerLost {
                 worker: w,
@@ -576,14 +578,19 @@ fn reload_worker(core: &mut MasterCore, t: u64, w: usize) -> Result<f64, TrainEr
         iteration: t,
         detail: format!("reload stream failed: {e}"),
     };
-    let before = core.traffic.received_by(node);
-    core.master.send_reliable(node, ColMsg::Die).map_err(lost)?;
+    let before = core.rt.traffic.received_by(node);
+    core.rt
+        .master
+        .send_reliable(node, ColMsg::Die)
+        .map_err(lost)?;
     for block in &core.blocks {
-        core.master
+        core.rt
+            .master
             .send_reliable(node, ColMsg::ReloadBlock(block.clone()))
             .map_err(lost)?;
     }
-    core.master
+    core.rt
+        .master
         .send_reliable(
             node,
             ColMsg::ReloadDone {
@@ -593,14 +600,14 @@ fn reload_worker(core: &mut MasterCore, t: u64, w: usize) -> Result<f64, TrainEr
         .map_err(lost)?;
     let wait = core.bulk_deadline();
     let acked = |m: &ColMsg| matches!(m, ColMsg::ReloadAck { worker } if *worker == w);
-    if core.await_reply(t, wait, acked)?.is_none() {
+    if core.rt.await_reply(t, wait, acked)?.is_none() {
         return Err(TrainError::WorkerLost {
             worker: w,
             iteration: t,
             detail: "reload never acknowledged".to_string(),
         });
     }
-    let after = core.traffic.received_by(node);
+    let after = core.rt.traffic.received_by(node);
     let bytes = after.bytes - before.bytes;
     let objects = after.messages - before.messages;
     Ok(bytes as f64 / core.net.bandwidth_bytes_per_s

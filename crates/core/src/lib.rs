@@ -25,7 +25,10 @@
 //!   the BSP training loop, straggler recovery via backup computation
 //!   (§IV-B), and detection-based recovery from the failures of §X,
 //! * [`error`]: typed training errors ([`TrainError`]) and the
-//!   recovery-event log ([`RecoveryEvent`]).
+//!   recovery-event log ([`RecoveryEvent`]),
+//! * [`runtime`]: the message-generic master runtime the engines and the
+//!   RowSGD baselines share — worker host, mailbox, slot barrier,
+//!   superstep tail.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -40,6 +43,7 @@ mod master;
 pub mod mlp;
 pub mod msg;
 pub mod pool;
+pub mod runtime;
 pub mod worker;
 
 pub use config::{ColumnSgdConfig, PartitionScheme};

@@ -8,30 +8,25 @@
 //! with respawn, reload and S-backup groups, versus a membership state
 //! machine with shard migration and speculation). The loop
 //! ([`MasterCore::train`]) lives here with what it needs: the [`Task`]
-//! table, the one barrier with its absolute detection deadlines, the
-//! probe that classifies a silent worker, the retry budget, the recovery
-//! ledger, load pricing, the master-side label lookup, the per-superstep
-//! tail (trace spans → loss → clock → curve → metrics → live tail →
-//! monitor), the model gather, the end-of-train trace↔meter
-//! reconciliation, and the workers themselves: the core owns the one
-//! [`Host`] the worker slots run on, supplies its [`Launcher`], and stops
-//! the workers when it is dropped. This is the only master-side module
-//! that reads a clock.
+//! table, the recovery-aware barrier with its absolute detection
+//! deadlines, the probe that classifies a silent worker, the retry budget,
+//! the recovery ledger, load pricing, the master-side label lookup and the
+//! model gather. What a master does without knowing [`ColMsg`] — the
+//! worker host, the mailbox, the slot barrier, the superstep tail, the
+//! end-of-train reconciliation, stop-on-drop — is the [`Runtime`] the core
+//! runs on, shared with the RowSGD baselines.
 
 use std::borrow::Cow;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::net::SocketAddr;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use columnsgd_cluster::clock::IterationTime;
-use columnsgd_cluster::telemetry::{
-    KernelRecord, MetricsRegistry, Phase, ProfScope, RunStamp, SuperstepSpan,
-};
+use columnsgd_cluster::telemetry::{ProfScope, RunStamp};
 use columnsgd_cluster::wire::ENVELOPE_BYTES;
 use columnsgd_cluster::{
-    spawn_guarded, ClusterConfig, Endpoint, Envelope, FailurePlan, Host, Launcher, Monitor,
-    NetError, NetworkModel, NodeId, Recorder, SimClock, SuperstepObs, TrafficStats,
+    spawn_guarded, ClusterConfig, Endpoint, Envelope, FailurePlan, Launcher, NetError,
+    NetworkModel, NodeId, Recorder, SimClock,
 };
 use columnsgd_data::block::Block;
 use columnsgd_data::{ColumnPartitioner, TwoPhaseIndex};
@@ -43,6 +38,7 @@ use crate::engine::TrainOutcome;
 use crate::error::{DetectionMethod, FaultKind, RecoveryEvent, TrainError};
 use crate::host::{BootSpec, ColBoot};
 use crate::msg::ColMsg;
+use crate::runtime::{Runtime, Superstep};
 use crate::worker::{run_worker, WorkerScript};
 
 /// Serialization cost charged per shipped object when pricing data loading
@@ -80,32 +76,6 @@ pub(crate) enum Probed {
 
 /// One worker's answer to `FetchModel`: `(worker, [(pid, params)])`.
 pub(crate) type WorkerParts = (usize, Vec<(usize, ParamSet)>);
-
-/// One finished superstep's measurements, handed to
-/// [`MasterCore::finish_superstep`]. Per-slot slices are indexed by worker
-/// slot.
-pub(crate) struct Superstep<'a> {
-    pub t: u64,
-    /// Telemetry-only: the sampling/assembly slice of each compute time.
-    pub sample_times: &'a [f64],
-    pub compute_times: &'a [f64],
-    /// What the monitor's straggler detector sees per slot (the barrier's
-    /// view; the elastic engine fills idle slots with the active median).
-    pub observed: &'a [f64],
-    pub stat_phase: f64,
-    /// `(modeled seconds from metered bytes, measured barrier wall)`.
-    pub gather: (f64, f64),
-    /// `(modeled seconds, measured barrier wall)`.
-    pub bcast: (f64, f64),
-    pub update_times: &'a [f64],
-    pub upd_phase: f64,
-    /// Simulated seconds of detection waits and recovery this iteration.
-    pub charge: f64,
-    /// Replies folded into `agg` (the kernel record's flops proxy).
-    pub counted: usize,
-    /// The aggregated statistics that were broadcast.
-    pub agg: &'a [f64],
-}
 
 /// One `computeStatistics` task of a superstep.
 ///
@@ -378,23 +348,9 @@ pub(crate) struct MasterCore {
     pub slots: usize,
     pub net: NetworkModel,
     pub plan: FailurePlan,
-    pub master: Endpoint<ColMsg>,
-    /// Where the worker slots run (threads or processes).
-    pub host: Host<ColMsg>,
-    /// Messages received while waiting for something more specific
-    /// (probe acks, reload acks, install acks); drained before the mailbox.
-    pub pending: VecDeque<Envelope<ColMsg>>,
-    pub traffic: TrafficStats,
-    pub recorder: Recorder,
-    pub monitor: Monitor,
-    /// Prometheus-style exposition registry (off unless attached). Fed once
-    /// per superstep from already-collected observations, so the data plane
-    /// pays nothing for it.
-    metrics: Option<MetricsRegistry>,
-    /// Cumulative (bytes, messages) already exported to the metrics
-    /// counters; `TrafficStats::total` is cumulative and counters only
-    /// accept deltas.
-    metrics_last_traffic: (u64, u64),
+    /// Endpoint, worker host, meter and observation sinks. Its pending
+    /// buffer holds what probes, reloads and installs set aside.
+    pub rt: Runtime<ColMsg>,
     /// The master's copy of the blocks (the "HDFS" source): used for the
     /// initial dispatch, recovery rebuilds, and label lookup.
     pub blocks: Vec<Block>,
@@ -474,7 +430,6 @@ impl MasterCore {
         start_empty: bool,
         initial: usize,
     ) -> Result<Self, TrainError> {
-        let traffic = TrafficStats::new();
         let launcher = ColLauncher {
             slots,
             dim,
@@ -483,32 +438,24 @@ impl MasterCore {
             start_empty,
             recorder: recorder.clone(),
         };
-        let (master, mut host) = Host::bring_up(
-            slots,
-            cluster,
-            traffic.clone(),
-            plan.chaos,
-            recorder.clone(),
-            launcher,
-        )
-        .map_err(TrainError::LoadFailed)?;
         let connect_wait = Duration::from_millis(cfg.deadline_ms.saturating_mul(10));
-        host.start_all(0..initial, connect_wait)
-            .map_err(TrainError::LoadFailed)?;
+        let rt = Runtime::bring_up(
+            slots,
+            initial,
+            cluster,
+            plan.chaos,
+            recorder,
+            launcher,
+            connect_wait,
+            ColMsg::Shutdown,
+        )?;
         let index = TwoPhaseIndex::new(blocks.iter().map(|b| (b.id(), b.nrows())), cfg.seed);
         Ok(Self {
             cfg,
             slots,
             net,
             plan,
-            master,
-            host,
-            pending: VecDeque::new(),
-            traffic,
-            recorder,
-            monitor: Monitor::disabled(),
-            metrics: None,
-            metrics_last_traffic: (0, 0),
+            rt,
             blocks,
             index,
             dim,
@@ -537,61 +484,11 @@ impl MasterCore {
         Duration::from_millis(self.cfg.deadline_ms.saturating_mul(10))
     }
 
-    /// Pops a buffered message, or waits on the mailbox until the
-    /// *absolute* deadline.
-    ///
-    /// The deadline is an [`Instant`], not a per-call budget: callers set
-    /// it once when they start (or make progress on) a barrier and pass
-    /// the same value back on every retry. A per-call `Duration` would
-    /// restart the full detection window on every received message, so a
-    /// trickle of stray traffic (chaos duplicates, late replies from
-    /// earlier iterations) could postpone fault detection indefinitely.
-    pub fn recv_next(&mut self, deadline: Instant) -> Result<Envelope<ColMsg>, NetError> {
-        if let Some(env) = self.pending.pop_front() {
-            return Ok(env);
-        }
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return Err(NetError::Timeout);
-        }
-        self.master.recv_timeout(left)
-    }
-
-    /// Waits up to `wait` for the first message `wanted` accepts and
-    /// returns it, buffering everything else (in-flight training traffic)
-    /// for the caller's main loop. `Ok(None)` on timeout.
-    pub fn await_reply(
-        &mut self,
-        t: u64,
-        wait: Duration,
-        wanted: impl Fn(&ColMsg) -> bool,
-    ) -> Result<Option<Envelope<ColMsg>>, TrainError> {
-        let deadline = Instant::now() + wait;
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Ok(None);
-            }
-            match self.master.recv_timeout(left) {
-                Ok(env) if wanted(&env.payload) => return Ok(Some(env)),
-                Ok(env) => self.pending.push_back(env),
-                Err(NetError::Timeout) => return Ok(None),
-                Err(source) => {
-                    return Err(TrainError::Network {
-                        iteration: t,
-                        source,
-                    })
-                }
-            }
-        }
-    }
-
     /// Whether the pending buffer already carries direct evidence about
     /// worker `w` at iteration `t` (so probing it would be redundant).
     pub fn pending_has_evidence(&self, t: u64, w: usize) -> bool {
-        self.pending
-            .iter()
-            .any(|env| is_evidence(&env.payload, t, w))
+        let mut pending = self.rt.pending.iter();
+        pending.any(|env| is_evidence(&env.payload, t, w))
     }
 
     /// Probes a silent worker over the reliable control plane to classify
@@ -599,6 +496,7 @@ impl MasterCore {
     /// failure (unloaded, unreachable, or silent).
     pub fn probe_worker(&mut self, t: u64, w: usize) -> Result<Probed, TrainError> {
         if self
+            .rt
             .master
             .send_reliable(NodeId::Worker(w), ColMsg::Probe { iteration: t })
             .is_err()
@@ -611,7 +509,7 @@ impl MasterCore {
             matches!(m, ColMsg::ProbeAck { worker, iteration, .. } if (*worker, *iteration) == (w, t))
                 || is_evidence(m, t, w)
         };
-        Ok(match self.await_reply(t, self.deadline(), answer)? {
+        Ok(match self.rt.await_reply(t, self.deadline(), answer)? {
             None => Probed::Dead,
             Some(Envelope {
                 payload: ColMsg::ProbeAck { loaded, .. },
@@ -620,7 +518,7 @@ impl MasterCore {
             // The answer was merely slow, or the worker's panic report
             // arrived: let the main loop consume it.
             Some(evidence) => {
-                self.pending.push_back(evidence);
+                self.rt.pending.push_back(evidence);
                 Probed::Deferred
             }
         })
@@ -659,40 +557,25 @@ impl MasterCore {
             recovery_cost_s,
             attempt: step.attempts[worker],
         };
-        self.recorder.fault(ev.to_fault_record());
+        self.rt.recorder.fault(ev.to_fault_record());
         step.recovery.push(ev);
     }
 
-    /// The load barrier: waits until `accept` has taken `n` acknowledgements
-    /// (`what` names them in the error). The bulk deadline is absolute and
-    /// refreshed on every accepted ack — progress resets the clock, stray
-    /// messages (`accept` returns `false`) are logged and dropped and do
-    /// not.
+    /// The load barrier: the slot barrier over `n` acknowledgements with
+    /// the bulk deadline; `ack` maps a message to `(slot, value)` (`what`
+    /// names the acks in the error).
     ///
     /// # Errors
-    /// [`TrainError::LoadFailed`] when the deadline passes first, or
-    /// whatever `accept` rejects an ack with.
-    pub fn await_acks(
+    /// [`TrainError::LoadFailed`] when the deadline passes first.
+    pub fn await_acks<T>(
         &mut self,
         n: usize,
         what: &str,
-        mut accept: impl FnMut(ColMsg) -> Result<bool, TrainError>,
-    ) -> Result<(), TrainError> {
-        let mut deadline = Instant::now() + self.bulk_deadline();
-        let mut acks = 0;
-        while acks < n {
-            let env = self
-                .recv_next(deadline)
-                .map_err(|e| TrainError::LoadFailed(format!("only {acks}/{n} {what}: {e}")))?;
-            let name = env.payload.name();
-            if accept(env.payload)? {
-                acks += 1;
-                deadline = Instant::now() + self.bulk_deadline();
-            } else {
-                eprintln!("master: dropping unexpected {name} during load");
-            }
-        }
-        Ok(())
+        ack: impl FnMut(ColMsg) -> Option<(usize, T)>,
+    ) -> Result<Vec<T>, TrainError> {
+        let wait = self.bulk_deadline();
+        let acks = self.rt.await_slots(n, wait, "load", ack);
+        acks.map_err(|e| TrainError::LoadFailed(format!("only {}/{n} {what}: {}", e.got, e.source)))
     }
 
     /// Prices the metered loading traffic into a simulated makespan.
@@ -702,11 +585,11 @@ impl MasterCore {
     /// so the source is not a serial lane — only worker lanes (their HDFS
     /// share plus the workset shuffle) bound the makespan.
     pub fn price_load(&self) -> LoadReport {
-        let total = self.traffic.total();
+        let traffic = &self.rt.traffic;
+        let total = traffic.total();
         let mut worst = 0.0f64;
         for node in (0..self.slots).map(NodeId::Worker) {
-            let sent = self.traffic.sent_by(node);
-            let recv = self.traffic.received_by(node);
+            let (sent, recv) = (traffic.sent_by(node), traffic.received_by(node));
             let lane = (sent.bytes + recv.bytes) as f64 / self.net.bandwidth_bytes_per_s
                 + (sent.messages + recv.messages) as f64 * PER_OBJECT_S;
             worst = worst.max(lane);
@@ -728,223 +611,9 @@ impl MasterCore {
             .collect()
     }
 
-    /// The tail every superstep ends with: trace spans, batch loss, the
-    /// simulated clock, the convergence curve, the metrics export, the
-    /// live trace tail, and the online monitor.
-    ///
-    /// # Errors
-    /// [`TrainError::Diverged`] when the monitor's loss guard trips.
-    pub fn finish_superstep(
-        &mut self,
-        s: &Superstep<'_>,
-        clock: &mut SimClock,
-        curve: &mut Curve,
-    ) -> Result<(), TrainError> {
-        if self.recorder.is_enabled() {
-            self.emit_superstep(s);
-        }
-        let loss = self
-            .cfg
-            .model
-            .loss_from_stats(&self.batch_labels(s.t), s.agg);
-        if s.charge > 0.0 {
-            clock.charge(s.charge);
-        }
-        clock.record(IterationTime {
-            compute_s: s.stat_phase + s.upd_phase,
-            comm_s: s.gather.0 + s.bcast.0,
-            overhead_s: self.net.scheduling_overhead_s,
-        });
-        curve.push(s.t, clock.elapsed_s(), loss);
-        self.export_metrics(loss, clock.elapsed_s(), s.compute_times, s.stat_phase);
-        // Live tail: append this superstep's merged events to the attached
-        // trace file (no-op unless a sink is attached). A full disk must
-        // not kill training.
-        let _ = self.recorder.flush_live();
-
-        if self.monitor.is_enabled() {
-            // The straggler detector sees the post-injection compute times
-            // (what the barrier actually paid); the comm gauge sees
-            // cumulative sent bytes and differences them itself.
-            let sent: Vec<u64> = self
-                .traffic
-                .per_worker_sent(self.slots)
-                .iter()
-                .map(|s| s.bytes)
-                .collect();
-            self.monitor.observe_superstep(SuperstepObs {
-                iteration: s.t,
-                compute: s.observed,
-                sent_bytes: &sent,
-                loss,
-                sim_elapsed_s: clock.elapsed_s(),
-            });
-            if let Some(reason) = self.monitor.should_stop() {
-                // The loss guard tripped: surface it through the typed
-                // error machinery so callers and telemetry see one unified
-                // fatal-fault vocabulary.
-                return Err(TrainError::Diverged {
-                    iteration: s.t,
-                    reason,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Emits the six per-iteration [`SuperstepSpan`]s plus the
-    /// [`KernelRecord`] for the statistics kernel. Sample is an
-    /// informational *subset* of compute (same timer); gather/broadcast
-    /// carry both the modeled time (from metered bytes) and the measured
-    /// wall-clock the master actually spent on the barrier — the
-    /// `transport_xval` experiment compares the two across backends;
-    /// overhead folds in the scheduling constant plus this iteration's
-    /// recovery charge, so the six spans sum to exactly the clock's delta
-    /// for the iteration.
-    fn emit_superstep(&self, s: &Superstep<'_>) {
-        let max = |xs: &[f64]| xs.iter().copied().fold(0.0f64, f64::max);
-        let spans = [
-            (Phase::Sample, max(s.sample_times), 0.0, s.sample_times),
-            (Phase::Compute, s.stat_phase, 0.0, s.compute_times),
-            (Phase::Gather, s.gather.0, s.gather.1, &[] as &[f64]),
-            (Phase::Broadcast, s.bcast.0, s.bcast.1, &[]),
-            (Phase::Update, s.upd_phase, 0.0, s.update_times),
-            (
-                Phase::Overhead,
-                self.net.scheduling_overhead_s + s.charge,
-                0.0,
-                &[],
-            ),
-        ];
-        for (phase, sim_s, wall_s, per_worker) in spans {
-            self.recorder.superstep(SuperstepSpan {
-                iteration: s.t,
-                phase,
-                sim_s,
-                measured_s: if phase.is_timer_derived() {
-                    sim_s
-                } else {
-                    wall_s
-                },
-                per_worker: per_worker.to_vec(),
-            });
-        }
-        self.recorder.kernel(KernelRecord {
-            iteration: s.t,
-            model: self.cfg.model.label().to_string(),
-            batch_size: self.cfg.batch_size as u64,
-            pool_width: self.cfg.threads_per_worker as u64,
-            flops_proxy: self.cfg.model.flops_proxy(self.cfg.batch_size, s.counted),
-            worker: None,
-        });
-    }
-
-    /// Attaches a [`MetricsRegistry`]: registers the engine's metric
-    /// families and, from then on, exports one sample set per superstep
-    /// from observations the engine already collects — the data plane is
-    /// never metered twice.
-    pub fn attach_metrics(&mut self, metrics: MetricsRegistry) {
-        metrics.register_counter("columnsgd_supersteps_total", "Completed supersteps.");
-        metrics.register_gauge("columnsgd_loss", "Batch loss at the latest superstep.");
-        metrics.register_gauge(
-            "columnsgd_sim_elapsed_seconds",
-            "Simulated seconds elapsed on the cost-model clock.",
-        );
-        metrics.register_gauge(
-            "columnsgd_worker_compute_seconds",
-            "Latest statistics-phase compute seconds, per worker.",
-        );
-        metrics.register_gauge(
-            "columnsgd_monitor_alarms_total",
-            "Diagnostics alarms raised so far (0 unless a monitor is attached).",
-        );
-        metrics.register_counter(
-            "columnsgd_comm_bytes_total",
-            "Bytes metered by the router across all deliveries.",
-        );
-        metrics.register_counter(
-            "columnsgd_comm_messages_total",
-            "Messages metered by the router across all deliveries.",
-        );
-        metrics.register_histogram(
-            "columnsgd_superstep_compute_seconds",
-            "Effective statistics-phase (barrier) seconds per superstep.",
-            &[1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0],
-        );
-        self.metrics = Some(metrics);
-    }
-
-    /// Per-superstep metrics export (no-op unless a registry is attached).
-    /// Counters take deltas against the cumulative router meter;
-    /// everything else is a point sample of state the superstep already
-    /// computed.
-    fn export_metrics(
-        &mut self,
-        loss: f64,
-        sim_elapsed_s: f64,
-        compute_times: &[f64],
-        stat_phase: f64,
-    ) {
-        let Some(m) = &self.metrics else { return };
-        m.counter_add("columnsgd_supersteps_total", &[], 1.0);
-        m.gauge_set("columnsgd_loss", &[], loss);
-        m.gauge_set("columnsgd_sim_elapsed_seconds", &[], sim_elapsed_s);
-        for (w, &c) in compute_times.iter().enumerate() {
-            let label = w.to_string();
-            m.gauge_set("columnsgd_worker_compute_seconds", &[("worker", &label)], c);
-        }
-        m.histogram_observe("columnsgd_superstep_compute_seconds", &[], stat_phase);
-        let total = self.traffic.total();
-        let (last_bytes, last_msgs) = self.metrics_last_traffic;
-        m.counter_add(
-            "columnsgd_comm_bytes_total",
-            &[],
-            total.bytes.saturating_sub(last_bytes) as f64,
-        );
-        m.counter_add(
-            "columnsgd_comm_messages_total",
-            &[],
-            total.messages.saturating_sub(last_msgs) as f64,
-        );
-        self.metrics_last_traffic = (total.bytes, total.messages);
-        if self.monitor.is_enabled() {
-            m.gauge_set(
-                "columnsgd_monitor_alarms_total",
-                &[],
-                self.monitor.report().total() as f64,
-            );
-        }
-    }
-
-    /// Closes a completed training loop: folds the master-side profiler
-    /// accumulation (engine phases, codec, kernel scopes on hub threads)
-    /// into the trace as `prof` events — worker-side samples already
-    /// arrived, causally ordered before each superstep's barrier replies —
-    /// and checks the trace against the meter.
-    ///
-    /// # Errors
-    /// [`TrainError::Internal`] when the trace's comm records do not
-    /// reconcile *exactly* with the router's byte meter (one `CommRecord`
-    /// per metered delivery, by construction).
-    pub fn finish_train(&self) -> Result<(), TrainError> {
-        self.recorder.prof_drain(None);
-        if self.recorder.is_enabled() {
-            let s = self.recorder.summary();
-            let total = self.traffic.total();
-            if (s.comm_bytes, s.comm_messages) != (total.bytes, total.messages) {
-                return Err(TrainError::Internal(format!(
-                    "telemetry comm records diverge from router metering: \
-                     trace {}B/{} vs meter {}B/{}",
-                    s.comm_bytes, s.comm_messages, total.bytes, total.messages
-                )));
-            }
-        }
-        Ok(())
-    }
-
     /// Asks `workers` for their model partitions over the reliable plane
     /// (so chaos cannot wedge it) and returns one `(worker, parts)` per
-    /// worker, in arrival order.
+    /// worker, in `workers` order.
     ///
     /// # Errors
     /// [`TrainError::Network`] when a worker cannot answer within the bulk
@@ -953,33 +622,27 @@ impl MasterCore {
         let iteration = self.cfg.iterations;
         let net_err = |source| TrainError::Network { iteration, source };
         for &w in workers {
-            self.master
-                .send_reliable(NodeId::Worker(w), ColMsg::FetchModel)
-                .map_err(net_err)?;
+            let to = NodeId::Worker(w);
+            let sent = self.rt.master.send_reliable(to, ColMsg::FetchModel);
+            sent.map_err(net_err)?;
         }
-        let mut deadline = Instant::now() + self.bulk_deadline();
-        let mut replied = BTreeSet::new();
-        let mut replies = Vec::with_capacity(workers.len());
-        while replies.len() < workers.len() {
-            let env = self.recv_next(deadline).map_err(net_err)?;
-            let ColMsg::ModelReply { worker, parts } = env.payload else {
-                // Leftover training traffic (stale acks, late replies).
-                continue;
-            };
-            if replied.insert(worker) {
-                // Progress: a fresh worker answered; restart the clock.
-                deadline = Instant::now() + self.bulk_deadline();
-                replies.push((worker, parts));
+        let wait = self.bulk_deadline();
+        let reply = |msg| match msg {
+            ColMsg::ModelReply { worker, parts } => {
+                Some((workers.iter().position(|&w| w == worker)?, (worker, parts)))
             }
-        }
-        Ok(replies)
+            _ => None,
+        };
+        let n = workers.len();
+        let replies = self.rt.await_slots(n, wait, "model fetch", reply);
+        replies.map_err(|e| net_err(e.source))
     }
 
     /// Gathers every model partition from `workers` and reassembles the
     /// full model — an inspection path for tests/examples, not part of the
     /// paper's training protocol (ColumnSGD never materializes the full
-    /// model). The first copy of a partition to arrive wins; replicas
-    /// carry identical copies after a clean run.
+    /// model). The copy from the first worker in `workers` that holds a
+    /// partition wins; replicas carry identical copies after a clean run.
     ///
     /// # Errors
     /// Same contract as [`MasterCore::fetch_models`].
@@ -1023,13 +686,7 @@ impl MasterCore {
     /// [`TrainError::Diverged`] when the monitor's loss guard trips.
     pub fn train<P: Placement>(&mut self, p: &mut P) -> Result<TrainOutcome, TrainError> {
         let out = self.train_inner(p);
-        if let Err(e) = &out {
-            // Terminal errors join the telemetry fault stream as
-            // `fatal: true` records — one unified vocabulary for
-            // recovered and unrecoverable faults.
-            self.recorder.fault(e.to_fault_record());
-        }
-        out
+        self.rt.record_fatal(out)
     }
 
     fn train_inner<P: Placement>(&mut self, p: &mut P) -> Result<TrainOutcome, TrainError> {
@@ -1085,7 +742,7 @@ impl MasterCore {
                 iteration: t,
                 stats: std::mem::take(&mut red.agg),
             };
-            let sent = self.master.broadcast(&tos, &msg);
+            let sent = self.rt.master.broadcast(&tos, &msg);
             if let ColMsg::Update { stats, .. } = msg {
                 red.agg = stats;
             }
@@ -1113,33 +770,46 @@ impl MasterCore {
             let bcast_bytes = (ColMsg::update_wire_size(red.agg.len()) + ENVELOPE_BYTES) as u64;
             let bcast_s = self.net.broadcast_time(bcast_bytes, red.updaters.len());
             let (compute_times, sample_times) = step.lane_times(self.slots);
-            self.finish_superstep(
-                &Superstep {
-                    t,
-                    sample_times: &sample_times,
-                    compute_times: &compute_times,
-                    observed: &p.observed(&compute_times),
-                    stat_phase: red.stat_phase,
-                    gather: (red.gather_s, gather_wall),
-                    bcast: (bcast_s, bcast_wall),
-                    update_times: &update_times,
-                    upd_phase,
-                    charge: step.charge,
-                    counted: red.counted,
-                    agg: &red.agg,
-                },
-                &mut clock,
-                &mut curve,
-            )?;
+            let loss = self
+                .cfg
+                .model
+                .loss_from_stats(&self.batch_labels(t), &red.agg);
+            let s = Superstep {
+                t,
+                sample_times: &sample_times,
+                compute_times: &compute_times,
+                observed: &p.observed(&compute_times),
+                stat_phase: red.stat_phase,
+                gather: (red.gather_s, gather_wall),
+                bcast: (bcast_s, bcast_wall),
+                update_times: &update_times,
+                upd_phase,
+                overhead_s: self.net.scheduling_overhead_s,
+                charge: step.charge,
+                loss,
+                model: self.cfg.model,
+                batch_size: self.cfg.batch_size,
+                pool_width: self.cfg.threads_per_worker,
+                counted: red.counted,
+            };
+            if let Some(reason) = self.rt.finish_superstep(&s, &mut clock, &mut curve) {
+                // The loss guard tripped: surface it through the typed
+                // error machinery so callers and telemetry see one unified
+                // fatal-fault vocabulary.
+                return Err(TrainError::Diverged {
+                    iteration: t,
+                    reason,
+                });
+            }
         }
-        self.finish_train()?;
+        self.rt.finish_train()?;
 
         Ok(TrainOutcome {
             curve,
             clock,
             recovery: step.recovery,
             run: self.run_stamp(),
-            diagnostics: self.monitor.report(),
+            diagnostics: self.rt.monitor.report(),
         })
     }
 
@@ -1163,7 +833,7 @@ impl MasterCore {
                 pids: task.pids.clone(),
             }
         };
-        self.master.send(NodeId::Worker(task.worker), msg)
+        self.rt.master.send(NodeId::Worker(task.worker), msg)
     }
 
     /// Issues task `i`. A dead mailbox is a detected worker failure: the
@@ -1229,7 +899,7 @@ impl MasterCore {
         for i in (0..step.tasks.len()).filter(|&i| step.tasks[i].worker == w) {
             let _ = self.send_task(step, i);
         }
-        let _ = self.master.send(
+        let _ = self.rt.master.send(
             NodeId::Worker(w),
             ColMsg::Update {
                 iteration: step.t,
@@ -1302,7 +972,7 @@ impl MasterCore {
             if !open {
                 return Ok(started.elapsed().as_secs_f64());
             }
-            let env = match self.recv_next(wait_until) {
+            let env = match self.rt.recv_next(wait_until) {
                 Ok(env) => env,
                 Err(NetError::Timeout) => {
                     // Detection: deadline expired with answers missing.
@@ -1483,19 +1153,6 @@ fn is_evidence(msg: &ColMsg, t: u64, w: usize) -> bool {
     }
 }
 
-impl Drop for MasterCore {
-    fn drop(&mut self) {
-        for w in self.host.running() {
-            // Reliable plane: a chaos-dropped Shutdown would hang the join.
-            // Workers may already be gone; ignore errors.
-            let _ = self
-                .master
-                .send_reliable(NodeId::Worker(w), ColMsg::Shutdown);
-        }
-        self.host.shutdown();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use columnsgd_data::synth;
@@ -1638,10 +1295,12 @@ mod tests {
     #[test]
     fn trace_meter_divergence_is_a_typed_error() {
         let core = idle_core(1);
-        assert!(core.finish_train().is_ok(), "empty trace, empty meter");
+        assert!(core.rt.finish_train().is_ok(), "empty trace, empty meter");
         // Bytes the meter saw but the trace did not.
-        core.traffic.record(NodeId::Worker(0), NodeId::Master, 64);
-        match core.finish_train() {
+        core.rt
+            .traffic
+            .record(NodeId::Worker(0), NodeId::Master, 64);
+        match core.rt.finish_train() {
             Err(TrainError::Internal(why)) => assert!(why.contains("diverge"), "{why}"),
             other => panic!("expected TrainError::Internal, got {other:?}"),
         }

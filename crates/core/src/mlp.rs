@@ -15,7 +15,7 @@
 //! measures — statistics volume and priced communication per layer — does
 //! not depend on physical placement. Every logical transfer is metered on
 //! the corresponding `Worker(w) ↔ Master` link via
-//! [`columnsgd_cluster::Router::meter_only`]-style accounting directly on
+//! [`columnsgd_cluster::Router::meter_as`]-style accounting directly on
 //! [`TrafficStats`].
 
 use columnsgd_cluster::clock::IterationTime;

@@ -12,7 +12,7 @@
 //!   takes a local SGD step, then the replicas are averaged with a ring
 //!   AllReduce \[27\]; no master-side model.
 //! * **Petuum-style dense-pull PS** ([`RowSgdVariant::PsDense`]): the model
-//!   is range-partitioned over P parameter servers; workers pull **all**
+//!   is hash-sharded over P parameter servers; workers pull **all**
 //!   dimensions ("MLlib and Petuum have to pull all dimensions", §V-B2)
 //!   and push sparse gradients to the owning servers.
 //! * **MXNet-style sparse-pull PS** ([`RowSgdVariant::PsSparse`]): same
@@ -24,11 +24,14 @@
 //! The parameter servers are *logical* nodes hosted on the driver thread:
 //! their state is exact (one shard of the model + optimizer per server)
 //! and every byte that logically crosses a `Server(p) ↔ Worker(w)` link is
-//! metered on that link (see `Router::send_via` / `Router::meter_only`),
-//! so traffic accounting and time pricing are identical to running them on
-//! separate threads. Only the *compute* of servers runs on the driver —
-//! and server compute is priced analytically (the per-key cost model),
-//! not measured, for exactly this reason.
+//! metered on that link (see `Router::meter_as`; the physical message
+//! travels unmetered via `Router::send_unmetered`), so traffic accounting
+//! and time pricing are identical to running them on separate threads.
+//! Only the *compute* of servers runs on the driver — and server compute
+//! is priced analytically (the per-key cost model), not measured, for
+//! exactly this reason.
+//! The master itself runs on `columnsgd_core::runtime::Runtime`, like the
+//! ColumnSGD engines; this crate supplies a launcher and four step bodies.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

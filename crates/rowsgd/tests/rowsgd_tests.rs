@@ -2,7 +2,8 @@
 //! variant, MLlib-vs-PS trajectory equality, traffic scaling laws, and the
 //! comparative behaviours the paper's evaluation rests on.
 
-use columnsgd_cluster::{NetworkModel, NodeId};
+use columnsgd_cluster::telemetry::{Event, Phase};
+use columnsgd_cluster::{ClusterConfig, NetworkModel, NodeId, Recorder};
 use columnsgd_data::synth;
 use columnsgd_ml::serial;
 use columnsgd_ml::ModelSpec;
@@ -300,4 +301,76 @@ fn mllib_star_replicas_stay_in_sync() {
     let rows: Vec<_> = ds.iter().cloned().collect();
     let acc = serial::full_accuracy(ModelSpec::Lr, &model, &rows);
     assert!(acc > 0.7, "MLlib* accuracy {acc}");
+}
+
+/// MLlib prices each gathered dense gradient at exactly the bytes the
+/// router metered for its `GradReplyDense` (payload + envelope).
+#[test]
+fn mllib_gather_is_priced_at_metered_reply_bytes() {
+    let (k, iterations) = (3, 2);
+    let ds = synth::small_test_dataset(200, 40, 3);
+    let cfg = RowSgdConfig::new(ModelSpec::Lr, RowSgdVariant::MLlib)
+        .with_batch_size(30)
+        .with_iterations(iterations);
+    let net = NetworkModel::CLUSTER1;
+    let recorder = Recorder::new();
+    let mut engine = RowSgdEngine::new_clustered(
+        &ds,
+        k,
+        cfg,
+        net,
+        recorder.clone(),
+        &ClusterConfig::in_proc(),
+    )
+    .expect("engine");
+    engine.train().expect("train");
+
+    let events = recorder.events();
+    let replies: Vec<u64> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::Comm(c) if c.kind == "GradReplyDense" => Some(c.wire_bytes),
+            _ => None,
+        })
+        .collect();
+    let gathers: Vec<f64> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::Superstep(s) if s.phase == Phase::Gather => Some(s.sim_s),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(replies.len(), k * iterations as usize);
+    assert_eq!(gathers.len(), iterations as usize);
+    for (metered, priced) in replies.chunks(k).zip(gathers) {
+        assert_eq!(priced.to_bits(), net.gather_time(metered).to_bits());
+    }
+}
+
+/// A trace that disagrees with the meter ends a baseline run with the
+/// same typed error the ColumnSGD engines return — never a panic on the
+/// training path.
+#[test]
+fn trace_meter_divergence_is_a_typed_error() {
+    let ds = synth::small_test_dataset(200, 40, 3);
+    let cfg = RowSgdConfig::new(ModelSpec::Lr, RowSgdVariant::MLlib)
+        .with_batch_size(30)
+        .with_iterations(2);
+    let mut engine = RowSgdEngine::new_clustered(
+        &ds,
+        2,
+        cfg,
+        NetworkModel::INSTANT,
+        Recorder::new(),
+        &ClusterConfig::in_proc(),
+    )
+    .expect("engine");
+    // Bytes the meter saw but the trace did not.
+    engine
+        .traffic()
+        .record(NodeId::Worker(0), NodeId::Master, 64);
+    match engine.train() {
+        Err(TrainError::Internal(why)) => assert!(why.contains("diverge"), "{why}"),
+        other => panic!("expected TrainError::Internal, got {other:?}"),
+    }
 }
