@@ -13,7 +13,6 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod profile;
-pub mod superstep;
 pub mod table1;
 pub mod table4;
 pub mod table5;
@@ -25,7 +24,7 @@ pub mod transport_xval;
 use crate::Report;
 
 /// All experiment ids, in paper order, followed by the extensions.
-pub const ALL_IDS: [&str; 27] = [
+pub const ALL_IDS: [&str; 26] = [
     "table1",
     "table2",
     "table3",
@@ -52,7 +51,6 @@ pub const ALL_IDS: [&str; 27] = [
     "profile",
     "transport_xval",
     "diagnose",
-    "BENCH_superstep",
 ];
 
 /// Runs one experiment by id at the given feature-dimension scale.
@@ -85,7 +83,6 @@ pub fn run(id: &str, scale: f64) -> Option<Vec<Report>> {
         "profile" => vec![profile::run(scale)],
         "transport_xval" => vec![transport_xval::run(scale)],
         "diagnose" => vec![diagnose::run(scale)],
-        "BENCH_superstep" => vec![superstep::run(scale)],
         _ => return None,
     };
     Some(reports)

@@ -20,6 +20,5 @@
 pub mod datasets;
 pub mod experiments;
 pub mod report;
-pub mod superstep;
 
 pub use report::Report;

@@ -21,8 +21,6 @@
 //!   semantics,
 //! * [`failure`]: straggler and failure injection (§V-C's `StragglerLevel`
 //!   methodology, §X's task/worker failures),
-//! * [`allreduce`]: a ring all-reduce primitive (used by the MLlib*
-//!   baseline),
 //! * [`host`]: the one worker host under every engine — thread or process
 //!   slots that are started, respawned and stopped the same way, the boot
 //!   line a worker process reads, and the `main` of a worker binary.
@@ -39,7 +37,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod allreduce;
 pub mod chaos;
 pub mod clock;
 pub mod codec;

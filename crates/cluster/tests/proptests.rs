@@ -1,56 +1,10 @@
-//! Property-based tests for the cluster runtime: the ring all-reduce, the
-//! traffic meter, and the network cost model.
+//! Property-based tests for the cluster runtime: the traffic meter, the
+//! network cost model, and seeded chaos.
 
-use columnsgd_cluster::allreduce::{chunk_bounds, ring_allreduce_sum};
 use columnsgd_cluster::{NetworkModel, NodeId, TrafficStats};
-use columnsgd_linalg::DenseVector;
 use proptest::prelude::*;
 
 proptest! {
-    /// Ring all-reduce equals the reference element-wise sum for any
-    /// participant count, buffer length, and contents.
-    #[test]
-    fn ring_allreduce_is_a_sum(
-        k in 1usize..9,
-        len in 1usize..64,
-        seed in 0u64..1000,
-    ) {
-        let mut buffers: Vec<DenseVector> = (0..k)
-            .map(|w| {
-                DenseVector::from_vec(
-                    (0..len)
-                        .map(|i| ((w as u64 * 31 + i as u64 * 17 + seed) % 101) as f64 - 50.0)
-                        .collect(),
-                )
-            })
-            .collect();
-        let expect: Vec<f64> = (0..len)
-            .map(|i| buffers.iter().map(|b| b.as_slice()[i]).sum())
-            .collect();
-        ring_allreduce_sum(&mut buffers, &TrafficStats::new());
-        for b in &buffers {
-            for (got, want) in b.as_slice().iter().zip(&expect) {
-                prop_assert!((got - want).abs() < 1e-9);
-            }
-        }
-    }
-
-    /// Chunk bounds partition [0, len) exactly, in order, with sizes
-    /// differing by at most one.
-    #[test]
-    fn chunk_bounds_partition(len in 0usize..1000, k in 1usize..16) {
-        let bounds = chunk_bounds(len, k);
-        prop_assert_eq!(bounds.len(), k);
-        prop_assert_eq!(bounds[0].0, 0);
-        prop_assert_eq!(bounds[k - 1].1, len);
-        for w in bounds.windows(2) {
-            prop_assert_eq!(w[0].1, w[1].0);
-        }
-        let sizes: Vec<usize> = bounds.iter().map(|&(lo, hi)| hi - lo).collect();
-        let (mn, mx) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-        prop_assert!(mx - mn <= 1);
-    }
-
     /// Traffic accounting is conservative: the grand total equals the sum
     /// over per-link snapshots, and sent+received partitions the total.
     #[test]
@@ -88,19 +42,6 @@ proptest! {
         prop_assert!(gather + 1e-12 >= m.transfer_time(hi));
         prop_assert!(m.allreduce_time(hi, 4) >= 0.0);
         prop_assert!(m.broadcast_time(hi, 3) >= m.transfer_time(hi));
-    }
-
-    /// Ring all-reduce traffic volume matches the closed form the cost
-    /// model prices: 2(k−1)·len·8 data bytes in 2(k−1)·k messages.
-    #[test]
-    fn ring_traffic_matches_closed_form(k in 2usize..8, len in 1usize..64) {
-        let mut buffers: Vec<DenseVector> = (0..k).map(|_| DenseVector::zeros(len)).collect();
-        let t = TrafficStats::new();
-        ring_allreduce_sum(&mut buffers, &t);
-        let total = t.total();
-        prop_assert_eq!(total.messages as usize, 2 * (k - 1) * k);
-        let envelope = columnsgd_cluster::wire::ENVELOPE_BYTES as u64 * total.messages;
-        prop_assert_eq!(total.bytes - envelope, (2 * (k - 1) * len * 8) as u64);
     }
 }
 

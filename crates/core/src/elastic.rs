@@ -230,11 +230,8 @@ impl ElasticEngine {
     /// # Errors
     /// [`TrainError::InvalidPlan`] for impossible shapes (zero workers,
     /// `initial_workers > max_workers`, `backup_s != 0`, replication with
-    /// one worker, bad failure plans) and [`TrainError::LoadFailed`] when
-    /// the initial placement does not complete.
-    ///
-    /// # Panics
-    /// Panics if the dataset is empty (a configuration bug).
+    /// one worker, bad failure plans) and [`TrainError::LoadFailed`] for an
+    /// empty dataset or when the initial placement does not complete.
     pub fn new(
         dataset: &Dataset,
         cfg: ElasticConfig,
@@ -264,9 +261,6 @@ impl ElasticEngine {
     /// # Errors
     /// [`TrainError::InvalidPlan`] when `cluster` selects the TCP
     /// backend; otherwise the [`ElasticEngine::new`] contract.
-    ///
-    /// # Panics
-    /// Same contract as [`ElasticEngine::new`].
     pub fn new_clustered(
         dataset: &Dataset,
         cfg: ElasticConfig,
@@ -275,7 +269,6 @@ impl ElasticEngine {
         recorder: Recorder,
         cluster: &ClusterConfig,
     ) -> Result<Self, TrainError> {
-        assert!(!dataset.is_empty(), "cannot train on an empty dataset");
         if cluster.transport != TransportKind::InProc {
             return Err(TrainError::InvalidPlan(format!(
                 "the elastic engine requires the in-process transport \

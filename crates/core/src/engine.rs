@@ -89,13 +89,14 @@ impl ColumnSgdEngine {
     /// finish loading.
     ///
     /// # Errors
-    /// Returns [`TrainError::InvalidPlan`] if the failure plan names
-    /// out-of-range workers or carries invalid chaos probabilities, and
-    /// [`TrainError::LoadFailed`] if loading does not complete.
+    /// Returns [`TrainError::InvalidPlan`] for `k == 0` or a failure plan
+    /// that names out-of-range workers or carries invalid chaos
+    /// probabilities, and [`TrainError::LoadFailed`] for an empty dataset
+    /// or if loading does not complete.
     ///
     /// # Panics
-    /// Panics if the dataset is empty or the backup factor does not divide
-    /// K (configuration bugs, not runtime faults).
+    /// Panics if the backup factor does not divide K (a configuration bug,
+    /// not a runtime fault).
     pub fn new(
         dataset: &Dataset,
         k: usize,
@@ -135,7 +136,6 @@ impl ColumnSgdEngine {
         recorder: Recorder,
         cluster: &ClusterConfig,
     ) -> Result<Self, TrainError> {
-        assert!(!dataset.is_empty(), "cannot train on an empty dataset");
         let queue = dataset.into_block_queue(cfg.block_size);
         let blocks: Vec<Block> = queue.iter().cloned().collect();
         Self::from_blocks_clustered(

@@ -373,8 +373,8 @@ impl MasterCore {
     /// are not dense and sequential — the label lookup indexes blocks by
     /// id, and both producers (`Dataset::into_block_queue` and
     /// `libsvm::BlockReader`) emit `0, 1, …`; arbitrary ids would silently
-    /// misattribute batch labels — and [`TrainError::InvalidPlan`] for a
-    /// failure plan that names workers outside the slots.
+    /// misattribute batch labels — and [`TrainError::InvalidPlan`] for
+    /// zero slots or a failure plan that names workers outside the slots.
     pub fn open_run(
         mut cfg: ColumnSgdConfig,
         slots: usize,
@@ -383,6 +383,11 @@ impl MasterCore {
         blocks: &[Block],
         recorder: &Recorder,
     ) -> Result<ColumnSgdConfig, TrainError> {
+        if slots == 0 {
+            return Err(TrainError::InvalidPlan(
+                "need at least one worker".to_string(),
+            ));
+        }
         if blocks.is_empty() {
             return Err(TrainError::LoadFailed("empty block set".to_string()));
         }

@@ -5,7 +5,10 @@
 use columnsgd_cluster::failure::FailureEvent;
 use columnsgd_cluster::{ChaosSpec, ClusterConfig, FailurePlan, NetworkModel, NodeId, Recorder};
 use columnsgd_core::config::PartitionScheme;
-use columnsgd_core::{ColumnSgdConfig, ColumnSgdEngine, DetectionMethod, FaultKind, TrainError};
+use columnsgd_core::{
+    ColumnSgdConfig, ColumnSgdEngine, DetectionMethod, ElasticConfig, ElasticEngine, FaultKind,
+    TrainError,
+};
 use columnsgd_data::{synth, Dataset};
 use columnsgd_ml::serial::{self, SerialConfig};
 use columnsgd_ml::{ModelSpec, OptimizerKind, UpdateParams};
@@ -544,6 +547,37 @@ fn invalid_plan_rejected_at_construction() {
             assert!(msg.contains("worker 9"), "message was: {msg}");
         }
         other => panic!("expected InvalidPlan, got {:?}", other.map(|_| ())),
+    }
+}
+
+/// Zero workers and an empty dataset are shapes, not faults: both engines
+/// reject them with a typed error before any worker starts, the same
+/// contract the RowSGD baselines keep.
+#[test]
+fn zero_workers_and_empty_dataset_are_typed_errors() {
+    let ds = dataset(200, 40, 3);
+    let empty = Dataset::with_dimension(Vec::new(), 40);
+    let cfg = base_cfg(ModelSpec::Lr);
+    let build = |ds: &Dataset, k: usize| {
+        ColumnSgdEngine::new(ds, k, cfg, NetworkModel::INSTANT, FailurePlan::none()).map(|_| ())
+    };
+    match build(&ds, 0) {
+        Err(TrainError::InvalidPlan(msg)) => assert!(msg.contains("worker"), "{msg}"),
+        other => panic!("k = 0: expected InvalidPlan, got {other:?}"),
+    }
+    match build(&empty, 2) {
+        Err(TrainError::LoadFailed(msg)) => assert!(msg.contains("empty"), "{msg}"),
+        other => panic!("empty dataset: expected LoadFailed, got {other:?}"),
+    }
+    let elastic = ElasticEngine::new(
+        &empty,
+        ElasticConfig::new(cfg, 2, 2),
+        NetworkModel::INSTANT,
+        FailurePlan::none(),
+    );
+    match elastic.map(|_| ()) {
+        Err(TrainError::LoadFailed(msg)) => assert!(msg.contains("empty"), "{msg}"),
+        other => panic!("elastic, empty dataset: expected LoadFailed, got {other:?}"),
     }
 }
 

@@ -1,5 +1,5 @@
 //! Training-curve bookkeeping and evaluation metrics shared by engines
-//! and benches.
+//! and experiments.
 
 /// Area under the ROC curve for binary ±1 labels and real-valued scores.
 ///

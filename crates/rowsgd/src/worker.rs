@@ -8,7 +8,6 @@
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
-use columnsgd_cluster::allreduce::chunk_bounds;
 use columnsgd_cluster::telemetry::FaultRecord;
 use columnsgd_cluster::{Endpoint, NodeId, Recorder};
 use columnsgd_linalg::rng;
@@ -33,6 +32,23 @@ pub fn grad_and_loss(
     accum.reset(params);
     spec.accumulate_grad(params, batch, &stats, accum);
     loss
+}
+
+/// Chunk boundaries of the MLlib* ring: splits `len` into `k`
+/// nearly-equal ranges, the first `len % k` one element longer. Every
+/// participant computes the same split, so chunk `c` names the same range
+/// on every worker.
+fn chunk_bounds(len: usize, k: usize) -> Vec<(usize, usize)> {
+    let base = len / k;
+    let extra = len % k;
+    let mut out = Vec::with_capacity(k);
+    let mut start = 0;
+    for i in 0..k {
+        let sz = base + usize::from(i < extra);
+        out.push((start, start + sz));
+        start += sz;
+    }
+    out
 }
 
 struct RowWorker {
@@ -532,6 +548,25 @@ pub fn run_row_worker(
 mod tests {
     use super::*;
     use columnsgd_ml::ModelSpec;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Chunk bounds partition [0, len) exactly, in order, with sizes
+        /// differing by at most one.
+        #[test]
+        fn chunk_bounds_partition(len in 0usize..1000, k in 1usize..16) {
+            let bounds = chunk_bounds(len, k);
+            prop_assert_eq!(bounds.len(), k);
+            prop_assert_eq!(bounds[0].0, 0);
+            prop_assert_eq!(bounds[k - 1].1, len);
+            for w in bounds.windows(2) {
+                prop_assert_eq!(w[0].1, w[1].0);
+            }
+            let sizes: Vec<usize> = bounds.iter().map(|&(lo, hi)| hi - lo).collect();
+            let (mn, mx) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+            prop_assert!(mx - mn <= 1);
+        }
+    }
 
     #[test]
     fn grad_and_loss_consistent_with_row_gradient() {

@@ -24,8 +24,7 @@
 //! compare with [`DiagnosticEvent::canonical`].
 //!
 //! Like [`crate::Recorder`], the default [`Monitor::disabled`] is a no-op
-//! behind a single `Option` check; the `monitor_overhead` bench holds the
-//! enabled path to negligible per-superstep cost.
+//! behind a single `Option` check.
 
 use std::collections::VecDeque;
 use std::fmt;

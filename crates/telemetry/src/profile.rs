@@ -13,7 +13,7 @@
 //!
 //! Profiling is off by default behind one process-global relaxed atomic:
 //! the disabled [`ProfScope::enter`] is a single load returning an inert
-//! guard, which the `profiling_overhead` bench holds within noise.
+//! guard.
 //!
 //! [`drain`] merges every registered thread slot into a sorted batch of
 //! [`ProfRecord`] *deltas* (counts since the previous drain). The master
