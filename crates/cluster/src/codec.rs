@@ -1,29 +1,23 @@
-//! A real byte serializer whose frame sizes equal the analytic model.
+//! The wire format, and the one statement of every message's size.
 //!
-//! Every protocol payload in this workspace already carries an *analytic*
-//! wire footprint via [`Wire::wire_size`]; the in-process backend meters
-//! those numbers without ever materializing bytes. The TCP backend sends
-//! real frames, and the whole substitution argument (DESIGN.md §1/§12)
-//! rests on one invariant:
+//! A payload's encoder writes into a [`Sink`]. Into a `Vec<u8>` it
+//! produces the bytes the TCP backend puts on a socket; into a [`Count`]
+//! it produces only their number. [`wire_size`] is that count, so the
+//! meter the router keeps, the TCP frame header and every engine's
+//! pricing all read the size off the encoder itself: **the encoder is
+//! the size**. There is no second, hand-written size formula to drift
+//! from the bytes. Counting is O(fields), not O(bytes): a [`Count`] adds
+//! `8·len` for a whole `f64`/`u64` slice in one step.
 //!
-//! > the serialized body of a message is **exactly**
-//! > `payload.wire_size() + ENVELOPE_BYTES` bytes long.
-//!
-//! [`encode_envelope`] asserts this at encode time and
-//! [`decode_envelope_header`] re-checks it at ingress, so a formula drift
-//! between `wire_size()` and a codec impl is an immediate error, not a
-//! silent meter skew.
-//!
-//! # Encoding rules (mirroring the `Wire` accounting)
+//! # Encoding rules
 //!
 //! * `u64` / `f64`: 8 bytes little-endian.
 //! * `usize`: **pinned to `u64`** — 8 bytes little-endian on every host.
 //!   `usize` is platform-width; encoding it natively would make 32-bit
-//!   and 64-bit hosts disagree on frame sizes (and `Wire` charges 8).
+//!   and 64-bit hosts meter different byte totals for the same run.
 //! * `bool` and enum tags: 1 byte.
 //! * `String`: 8-byte length + UTF-8 bytes.
 //! * `Vec<T>`: 8-byte element count + elements.
-//! * `Option<T>`: 1-byte tag + payload if `Some`.
 //! * Tuples/structs: fields concatenated, no padding.
 //!
 //! # Envelope header (the metered `ENVELOPE_BYTES`)
@@ -38,6 +32,8 @@
 
 use std::io::{self, Read, Write};
 
+use columnsgd_data::block::Block;
+use columnsgd_data::Workset;
 use columnsgd_linalg::{CsrMatrix, DenseVector, SparseVector};
 
 use crate::node::NodeId;
@@ -45,7 +41,9 @@ use crate::telemetry::{
     CommFault, CommRecord, Event, FaultRecord, KernelRecord, NodeRef, Phase, Plane, ProfRecord,
     ProfScope, SuperstepSpan,
 };
-use crate::wire::{Wire, ENVELOPE_BYTES};
+
+/// Envelope overhead charged per message (sender, receiver, tag, length).
+pub const ENVELOPE_BYTES: usize = 32;
 
 /// Errors surfaced while encoding or decoding frames.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,14 +55,15 @@ pub enum CodecError {
     },
     /// The bytes decoded but violate a protocol invariant.
     Malformed(String),
-    /// The value cannot be represented within its analytic wire footprint
-    /// (e.g. a parameter-block layout outside the model taxonomy).
+    /// The value has no encoding (e.g. a parameter-block layout outside
+    /// the model taxonomy).
     Unsupported(String),
-    /// The encoded body length disagrees with `wire_size()`.
+    /// A frame's length disagrees with its header or with the size of
+    /// the payload it decodes to.
     SizeMismatch {
         /// `wire_size() + ENVELOPE_BYTES`.
         expected: usize,
-        /// Actual encoded length.
+        /// Actual frame length.
         actual: usize,
     },
 }
@@ -86,67 +85,128 @@ impl std::fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 // ---------------------------------------------------------------------------
-// Primitive writers
+// Sinks
 // ---------------------------------------------------------------------------
 
-/// Appends a `u64` (8 bytes LE).
-#[inline]
-pub fn put_u64(out: &mut Vec<u8>, x: u64) {
-    out.extend_from_slice(&x.to_le_bytes());
-}
+/// Where an encoder writes: a byte buffer (`Vec<u8>`), or a [`Count`] of
+/// the bytes it would write. Every encoder is generic over it, so the
+/// two cannot disagree.
+pub trait Sink {
+    /// One byte.
+    fn put_u8(&mut self, x: u8);
+    /// A `u32` (4 bytes LE).
+    fn put_u32(&mut self, x: u32);
+    /// A `u64` (8 bytes LE).
+    fn put_u64(&mut self, x: u64);
+    /// An `f64` (8 bytes LE, bit pattern preserved — NaNs included).
+    fn put_f64(&mut self, x: f64);
+    /// Raw bytes, no length header.
+    fn put_bytes(&mut self, b: &[u8]);
+    /// `f64`s back to back, no length header.
+    fn put_f64_slice(&mut self, xs: &[f64]);
+    /// `u64`s back to back, no length header.
+    fn put_u64_slice(&mut self, xs: &[u64]);
 
-/// Appends a `usize` pinned to the `u64` wire encoding (8 bytes LE on
-/// every host — the `Wire` accounting charges 8 regardless of
-/// `size_of::<usize>()`).
-#[inline]
-pub fn put_usize(out: &mut Vec<u8>, x: usize) {
-    put_u64(out, x as u64);
-}
-
-/// Appends an `f64` (8 bytes LE, bit pattern preserved — NaNs included).
-#[inline]
-pub fn put_f64(out: &mut Vec<u8>, x: f64) {
-    out.extend_from_slice(&x.to_le_bytes());
-}
-
-/// Appends a `u32` (4 bytes LE).
-#[inline]
-pub fn put_u32(out: &mut Vec<u8>, x: u32) {
-    out.extend_from_slice(&x.to_le_bytes());
-}
-
-/// Appends one byte.
-#[inline]
-pub fn put_u8(out: &mut Vec<u8>, x: u8) {
-    out.push(x);
-}
-
-/// Appends a `bool` as one byte (0/1).
-#[inline]
-pub fn put_bool(out: &mut Vec<u8>, x: bool) {
-    out.push(u8::from(x));
-}
-
-/// Appends a string: 8-byte length + UTF-8 bytes.
-pub fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_usize(out, s.len());
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Appends an `f64` slice: 8-byte count + values.
-pub fn put_f64s(out: &mut Vec<u8>, xs: &[f64]) {
-    put_usize(out, xs.len());
-    for &x in xs {
-        put_f64(out, x);
+    /// A `usize` pinned to the `u64` encoding: 8 bytes on every host.
+    #[inline]
+    fn put_usize(&mut self, x: usize) {
+        self.put_u64(x as u64);
+    }
+    /// A `bool` as one byte (0/1).
+    #[inline]
+    fn put_bool(&mut self, x: bool) {
+        self.put_u8(u8::from(x));
+    }
+    /// A string: 8-byte length + UTF-8 bytes.
+    fn put_str(&mut self, s: &str) {
+        self.put_usize(s.len());
+        self.put_bytes(s.as_bytes());
+    }
+    /// An `f64` slice: 8-byte count + values.
+    fn put_f64s(&mut self, xs: &[f64]) {
+        self.put_usize(xs.len());
+        self.put_f64_slice(xs);
+    }
+    /// A `u64` slice: 8-byte count + values.
+    fn put_u64s(&mut self, xs: &[u64]) {
+        self.put_usize(xs.len());
+        self.put_u64_slice(xs);
     }
 }
 
-/// Appends a `u64` slice: 8-byte count + values.
-pub fn put_u64s(out: &mut Vec<u8>, xs: &[u64]) {
-    put_usize(out, xs.len());
-    for &x in xs {
-        put_u64(out, x);
+impl Sink for Vec<u8> {
+    #[inline]
+    fn put_u8(&mut self, x: u8) {
+        self.push(x);
     }
+    #[inline]
+    fn put_u32(&mut self, x: u32) {
+        self.extend_from_slice(&x.to_le_bytes());
+    }
+    #[inline]
+    fn put_u64(&mut self, x: u64) {
+        self.extend_from_slice(&x.to_le_bytes());
+    }
+    #[inline]
+    fn put_f64(&mut self, x: f64) {
+        self.extend_from_slice(&x.to_le_bytes());
+    }
+    fn put_bytes(&mut self, b: &[u8]) {
+        self.extend_from_slice(b);
+    }
+    fn put_f64_slice(&mut self, xs: &[f64]) {
+        for &x in xs {
+            self.put_f64(x);
+        }
+    }
+    fn put_u64_slice(&mut self, xs: &[u64]) {
+        for &x in xs {
+            self.put_u64(x);
+        }
+    }
+}
+
+/// A [`Sink`] that keeps only the number of bytes written.
+#[derive(Debug, Default)]
+pub struct Count(pub usize);
+
+impl Sink for Count {
+    #[inline]
+    fn put_u8(&mut self, _: u8) {
+        self.0 += 1;
+    }
+    #[inline]
+    fn put_u32(&mut self, _: u32) {
+        self.0 += 4;
+    }
+    #[inline]
+    fn put_u64(&mut self, _: u64) {
+        self.0 += 8;
+    }
+    #[inline]
+    fn put_f64(&mut self, _: f64) {
+        self.0 += 8;
+    }
+    #[inline]
+    fn put_bytes(&mut self, b: &[u8]) {
+        self.0 += b.len();
+    }
+    #[inline]
+    fn put_f64_slice(&mut self, xs: &[f64]) {
+        self.0 += 8 * xs.len();
+    }
+    #[inline]
+    fn put_u64_slice(&mut self, xs: &[u64]) {
+        self.0 += 8 * xs.len();
+    }
+}
+
+/// The number of body bytes `m` occupies on the wire: its encoder run
+/// into a [`Count`]. Fails exactly when encoding `m` fails.
+pub fn wire_size<M: WireCodec>(m: &M) -> Result<usize, CodecError> {
+    let mut n = Count::default();
+    m.encode_body(&mut n)?;
+    Ok(n.0)
 }
 
 // ---------------------------------------------------------------------------
@@ -264,7 +324,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Fails unless every byte was consumed — a decoded message shorter
-    /// than its frame means the codec and `wire_size()` disagree.
+    /// than its frame means the frame is malformed.
     pub fn finish(self, what: &'static str) -> Result<(), CodecError> {
         if self.remaining() != 0 {
             return Err(CodecError::Malformed(format!(
@@ -280,22 +340,29 @@ impl<'a> WireReader<'a> {
 // The codec trait
 // ---------------------------------------------------------------------------
 
-/// Byte serialization matching the [`Wire`] accounting exactly.
+/// A message payload's wire format: one encoder, which also states its
+/// size (see [`wire_size`]).
 ///
-/// Implementations must uphold: `encode_body` appends exactly
-/// `self.wire_size()` bytes, and `decode_body(encode_body(x)) == x`
+/// Implementations must uphold `decode_body(encode_body(x)) == x`
 /// (bit-for-bit on floats).
-pub trait WireCodec: Wire + Sized {
-    /// Appends this value's wire encoding to `out`.
-    fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), CodecError>;
+pub trait WireCodec: Sized {
+    /// Writes this value's wire encoding to `out`.
+    fn encode_body<S: Sink>(&self, out: &mut S) -> Result<(), CodecError>;
 
     /// Decodes one value from the reader.
     fn decode_body(r: &mut WireReader<'_>) -> Result<Self, CodecError>;
+
+    /// Stable message-kind label for telemetry (`CommRecord::kind`).
+    /// Protocol enums override this with their variant name; plain
+    /// payloads fall back to a generic tag.
+    fn kind(&self) -> &'static str {
+        "msg"
+    }
 }
 
 impl WireCodec for u64 {
-    fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), CodecError> {
-        put_u64(out, *self);
+    fn encode_body<S: Sink>(&self, out: &mut S) -> Result<(), CodecError> {
+        out.put_u64(*self);
         Ok(())
     }
     fn decode_body(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
@@ -304,8 +371,8 @@ impl WireCodec for u64 {
 }
 
 impl WireCodec for f64 {
-    fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), CodecError> {
-        put_f64(out, *self);
+    fn encode_body<S: Sink>(&self, out: &mut S) -> Result<(), CodecError> {
+        out.put_f64(*self);
         Ok(())
     }
     fn decode_body(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
@@ -313,12 +380,11 @@ impl WireCodec for f64 {
     }
 }
 
-// `usize` travels as `u64` — the regression target of the platform-width
-// wire bug: `Wire` charges 8 bytes, so the encoding must be 8 bytes even
-// where `size_of::<usize>() == 4`.
+// `usize` travels as `u64`: 8 bytes even where `size_of::<usize>() == 4`,
+// so the metered sizes are a property of the protocol, not of the host.
 impl WireCodec for usize {
-    fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), CodecError> {
-        put_usize(out, *self);
+    fn encode_body<S: Sink>(&self, out: &mut S) -> Result<(), CodecError> {
+        out.put_usize(*self);
         Ok(())
     }
     fn decode_body(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
@@ -327,8 +393,8 @@ impl WireCodec for usize {
 }
 
 impl WireCodec for String {
-    fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), CodecError> {
-        put_str(out, self);
+    fn encode_body<S: Sink>(&self, out: &mut S) -> Result<(), CodecError> {
+        out.put_str(self);
         Ok(())
     }
     fn decode_body(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
@@ -336,12 +402,9 @@ impl WireCodec for String {
     }
 }
 
-impl<T: WireCodec> WireCodec for Vec<T>
-where
-    Vec<T>: Wire,
-{
-    fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), CodecError> {
-        put_usize(out, self.len());
+impl<T: WireCodec> WireCodec for Vec<T> {
+    fn encode_body<S: Sink>(&self, out: &mut S) -> Result<(), CodecError> {
+        out.put_usize(self.len());
         for x in self {
             x.encode_body(out)?;
         }
@@ -357,34 +420,8 @@ where
     }
 }
 
-impl<T: WireCodec> WireCodec for Option<T>
-where
-    Option<T>: Wire,
-{
-    fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), CodecError> {
-        match self {
-            None => put_u8(out, 0),
-            Some(x) => {
-                put_u8(out, 1);
-                x.encode_body(out)?;
-            }
-        }
-        Ok(())
-    }
-    fn decode_body(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        match r.u8("Option tag")? {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode_body(r)?)),
-            b => Err(CodecError::Malformed(format!("bad Option tag {b}"))),
-        }
-    }
-}
-
-impl<A: WireCodec, B: WireCodec> WireCodec for (A, B)
-where
-    (A, B): Wire,
-{
-    fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), CodecError> {
+impl<A: WireCodec, B: WireCodec> WireCodec for (A, B) {
+    fn encode_body<S: Sink>(&self, out: &mut S) -> Result<(), CodecError> {
         self.0.encode_body(out)?;
         self.1.encode_body(out)
     }
@@ -394,15 +431,11 @@ where
 }
 
 impl WireCodec for SparseVector {
-    fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), CodecError> {
-        // 8-byte nnz header + indices + values = 8 + 16·nnz.
-        put_usize(out, self.nnz());
-        for &i in self.indices() {
-            put_u64(out, i);
-        }
-        for &v in self.values() {
-            put_f64(out, v);
-        }
+    fn encode_body<S: Sink>(&self, out: &mut S) -> Result<(), CodecError> {
+        // nnz header, then the indices, then the values.
+        out.put_usize(self.nnz());
+        out.put_u64_slice(self.indices());
+        out.put_f64_slice(self.values());
         Ok(())
     }
     fn decode_body(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
@@ -419,8 +452,8 @@ impl WireCodec for SparseVector {
 }
 
 impl WireCodec for DenseVector {
-    fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), CodecError> {
-        put_f64s(out, self.as_slice());
+    fn encode_body<S: Sink>(&self, out: &mut S) -> Result<(), CodecError> {
+        out.put_f64s(self.as_slice());
         Ok(())
     }
     fn decode_body(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
@@ -429,33 +462,20 @@ impl WireCodec for DenseVector {
 }
 
 impl WireCodec for CsrMatrix {
-    fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), CodecError> {
-        // Matches CsrMatrix::wire_size(): 16-byte header (nrows, nnz) +
-        // labels + the full indptr (nrows+1 offsets, charged by the
-        // analytic model even though the last one is derivable) +
-        // indices + values.
+    fn encode_body<S: Sink>(&self, out: &mut S) -> Result<(), CodecError> {
+        // A (nrows, nnz) header, the labels, the full indptr (nrows + 1
+        // offsets, the last one derivable but shipped), the indices and
+        // the values — Figure 5's workset layout. Whole-slice puts keep
+        // counting a load-phase payload O(rows), not O(nnz).
         let nrows = self.nrows();
-        put_usize(out, nrows);
-        put_usize(out, self.nnz());
-        for r in 0..nrows {
-            put_f64(out, self.label(r));
+        out.put_usize(nrows);
+        out.put_usize(self.nnz());
+        out.put_f64_slice(self.labels());
+        for &offset in self.indptr() {
+            out.put_usize(offset);
         }
-        let mut offset = 0usize;
-        put_usize(out, 0);
-        for r in 0..nrows {
-            offset += self.row(r).0.len();
-            put_usize(out, offset);
-        }
-        for r in 0..nrows {
-            for &i in self.row(r).0 {
-                put_u64(out, i);
-            }
-        }
-        for r in 0..nrows {
-            for &v in self.row(r).1 {
-                put_f64(out, v);
-            }
-        }
+        out.put_u64_slice(self.indices());
+        out.put_f64_slice(self.values());
         Ok(())
     }
     fn decode_body(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
@@ -483,6 +503,30 @@ impl WireCodec for CsrMatrix {
             m.push_raw_row(labels[row], &indices[lo..hi], &values[lo..hi]);
         }
         Ok(m)
+    }
+}
+
+impl WireCodec for Block {
+    fn encode_body<S: Sink>(&self, out: &mut S) -> Result<(), CodecError> {
+        out.put_u64(self.id());
+        self.csr().encode_body(out)
+    }
+    fn decode_body(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
+        let id = r.u64("Block id")?;
+        Ok(Block::from_csr(id, CsrMatrix::decode_body(r)?))
+    }
+}
+
+impl WireCodec for Workset {
+    fn encode_body<S: Sink>(&self, out: &mut S) -> Result<(), CodecError> {
+        out.put_u64(self.block_id);
+        self.data.encode_body(out)
+    }
+    fn decode_body(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
+        Ok(Workset {
+            block_id: r.u64("Workset block id")?,
+            data: CsrMatrix::decode_body(r)?,
+        })
     }
 }
 
@@ -539,7 +583,7 @@ pub struct EnvelopeHeader {
     pub to: NodeId,
     /// Message vs. hello, and the plane.
     pub kind: FrameKind,
-    /// Payload length in bytes (`wire_size()` of the payload).
+    /// Payload length in bytes ([`wire_size`] of the payload).
     pub body_len: usize,
 }
 
@@ -562,9 +606,8 @@ fn plane_from_byte(b: u8) -> Result<Plane, CodecError> {
     }
 }
 
-/// Encodes a full envelope (32-byte header + body) for `payload`,
-/// asserting the invariant the TCP meter depends on: the result is
-/// exactly `payload.wire_size() + ENVELOPE_BYTES` bytes.
+/// Encodes a full envelope (32-byte header + body) for `payload`: exactly
+/// `wire_size(payload) + ENVELOPE_BYTES` bytes.
 pub fn encode_envelope<M: WireCodec>(
     from: NodeId,
     to: NodeId,
@@ -572,7 +615,7 @@ pub fn encode_envelope<M: WireCodec>(
     plane: Plane,
 ) -> Result<Vec<u8>, CodecError> {
     let mut out = Vec::new();
-    put_envelope(&mut out, from, to, payload, payload.wire_size(), plane)?;
+    put_envelope(&mut out, from, to, payload, wire_size(payload)?, plane)?;
     Ok(out)
 }
 
@@ -589,7 +632,7 @@ pub fn encode_envelope_into<M: WireCodec>(
     payload: &M,
     plane: Plane,
 ) -> Result<(), CodecError> {
-    let body_len = payload.wire_size();
+    let body_len = wire_size(payload)?;
     let len = u32::try_from(body_len + ENVELOPE_BYTES)
         .map_err(|_| CodecError::Unsupported("frame exceeds u32 length".to_string()))?;
     recycle(out, 4 + len as usize);
@@ -608,9 +651,8 @@ pub fn readdress_prefixed_frame(prefixed: &mut [u8], to: NodeId) {
     prefixed[4 + 8..4 + 16].copy_from_slice(&encode_node(to).to_le_bytes());
 }
 
-/// Appends the envelope of `payload` (whose `wire_size()` is `body_len`)
-/// to `out`: the one encoder behind both public entry points, and the one
-/// place the metering invariant is asserted.
+/// Appends the envelope of `payload`, whose [`wire_size`] is `body_len`,
+/// to `out`: the one encoder behind both public entry points.
 fn put_envelope<M: WireCodec>(
     out: &mut Vec<u8>,
     from: NodeId,
@@ -620,29 +662,22 @@ fn put_envelope<M: WireCodec>(
     plane: Plane,
 ) -> Result<(), CodecError> {
     let _prof = ProfScope::enter("codec_encode");
-    let expected = body_len + ENVELOPE_BYTES;
-    let start = out.len();
-    out.reserve(expected);
-    put_u64(out, encode_node(from));
-    put_u64(out, encode_node(to));
-    put_u64(out, u64::from(plane_byte(plane)));
-    put_u64(out, body_len as u64);
-    payload.encode_body(out)?;
-    let actual = out.len() - start;
-    if actual != expected {
-        return Err(CodecError::SizeMismatch { expected, actual });
-    }
-    Ok(())
+    out.reserve(body_len + ENVELOPE_BYTES);
+    out.put_u64(encode_node(from));
+    out.put_u64(encode_node(to));
+    out.put_u64(u64::from(plane_byte(plane)));
+    out.put_usize(body_len);
+    payload.encode_body(out)
 }
 
 /// Encodes the hello frame a worker process sends right after connecting
 /// (header-only; `ENVELOPE_BYTES` long, unmetered control handshake).
 pub fn encode_hello(worker: NodeId) -> Vec<u8> {
     let mut out = Vec::with_capacity(ENVELOPE_BYTES);
-    put_u64(&mut out, encode_node(worker));
-    put_u64(&mut out, encode_node(NodeId::Master));
-    put_u64(&mut out, 1 << 8); // flags byte 1: hello
-    put_u64(&mut out, 0);
+    out.put_u64(encode_node(worker));
+    out.put_u64(encode_node(NodeId::Master));
+    out.put_u64(1 << 8); // flags byte 1: hello
+    out.put_u64(0);
     out
 }
 
@@ -676,13 +711,15 @@ pub fn decode_envelope_header(frame: &[u8]) -> Result<EnvelopeHeader, CodecError
 }
 
 /// Decodes the body of a message frame (everything after the header),
-/// checking the decoded payload re-reports the same `wire_size`.
+/// checking the frame is exactly as long as the decoded payload's
+/// [`wire_size`] plus the envelope: the one size check of a received
+/// frame.
 pub fn decode_body_checked<M: WireCodec>(frame: &[u8]) -> Result<M, CodecError> {
     let _prof = ProfScope::enter("codec_decode");
     let mut r = WireReader::new(&frame[ENVELOPE_BYTES..]);
     let payload = M::decode_body(&mut r)?;
     r.finish(payload.kind())?;
-    let expected = payload.wire_size() + ENVELOPE_BYTES;
+    let expected = wire_size(&payload)? + ENVELOPE_BYTES;
     if frame.len() != expected {
         return Err(CodecError::SizeMismatch {
             expected,
@@ -700,7 +737,7 @@ pub fn decode_body_checked<M: WireCodec>(frame: &[u8]) -> Result<M, CodecError> 
 // length bounds and the header length check hold unchanged) with frame-kind
 // byte 2, but their bodies are *not* protocol payloads: the hub intercepts
 // them before `decode_body_checked` / `Router::ingress`, so they are never
-// metered and have no `wire_size()` contract — `body_len` is simply the
+// metered and are not `WireCodec` payloads — `body_len` is simply the
 // actual body length.
 
 /// The body of a [`FrameKind::Telemetry`] frame.
@@ -753,7 +790,7 @@ fn put_phase(out: &mut Vec<u8>, p: Phase) {
         .iter()
         .position(|q| *q == p)
         .expect("phase in Phase::ALL");
-    put_u8(out, idx as u8);
+    out.put_u8(idx as u8);
 }
 
 fn read_phase(r: &mut WireReader<'_>) -> Result<Phase, CodecError> {
@@ -765,15 +802,12 @@ fn read_phase(r: &mut WireReader<'_>) -> Result<Phase, CodecError> {
 }
 
 fn put_comm_fault(out: &mut Vec<u8>, f: Option<CommFault>) {
-    put_u8(
-        out,
-        match f {
-            None => 0,
-            Some(CommFault::Dropped) => 1,
-            Some(CommFault::Duplicated) => 2,
-            Some(CommFault::Delayed) => 3,
-        },
-    );
+    out.put_u8(match f {
+        None => 0,
+        Some(CommFault::Dropped) => 1,
+        Some(CommFault::Duplicated) => 2,
+        Some(CommFault::Delayed) => 3,
+    });
 }
 
 fn read_comm_fault(r: &mut WireReader<'_>) -> Result<Option<CommFault>, CodecError> {
@@ -789,64 +823,64 @@ fn read_comm_fault(r: &mut WireReader<'_>) -> Result<Option<CommFault>, CodecErr
 fn put_event(out: &mut Vec<u8>, e: &Event) {
     match e {
         Event::Superstep(s) => {
-            put_u8(out, 0);
-            put_u64(out, s.iteration);
+            out.put_u8(0);
+            out.put_u64(s.iteration);
             put_phase(out, s.phase);
-            put_f64(out, s.sim_s);
-            put_f64(out, s.measured_s);
-            put_f64s(out, &s.per_worker);
+            out.put_f64(s.sim_s);
+            out.put_f64(s.measured_s);
+            out.put_f64s(&s.per_worker);
         }
         Event::Comm(c) => {
-            put_u8(out, 1);
-            put_str(out, &c.kind);
-            put_u64(out, encode_noderef(c.src));
-            put_u64(out, encode_noderef(c.dst));
-            put_u64(out, c.wire_bytes);
-            put_f64(out, c.modeled_s);
-            put_u8(out, plane_byte(c.plane));
+            out.put_u8(1);
+            out.put_str(&c.kind);
+            out.put_u64(encode_noderef(c.src));
+            out.put_u64(encode_noderef(c.dst));
+            out.put_u64(c.wire_bytes);
+            out.put_f64(c.modeled_s);
+            out.put_u8(plane_byte(c.plane));
             put_comm_fault(out, c.fault);
         }
         Event::Kernel(k) => {
-            put_u8(out, 2);
-            put_u64(out, k.iteration);
-            put_str(out, &k.model);
-            put_u64(out, k.batch_size);
-            put_u64(out, k.pool_width);
-            put_u64(out, k.flops_proxy);
+            out.put_u8(2);
+            out.put_u64(k.iteration);
+            out.put_str(&k.model);
+            out.put_u64(k.batch_size);
+            out.put_u64(k.pool_width);
+            out.put_u64(k.flops_proxy);
             match k.worker {
-                None => put_u8(out, 0),
+                None => out.put_u8(0),
                 Some(w) => {
-                    put_u8(out, 1);
-                    put_u64(out, w);
+                    out.put_u8(1);
+                    out.put_u64(w);
                 }
             }
         }
         Event::Fault(f) => {
-            put_u8(out, 3);
-            put_u64(out, f.iteration);
-            put_u64(out, f.worker);
-            put_str(out, &f.fault);
-            put_str(out, &f.detection);
-            put_f64(out, f.detection_latency_s);
-            put_f64(out, f.recovery_cost_s);
-            put_u64(out, f.attempt);
-            put_bool(out, f.fatal);
+            out.put_u8(3);
+            out.put_u64(f.iteration);
+            out.put_u64(f.worker);
+            out.put_str(&f.fault);
+            out.put_str(&f.detection);
+            out.put_f64(f.detection_latency_s);
+            out.put_f64(f.recovery_cost_s);
+            out.put_u64(f.attempt);
+            out.put_bool(f.fatal);
         }
         Event::Prof(p) => {
-            put_u8(out, 4);
+            out.put_u8(4);
             match p.worker {
-                None => put_u8(out, 0),
+                None => out.put_u8(0),
                 Some(w) => {
-                    put_u8(out, 1);
-                    put_u64(out, w);
+                    out.put_u8(1);
+                    out.put_u64(w);
                 }
             }
-            put_str(out, &p.stack);
-            put_u64(out, p.calls);
-            put_f64(out, p.wall_s);
-            put_f64(out, p.cpu_s);
-            put_u64(out, p.alloc_bytes);
-            put_u64(out, p.alloc_count);
+            out.put_str(&p.stack);
+            out.put_u64(p.calls);
+            out.put_f64(p.wall_s);
+            out.put_f64(p.cpu_s);
+            out.put_u64(p.alloc_bytes);
+            out.put_u64(p.alloc_count);
         }
     }
 }
@@ -909,15 +943,15 @@ fn read_event(r: &mut WireReader<'_>) -> Result<Event, CodecError> {
 }
 
 /// Frames a telemetry body: envelope header with frame-kind byte 2 and
-/// `body_len` set to the actual body length (no `wire_size()` contract).
+/// `body_len` set to the actual body length.
 fn encode_telemetry_frame(from: NodeId, to: NodeId, body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(ENVELOPE_BYTES + body.len());
-    put_u64(&mut out, encode_node(from));
-    put_u64(&mut out, encode_node(to));
+    out.put_u64(encode_node(from));
+    out.put_u64(encode_node(to));
     // Frame-kind byte 2; the plane byte carries Virtual for documentation
     // (telemetry never touches a metered plane).
-    put_u64(&mut out, 2 << 8 | u64::from(plane_byte(Plane::Virtual)));
-    put_u64(&mut out, body.len() as u64);
+    out.put_u64(2 << 8 | u64::from(plane_byte(Plane::Virtual)));
+    out.put_u64(body.len() as u64);
     out.extend_from_slice(body);
     out
 }
@@ -925,8 +959,8 @@ fn encode_telemetry_frame(from: NodeId, to: NodeId, body: &[u8]) -> Vec<u8> {
 /// Encodes a master → worker clock probe.
 pub fn encode_clock_probe(from: NodeId, to: NodeId, master_nanos: u64) -> Vec<u8> {
     let mut body = Vec::with_capacity(9);
-    put_u8(&mut body, 0);
-    put_u64(&mut body, master_nanos);
+    body.put_u8(0);
+    body.put_u64(master_nanos);
     encode_telemetry_frame(from, to, &body)
 }
 
@@ -938,17 +972,17 @@ pub fn encode_clock_echo(
     client_nanos: u64,
 ) -> Vec<u8> {
     let mut body = Vec::with_capacity(17);
-    put_u8(&mut body, 1);
-    put_u64(&mut body, master_nanos);
-    put_u64(&mut body, client_nanos);
+    body.put_u8(1);
+    body.put_u64(master_nanos);
+    body.put_u64(client_nanos);
     encode_telemetry_frame(from, to, &body)
 }
 
 /// Encodes a worker → master telemetry event batch.
 pub fn encode_telemetry_events(from: NodeId, to: NodeId, events: &[Event]) -> Vec<u8> {
     let mut body = Vec::new();
-    put_u8(&mut body, 2);
-    put_usize(&mut body, events.len());
+    body.put_u8(2);
+    body.put_usize(events.len());
     for e in events {
         put_event(&mut body, e);
     }
@@ -1073,8 +1107,8 @@ mod tests {
         let frame = encode_envelope(NodeId::Master, NodeId::Worker(3), &x, Plane::Data).unwrap();
         assert_eq!(
             frame.len(),
-            x.wire_size() + ENVELOPE_BYTES,
-            "frame length must equal the analytic footprint"
+            wire_size(&x).unwrap() + ENVELOPE_BYTES,
+            "the counted size must equal the bytes written"
         );
         let h = decode_envelope_header(&frame).unwrap();
         assert_eq!(h.from, NodeId::Master);
@@ -1091,8 +1125,6 @@ mod tests {
         roundtrip(7usize);
         roundtrip("hello".to_string());
         roundtrip(vec![1.0f64, -2.0, f64::INFINITY]);
-        roundtrip(Some(9u64));
-        roundtrip(Option::<u64>::None);
         roundtrip((3u64, 4u64));
         roundtrip(vec![(1u64, 2usize), (3, 4)]);
     }
@@ -1100,13 +1132,12 @@ mod tests {
     #[test]
     fn usize_is_pinned_to_eight_bytes() {
         // The platform-width regression: a usize body must be 8 bytes on
-        // every host, matching the `Wire` charge of 8 — not
-        // `size_of::<usize>()`.
+        // every host, not `size_of::<usize>()`.
         let mut out = Vec::new();
         7usize.encode_body(&mut out).unwrap();
-        assert_eq!(out.len(), 8);
         assert_eq!(out, 7u64.to_le_bytes());
-        assert_eq!(7usize.wire_size(), 8);
+        assert_eq!(wire_size(&usize::MAX).unwrap(), 8);
+        assert_eq!(wire_size(&vec![1usize, 2, 3]).unwrap(), 8 + 24);
         let mut r = WireReader::new(&out);
         assert_eq!(usize::decode_body(&mut r).unwrap(), 7);
         r.finish("usize").unwrap();
@@ -1138,6 +1169,59 @@ mod tests {
     #[test]
     fn empty_csr_roundtrips() {
         roundtrip(CsrMatrix::new());
+    }
+
+    #[test]
+    fn blocks_and_worksets_roundtrip() {
+        let rows: Vec<(f64, SparseVector)> = (0..5)
+            .map(|i| (1.0, SparseVector::from_pairs(vec![(i, 0.5), (i + 7, -2.0)])))
+            .collect();
+        let block = Block::from_rows(3, &rows);
+        let part = columnsgd_data::ColumnPartitioner::round_robin(2);
+        for ws in columnsgd_data::workset::split_block(&block, &part) {
+            roundtrip(ws);
+        }
+        roundtrip(block);
+    }
+
+    #[test]
+    fn linalg_sizes_are_pinned() {
+        let sv = SparseVector::from_sorted(vec![1, 2], vec![1.0, 2.0]);
+        assert_eq!(wire_size(&sv).unwrap(), 8 + 32);
+        assert_eq!(wire_size(&DenseVector::zeros(10)).unwrap(), 8 + 80);
+        // Figure 5's matrix: (nrows, nnz) header + 3 labels + 4 offsets +
+        // 6 index/value pairs.
+        let m = CsrMatrix::from_rows(&[
+            (-1.0, SparseVector::from_pairs(vec![(0, 0.3), (2, 0.5)])),
+            (-1.0, SparseVector::from_pairs(vec![(2, 0.8)])),
+            (
+                1.0,
+                SparseVector::from_pairs(vec![(0, 0.1), (1, 0.9), (2, 0.1)]),
+            ),
+        ]);
+        assert_eq!(wire_size(&m).unwrap(), 16 + 24 + 32 + 96);
+    }
+
+    #[test]
+    fn count_agrees_with_the_bytes_of_every_put() {
+        fn puts<S: Sink>(out: &mut S) {
+            out.put_u8(1);
+            out.put_u32(2);
+            out.put_u64(3);
+            out.put_f64(4.0);
+            out.put_bytes(b"xyz");
+            out.put_f64_slice(&[5.0, 6.0]);
+            out.put_u64_slice(&[7]);
+            out.put_usize(8);
+            out.put_bool(true);
+            out.put_str("état");
+            out.put_f64s(&[9.0; 4]);
+            out.put_u64s(&[]);
+        }
+        let (mut bytes, mut n) = (Vec::new(), Count::default());
+        puts(&mut bytes);
+        puts(&mut n);
+        assert_eq!(n.0, bytes.len());
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::codec::{put_str, put_u64, put_u8, put_usize};
+use crate::codec::Sink;
 use crate::{
     panic_message, ChaosSpec, ClusterConfig, CodecError, Endpoint, NodeId, Recorder, Router,
     TcpClient, TcpHub, TelemetryTx, TrafficStats, TransportKind, WireCodec, WireReader,
@@ -74,11 +74,11 @@ impl<J: BootJob> Boot<J> {
     /// order, then the job.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        put_u8(&mut out, J::VERSION);
-        put_str(&mut out, &self.addr);
-        put_usize(&mut out, self.worker);
-        put_usize(&mut out, self.k);
-        put_u64(&mut out, self.dim);
+        out.put_u8(J::VERSION);
+        out.put_str(&self.addr);
+        out.put_usize(self.worker);
+        out.put_usize(self.k);
+        out.put_u64(self.dim);
         self.job.put(&mut out);
         out
     }

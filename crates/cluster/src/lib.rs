@@ -9,8 +9,8 @@
 //!
 //! * [`node`]: node identities (one master, K workers, optional parameter
 //!   servers for the RowSGD baselines),
-//! * [`wire`]: the [`wire::Wire`] trait — every payload knows its
-//!   serialized size, so communication is *metered exactly*,
+//! * [`codec`]: the wire format — every payload's encoder, run into a
+//!   byte counter, is its size, so communication is *metered exactly*,
 //! * [`router`]: mailbox-style message passing over crossbeam channels;
 //!   workers run on real OS threads and share no state with the master,
 //! * [`traffic`]: per-link byte/message accounting,
@@ -50,11 +50,12 @@ pub mod router;
 pub mod tcp;
 pub mod traffic;
 pub mod transport;
-pub mod wire;
 
 pub use chaos::{ChaosSpec, WireFault};
 pub use clock::SimClock;
-pub use codec::{CodecError, TelemetryPayload, WireCodec, WireReader};
+pub use codec::{
+    wire_size, CodecError, Sink, TelemetryPayload, WireCodec, WireReader, ENVELOPE_BYTES,
+};
 pub use columnsgd_telemetry as telemetry;
 pub use columnsgd_telemetry::{
     DiagnosticEvent, DiagnosticKind, Diagnostics, Monitor, MonitorConfig, Recorder, SuperstepObs,
@@ -72,4 +73,3 @@ pub use router::{panic_message, spawn_guarded, Endpoint, Envelope, NetError, Rou
 pub use tcp::{TcpClient, TcpHub, TelemetryTx};
 pub use traffic::TrafficStats;
 pub use transport::{ChannelTransport, Reregistered, Transport};
-pub use wire::Wire;

@@ -6,6 +6,9 @@
 //! form), which meters payload + envelope bytes in the shared
 //! [`TrafficStats`] — nothing can cross a node boundary unmetered, which
 //! is what makes the communication claims of the reproduction checkable.
+//! A message's bytes are its encoder's count ([`wire_size`]), so a payload
+//! that cannot be encoded is refused on every transport
+//! ([`NetError::Unencodable`]) before anything is metered.
 //! Metering happens *before* hand-off, so neither the receiver nor the
 //! driver thread can ever observe a delivered message whose bytes are not
 //! yet in the meter.
@@ -38,10 +41,10 @@ use crossbeam::channel::Receiver;
 use parking_lot::Mutex;
 
 use crate::chaos::{ChaosSpec, WireFault};
+use crate::codec::{wire_size, CodecError, WireCodec, ENVELOPE_BYTES};
 use crate::node::NodeId;
 use crate::traffic::TrafficStats;
 use crate::transport::{ChannelTransport, Transport};
-use crate::wire::{Wire, ENVELOPE_BYTES};
 
 /// A routed message: payload plus its source and destination.
 #[derive(Debug, Clone)]
@@ -65,6 +68,8 @@ pub enum NetError {
     Timeout,
     /// All senders were dropped; no message can ever arrive.
     Disconnected,
+    /// The payload has no wire encoding; nothing was metered or sent.
+    Unencodable(CodecError),
 }
 
 impl std::fmt::Display for NetError {
@@ -74,6 +79,7 @@ impl std::fmt::Display for NetError {
             NetError::NodeDown(n) => write!(f, "node {n} is down"),
             NetError::Timeout => write!(f, "receive timed out"),
             NetError::Disconnected => write!(f, "channel disconnected"),
+            NetError::Unencodable(e) => write!(f, "payload not sent: {e}"),
         }
     }
 }
@@ -140,7 +146,13 @@ fn link_hash(from: NodeId, to: NodeId) -> u64 {
     enc(from).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ enc(to)
 }
 
-impl<M: Wire> Router<M> {
+/// The metered bytes of one message: its encoded body plus the envelope.
+fn metered_bytes<M: WireCodec>(payload: &M) -> Result<usize, NetError> {
+    let body = wire_size(payload).map_err(NetError::Unencodable)?;
+    Ok(body + ENVELOPE_BYTES)
+}
+
+impl<M: WireCodec> Router<M> {
     /// Creates a router for the given set of nodes, returning one
     /// [`Endpoint`] per node (in the same order as `ids`).
     ///
@@ -281,7 +293,8 @@ impl<M: Wire> Router<M> {
             }
         }
         for env in &dead_letters {
-            let bytes = env.payload.wire_size() + ENVELOPE_BYTES;
+            // Every queued message was counted when it was sent.
+            let bytes = metered_bytes(&env.payload).unwrap_or_default();
             self.traffic.record_dropped(env.from, env.to, bytes);
             self.recorder.fault(FaultRecord {
                 iteration,
@@ -339,30 +352,16 @@ impl<M: Wire> Router<M> {
         self.transport.deliver(env, plane)
     }
 
-    /// Admits a frame received off a socket into the metering layer — the
-    /// hub-side entry point for worker-originated traffic on the TCP
-    /// backend. The frame's physical length is asserted against the
-    /// analytic footprint *at the metering site*, so `TrafficStats` and
-    /// telemetry `CommRecord`s reconcile with real bytes by construction,
-    /// then the message is dispatched through the exact same
+    /// Admits a message decoded off a socket into the metering layer —
+    /// the hub-side entry point for worker-originated traffic on the TCP
+    /// backend. The message is dispatched through the exact same
     /// send/send_reliable/send_unmetered paths in-process traffic takes
-    /// (metering, chaos, and telemetry included).
-    ///
-    /// # Panics
-    /// Panics if `frame_len` disagrees with
-    /// `payload.wire_size() + ENVELOPE_BYTES` — a codec/model drift that
-    /// would silently skew the paper's byte accounting.
-    pub fn ingress(&self, env: Envelope<M>, frame_len: usize, plane: Plane) -> Result<(), NetError>
+    /// (metering, chaos, and telemetry included); its frame's length was
+    /// already checked against its size by `codec::decode_body_checked`.
+    pub fn ingress(&self, env: Envelope<M>, plane: Plane) -> Result<(), NetError>
     where
         M: Clone,
     {
-        let expected = env.payload.wire_size() + ENVELOPE_BYTES;
-        assert_eq!(
-            frame_len,
-            expected,
-            "frame length {frame_len} != wire_size + envelope = {expected} for {}",
-            env.payload.kind()
-        );
         match plane {
             Plane::Data => self.send(env.from, env.to, env.payload),
             Plane::Control => self.send_reliable(env.from, env.to, env.payload),
@@ -370,13 +369,18 @@ impl<M: Wire> Router<M> {
         }
     }
 
-    /// Meters one data-plane message `from → to` and draws its chaos fault.
-    /// The link's sequence number advances, the bytes land in the meter
-    /// and the trace (twice for a duplicate), and the message held back on
-    /// this link, if any, is taken out: the caller delivers it behind the
-    /// current one — that is the reordering.
-    fn admit(&self, from: NodeId, to: NodeId, payload: &M) -> (WireFault, Option<Envelope<M>>) {
-        let bytes = payload.wire_size() + ENVELOPE_BYTES;
+    /// Meters one data-plane message `from → to` of `bytes` metered bytes
+    /// and draws its chaos fault. The link's sequence number advances, the
+    /// bytes land in the meter and the trace (twice for a duplicate), and
+    /// the message held back on this link, if any, is taken out: the
+    /// caller delivers it behind the current one — that is the reordering.
+    fn admit(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        bytes: usize,
+        kind: &str,
+    ) -> (WireFault, Option<Envelope<M>>) {
         let chaos = self
             .chaos
             .as_deref()
@@ -404,7 +408,7 @@ impl<M: Wire> Router<M> {
             let copies = if fault == WireFault::Duplicate { 2 } else { 1 };
             for _ in 0..copies {
                 self.traffic.record(from, to, bytes);
-                self.record_comm(from, to, bytes, payload.kind(), Plane::Data, observed);
+                self.record_comm(from, to, bytes, kind, Plane::Data, observed);
             }
         }
         let released = chaos.and_then(|c| c.held.lock().remove(&(from, to)));
@@ -435,7 +439,8 @@ impl<M: Wire> Router<M> {
     where
         M: Clone,
     {
-        let (fault, released) = self.admit(from, to, &payload);
+        let bytes = metered_bytes(&payload)?;
+        let (fault, released) = self.admit(from, to, bytes, payload.kind());
         let env = Envelope { from, to, payload };
         match fault {
             WireFault::Deliver => self.push(env, Plane::Data)?,
@@ -468,11 +473,15 @@ impl<M: Wire> Router<M> {
     where
         M: Clone,
     {
+        let bytes = match metered_bytes(payload) {
+            Ok(bytes) => bytes,
+            Err(e) => return vec![Err(e); tos.len()],
+        };
         let mut results = vec![Ok(()); tos.len()];
         let mut clean = Vec::with_capacity(tos.len());
         let mut released = Vec::new();
         for (i, &to) in tos.iter().enumerate() {
-            let (fault, held) = self.admit(from, to, payload);
+            let (fault, held) = self.admit(from, to, bytes, payload.kind());
             let copy = || Envelope {
                 from,
                 to,
@@ -512,7 +521,7 @@ impl<M: Wire> Router<M> {
     /// recovery streams, probes, and shutdown — traffic whose loss the
     /// reliable control channel of a real scheduler would mask.
     pub fn send_reliable(&self, from: NodeId, to: NodeId, payload: M) -> Result<(), NetError> {
-        let bytes = payload.wire_size() + ENVELOPE_BYTES;
+        let bytes = metered_bytes(&payload)?;
         if from != to {
             self.traffic.record(from, to, bytes);
             self.record_comm(from, to, bytes, payload.kind(), Plane::Control, None);
@@ -585,7 +594,7 @@ impl<M> Drop for Endpoint<M> {
     }
 }
 
-impl<M: Wire> Endpoint<M> {
+impl<M: WireCodec> Endpoint<M> {
     /// This endpoint's node id.
     pub fn id(&self) -> NodeId {
         self.id
@@ -682,7 +691,7 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// (the run is over; nobody is listening).
 pub fn spawn_guarded<M, F, P>(name: String, ep: Endpoint<M>, body: F, on_panic: P) -> JoinHandle<()>
 where
-    M: Wire + Send + 'static,
+    M: WireCodec + Send + 'static,
     F: FnOnce(Endpoint<M>) + Send + 'static,
     P: FnOnce(String) -> M + Send + 'static,
 {
@@ -703,7 +712,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::ENVELOPE_BYTES;
 
     #[test]
     fn point_to_point_delivery_and_metering() {

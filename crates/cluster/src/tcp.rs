@@ -13,10 +13,11 @@
 //! * master-originated sends are metered in `Router::send` as always,
 //!   then framed and written by [`TcpHub`]'s `deliver`;
 //! * worker-originated frames are decoded by the hub's per-connection
-//!   reader thread and admitted through [`Router::ingress`], which
-//!   asserts `frame_len == wire_size() + ENVELOPE_BYTES` and then calls
-//!   the exact same `send`/`send_reliable` paths in-process traffic
-//!   takes — metering, chaos injection, and telemetry included.
+//!   reader thread (`decode_body_checked` checks each frame is exactly
+//!   `wire_size() + ENVELOPE_BYTES` long) and admitted through
+//!   [`Router::ingress`], which calls the exact same
+//!   `send`/`send_reliable` paths in-process traffic takes — metering,
+//!   chaos injection, and telemetry included.
 //!
 //! Worker-side routers carry a private meter and no chaos; their numbers
 //! are never read. Chaos therefore fires exactly once per message, at the
@@ -76,10 +77,8 @@ fn write_envelope<M: WireCodec>(
     plane: Plane,
 ) -> Result<(), NetError> {
     FRAME_OUT.with_borrow_mut(|buf| {
-        // The encoder re-asserts the metering invariant (frame len ==
-        // wire_size + ENVELOPE_BYTES).
         encode_envelope_into(buf, env.from, env.to, &env.payload, plane)
-            .expect("protocol payload must encode within its wire_size");
+            .map_err(NetError::Unencodable)?;
         write_locked(writer, buf, env.to)
     })
 }
@@ -359,7 +358,7 @@ impl<M: WireCodec + Clone + Send + 'static> TcpHub<M> {
             // sending worker would have seen in-process; over a
             // socket the sender is remote, so the hub absorbs it
             // (the loss is detected by deadlines, like any drop).
-            let _ = router.ingress(env, n, plane);
+            let _ = router.ingress(env, plane);
         }
         self.mark_conn_dead(who, generation);
     }
@@ -508,8 +507,12 @@ impl<M: WireCodec + Clone + Send + 'static> Transport<M> for TcpHub<M> {
             return results;
         };
         FRAME_OUT.with_borrow_mut(|buf| {
-            encode_envelope_into(buf, from, tos[first], payload, plane)
-                .expect("protocol payload must encode within its wire_size");
+            if let Err(e) = encode_envelope_into(buf, from, tos[first], payload, plane) {
+                for (i, _) in remote {
+                    results[i] = Err(NetError::Unencodable(e.clone()));
+                }
+                return;
+            }
             for (i, writer) in remote {
                 readdress_prefixed_frame(buf, tos[i]);
                 results[i] = write_locked(&writer, buf, tos[i]);
@@ -799,7 +802,7 @@ impl<M: WireCodec + Clone + Send + 'static> Transport<M> for TcpClient<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::ENVELOPE_BYTES;
+    use crate::codec::ENVELOPE_BYTES;
 
     /// Spins a 2-worker hub + clients in one process (threads standing in
     /// for worker processes) and checks delivery, metering parity, and
@@ -854,7 +857,7 @@ mod tests {
         assert_eq!(reply.from, NodeId::Worker(0));
         assert_eq!(reply.payload, vec![2.0, 4.0]);
 
-        // Metering parity: both directions carry wire_size + envelope.
+        // Metering parity: both directions carry the body + envelope.
         let down = traffic.link(NodeId::Master, NodeId::Worker(0));
         assert_eq!(down.bytes as usize, (8 + 16) + ENVELOPE_BYTES);
         let up = traffic.link(NodeId::Worker(0), NodeId::Master);

@@ -41,7 +41,6 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 use columnsgd_cluster::telemetry::{FaultRecord, MetricsRegistry, RunStamp};
-use columnsgd_cluster::wire::ENVELOPE_BYTES;
 use columnsgd_cluster::{
     ClusterConfig, DiagnosticKind, Diagnostics, FailurePlan, Membership, MembershipError,
     MembershipEvent, Monitor, NetworkModel, NodeId, RebalancePlan, Recorder, ShardMove, ShardRole,
@@ -939,9 +938,6 @@ impl Placement for ElasticPlacement {
     ) -> Result<Reduced, TrainError> {
         let (t, tasks, slots) = (step.t, &step.tasks, core.slots);
         let stats_len = core.cfg.batch_size * core.cfg.model.stats_width();
-        let wire = |task: &Task| {
-            (ColMsg::stats_reply_for_wire_size(task.pids.len(), stats_len) + ENVELOPE_BYTES) as u64
-        };
         let spec_fault = |worker: usize, fault: &str, detection: &str, saved_s: f64| {
             core.rt.recorder.fault(FaultRecord {
                 iteration: t,
@@ -993,7 +989,7 @@ impl Placement for ElasticPlacement {
             }
             lanes[worker] += charged;
             reduce_stats(&mut agg, &reply.partial);
-            reply_bytes.push(wire(task));
+            reply_bytes.push(reply.bytes);
         }
         // Speculative replies transited the wire too; price them. The
         // duplicate's *compute* overlaps the backup's own task on an idle
@@ -1002,7 +998,7 @@ impl Placement for ElasticPlacement {
         // outcome above already decided the charged time for the
         // straggler's partitions.
         let dups = tasks.iter().filter(|task| task.duplicate_of.is_some());
-        reply_bytes.extend(dups.filter(|task| task.reply.is_some()).map(wire));
+        reply_bytes.extend(dups.filter_map(|task| Some(task.reply.as_ref()?.bytes)));
         // A worker raced only if a warm replica covered *every* one of
         // its partitions this superstep.
         self.raced = (0..slots)

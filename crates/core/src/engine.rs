@@ -23,7 +23,6 @@
 //! observed events rather than from the injection script.
 
 use columnsgd_cluster::telemetry::{MetricsRegistry, RunStamp};
-use columnsgd_cluster::wire::ENVELOPE_BYTES;
 use columnsgd_cluster::{
     ClusterConfig, Diagnostics, Envelope, FailurePlan, Monitor, NetError, NetworkModel, NodeId,
     Recorder, SimClock, TrafficStats,
@@ -37,7 +36,7 @@ use columnsgd_ml::ParamSet;
 use crate::config::{ColumnSgdConfig, StaleStats};
 use crate::error::{FaultKind, RecoveryEvent, TrainError};
 use crate::master::{
-    LoadReport, Lost, MasterCore, Placement, Reduced, Step, Straggler, Task, PER_OBJECT_S,
+    metered, LoadReport, Lost, MasterCore, Placement, Reduced, Step, Straggler, Task, PER_OBJECT_S,
 };
 use crate::msg::ColMsg;
 use crate::worker::WorkerScript;
@@ -396,6 +395,8 @@ impl Placement for FixedWorkers {
         let mut agg = vec![0.0; stats_len];
         let mut stat_phase = 0.0f64;
         let mut counted = 0usize;
+        // Every counted reply carries `stats_len` scalars: one size.
+        let mut reply_bytes = 0u64;
         for g in 0..core.cfg.num_groups(core.slots) {
             let members = g * r..(g + 1) * r;
             if stale.is_some_and(|(_, v)| members.contains(&v)) {
@@ -414,6 +415,7 @@ impl Placement for FixedWorkers {
                     ))
                 })?;
             stat_phase = stat_phase.max(reply.compute_s);
+            reply_bytes = reply_bytes.max(reply.bytes);
             reduce_stats(&mut agg, &reply.partial);
             // Everyone who is not a killed straggler transmits; an excused
             // crash never answered, so it transmits nothing.
@@ -430,8 +432,6 @@ impl Placement for FixedWorkers {
                 *v *= scale;
             }
         }
-        // Every counted reply carries `stats_len` scalars.
-        let reply_bytes = (ColMsg::stats_reply_wire_size(stats_len) + ENVELOPE_BYTES) as u64;
         Ok(Reduced {
             agg,
             stat_phase,
@@ -533,22 +533,20 @@ fn restore_params(core: &mut MasterCore, t: u64, w: usize) -> Result<f64, TrainE
         let wait = core.bulk_deadline();
         let from_donor =
             |m: &ColMsg| matches!(m, ColMsg::ModelReply { worker, .. } if *worker == donor);
-        let Some(ColMsg::ModelReply { parts, .. }) = core
-            .rt
-            .await_reply(t, wait, from_donor)?
-            .map(|env| env.payload)
-        else {
+        let Some(reply) = core.rt.await_reply(t, wait, from_donor)? else {
             continue; // this donor is wedged; try the next replica
         };
-        // Priced analytically from the protocol's wire sizes: the
-        // fetch request, the donor's reply, and the install push.
-        let parts_bytes: usize = parts.iter().map(|(_, p)| 8 + p.wire_size()).sum();
-        let bytes = (1 + ENVELOPE_BYTES) // FetchModel is a bare tag
-            + (1 + 8 + 8 + parts_bytes + ENVELOPE_BYTES)
-            + (1 + 8 + parts_bytes + ENVELOPE_BYTES);
+        // Priced from the three real messages: the fetch request, the
+        // donor's reply, and the install push.
+        let mut bytes = metered(&ColMsg::FetchModel)? + metered(&reply.payload)?;
+        let ColMsg::ModelReply { parts, .. } = reply.payload else {
+            continue;
+        };
+        let install = ColMsg::InstallParams { parts };
+        bytes += metered(&install)?;
         core.rt
             .master
-            .send_reliable(NodeId::Worker(w), ColMsg::InstallParams { parts })
+            .send_reliable(NodeId::Worker(w), install)
             .map_err(|e| TrainError::WorkerLost {
                 worker: w,
                 iteration: t,

@@ -9,7 +9,7 @@
 //! recovery behaviour from *observed* detections rather than from the
 //! injection script.
 
-use columnsgd_cluster::NetError;
+use columnsgd_cluster::{CodecError, NetError};
 
 /// What failed, as classified by the master after detection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -279,6 +279,14 @@ impl std::fmt::Display for TrainError {
 }
 
 impl std::error::Error for TrainError {}
+
+/// Pricing counts a message the master holds; one that cannot be encoded
+/// was refused by the router already, so this is a broken invariant.
+impl From<CodecError> for TrainError {
+    fn from(e: CodecError) -> Self {
+        TrainError::Internal(format!("unencodable message: {e}"))
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -8,7 +8,7 @@
 //! failure script and the tracing flag — plus the config-enum codecs the
 //! RowSGD boot reuses.
 
-use columnsgd_cluster::codec::{put_bool, put_f64, put_u64, put_u64s, put_u8, put_usize};
+use columnsgd_cluster::Sink;
 use columnsgd_cluster::{Boot, BootJob, ChaosSpec, CodecError, WireReader};
 use columnsgd_ml::{ModelSpec, OptimizerKind, Regularizer, UpdateParams};
 
@@ -36,16 +36,16 @@ pub type BootSpec = Boot<ColBoot>;
 /// Encodes a [`ModelSpec`] (tag + payload, variant-declaration order).
 pub fn put_model(out: &mut Vec<u8>, m: &ModelSpec) {
     match m {
-        ModelSpec::Lr => put_u8(out, 0),
-        ModelSpec::Svm => put_u8(out, 1),
-        ModelSpec::LeastSquares => put_u8(out, 2),
+        ModelSpec::Lr => out.put_u8(0),
+        ModelSpec::Svm => out.put_u8(1),
+        ModelSpec::LeastSquares => out.put_u8(2),
         ModelSpec::Mlr { classes } => {
-            put_u8(out, 3);
-            put_usize(out, *classes);
+            out.put_u8(3);
+            out.put_usize(*classes);
         }
         ModelSpec::Fm { factors } => {
-            put_u8(out, 4);
-            put_usize(out, *factors);
+            out.put_u8(4);
+            out.put_usize(*factors);
         }
     }
 }
@@ -69,16 +69,16 @@ pub fn read_model(r: &mut WireReader<'_>) -> Result<ModelSpec, CodecError> {
 /// Encodes an [`OptimizerKind`] (tag + payload).
 pub fn put_optimizer(out: &mut Vec<u8>, o: &OptimizerKind) {
     match o {
-        OptimizerKind::Sgd => put_u8(out, 0),
+        OptimizerKind::Sgd => out.put_u8(0),
         OptimizerKind::AdaGrad { eps } => {
-            put_u8(out, 1);
-            put_f64(out, *eps);
+            out.put_u8(1);
+            out.put_f64(*eps);
         }
         OptimizerKind::Adam { beta1, beta2, eps } => {
-            put_u8(out, 2);
-            put_f64(out, *beta1);
-            put_f64(out, *beta2);
-            put_f64(out, *eps);
+            out.put_u8(2);
+            out.put_f64(*beta1);
+            out.put_f64(*beta2);
+            out.put_f64(*eps);
         }
     }
 }
@@ -102,14 +102,14 @@ pub fn read_optimizer(r: &mut WireReader<'_>) -> Result<OptimizerKind, CodecErro
 /// Encodes a [`Regularizer`] (tag + payload).
 pub fn put_regularizer(out: &mut Vec<u8>, reg: &Regularizer) {
     match reg {
-        Regularizer::None => put_u8(out, 0),
+        Regularizer::None => out.put_u8(0),
         Regularizer::L2(l) => {
-            put_u8(out, 1);
-            put_f64(out, *l);
+            out.put_u8(1);
+            out.put_f64(*l);
         }
         Regularizer::L1(l) => {
-            put_u8(out, 2);
-            put_f64(out, *l);
+            out.put_u8(2);
+            out.put_f64(*l);
         }
     }
 }
@@ -131,14 +131,14 @@ pub fn read_regularizer(r: &mut WireReader<'_>) -> Result<Regularizer, CodecErro
 /// Encodes an optional [`ChaosSpec`] (presence tag + fields).
 pub fn put_chaos(out: &mut Vec<u8>, c: &Option<ChaosSpec>) {
     match c {
-        None => put_u8(out, 0),
+        None => out.put_u8(0),
         Some(c) => {
-            put_u8(out, 1);
-            put_u64(out, c.seed);
-            put_f64(out, c.drop_p);
-            put_f64(out, c.dup_p);
-            put_f64(out, c.delay_p);
-            put_f64(out, c.crash_p);
+            out.put_u8(1);
+            out.put_u64(c.seed);
+            out.put_f64(c.drop_p);
+            out.put_f64(c.dup_p);
+            out.put_f64(c.delay_p);
+            out.put_f64(c.crash_p);
         }
     }
 }
@@ -166,36 +166,30 @@ impl BootJob for ColBoot {
     fn put(&self, out: &mut Vec<u8>) {
         let cfg = &self.cfg;
         put_model(out, &cfg.model);
-        put_usize(out, cfg.batch_size);
-        put_u64(out, cfg.iterations);
-        put_f64(out, cfg.update.learning_rate);
+        out.put_usize(cfg.batch_size);
+        out.put_u64(cfg.iterations);
+        out.put_f64(cfg.update.learning_rate);
         put_regularizer(out, &cfg.update.regularizer);
         put_optimizer(out, &cfg.optimizer);
-        put_u64(out, cfg.seed);
-        put_usize(out, cfg.block_size);
-        put_usize(out, cfg.backup_s);
-        put_u8(
-            out,
-            match cfg.scheme {
-                PartitionScheme::RoundRobin => 0,
-                PartitionScheme::Range => 1,
-            },
-        );
-        put_u64(out, cfg.max_task_retries);
-        put_u64(out, cfg.deadline_ms);
-        put_u8(
-            out,
-            match cfg.staleness {
-                None => 0,
-                Some(StaleStats::Drop) => 1,
-                Some(StaleStats::DropRescaled) => 2,
-            },
-        );
-        put_usize(out, cfg.threads_per_worker);
-        put_u64s(out, &self.script.task_failures);
-        put_u64s(out, &self.script.crashes);
+        out.put_u64(cfg.seed);
+        out.put_usize(cfg.block_size);
+        out.put_usize(cfg.backup_s);
+        out.put_u8(match cfg.scheme {
+            PartitionScheme::RoundRobin => 0,
+            PartitionScheme::Range => 1,
+        });
+        out.put_u64(cfg.max_task_retries);
+        out.put_u64(cfg.deadline_ms);
+        out.put_u8(match cfg.staleness {
+            None => 0,
+            Some(StaleStats::Drop) => 1,
+            Some(StaleStats::DropRescaled) => 2,
+        });
+        out.put_usize(cfg.threads_per_worker);
+        out.put_u64s(&self.script.task_failures);
+        out.put_u64s(&self.script.crashes);
         put_chaos(out, &self.script.chaos);
-        put_bool(out, self.traced);
+        out.put_bool(self.traced);
     }
 
     fn read(r: &mut WireReader<'_>) -> Result<Self, CodecError> {

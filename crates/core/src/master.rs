@@ -23,10 +23,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use columnsgd_cluster::telemetry::{ProfScope, RunStamp};
-use columnsgd_cluster::wire::ENVELOPE_BYTES;
 use columnsgd_cluster::{
-    spawn_guarded, ClusterConfig, Endpoint, Envelope, FailurePlan, Launcher, NetError,
-    NetworkModel, NodeId, Recorder, SimClock,
+    spawn_guarded, wire_size, ClusterConfig, Endpoint, Envelope, FailurePlan, Launcher, NetError,
+    NetworkModel, NodeId, Recorder, SimClock, ENVELOPE_BYTES,
 };
 use columnsgd_data::block::Block;
 use columnsgd_data::{ColumnPartitioner, TwoPhaseIndex};
@@ -118,6 +117,15 @@ pub(crate) struct TaskReply {
     pub partial: Vec<f64>,
     pub compute_s: f64,
     pub sample_s: f64,
+    /// Metered bytes of the reply message that carried them.
+    pub bytes: u64,
+}
+
+/// The bytes the router meters for `m`: its encoded body plus the
+/// envelope. Pricing counts the real message, so it cannot drift from
+/// the meter.
+pub(crate) fn metered(m: &ColMsg) -> Result<u64, TrainError> {
+    Ok((wire_size(m)? + ENVELOPE_BYTES) as u64)
 }
 
 /// The state of the superstep in flight, shared by the loop and its
@@ -748,6 +756,7 @@ impl MasterCore {
                 stats: std::mem::take(&mut red.agg),
             };
             let sent = self.rt.master.broadcast(&tos, &msg);
+            let bcast_bytes = metered(&msg)?;
             if let ColMsg::Update { stats, .. } = msg {
                 red.agg = stats;
             }
@@ -769,10 +778,6 @@ impl MasterCore {
             let upd_phase = p.finish_update(self, &mut step, &mut update_times, straggler)?;
 
             // --- pricing -------------------------------------------------
-            // Analytic wire sizes, so no throwaway message (or clone of
-            // the aggregate) is ever materialized just to measure it. The
-            // analytic helpers are pinned equal to `wire_size()` by test.
-            let bcast_bytes = (ColMsg::update_wire_size(red.agg.len()) + ENVELOPE_BYTES) as u64;
             let bcast_s = self.net.broadcast_time(bcast_bytes, red.updaters.len());
             let (compute_times, sample_times) = step.lane_times(self.slots);
             let loss = self
@@ -1033,6 +1038,7 @@ impl MasterCore {
                     })
                 }
             };
+            let bytes = metered(&env.payload)?;
             let progress = match env.payload {
                 ColMsg::StatsReply {
                     iteration,
@@ -1046,6 +1052,7 @@ impl MasterCore {
                         partial,
                         compute_s,
                         sample_s,
+                        bytes,
                     };
                     self.fold_reply(p, step, worker, &[], reply, task_failed)?
                 }
@@ -1062,6 +1069,7 @@ impl MasterCore {
                         partial,
                         compute_s,
                         sample_s,
+                        bytes,
                     };
                     self.fold_reply(p, step, worker, &pids, reply, task_failed)?
                 }
@@ -1240,6 +1248,7 @@ mod tests {
             partial,
             compute_s,
             sample_s,
+            bytes: 0,
         }
     }
 

@@ -19,8 +19,7 @@
 //! [`TrafficStats`].
 
 use columnsgd_cluster::clock::IterationTime;
-use columnsgd_cluster::wire::ENVELOPE_BYTES;
-use columnsgd_cluster::{NetworkModel, NodeId, SimClock, TrafficStats};
+use columnsgd_cluster::{NetworkModel, NodeId, SimClock, TrafficStats, ENVELOPE_BYTES};
 use columnsgd_data::workset::split_block;
 use columnsgd_data::{block::Block, ColumnPartitioner, Dataset, TwoPhaseIndex};
 use columnsgd_linalg::CsrMatrix;

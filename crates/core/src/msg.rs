@@ -1,13 +1,12 @@
 //! The ColumnSGD wire protocol.
 //!
-//! Message payload sizes follow the conventions of `columnsgd-cluster`'s
-//! [`Wire`] trait: 8 bytes per scalar, 8-byte length headers, plus the
-//! router's fixed envelope. Control messages are tiny; the only payloads
-//! that matter quantitatively are [`ColMsg::Workset`] during loading and
-//! the statistics vectors during training — exactly the two traffic classes
+//! A message's size is what its encoder (`crate::codec`) writes: 8 bytes
+//! per scalar, 8-byte length headers, plus the router's fixed envelope.
+//! Control messages are tiny; the only payloads that matter
+//! quantitatively are [`ColMsg::Workset`] during loading and the
+//! statistics vectors during training — exactly the two traffic classes
 //! the paper analyzes.
 
-use columnsgd_cluster::Wire;
 use columnsgd_data::block::{Block, BlockId};
 use columnsgd_data::Workset;
 use columnsgd_ml::ParamSet;
@@ -221,33 +220,6 @@ pub enum ColMsg {
 }
 
 impl ColMsg {
-    /// Analytic wire size of a [`ColMsg::StatsReply`] carrying `stats_len`
-    /// statistics scalars — equal to `wire_size()` of the materialized
-    /// message, so the pricing path never has to construct (or clone the
-    /// payload of) a throwaway reply.
-    pub fn stats_reply_wire_size(stats_len: usize) -> usize {
-        // tag + iteration + worker + compute_s + sample_s + task_failed
-        // + Vec<f64>.
-        1 + 8 + 8 + 8 + 8 + 1 + (8 + 8 * stats_len)
-    }
-
-    /// Analytic wire size of a [`ColMsg::StatsReplyFor`] naming `npids`
-    /// partitions and carrying `stats_len` statistics scalars — equal to
-    /// `wire_size()` of the materialized message (elastic pricing path).
-    pub fn stats_reply_for_wire_size(npids: usize, stats_len: usize) -> usize {
-        // tag + iteration + worker + compute_s + sample_s + task_failed
-        // + Vec<usize> pids + Vec<f64>.
-        1 + 8 + 8 + 8 + 8 + 1 + (8 + 8 * npids) + (8 + 8 * stats_len)
-    }
-
-    /// Analytic wire size of a [`ColMsg::Update`] carrying `stats_len`
-    /// statistics scalars — equal to `wire_size()` of the materialized
-    /// message.
-    pub fn update_wire_size(stats_len: usize) -> usize {
-        // tag + iteration + Vec<f64>.
-        1 + 8 + (8 + 8 * stats_len)
-    }
-
     /// Short variant name for log lines (avoids dumping block payloads).
     pub fn name(&self) -> &'static str {
         match self {
@@ -280,148 +252,55 @@ impl ColMsg {
     }
 }
 
-impl Wire for ColMsg {
-    fn wire_size(&self) -> usize {
-        match self {
-            ColMsg::LoadBlock(b) | ColMsg::ReloadBlock(b) => 1 + b.wire_size(),
-            ColMsg::Workset { ws, .. } => 1 + 8 + ws.wire_size(),
-            ColMsg::LoadDone { .. } | ColMsg::ReloadDone { .. } => 1 + 8,
-            ColMsg::LoadAck { layout, .. } => 1 + 8 + 8 + 16 * layout.len(),
-            ColMsg::ComputeStats { .. } => 1 + 8 + 8 + 8,
-            ColMsg::StatsReply { partial, .. } => 1 + 8 + 8 + 8 + 8 + 1 + partial.wire_size(),
-            ColMsg::Update { stats, .. } => 1 + 8 + stats.wire_size(),
-            ColMsg::UpdateAck { .. } => 1 + 8 + 8 + 8,
-            ColMsg::Die | ColMsg::Shutdown | ColMsg::FetchModel => 1,
-            ColMsg::ReloadAck { .. } => 1 + 8,
-            ColMsg::ModelReply { parts, .. } => {
-                1 + 8 + 8 + parts.iter().map(|(_, p)| 8 + p.wire_size()).sum::<usize>()
-            }
-            ColMsg::Probe { .. } => 1 + 8,
-            ColMsg::ProbeAck { .. } => 1 + 8 + 8 + 1,
-            ColMsg::WorkerPanic { info, .. } => 1 + 8 + info.wire_size(),
-            ColMsg::InstallParams { parts } => {
-                1 + 8 + parts.iter().map(|(_, p)| 8 + p.wire_size()).sum::<usize>()
-            }
-            ColMsg::ComputeStatsFor { pids, .. } => 1 + 8 + 8 + 8 + (8 + 8 * pids.len()),
-            ColMsg::StatsReplyFor { pids, partial, .. } => {
-                1 + 8 + 8 + 8 + 8 + 1 + (8 + 8 * pids.len()) + partial.wire_size()
-            }
-            ColMsg::ShardRequest { .. } => 1 + 8 + 8 + 8,
-            ColMsg::ShardData {
-                worksets, params, ..
-            } => {
-                1 + 8
-                    + 8
-                    + (8 + worksets.iter().map(|ws| ws.wire_size()).sum::<usize>())
-                    + params.wire_size()
-            }
-            ColMsg::ShardInstalled { .. } => 1 + 8 + 8 + 8,
-            ColMsg::DropShard { .. } => 1 + 8 + 8,
-        }
-    }
-
-    fn kind(&self) -> &'static str {
-        self.name()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use columnsgd_cluster::wire_size;
     use columnsgd_linalg::SparseVector;
 
-    #[test]
-    fn stats_reply_size_tracks_batch() {
-        let small = ColMsg::StatsReply {
-            iteration: 0,
-            worker: 0,
-            partial: vec![0.0; 10],
-            compute_s: 0.0,
-            sample_s: 0.0,
-            task_failed: false,
-        };
-        let big = ColMsg::StatsReply {
-            iteration: 0,
-            worker: 0,
-            partial: vec![0.0; 1000],
-            compute_s: 0.0,
-            sample_s: 0.0,
-            task_failed: false,
-        };
-        assert_eq!(big.wire_size() - small.wire_size(), 8 * 990);
+    fn size(m: &ColMsg) -> usize {
+        wire_size(m).expect("encodable")
     }
 
     #[test]
-    fn analytic_sizes_match_serialized_sizes() {
-        for stats_len in [0usize, 1, 10, 1_000, 123_457] {
+    fn statistics_sizes_are_pinned() {
+        // The two messages of the paper's per-iteration cost: a reply of
+        // n statistics is 42 + 8n bytes, the update broadcast 17 + 8n.
+        for n in [0usize, 1, 10, 1_000] {
             let reply = ColMsg::StatsReply {
                 iteration: 7,
                 worker: 3,
-                partial: vec![1.5; stats_len],
+                partial: vec![1.5; n],
                 compute_s: 0.25,
                 sample_s: 0.05,
                 task_failed: false,
             };
-            assert_eq!(
-                ColMsg::stats_reply_wire_size(stats_len),
-                reply.wire_size(),
-                "StatsReply, stats_len={stats_len}"
-            );
+            assert_eq!(size(&reply), 42 + 8 * n);
             let update = ColMsg::Update {
                 iteration: 7,
-                stats: vec![1.5; stats_len],
+                stats: vec![1.5; n],
             };
-            assert_eq!(
-                ColMsg::update_wire_size(stats_len),
-                update.wire_size(),
-                "Update, stats_len={stats_len}"
-            );
-        }
-    }
-
-    #[test]
-    fn analytic_elastic_reply_size_matches_serialized_size() {
-        for (npids, stats_len) in [(1usize, 0usize), (1, 1_000), (7, 10), (16, 123_457)] {
-            let reply = ColMsg::StatsReplyFor {
-                iteration: 7,
-                worker: 3,
-                pids: vec![2; npids],
-                partial: vec![1.5; stats_len],
-                compute_s: 0.25,
-                sample_s: 0.05,
-                task_failed: false,
-            };
-            assert_eq!(
-                ColMsg::stats_reply_for_wire_size(npids, stats_len),
-                reply.wire_size(),
-                "StatsReplyFor, npids={npids}, stats_len={stats_len}"
-            );
+            assert_eq!(size(&update), 17 + 8 * n);
         }
     }
 
     #[test]
     fn control_messages_are_tiny() {
-        assert!(ColMsg::Shutdown.wire_size() < 8);
-        assert!(ColMsg::Die.wire_size() < 8);
-        assert!(
-            (ColMsg::ComputeStats {
-                iteration: 9,
-                batch_size: 1000,
-                attempt: 0
-            })
-            .wire_size()
-                < 32
-        );
-        assert!(ColMsg::Probe { iteration: 9 }.wire_size() < 16);
-        assert!(
-            (ColMsg::ProbeAck {
-                worker: 3,
-                iteration: 9,
-                loaded: true
-            })
-            .wire_size()
-                < 32
-        );
+        assert!(size(&ColMsg::Shutdown) < 8);
+        assert!(size(&ColMsg::Die) < 8);
+        let stats = ColMsg::ComputeStats {
+            iteration: 9,
+            batch_size: 1000,
+            attempt: 0,
+        };
+        assert!(size(&stats) < 32);
+        assert!(size(&ColMsg::Probe { iteration: 9 }) < 16);
+        let ack = ColMsg::ProbeAck {
+            worker: 3,
+            iteration: 9,
+            loaded: true,
+        };
+        assert!(size(&ack) < 32);
     }
 
     #[test]
@@ -438,24 +317,21 @@ mod tests {
     }
 
     #[test]
-    fn elastic_messages_follow_wire_conventions() {
+    fn elastic_message_sizes_are_pinned() {
         let m = ColMsg::ComputeStatsFor {
             iteration: 3,
             batch_size: 64,
             attempt: 0,
             pids: vec![1, 5],
         };
-        assert_eq!(m.wire_size(), 1 + 8 + 8 + 8 + 8 + 16);
-        assert_eq!(
-            ColMsg::ShardRequest {
-                pid: 1,
-                epoch: 2,
-                to: 3
-            }
-            .wire_size(),
-            25
-        );
-        assert_eq!(ColMsg::DropShard { pid: 1, epoch: 2 }.wire_size(), 17);
+        assert_eq!(size(&m), 49);
+        let request = ColMsg::ShardRequest {
+            pid: 1,
+            epoch: 2,
+            to: 3,
+        };
+        assert_eq!(size(&request), 25);
+        assert_eq!(size(&ColMsg::DropShard { pid: 1, epoch: 2 }), 17);
         // ShardData's size = headers + worksets + params, so migration bytes
         // scale with the shard payload like any other data traffic.
         let rows: Vec<(f64, SparseVector)> = (0..20)
@@ -479,7 +355,7 @@ mod tests {
             worksets: vec![parts[0].clone()],
             params,
         };
-        assert_eq!(full.wire_size() - small.wire_size(), parts[0].wire_size());
+        assert_eq!(size(&full) - size(&small), wire_size(&parts[0]).unwrap());
     }
 
     #[test]
@@ -496,7 +372,8 @@ mod tests {
             pid: 0,
             ws: parts[0].clone(),
         };
-        assert!(msg.wire_size() > parts[0].wire_size());
-        assert!(msg.wire_size() < parts[0].wire_size() + 32);
+        let ws = wire_size(&parts[0]).unwrap();
+        assert!(size(&msg) > ws);
+        assert!(size(&msg) < ws + 32);
     }
 }

@@ -54,11 +54,6 @@ impl Block {
     pub fn row(&self, r: usize) -> (Value, SparseVector) {
         (self.data.label(r), self.data.row_vector(r))
     }
-
-    /// Bytes on the simulated wire (block ID + CSR payload).
-    pub fn wire_size(&self) -> usize {
-        8 + self.data.wire_size()
-    }
 }
 
 /// The master-side FIFO queue of blocks awaiting transformation.
@@ -137,11 +132,5 @@ mod tests {
         assert_eq!(q.pop().unwrap().id(), 2);
         assert!(q.pop().is_none());
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn wire_size_includes_id_header() {
-        let b = Block::from_rows(1, &rows(2));
-        assert_eq!(b.wire_size(), 8 + b.csr().wire_size());
     }
 }

@@ -1,4 +1,4 @@
-//! Worksets: column-partitioned block pieces, and the dispatch schemes.
+//! Worksets: column-partitioned block pieces.
 //!
 //! §IV-A: a worker that receives a block "reads in the block, and splits it
 //! into K worksets. Each workset contains a column-based partition of the
@@ -34,11 +34,6 @@ impl Workset {
     pub fn nrows(&self) -> usize {
         self.data.nrows()
     }
-
-    /// Bytes on the simulated wire (block ID + CSR payload).
-    pub fn wire_size(&self) -> usize {
-        8 + self.data.wire_size()
-    }
 }
 
 /// Splits a block into one workset per worker (Algorithm 4, lines 2-6).
@@ -72,55 +67,6 @@ pub fn split_block(block: &Block, part: &ColumnPartitioner) -> Vec<Workset> {
             data,
         })
         .collect()
-}
-
-/// Metering counts for a dispatch strategy, consumed by the Figure 7
-/// reproduction: how many discrete objects were serialized and shipped, and
-/// how many payload bytes they carried.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DispatchStats {
-    /// Number of serialized objects sent over the network.
-    pub objects: u64,
-    /// Total payload bytes.
-    pub bytes: u64,
-}
-
-impl DispatchStats {
-    /// Accumulates another stats record.
-    pub fn add(&mut self, other: DispatchStats) {
-        self.objects += other.objects;
-        self.bytes += other.bytes;
-    }
-}
-
-/// Block-based dispatch of one block: K CSR workset objects.
-pub fn block_dispatch_stats(block: &Block, part: &ColumnPartitioner) -> DispatchStats {
-    let worksets = split_block(block, part);
-    DispatchStats {
-        objects: worksets.len() as u64,
-        bytes: worksets.iter().map(|w| w.wire_size() as u64).sum(),
-    }
-}
-
-/// Naive dispatch of one block: each *row* is split and its K pieces are
-/// sent as individual objects ("Naive-ColumnSGD", §IV-A1: partitioning each
-/// row "on the fly" transfers K× more objects through the network).
-///
-/// Every piece pays its own label, block id, offset, and length header —
-/// the serialization overhead Figure 7 measures.
-pub fn naive_dispatch_stats(block: &Block, part: &ColumnPartitioner) -> DispatchStats {
-    let k = part.num_workers();
-    let mut stats = DispatchStats::default();
-    for r in 0..block.nrows() {
-        let (_, row) = block.row(r);
-        let pieces = row.split_by(k, |i| part.owner(i));
-        for piece in pieces {
-            stats.objects += 1;
-            // block id + offset + label + sparse payload
-            stats.bytes += (8 + 8 + 8 + piece.wire_size()) as u64;
-        }
-    }
-    stats
 }
 
 /// The per-worker store of received worksets (Algorithm 4 line 7:
@@ -257,20 +203,6 @@ mod tests {
                 assert_eq!(SparseVector::from_pairs(pairs), orig);
             }
         }
-    }
-
-    #[test]
-    fn naive_sends_k_objects_per_row() {
-        let b = block(0, 6, 12);
-        let p = ColumnPartitioner::round_robin(4);
-        let naive = naive_dispatch_stats(&b, &p);
-        let blocked = block_dispatch_stats(&b, &p);
-        assert_eq!(naive.objects, 6 * 4);
-        assert_eq!(blocked.objects, 4);
-        assert!(
-            naive.bytes > blocked.bytes,
-            "naive {naive:?} vs blocked {blocked:?}"
-        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! row-to-column transformation, the two-phase index, and LIBSVM I/O.
 
 use columnsgd_data::block::Block;
-use columnsgd_data::workset::{naive_dispatch_stats, split_block};
+use columnsgd_data::workset::split_block;
 use columnsgd_data::{libsvm, ColumnPartitioner, Dataset, TwoPhaseIndex};
 use columnsgd_linalg::SparseVector;
 use proptest::prelude::*;
@@ -81,22 +81,6 @@ proptest! {
             }
             prop_assert_eq!(SparseVector::from_pairs(pairs), orig);
         }
-    }
-
-    /// Naive dispatch always ships K× the objects of block dispatch and at
-    /// least as many bytes.
-    #[test]
-    fn naive_dispatch_dominates_block_dispatch(
-        rows in arb_rows(30, 100),
-        k in 1usize..8,
-    ) {
-        let block = Block::from_rows(0, &rows);
-        let p = ColumnPartitioner::round_robin(k);
-        let naive = naive_dispatch_stats(&block, &p);
-        let blocked = columnsgd_data::workset::block_dispatch_stats(&block, &p);
-        prop_assert_eq!(naive.objects, (block.nrows() * k) as u64);
-        prop_assert_eq!(blocked.objects, k as u64);
-        prop_assert!(naive.bytes >= blocked.bytes || block.nrows() == 1);
     }
 
     /// The two-phase index always yields in-range addresses and identical

@@ -114,6 +114,21 @@ impl CsrMatrix {
         &self.labels
     }
 
+    /// The `nrows + 1` row offsets into [`CsrMatrix::indices`].
+    pub fn indptr(&self) -> &[usize] {
+        &self.indptr
+    }
+
+    /// All rows' column indices, concatenated.
+    pub fn indices(&self) -> &[FeatureIndex] {
+        &self.indices
+    }
+
+    /// All rows' values, concatenated.
+    pub fn values(&self) -> &[Value] {
+        &self.values
+    }
+
     /// Borrowed view of row `r` as (indices, values).
     pub fn row(&self, r: usize) -> (&[FeatureIndex], &[Value]) {
         let (s, e) = (self.indptr[r], self.indptr[r + 1]);
@@ -182,17 +197,6 @@ impl CsrMatrix {
         }
         Ok(())
     }
-
-    /// Bytes on the simulated wire: labels (8/row) + indptr (8/row+8) +
-    /// index/value pairs (16/nnz) + a 16-byte header.
-    ///
-    /// Compare with the naive encoding of the same data as per-row
-    /// [`SparseVector`] messages: each row then pays its own 8-byte header
-    /// and 8-byte label, and each *message* pays the network envelope, which
-    /// is exactly the Figure 7 effect.
-    pub fn wire_size(&self) -> usize {
-        16 + 8 * self.labels.len() + 8 * self.indptr.len() + 16 * self.nnz()
-    }
 }
 
 #[cfg(test)]
@@ -252,19 +256,6 @@ mod tests {
     fn dimension_bound() {
         assert_eq!(sample().dimension_bound(), 3);
         assert_eq!(CsrMatrix::new().dimension_bound(), 0);
-    }
-
-    #[test]
-    fn wire_size_is_compact() {
-        let m = sample();
-        // CSR: 16 + 24 + 32 + 96
-        assert_eq!(m.wire_size(), 16 + 24 + 32 + 96);
-        // Naive per-row encoding for the same data is strictly larger once
-        // per-row label + header overheads are counted.
-        let naive: usize = (0..m.nrows())
-            .map(|r| 8 + m.row_vector(r).wire_size())
-            .sum();
-        assert!(m.wire_size() < naive + 16 * m.nrows());
     }
 
     #[test]

@@ -132,11 +132,6 @@ impl DenseVector {
             .collect();
         SparseVector::from_pairs(pairs)
     }
-
-    /// Wire size: 8 bytes per component plus an 8-byte length header.
-    pub fn wire_size(&self) -> usize {
-        8 + 8 * self.len()
-    }
 }
 
 impl From<Vec<Value>> for DenseVector {

@@ -232,12 +232,6 @@ impl SparseVector {
         }
         Ok(())
     }
-
-    /// The number of bytes this vector occupies on the simulated wire:
-    /// 8 bytes per index + 8 per value + an 8-byte length header.
-    pub fn wire_size(&self) -> usize {
-        8 + 16 * self.nnz()
-    }
 }
 
 impl FromIterator<(FeatureIndex, Value)> for SparseVector {
@@ -317,11 +311,5 @@ mod tests {
         assert_eq!(v.norm_sq(), 25.0);
         v.scale(2.0);
         assert_eq!(v.values(), &[6.0, 8.0]);
-    }
-
-    #[test]
-    fn wire_size_counts_header_and_pairs() {
-        assert_eq!(sv(&[]).wire_size(), 8);
-        assert_eq!(sv(&[(1, 1.0), (2, 2.0)]).wire_size(), 8 + 32);
     }
 }

@@ -1,6 +1,6 @@
 //! Known-bad protocol fixture: `Msg::Beta` is declared but missing from
-//! every configured site — the wire_size and encode matches hide it
-//! behind wildcards, the decoder never constructs it, and the handler
+//! every configured site — the encode match hides it behind a
+//! wildcard, the decoder never constructs it, and the handler
 //! loop swallows it with `_ =>`. The lint must name the variant at each
 //! site; wildcard arms are not coverage.
 
@@ -8,14 +8,6 @@ pub enum Msg {
     Alpha { x: u32 },
     Beta(u8),
     Gamma,
-}
-
-pub fn wire_size(m: &Msg) -> usize {
-    match m {
-        Msg::Alpha { .. } => 4,
-        Msg::Gamma => 0,
-        _ => 1,
-    }
 }
 
 pub fn encode_body(m: &Msg) -> Vec<u8> {

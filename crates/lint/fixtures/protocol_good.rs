@@ -9,14 +9,6 @@ pub enum Msg {
     Gamma,
 }
 
-pub fn wire_size(m: &Msg) -> usize {
-    match m {
-        Msg::Alpha { .. } => 4,
-        Msg::Beta(..) => 1,
-        Msg::Gamma => 0,
-    }
-}
-
 pub fn encode_body(m: &Msg) -> Vec<u8> {
     match m {
         Msg::Alpha { x } => x.to_le_bytes().to_vec(),

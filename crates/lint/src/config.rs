@@ -134,15 +134,13 @@ impl SiteRef {
 
 /// One `[protocol.<Enum>]` section: where the enum is defined and which
 /// sites must cover every variant. Empty site lists mean the check does
-/// not apply to this enum (e.g. `FrameKind` has no `wire_size`).
+/// not apply to this enum (e.g. `FrameKind` has no `encode` site).
 #[derive(Debug, Clone, Default)]
 pub struct ProtocolSpec {
     /// Enum name (`ColMsg`).
     pub enum_name: String,
     /// File defining the enum.
     pub def: String,
-    /// Sites where every variant needs a `wire_size` match arm.
-    pub wire_size: Vec<SiteRef>,
     /// Sites where every variant needs an encode match arm.
     pub encode: Vec<SiteRef>,
     /// Sites where every variant must be constructed (decode coverage is
@@ -257,7 +255,6 @@ fn apply(cfg: &mut Config, section: &str, key: &str, value: &str) -> Result<(), 
         };
         match key {
             "def" => spec.def = parse_string(value)?,
-            "wire_size" => spec.wire_size = sites(value)?,
             "encode" => spec.encode = sites(value)?,
             "decode" => spec.decode = sites(value)?,
             "handlers" => spec.handlers = sites(value)?,
@@ -346,7 +343,7 @@ allow_paths = ["crates/cluster/src"]
             r#"
 [protocol.ColMsg]
 def = "crates/core/src/msg.rs"
-wire_size = ["crates/core/src/msg.rs::wire_size"]
+encode = ["crates/core/src/codec.rs::encode_body"]
 decode = ["crates/core/src/codec.rs::decode_body"]
 handlers = [
     "crates/core/src/worker.rs::run_worker",
@@ -360,13 +357,12 @@ handlers = [
         assert_eq!(p.enum_name, "ColMsg");
         assert_eq!(p.def, "crates/core/src/msg.rs");
         assert_eq!(
-            p.wire_size,
+            p.encode,
             vec![SiteRef {
-                path: "crates/core/src/msg.rs".into(),
-                func: Some("wire_size".into())
+                path: "crates/core/src/codec.rs".into(),
+                func: Some("encode_body".into())
             }]
         );
-        assert!(p.encode.is_empty());
         assert_eq!(p.handlers[1].func, None);
         assert_eq!(p.handlers[1].path, "crates/core/src/elastic.rs");
     }

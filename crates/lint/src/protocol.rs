@@ -4,7 +4,7 @@
 //! Driven by `[protocol.<Enum>]` sections in `lint.toml`. Two coverage
 //! modes:
 //!
-//! * **pattern** (`wire_size`, `encode`, `handlers`): the variant must
+//! * **pattern** (`encode`, `handlers`): the variant must
 //!   appear in *pattern position* — a `match` arm or a `let`-family
 //!   pattern. Constructing a variant in an arm body (a worker building a
 //!   `StatsReply` to send) is not coverage, and neither is a wildcard or
@@ -74,7 +74,6 @@ pub fn check(units: &[FileUnit], config: &Config) -> Vec<Finding> {
             continue;
         };
         for (kind, sites, mode) in [
-            ("wire_size", &spec.wire_size, Mode::Pattern),
             ("encode", &spec.encode, Mode::Pattern),
             ("decode", &spec.decode, Mode::Mention),
             ("handler", &spec.handlers, Mode::Pattern),

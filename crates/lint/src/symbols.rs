@@ -1010,10 +1010,10 @@ mod tests {
 
     #[test]
     fn impl_blocks_record_trait_and_self_ty() {
-        let s = sym("impl Wire for ColMsg { fn wire_size(&self) -> usize { 0 } }\nimpl Helper { fn go(&self) {} }\nimpl fmt::Display for TrainError { }");
+        let s = sym("impl WireCodec for ColMsg { fn kind(&self) -> usize { 0 } }\nimpl Helper { fn go(&self) {} }\nimpl fmt::Display for TrainError { }");
         assert_eq!(s.impls.len(), 3);
         assert_eq!(s.impls[0].self_ty, "ColMsg");
-        assert_eq!(s.impls[0].trait_name.as_deref(), Some("Wire"));
+        assert_eq!(s.impls[0].trait_name.as_deref(), Some("WireCodec"));
         assert_eq!(s.impls[1].self_ty, "Helper");
         assert_eq!(s.impls[1].trait_name, None);
         assert_eq!(s.impls[2].self_ty, "TrainError");

@@ -169,14 +169,13 @@ include = ["crates"]
 
 [protocol.Msg]
 def = "crates/injected/src/proto.rs"
-wire_size = ["crates/injected/src/proto.rs::wire_size"]
 encode = ["crates/injected/src/proto.rs::encode_body"]
 decode = ["crates/injected/src/proto.rs::decode_body"]
 handlers = ["crates/injected/src/proto.rs::handle"]
 "#;
 
-/// The acceptance scenario: a variant whose wire_size/encode/decode/
-/// handler arms were removed (hidden behind wildcards) is reported by
+/// The acceptance scenario: a variant whose encode/decode/handler arms
+/// were removed (hidden behind wildcards) is reported by
 /// name at every site; the fully covered twin passes clean.
 #[test]
 fn protocol_conformance_names_the_missing_variant_per_site() {
@@ -185,7 +184,7 @@ fn protocol_conformance_names_the_missing_variant_per_site() {
     let base = inject_tree("proto-bad", &[("proto.rs", "protocol_bad.rs")]);
     let report = run_lint(&base, &cfg).expect("run");
     let msgs = rule_messages(&report, "protocol-conformance");
-    for kind in ["wire_size", "encode", "decode", "handler"] {
+    for kind in ["encode", "decode", "handler"] {
         assert!(
             msgs.iter()
                 .any(|m| m.contains("`Msg::Beta`") && m.contains(&format!("no {kind} arm"))),

@@ -54,15 +54,6 @@ impl ParamSet {
             b.fill_zero();
         }
     }
-
-    /// Bytes on the simulated wire.
-    pub fn wire_size(&self) -> usize {
-        8 + self
-            .blocks
-            .iter()
-            .map(DenseVector::wire_size)
-            .sum::<usize>()
-    }
 }
 
 /// A sparse gradient over a set of (global or local) feature indices.
@@ -153,11 +144,6 @@ impl SparseGrad {
             }
         }
     }
-
-    /// Bytes on the simulated wire: indices + values + headers.
-    pub fn wire_size(&self) -> usize {
-        16 + 8 * self.indices.len() + 8 * self.blocks.iter().map(Vec::len).sum::<usize>()
-    }
 }
 
 /// Hyper-parameters for one model update.
@@ -247,17 +233,5 @@ mod tests {
         };
         g.scale(0.25);
         assert_eq!(g.blocks[0], vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn wire_sizes() {
-        let g = SparseGrad {
-            indices: vec![0, 1],
-            blocks: vec![vec![4.0, 8.0]],
-            widths: vec![1],
-        };
-        assert_eq!(g.wire_size(), 16 + 16 + 16);
-        let p = ParamSet::zeros(4, &[1]);
-        assert_eq!(p.wire_size(), 8 + (8 + 32));
     }
 }

@@ -1,21 +1,18 @@
 //! Byte-level serialization for [`RowMsg`] — the RowSGD wire format.
 //!
-//! Same contract as the ColumnSGD codec (`columnsgd_core::codec`): every
-//! encoded body is **exactly** [`Wire::wire_size`](columnsgd_cluster::Wire::wire_size) bytes, pinned by the
-//! framing layer's size assertion and by the round-trip test below, so
-//! the analytic byte accounting and the physically shipped frames agree
-//! on both transports. The dense/sparse parameter payloads reuse the
+//! Same contract as the ColumnSGD codec (`columnsgd_core::codec`): the
+//! encoder is the message's size (`columnsgd_cluster::wire_size` counts
+//! it), so the meter and the physically shipped frames agree on both
+//! transports. The dense/sparse parameter payloads reuse the
 //! width-packed helpers from the ColumnSGD codec.
 
-use columnsgd_cluster::codec::{put_f64, put_f64s, put_u32, put_u64, put_u64s, put_u8, put_usize};
-use columnsgd_cluster::{CodecError, WireCodec, WireReader};
+use columnsgd_cluster::{CodecError, Sink, WireCodec, WireReader};
 use columnsgd_core::codec::{put_param_set, put_sparse_grad, read_param_set, read_sparse_grad};
 use columnsgd_linalg::CsrMatrix;
 
 use crate::msg::RowMsg;
 
-// Variant tags, in declaration order. A tag is one byte on the wire — the
-// `1 +` every `wire_size()` arm starts with.
+// Variant tags, in declaration order. A tag is one byte on the wire.
 const T_LOAD_ROWS: u8 = 0;
 const T_LOAD_ACK: u8 = 1;
 const T_FULL_MODEL_GRAD: u8 = 2;
@@ -32,24 +29,28 @@ const T_MODEL_REPLY: u8 = 12;
 const T_SHUTDOWN: u8 = 13;
 
 impl WireCodec for RowMsg {
-    fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), CodecError> {
+    fn kind(&self) -> &'static str {
+        self.name()
+    }
+
+    fn encode_body<S: Sink>(&self, out: &mut S) -> Result<(), CodecError> {
         match self {
             RowMsg::LoadRows(rows) => {
-                put_u8(out, T_LOAD_ROWS);
+                out.put_u8(T_LOAD_ROWS);
                 rows.encode_body(out)?;
             }
             RowMsg::LoadAck { worker } => {
-                put_u8(out, T_LOAD_ACK);
-                put_usize(out, *worker);
+                out.put_u8(T_LOAD_ACK);
+                out.put_usize(*worker);
             }
             RowMsg::FullModelGrad { iteration, params } => {
-                put_u8(out, T_FULL_MODEL_GRAD);
-                put_u64(out, *iteration);
+                out.put_u8(T_FULL_MODEL_GRAD);
+                out.put_u64(*iteration);
                 put_param_set(out, params)?;
             }
             RowMsg::RequestIndices { iteration } => {
-                put_u8(out, T_REQUEST_INDICES);
-                put_u64(out, *iteration);
+                out.put_u8(T_REQUEST_INDICES);
+                out.put_u64(*iteration);
             }
             RowMsg::IndicesReply {
                 iteration,
@@ -57,15 +58,15 @@ impl WireCodec for RowMsg {
                 indices,
                 compute_s,
             } => {
-                put_u8(out, T_INDICES_REPLY);
-                put_u64(out, *iteration);
-                put_usize(out, *worker);
-                put_u64s(out, indices);
-                put_f64(out, *compute_s);
+                out.put_u8(T_INDICES_REPLY);
+                out.put_u64(*iteration);
+                out.put_usize(*worker);
+                out.put_u64s(indices);
+                out.put_f64(*compute_s);
             }
             RowMsg::SparseModelGrad { iteration, values } => {
-                put_u8(out, T_SPARSE_MODEL_GRAD);
-                put_u64(out, *iteration);
+                out.put_u8(T_SPARSE_MODEL_GRAD);
+                out.put_u64(*iteration);
                 put_sparse_grad(out, values)?;
             }
             RowMsg::GradReplySparse {
@@ -75,12 +76,12 @@ impl WireCodec for RowMsg {
                 loss,
                 compute_s,
             } => {
-                put_u8(out, T_GRAD_REPLY_SPARSE);
-                put_u64(out, *iteration);
-                put_usize(out, *worker);
+                out.put_u8(T_GRAD_REPLY_SPARSE);
+                out.put_u64(*iteration);
+                out.put_usize(*worker);
                 put_sparse_grad(out, grad)?;
-                put_f64(out, *loss);
-                put_f64(out, *compute_s);
+                out.put_f64(*loss);
+                out.put_f64(*compute_s);
             }
             RowMsg::GradReplyDense {
                 iteration,
@@ -89,22 +90,22 @@ impl WireCodec for RowMsg {
                 loss,
                 compute_s,
             } => {
-                put_u8(out, T_GRAD_REPLY_DENSE);
-                put_u64(out, *iteration);
-                put_usize(out, *worker);
+                out.put_u8(T_GRAD_REPLY_DENSE);
+                out.put_u64(*iteration);
+                out.put_usize(*worker);
                 put_param_set(out, grad)?;
-                put_f64(out, *loss);
-                put_f64(out, *compute_s);
+                out.put_f64(*loss);
+                out.put_f64(*compute_s);
             }
             RowMsg::LocalStep { iteration } => {
-                put_u8(out, T_LOCAL_STEP);
-                put_u64(out, *iteration);
+                out.put_u8(T_LOCAL_STEP);
+                out.put_u64(*iteration);
             }
             RowMsg::RingChunk { phase, step, data } => {
-                put_u8(out, T_RING_CHUNK);
-                put_u8(out, *phase);
-                put_u32(out, *step);
-                put_f64s(out, data);
+                out.put_u8(T_RING_CHUNK);
+                out.put_u8(*phase);
+                out.put_u32(*step);
+                out.put_f64s(data);
             }
             RowMsg::StepDone {
                 iteration,
@@ -112,19 +113,19 @@ impl WireCodec for RowMsg {
                 loss,
                 compute_s,
             } => {
-                put_u8(out, T_STEP_DONE);
-                put_u64(out, *iteration);
-                put_usize(out, *worker);
-                put_f64(out, *loss);
-                put_f64(out, *compute_s);
+                out.put_u8(T_STEP_DONE);
+                out.put_u64(*iteration);
+                out.put_usize(*worker);
+                out.put_f64(*loss);
+                out.put_f64(*compute_s);
             }
-            RowMsg::FetchModel => put_u8(out, T_FETCH_MODEL),
+            RowMsg::FetchModel => out.put_u8(T_FETCH_MODEL),
             RowMsg::ModelReply { worker, params } => {
-                put_u8(out, T_MODEL_REPLY);
-                put_usize(out, *worker);
+                out.put_u8(T_MODEL_REPLY);
+                out.put_usize(*worker);
                 put_param_set(out, params)?;
             }
-            RowMsg::Shutdown => put_u8(out, T_SHUTDOWN),
+            RowMsg::Shutdown => out.put_u8(T_SHUTDOWN),
         }
         Ok(())
     }
@@ -198,7 +199,7 @@ impl WireCodec for RowMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use columnsgd_cluster::Wire;
+    use columnsgd_cluster::wire_size;
     use columnsgd_data::synth;
     use columnsgd_ml::{ParamSet, SparseGrad};
 
@@ -262,17 +263,17 @@ mod tests {
         ]
     }
 
-    /// The codec invariant: `encode_body` emits exactly `wire_size()`
-    /// bytes for every variant, and decoding re-encodes identically.
+    /// The codec invariant: decoding re-encodes identically, and the
+    /// counted size is the encoded length, for every variant.
     #[test]
-    fn every_variant_roundtrips_at_wire_size() {
+    fn every_variant_roundtrips() {
         for msg in samples() {
             let mut buf = Vec::new();
             msg.encode_body(&mut buf).expect("encode");
             assert_eq!(
-                buf.len(),
-                msg.wire_size(),
-                "{}: encoded length != wire_size",
+                wire_size(&msg),
+                Ok(buf.len()),
+                "{}: counted size != encoded length",
                 msg.name()
             );
             let mut r = WireReader::new(&buf);
@@ -282,6 +283,33 @@ mod tests {
             back.encode_body(&mut buf2).expect("re-encode");
             assert_eq!(buf, buf2, "{}: decode/re-encode diverged", msg.name());
         }
+    }
+
+    #[test]
+    fn dense_model_message_scales_with_m() {
+        let model = |dim| RowMsg::FullModelGrad {
+            iteration: 0,
+            params: ParamSet::zeros(dim, &[1]),
+        };
+        let (small, large) = (wire_size(&model(100)), wire_size(&model(100_000)));
+        assert_eq!(large.unwrap() - small.unwrap(), 8 * (100_000 - 100));
+    }
+
+    #[test]
+    fn sparse_messages_scale_with_nnz_not_m() {
+        let grad = SparseGrad {
+            indices: vec![5, 1_000_000_000],
+            blocks: vec![vec![1.0, 2.0]],
+            widths: vec![1],
+        };
+        let msg = RowMsg::GradReplySparse {
+            iteration: 0,
+            worker: 0,
+            grad,
+            loss: 0.0,
+            compute_s: 0.0,
+        };
+        assert!(wire_size(&msg).unwrap() < 128);
     }
 
     #[test]

@@ -13,10 +13,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use columnsgd_cluster::telemetry::{ProfScope, RunStamp};
-use columnsgd_cluster::wire::ENVELOPE_BYTES;
 use columnsgd_cluster::{
-    ClusterConfig, Endpoint, Launcher, Monitor, NetError, NetworkModel, NodeId, Recorder, SimClock,
-    TrafficStats, Wire,
+    wire_size, ClusterConfig, Endpoint, Launcher, Monitor, NetError, NetworkModel, NodeId,
+    Recorder, SimClock, TrafficStats, ENVELOPE_BYTES,
 };
 use columnsgd_core::runtime::{Runtime, Superstep};
 use columnsgd_core::{LoadReport, TrainError, TrainOutcome, PER_OBJECT_S};
@@ -438,7 +437,7 @@ impl RowSgdEngine {
         };
         let workers: Vec<NodeId> = (0..self.k).map(NodeId::Worker).collect();
         let sent = self.rt.master.broadcast(&workers, &msg);
-        let model_msg_bytes = (msg.wire_size() + ENVELOPE_BYTES) as u64;
+        let model_msg_bytes = (wire_size(&msg)? + ENVELOPE_BYTES) as u64;
         if let RowMsg::FullModelGrad { params: model, .. } = msg {
             *params = model;
         }
@@ -451,8 +450,9 @@ impl RowSgdEngine {
         // (or socket) scheduling — nondeterministic run to run, and
         // divergent across transport backends.
         let replies = self.gather(self.k, t, "MLlib gather", |msg| {
-            // Priced exactly as the router metered it.
-            let bytes = (msg.wire_size() + ENVELOPE_BYTES) as u64;
+            // Priced exactly as the router metered it: the reply's
+            // encoder, which the router ran when the reply was sent.
+            let bytes = (wire_size(&msg).ok()? + ENVELOPE_BYTES) as u64;
             match msg {
                 RowMsg::GradReplyDense {
                     worker,

@@ -3,7 +3,7 @@
 //! hex armor every worker binary shares ([`columnsgd_cluster::host`]).
 //! The config-enum codecs are ColumnSGD's.
 
-use columnsgd_cluster::codec::{put_f64, put_u64, put_u8, put_usize};
+use columnsgd_cluster::Sink;
 use columnsgd_cluster::{Boot, BootJob, CodecError, WireReader};
 use columnsgd_core::host::{
     put_model, put_optimizer, put_regularizer, read_model, read_optimizer, read_regularizer,
@@ -17,15 +17,12 @@ use crate::config::{RowSgdConfig, RowSgdVariant};
 pub type RowBootSpec = Boot<RowSgdConfig>;
 
 fn put_variant(out: &mut Vec<u8>, v: RowSgdVariant) {
-    put_u8(
-        out,
-        match v {
-            RowSgdVariant::MLlib => 0,
-            RowSgdVariant::MLlibStar => 1,
-            RowSgdVariant::PsDense => 2,
-            RowSgdVariant::PsSparse => 3,
-        },
-    );
+    out.put_u8(match v {
+        RowSgdVariant::MLlib => 0,
+        RowSgdVariant::MLlibStar => 1,
+        RowSgdVariant::PsDense => 2,
+        RowSgdVariant::PsSparse => 3,
+    });
 }
 
 fn read_variant(r: &mut WireReader<'_>) -> Result<RowSgdVariant, CodecError> {
@@ -44,17 +41,17 @@ impl BootJob for RowSgdConfig {
     /// Fields in declaration order.
     fn put(&self, out: &mut Vec<u8>) {
         put_model(out, &self.model);
-        put_usize(out, self.batch_size);
-        put_u64(out, self.iterations);
-        put_f64(out, self.update.learning_rate);
+        out.put_usize(self.batch_size);
+        out.put_u64(self.iterations);
+        out.put_f64(self.update.learning_rate);
         put_regularizer(out, &self.update.regularizer);
         put_optimizer(out, &self.optimizer);
-        put_u64(out, self.seed);
+        out.put_u64(self.seed);
         put_variant(out, self.variant);
-        put_usize(out, self.servers);
-        put_f64(out, self.ps_scheduling_s);
-        put_f64(out, self.ps_per_key_s);
-        put_u64(out, self.deadline_ms);
+        out.put_usize(self.servers);
+        out.put_f64(self.ps_scheduling_s);
+        out.put_f64(self.ps_per_key_s);
+        out.put_u64(self.deadline_ms);
     }
 
     fn read(r: &mut WireReader<'_>) -> Result<Self, CodecError> {

@@ -1,6 +1,5 @@
 //! The RowSGD wire protocol (all four variants share one message enum).
 
-use columnsgd_cluster::Wire;
 use columnsgd_linalg::CsrMatrix;
 use columnsgd_ml::{ParamSet, SparseGrad};
 
@@ -134,64 +133,5 @@ impl RowMsg {
             RowMsg::ModelReply { .. } => "ModelReply",
             RowMsg::Shutdown => "Shutdown",
         }
-    }
-}
-
-impl Wire for RowMsg {
-    fn kind(&self) -> &'static str {
-        self.name()
-    }
-
-    fn wire_size(&self) -> usize {
-        match self {
-            RowMsg::LoadRows(rows) => 1 + rows.wire_size(),
-            RowMsg::LoadAck { .. } => 1 + 8,
-            RowMsg::FullModelGrad { params, .. } => 1 + 8 + params.wire_size(),
-            RowMsg::RequestIndices { .. } => 1 + 8,
-            RowMsg::IndicesReply { indices, .. } => 1 + 8 + 8 + 8 + 8 + 8 * indices.len(),
-            RowMsg::SparseModelGrad { values, .. } => 1 + 8 + values.wire_size(),
-            RowMsg::GradReplySparse { grad, .. } => 1 + 8 + 8 + 8 + 8 + grad.wire_size(),
-            RowMsg::GradReplyDense { grad, .. } => 1 + 8 + 8 + 8 + 8 + grad.wire_size(),
-            RowMsg::LocalStep { .. } => 1 + 8,
-            RowMsg::RingChunk { data, .. } => 1 + 1 + 4 + data.wire_size(),
-            RowMsg::StepDone { .. } => 1 + 8 + 8 + 8 + 8,
-            RowMsg::FetchModel | RowMsg::Shutdown => 1,
-            RowMsg::ModelReply { params, .. } => 1 + 8 + params.wire_size(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn dense_model_message_scales_with_m() {
-        let small = RowMsg::FullModelGrad {
-            iteration: 0,
-            params: ParamSet::zeros(100, &[1]),
-        };
-        let large = RowMsg::FullModelGrad {
-            iteration: 0,
-            params: ParamSet::zeros(100_000, &[1]),
-        };
-        assert_eq!(large.wire_size() - small.wire_size(), 8 * (100_000 - 100));
-    }
-
-    #[test]
-    fn sparse_messages_scale_with_nnz_not_m() {
-        let grad = SparseGrad {
-            indices: vec![5, 1_000_000_000],
-            blocks: vec![vec![1.0, 2.0]],
-            widths: vec![1],
-        };
-        let msg = RowMsg::GradReplySparse {
-            iteration: 0,
-            worker: 0,
-            grad,
-            loss: 0.0,
-            compute_s: 0.0,
-        };
-        assert!(msg.wire_size() < 128);
     }
 }

@@ -3,7 +3,7 @@
 //! comparative behaviours the paper's evaluation rests on.
 
 use columnsgd_cluster::telemetry::{Event, Phase};
-use columnsgd_cluster::wire::ENVELOPE_BYTES;
+use columnsgd_cluster::ENVELOPE_BYTES;
 use columnsgd_cluster::{ClusterConfig, NetworkModel, NodeId, Recorder};
 use columnsgd_data::synth;
 use columnsgd_ml::serial;

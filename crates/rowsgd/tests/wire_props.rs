@@ -1,16 +1,16 @@
-//! The frame-length identity for the RowSGD baseline protocol: every
-//! `RowMsg` kind serializes to exactly `wire_size() + ENVELOPE_BYTES`
-//! envelope bytes — under randomized payloads (proptest), and across a
-//! real loopback-TCP socket per message kind (the hub's ingress
-//! re-asserts the identity on every admitted frame).
+//! Every `RowMsg` kind survives the wire codec — under randomized
+//! payloads (proptest), and across a real loopback-TCP socket per
+//! message kind, metered at its encoded length plus the envelope — and a
+//! payload with no encoding is the same typed error on both transports.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use columnsgd_cluster::codec::{decode_body_checked, decode_envelope_header, WireCodec};
 use columnsgd_cluster::telemetry::{Plane, Recorder};
-use columnsgd_cluster::wire::ENVELOPE_BYTES;
-use columnsgd_cluster::{NodeId, Router, TcpClient, TcpHub, TrafficStats, Wire};
+use columnsgd_cluster::{
+    CodecError, NetError, NodeId, Router, TcpClient, TcpHub, TrafficStats, ENVELOPE_BYTES,
+};
 use columnsgd_linalg::{CsrMatrix, SparseVector};
 use columnsgd_ml::params::{ParamSet, SparseGrad};
 use columnsgd_rowsgd::msg::RowMsg;
@@ -131,12 +131,11 @@ fn body_bytes(m: &RowMsg) -> Vec<u8> {
 }
 
 proptest! {
-    /// For every message kind, under randomized payloads: the full
-    /// envelope frame is exactly `wire_size() + ENVELOPE_BYTES` bytes,
-    /// the header decodes, and decode∘encode is the identity (compared
-    /// via re-encoded bytes — `RowMsg` is not `PartialEq`).
+    /// For every message kind, under randomized payloads: the envelope
+    /// header decodes and decode∘encode is the identity (compared via
+    /// re-encoded bytes — `RowMsg` is not `PartialEq`).
     #[test]
-    fn every_kind_frames_at_wire_size(
+    fn every_kind_roundtrips(
         seed in 0u64..1_000_000,
         nrows in 1usize..6,
         data in prop::collection::vec(0u64..100_000, 0..12),
@@ -150,14 +149,7 @@ proptest! {
                 Plane::Data,
             )
             .expect("encodable");
-            prop_assert_eq!(
-                frame.len(),
-                msg.wire_size() + ENVELOPE_BYTES,
-                "frame length != wire_size + envelope for {}",
-                msg.name()
-            );
-            let header = decode_envelope_header(&frame).expect("header");
-            prop_assert_eq!(header.body_len, msg.wire_size());
+            decode_envelope_header(&frame).expect("header");
             let back: RowMsg = decode_body_checked(&frame).expect("decode");
             prop_assert_eq!(body_bytes(&back), body_bytes(&msg), "roundtrip for {}", msg.name());
         }
@@ -165,9 +157,8 @@ proptest! {
 }
 
 /// Every message kind survives a real loopback-TCP round trip via an
-/// echo worker thread; the hub's ingress asserts the frame-length
-/// identity on every admitted frame, and the meter records exactly
-/// `wire_size + ENVELOPE_BYTES` per crossing.
+/// echo worker thread, and the meter records exactly the encoded length
+/// plus `ENVELOPE_BYTES` per crossing.
 #[test]
 fn every_kind_roundtrips_over_loopback_tcp() {
     let ids = [NodeId::Master, NodeId::Worker(0)];
@@ -220,11 +211,65 @@ fn every_kind_roundtrips_over_loopback_tcp() {
             "echo mutated {} on the wire",
             msg.name()
         );
-        expect_bytes += 2 * (msg.wire_size() + ENVELOPE_BYTES) as u64;
+        expect_bytes += 2 * (body_bytes(msg).len() + ENVELOPE_BYTES) as u64;
     }
     echo.join().unwrap();
     let total = traffic.total();
     assert_eq!(total.messages as usize, 2 * msgs.len());
     assert_eq!(total.bytes, expect_bytes);
+    hub.shutdown();
+}
+
+/// A payload with no encoding — a `ParamSet` with one width for two
+/// blocks — is refused with the same typed error by `send`,
+/// `send_reliable` and `broadcast` on both transports, and nothing is
+/// metered: the router counts a message through its encoder before it
+/// meters or delivers it.
+#[test]
+fn unencodable_payload_is_a_typed_error_on_both_transports() {
+    let bad = || RowMsg::FullModelGrad {
+        iteration: 1,
+        params: ParamSet {
+            blocks: vec![vec![1.0].into(), vec![2.0].into()],
+            widths: vec![1],
+        },
+    };
+    let (m, w0) = (NodeId::Master, NodeId::Worker(0));
+    let ids = [m, w0];
+    let refused = |router: &Router<RowMsg>, from: NodeId, to: NodeId| {
+        let errors = [
+            router.send(from, to, bad()),
+            router.send_reliable(from, to, bad()),
+            router.broadcast(from, &[to], &bad()).remove(0),
+        ];
+        for e in &errors {
+            assert!(
+                matches!(e, Err(NetError::Unencodable(CodecError::Malformed(_)))),
+                "{e:?}"
+            );
+        }
+        errors
+    };
+
+    let traffic = TrafficStats::new();
+    let (router, _eps) = Router::<RowMsg>::new(&ids, traffic.clone());
+    let inproc = refused(&router, m, w0);
+    assert_eq!(traffic.total().bytes, 0);
+
+    let traffic = TrafficStats::new();
+    let hub: TcpHub<RowMsg> = TcpHub::bind(&[m], &[w0]).unwrap();
+    let router = Router::with_transport(
+        Arc::new(hub.clone()),
+        &ids,
+        traffic.clone(),
+        None,
+        Recorder::disabled(),
+    );
+    hub.start(router.clone());
+    let (client, _ep) = TcpClient::<RowMsg>::connect(hub.addr(), w0, &ids).unwrap();
+    hub.await_workers(&[w0], Duration::from_secs(10)).unwrap();
+    assert_eq!(refused(&router, m, w0), inproc, "hub side");
+    assert_eq!(refused(&client, w0, m), inproc, "worker side");
+    assert_eq!(traffic.total().bytes, 0);
     hub.shutdown();
 }

@@ -31,8 +31,8 @@
 //!
 //! Every byte a traced run records must reconcile *exactly* with the
 //! router's traffic meter — the engines assert this at the end of training,
-//! so divergence between analytic wire-size pricing and actual serialized
-//! sizes is a hard failure instead of silent drift.
+//! so a trace that diverges from the metered bytes is a hard failure
+//! instead of silent drift.
 //!
 //! [`Router`]: ../columnsgd_cluster/router/struct.Router.html
 
@@ -328,7 +328,7 @@ pub struct SuperstepSpan {
 /// summing `wire_bytes` over a trace reproduces the traffic totals exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommRecord {
-    /// Message kind (`Wire::kind`), e.g. `StatsReply`.
+    /// Message kind (`WireCodec::kind`), e.g. `StatsReply`.
     pub kind: String,
     /// Sending endpoint.
     pub src: NodeRef,
@@ -1054,7 +1054,7 @@ impl Breakdown {
 /// Per-message-kind traffic totals.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KindTotal {
-    /// Message kind (`Wire::kind`).
+    /// Message kind (`WireCodec::kind`).
     pub kind: String,
     /// Total metered bytes of this kind.
     pub bytes: u64,
