@@ -155,14 +155,26 @@ impl Sink for Vec<u8> {
         self.extend_from_slice(b);
     }
     fn put_f64_slice(&mut self, xs: &[f64]) {
-        for &x in xs {
-            self.put_f64(x);
-        }
+        extend_le(self, xs, f64::to_le_bytes);
     }
     fn put_u64_slice(&mut self, xs: &[u64]) {
-        for &x in xs {
-            self.put_u64(x);
+        extend_le(self, xs, u64::to_le_bytes);
+    }
+}
+
+/// Appends `xs` little-endian with one `reserve`, then one bulk
+/// `extend_from_slice` per 4 KiB staged on the stack. A `put_f64` per
+/// value would pay a capacity check and an 8-byte copy each, about twice
+/// the time on an 8 MB model.
+fn extend_le<T: Copy>(out: &mut Vec<u8>, xs: &[T], le: impl Fn(T) -> [u8; 8]) {
+    const RUN: usize = 512;
+    out.reserve(8 * xs.len());
+    let mut stage = [0u8; 8 * RUN];
+    for run in xs.chunks(RUN) {
+        for (bytes, &x) in stage.chunks_exact_mut(8).zip(run) {
+            bytes.copy_from_slice(&le(x));
         }
+        out.extend_from_slice(&stage[..8 * run.len()]);
     }
 }
 
@@ -229,6 +241,13 @@ impl<'a> WireReader<'a> {
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
+    }
+
+    /// How many of `len` announced elements to reserve room for, when
+    /// each takes at least one byte on the wire: never more than the
+    /// bytes left, so a length header alone buys no large allocation.
+    pub fn capacity_hint(&self, len: usize) -> usize {
+        len.min(self.remaining())
     }
 
     fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], CodecError> {
@@ -299,10 +318,8 @@ impl<'a> WireReader<'a> {
             len.checked_mul(8).ok_or(CodecError::Truncated { what })?,
             what,
         )?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-            .collect())
+        let (chunks, _) = raw.as_chunks::<8>();
+        Ok(chunks.iter().map(|&c| f64::from_le_bytes(c)).collect())
     }
 
     /// Reads a `u64` vector (8-byte count + values).
@@ -317,10 +334,8 @@ impl<'a> WireReader<'a> {
             len.checked_mul(8).ok_or(CodecError::Truncated { what })?,
             what,
         )?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-            .collect())
+        let (chunks, _) = raw.as_chunks::<8>();
+        Ok(chunks.iter().map(|&c| u64::from_le_bytes(c)).collect())
     }
 
     /// Fails unless every byte was consumed — a decoded message shorter
@@ -412,7 +427,7 @@ impl<T: WireCodec> WireCodec for Vec<T> {
     }
     fn decode_body(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
         let len = r.usize("Vec length")?;
-        let mut v = Vec::with_capacity(len.min(1 << 20));
+        let mut v = Vec::with_capacity(r.capacity_hint(len));
         for _ in 0..len {
             v.push(T::decode_body(r)?);
         }
@@ -710,13 +725,20 @@ pub fn decode_envelope_header(frame: &[u8]) -> Result<EnvelopeHeader, CodecError
     })
 }
 
+/// Everything after the envelope header of `frame`.
+fn body(frame: &[u8]) -> Result<&[u8], CodecError> {
+    frame.get(ENVELOPE_BYTES..).ok_or(CodecError::Truncated {
+        what: "envelope header",
+    })
+}
+
 /// Decodes the body of a message frame (everything after the header),
 /// checking the frame is exactly as long as the decoded payload's
 /// [`wire_size`] plus the envelope: the one size check of a received
 /// frame.
 pub fn decode_body_checked<M: WireCodec>(frame: &[u8]) -> Result<M, CodecError> {
     let _prof = ProfScope::enter("codec_decode");
-    let mut r = WireReader::new(&frame[ENVELOPE_BYTES..]);
+    let mut r = WireReader::new(body(frame)?);
     let payload = M::decode_body(&mut r)?;
     r.finish(payload.kind())?;
     let expected = wire_size(&payload)? + ENVELOPE_BYTES;
@@ -992,7 +1014,7 @@ pub fn encode_telemetry_events(from: NodeId, to: NodeId, events: &[Event]) -> Ve
 /// Decodes the body of a [`FrameKind::Telemetry`] frame (the header must
 /// already have identified the kind).
 pub fn decode_telemetry_body(frame: &[u8]) -> Result<TelemetryPayload, CodecError> {
-    let mut r = WireReader::new(&frame[ENVELOPE_BYTES..]);
+    let mut r = WireReader::new(body(frame)?);
     let payload = match r.u8("telemetry sub-tag")? {
         0 => TelemetryPayload::ClockProbe {
             master_nanos: r.u64("probe master_nanos")?,
@@ -1003,7 +1025,7 @@ pub fn decode_telemetry_body(frame: &[u8]) -> Result<TelemetryPayload, CodecErro
         },
         2 => {
             let count = r.usize("event-batch count")?;
-            let mut events = Vec::with_capacity(count.min(1 << 20));
+            let mut events = Vec::with_capacity(r.capacity_hint(count));
             for _ in 0..count {
                 events.push(read_event(&mut r)?);
             }

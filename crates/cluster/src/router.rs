@@ -571,6 +571,13 @@ impl<M: WireCodec> Router<M> {
     pub fn transport_label(&self) -> &'static str {
         self.transport.label()
     }
+
+    /// Whether the transport ships messages as encoded frames
+    /// ([`Transport::serializes`]): then a broadcast of a borrowed
+    /// payload clones nothing for a remote destination.
+    pub fn serializes(&self) -> bool {
+        self.transport.serializes()
+    }
 }
 
 /// One node's mailbox plus send capability.

@@ -99,6 +99,66 @@ enum Route<M> {
     Remote(Arc<Mutex<TcpStream>>),
 }
 
+impl<M: WireCodec> Route<M> {
+    /// Hands `env` to its mailbox, or frames and writes it.
+    fn deliver(self, env: Envelope<M>, plane: Plane) -> Result<(), NetError> {
+        match self {
+            Route::Local(tx) => {
+                let to = env.to;
+                tx.send(env).map_err(|_| NetError::NodeDown(to))
+            }
+            Route::Remote(writer) => write_envelope(&writer, &env, plane),
+        }
+    }
+}
+
+/// Sends one borrowed `payload` to every node in `tos`, each resolved by
+/// `route`, and returns one result per destination in `tos` order. A
+/// local mailbox gets its own clone. The remote connections share one
+/// encode into this thread's frame buffer: before each write only the
+/// header's `to` field is rewritten, so each destination's bytes equal
+/// `encode_envelope(from, to, ..)`. A dead destination fails alone.
+fn deliver_to_all<M: WireCodec + Clone>(
+    route: impl Fn(NodeId) -> Result<Route<M>, NetError>,
+    from: NodeId,
+    tos: &[NodeId],
+    payload: &M,
+    plane: Plane,
+) -> Vec<Result<(), NetError>> {
+    let mut results = Vec::with_capacity(tos.len());
+    let mut remote = Vec::with_capacity(tos.len());
+    for (i, &to) in tos.iter().enumerate() {
+        results.push(match route(to) {
+            Ok(Route::Local(tx)) => {
+                let payload = payload.clone();
+                tx.send(Envelope { from, to, payload })
+                    .map_err(|_| NetError::NodeDown(to))
+            }
+            Ok(Route::Remote(writer)) => {
+                remote.push((i, writer));
+                Ok(())
+            }
+            Err(e) => Err(e),
+        });
+    }
+    let Some(&(first, _)) = remote.first() else {
+        return results;
+    };
+    FRAME_OUT.with_borrow_mut(|buf| {
+        if let Err(e) = encode_envelope_into(buf, from, tos[first], payload, plane) {
+            for (i, _) in remote {
+                results[i] = Err(NetError::Unencodable(e.clone()));
+            }
+            return;
+        }
+        for (i, writer) in remote {
+            readdress_prefixed_frame(buf, tos[i]);
+            results[i] = write_locked(&writer, buf, tos[i]);
+        }
+    });
+    results
+}
+
 /// A locally hosted mailbox (the master's, on the hub side).
 struct LocalSlot<M> {
     tx: Sender<Envelope<M>>,
@@ -464,22 +524,13 @@ impl<M> TcpHub<M> {
 }
 
 impl<M: WireCodec + Clone + Send + 'static> Transport<M> for TcpHub<M> {
+    /// The master's mailbox gets the envelope on its channel; a worker
+    /// gets it framed and written to its connection.
     fn deliver(&self, env: Envelope<M>, plane: Plane) -> Result<(), NetError> {
-        match self.route(env.to)? {
-            // Locally hosted node (the master): hand off on the channel.
-            Route::Local(tx) => {
-                let to = env.to;
-                tx.send(env).map_err(|_| NetError::NodeDown(to))
-            }
-            // Remote worker: frame and write.
-            Route::Remote(writer) => write_envelope(&writer, &env, plane),
-        }
+        self.route(env.to)?.deliver(env, plane)
     }
 
-    /// Encodes the payload once into this thread's frame buffer, then for
-    /// each live connection rewrites only the header's `to` field and
-    /// writes the frame: one `codec_encode` per broadcast, and each
-    /// destination's bytes equal `encode_envelope(from, to, ..)`.
+    /// One `codec_encode` per broadcast, whatever the number of workers.
     fn deliver_all(
         &self,
         from: NodeId,
@@ -487,38 +538,7 @@ impl<M: WireCodec + Clone + Send + 'static> Transport<M> for TcpHub<M> {
         payload: &M,
         plane: Plane,
     ) -> Vec<Result<(), NetError>> {
-        let mut results = Vec::with_capacity(tos.len());
-        let mut remote = Vec::with_capacity(tos.len());
-        for (i, &to) in tos.iter().enumerate() {
-            results.push(match self.route(to) {
-                Ok(Route::Local(tx)) => {
-                    let payload = payload.clone();
-                    tx.send(Envelope { from, to, payload })
-                        .map_err(|_| NetError::NodeDown(to))
-                }
-                Ok(Route::Remote(writer)) => {
-                    remote.push((i, writer));
-                    Ok(())
-                }
-                Err(e) => Err(e),
-            });
-        }
-        let Some(&(first, _)) = remote.first() else {
-            return results;
-        };
-        FRAME_OUT.with_borrow_mut(|buf| {
-            if let Err(e) = encode_envelope_into(buf, from, tos[first], payload, plane) {
-                for (i, _) in remote {
-                    results[i] = Err(NetError::Unencodable(e.clone()));
-                }
-                return;
-            }
-            for (i, writer) in remote {
-                readdress_prefixed_frame(buf, tos[i]);
-                results[i] = write_locked(&writer, buf, tos[i]);
-            }
-        });
-        results
+        deliver_to_all(|to| self.route(to), from, tos, payload, plane)
     }
 
     fn reregister(&self, id: NodeId) -> Reregistered<M> {
@@ -575,6 +595,10 @@ impl<M: WireCodec + Clone + Send + 'static> Transport<M> for TcpHub<M> {
 
     fn label(&self) -> &'static str {
         "tcp-hub"
+    }
+
+    fn serializes(&self) -> bool {
+        true
     }
 }
 
@@ -771,17 +795,32 @@ impl TelemetryTx {
     }
 }
 
+impl<M> TcpClient<M> {
+    /// A self-send stays in this process; everything else goes to the hub.
+    fn route(&self, to: NodeId) -> Result<Route<M>, NetError> {
+        Ok(if to == self.inner.me {
+            Route::Local(self.inner.local_tx.clone())
+        } else {
+            Route::Remote(Arc::clone(&self.inner.writer))
+        })
+    }
+}
+
 impl<M: WireCodec + Clone + Send + 'static> Transport<M> for TcpClient<M> {
     fn deliver(&self, env: Envelope<M>, plane: Plane) -> Result<(), NetError> {
-        if env.to == self.inner.me {
-            let to = env.to;
-            return self
-                .inner
-                .local_tx
-                .send(env)
-                .map_err(|_| NetError::NodeDown(to));
-        }
-        write_envelope(&self.inner.writer, &env, plane)
+        self.route(env.to)?.deliver(env, plane)
+    }
+
+    /// Encodes the borrowed payload once, as the hub does: a worker sends
+    /// its reply by reference and keeps the buffer.
+    fn deliver_all(
+        &self,
+        from: NodeId,
+        tos: &[NodeId],
+        payload: &M,
+        plane: Plane,
+    ) -> Vec<Result<(), NetError>> {
+        deliver_to_all(|to| self.route(to), from, tos, payload, plane)
     }
 
     fn reregister(&self, id: NodeId) -> Reregistered<M> {
@@ -796,6 +835,10 @@ impl<M: WireCodec + Clone + Send + 'static> Transport<M> for TcpClient<M> {
 
     fn label(&self) -> &'static str {
         "tcp-client"
+    }
+
+    fn serializes(&self) -> bool {
+        true
     }
 }
 

@@ -97,6 +97,15 @@ pub trait Transport<M>: Send + Sync {
 
     /// Stable backend label (`"inproc"`, `"tcp-hub"`, `"tcp-client"`).
     fn label(&self) -> &'static str;
+
+    /// Whether messages to another process leave as encoded frames, so
+    /// [`Transport::deliver_all`] sends them from the borrowed payload.
+    /// When not (the default), every destination needs an owned copy,
+    /// and a sender that can give its message away should `deliver` it
+    /// rather than pay a clone to keep it.
+    fn serializes(&self) -> bool {
+        false
+    }
 }
 
 struct Slot<M> {

@@ -3,10 +3,12 @@
 //! the two fan-outs leave identical per-link meters, `CommRecord`
 //! sequences, fault draws and mailbox contents. On TCP each worker's frame
 //! is byte-identical to `encode_envelope(from, to_w, ..)` and the payload
-//! is encoded once per broadcast. A dead destination fails alone.
+//! is encoded once per broadcast. A dead destination fails alone. The
+//! worker side holds the same: a `TcpClient` broadcast to `[Master]` is a
+//! `send` in frame bytes, meter, `CommRecord`s and mailbox, encoded once.
 
-use std::net::{Shutdown, TcpStream};
-use std::sync::Arc;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -16,7 +18,9 @@ use columnsgd_cluster::codec::{
 };
 use columnsgd_cluster::telemetry::{profile, CommRecord, Event, Plane, ProfScope};
 use columnsgd_cluster::traffic::LinkStats;
-use columnsgd_cluster::{ChaosSpec, NetError, NodeId, Recorder, Router, TcpHub, TrafficStats};
+use columnsgd_cluster::{
+    ChaosSpec, NetError, NodeId, Recorder, Router, TcpClient, TcpHub, TrafficStats,
+};
 use proptest::prelude::*;
 
 type Payload = Vec<f64>;
@@ -49,15 +53,16 @@ fn all_nodes(k: usize) -> Vec<NodeId> {
 
 fn fan_out(
     router: &Router<Payload>,
+    from: NodeId,
     how: Fanout,
     tos: &[NodeId],
     payload: &Payload,
 ) -> Vec<Result<(), NetError>> {
     match how {
-        Fanout::Broadcast => router.broadcast(NodeId::Master, tos, payload),
+        Fanout::Broadcast => router.broadcast(from, tos, payload),
         Fanout::Sends => tos
             .iter()
-            .map(|&to| router.send(NodeId::Master, to, payload.clone()))
+            .map(|&to| router.send(from, to, payload.clone()))
             .collect(),
     }
 }
@@ -75,12 +80,13 @@ fn inproc_run(k: usize, chaos: Option<ChaosSpec>, rounds: &[Payload], how: Fanou
     let (traffic, recorder) = (TrafficStats::new(), Recorder::new());
     let (router, mut eps) =
         Router::with_recorder(&all_nodes(k), traffic.clone(), chaos, recorder.clone());
+    assert!(!router.serializes(), "an in-process fan-out clones");
     let worker_eps = eps.split_off(1);
     router.arm_chaos();
     let tos = workers(k);
     let results = rounds
         .iter()
-        .map(|p| fan_out(&router, how, &tos, p))
+        .map(|p| fan_out(&router, NodeId::Master, how, &tos, p))
         .collect();
     let mailboxes = worker_eps
         .iter()
@@ -141,6 +147,7 @@ impl TcpRig {
             chaos,
             recorder.clone(),
         );
+        assert!(router.serializes(), "a hub fan-out encodes");
         hub.start(router.clone());
         let (sockets, readers) = (0..k).map(|w| raw_worker(&hub, w)).unzip();
         hub.await_workers(&workers(k), Duration::from_secs(10))
@@ -180,7 +187,7 @@ fn tcp_run(
     let tos = workers(k);
     let results = rounds
         .iter()
-        .map(|p| fan_out(&rig.router, how, &tos, p))
+        .map(|p| fan_out(&rig.router, NodeId::Master, how, &tos, p))
         .collect();
     let (traffic, recorder, frames) = rig.down();
     let mut mailboxes = Vec::with_capacity(k);
@@ -261,10 +268,14 @@ fn encodes_in(f: impl FnOnce()) -> u64 {
         .sum()
 }
 
+/// Serializes the tests that switch the process-wide profiler on and off.
+static PROFILER: Mutex<()> = Mutex::new(());
+
 /// On TCP a broadcast encodes its payload once, whatever K; K sends
 /// encode it K times.
 #[test]
 fn tcp_broadcast_encodes_once() {
+    let _profiler = PROFILER.lock().unwrap_or_else(PoisonError::into_inner);
     profile::set_enabled(true);
     let (k, rounds) = (4, 3);
     let rig = TcpRig::up(k, None);
@@ -273,7 +284,7 @@ fn tcp_broadcast_encodes_once() {
     let encodes = |how| {
         encodes_in(|| {
             for _ in 0..rounds {
-                assert!(fan_out(&rig.router, how, &tos, &model)
+                assert!(fan_out(&rig.router, NodeId::Master, how, &tos, &model)
                     .iter()
                     .all(Result::is_ok));
             }
@@ -342,5 +353,103 @@ fn dead_connection_fails_only_its_destination() {
                 model
             );
         }
+    }
+}
+
+const WORKER: NodeId = NodeId::Worker(0);
+
+/// Fans `rounds` out from worker 0's `TcpClient` to `[Master]` at a real
+/// hub, and returns what the hub's meter, trace and master mailbox saw.
+fn worker_run(how: Fanout, rounds: &[Payload]) -> Observed {
+    let (traffic, recorder) = (TrafficStats::new(), Recorder::new());
+    let hub = TcpHub::bind(&[NodeId::Master], &workers(1)).expect("bind hub");
+    let router = Router::with_transport(
+        Arc::new(hub.clone()),
+        &all_nodes(1),
+        traffic.clone(),
+        None,
+        recorder.clone(),
+    );
+    let master = hub.local_endpoint(NodeId::Master, &router);
+    hub.start(router);
+    let (client, _ep) =
+        TcpClient::<Payload>::connect(hub.addr(), WORKER, &all_nodes(1)).expect("dial hub");
+    hub.await_workers(&workers(1), Duration::from_secs(10))
+        .expect("worker connects");
+    let results = rounds
+        .iter()
+        .map(|p| fan_out(&client, WORKER, how, &[NodeId::Master], p))
+        .collect();
+    let mailbox = rounds
+        .iter()
+        .map(|_| {
+            let env = master.recv_timeout(Duration::from_secs(10));
+            env.expect("reply reaches the master").payload
+        })
+        .collect();
+    hub.shutdown();
+    Observed {
+        results,
+        links: traffic.snapshot(),
+        comm: comm_records(&recorder),
+        mailboxes: vec![mailbox],
+    }
+}
+
+/// A raw listener standing in for the hub: accepts one worker and
+/// collects its first `n` message frames, skipping the hello.
+fn raw_hub(n: usize) -> (SocketAddr, JoinHandle<Vec<Vec<u8>>>) {
+    let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let reader = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut frames = Vec::with_capacity(n);
+        while frames.len() < n {
+            let frame = read_frame(&mut stream).expect("read").expect("frame");
+            let header = decode_envelope_header(&frame).expect("well-formed header");
+            if matches!(header.kind, FrameKind::Message(_)) {
+                frames.push(frame);
+            }
+        }
+        frames
+    });
+    (addr, reader)
+}
+
+/// A worker's broadcast to `[Master]` is one `send`: the hub meters,
+/// traces and delivers the same, the socket carries the same bytes (those
+/// of `encode_envelope(worker, master, ..)`), and it costs one encode.
+#[test]
+fn worker_broadcast_to_master_equals_a_send() {
+    let rounds: Vec<Payload> = [0, 3, 2_000, 70_000]
+        .iter()
+        .map(|&len| payload(len, len as u64))
+        .collect();
+    assert_eq!(
+        worker_run(Fanout::Broadcast, &rounds),
+        worker_run(Fanout::Sends, &rounds)
+    );
+
+    let _profiler = PROFILER.lock().unwrap_or_else(PoisonError::into_inner);
+    profile::set_enabled(true);
+    let (addr, hub) = raw_hub(2 * rounds.len());
+    let (client, _ep) = TcpClient::<Payload>::connect(addr, WORKER, &all_nodes(1)).expect("dial");
+    assert!(client.serializes(), "a worker's fan-out encodes");
+    let mut encodes = Vec::new();
+    for p in &rounds {
+        for how in [Fanout::Broadcast, Fanout::Sends] {
+            encodes.push(encodes_in(|| {
+                let sent = fan_out(&client, WORKER, how, &[NodeId::Master], p);
+                assert_eq!(sent, vec![Ok(())]);
+            }));
+        }
+    }
+    profile::set_enabled(false);
+    assert_eq!(encodes, vec![1; 2 * rounds.len()]);
+    let frames = hub.join().expect("raw hub");
+    for (p, pair) in rounds.iter().zip(frames.chunks(2)) {
+        let want = encode_envelope(WORKER, NodeId::Master, p, Plane::Data).expect("encode");
+        assert_eq!(pair[0], want, "broadcast frame of {} values", p.len());
+        assert_eq!(pair[1], want, "send frame of {} values", p.len());
     }
 }

@@ -70,8 +70,8 @@ pub fn put_param_set<S: Sink>(out: &mut S, p: &ParamSet) -> Result<(), CodecErro
 /// Decodes a [`ParamSet`] encoded by [`put_param_set`].
 pub fn read_param_set(r: &mut WireReader<'_>) -> Result<ParamSet, CodecError> {
     let nblocks = r.usize("ParamSet nblocks")?;
-    let mut blocks = Vec::with_capacity(nblocks.min(1 << 16));
-    let mut widths = Vec::with_capacity(nblocks.min(1 << 16));
+    let mut blocks = Vec::with_capacity(r.capacity_hint(nblocks));
+    let mut widths = Vec::with_capacity(r.capacity_hint(nblocks));
     for _ in 0..nblocks {
         let header = r.u64("ParamSet block header")?;
         let len = (header & LEN_MASK) as usize;
@@ -150,7 +150,10 @@ pub fn read_sparse_grad(r: &mut WireReader<'_>) -> Result<SparseGrad, CodecError
     }
     let mut blocks = Vec::with_capacity(nb);
     for &w in &widths {
-        blocks.push(r.f64s_exact(nnz * w, "SparseGrad block")?);
+        let len = nnz.checked_mul(w).ok_or(CodecError::Truncated {
+            what: "SparseGrad block",
+        })?;
+        blocks.push(r.f64s_exact(len, "SparseGrad block")?);
     }
     Ok(SparseGrad {
         indices,
@@ -170,7 +173,7 @@ fn put_parts<S: Sink>(out: &mut S, parts: &[(usize, ParamSet)]) -> Result<(), Co
 
 fn read_parts(r: &mut WireReader<'_>) -> Result<Vec<(usize, ParamSet)>, CodecError> {
     let len = r.usize("parts length")?;
-    let mut parts = Vec::with_capacity(len.min(1 << 20));
+    let mut parts = Vec::with_capacity(r.capacity_hint(len));
     for _ in 0..len {
         let pid = r.usize("part pid")?;
         parts.push((pid, read_param_set(r)?));
@@ -493,7 +496,11 @@ impl WireCodec for ColMsg {
                 let pid = r.usize("ShardData pid")?;
                 let epoch = r.u64("ShardData epoch")?;
                 let n = r.usize("ShardData worksets length")?;
-                let mut worksets = Vec::with_capacity(n.min(1 << 20));
+                // No reservation: `capacity_hint` counts one wire byte
+                // per element, and a `Workset` is 104 B in memory, so it
+                // could reserve 104 × the frame. Grown by the worksets
+                // that decode (≥ 32 wire bytes each), it stays near 6 ×.
+                let mut worksets = Vec::new();
                 for _ in 0..n {
                     worksets.push(Workset::decode_body(r)?);
                 }

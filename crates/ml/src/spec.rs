@@ -408,6 +408,19 @@ impl SparseAccum {
         }
     }
 
+    /// Sets every coordinate of `dense` that [`SparseAccum::scatter_into`]
+    /// writes back to `0.0` and leaves the rest alone, so a dense buffer
+    /// reused across batches is all zeros again in time proportional to
+    /// the batch, not the model.
+    pub fn zero_touched(&self, dense: &mut ParamSet) {
+        for (block, values) in dense.blocks.iter_mut().enumerate() {
+            let values = values.as_mut_slice();
+            for (base, run) in self.runs(block) {
+                values[base..base + run.len()].fill(0.0);
+            }
+        }
+    }
+
     /// Materializes the accumulator as a [`SparseGrad`] over the touched
     /// features in feature order — the same message
     /// [`GradAccum::to_sparse_grad`] builds from the same folds.

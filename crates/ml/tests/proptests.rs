@@ -5,7 +5,7 @@
 
 use columnsgd_linalg::{CsrMatrix, SparseVector};
 use columnsgd_ml::spec::reduce_stats;
-use columnsgd_ml::{ModelSpec, OptimizerKind, OptimizerState, ParamSet, UpdateParams};
+use columnsgd_ml::{ModelSpec, OptimizerKind, OptimizerState, ParamSet, SparseAccum, UpdateParams};
 use proptest::prelude::*;
 
 const DIM: u64 = 60;
@@ -217,6 +217,30 @@ proptest! {
         prop_assert_eq!(whole.indices, merged.indices);
         for (a, b) in whole.blocks[0].iter().zip(&merged.blocks[0]) {
             prop_assert!((a - b).abs() < 1e-9);
+        }
+    }
+
+    /// A dense buffer reused across batches (the MLlib worker's reply):
+    /// `zero_touched` undoes exactly what `scatter_into` wrote, so every
+    /// block holds `+0.0` bits again, for every model and batch sequence.
+    #[test]
+    fn zero_touched_undoes_scatter_into(
+        model in arb_model(),
+        batches in prop::collection::vec(arb_batch(), 1..5),
+    ) {
+        let params = model.init_params(DIM as usize, 3, |s| s as u64);
+        let (mut accum, mut stats) = (SparseAccum::new(), Vec::new());
+        let mut dense = ParamSet::zeros(DIM as usize, &model.widths());
+        for batch in &batches {
+            let batch = fix_labels(model, batch);
+            model.compute_stats(&params, &batch, &mut stats);
+            accum.reset(&params);
+            model.accumulate_grad(&params, &batch, &stats, &mut accum);
+            accum.scatter_into(&mut dense);
+            accum.zero_touched(&mut dense);
+            for block in &dense.blocks {
+                prop_assert!(block.as_slice().iter().all(|v| v.to_bits() == 0));
+            }
         }
     }
 }

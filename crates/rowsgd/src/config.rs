@@ -26,12 +26,6 @@ impl RowSgdVariant {
             RowSgdVariant::PsSparse => "MXNet",
         }
     }
-
-    /// Whether this variant runs on Spark (and thus pays Spark's task
-    /// scheduling overhead rather than the PS engines' lighter dispatch).
-    pub fn is_spark(&self) -> bool {
-        matches!(self, RowSgdVariant::MLlib | RowSgdVariant::MLlibStar)
-    }
 }
 
 /// Full configuration of a RowSGD training run.
@@ -144,14 +138,6 @@ mod tests {
         assert_eq!(RowSgdVariant::MLlibStar.label(), "MLlib*");
         assert_eq!(RowSgdVariant::PsDense.label(), "Petuum");
         assert_eq!(RowSgdVariant::PsSparse.label(), "MXNet");
-    }
-
-    #[test]
-    fn spark_classification() {
-        assert!(RowSgdVariant::MLlib.is_spark());
-        assert!(RowSgdVariant::MLlibStar.is_spark());
-        assert!(!RowSgdVariant::PsDense.is_spark());
-        assert!(!RowSgdVariant::PsSparse.is_spark());
     }
 
     #[test]

@@ -60,6 +60,9 @@ struct RowWorker {
     /// The gradient accumulator, reused across steps (MLlib and the PS
     /// variants).
     accum: SparseAccum,
+    /// MLlib over a serializing transport: the one dense reply buffer,
+    /// all zeros between steps (see [`RowWorker::dense_reply`]).
+    reply: ParamSet,
     /// MLlib*: the local model replica, its optimizer and the update
     /// kernel's scratch.
     replica: Option<(ParamSet, OptimizerState, UpdateScratch)>,
@@ -95,6 +98,28 @@ impl RowWorker {
     fn dense_model_grad(&mut self, t: u64, params: &ParamSet) -> f64 {
         let batch = self.sample_batch(t);
         grad_and_loss(self.cfg.model, params, &batch, &mut self.accum)
+    }
+
+    /// MLlib: the dense gradient (MLlib's `treeAggregate` materializes
+    /// dense vectors) from `self.accum`, scattered into the worker's one
+    /// reply buffer, or into a fresh one when none was kept. Hand the
+    /// buffer back with [`RowWorker::keep_reply`] once the reply is sent
+    /// by reference.
+    fn dense_reply(&mut self) -> ParamSet {
+        let mut reply = std::mem::take(&mut self.reply);
+        let widths = self.cfg.model.widths();
+        if reply.widths != widths {
+            reply = ParamSet::zeros(self.dim as usize, &widths);
+        }
+        self.accum.scatter_into(&mut reply);
+        reply
+    }
+
+    /// Takes the sent reply buffer back and zeroes what
+    /// [`RowWorker::dense_reply`] wrote, so it is all zeros again.
+    fn keep_reply(&mut self, mut reply: ParamSet) {
+        self.accum.zero_touched(&mut reply);
+        self.reply = reply;
     }
 
     /// PsSparse round 1: sample the batch and extract its distinct indices.
@@ -370,6 +395,7 @@ pub fn run_row_worker(
         cfg,
         rows: Vec::new(),
         accum: SparseAccum::new(),
+        reply: ParamSet::default(),
         replica,
         pending_batch: None,
     };
@@ -402,34 +428,39 @@ pub fn run_row_worker(
                 let loss = w.dense_model_grad(iteration, &params);
                 guard_loss(iteration, loss);
                 let compute_s = start.elapsed().as_secs_f64();
-                let is_ps = !w.cfg.variant.is_spark();
-                let reply = match w.cfg.variant {
-                    RowSgdVariant::MLlib => {
-                        // MLlib materializes dense gradients (treeAggregate).
-                        let mut dense = ParamSet::zeros(w.dim as usize, &w.cfg.model.widths());
-                        w.accum.scatter_into(&mut dense);
-                        RowMsg::GradReplyDense {
-                            iteration,
-                            worker: id,
-                            grad: dense,
-                            loss,
-                            compute_s,
+                let sent = if w.cfg.variant == RowSgdVariant::MLlib {
+                    let reply = RowMsg::GradReplyDense {
+                        iteration,
+                        worker: id,
+                        grad: w.dense_reply(),
+                        loss,
+                        compute_s,
+                    };
+                    if ep.router().serializes() {
+                        // Encoded straight from the worker's reply buffer,
+                        // which moves back out: no 8 MB allocation a step.
+                        let sent = ep.broadcast(&[NodeId::Master], &reply);
+                        if let RowMsg::GradReplyDense { grad, .. } = reply {
+                            w.keep_reply(grad);
                         }
+                        sent.into_iter().collect()
+                    } else {
+                        // The master's mailbox must own the reply, and a
+                        // clone of a kept buffer costs more than a fresh
+                        // one that is mostly untouched zero pages.
+                        ep.send(NodeId::Master, reply)
                     }
-                    _ => RowMsg::GradReplySparse {
+                } else {
+                    // PS push: bytes are metered per server link by the
+                    // engine; the physical hop to the driver is a courier.
+                    let reply = RowMsg::GradReplySparse {
                         iteration,
                         worker: id,
                         grad: w.accum.to_sparse_grad(),
                         loss,
                         compute_s,
-                    },
-                };
-                let sent = if is_ps {
-                    // PS push: bytes are metered per server link by the
-                    // engine; the physical hop to the driver is a courier.
+                    };
                     ep.router().send_unmetered(ep.id(), NodeId::Master, reply)
-                } else {
-                    ep.send(NodeId::Master, reply)
                 };
                 if sent.is_err() {
                     return;
@@ -565,6 +596,53 @@ mod tests {
             let sizes: Vec<usize> = bounds.iter().map(|&(lo, hi)| hi - lo).collect();
             let (mn, mx) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
             prop_assert!(mx - mn <= 1);
+        }
+    }
+
+    /// Every step's MLlib reply, built in the worker's one reused buffer,
+    /// is bit for bit the reply a fresh `ParamSet::zeros` + `scatter_into`
+    /// of the same gradient gives. This oracle is independent of the
+    /// reuse: comparing two transports running the same worker code is
+    /// not.
+    #[test]
+    fn reused_dense_reply_equals_a_fresh_one() {
+        let dim = 30;
+        let rows: Vec<_> = columnsgd_data::synth::small_test_dataset(60, dim, 5)
+            .iter()
+            .cloned()
+            .collect();
+        for model in [ModelSpec::Lr, ModelSpec::Fm { factors: 3 }] {
+            let cfg = RowSgdConfig::new(model, RowSgdVariant::MLlib)
+                .with_batch_size(8)
+                .with_seed(3);
+            let mut w = RowWorker {
+                id: 1,
+                k: 2,
+                dim,
+                cfg,
+                rows: rows.clone(),
+                accum: SparseAccum::new(),
+                reply: ParamSet::default(),
+                replica: None,
+                pending_batch: None,
+            };
+            let params = model.init_params(dim as usize, 3, |s| s as u64);
+            let bits = |p: &ParamSet| -> Vec<u64> {
+                let values = p.blocks.iter().flat_map(|b| b.as_slice());
+                values.map(|v| v.to_bits()).collect()
+            };
+            for t in 0..6 {
+                w.dense_model_grad(t, &params);
+                let mut fresh = ParamSet::zeros(dim as usize, &model.widths());
+                w.accum.scatter_into(&mut fresh);
+                assert!(
+                    bits(&fresh).iter().any(|&b| b != 0),
+                    "{model:?}: empty gradient"
+                );
+                let reply = w.dense_reply();
+                assert_eq!(bits(&reply), bits(&fresh), "{model:?} step {t}");
+                w.keep_reply(reply);
+            }
         }
     }
 
