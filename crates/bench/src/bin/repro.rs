@@ -62,6 +62,7 @@ fn main() {
 
 fn run_one(id: &str, scale: f64) {
     eprintln!(">>> running {id} (scale {scale}) …");
+    #[expect(clippy::disallowed_methods, reason = "the harness reports wall time")]
     let start = std::time::Instant::now();
     let reports = experiments::run(id, scale).expect("known experiment id");
     for report in &reports {

@@ -45,6 +45,28 @@ use crate::telemetry::{
 /// Envelope overhead charged per message (sender, receiver, tag, length).
 pub const ENVELOPE_BYTES: usize = 32;
 
+/// `(index, count)` of `$m` among the listed variant patterns, in list
+/// order. The patterns also form an exhaustive `match` with no wildcard
+/// arm, so a variant missing from the list fails to compile: codec tests
+/// use it to prove that their sample lists cover every wire variant.
+#[macro_export]
+macro_rules! variant_index {
+    ($m:expr; $($p:pat),+ $(,)?) => {{
+        let m = &$m;
+        match m {
+            $($p => {})+
+        }
+        let (mut index, mut count) = (0usize, 0usize);
+        $(
+            if matches!(m, $p) {
+                index = count;
+            }
+            count += 1;
+        )+
+        (index, count)
+    }};
+}
+
 /// Errors surfaced while encoding or decoding frames.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
@@ -705,9 +727,15 @@ pub fn decode_envelope_header(frame: &[u8]) -> Result<EnvelopeHeader, CodecError
     let to = decode_node(r.u64("header.to")?)?;
     let flags = r.u64("header.flags")?;
     let body_len = r.usize("header.body_len")?;
-    if frame.len() != body_len + ENVELOPE_BYTES {
+    // The length comes off the wire: a peer can send any value.
+    let expected = body_len.checked_add(ENVELOPE_BYTES).ok_or_else(|| {
+        CodecError::Malformed(format!(
+            "header.body_len: {body_len} overflows the frame size"
+        ))
+    })?;
+    if frame.len() != expected {
         return Err(CodecError::SizeMismatch {
-            expected: body_len + ENVELOPE_BYTES,
+            expected,
             actual: frame.len(),
         });
     }
@@ -1431,5 +1459,63 @@ mod tests {
         assert!(r.u64("x").is_err());
         let mut r = WireReader::new(&[7]);
         assert!(r.bool("b").is_err());
+    }
+
+    #[test]
+    fn a_body_len_near_u64_max_is_a_typed_error() {
+        // The hub decodes the first frame of any connecting socket: a
+        // bogus length must neither overflow nor pass the size check.
+        let mut frame = encode_hello(NodeId::Worker(1));
+        frame[24..32].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            decode_envelope_header(&frame),
+            Err(CodecError::Malformed(_))
+        ));
+        frame[24..32].copy_from_slice(&(u64::MAX - 32).to_le_bytes());
+        assert!(matches!(
+            decode_envelope_header(&frame),
+            Err(CodecError::SizeMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn every_frame_kind_and_telemetry_payload_is_sampled() {
+        let (w, m) = (NodeId::Worker(2), NodeId::Master);
+        let frames = [
+            encode_envelope(m, w, &7u64, Plane::Data).unwrap(),
+            encode_hello(w),
+            encode_clock_probe(m, w, 5),
+            encode_clock_echo(w, m, 5, 9),
+            encode_telemetry_events(w, m, &sample_telemetry_events()),
+        ];
+        let mut kinds = std::collections::BTreeSet::new();
+        let mut payloads = std::collections::BTreeSet::new();
+        let (mut kind_count, mut payload_count) = (0, 0);
+        for frame in &frames {
+            let kind = decode_envelope_header(frame).unwrap().kind;
+            let (i, n) = crate::variant_index!(kind;
+                FrameKind::Message(_),
+                FrameKind::Hello,
+                FrameKind::Telemetry,
+            );
+            kinds.insert(i);
+            kind_count = n;
+            if kind == FrameKind::Telemetry {
+                let payload = decode_telemetry_body(frame).unwrap();
+                let (i, n) = crate::variant_index!(payload;
+                    TelemetryPayload::ClockProbe { .. },
+                    TelemetryPayload::ClockEcho { .. },
+                    TelemetryPayload::Events(_),
+                );
+                payloads.insert(i);
+                payload_count = n;
+            }
+        }
+        assert_eq!(kinds, (0..kind_count).collect(), "one frame per FrameKind");
+        assert_eq!(
+            payloads,
+            (0..payload_count).collect(),
+            "one frame per TelemetryPayload"
+        );
     }
 }

@@ -26,6 +26,20 @@
 //! newline translation; it happens once per process, so the 2x size is
 //! irrelevant.
 
+// Panic hygiene: bring-up, respawn and teardown failures stay `Err`s the
+// engines turn into LoadFailed / WorkerLost.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::io::{BufRead as _, Write as _};
 use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -11,9 +11,21 @@
 //! metered `ShardData` traffic through the router, so migration is priced
 //! by construction.
 //!
-//! Panic hygiene: this module is on the migration path and is covered by
-//! the workspace `panic-hygiene` lint — no `unwrap`/`expect`/`panic!`;
-//! every fallible transition returns a typed [`MembershipError`].
+//! Panic hygiene: this module is on the migration path, so the clippy
+//! lints below deny `unwrap`/`expect`/`panic!` outside tests; every
+//! fallible transition returns a typed [`MembershipError`].
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use std::fmt;
 

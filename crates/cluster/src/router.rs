@@ -29,6 +29,7 @@
 //! converts a worker panic into a failure message to the master instead
 //! of a silently dead thread.
 
+#[expect(clippy::disallowed_types, reason = "looked up by key; scan is sorted")]
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -87,6 +88,7 @@ impl std::fmt::Display for NetError {
 impl std::error::Error for NetError {}
 
 /// Chaos machinery shared by all clones of one router.
+#[expect(clippy::disallowed_types, reason = "looked up by key; scan is sorted")]
 struct ChaosState<M> {
     spec: ChaosSpec,
     /// Injection only applies once armed (after the load phase: losing a
@@ -207,6 +209,7 @@ impl<M: WireCodec> Router<M> {
     /// Assembles a router over an externally built [`Transport`] — the
     /// entry point for the TCP backend, where mailboxes live in other
     /// processes and endpoints are created per-process.
+    #[expect(clippy::disallowed_types, reason = "looked up by key; scan is sorted")]
     pub fn with_transport(
         transport: Arc<dyn Transport<M>>,
         ids: &[NodeId],
@@ -284,8 +287,11 @@ impl<M: WireCodec> Router<M> {
         // lost mailbox too; drain it along with everything queued there.
         if let Some(c) = &self.chaos {
             let mut held = c.held.lock();
-            let stuck: Vec<(NodeId, NodeId)> =
+            let mut stuck: Vec<(NodeId, NodeId)> =
                 held.keys().filter(|&&(_, to)| to == id).copied().collect();
+            // Hash order is per process: sort so dead letters are
+            // recorded in the same order on every run.
+            stuck.sort_unstable();
             for key in stuck {
                 if let Some(env) = held.remove(&key) {
                     dead_letters.push(env);

@@ -36,8 +36,10 @@
 //! [`TcpHub::await_workers`] for the new connection.
 
 use std::cell::RefCell;
+#[expect(clippy::disallowed_types, reason = "keyed lookups; no output order")]
 use std::collections::HashMap;
 use std::io;
+#[expect(clippy::disallowed_types, reason = "the metered socket layer")]
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -71,6 +73,7 @@ thread_local! {
 /// Frames `env` into this thread's buffer, then writes it to `writer`
 /// with one `write_all`. Encoding happens before the lock is taken, so
 /// concurrent senders on one socket serialize only on the write.
+#[expect(clippy::disallowed_types, reason = "the metered socket layer")]
 fn write_envelope<M: WireCodec>(
     writer: &Mutex<TcpStream>,
     env: &Envelope<M>,
@@ -85,6 +88,7 @@ fn write_envelope<M: WireCodec>(
 
 /// Writes one prefixed frame bound for `to` under its connection's writer
 /// lock.
+#[expect(clippy::disallowed_types, reason = "the metered socket layer")]
 fn write_locked(writer: &Mutex<TcpStream>, prefixed: &[u8], to: NodeId) -> Result<(), NetError> {
     let mut stream = writer.lock();
     // lint: allow(blocking-under-lock) the writer mutex IS the write serialization point: concurrent senders (hub deliver()s, a worker's deliver and telemetry flush) must not interleave frame bytes
@@ -92,6 +96,7 @@ fn write_locked(writer: &Mutex<TcpStream>, prefixed: &[u8], to: NodeId) -> Resul
 }
 
 /// Where the hub hands a message for one destination.
+#[expect(clippy::disallowed_types, reason = "the metered socket layer")]
 enum Route<M> {
     /// A locally hosted mailbox (the master's).
     Local(Sender<Envelope<M>>),
@@ -168,6 +173,7 @@ struct LocalSlot<M> {
 }
 
 /// One worker process's connection state.
+#[expect(clippy::disallowed_types, reason = "the metered socket layer")]
 struct Conn {
     /// The writing half (reads happen on the per-connection thread).
     /// `None` until the worker's hello arrives, and after disconnect.
@@ -176,6 +182,7 @@ struct Conn {
     generation: u64,
 }
 
+#[expect(clippy::disallowed_types, reason = "metered sockets; keyed lookups")]
 struct HubInner<M> {
     listener: TcpListener,
     addr: SocketAddr,
@@ -221,6 +228,11 @@ impl<M: WireCodec + Clone + Send + 'static> TcpHub<M> {
     /// Binds a loopback listener and prepares slots: `local_ids` get
     /// in-process mailboxes (the master), `remote_ids` get connection
     /// slots filled in when the worker processes dial in.
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "the metered transport's socket, mailbox and clock origin"
+    )]
     pub fn bind(local_ids: &[NodeId], remote_ids: &[NodeId]) -> io::Result<TcpHub<M>> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
@@ -309,6 +321,8 @@ impl<M: WireCodec + Clone + Send + 'static> TcpHub<M> {
 
     /// Handles one worker connection: hello handshake, registration,
     /// then the ingress read loop.
+    #[deny(clippy::wildcard_enum_match_arm)]
+    #[expect(clippy::disallowed_types, reason = "the metered socket layer")]
     fn serve_conn(&self, mut stream: TcpStream) {
         let _ = stream.set_nodelay(true);
         // This reader's frame buffer, reused for every frame of the
@@ -438,6 +452,7 @@ impl<M: WireCodec + Clone + Send + 'static> TcpHub<M> {
     /// Blocks until every worker in `ids` has completed its hello
     /// handshake, or the timeout expires. Polls: connections arrive at
     /// process-spawn granularity, so millisecond latency is irrelevant.
+    #[expect(clippy::disallowed_methods, reason = "connection-await deadline")]
     pub fn await_workers(&self, ids: &[NodeId], timeout: Duration) -> Result<(), String> {
         let deadline = Instant::now() + timeout;
         loop {
@@ -476,6 +491,7 @@ impl<M: WireCodec + Clone + Send + 'static> TcpHub<M> {
     /// every hub thread: when this returns, no hub thread is switching
     /// frames any more, so recorder ingests and profiler samples have
     /// quiesced (a deterministic boundary for the profiling layer).
+    #[expect(clippy::disallowed_types, reason = "the metered socket layer")]
     pub fn shutdown(&self) {
         self.inner.shutting_down.store(true, Ordering::Release);
         let ids: Vec<NodeId> = self.inner.conns.lock().keys().copied().collect();
@@ -541,6 +557,7 @@ impl<M: WireCodec + Clone + Send + 'static> Transport<M> for TcpHub<M> {
         deliver_to_all(|to| self.route(to), from, tos, payload, plane)
     }
 
+    #[expect(clippy::disallowed_methods, reason = "fresh mailbox behind the Router")]
     fn reregister(&self, id: NodeId) -> Reregistered<M> {
         // Local slot: same semantics as the in-process transport.
         {
@@ -606,6 +623,7 @@ impl<M: WireCodec + Clone + Send + 'static> Transport<M> for TcpHub<M> {
 // Worker-process side
 // ---------------------------------------------------------------------------
 
+#[expect(clippy::disallowed_types, reason = "the metered socket layer")]
 struct ClientInner<M> {
     me: NodeId,
     /// Shared with [`TelemetryTx`] and the reader thread's echo path. A
@@ -657,6 +675,12 @@ impl<M: WireCodec + Clone + Send + 'static> TcpClient<M> {
     /// recorded telemetry events back to the hub on the (unmetered)
     /// telemetry plane. The handle is returned unconditionally — callers
     /// that do not trace simply drop it.
+    #[deny(clippy::wildcard_enum_match_arm)]
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "the metered transport's socket, mailbox and clock origin"
+    )]
     pub fn connect_traced(
         addr: SocketAddr,
         me: NodeId,
@@ -764,6 +788,7 @@ impl<M: WireCodec + Clone + Send + 'static> TcpClient<M> {
 /// path flushes from a clone); clones share the send cursor, so each event
 /// ships at most once.
 #[derive(Clone)]
+#[expect(clippy::disallowed_types, reason = "the metered socket layer")]
 pub struct TelemetryTx {
     me: NodeId,
     writer: Arc<Mutex<TcpStream>>,
@@ -823,8 +848,8 @@ impl<M: WireCodec + Clone + Send + 'static> Transport<M> for TcpClient<M> {
         deliver_to_all(|to| self.route(to), from, tos, payload, plane)
     }
 
+    #[expect(clippy::panic, reason = "protocol misuse: master-side operation only")]
     fn reregister(&self, id: NodeId) -> Reregistered<M> {
-        // lint: allow(panic-hygiene) protocol misuse, not a runtime fault: reregistration is a master-side operation by construction
         panic!("cannot reregister {id} on a worker-side transport");
     }
 
@@ -851,6 +876,7 @@ mod tests {
     /// for worker processes) and checks delivery, metering parity, and
     /// worker↔worker switching.
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "polls against a wall deadline")]
     fn loopback_hub_switches_and_meters() {
         let ids = [NodeId::Master, NodeId::Worker(0), NodeId::Worker(1)];
         let workers = [NodeId::Worker(0), NodeId::Worker(1)];
@@ -933,6 +959,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "polls against a wall deadline")]
     fn chaos_fires_once_at_the_hub_with_inproc_identical_schedule() {
         use crate::chaos::ChaosSpec;
         // Same seed, same link, same sequence: the hub's chaos decisions

@@ -23,7 +23,7 @@ pub struct LinkStats {
 /// cost-model tests cross-check them against Table I.
 /// Links are keyed in a `BTreeMap` so iteration (snapshots, folds, and
 /// anything exported downstream) is order-stable by construction — the
-/// `determinism-iteration` lint rule keeps it that way.
+/// workspace `clippy.toml` disallows `HashMap` to keep it that way.
 #[derive(Debug, Clone, Default)]
 pub struct TrafficStats {
     inner: Arc<Mutex<BTreeMap<(NodeId, NodeId), LinkStats>>>,

@@ -28,6 +28,7 @@
 //! ignores the call if it has since been reregistered (a stale endpoint
 //! of a replaced worker must not kill its successor's mailbox).
 
+#[expect(clippy::disallowed_types, reason = "looked up by NodeId, not iterated")]
 use std::collections::HashMap;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -120,6 +121,7 @@ struct Slot<M> {
 }
 
 /// The in-process backend: one unbounded channel per node.
+#[expect(clippy::disallowed_types, reason = "looked up by NodeId, not iterated")]
 pub struct ChannelTransport<M> {
     slots: RwLock<HashMap<NodeId, Slot<M>>>,
 }
@@ -134,6 +136,11 @@ impl<M> ChannelTransport<M> {
     ///
     /// # Panics
     /// Panics if `ids` contains duplicates.
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "the metered Router's mailboxes, looked up by NodeId"
+    )]
     pub fn new(ids: &[NodeId]) -> (Self, Mailboxes<M>) {
         let mut slots = HashMap::with_capacity(ids.len());
         let mut receivers = Vec::with_capacity(ids.len());
@@ -175,6 +182,7 @@ impl<M: Send> Transport<M> for ChannelTransport<M> {
         tx.send(env).map_err(|_| NetError::NodeDown(to))
     }
 
+    #[expect(clippy::disallowed_methods, reason = "fresh mailbox behind the Router")]
     fn reregister(&self, id: NodeId) -> Reregistered<M> {
         let mut slots = self.slots.write();
         let slot = slots

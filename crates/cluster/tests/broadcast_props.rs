@@ -7,6 +7,7 @@
 //! worker side holds the same: a `TcpClient` broadcast to `[Master]` is a
 //! `send` in frame bytes, meter, `CommRecord`s and mailbox, encoded once.
 
+#[expect(clippy::disallowed_types, reason = "the test drives raw sockets")]
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -107,6 +108,7 @@ fn inproc_run(k: usize, chaos: Option<ChaosSpec>, rounds: &[Payload], how: Fanou
 /// A raw socket standing in for a worker process: it says hello, then a
 /// reader thread collects every message frame until the connection
 /// closes. Returns the socket (to kill it) and the reader.
+#[expect(clippy::disallowed_types, reason = "the test drives raw sockets")]
 fn raw_worker(hub: &TcpHub<Payload>, w: usize) -> (TcpStream, JoinHandle<Vec<Vec<u8>>>) {
     let mut stream = TcpStream::connect(hub.addr()).expect("dial hub");
     write_frame(&mut stream, &encode_hello(NodeId::Worker(w))).expect("hello");
@@ -126,6 +128,7 @@ fn raw_worker(hub: &TcpHub<Payload>, w: usize) -> (TcpStream, JoinHandle<Vec<Vec
 }
 
 /// A hub over raw worker sockets, with its router and the readers.
+#[expect(clippy::disallowed_types, reason = "the test drives raw sockets")]
 struct TcpRig {
     hub: TcpHub<Payload>,
     router: Router<Payload>,
@@ -302,6 +305,7 @@ fn tcp_broadcast_encodes_once() {
 /// A worker whose connection dies fails only its own destination: the
 /// others keep receiving every broadcast.
 #[test]
+#[expect(clippy::disallowed_methods, reason = "polls against a wall deadline")]
 fn dead_connection_fails_only_its_destination() {
     let k = 3;
     let model = payload(2_000, 1);
@@ -398,6 +402,7 @@ fn worker_run(how: Fanout, rounds: &[Payload]) -> Observed {
 
 /// A raw listener standing in for the hub: accepts one worker and
 /// collects its first `n` message frames, skipping the hello.
+#[expect(clippy::disallowed_types, reason = "a raw listener plays the hub")]
 fn raw_hub(n: usize) -> (SocketAddr, JoinHandle<Vec<Vec<u8>>>) {
     let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
     let addr = listener.local_addr().expect("addr");

@@ -3,13 +3,16 @@
 //! the bytes it has received justify; a reused buffer never hands back a
 //! stale tail of an earlier, larger frame; and a message frame leaves its
 //! writer in exactly one `write` call, byte-identical to the two-call
-//! `write_frame(encode_envelope(..))`.
+//! `write_frame(encode_envelope(..))`. The header and telemetry decoders
+//! trust nothing either: any bytes give a header or a typed error.
 
 use std::io::{self, Cursor, Read, Write};
 
 use columnsgd_cluster::codec::{
-    decode_body_checked, encode_envelope, encode_envelope_into, read_frame, read_frame_into,
-    write_frame, write_prefixed_frame,
+    decode_body_checked, decode_envelope_header, decode_telemetry_body, encode_clock_echo,
+    encode_clock_probe, encode_envelope, encode_envelope_into, encode_hello,
+    encode_telemetry_events, read_frame, read_frame_into, write_frame, write_prefixed_frame,
+    CodecError, ENVELOPE_BYTES,
 };
 use columnsgd_cluster::telemetry::Plane;
 use columnsgd_cluster::NodeId;
@@ -93,7 +96,69 @@ fn piece() -> impl Strategy<Value = Vec<u8>> {
     })
 }
 
+/// A decoder's input: a real frame with its body length rewritten (small,
+/// or near `u64::MAX`), some bytes overwritten, then cut and extended —
+/// or plain noise.
+fn mangled_frame() -> impl Strategy<Value = Vec<u8>> {
+    let (w, m) = (NodeId::Worker(1), NodeId::Master);
+    let base = prop_oneof![
+        Just(encode_hello(w)),
+        Just(encode_clock_probe(m, w, 7)),
+        Just(encode_clock_echo(w, m, 7, 9)),
+        Just(encode_telemetry_events(w, m, &[])),
+        Just(encode_envelope(m, w, &payload(3, 1), Plane::Data).unwrap()),
+        prop::collection::vec(0u8..=255, 0..80),
+    ];
+    let body_len = prop_oneof![
+        Just(None),
+        (0u64..200).prop_map(Some),
+        ((u64::MAX - 64)..=u64::MAX).prop_map(Some),
+    ];
+    let flips = prop::collection::vec((0usize..4096, 0u8..=255), 0..6);
+    let tail = prop::collection::vec(0u8..=255, 0..40);
+    (base, body_len, flips, 0usize..4, tail).prop_map(|(mut f, len, flips, cut, tail)| {
+        if let (Some(n), Some(field)) = (len, f.get_mut(24..32)) {
+            field.copy_from_slice(&n.to_le_bytes());
+        }
+        for (at, b) in flips {
+            if !f.is_empty() {
+                let i = at % f.len();
+                f[i] = b;
+            }
+        }
+        f.truncate(f.len().saturating_sub(cut));
+        f.extend_from_slice(&tail);
+        f
+    })
+}
+
+/// A decode failure is a `CodecError` by type; it must also say what
+/// went wrong, for the log line that reports it.
+fn explained(e: &CodecError) -> bool {
+    !e.to_string().is_empty()
+}
+
 proptest! {
+    /// Any bytes into the header decoder: a header whose length invariant
+    /// holds, or a typed error — never a panic or an overflow.
+    #[test]
+    fn envelope_header_decoder_never_panics(frame in mangled_frame()) {
+        match decode_envelope_header(&frame) {
+            Ok(h) => prop_assert_eq!(h.body_len + ENVELOPE_BYTES, frame.len()),
+            Err(e) => prop_assert!(explained(&e), "{e:?}"),
+        }
+    }
+
+    /// Any bytes into the telemetry body decoder: a payload or a typed
+    /// error, whatever the header said.
+    #[test]
+    fn telemetry_body_decoder_never_panics(frame in mangled_frame()) {
+        match decode_telemetry_body(&frame) {
+            Ok(_) => prop_assert!(frame.len() > ENVELOPE_BYTES),
+            Err(e) => prop_assert!(explained(&e), "{e:?}"),
+        }
+    }
+
     /// Arbitrary bytes through one reused buffer: every call returns (a
     /// frame, clean EOF or an error) without panicking, and capacity stays
     /// within 2 × bytes received + the retention floor.

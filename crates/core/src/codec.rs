@@ -672,10 +672,48 @@ mod tests {
             },
             ColMsg::DropShard { pid: 2, epoch: 8 },
         ];
-        assert_eq!(msgs.len(), 25, "one sample per ColMsg variant");
+        // One sample per variant, proven complete: the patterns below are
+        // an exhaustive match, so a new variant fails to compile here
+        // until it is listed, and fails this test until it is sampled.
+        let mut hit = std::collections::BTreeSet::new();
+        let mut variants = 0;
         for m in &msgs {
+            let (i, n) = columnsgd_cluster::variant_index!(m;
+                ColMsg::LoadBlock(_),
+                ColMsg::Workset { .. },
+                ColMsg::LoadDone { .. },
+                ColMsg::LoadAck { .. },
+                ColMsg::ComputeStats { .. },
+                ColMsg::StatsReply { .. },
+                ColMsg::Update { .. },
+                ColMsg::UpdateAck { .. },
+                ColMsg::Die,
+                ColMsg::ReloadBlock(_),
+                ColMsg::ReloadDone { .. },
+                ColMsg::ReloadAck { .. },
+                ColMsg::FetchModel,
+                ColMsg::ModelReply { .. },
+                ColMsg::Probe { .. },
+                ColMsg::ProbeAck { .. },
+                ColMsg::WorkerPanic { .. },
+                ColMsg::Shutdown,
+                ColMsg::InstallParams { .. },
+                ColMsg::ComputeStatsFor { .. },
+                ColMsg::StatsReplyFor { .. },
+                ColMsg::ShardRequest { .. },
+                ColMsg::ShardData { .. },
+                ColMsg::ShardInstalled { .. },
+                ColMsg::DropShard { .. },
+            );
+            hit.insert(i);
+            variants = n;
             roundtrip(m);
         }
+        assert_eq!(
+            hit,
+            (0..variants).collect(),
+            "one sample per ColMsg variant"
+        );
     }
 
     #[test]

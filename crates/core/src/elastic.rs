@@ -34,7 +34,7 @@
 //! bit-identical even though wall-clock race outcomes differ.
 //!
 //! Panic hygiene: this module is on the migration path and is covered by
-//! the workspace `panic-hygiene` lint — faults surface as typed
+//! the crate's panic-hygiene clippy lints — faults surface as typed
 //! [`TrainError`]s, never panics.
 
 use std::borrow::Cow;

@@ -147,9 +147,11 @@ pub(crate) struct Step {
 
 impl Step {
     fn new(slots: usize) -> Self {
+        #[expect(clippy::disallowed_methods, reason = "detection-latency origin")]
+        let issued = Instant::now();
         Self {
             t: 0,
-            issued: Instant::now(),
+            issued,
             attempts: vec![0; slots],
             charge: 0.0,
             tasks: Vec::new(),
@@ -159,7 +161,9 @@ impl Step {
 
     fn begin(&mut self, t: u64) {
         self.t = t;
-        self.issued = Instant::now();
+        #[expect(clippy::disallowed_methods, reason = "detection-latency origin")]
+        let issued = Instant::now();
+        self.issued = issued;
         self.attempts.fill(0);
         self.charge = 0.0;
         self.tasks.clear();
@@ -964,6 +968,7 @@ impl MasterCore {
     /// on stray traffic. When it expires, every silent worker without
     /// buffered evidence is probed: alive and loaded means a lost task or
     /// message (re-sent), anything else a lost worker.
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn barrier<P: Placement>(
         &mut self,
         p: &mut P,
@@ -972,6 +977,7 @@ impl MasterCore {
     ) -> Result<f64, TrainError> {
         let detect = self.deadline();
         let gathering = acks.is_none();
+        #[expect(clippy::disallowed_methods, reason = "measured barrier wall")]
         let started = Instant::now();
         let mut wait_until = started + detect;
         loop {
@@ -1028,7 +1034,9 @@ impl MasterCore {
                         let how = DetectionMethod::Timeout;
                         self.worker_lost(p, step, w, how, unloaded, acks.as_deref_mut())?;
                     }
-                    wait_until = Instant::now() + detect;
+                    #[expect(clippy::disallowed_methods, reason = "detection deadline")]
+                    let now = Instant::now();
+                    wait_until = now + detect;
                     continue;
                 }
                 Err(source) => {
@@ -1102,8 +1110,8 @@ impl MasterCore {
                 // frame) or stale loading-phase acks: noise on the
                 // master's mailbox. Named explicitly — this arm is the
                 // master side's decision record for every ColMsg variant
-                // it does not service, and protocol-conformance holds it
-                // to that.
+                // it does not service, and `barrier`'s
+                // `deny(clippy::wildcard_enum_match_arm)` holds it to that.
                 other @ (ColMsg::LoadBlock(..)
                 | ColMsg::ReloadBlock(..)
                 | ColMsg::Workset { .. }
@@ -1132,7 +1140,9 @@ impl MasterCore {
                 }
             };
             if progress {
-                wait_until = Instant::now() + detect;
+                #[expect(clippy::disallowed_methods, reason = "detection deadline")]
+                let now = Instant::now();
+                wait_until = now + detect;
             }
         }
     }

@@ -157,6 +157,7 @@ impl DistributedMlp {
             let batches: Vec<CsrMatrix> =
                 (0..self.k).map(|w| self.worker_batch(w, &addrs)).collect();
 
+            #[expect(clippy::disallowed_methods, reason = "layer timer, a measurement only")]
             let start = std::time::Instant::now();
             let mut comm = 0.0;
 
@@ -192,11 +193,11 @@ impl DistributedMlp {
                 acts.push(a);
             }
 
-            // lint: allow(panic-hygiene) zs gets one push per layer in the forward loop above and MlpSpec validates depth >= 1, so last() cannot be empty
+            #[expect(clippy::expect_used, reason = "zs has one entry per layer, depth >= 1")]
             let loss = mlp::output_loss(zs.last().expect("output layer"), &labels);
 
             // ---- backward -----------------------------------------------
-            // lint: allow(panic-hygiene) same invariant: the forward pass above pushed at least one layer output
+            #[expect(clippy::expect_used, reason = "same invariant as the loss above")]
             let mut delta = mlp::output_delta(zs.last().expect("output layer"), &labels);
             for li in (1..outputs.len()).rev() {
                 let n_prev = outputs[li - 1];

@@ -155,6 +155,7 @@ impl<M: WireCodec + Clone + Send + 'static> Runtime<M> {
         if let Some(env) = self.pending.pop_front() {
             return Ok(env);
         }
+        #[expect(clippy::disallowed_methods, reason = "mailbox deadline")]
         let left = deadline.saturating_duration_since(Instant::now());
         if left.is_zero() {
             return Err(NetError::Timeout);
@@ -175,8 +176,10 @@ impl<M: WireCodec + Clone + Send + 'static> Runtime<M> {
         wait: Duration,
         wanted: impl Fn(&M) -> bool,
     ) -> Result<Option<Envelope<M>>, TrainError> {
+        #[expect(clippy::disallowed_methods, reason = "mailbox deadline")]
         let deadline = Instant::now() + wait;
         loop {
+            #[expect(clippy::disallowed_methods, reason = "mailbox deadline")]
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
                 return Ok(None);
@@ -219,6 +222,7 @@ impl<M: WireCodec + Clone + Send + 'static> Runtime<M> {
     ) -> Result<Vec<T>, Stalled> {
         let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n).collect();
         let mut got = 0;
+        #[expect(clippy::disallowed_methods, reason = "slot-barrier deadline")]
         let mut deadline = Instant::now() + wait;
         while got < n {
             let env = self
@@ -230,7 +234,9 @@ impl<M: WireCodec + Clone + Send + 'static> Runtime<M> {
                 Some((open, value)) if open.is_none() => {
                     *open = Some(value);
                     got += 1;
-                    deadline = Instant::now() + wait;
+                    #[expect(clippy::disallowed_methods, reason = "slot-barrier deadline")]
+                    let now = Instant::now();
+                    deadline = now + wait;
                 }
                 Some(_) => {} // a duplicate: this slot already counted
                 None => eprintln!("master: dropping unexpected {kind} during {phase}"),

@@ -495,6 +495,7 @@ struct StatsTask {
 
 /// Serves one statistics task: scripted faults, request validation, batch
 /// sampling, the kernels, the worker-side records, and the reply.
+#[expect(clippy::panic, reason = "injected fault, reported as WorkerPanic")]
 fn serve_stats(
     w: &mut WorkerNode,
     ep: &Endpoint<ColMsg>,
@@ -511,7 +512,6 @@ fn serve_stats(
     } = task;
     let id = w.id;
     if script.crashes(id, iteration, attempt) {
-        // lint: allow(panic-hygiene) injected fault: the guarded spawn converts this panic into a WorkerPanic report, which is the detection path under test
         panic!("injected worker failure at iteration {iteration} attempt {attempt}");
     }
     let per_partition = pids.is_some();
@@ -577,6 +577,7 @@ fn serve_stats(
         }
         return;
     }
+    #[expect(clippy::disallowed_methods, reason = "compute timer, measurement only")]
     let start = Instant::now();
     if script.task_fails(iteration, attempt) {
         fail("injected task failure", start.elapsed().as_secs_f64(), 0.0);
@@ -648,6 +649,7 @@ fn serve_stats(
 /// *before* the protocol reply they describe, so a master barrier that saw
 /// the reply has already ingested the matching worker events.
 #[allow(clippy::too_many_arguments)]
+#[deny(clippy::wildcard_enum_match_arm)]
 pub fn run_worker(
     ep: Endpoint<ColMsg>,
     id: usize,
@@ -733,6 +735,10 @@ pub fn run_worker(
                         },
                     );
                 } else if Some(iteration) == w.batch_iteration() {
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "compute timer, measurement only"
+                    )]
                     let start = Instant::now();
                     w.update(iteration, &stats);
                     flush_telemetry();
@@ -841,10 +847,9 @@ pub fn run_worker(
                 return;
             }
             // Master-bound replies are protocol noise on a worker: log and
-            // drop instead of panicking. Named variant-by-variant (not a
-            // wildcard) so a new ColMsg variant fails both the compiler's
-            // exhaustiveness check and protocol-conformance until a
-            // decision is made.
+            // drop instead of panicking. Named variant-by-variant (a
+            // wildcard is denied here) so a new ColMsg variant fails the
+            // compiler's exhaustiveness check until a decision is made.
             other @ (ColMsg::LoadAck { .. }
             | ColMsg::StatsReply { .. }
             | ColMsg::StatsReplyFor { .. }

@@ -3,6 +3,7 @@
 //! Prometheus would — plus the file-snapshot path tests use in CI.
 
 use std::io::{Read as _, Write as _};
+#[expect(clippy::disallowed_types, reason = "scrapes the metrics responder")]
 use std::net::TcpStream;
 
 use columnsgd_cluster::telemetry::MetricsRegistry;
@@ -42,6 +43,7 @@ fn trained_registry() -> MetricsRegistry {
     metrics
 }
 
+#[expect(clippy::disallowed_types, reason = "scrapes the metrics responder")]
 fn scrape(addr: std::net::SocketAddr, path: &str) -> String {
     let mut s = TcpStream::connect(addr).expect("connect to metrics responder");
     let req = format!("GET {path} HTTP/1.1\r\nHost: x\r\nAccept: text/plain\r\n\r\n");

@@ -324,6 +324,7 @@ fn telemetry_event_batch_roundtrips_through_the_frame_codec() {
 /// trace ↔ meter reconciliation the engine asserts cannot be perturbed
 /// by how much telemetry a run ships.
 #[test]
+#[expect(clippy::disallowed_methods, reason = "polls against a wall deadline")]
 fn telemetry_frames_advance_zero_data_plane_meter_bytes() {
     let ids = [NodeId::Master, NodeId::Worker(0)];
     let traffic = TrafficStats::new();

@@ -1,36 +1,61 @@
-//! `columnsgd-lint` — workspace invariant checker.
+//! `columnsgd-lint` — the workspace's lock analysis.
 //!
-//! A multi-pass, dependency-free analyzer over the workspace's `.rs`
-//! files (excluding `third_party`, tests, benches, examples, and
-//! fixtures):
+//! Everything clippy can express (determinism, metering, panic and
+//! allocator hygiene, wildcard handler arms) is enforced by the root
+//! `clippy.toml` and lint attributes (DESIGN.md §10). What is left needs
+//! a cross-file view clippy does not have: a dependency-free analyzer over
+//! the workspace's `.rs` files (excluding `third_party`, tests, examples
+//! and fixtures):
 //!
 //! 1. **scan** — lexical token stream per file ([`scan`]);
-//! 2. **symbols** — AST-lite extraction: enums/variants, fns, `match`
-//!    arms, lock declarations/acquisitions, call sites ([`symbols`]);
-//! 3. **per-file rules** — determinism, metering, panic/alloc hygiene,
-//!    atomics ordering ([`rules`]);
-//! 4. **cross-file rules** — protocol-conformance over the wire enums
-//!    ([`protocol`]) and lock-order/blocking-under-lock over the lock
-//!    acquisition graph ([`locks`]).
+//! 2. **symbols** — fn bodies, lock declarations/acquisitions and call
+//!    sites ([`symbols`]);
+//! 3. **locks** — `lock-order` and `blocking-under-lock` over the lock
+//!    acquisition graph of [`locks::LOCK_SCOPE`] ([`locks`]);
+//! 4. **annotation** — every `// lint: allow(<rule>) <reason>` must name
+//!    one of those rules and give a reason, in every scanned file.
 //!
-//! Configuration lives in the checked-in `lint.toml`; see DESIGN.md §10
-//! and §15 for the rationale behind each rule.
+//! See DESIGN.md §15 for the analysis and its soundness limits.
 
-pub mod config;
 pub mod locks;
-pub mod protocol;
-pub mod rules;
 pub mod scan;
 pub mod symbols;
-
-pub use config::{Config, Severity};
-pub use rules::{Finding, UsedAllow, ANNOTATION_RULE, CROSS_FILE_RULE_IDS, RULE_IDS};
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// One scanned file with its extracted symbols — the unit the
-/// cross-file passes consume.
+use scan::Allow;
+
+/// Meta-rule id for malformed/unknown `lint: allow` annotations.
+pub const ANNOTATION_RULE: &str = "annotation";
+
+/// Directory names the walk skips anywhere under `crates/`.
+const SKIP_DIRS: [&str; 5] = ["tests", "benches", "examples", "fixtures", "target"];
+
+/// One reported violation. Every rule denies: any finding fails the run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Finding {
+    /// Rule id that fired.
+    pub rule: String,
+    /// Workspace-relative path (`/`-separated).
+    pub path: String,
+    /// 1-based line.
+    pub line: u32,
+    /// Human-readable description of the match.
+    pub message: String,
+}
+
+/// An allow annotation together with the file it appeared in.
+#[derive(Debug, Clone)]
+pub struct UsedAllow {
+    /// Workspace-relative path.
+    pub path: String,
+    /// The annotation itself.
+    pub allow: Allow,
+}
+
+/// One scanned file with its extracted symbols — the unit the lock
+/// analysis consumes.
 #[derive(Debug)]
 pub struct FileUnit {
     /// Workspace-relative path, `/`-separated.
@@ -53,25 +78,9 @@ pub struct Report {
 }
 
 impl Report {
-    /// Findings with `deny` severity — these fail the run.
-    pub fn deny_count(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == Severity::Deny)
-            .count()
-    }
-
-    /// Findings with `warn` severity.
-    pub fn warn_count(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == Severity::Warn)
-            .count()
-    }
-
     /// Whether the run should exit non-zero.
     pub fn failed(&self) -> bool {
-        self.deny_count() > 0
+        !self.findings.is_empty()
     }
 
     /// Renders the human-readable report (deterministic: inputs are
@@ -80,8 +89,7 @@ impl Report {
         let mut out = String::new();
         for f in &self.findings {
             out.push_str(&format!(
-                "{sev}[{rule}] {path}:{line}: {msg}\n",
-                sev = severity_str(f.severity),
+                "deny[{rule}] {path}:{line}: {msg}\n",
                 rule = f.rule,
                 path = f.path,
                 line = f.line,
@@ -101,10 +109,9 @@ impl Report {
             }
         }
         out.push_str(&format!(
-            "\n{files} files scanned: {deny} deny, {warn} warn, {allows} suppression(s)\n",
+            "\n{files} files scanned: {deny} deny, 0 warn, {allows} suppression(s)\n",
             files = self.files_scanned,
-            deny = self.deny_count(),
-            warn = self.warn_count(),
+            deny = self.findings.len(),
             allows = self.allows.len()
         ));
         out
@@ -113,21 +120,21 @@ impl Report {
     /// Renders the machine-readable JSON report. Hand-rolled (no serde:
     /// offline-vendoring constraint) and deterministic — same sorted
     /// inputs as [`Report::render`], stable key order, `\n` separators.
+    /// Schema 1: `warn` stays in the schema and is always 0.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str("  \"schema\": 1,\n");
         out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        out.push_str(&format!("  \"deny\": {},\n", self.deny_count()));
-        out.push_str(&format!("  \"warn\": {},\n", self.warn_count()));
+        out.push_str(&format!("  \"deny\": {},\n", self.findings.len()));
+        out.push_str("  \"warn\": 0,\n");
         out.push_str("  \"findings\": [");
         for (i, f) in self.findings.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             out.push_str(&format!(
-                "    {{\"rule\": {}, \"path\": {}, \"line\": {}, \"severity\": {}, \"message\": {}}}",
+                "    {{\"rule\": {}, \"path\": {}, \"line\": {}, \"severity\": \"deny\", \"message\": {}}}",
                 json_str(&f.rule),
                 json_str(&f.path),
                 f.line,
-                json_str(severity_str(f.severity)),
                 json_str(&f.message)
             ));
         }
@@ -157,14 +164,6 @@ impl Report {
     }
 }
 
-fn severity_str(s: Severity) -> &'static str {
-    match s {
-        Severity::Deny => "deny",
-        Severity::Warn => "warn",
-        Severity::Off => "off",
-    }
-}
-
 /// JSON string literal with the escapes the report can actually contain.
 fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -184,70 +183,89 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// Loads `lint.toml` from `root`, falling back to defaults when absent.
-pub fn load_config(root: &Path) -> Result<Config, String> {
-    let path = root.join("lint.toml");
-    if !path.exists() {
-        return Ok(Config::default());
-    }
-    let text = fs::read_to_string(&path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    Config::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-}
-
-/// Runs the lint over every matching `.rs` file under `root`.
-pub fn run_lint(root: &Path, config: &Config) -> Result<Report, String> {
+/// Runs the lint over every `.rs` file under `root/crates`.
+pub fn run_lint(root: &Path) -> Result<Report, String> {
     let mut files: Vec<(String, PathBuf)> = Vec::new();
-    for inc in &config.files.include {
-        let base = root.join(inc);
-        if base.exists() {
-            collect_rs_files(root, &base, config, &mut files)?;
-        }
+    let base = root.join("crates");
+    if base.exists() {
+        collect_rs_files(root, &base, &mut files)?;
     }
     // Sort by the `/`-joined relative string (not PathBuf component
     // order) so report ordering is byte-identical across platforms and
     // filesystems.
     files.sort_by(|a, b| a.0.cmp(&b.0));
-    files.dedup_by(|a, b| a.0 == b.0);
 
-    // Pass 1+2: scan and extract symbols for every file.
     let mut units = Vec::with_capacity(files.len());
-    for (rel, path) in &files {
+    for (rel, path) in files {
         let text =
-            fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+            fs::read_to_string(&path).map_err(|e| format!("reading {}: {e}", path.display()))?;
         let scanned = scan::scan(&text);
         let symbols = symbols::FileSymbols::extract(&scanned);
         units.push(FileUnit {
-            rel: rel.clone(),
+            rel,
             scanned,
             symbols,
         });
     }
 
-    // Pass 3: per-file rules.
     let mut report = Report {
         files_scanned: units.len(),
         ..Report::default()
     };
     for unit in &units {
-        let (findings, used) = rules::check_file(&unit.rel, &unit.scanned, config);
-        report.findings.extend(findings);
-        report.allows.extend(used);
+        report.findings.extend(check_annotations(unit));
+        report
+            .allows
+            .extend(unit.scanned.allows.iter().map(|a| UsedAllow {
+                path: unit.rel.clone(),
+                allow: a.clone(),
+            }));
     }
-
-    // Pass 4: cross-file rules over the full unit set.
-    report.findings.extend(protocol::check(&units, config));
-    report.findings.extend(locks::check(&units, config));
+    report.findings.extend(locks::check(&units));
 
     report.findings.sort_by(|a, b| {
         (&a.path, a.line, &a.rule, &a.message).cmp(&(&b.path, b.line, &b.rule, &b.message))
     });
-    report.findings.dedup_by(|a, b| {
-        (&a.path, a.line, &a.rule, &a.message) == (&b.path, b.line, &b.rule, &b.message)
-    });
+    report.findings.dedup();
     report
         .allows
         .sort_by(|a, b| (&a.path, a.allow.line).cmp(&(&b.path, b.allow.line)));
     Ok(report)
+}
+
+/// The annotation meta-rule: malformed annotations and annotations naming
+/// an unknown rule are findings themselves, so the suppression summary
+/// stays auditable.
+fn check_annotations(unit: &FileUnit) -> Vec<Finding> {
+    let finding = |line, message| Finding {
+        rule: ANNOTATION_RULE.to_string(),
+        path: unit.rel.clone(),
+        line,
+        message,
+    };
+    let known = [ANNOTATION_RULE, locks::ORDER_RULE, locks::BLOCKING_RULE];
+    let mut out: Vec<Finding> = unit
+        .scanned
+        .malformed_allows
+        .iter()
+        .map(|&line| {
+            finding(
+                line,
+                "malformed `lint: allow` — expected `// lint: allow(<rule>) <reason>` \
+                 with a non-empty reason"
+                    .to_string(),
+            )
+        })
+        .collect();
+    for a in &unit.scanned.allows {
+        if !known.contains(&a.rule.as_str()) {
+            out.push(finding(
+                a.line,
+                format!("`lint: allow({})` names an unknown rule", a.rule),
+            ));
+        }
+    }
+    out
 }
 
 /// `/`-separated path of `file` relative to `root`.
@@ -262,34 +280,8 @@ fn relative_path(root: &Path, file: &Path) -> String {
 fn collect_rs_files(
     root: &Path,
     dir: &Path,
-    config: &Config,
     out: &mut Vec<(String, PathBuf)>,
 ) -> Result<(), String> {
-    let rel = relative_path(root, dir);
-    if config
-        .files
-        .exclude_prefixes
-        .iter()
-        .any(|p| rel.starts_with(p.as_str()))
-    {
-        return Ok(());
-    }
-    if dir.is_file() {
-        if dir.extension().is_some_and(|e| e == "rs") {
-            out.push((rel, dir.to_path_buf()));
-        }
-        return Ok(());
-    }
-    let name = dir.file_name().map(|n| n.to_string_lossy().to_string());
-    if let Some(name) = &name {
-        if !rel.is_empty()
-            && config.files.exclude_dirs.iter().any(|d| d == name)
-            // Never skip an `include` root itself even if its name matches.
-            && !config.files.include.iter().any(|i| i == &rel)
-        {
-            return Ok(());
-        }
-    }
     // Sorted traversal: `read_dir` order is filesystem-dependent, and a
     // deterministic walk is what keeps the text/JSON reports
     // byte-identical across runs and platforms.
@@ -301,7 +293,16 @@ fn collect_rs_files(
     }
     paths.sort_by(|a, b| a.file_name().cmp(&b.file_name()));
     for path in paths {
-        collect_rs_files(root, &path, config, out)?;
+        if path.is_dir() {
+            let skip = path
+                .file_name()
+                .is_some_and(|n| SKIP_DIRS.iter().any(|d| n == *d));
+            if !skip {
+                collect_rs_files(root, &path, out)?;
+            }
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push((relative_path(root, &path), path));
+        }
     }
     Ok(())
 }
@@ -316,18 +317,10 @@ mod tests {
             ..Report::default()
         };
         report.findings.push(Finding {
-            rule: "panic-hygiene".into(),
+            rule: "lock-order".into(),
             path: "crates/x/src/lib.rs".into(),
             line: 3,
-            message: "boom".into(),
-            severity: Severity::Deny,
-        });
-        report.findings.push(Finding {
-            rule: "metering".into(),
-            path: "crates/x/src/lib.rs".into(),
-            line: 9,
-            message: "raw \"channel\"".into(),
-            severity: Severity::Warn,
+            message: "raw \"cycle\"".into(),
         });
         report
     }
@@ -335,13 +328,10 @@ mod tests {
     #[test]
     fn report_render_is_stable_and_counts() {
         let report = sample_report();
-        assert_eq!(report.deny_count(), 1);
-        assert_eq!(report.warn_count(), 1);
         assert!(report.failed());
         let text = report.render();
-        assert!(text.contains("deny[panic-hygiene] crates/x/src/lib.rs:3: boom"));
-        assert!(text.contains("warn[metering]"));
-        assert!(text.contains("1 deny, 1 warn"));
+        assert!(text.contains("deny[lock-order] crates/x/src/lib.rs:3: raw \"cycle\""));
+        assert!(text.contains("1 deny, 0 warn"));
     }
 
     #[test]
@@ -356,9 +346,9 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"schema\": 1"));
         assert!(json.contains("\"deny\": 1"));
-        assert!(json.contains("\"warn\": 1"));
+        assert!(json.contains("\"warn\": 0"));
         // Quotes inside messages are escaped.
-        assert!(json.contains("raw \\\"channel\\\""));
+        assert!(json.contains("raw \\\"cycle\\\""));
         // One JSON object per finding.
         assert_eq!(json.matches("\"rule\": ").count(), report.findings.len());
     }
@@ -368,5 +358,43 @@ mod tests {
         let json = Report::default().to_json();
         assert!(json.contains("\"findings\": []"));
         assert!(json.contains("\"suppressions\": []"));
+    }
+
+    fn annotations(src: &str) -> Vec<(String, u32)> {
+        let scanned = scan::scan(src);
+        let unit = FileUnit {
+            rel: "crates/x/src/lib.rs".into(),
+            symbols: symbols::FileSymbols::extract(&scanned),
+            scanned,
+        };
+        check_annotations(&unit)
+            .into_iter()
+            .map(|f| (f.rule, f.line))
+            .collect()
+    }
+
+    #[test]
+    fn lock_rules_are_known_to_annotations() {
+        let fired = annotations(
+            "// lint: allow(lock-order) writer is a leaf lock\nlet x = 1;\n// lint: allow(blocking-under-lock) staged\nlet y = 2;",
+        );
+        assert!(fired.is_empty(), "{fired:?}");
+    }
+
+    #[test]
+    fn unknown_or_migrated_rule_in_allow_is_a_finding() {
+        let fired = annotations(
+            "// lint: allow(no-such-rule) some reason\nlet x = 1;\n// lint: allow(panic-hygiene) now a clippy expect\nx.unwrap();",
+        );
+        assert_eq!(
+            fired,
+            vec![("annotation".into(), 1), ("annotation".into(), 3)]
+        );
+    }
+
+    #[test]
+    fn malformed_allow_is_a_finding() {
+        let fired = annotations("// lint: allow(lock-order)\nlet g = m.lock();");
+        assert_eq!(fired, vec![("annotation".into(), 1)]);
     }
 }

@@ -1,6 +1,6 @@
 //! Lock-order and blocking-under-lock analysis.
 //!
-//! Builds a lock acquisition graph over the configured scope: a node per
+//! Builds a lock acquisition graph over [`LOCK_SCOPE`]: a node per
 //! lock *name* (see the aliasing caveat in [`crate::symbols`]), an edge
 //! `a → b` when a guard of `a` is (approximately) live while `b` is
 //! acquired — either directly in the same extent, or one call-graph hop
@@ -20,10 +20,16 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::config::{Config, Severity};
-use crate::rules::Finding;
 use crate::symbols::LockOp;
-use crate::FileUnit;
+use crate::{FileUnit, Finding};
+
+/// Source dirs the two lock rules cover (workspace-relative prefixes).
+pub const LOCK_SCOPE: [&str; 4] = [
+    "crates/cluster/src",
+    "crates/telemetry/src",
+    "crates/core/src",
+    "crates/rowsgd/src",
+];
 
 /// Rule id for acquisition-order violations.
 pub const ORDER_RULE: &str = "lock-order";
@@ -60,24 +66,20 @@ struct Edge {
     via: Option<String>,
 }
 
-/// Runs both lock rules over the whole file set.
-pub fn check(units: &[FileUnit], config: &Config) -> Vec<Finding> {
-    let order_rc = config.rule(ORDER_RULE);
-    let block_rc = config.rule(BLOCKING_RULE);
+/// Runs both lock rules over the in-scope files of the set.
+pub fn check(units: &[FileUnit]) -> Vec<Finding> {
+    let units: Vec<&FileUnit> = units
+        .iter()
+        .filter(|u| LOCK_SCOPE.iter().any(|p| u.rel.starts_with(p)))
+        .collect();
     let mut findings = Vec::new();
-    if order_rc.severity == Severity::Off && block_rc.severity == Severity::Off {
-        return findings;
-    }
 
-    // Lock identities: every Mutex/RwLock declaration name in either
-    // rule's scope. Acquisition sites are filtered against this set so
-    // io::Read/Write method calls and `stdout().lock()` never alias in.
+    // Lock identities: every Mutex/RwLock declaration name in scope.
+    // Acquisition sites are filtered against this set so io::Read/Write
+    // method calls and `stdout().lock()` never alias in.
     let mut mutex_names: BTreeSet<&str> = BTreeSet::new();
     let mut rwlock_names: BTreeSet<&str> = BTreeSet::new();
-    for u in units {
-        if !order_rc.applies_to(&u.rel) && !block_rc.applies_to(&u.rel) {
-            continue;
-        }
+    for u in &units {
         for d in &u.symbols.lock_decls {
             if d.is_rwlock {
                 rwlock_names.insert(&d.name);
@@ -98,9 +100,6 @@ pub fn check(units: &[FileUnit], config: &Config) -> Vec<Finding> {
     let crate_of = |rel: &str| -> String { rel.split('/').take(2).collect::<Vec<_>>().join("/") };
     let mut fn_table: BTreeMap<(String, String), FnBodies> = BTreeMap::new();
     for (ui, u) in units.iter().enumerate() {
-        if !order_rc.applies_to(&u.rel) {
-            continue;
-        }
         for f in &u.symbols.fns {
             fn_table
                 .entry((crate_of(&u.rel), f.name.clone()))
@@ -110,13 +109,8 @@ pub fn check(units: &[FileUnit], config: &Config) -> Vec<Finding> {
     }
 
     let mut edges: Vec<Edge> = Vec::new();
-    for u in units {
+    for u in &units {
         let acqs: Vec<&LockOp> = u.symbols.lock_ops.iter().filter(|o| is_lock(o)).collect();
-        if acqs.is_empty() {
-            continue;
-        }
-        let order_applies = order_rc.applies_to(&u.rel);
-        let block_applies = block_rc.applies_to(&u.rel);
         for a in &acqs {
             // Acquisitions ordered after `a` in its extent: token order
             // approximates evaluation order, so only later acquisitions
@@ -127,105 +121,97 @@ pub fn check(units: &[FileUnit], config: &Config) -> Vec<Finding> {
             // (its token index precedes `a.idx`).
             let held = |idx: usize| idx != a.idx && idx >= a.extent_start && idx < a.extent_end;
             // Direct nested acquisitions → edges (and self-deadlocks).
-            if order_applies {
-                for b in &acqs {
-                    if acquired_under(b.idx) {
-                        if b.name == a.name {
-                            if !u.scanned.is_allowed(ORDER_RULE, b.line) {
-                                findings.push(Finding {
-                                    rule: ORDER_RULE.to_string(),
-                                    path: u.rel.clone(),
-                                    line: b.line,
-                                    message: format!(
-                                        "`{}` acquired while a guard of `{}` (line {}) is \
-                                         still held — self-deadlock under a non-reentrant lock",
-                                        b.name, a.name, a.line
-                                    ),
-                                    severity: order_rc.severity,
-                                });
-                            }
-                        } else {
+            for b in &acqs {
+                if acquired_under(b.idx) {
+                    if b.name == a.name {
+                        if !u.scanned.is_allowed(ORDER_RULE, b.line) {
+                            findings.push(Finding {
+                                rule: ORDER_RULE.to_string(),
+                                path: u.rel.clone(),
+                                line: b.line,
+                                message: format!(
+                                    "`{}` acquired while a guard of `{}` (line {}) is \
+                                     still held — self-deadlock under a non-reentrant lock",
+                                    b.name, a.name, a.line
+                                ),
+                            });
+                        }
+                    } else {
+                        edges.push(Edge {
+                            from: a.name.clone(),
+                            to: b.name.clone(),
+                            path: u.rel.clone(),
+                            line: b.line,
+                            via: None,
+                        });
+                    }
+                }
+            }
+            // One-hop propagation: calls inside the extent whose
+            // bodies acquire locks.
+            let krate = crate_of(&u.rel);
+            for call in u.symbols.calls.iter().filter(|c| held(c.idx)) {
+                let Some(bodies) = fn_table.get(&(krate.clone(), call.callee.clone())) else {
+                    continue;
+                };
+                for &(ui, bs, be) in bodies {
+                    let target = &units[ui];
+                    for b in target
+                        .symbols
+                        .lock_ops
+                        .iter()
+                        .filter(|o| is_lock(o) && o.idx > bs && o.idx < be)
+                    {
+                        if b.name != a.name {
                             edges.push(Edge {
                                 from: a.name.clone(),
                                 to: b.name.clone(),
                                 path: u.rel.clone(),
-                                line: b.line,
-                                via: None,
+                                line: call.line,
+                                via: Some(call.callee.clone()),
                             });
-                        }
-                    }
-                }
-                // One-hop propagation: calls inside the extent whose
-                // bodies acquire locks.
-                let krate = crate_of(&u.rel);
-                for call in u.symbols.calls.iter().filter(|c| held(c.idx)) {
-                    let Some(bodies) = fn_table.get(&(krate.clone(), call.callee.clone())) else {
-                        continue;
-                    };
-                    for &(ui, bs, be) in bodies {
-                        let target = &units[ui];
-                        for b in target
-                            .symbols
-                            .lock_ops
-                            .iter()
-                            .filter(|o| is_lock(o) && o.idx > bs && o.idx < be)
-                        {
-                            if b.name != a.name {
-                                edges.push(Edge {
-                                    from: a.name.clone(),
-                                    to: b.name.clone(),
-                                    path: u.rel.clone(),
-                                    line: call.line,
-                                    via: Some(call.callee.clone()),
-                                });
-                            }
                         }
                     }
                 }
             }
             // Blocking calls inside the extent.
-            if block_applies {
-                for call in u.symbols.calls.iter().filter(|c| held(c.idx)) {
-                    if !BLOCKING_CALLS.contains(&call.callee.as_str()) {
-                        continue;
-                    }
-                    if u.scanned.is_allowed(BLOCKING_RULE, call.line)
-                        || u.scanned.is_allowed(BLOCKING_RULE, a.line)
-                    {
-                        continue;
-                    }
-                    findings.push(Finding {
-                        rule: BLOCKING_RULE.to_string(),
-                        path: u.rel.clone(),
-                        line: call.line,
-                        message: format!(
-                            "`{}` called while holding the `{}` guard (`.{}()` at line {}); \
-                             clone/stage the data and release the guard before blocking",
-                            call.callee, a.name, a.op, a.line
-                        ),
-                        severity: block_rc.severity,
-                    });
+            for call in u.symbols.calls.iter().filter(|c| held(c.idx)) {
+                if !BLOCKING_CALLS.contains(&call.callee.as_str()) {
+                    continue;
                 }
+                if u.scanned.is_allowed(BLOCKING_RULE, call.line)
+                    || u.scanned.is_allowed(BLOCKING_RULE, a.line)
+                {
+                    continue;
+                }
+                findings.push(Finding {
+                    rule: BLOCKING_RULE.to_string(),
+                    path: u.rel.clone(),
+                    line: call.line,
+                    message: format!(
+                        "`{}` called while holding the `{}` guard (`.{}()` at line {}); \
+                         clone/stage the data and release the guard before blocking",
+                        call.callee, a.name, a.op, a.line
+                    ),
+                });
             }
         }
     }
 
-    if order_rc.severity != Severity::Off {
-        // Inline-allowed edges leave the graph before cycle detection.
-        edges.retain(|e| {
-            let unit = units.iter().find(|u| u.rel == e.path);
-            !unit.is_some_and(|u| u.scanned.is_allowed(ORDER_RULE, e.line))
-        });
-        edges.sort();
-        edges.dedup();
-        findings.extend(cycle_findings(&edges, order_rc.severity));
-    }
+    // Inline-allowed edges leave the graph before cycle detection.
+    edges.retain(|e| {
+        let unit = units.iter().find(|u| u.rel == e.path);
+        !unit.is_some_and(|u| u.scanned.is_allowed(ORDER_RULE, e.line))
+    });
+    edges.sort();
+    edges.dedup();
+    findings.extend(cycle_findings(&edges));
     findings
 }
 
 /// Findings for every edge that participates in a cycle: `to` can reach
 /// back to `from` through the edge set.
-fn cycle_findings(edges: &[Edge], severity: Severity) -> Vec<Finding> {
+fn cycle_findings(edges: &[Edge]) -> Vec<Finding> {
     let mut adj: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
     for e in edges {
         adj.entry(&e.from).or_default().insert(&e.to);
@@ -269,7 +255,6 @@ fn cycle_findings(edges: &[Edge], severity: Severity) -> Vec<Finding> {
                  (`{}` is also taken while `{}` is held elsewhere); pick one global order",
                 e.to, e.from, e.from, e.to
             ),
-            severity,
         });
     }
     out

@@ -1,22 +1,23 @@
 //! `columnsgd-lint` CLI.
 //!
 //! ```text
-//! columnsgd-lint [--root <path>] [--config <path>] [--json <path>]
+//! columnsgd-lint [--root <path>] [--json <path>]
 //! ```
 //!
 //! `--json` additionally writes the machine-readable report (same
 //! findings as the text output, deterministic ordering) to the given
-//! path. Exits 0 when the tree is clean (warnings allowed), 1 on any
-//! `deny` finding, 2 on usage/configuration errors.
+//! path. Exits 0 when the tree is clean, 1 on any finding, 2 on usage
+//! errors.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use columnsgd_lint as lint;
 
+const USAGE: &str = "usage: columnsgd-lint [--root <path>] [--json <path>]";
+
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
-    let mut config_path: Option<PathBuf> = None;
     let mut json_path: Option<PathBuf> = None;
 
     let mut args = std::env::args().skip(1);
@@ -26,40 +27,19 @@ fn main() -> ExitCode {
                 Some(v) => root = PathBuf::from(v),
                 None => return usage("--root needs a path"),
             },
-            "--config" => match args.next() {
-                Some(v) => config_path = Some(PathBuf::from(v)),
-                None => return usage("--config needs a path"),
-            },
             "--json" => match args.next() {
                 Some(v) => json_path = Some(PathBuf::from(v)),
                 None => return usage("--json needs a path"),
             },
             "--help" | "-h" => {
-                println!("usage: columnsgd-lint [--root <path>] [--config <path>] [--json <path>]");
+                println!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             other => return usage(&format!("unknown argument {other:?}")),
         }
     }
 
-    let config = match config_path {
-        Some(path) => {
-            let text = match std::fs::read_to_string(&path) {
-                Ok(t) => t,
-                Err(e) => return fail(&format!("reading {}: {e}", path.display())),
-            };
-            match lint::Config::parse(&text) {
-                Ok(c) => c,
-                Err(e) => return fail(&format!("{}: {e}", path.display())),
-            }
-        }
-        None => match lint::load_config(&root) {
-            Ok(c) => c,
-            Err(e) => return fail(&e),
-        },
-    };
-
-    match lint::run_lint(&root, &config) {
+    match lint::run_lint(&root) {
         Ok(report) => {
             print!("{}", report.render());
             if let Some(path) = json_path {
@@ -79,7 +59,7 @@ fn main() -> ExitCode {
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("columnsgd-lint: {msg}");
-    eprintln!("usage: columnsgd-lint [--root <path>] [--config <path>] [--json <path>]");
+    eprintln!("{USAGE}");
     ExitCode::from(2)
 }
 

@@ -267,7 +267,30 @@ mod tests {
     /// counted size is the encoded length, for every variant.
     #[test]
     fn every_variant_roundtrips() {
+        // One sample per variant, proven complete: the patterns below are
+        // an exhaustive match, so a new variant fails to compile here
+        // until it is listed, and fails this test until it is sampled.
+        let mut hit = std::collections::BTreeSet::new();
+        let mut variants = 0;
         for msg in samples() {
+            let (i, n) = columnsgd_cluster::variant_index!(msg;
+                RowMsg::LoadRows(_),
+                RowMsg::LoadAck { .. },
+                RowMsg::FullModelGrad { .. },
+                RowMsg::RequestIndices { .. },
+                RowMsg::IndicesReply { .. },
+                RowMsg::SparseModelGrad { .. },
+                RowMsg::GradReplySparse { .. },
+                RowMsg::GradReplyDense { .. },
+                RowMsg::LocalStep { .. },
+                RowMsg::RingChunk { .. },
+                RowMsg::StepDone { .. },
+                RowMsg::FetchModel,
+                RowMsg::ModelReply { .. },
+                RowMsg::Shutdown,
+            );
+            hit.insert(i);
+            variants = n;
             let mut buf = Vec::new();
             msg.encode_body(&mut buf).expect("encode");
             assert_eq!(
@@ -283,6 +306,11 @@ mod tests {
             back.encode_body(&mut buf2).expect("re-encode");
             assert_eq!(buf, buf2, "{}: decode/re-encode diverged", msg.name());
         }
+        assert_eq!(
+            hit,
+            (0..variants).collect(),
+            "one sample per RowMsg variant"
+        );
     }
 
     #[test]

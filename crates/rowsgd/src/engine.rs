@@ -482,6 +482,7 @@ impl RowSgdEngine {
         let agg = agg.ok_or_else(|| {
             TrainError::Internal(format!("iteration {t} gathered zero gradients"))
         })?;
+        #[expect(clippy::disallowed_methods, reason = "compute timer, measurement only")]
         let start = Instant::now();
         self.apply_dense(&agg)?;
         Ok(Stepped {
@@ -655,6 +656,7 @@ impl RowSgdEngine {
             merged = merged.merge(&grad);
             losses.push(loss);
         }
+        #[expect(clippy::disallowed_methods, reason = "compute timer, measurement only")]
         let start = Instant::now();
         {
             let cfg = self.cfg;

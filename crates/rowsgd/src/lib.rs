@@ -35,6 +35,19 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+// Panic hygiene: master/worker message loops and recovery paths surface
+// failures as typed errors, never panics (DESIGN.md §10).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod codec;
 pub mod config;

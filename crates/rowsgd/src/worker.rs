@@ -262,8 +262,10 @@ impl RowWorker {
             // Absolute deadline for this chunk: protocol noise must not
             // restart the window, or a confused peer spamming strays
             // could stall the ring forever.
+            #[expect(clippy::disallowed_methods, reason = "ring receive deadline")]
             let wait_until = Instant::now() + deadline;
             loop {
+                #[expect(clippy::disallowed_methods, reason = "ring receive deadline")]
                 let left = wait_until.saturating_duration_since(Instant::now());
                 if left.is_zero() {
                     return Err(format!(
@@ -358,6 +360,7 @@ impl RowWorker {
 /// clone of the master's recorder in-process, or a worker-local recorder
 /// in a `rowsgd-worker` process, so divergence evidence is captured even
 /// when the reply carrying it never reaches the master intact.
+#[deny(clippy::wildcard_enum_match_arm)]
 pub fn run_row_worker(
     ep: Endpoint<RowMsg>,
     id: usize,
@@ -424,6 +427,7 @@ pub fn run_row_worker(
                 }
             }
             RowMsg::FullModelGrad { iteration, params } => {
+                #[expect(clippy::disallowed_methods, reason = "compute timer, measurement only")]
                 let start = Instant::now();
                 let loss = w.dense_model_grad(iteration, &params);
                 guard_loss(iteration, loss);
@@ -467,6 +471,7 @@ pub fn run_row_worker(
                 }
             }
             RowMsg::RequestIndices { iteration } => {
+                #[expect(clippy::disallowed_methods, reason = "compute timer, measurement only")]
                 let start = Instant::now();
                 let indices = w.batch_indices(iteration);
                 let sent = ep.router().send_unmetered(
@@ -484,6 +489,7 @@ pub fn run_row_worker(
                 }
             }
             RowMsg::SparseModelGrad { iteration, values } => {
+                #[expect(clippy::disallowed_methods, reason = "compute timer, measurement only")]
                 let start = Instant::now();
                 let (grad, loss) = match w.sparse_model_grad(iteration, &values) {
                     Ok(res) => res,
@@ -512,6 +518,7 @@ pub fn run_row_worker(
                 // Measure only local compute; the ring's communication is
                 // priced analytically by the engine (waiting on chunks is
                 // not compute).
+                #[expect(clippy::disallowed_methods, reason = "compute timer, measurement only")]
                 let start = Instant::now();
                 let loss = match w.local_step(iteration) {
                     Ok(loss) => loss,
@@ -561,7 +568,7 @@ pub fn run_row_worker(
             // Master-bound replies looping back here are protocol noise
             // (e.g. a message for a phase this worker already left); drop
             // rather than dying. Named explicitly so a new RowMsg variant
-            // fails compiler exhaustiveness and protocol-conformance
+            // fails compiler exhaustiveness (a wildcard is denied here)
             // until this loop decides what to do with it.
             other @ (RowMsg::LoadAck { .. }
             | RowMsg::IndicesReply { .. }

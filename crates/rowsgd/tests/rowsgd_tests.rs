@@ -255,9 +255,9 @@ fn repartition_load_costs_more() {
 
 /// A worker whose mailbox loop has exited must surface as a *typed*
 /// `TrainError` within the configured deadline — never a panic and never
-/// a hang. This is the poisoned-mailbox regression the panic-hygiene lint
-/// rule guards: the master's gather loops may not `expect()` their way
-/// through a silent cluster.
+/// a hang. This is the poisoned-mailbox regression the panic-hygiene
+/// clippy lints guard: the master's gather loops may not `expect()` their
+/// way through a silent cluster.
 #[test]
 fn poisoned_mailbox_yields_typed_error_not_panic() {
     let ds = synth::small_test_dataset(300, 50, 21);

@@ -1479,6 +1479,7 @@ mod tests {
             .run_id(),
         );
         ids.push(RunStamp { workers: 9, ..base }.run_id());
+        #[expect(clippy::disallowed_types, reason = "counts ids, never iterates")]
         let distinct: std::collections::HashSet<u64> = ids.iter().copied().collect();
         assert_eq!(distinct.len(), ids.len(), "each field must perturb the id");
         assert_eq!(base.run_id(), base.run_id(), "id is stable");

@@ -18,6 +18,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{Read as _, Write as _};
+#[expect(clippy::disallowed_types, reason = "/metrics is not worker traffic")]
 use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, Mutex};
 
@@ -259,6 +260,7 @@ impl MetricsRegistry {
     /// let the OS pick). The thread lives for the rest of the process —
     /// the responder is control-plane-only and holds no engine state
     /// beyond this registry clone.
+    #[expect(clippy::disallowed_types, reason = "/metrics is not worker traffic")]
     pub fn serve(&self, addr: &str) -> std::io::Result<SocketAddr> {
         let listener = TcpListener::bind(addr)?;
         let bound = listener.local_addr()?;
@@ -277,6 +279,7 @@ impl MetricsRegistry {
 
 /// Handles one HTTP exchange: minimal request-line parse, `200` with the
 /// exposition for `/metrics` (and `/`), `404` otherwise.
+#[expect(clippy::disallowed_types, reason = "/metrics is not worker traffic")]
 fn serve_one(stream: &mut std::net::TcpStream, reg: &MetricsRegistry) -> std::io::Result<()> {
     let mut buf = [0u8; 1024];
     let n = stream.read(&mut buf)?;
@@ -364,6 +367,7 @@ test_requests_total{worker=\"1\"} 1.5
     }
 
     #[test]
+    #[expect(clippy::disallowed_types, reason = "scrapes over a raw socket")]
     fn http_responder_serves_metrics_and_404() {
         let reg = MetricsRegistry::new();
         reg.register_counter("test_http_total", "Scrapes.");
