@@ -32,6 +32,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 // Panic hygiene: master/worker message loops and recovery paths surface
 // failures as typed errors, never panics (DESIGN.md §10).
 #![cfg_attr(

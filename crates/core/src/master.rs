@@ -28,6 +28,7 @@ use columnsgd_cluster::{
     NetworkModel, NodeId, Recorder, SimClock, ENVELOPE_BYTES,
 };
 use columnsgd_data::block::Block;
+use columnsgd_data::index::RowAddr;
 use columnsgd_data::{ColumnPartitioner, TwoPhaseIndex};
 use columnsgd_ml::metrics::Curve;
 use columnsgd_ml::ParamSet;
@@ -370,6 +371,8 @@ pub(crate) struct MasterCore {
     /// reporting batch loss; the master knows the layout because it built
     /// the block queue).
     index: TwoPhaseIndex,
+    /// The sampled addresses and labels [`MasterCore::batch_labels`] fills.
+    label_scratch: (Vec<RowAddr>, Vec<f64>),
     /// Model dimension m.
     pub dim: u64,
 }
@@ -475,6 +478,7 @@ impl MasterCore {
             rt,
             blocks,
             index,
+            label_scratch: (Vec::new(), Vec::new()),
             dim,
         })
     }
@@ -619,13 +623,19 @@ impl MasterCore {
     }
 
     /// Labels of the iteration-`t` batch, computed master-side from its
-    /// replica of the two-phase index (free: the master built the blocks).
-    fn batch_labels(&self, iteration: u64) -> Vec<f64> {
+    /// replica of the two-phase index (free: the master built the blocks),
+    /// into buffers the master reuses every superstep.
+    fn batch_labels(&mut self, iteration: u64) -> &[f64] {
+        let (addrs, labels) = &mut self.label_scratch;
         self.index
-            .sample_batch(iteration, self.cfg.batch_size)
-            .into_iter()
-            .map(|addr| self.blocks[addr.block as usize].csr().label(addr.offset))
-            .collect()
+            .sample_batch_into(iteration, self.cfg.batch_size, addrs);
+        labels.clear();
+        labels.extend(
+            addrs
+                .iter()
+                .map(|addr| self.blocks[addr.block as usize].csr().label(addr.offset)),
+        );
+        labels
     }
 
     /// Asks `workers` for their model partitions over the reliable plane
@@ -784,10 +794,8 @@ impl MasterCore {
             // --- pricing -------------------------------------------------
             let bcast_s = self.net.broadcast_time(bcast_bytes, red.updaters.len());
             let (compute_times, sample_times) = step.lane_times(self.slots);
-            let loss = self
-                .cfg
-                .model
-                .loss_from_stats(&self.batch_labels(t), &red.agg);
+            let model = self.cfg.model;
+            let loss = model.loss_from_stats(self.batch_labels(t), &red.agg);
             let s = Superstep {
                 t,
                 sample_times: &sample_times,

@@ -265,6 +265,17 @@ impl WorkerNode {
             );
             return;
         };
+        let local_dim = self.partitions[slot].params.dim();
+        if let Err(e) = check_slots(&ws, local_dim) {
+            // A workset naming slots past the local model would panic a
+            // kernel or silently skip the slot; refuse it like a misrouted
+            // one, so the master's load deadline sees the gap.
+            eprintln!(
+                "worker {}: dropping workset for partition {pid}: {e}",
+                self.id
+            );
+            return;
+        }
         self.partitions[slot].store.insert(ws);
         self.received_worksets += 1;
     }
@@ -388,7 +399,8 @@ impl WorkerNode {
     /// shipped worksets and parameters, stamped with the migration epoch.
     /// Returns `true` when the caller should acknowledge (fresh install or
     /// an idempotent duplicate of the same epoch), `false` for a stale
-    /// epoch that must be dropped unacknowledged.
+    /// epoch or a payload that does not fit the partition, which must be
+    /// dropped unacknowledged.
     fn install_shard(
         &mut self,
         pid: usize,
@@ -401,11 +413,28 @@ impl WorkerNode {
                 // Same epoch: a duplicated ShardData (chaos); the install
                 // already happened, re-ack. Older epoch: a delayed
                 // migration from a superseded plan; never overwrite.
-                return self.partitions[slot].epoch == epoch;
+                let duplicate = self.partitions[slot].epoch == epoch;
+                if !duplicate {
+                    eprintln!(
+                        "worker {}: dropping stale ShardData for partition {pid} \
+                         (epoch {epoch})",
+                        self.id
+                    );
+                }
+                return duplicate;
             }
-            self.partitions.remove(slot);
         }
         let mut p = Partition::new(pid, &self.cfg, &self.part, self.dim);
+        if let Err(e) = check_shard(&worksets, &params, &p.params) {
+            eprintln!(
+                "worker {}: dropping ShardData for partition {pid} (epoch {epoch}): {e}",
+                self.id
+            );
+            return false;
+        }
+        if let Some(slot) = self.holds(pid) {
+            self.partitions.remove(slot);
+        }
         p.epoch = epoch;
         p.opt = OptimizerState::for_params(self.cfg.optimizer, &params);
         p.params = params;
@@ -465,6 +494,39 @@ impl WorkerNode {
         layout.sort_unstable_by_key(|&(bid, _)| bid);
         layout
     }
+}
+
+/// Refuses a workset that names a model slot past `local_dim`: the kernels
+/// index the local model directly, and read it ahead, on the strength of
+/// this check.
+fn check_slots(ws: &Workset, local_dim: usize) -> Result<(), String> {
+    let bound = ws.data.dimension_bound();
+    if bound > local_dim as u64 {
+        return Err(format!(
+            "block {} names slot {} of a {local_dim}-slot partition",
+            ws.block_id,
+            bound - 1
+        ));
+    }
+    Ok(())
+}
+
+/// Refuses a migrated shard whose parameters are not shaped like the
+/// partition's (`want`) or whose worksets do not pass [`check_slots`].
+fn check_shard(worksets: &[Workset], params: &ParamSet, want: &ParamSet) -> Result<(), String> {
+    let lens = |p: &ParamSet| p.blocks.iter().map(|b| b.len()).collect::<Vec<_>>();
+    if params.widths != want.widths || lens(params) != lens(want) {
+        return Err(format!(
+            "parameter blocks {:?} x {:?}, the partition's {:?} x {:?}",
+            lens(params),
+            params.widths,
+            lens(want),
+            want.widths
+        ));
+    }
+    worksets
+        .iter()
+        .try_for_each(|ws| check_slots(ws, want.dim()))
 }
 
 /// A store's `(block, rows)` layout in arrival order, recovered from its
@@ -798,11 +860,6 @@ pub fn run_worker(
                             worker: id,
                         },
                     );
-                } else {
-                    eprintln!(
-                        "worker {id}: dropping stale ShardData for partition {pid} \
-                         (epoch {epoch})"
-                    );
                 }
             }
             ColMsg::ShardRequest { pid, epoch, to } => {
@@ -909,6 +966,8 @@ fn maybe_finish_reload(
 mod tests {
     use super::*;
     use columnsgd_cluster::FailurePlan;
+    use columnsgd_linalg::SparseVector;
+    use columnsgd_ml::ModelSpec;
 
     #[test]
     fn script_extracts_this_workers_events() {
@@ -955,5 +1014,45 @@ mod tests {
         assert!(s.crashes(0, 0, 0));
         let none = WorkerScript::default();
         assert!(!none.crashes(0, 0, 0));
+    }
+
+    /// A one-row workset touching slots 0 and `slot`.
+    fn workset(block_id: u64, slot: u64) -> Workset {
+        let row = SparseVector::from_pairs(vec![(0, 1.0), (slot, 2.0)]);
+        Workset {
+            block_id,
+            data: CsrMatrix::from_rows(&[(1.0, row)]),
+        }
+    }
+
+    #[test]
+    fn worksets_naming_slots_past_the_partition_are_refused() {
+        let mut cfg = ColumnSgdConfig::new(ModelSpec::Fm { factors: 3 });
+        cfg.batch_size = 4;
+        let mut w = WorkerNode::new(0, 2, &[0], 10, cfg);
+        let local_dim = w.partitions[0].params.dim() as u64;
+
+        // At the load door: the bad workset is dropped like a misrouted
+        // one, the good one (last slot included) is stored.
+        w.accept_workset(0, workset(0, local_dim));
+        assert_eq!(w.received_worksets, 0);
+        assert!(w.partitions[0].store.get(0).is_none());
+        w.accept_workset(0, workset(1, local_dim - 1));
+        assert_eq!(w.received_worksets, 1);
+
+        // At the migration door: a bad workset or misshapen parameters
+        // refuse the whole shard, unacknowledged, and the held copy stays.
+        let params = w.partitions[0].params.clone();
+        let good = || vec![workset(2, local_dim - 1)];
+        assert!(!w.install_shard(0, 1, vec![workset(2, local_dim)], params.clone()));
+        let wider = ParamSet::zeros(local_dim as usize + 1, &params.widths);
+        assert!(!w.install_shard(0, 1, good(), wider));
+        assert_eq!(w.partitions[0].epoch, 0);
+        assert!(w.partitions[0].store.get(1).is_some());
+
+        assert!(w.install_shard(0, 1, good(), params));
+        assert_eq!(w.partitions[0].epoch, 1);
+        let stats = w.compute_stats(0, None).expect("kernels run");
+        assert_eq!(stats.len(), 4 * 4);
     }
 }

@@ -13,7 +13,8 @@
 //!   worksets (the paper compresses shuffled worksets with CSR, §IV-A),
 //! * kernel functions in [`ops`] (dot products, axpy, norms) that implement
 //!   the "statistics" computations at the heart of the vertical-parallel
-//!   strategy,
+//!   strategy, and [`ops::prefetch`], the workspace's one `unsafe` block,
+//!   which the gather-bound kernels use to read memory ahead,
 //! * deterministic RNG helpers in [`rng`] so every experiment in the
 //!   reproduction is seed-stable.
 //!
@@ -22,6 +23,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod csr;
 pub mod dense;

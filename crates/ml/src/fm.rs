@@ -48,11 +48,15 @@ pub fn partial_stats(factors: usize, params: &ParamSet, batch: &CsrMatrix, out: 
     debug_assert_eq!(out.len(), batch.nrows() * width);
     let w = params.blocks[0].as_slice();
     let v = params.blocks[1].as_slice();
-    for (i, (_, idx, val)) in batch.iter_rows().enumerate() {
-        let row_out = &mut out[i * width..(i + 1) * width];
+    let (indices, values) = (batch.indices(), batch.values());
+    for (row_out, bounds) in out.chunks_exact_mut(width).zip(batch.indptr().windows(2)) {
         let mut stat0 = 0.0;
-        for (&j, &x) in idx.iter().zip(val) {
-            let j = j as usize;
+        for k in bounds[0]..bounds[1] {
+            if let Some(ahead) = ops::feature_ahead(indices, k) {
+                ops::prefetch(w, ahead);
+                prefetch_v_row(v, factors, ahead);
+            }
+            let (j, x) = (indices[k] as usize, values[k]);
             stat0 += w[j] * x;
             let vrow = &v[j * factors..(j + 1) * factors];
             for (f, &vjf) in vrow.iter().enumerate() {
@@ -62,6 +66,14 @@ pub fn partial_stats(factors: usize, params: &ParamSet, batch: &CsrMatrix, out: 
         }
         row_out[0] = stat0;
     }
+}
+
+/// Starts loading feature `j`'s `V` row: its first and last lane, the two
+/// cache lines its 80 B span at F = 10.
+#[inline]
+fn prefetch_v_row(v: &[f64], factors: usize, j: usize) {
+    ops::prefetch(v, j * factors);
+    ops::prefetch(v, j * factors + factors.saturating_sub(1));
 }
 
 /// Recovers `ŷ` for one row from its aggregated statistics.
@@ -119,15 +131,21 @@ pub fn accumulate_grad(
 ) {
     let width = factors + 1;
     let v = params.blocks[1].as_slice();
-    for (i, (y, idx, val)) in batch.iter_rows().enumerate() {
+    let (indices, values) = (batch.indices(), batch.values());
+    let rows = batch.indptr().windows(2).zip(batch.labels());
+    for (i, (bounds, &y)) in rows.enumerate() {
         let row_stats = &stats[i * width..(i + 1) * width];
         let yhat = predict_from_stats(factors, row_stats);
         let c = -y * ops::sigmoid(-y * yhat);
         if c == 0.0 {
             continue;
         }
-        for (&j, &x) in idx.iter().zip(val) {
-            let j = j as usize;
+        for k in bounds[0]..bounds[1] {
+            if let Some(ahead) = ops::feature_ahead(indices, k) {
+                prefetch_v_row(v, factors, ahead);
+                accum.prefetch(ahead);
+            }
+            let (j, x) = (indices[k] as usize, values[k]);
             let (gw, gv) = accum.row(j).split_at_mut(1);
             gw[0] += c * x;
             let vrow = &v[j * factors..(j + 1) * factors];

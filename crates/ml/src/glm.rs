@@ -79,23 +79,25 @@ impl GlmKind {
 /// Partial statistics: `out[i] = <w_local, x_i_local>` for every batch row.
 pub fn partial_stats(params: &ParamSet, batch: &CsrMatrix, out: &mut [f64]) {
     debug_assert_eq!(out.len(), batch.nrows());
-    let w = params.blocks[0].as_slice();
-    for (i, slot) in out.iter_mut().enumerate() {
-        *slot = batch.row_dot_dense(i, w);
-    }
+    ops::dense_dots(batch, params.blocks[0].as_slice(), out.iter_mut());
 }
 
 /// Accumulates the (sum, not yet averaged) gradient of the batch into
 /// `accum`, given the complete dot products.
 pub fn accumulate_grad(kind: GlmKind, batch: &CsrMatrix, dots: &[f64], accum: &mut impl GradSink) {
     debug_assert_eq!(dots.len(), batch.nrows());
-    for (i, (y, idx, val)) in batch.iter_rows().enumerate() {
-        let c = kind.coeff(y, dots[i]);
+    let (indices, values) = (batch.indices(), batch.values());
+    let rows = batch.indptr().windows(2).zip(batch.labels());
+    for ((bounds, &y), &z) in rows.zip(dots) {
+        let c = kind.coeff(y, z);
         if c == 0.0 {
             continue;
         }
-        for (&j, &x) in idx.iter().zip(val) {
-            accum.row(j as usize)[0] += c * x;
+        for k in bounds[0]..bounds[1] {
+            if let Some(ahead) = ops::feature_ahead(indices, k) {
+                accum.prefetch(ahead);
+            }
+            accum.row(indices[k] as usize)[0] += c * values[k];
         }
     }
 }

@@ -11,14 +11,11 @@ use crate::params::ParamSet;
 use crate::spec::GradSink;
 
 /// Partial statistics: `out[i*C + c] = <w_c_local, x_i_local>`.
-#[allow(clippy::needless_range_loop)]
 pub fn partial_stats(classes: usize, params: &ParamSet, batch: &CsrMatrix, out: &mut [f64]) {
     debug_assert_eq!(out.len(), batch.nrows() * classes);
-    for c in 0..classes {
-        let w = params.blocks[c].as_slice();
-        for i in 0..batch.nrows() {
-            out[i * classes + c] = batch.row_dot_dense(i, w);
-        }
+    for (c, w) in params.blocks[..classes].iter().enumerate() {
+        let slots = out.iter_mut().skip(c).step_by(classes);
+        ops::dense_dots(batch, w.as_slice(), slots);
     }
 }
 
@@ -79,7 +76,9 @@ pub fn accumulate_grad(
 ) {
     probs.clear();
     probs.resize(classes, 0.0);
-    for (i, (y, idx, val)) in batch.iter_rows().enumerate() {
+    let (indices, values) = (batch.indices(), batch.values());
+    let rows = batch.indptr().windows(2).zip(batch.labels());
+    for (i, (bounds, &y)) in rows.enumerate() {
         let row = &logits[i * classes..(i + 1) * classes];
         ops::softmax_into(row, probs);
         let target = y as usize;
@@ -88,8 +87,11 @@ pub fn accumulate_grad(
             if coeff == 0.0 {
                 continue;
             }
-            for (&j, &x) in idx.iter().zip(val) {
-                accum.row(j as usize)[c] += coeff * x;
+            for k in bounds[0]..bounds[1] {
+                if let Some(ahead) = ops::feature_ahead(indices, k) {
+                    accum.prefetch(ahead);
+                }
+                accum.row(indices[k] as usize)[c] += coeff * values[k];
             }
         }
     }

@@ -14,7 +14,7 @@
 //! correction uses the global step count; untouched coordinates do not
 //! decay), which is what MXNet's sparse Adam does as well.
 
-use columnsgd_linalg::DenseVector;
+use columnsgd_linalg::{ops, DenseVector};
 
 use crate::params::UpdateParams;
 
@@ -121,7 +121,7 @@ impl OptimizerState {
         &mut self,
         block: usize,
         model: &mut DenseVector,
-        runs: impl Iterator<Item = (usize, &'a [f64])>,
+        runs: impl Iterator<Item = (usize, &'a [f64])> + Clone,
         inv_b: f64,
         up: &UpdateParams,
     ) {
@@ -174,13 +174,20 @@ impl OptimizerState {
 
 /// Calls `step(coord, &mut model[coord], grad(g_sum, model[coord]))` for
 /// every coordinate of `runs` whose summed gradient is not exactly zero.
+/// Sparse runs land at random in the model, so a second cursor
+/// [`ops::prefetch`]es the base of the run [`ops::PREFETCH_DISTANCE`]
+/// runs ahead.
 fn each_nonzero<'a>(
     model: &mut [f64],
-    runs: impl Iterator<Item = (usize, &'a [f64])>,
+    runs: impl Iterator<Item = (usize, &'a [f64])> + Clone,
     grad: impl Fn(f64, f64) -> f64,
     mut step: impl FnMut(usize, &mut f64, f64),
 ) {
+    let mut ahead = runs.clone().skip(ops::PREFETCH_DISTANCE);
     for (base, g_sums) in runs {
+        if let Some((next, _)) = ahead.next() {
+            ops::prefetch(model, next);
+        }
         let ws = &mut model[base..base + g_sums.len()];
         for (i, (w, &g_sum)) in ws.iter_mut().zip(g_sums).enumerate() {
             if g_sum != 0.0 {

@@ -17,6 +17,12 @@
 //! per-coordinate `+=` sequence, and optimizer state is per-coordinate, so
 //! the only difference (gradient application *order*) cannot change any
 //! coordinate's value. `assert_eq!` on the raw f64 bits enforces this.
+//!
+//! Both paths above run the same kernels, so they cannot catch a kernel
+//! whose cursor walks its batch wrongly. [`reference`] therefore keeps a
+//! copy of the row-at-a-time loops the flat-cursor, read-ahead kernels
+//! replaced, and `flat_kernels_match_the_row_loops` pins the shipped
+//! kernels to it.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -334,6 +340,236 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// The per-row kernels as they stood before the flat-cursor rewrite, kept
+/// verbatim as the pin for [`flat_kernels_match_the_row_loops`].
+mod reference {
+    use columnsgd_linalg::{ops, CsrMatrix};
+    use columnsgd_ml::glm::GlmKind;
+    use columnsgd_ml::{fm, GradSink, ModelSpec, ParamSet};
+
+    fn glm_kind(model: ModelSpec) -> GlmKind {
+        match model {
+            ModelSpec::Lr => GlmKind::Logistic,
+            ModelSpec::Svm => GlmKind::Hinge,
+            ModelSpec::LeastSquares => GlmKind::Squares,
+            _ => unreachable!("{model:?} is not a GLM"),
+        }
+    }
+
+    pub fn stats(model: ModelSpec, params: &ParamSet, batch: &CsrMatrix) -> Vec<f64> {
+        let mut out = vec![0.0; batch.nrows() * model.stats_width()];
+        match model {
+            ModelSpec::Mlr { classes } => {
+                for c in 0..classes {
+                    let w = params.blocks[c].as_slice();
+                    for i in 0..batch.nrows() {
+                        out[i * classes + c] = batch.row_dot_dense(i, w);
+                    }
+                }
+            }
+            ModelSpec::Fm { factors } => {
+                let width = factors + 1;
+                let w = params.blocks[0].as_slice();
+                let v = params.blocks[1].as_slice();
+                for (i, (_, idx, val)) in batch.iter_rows().enumerate() {
+                    let row_out = &mut out[i * width..(i + 1) * width];
+                    let mut stat0 = 0.0;
+                    for (&j, &x) in idx.iter().zip(val) {
+                        let j = j as usize;
+                        stat0 += w[j] * x;
+                        let vrow = &v[j * factors..(j + 1) * factors];
+                        for (f, &vjf) in vrow.iter().enumerate() {
+                            stat0 -= 0.5 * vjf * vjf * x * x;
+                            row_out[1 + f] += vjf * x;
+                        }
+                    }
+                    row_out[0] = stat0;
+                }
+            }
+            _ => {
+                let w = params.blocks[0].as_slice();
+                for (i, slot) in out.iter_mut().enumerate() {
+                    *slot = batch.row_dot_dense(i, w);
+                }
+            }
+        }
+        out
+    }
+
+    pub fn accumulate(
+        model: ModelSpec,
+        params: &ParamSet,
+        batch: &CsrMatrix,
+        stats: &[f64],
+        accum: &mut impl GradSink,
+    ) {
+        match model {
+            ModelSpec::Mlr { classes } => {
+                let mut probs = vec![0.0; classes];
+                for (i, (y, idx, val)) in batch.iter_rows().enumerate() {
+                    let row = &stats[i * classes..(i + 1) * classes];
+                    ops::softmax_into(row, &mut probs);
+                    let target = y as usize;
+                    for (c, &p) in probs.iter().enumerate() {
+                        let coeff = p - f64::from(c == target);
+                        if coeff == 0.0 {
+                            continue;
+                        }
+                        for (&j, &x) in idx.iter().zip(val) {
+                            accum.row(j as usize)[c] += coeff * x;
+                        }
+                    }
+                }
+            }
+            ModelSpec::Fm { factors } => {
+                let width = factors + 1;
+                let v = params.blocks[1].as_slice();
+                for (i, (y, idx, val)) in batch.iter_rows().enumerate() {
+                    let row_stats = &stats[i * width..(i + 1) * width];
+                    let yhat = fm::predict_from_stats(factors, row_stats);
+                    let c = -y * ops::sigmoid(-y * yhat);
+                    if c == 0.0 {
+                        continue;
+                    }
+                    for (&j, &x) in idx.iter().zip(val) {
+                        let j = j as usize;
+                        let (gw, gv) = accum.row(j).split_at_mut(1);
+                        gw[0] += c * x;
+                        let vrow = &v[j * factors..(j + 1) * factors];
+                        for ((g, &vjf), &sf) in gv.iter_mut().zip(vrow).zip(&row_stats[1..]) {
+                            *g += c * (x * sf - vjf * x * x);
+                        }
+                    }
+                }
+            }
+            _ => {
+                let kind = glm_kind(model);
+                for (i, (y, idx, val)) in batch.iter_rows().enumerate() {
+                    let c = kind.coeff(y, stats[i]);
+                    if c == 0.0 {
+                        continue;
+                    }
+                    for (&j, &x) in idx.iter().zip(val) {
+                        accum.row(j as usize)[0] += c * x;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// GLMs, MLR and FM at every factor count from 1 to 12 (12 lanes of `V`
+/// is the first count whose row spans three cache lines).
+fn every_kernel_strategy() -> impl Strategy<Value = ModelSpec> {
+    prop_oneof![
+        Just(ModelSpec::Lr),
+        Just(ModelSpec::Svm),
+        Just(ModelSpec::LeastSquares),
+        (2usize..6).prop_map(|classes| ModelSpec::Mlr { classes }),
+        (1usize..=12).prop_map(|factors| ModelSpec::Fm { factors }),
+    ]
+}
+
+/// Rows that may be empty or longer than the read-ahead distance, from no
+/// rows to a few dozen: batches with fewer non-zeros than that distance
+/// as well as many more.
+fn sparse_rows_strategy(features: std::ops::Range<u64>) -> impl Strategy<Value = RawRows> {
+    let row = prop::collection::vec((features, -2.0f64..2.0), 0..24);
+    prop::collection::vec((0u64..1_000, row), 0usize..24)
+}
+
+proptest! {
+    /// The flat-cursor kernels that read model rows and accumulator slots
+    /// ahead compute the bits the row loops did: statistics, parameters,
+    /// optimizer state and the RowSGD gradient message. `scale` stretches
+    /// the linear weights so that some rows' coefficients vanish (`c == 0`
+    /// skips the row: an inactive hinge, a saturated sigmoid or softmax),
+    /// and with `last` a row touches the feature at `dim - 1`.
+    #[test]
+    fn flat_kernels_match_the_row_loops(
+        (model, optimizer, up, dim) in
+            (every_kernel_strategy(), optimizer_strategy(), update_strategy(), 1u64..64),
+        raw_rows in sparse_rows_strategy(0..1_000),
+        (scale, last) in (prop_oneof![Just(1.0), Just(1e4)], (0u8..2).prop_map(|b| b == 1)),
+    ) {
+        let mut rows = materialize_rows_onto(model, &raw_rows, |j| j % dim);
+        if last {
+            let label = rows.first().map_or(1.0, |r| r.0);
+            rows.push((label, SparseVector::from_pairs(vec![(dim - 1, 1.25)])));
+        }
+        let batch = CsrMatrix::from_rows(&rows);
+        let n = batch.nrows();
+
+        let mut params = model.init_params(dim as usize, SEED, |slot| slot as u64);
+        for (j, w) in params.blocks[0].as_mut_slice().iter_mut().enumerate() {
+            *w = scale * ((j as f64) * 0.61).sin();
+        }
+        let (mut ref_params, mut ref_opt) =
+            (params.clone(), OptimizerState::for_params(optimizer, &params));
+        let mut opt = ref_opt.clone();
+        let (mut stats, mut scratch, mut accum) = (Vec::new(), UpdateScratch::new(), SparseAccum::new());
+
+        for step in 0..2 {
+            let want = reference::stats(model, &ref_params, &batch);
+            model.compute_stats(&params, &batch, &mut stats);
+            prop_assert_eq!(bits(stats.iter()), bits(want.iter()), "{:?} step {}: stats", model, step);
+
+            // The RowSGD message: the prefetching sink and the plain one
+            // fold what the row loops folded.
+            let mut ref_grad = GradAccum::new(&model.widths());
+            reference::accumulate(model, &ref_params, &batch, &want, &mut ref_grad);
+            let want_grad = ref_grad.to_sparse_grad();
+            let mut plain = GradAccum::new(&model.widths());
+            model.accumulate_grad(&params, &batch, &stats, &mut plain);
+            accum.reset(&params);
+            model.accumulate_grad(&params, &batch, &stats, &mut accum);
+            for got in [plain.to_sparse_grad(), accum.to_sparse_grad()] {
+                prop_assert_eq!(&got.indices, &want_grad.indices, "{:?} step {}: touched", model, step);
+                prop_assert_eq!(
+                    bits(got.blocks.iter().flatten()),
+                    bits(want_grad.blocks.iter().flatten()),
+                    "{:?} step {}: gradient", model, step
+                );
+            }
+
+            // The ColumnSGD update against the row loops' gradient applied
+            // through the same optimizer.
+            model.apply_gradient(&mut ref_params, &mut ref_opt, &want_grad, &up, n);
+            model.update_from_stats_with(&mut params, &mut opt, &batch, &stats, &up, n, &mut scratch);
+            prop_assert_eq!(
+                bits(params.blocks.iter().flat_map(|b| b.as_slice())),
+                bits(ref_params.blocks.iter().flat_map(|b| b.as_slice())),
+                "{:?} step {}: parameters", model, step
+            );
+            // `Debug` prints every f64 in a form that round-trips, sign of
+            // zero included: equal strings are equal state bits.
+            prop_assert_eq!(format!("{opt:?}"), format!("{ref_opt:?}"), "{:?} step {}: optimizer", model, step);
+        }
+    }
+}
+
+#[test]
+fn saturated_rows_are_skipped_by_every_kernel_family() {
+    // The property above draws `c == 0` rows at random; make sure they do
+    // occur: one FM row so confident its sigmoid underflows, and one SVM
+    // row past the hinge, each next to a row that does contribute.
+    let rows = vec![
+        (1.0, SparseVector::from_pairs(vec![(0, 1.0)])),
+        (1.0, SparseVector::from_pairs(vec![(1, 1.0)])),
+    ];
+    let batch = CsrMatrix::from_rows(&rows);
+    for model in [ModelSpec::Fm { factors: 3 }, ModelSpec::Svm] {
+        let mut params = model.init_params(2, SEED, |slot| slot as u64);
+        params.blocks[0][0] = 1e4;
+        let mut stats = Vec::new();
+        model.compute_stats(&params, &batch, &mut stats);
+        let mut accum = SparseAccum::new();
+        accum.reset(&params);
+        model.accumulate_grad(&params, &batch, &stats, &mut accum);
+        assert_eq!(accum.to_sparse_grad().indices, vec![1], "{model:?}");
     }
 }
 
