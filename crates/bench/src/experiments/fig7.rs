@@ -2,7 +2,7 @@
 //! Naive-ColumnSGD, ColumnSGD, MLlib, and MLlib-Repartition.
 
 use columnsgd::cluster::{wire_size, FailurePlan, NetworkModel, WireCodec};
-use columnsgd::core::{ColumnSgdConfig, ColumnSgdEngine, PER_OBJECT_S};
+use columnsgd::core::{ColumnSgdConfig, ColumnSgdEngine};
 use columnsgd::data::{Block, ColumnPartitioner};
 use columnsgd::ml::ModelSpec;
 use columnsgd::rowsgd::{RowSgdConfig, RowSgdEngine, RowSgdVariant};
@@ -40,13 +40,6 @@ impl DispatchStats {
             }
         }
     }
-}
-
-/// Parallel-lane pricing shared by the analytic entries: work spreads over
-/// K workers; each object pays serialization, each byte pays bandwidth.
-fn price(objects: u64, bytes: u64, k: usize, net: &NetworkModel) -> f64 {
-    (objects as f64 * PER_OBJECT_S + bytes as f64 / net.bandwidth_bytes_per_s) / k as f64
-        + net.latency_s
 }
 
 /// Runs the loading-time comparison over the three public datasets.
@@ -87,7 +80,8 @@ pub fn run(scale: f64) -> Report {
             // The block itself still travels master → worker first.
             naive.ship(block);
         }
-        let naive_s = price(naive.objects, naive.bytes, k, &net);
+        // The work spreads over K worker lanes.
+        let naive_s = net.spread_lane_time(naive.bytes, naive.objects, k);
 
         // MLlib / MLlib-Repartition: row-partition loading on the RowSGD
         // engine (row-by-row pipeline pricing inside).

@@ -69,7 +69,9 @@ pub use membership::{
 };
 pub use netmodel::NetworkModel;
 pub use node::NodeId;
-pub use router::{panic_message, spawn_guarded, Endpoint, Envelope, NetError, Router};
+pub use router::{
+    metered_bytes, panic_message, spawn_guarded, Endpoint, Envelope, NetError, Router,
+};
 pub use tcp::{TcpClient, TcpHub, TelemetryTx};
-pub use traffic::TrafficStats;
+pub use traffic::{LinkStats, TrafficStats};
 pub use transport::{ChannelTransport, Reregistered, Transport};

@@ -6,16 +6,25 @@
 //! size is large, the communication cost is more affected by network
 //! bandwidth." A transfer of `n` bytes costs `latency + n / bandwidth`.
 
+use columnsgd_telemetry::LinkPricing;
+
+use crate::traffic::LinkStats;
+
+/// Serialization cost per shipped object on a bulk lane (the Figure 7
+/// effect: many small objects are expensive even at modest total bytes).
+const PER_OBJECT_S: f64 = 20e-6;
+
 /// Latency/bandwidth model of one network link, plus the fixed per-round
 /// scheduling overhead of the driver (Spark task launch, which the paper
 /// cites to explain why MXNet beats ColumnSGD on avazu: "perhaps due to the
-/// scheduling latency in Spark", §V-B2).
+/// scheduling latency in Spark", §V-B2). The only code that turns counts
+/// into seconds: engines hand it counts and never read the link back out.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
     /// One-way message latency in seconds.
-    pub latency_s: f64,
+    latency_s: f64,
     /// Link bandwidth in bytes per second.
-    pub bandwidth_bytes_per_s: f64,
+    bandwidth_bytes_per_s: f64,
     /// Fixed per-superstep scheduling overhead at the master, in seconds.
     pub scheduling_overhead_s: f64,
     /// CPU cores per worker machine — the default size of the worker-local
@@ -51,52 +60,43 @@ impl NetworkModel {
 
     /// Time for one point-to-point transfer of `bytes`.
     pub fn transfer_time(&self, bytes: u64) -> f64 {
-        self.latency_s + bytes as f64 / self.bandwidth_bytes_per_s
+        self.link_pricing().transfer_time(bytes as f64)
     }
 
     /// This model's per-link pricing, in telemetry's vocabulary (recorded
     /// on traces so modeled comm times can be re-derived offline).
-    pub fn link_pricing(&self) -> columnsgd_telemetry::LinkPricing {
-        columnsgd_telemetry::LinkPricing {
+    pub fn link_pricing(&self) -> LinkPricing {
+        LinkPricing {
             latency_s: self.latency_s,
             bandwidth_bytes_per_s: self.bandwidth_bytes_per_s,
         }
     }
 
-    /// Time for a gather at a single endpoint: `per_sender_bytes` arrive
-    /// from distinct senders, serialized on the receiver's link (the
-    /// single-master bottleneck of Figure 1). Latencies overlap; bytes
-    /// do not.
-    pub fn gather_time(&self, per_sender_bytes: &[u64]) -> f64 {
-        if per_sender_bytes.is_empty() {
-            return 0.0;
+    /// Time for the messages in `traffic`, serialized on one endpoint's
+    /// link: a gather at its receiver or a broadcast from its sender (the
+    /// single-master bottleneck of Figure 1). Latencies overlap, bytes do
+    /// not (summed in f64, so no total can wrap); no messages cost nothing.
+    pub fn serial_time(&self, traffic: impl IntoIterator<Item = LinkStats>) -> f64 {
+        let add = |(n, b): (u64, f64), t: LinkStats| (n + t.messages, b + t.bytes as f64);
+        match traffic.into_iter().fold((0, 0.0), add) {
+            (0, _) => 0.0,
+            (_, bytes) => self.link_pricing().transfer_time(bytes),
         }
-        // Sum in f64: u64 addition would wrap for huge-model transfers.
-        let total: f64 = per_sender_bytes.iter().map(|&b| b as f64).sum();
-        self.latency_s + total / self.bandwidth_bytes_per_s
     }
 
-    /// [`NetworkModel::gather_time`] when every sender ships the same
-    /// `bytes` — the ColumnSGD statistics gather, where each of the K
-    /// workers sends a B×width partial. Avoids materializing a per-sender
-    /// vector on the per-iteration pricing path.
-    pub fn gather_time_uniform(&self, bytes: u64, senders: usize) -> f64 {
-        if senders == 0 {
-            return 0.0;
-        }
-        self.latency_s + bytes as f64 * senders as f64 / self.bandwidth_bytes_per_s
+    /// Time for one node's lane of bulk traffic (loading, reload, restore,
+    /// migration): `bytes` at link bandwidth, a serialization cost for each
+    /// of `objects` shipped objects, and `hops` one-way latencies.
+    pub fn lane_time(&self, bytes: u64, objects: u64, hops: u32) -> f64 {
+        bytes as f64 / self.bandwidth_bytes_per_s
+            + objects as f64 * PER_OBJECT_S
+            + f64::from(hops) * self.latency_s
     }
 
-    /// Time for a broadcast from a single endpoint of `bytes` to each of
-    /// `receivers` nodes: the sender's uplink serializes `bytes × receivers`.
-    pub fn broadcast_time(&self, bytes: u64, receivers: usize) -> f64 {
-        if receivers == 0 {
-            return 0.0;
-        }
-        // The product is formed in f64: `bytes * receivers as u64` wraps
-        // for models past ~u64::MAX/K bytes and priced such broadcasts at
-        // nearly zero.
-        self.latency_s + bytes as f64 * receivers as f64 / self.bandwidth_bytes_per_s
+    /// [`NetworkModel::lane_time`] of one hop for bulk traffic spread
+    /// evenly over `lanes` parallel lanes.
+    pub fn spread_lane_time(&self, bytes: u64, objects: u64, lanes: usize) -> f64 {
+        self.lane_time(bytes, objects, 0) / lanes as f64 + self.latency_s
     }
 
     /// Time for a ring all-reduce of an `bytes`-sized buffer over `k`
@@ -108,13 +108,20 @@ impl NetworkModel {
         }
         let steps = 2 * (k - 1);
         let chunk = bytes as f64 / k as f64;
-        steps as f64 * (self.latency_s + chunk / self.bandwidth_bytes_per_s)
+        steps as f64 * self.link_pricing().transfer_time(chunk)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::iter::repeat_n;
+
     use super::*;
+
+    /// `n` messages of `bytes` each on one endpoint's link.
+    fn fan(m: &NetworkModel, bytes: u64, n: usize) -> f64 {
+        m.serial_time(repeat_n(LinkStats::message(bytes), n))
+    }
 
     #[test]
     fn latency_dominates_small_transfers() {
@@ -139,7 +146,7 @@ mod tests {
         let m = NetworkModel::CLUSTER1;
         // A full iteration pays the fixed scheduling overhead plus the
         // statistics gather; the overhead hides small-batch differences.
-        let t = |b: u64| m.scheduling_overhead_s + m.gather_time(&[8 * b; 8]);
+        let t = |b: u64| m.scheduling_overhead_s + fan(&m, 8 * b, 8);
         assert!((t(10_000) - t(100)) / t(100) < 0.5);
         assert!(t(10_000_000) > 5.0 * t(1_000_000) * 0.9);
     }
@@ -147,19 +154,20 @@ mod tests {
     #[test]
     fn gather_serializes_bytes_not_latency() {
         let m = NetworkModel::CLUSTER1;
-        let one = m.gather_time(&[1_000_000]);
-        let four = m.gather_time(&[1_000_000; 4]);
+        let one = fan(&m, 1_000_000, 1);
+        let four = fan(&m, 1_000_000, 4);
         assert!(four > 3.0 * (one - m.latency_s));
         assert!(four < 4.0 * one);
-        assert_eq!(m.gather_time(&[]), 0.0);
+        assert_eq!(m.serial_time([]), 0.0);
+        assert_eq!(fan(&m, 1_000, 0), 0.0);
+        assert_eq!(m.serial_time([LinkStats::default()]), 0.0);
     }
 
     #[test]
     fn broadcast_scales_with_receivers() {
         let m = NetworkModel::CLUSTER1;
-        assert_eq!(m.broadcast_time(1_000, 0), 0.0);
-        let b8 = m.broadcast_time(1_000_000, 8);
-        let b16 = m.broadcast_time(1_000_000, 16);
+        let b8 = fan(&m, 1_000_000, 8);
+        let b16 = fan(&m, 1_000_000, 16);
         assert!(b16 > 1.9 * (b8 - m.latency_s));
     }
 
@@ -168,7 +176,7 @@ mod tests {
         let m = NetworkModel::CLUSTER1;
         let bytes = 80_000_000u64; // a 10M-dim FP64 model
         let k = 8;
-        let central = m.gather_time(&vec![bytes; k]) + m.broadcast_time(bytes, k);
+        let central = 2.0 * fan(&m, bytes, k);
         let ring = m.allreduce_time(bytes, k);
         assert!(ring < central, "ring {ring} vs central {central}");
         assert_eq!(m.allreduce_time(bytes, 1), 0.0);
@@ -187,33 +195,56 @@ mod tests {
         // monotone in both bytes and receiver count.
         let m = NetworkModel::CLUSTER1;
         let huge = u64::MAX / 4; // 16 receivers would overflow u64
-        let b8 = m.broadcast_time(huge, 8);
-        let b16 = m.broadcast_time(huge, 16);
+        let b8 = fan(&m, huge, 8);
+        let b16 = fan(&m, huge, 16);
         assert!(b8 > 1e9, "huge broadcast must be expensive, got {b8}");
         assert!(
             b16 > 1.9 * b8,
             "more receivers must cost more: {b16} vs {b8}"
         );
-        assert!(m.broadcast_time(huge, 16) > m.broadcast_time(huge / 2, 16));
+        assert!(fan(&m, huge, 16) > fan(&m, huge / 2, 16));
     }
 
     #[test]
     fn gather_of_huge_partials_does_not_wrap() {
         let m = NetworkModel::CLUSTER1;
         let huge = u64::MAX / 4;
-        let g8 = m.gather_time(&[huge; 8]); // u64 sum would overflow
+        let g8 = fan(&m, huge, 8); // u64 sum would overflow
         assert!(g8 > 1e9, "huge gather must be expensive, got {g8}");
-        assert!(g8 > m.gather_time(&[huge; 4]));
+        assert!(g8 > fan(&m, huge, 4));
     }
 
     #[test]
-    fn uniform_gather_matches_per_sender_vector() {
+    fn metered_totals_price_like_their_messages() {
+        // A meter window hands over one total per endpoint; below 2^53
+        // bytes its price is bit-identical to the per-message sum.
         let m = NetworkModel::CLUSTER1;
-        for senders in [0usize, 1, 3, 8] {
-            let per: Vec<u64> = vec![123_456; senders];
-            assert_eq!(m.gather_time_uniform(123_456, senders), m.gather_time(&per));
+        for n in [0u64, 1, 3, 8] {
+            let total = LinkStats {
+                messages: n,
+                bytes: 123_456 * n,
+            };
+            assert_eq!(m.serial_time([total]), fan(&m, 123_456, n as usize));
         }
-        assert!(m.gather_time_uniform(u64::MAX / 4, 16).is_finite());
+        let uneven = [LinkStats::message(10), LinkStats::message(1_000_003)];
+        let window = LinkStats {
+            messages: 2,
+            bytes: 1_000_013,
+        };
+        assert_eq!(m.serial_time(uneven), m.serial_time([window]));
+    }
+
+    #[test]
+    fn lanes_add_objects_and_hops() {
+        let m = NetworkModel::CLUSTER1;
+        let busy = m.lane_time(1_000_000, 10, 0);
+        assert_eq!(busy, 1_000_000.0 / 125e6 + 10.0 * PER_OBJECT_S);
+        assert_eq!(m.lane_time(1_000_000, 10, 2), busy + 2.0 * m.latency_s);
+        assert_eq!(
+            m.spread_lane_time(1_000_000, 10, 1),
+            m.lane_time(1_000_000, 10, 1)
+        );
+        assert!(m.spread_lane_time(1_000_000, 10, 4) < m.lane_time(1_000_000, 10, 1));
     }
 
     #[test]

@@ -149,9 +149,9 @@ fn link_hash(from: NodeId, to: NodeId) -> u64 {
 }
 
 /// The metered bytes of one message: its encoded body plus the envelope.
-fn metered_bytes<M: WireCodec>(payload: &M) -> Result<usize, NetError> {
-    let body = wire_size(payload).map_err(NetError::Unencodable)?;
-    Ok(body + ENVELOPE_BYTES)
+/// Engines price through it too, so a price cannot drift from the meter.
+pub fn metered_bytes<M: WireCodec>(payload: &M) -> Result<usize, CodecError> {
+    Ok(wire_size(payload)? + ENVELOPE_BYTES)
 }
 
 impl<M: WireCodec> Router<M> {
@@ -340,9 +340,10 @@ impl<M: WireCodec> Router<M> {
         if !self.recorder.is_enabled() {
             return;
         }
-        let modeled_s = self.recorder.pricing().map_or(0.0, |p| {
-            p.latency_s + bytes as f64 / p.bandwidth_bytes_per_s
-        });
+        let modeled_s = self
+            .recorder
+            .pricing()
+            .map_or(0.0, |p| p.transfer_time(bytes as f64));
         self.recorder.comm(
             kind,
             from.into(),
@@ -445,7 +446,7 @@ impl<M: WireCodec> Router<M> {
     where
         M: Clone,
     {
-        let bytes = metered_bytes(&payload)?;
+        let bytes = metered_bytes(&payload).map_err(NetError::Unencodable)?;
         let (fault, released) = self.admit(from, to, bytes, payload.kind());
         let env = Envelope { from, to, payload };
         match fault {
@@ -481,7 +482,7 @@ impl<M: WireCodec> Router<M> {
     {
         let bytes = match metered_bytes(payload) {
             Ok(bytes) => bytes,
-            Err(e) => return vec![Err(e); tos.len()],
+            Err(e) => return vec![Err(NetError::Unencodable(e)); tos.len()],
         };
         let mut results = vec![Ok(()); tos.len()];
         let mut clean = Vec::with_capacity(tos.len());
@@ -527,7 +528,7 @@ impl<M: WireCodec> Router<M> {
     /// recovery streams, probes, and shutdown — traffic whose loss the
     /// reliable control channel of a real scheduler would mask.
     pub fn send_reliable(&self, from: NodeId, to: NodeId, payload: M) -> Result<(), NetError> {
-        let bytes = metered_bytes(&payload)?;
+        let bytes = metered_bytes(&payload).map_err(NetError::Unencodable)?;
         if from != to {
             self.traffic.record(from, to, bytes);
             self.record_comm(from, to, bytes, payload.kind(), Plane::Control, None);

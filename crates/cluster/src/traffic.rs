@@ -16,6 +16,21 @@ pub struct LinkStats {
     pub bytes: u64,
 }
 
+impl LinkStats {
+    /// The counts of one message of `bytes`.
+    pub const fn message(bytes: u64) -> Self {
+        Self { messages: 1, bytes }
+    }
+
+    /// What was metered between the snapshot `earlier` and this one.
+    pub fn since(self, earlier: LinkStats) -> LinkStats {
+        LinkStats {
+            messages: self.messages - earlier.messages,
+            bytes: self.bytes - earlier.bytes,
+        }
+    }
+}
+
 /// Thread-safe traffic meter shared by every router endpoint.
 ///
 /// All sends in the runtime are recorded here; experiments read the
@@ -47,8 +62,7 @@ impl TrafficStats {
     pub fn record(&self, from: NodeId, to: NodeId, bytes: usize) {
         let mut map = self.inner.lock();
         let entry = map.entry((from, to)).or_default();
-        entry.messages += 1;
-        entry.bytes += bytes as u64;
+        *entry = *entry + LinkStats::message(bytes as u64);
     }
 
     /// Counters for one directed link.
@@ -62,29 +76,24 @@ impl TrafficStats {
 
     /// Total bytes sent by `node` (sum over outgoing links).
     pub fn sent_by(&self, node: NodeId) -> LinkStats {
-        self.fold(|(f, _), s, acc| if *f == node { merge(acc, s) } else { acc })
+        self.fold(|(f, _), s, acc| if *f == node { acc + *s } else { acc })
     }
 
     /// Total bytes received by `node` (sum over incoming links).
     pub fn received_by(&self, node: NodeId) -> LinkStats {
-        self.fold(|(_, t), s, acc| if *t == node { merge(acc, s) } else { acc })
+        self.fold(|(_, t), s, acc| if *t == node { acc + *s } else { acc })
     }
 
     /// Grand totals over every link.
     pub fn total(&self) -> LinkStats {
-        self.fold(|_, s, acc| merge(acc, s))
+        self.fold(|_, s, acc| acc + *s)
     }
 
     /// Communication *touching* a node — sent plus received, the quantity
     /// the paper's Table I reports per role (e.g. master: `2KB`, i.e. KB
     /// received + KB broadcast).
     pub fn touching(&self, node: NodeId) -> LinkStats {
-        let s = self.sent_by(node);
-        let r = self.received_by(node);
-        LinkStats {
-            messages: s.messages + r.messages,
-            bytes: s.bytes + r.bytes,
-        }
+        self.sent_by(node) + self.received_by(node)
     }
 
     /// Per-worker cumulative sent bytes/messages for workers `0..k`, in a
@@ -97,7 +106,7 @@ impl TrafficStats {
         for ((from, _), s) in map.iter() {
             if let NodeId::Worker(w) = from {
                 if *w < k {
-                    out[*w] = merge(out[*w], s);
+                    out[*w] = out[*w] + *s;
                 }
             }
         }
@@ -109,18 +118,13 @@ impl TrafficStats {
     pub fn record_dropped(&self, from: NodeId, to: NodeId, bytes: usize) {
         let mut map = self.dropped.lock();
         let entry = map.entry((from, to)).or_default();
-        entry.messages += 1;
-        entry.bytes += bytes as u64;
+        *entry = *entry + LinkStats::message(bytes as u64);
     }
 
     /// Grand totals over the dead-letter ledger.
     pub fn dropped_total(&self) -> LinkStats {
         let map = self.dropped.lock();
-        let mut acc = LinkStats::default();
-        for s in map.values() {
-            acc = merge(acc, s);
-        }
-        acc
+        map.values().fold(LinkStats::default(), |acc, s| acc + *s)
     }
 
     /// Snapshot of the dead-letter ledger, in key order.
@@ -153,10 +157,14 @@ impl TrafficStats {
     }
 }
 
-fn merge(a: LinkStats, b: &LinkStats) -> LinkStats {
-    LinkStats {
-        messages: a.messages + b.messages,
-        bytes: a.bytes + b.bytes,
+impl std::ops::Add for LinkStats {
+    type Output = LinkStats;
+
+    fn add(self, other: LinkStats) -> LinkStats {
+        LinkStats {
+            messages: self.messages + other.messages,
+            bytes: self.bytes + other.bytes,
+        }
     }
 }
 

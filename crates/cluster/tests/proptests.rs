@@ -1,7 +1,7 @@
 //! Property-based tests for the cluster runtime: the traffic meter, the
 //! network cost model, and seeded chaos.
 
-use columnsgd_cluster::{NetworkModel, NodeId, TrafficStats};
+use columnsgd_cluster::{LinkStats, NetworkModel, NodeId, TrafficStats};
 use proptest::prelude::*;
 
 proptest! {
@@ -38,10 +38,11 @@ proptest! {
         let m = NetworkModel::CLUSTER1;
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
         prop_assert!(m.transfer_time(lo) <= m.transfer_time(hi));
-        let gather = m.gather_time(&[lo, hi]);
+        let gather = m.serial_time([LinkStats::message(lo), LinkStats::message(hi)]);
         prop_assert!(gather + 1e-12 >= m.transfer_time(hi));
         prop_assert!(m.allreduce_time(hi, 4) >= 0.0);
-        prop_assert!(m.broadcast_time(hi, 3) >= m.transfer_time(hi));
+        let broadcast = m.serial_time([LinkStats::message(hi); 3]);
+        prop_assert!(broadcast >= m.transfer_time(hi));
     }
 }
 

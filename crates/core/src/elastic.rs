@@ -42,9 +42,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use columnsgd_cluster::telemetry::{FaultRecord, MetricsRegistry, RunStamp};
 use columnsgd_cluster::{
-    ClusterConfig, DiagnosticKind, Diagnostics, FailurePlan, Membership, MembershipError,
-    MembershipEvent, Monitor, NetworkModel, NodeId, RebalancePlan, Recorder, ShardMove, ShardRole,
-    SimClock, TrafficStats, TransportKind, WorkerState,
+    ClusterConfig, DiagnosticKind, Diagnostics, FailurePlan, LinkStats, Membership,
+    MembershipError, MembershipEvent, Monitor, NetworkModel, NodeId, RebalancePlan, Recorder,
+    ShardMove, ShardRole, SimClock, TrafficStats, TransportKind, WorkerState,
 };
 use columnsgd_data::block::Block;
 use columnsgd_data::workset::split_block;
@@ -57,7 +57,6 @@ use crate::config::ColumnSgdConfig;
 use crate::error::{FaultKind, RecoveryEvent, TrainError};
 use crate::master::{
     LoadReport, Lost, MasterCore, Placement, Reduced, Step, Straggler, Task, TaskReply,
-    PER_OBJECT_S,
 };
 use crate::msg::ColMsg;
 use crate::worker::WorkerScript;
@@ -600,14 +599,10 @@ impl ElasticPlacement {
                 },
             );
         }
-        let after = core.rt.traffic.total();
-        let bytes = after.bytes - before.bytes;
-        let objects = after.messages - before.messages;
+        let moved = core.rt.traffic.total().since(before);
         self.migrations += plan.moves.len() as u64;
-        self.migration_bytes += bytes;
-        Ok(bytes as f64 / core.net.bandwidth_bytes_per_s
-            + objects as f64 * PER_OBJECT_S
-            + core.net.latency_s)
+        self.migration_bytes += moved.bytes;
+        Ok(core.net.lane_time(moved.bytes, moved.messages, 1))
     }
 
     /// Moves one shard copy to `mv.to`, trying sources in order: the
@@ -959,7 +954,7 @@ impl Placement for ElasticPlacement {
             .filter_map(|task| Some((task, task.reply.as_ref()?)))
             .collect();
         primaries.sort_by_key(|(task, _)| &task.pids);
-        let mut reply_bytes: Vec<u64> = Vec::new();
+        let mut gather = LinkStats::default();
         let mut agg = vec![0.0f64; stats_len];
         for &(task, reply) in &primaries {
             let worker = task.worker;
@@ -989,7 +984,7 @@ impl Placement for ElasticPlacement {
             }
             lanes[worker] += charged;
             reduce_stats(&mut agg, &reply.partial);
-            reply_bytes.push(reply.bytes);
+            gather = gather + LinkStats::message(reply.bytes);
         }
         // Speculative replies transited the wire too; price them. The
         // duplicate's *compute* overlaps the backup's own task on an idle
@@ -998,7 +993,8 @@ impl Placement for ElasticPlacement {
         // outcome above already decided the charged time for the
         // straggler's partitions.
         let dups = tasks.iter().filter(|task| task.duplicate_of.is_some());
-        reply_bytes.extend(dups.filter_map(|task| Some(task.reply.as_ref()?.bytes)));
+        let dups = dups.filter_map(|task| task.reply.as_ref());
+        gather = dups.fold(gather, |sum, reply| sum + LinkStats::message(reply.bytes));
         // A worker raced only if a warm replica covered *every* one of
         // its partitions this superstep.
         self.raced = (0..slots)
@@ -1008,7 +1004,7 @@ impl Placement for ElasticPlacement {
             agg,
             stat_phase: lanes.iter().copied().fold(0.0, f64::max),
             counted: primaries.len(),
-            gather_s: core.net.gather_time(&reply_bytes),
+            gather,
             updaters: self.membership.active(),
         })
     }

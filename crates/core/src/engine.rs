@@ -24,8 +24,8 @@
 
 use columnsgd_cluster::telemetry::{MetricsRegistry, RunStamp};
 use columnsgd_cluster::{
-    ClusterConfig, Diagnostics, Envelope, FailurePlan, Monitor, NetError, NetworkModel, NodeId,
-    Recorder, SimClock, TrafficStats,
+    metered_bytes, ClusterConfig, Diagnostics, Envelope, FailurePlan, LinkStats, Monitor, NetError,
+    NetworkModel, NodeId, Recorder, SimClock, TrafficStats,
 };
 use columnsgd_data::block::Block;
 use columnsgd_data::Dataset;
@@ -35,9 +35,7 @@ use columnsgd_ml::ParamSet;
 
 use crate::config::{ColumnSgdConfig, StaleStats};
 use crate::error::{FaultKind, RecoveryEvent, TrainError};
-use crate::master::{
-    metered, LoadReport, Lost, MasterCore, Placement, Reduced, Step, Straggler, Task, PER_OBJECT_S,
-};
+use crate::master::{LoadReport, Lost, MasterCore, Placement, Reduced, Step, Straggler, Task};
 use crate::msg::ColMsg;
 use crate::worker::WorkerScript;
 
@@ -394,9 +392,7 @@ impl Placement for FixedWorkers {
         let answered = |m: usize| step.tasks[m].reply.as_ref();
         let mut agg = vec![0.0; stats_len];
         let mut stat_phase = 0.0f64;
-        let mut counted = 0usize;
-        // Every counted reply carries `stats_len` scalars: one size.
-        let mut reply_bytes = 0u64;
+        let mut gather = LinkStats::default();
         for g in 0..core.cfg.num_groups(core.slots) {
             let members = g * r..(g + 1) * r;
             if stale.is_some_and(|(_, v)| members.contains(&v)) {
@@ -415,14 +411,12 @@ impl Placement for FixedWorkers {
                     ))
                 })?;
             stat_phase = stat_phase.max(reply.compute_s);
-            reply_bytes = reply_bytes.max(reply.bytes);
             reduce_stats(&mut agg, &reply.partial);
             // Everyone who is not a killed straggler transmits; an excused
             // crash never answered, so it transmits nothing.
             let killed = |m: usize| r > 1 && straggler.is_some_and(|(v, _)| v == m) && m != fastest;
-            counted += members
-                .filter(|&m| answered(m).is_some() && !killed(m))
-                .count();
+            let sent = members.filter(|&m| !killed(m)).filter_map(answered);
+            gather = sent.fold(gather, |sum, reply| sum + LinkStats::message(reply.bytes));
         }
         if let Some((StaleStats::DropRescaled, _)) = stale {
             // Compensate the missing partition: unbiased in expectation
@@ -435,8 +429,8 @@ impl Placement for FixedWorkers {
         Ok(Reduced {
             agg,
             stat_phase,
-            counted,
-            gather_s: core.net.gather_time_uniform(reply_bytes, counted),
+            counted: gather.messages as usize,
+            gather,
             // In stale mode the abandoned straggler also skips the update
             // (its partition goes stale for this iteration).
             updaters: (0..core.slots)
@@ -538,12 +532,12 @@ fn restore_params(core: &mut MasterCore, t: u64, w: usize) -> Result<f64, TrainE
         };
         // Priced from the three real messages: the fetch request, the
         // donor's reply, and the install push.
-        let mut bytes = metered(&ColMsg::FetchModel)? + metered(&reply.payload)?;
+        let mut bytes = metered_bytes(&ColMsg::FetchModel)? + metered_bytes(&reply.payload)?;
         let ColMsg::ModelReply { parts, .. } = reply.payload else {
             continue;
         };
         let install = ColMsg::InstallParams { parts };
-        bytes += metered(&install)?;
+        bytes += metered_bytes(&install)?;
         core.rt
             .master
             .send_reliable(NodeId::Worker(w), install)
@@ -552,9 +546,8 @@ fn restore_params(core: &mut MasterCore, t: u64, w: usize) -> Result<f64, TrainE
                 iteration: t,
                 detail: format!("parameter restore failed: {e}"),
             })?;
-        return Ok(bytes as f64 / core.net.bandwidth_bytes_per_s
-            + 3.0 * PER_OBJECT_S
-            + 2.0 * core.net.latency_s);
+        // Three objects; the fetch and the install are two serial hops.
+        return Ok(core.net.lane_time(bytes as u64, 3, 2));
     }
     // Every replica of the group is unreachable: keep the reset
     // parameters (the no-backup semantics) rather than failing the run.
@@ -605,10 +598,6 @@ fn reload_worker(core: &mut MasterCore, t: u64, w: usize) -> Result<f64, TrainEr
             detail: "reload never acknowledged".to_string(),
         });
     }
-    let after = core.rt.traffic.received_by(node);
-    let bytes = after.bytes - before.bytes;
-    let objects = after.messages - before.messages;
-    Ok(bytes as f64 / core.net.bandwidth_bytes_per_s
-        + objects as f64 * PER_OBJECT_S
-        + core.net.latency_s)
+    let stream = core.rt.traffic.received_by(node).since(before);
+    Ok(core.net.lane_time(stream.bytes, stream.messages, 1))
 }

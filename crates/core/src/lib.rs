@@ -66,5 +66,5 @@ pub use elastic::{
 };
 pub use engine::{ColumnSgdEngine, TrainOutcome};
 pub use error::{DetectionMethod, FaultKind, RecoveryEvent, TrainError};
-pub use master::{LoadReport, PER_OBJECT_S};
+pub use master::LoadReport;
 pub use pool::WorkerPool;

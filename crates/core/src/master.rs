@@ -18,14 +18,15 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
+use std::iter::repeat_n;
 use std::net::SocketAddr;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use columnsgd_cluster::telemetry::{ProfScope, RunStamp};
 use columnsgd_cluster::{
-    spawn_guarded, wire_size, ClusterConfig, Endpoint, Envelope, FailurePlan, Launcher, NetError,
-    NetworkModel, NodeId, Recorder, SimClock, ENVELOPE_BYTES,
+    metered_bytes, spawn_guarded, ClusterConfig, Endpoint, Envelope, FailurePlan, Launcher,
+    LinkStats, NetError, NetworkModel, NodeId, Recorder, SimClock,
 };
 use columnsgd_data::block::Block;
 use columnsgd_data::index::RowAddr;
@@ -41,11 +42,6 @@ use crate::msg::ColMsg;
 use crate::runtime::{Runtime, Superstep};
 use crate::worker::{run_worker, WorkerScript};
 
-/// Serialization cost charged per shipped object when pricing data loading
-/// (the Figure 7 effect: many small objects are expensive even when their
-/// total bytes are modest).
-pub const PER_OBJECT_S: f64 = 20e-6;
-
 /// Cost report for the row-to-column transformation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadReport {
@@ -54,8 +50,8 @@ pub struct LoadReport {
     /// Total bytes shipped.
     pub bytes: u64,
     /// Simulated loading time: the slowest node's
-    /// `bytes/bandwidth + objects × PER_OBJECT_S` lane (pipelined stages
-    /// overlap, so the max lane bounds the makespan).
+    /// [`NetworkModel::lane_time`] (pipelined stages overlap, so the max
+    /// lane bounds the makespan).
     pub sim_time_s: f64,
 }
 
@@ -120,13 +116,6 @@ pub(crate) struct TaskReply {
     pub sample_s: f64,
     /// Metered bytes of the reply message that carried them.
     pub bytes: u64,
-}
-
-/// The bytes the router meters for `m`: its encoded body plus the
-/// envelope. Pricing counts the real message, so it cannot drift from
-/// the meter.
-pub(crate) fn metered(m: &ColMsg) -> Result<u64, TrainError> {
-    Ok((wire_size(m)? + ENVELOPE_BYTES) as u64)
 }
 
 /// The state of the superstep in flight, shared by the loop and its
@@ -223,8 +212,9 @@ pub(crate) struct Reduced {
     pub stat_phase: f64,
     /// Replies folded into `agg`.
     pub counted: usize,
-    /// Modeled gather seconds for the replies that crossed the wire.
-    pub gather_s: f64,
+    /// Messages and bytes of the replies the gather is priced at: those
+    /// that crossed the wire and count.
+    pub gather: LinkStats,
     /// The workers that apply this superstep's update.
     pub updaters: Vec<usize>,
 }
@@ -610,15 +600,13 @@ impl MasterCore {
         let total = traffic.total();
         let mut worst = 0.0f64;
         for node in (0..self.slots).map(NodeId::Worker) {
-            let (sent, recv) = (traffic.sent_by(node), traffic.received_by(node));
-            let lane = (sent.bytes + recv.bytes) as f64 / self.net.bandwidth_bytes_per_s
-                + (sent.messages + recv.messages) as f64 * PER_OBJECT_S;
-            worst = worst.max(lane);
+            let lane = traffic.touching(node);
+            worst = worst.max(self.net.lane_time(lane.bytes, lane.messages, 1));
         }
         LoadReport {
             objects: total.messages,
             bytes: total.bytes,
-            sim_time_s: worst + self.net.latency_s,
+            sim_time_s: worst,
         }
     }
 
@@ -770,7 +758,7 @@ impl MasterCore {
                 stats: std::mem::take(&mut red.agg),
             };
             let sent = self.rt.master.broadcast(&tos, &msg);
-            let bcast_bytes = metered(&msg)?;
+            let bcast = LinkStats::message(metered_bytes(&msg)? as u64);
             if let ColMsg::Update { stats, .. } = msg {
                 red.agg = stats;
             }
@@ -792,7 +780,8 @@ impl MasterCore {
             let upd_phase = p.finish_update(self, &mut step, &mut update_times, straggler)?;
 
             // --- pricing -------------------------------------------------
-            let bcast_s = self.net.broadcast_time(bcast_bytes, red.updaters.len());
+            let gather_s = self.net.serial_time([red.gather]);
+            let bcast_s = self.net.serial_time(repeat_n(bcast, red.updaters.len()));
             let (compute_times, sample_times) = step.lane_times(self.slots);
             let model = self.cfg.model;
             let loss = model.loss_from_stats(self.batch_labels(t), &red.agg);
@@ -802,7 +791,7 @@ impl MasterCore {
                 compute_times: &compute_times,
                 observed: &p.observed(&compute_times),
                 stat_phase: red.stat_phase,
-                gather: (red.gather_s, gather_wall),
+                gather: (gather_s, gather_wall),
                 bcast: (bcast_s, bcast_wall),
                 update_times: &update_times,
                 upd_phase,
@@ -1054,7 +1043,16 @@ impl MasterCore {
                     })
                 }
             };
-            let bytes = metered(&env.payload)?;
+            // Only a statistics reply is priced, so only it is sized.
+            let priced = matches!(
+                env.payload,
+                ColMsg::StatsReply { .. } | ColMsg::StatsReplyFor { .. }
+            );
+            let bytes = if priced {
+                metered_bytes(&env.payload)? as u64
+            } else {
+                0
+            };
             let progress = match env.payload {
                 ColMsg::StatsReply {
                     iteration,

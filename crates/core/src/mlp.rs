@@ -19,7 +19,7 @@
 //! [`TrafficStats`].
 
 use columnsgd_cluster::clock::IterationTime;
-use columnsgd_cluster::{NetworkModel, NodeId, SimClock, TrafficStats, ENVELOPE_BYTES};
+use columnsgd_cluster::{LinkStats, NetworkModel, NodeId, SimClock, TrafficStats, ENVELOPE_BYTES};
 use columnsgd_data::workset::split_block;
 use columnsgd_data::{block::Block, ColumnPartitioner, Dataset, TwoPhaseIndex};
 use columnsgd_linalg::CsrMatrix;
@@ -139,7 +139,9 @@ impl DistributedMlp {
             self.traffic
                 .record(NodeId::Master, NodeId::Worker(w), bytes as usize);
         }
-        self.net.gather_time(&vec![bytes; self.k]) + self.net.broadcast_time(bytes, self.k)
+        // Gather and broadcast each serialize k copies on the master's link.
+        let copies = std::iter::repeat_n(LinkStats::message(bytes), self.k);
+        2.0 * self.net.serial_time(copies)
     }
 
     /// Runs training; returns the loss curve over simulated time.

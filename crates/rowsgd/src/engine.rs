@@ -14,11 +14,11 @@ use std::time::{Duration, Instant};
 
 use columnsgd_cluster::telemetry::{ProfScope, RunStamp};
 use columnsgd_cluster::{
-    wire_size, ClusterConfig, Endpoint, Launcher, Monitor, NetError, NetworkModel, NodeId,
+    ClusterConfig, Endpoint, Launcher, LinkStats, Monitor, NetError, NetworkModel, NodeId,
     Recorder, SimClock, TrafficStats, ENVELOPE_BYTES,
 };
 use columnsgd_core::runtime::{Runtime, Superstep};
-use columnsgd_core::{LoadReport, TrainError, TrainOutcome, PER_OBJECT_S};
+use columnsgd_core::{LoadReport, TrainError, TrainOutcome};
 use columnsgd_data::Dataset;
 use columnsgd_linalg::CsrMatrix;
 use columnsgd_ml::metrics::Curve;
@@ -290,16 +290,14 @@ impl RowSgdEngine {
         let passes = if repartition { 2 } else { 1 };
         let mut worst = 0.0f64;
         for (w, rows) in part_rows.into_iter().enumerate() {
-            let node = NodeId::Worker(w);
-            let bytes = traffic.received_by(node).bytes + traffic.sent_by(node).bytes;
-            let objects = rows * passes;
-            worst = worst
-                .max(bytes as f64 / self.net.bandwidth_bytes_per_s + objects as f64 * PER_OBJECT_S);
+            let bytes = traffic.touching(NodeId::Worker(w)).bytes;
+            let objects = (rows * passes) as u64;
+            worst = worst.max(self.net.lane_time(bytes, objects, 1));
         }
         self.load_report = LoadReport {
             objects: (self.rows_total * passes) as u64,
             bytes: traffic.total().bytes,
-            sim_time_s: worst + self.net.latency_s,
+            sim_time_s: worst,
         };
         Ok(())
     }
@@ -436,8 +434,11 @@ impl RowSgdEngine {
             params: std::mem::take(params),
         };
         let workers: Vec<NodeId> = (0..self.k).map(NodeId::Worker).collect();
+        // The baseline runs without chaos, so everything the master's link
+        // carries from here to the closed gather is the step's traffic.
+        let master = [NodeId::Master];
+        let (received0, sent0) = meter(&self.rt.traffic, &master);
         let sent = self.rt.master.broadcast(&workers, &msg);
-        let model_msg_bytes = (wire_size(&msg)? + ENVELOPE_BYTES) as u64;
         if let RowMsg::FullModelGrad { params: model, .. } = msg {
             *params = model;
         }
@@ -449,24 +450,20 @@ impl RowSgdEngine {
         // arrival order would make the loss trajectory depend on thread
         // (or socket) scheduling — nondeterministic run to run, and
         // divergent across transport backends.
-        let replies = self.gather(self.k, t, "MLlib gather", |msg| {
-            // Priced exactly as the router metered it: the reply's
-            // encoder, which the router ran when the reply was sent.
-            let bytes = (wire_size(&msg).ok()? + ENVELOPE_BYTES) as u64;
-            match msg {
-                RowMsg::GradReplyDense {
-                    worker,
-                    grad,
-                    loss,
-                    compute_s,
-                    ..
-                } => Some((worker, (grad, loss, compute_s, bytes))),
-                _ => None,
-            }
+        let replies = self.gather(self.k, t, "MLlib gather", |msg| match msg {
+            RowMsg::GradReplyDense {
+                worker,
+                grad,
+                loss,
+                compute_s,
+                ..
+            } => Some((worker, (grad, loss, compute_s))),
+            _ => None,
         })?;
+        let (received1, sent1) = meter(&self.rt.traffic, &master);
         let mut agg: Option<ParamSet> = None;
-        let (mut losses, mut compute, mut reply_bytes) = (Vec::new(), Vec::new(), Vec::new());
-        for (grad, loss, compute_s, bytes) in replies {
+        let (mut losses, mut compute) = (Vec::new(), Vec::new());
+        for (grad, loss, compute_s) in replies {
             match &mut agg {
                 None => agg = Some(grad),
                 Some(a) => {
@@ -477,7 +474,6 @@ impl RowSgdEngine {
             }
             losses.push(loss);
             compute.push(compute_s);
-            reply_bytes.push(bytes);
         }
         let agg = agg.ok_or_else(|| {
             TrainError::Internal(format!("iteration {t} gathered zero gradients"))
@@ -488,8 +484,8 @@ impl RowSgdEngine {
         Ok(Stepped {
             compute,
             update_s: start.elapsed().as_secs_f64(),
-            gather_s: self.net.gather_time(&reply_bytes),
-            bcast_s: self.net.broadcast_time(model_msg_bytes, self.k),
+            gather_s: slowest(&self.net, &received0, &received1),
+            bcast_s: slowest(&self.net, &sent0, &sent1),
             overhead_s: self.net.scheduling_overhead_s,
             loss: mean(&losses),
         })
@@ -530,10 +526,12 @@ impl RowSgdEngine {
     #[allow(clippy::needless_range_loop)]
     fn step_ps(&mut self, t: u64, sparse_pull: bool) -> Result<Stepped, TrainError> {
         let router = self.rt.master.router().clone();
+        // The server links are metered by the step itself and the baseline
+        // runs without chaos: each phase's window is exactly its traffic.
+        let servers: Vec<NodeId> = (0..self.p).map(NodeId::Server).collect();
+        let (received0, sent0) = meter(&self.rt.traffic, &servers);
         let unit = 8 * self.cfg.model.widths().iter().sum::<usize>() as u64;
         let mut pull_keys_per_server = vec![0u64; self.p];
-        let mut pull_down_per_server: Vec<Vec<u64>> = vec![Vec::new(); self.p];
-        let mut pull_up_per_server: Vec<Vec<u64>> = vec![Vec::new(); self.p];
         let mut compute = vec![0.0; self.k];
 
         if sparse_pull {
@@ -577,8 +575,6 @@ impl RowSgdEngine {
                             "SparsePull",
                         );
                         pull_keys_per_server[p] += cnt;
-                        pull_up_per_server[p].push(8 * cnt + ENVELOPE_BYTES as u64);
-                        pull_down_per_server[p].push((8 + unit) * cnt + ENVELOPE_BYTES as u64);
                     }
                 }
                 let values = gather_values(&self.cfg.model.widths(), params, &indices);
@@ -605,7 +601,6 @@ impl RowSgdEngine {
                         share as usize,
                         "DensePull",
                     );
-                    pull_down_per_server[p].push(share);
                 }
                 let pull = RowMsg::FullModelGrad {
                     iteration: t,
@@ -615,6 +610,7 @@ impl RowSgdEngine {
                 sent.map_err(|e| undeliverable(w, t, "dense pull", e))?;
             }
         }
+        let (received1, sent1) = meter(&self.rt.traffic, &servers);
 
         // Gather sparse gradients (push), merged in worker-id order:
         // sparse merges sum overlapping keys, and floating-point sums must
@@ -630,7 +626,6 @@ impl RowSgdEngine {
             _ => None,
         })?;
         let mut push_keys_per_server = vec![0u64; self.p];
-        let mut push_per_server: Vec<Vec<u64>> = vec![Vec::new(); self.p];
         let mut merged = SparseGrad::default();
         let mut losses = Vec::with_capacity(self.k);
         for (w, (grad, loss, compute_s)) in pushes.into_iter().enumerate() {
@@ -650,12 +645,12 @@ impl RowSgdEngine {
                         "GradPush",
                     );
                     push_keys_per_server[p] += cnt;
-                    push_per_server[p].push(bytes);
                 }
             }
             merged = merged.merge(&grad);
             losses.push(loss);
         }
+        let (received2, _) = meter(&self.rt.traffic, &servers);
         #[expect(clippy::disallowed_methods, reason = "compute timer, measurement only")]
         let start = Instant::now();
         {
@@ -668,11 +663,9 @@ impl RowSgdEngine {
         }
         let server_compute = start.elapsed().as_secs_f64();
 
-        // Pricing: per-server links run in parallel; within one server,
-        // transfers serialize.
-        let pull_down = per_server_max(&pull_down_per_server, &self.net);
-        let pull_up = per_server_max(&pull_up_per_server, &self.net);
-        let push = per_server_max(&push_per_server, &self.net);
+        let pull_up = slowest(&self.net, &received0, &received1);
+        let pull_down = slowest(&self.net, &sent0, &sent1);
+        let push = slowest(&self.net, &received1, &received2);
         // Per-key server processing cost: only the sparse KVStore pays it
         // (MXNet's row-sparse engine); Petuum's dense shards apply pushes
         // with plain array arithmetic.
@@ -783,12 +776,18 @@ fn gather_values(widths: &[usize], params: &ParamSet, indices: &[u64]) -> Sparse
     }
 }
 
-/// Max over servers of the serialized transfer time of that server's lane.
-fn per_server_max(per_server: &[Vec<u64>], net: &NetworkModel) -> f64 {
-    per_server
-        .iter()
-        .map(|lanes| net.gather_time(lanes))
-        .fold(0.0, f64::max)
+/// What each of `nodes` has received and sent so far, as metered.
+fn meter(traffic: &TrafficStats, nodes: &[NodeId]) -> (Vec<LinkStats>, Vec<LinkStats>) {
+    let io = |&node: &NodeId| (traffic.received_by(node), traffic.sent_by(node));
+    nodes.iter().map(io).unzip()
+}
+
+/// The slowest endpoint link over a phase, from each endpoint's meter
+/// before and after it: links to different endpoints run in parallel, one
+/// endpoint's transfers serialize.
+fn slowest(net: &NetworkModel, before: &[LinkStats], after: &[LinkStats]) -> f64 {
+    let windows = after.iter().zip(before).map(|(a, &b)| a.since(b));
+    windows.map(|w| net.serial_time([w])).fold(0.0, f64::max)
 }
 
 fn mean(xs: &[f64]) -> f64 {

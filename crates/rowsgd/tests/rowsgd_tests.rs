@@ -4,7 +4,7 @@
 
 use columnsgd_cluster::telemetry::{Event, Phase};
 use columnsgd_cluster::ENVELOPE_BYTES;
-use columnsgd_cluster::{ClusterConfig, NetworkModel, NodeId, Recorder};
+use columnsgd_cluster::{ClusterConfig, LinkStats, NetworkModel, NodeId, Recorder};
 use columnsgd_data::synth;
 use columnsgd_ml::serial;
 use columnsgd_ml::ModelSpec;
@@ -381,7 +381,8 @@ fn mllib_gather_is_priced_at_metered_reply_bytes() {
     assert_eq!(replies.len(), k * iterations as usize);
     assert_eq!(gathers.len(), iterations as usize);
     for (metered, priced) in replies.chunks(k).zip(gathers) {
-        assert_eq!(priced.to_bits(), net.gather_time(metered).to_bits());
+        let messages = metered.iter().map(|&bytes| LinkStats::message(bytes));
+        assert_eq!(priced.to_bits(), net.serial_time(messages).to_bits());
     }
 }
 

@@ -302,6 +302,14 @@ pub struct LinkPricing {
     pub bandwidth_bytes_per_s: f64,
 }
 
+impl LinkPricing {
+    /// Time for one message of `bytes`, or one serialized run of them: the
+    /// latency plus the bytes at link bandwidth (f64, so sums cannot wrap).
+    pub fn transfer_time(&self, bytes: f64) -> f64 {
+        self.latency_s + bytes / self.bandwidth_bytes_per_s
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Events
 // ---------------------------------------------------------------------------

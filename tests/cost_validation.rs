@@ -127,3 +127,139 @@ fn measured_scaling_contrast() {
     assert_eq!(measure(1_000, true), measure(100_000, true));
     assert!(measure(100_000, false) > 50 * measure(1_000, false));
 }
+
+/// One run's priced seconds as bits: the load makespan, then every clock
+/// entry's priced communication and overhead. Recovery and migration
+/// charges are clock entries of their own, so they are pinned too.
+type Priced = (&'static str, Vec<u64>);
+
+fn clock_bits(load_s: f64, clock: &SimClock) -> Vec<u64> {
+    let mut bits = vec![load_s.to_bits()];
+    for it in clock.trace() {
+        bits.push(it.comm_s.to_bits());
+        bits.push(it.overhead_s.to_bits());
+    }
+    bits
+}
+
+fn column_run(ds: &columnsgd::data::Dataset, cfg: ColumnSgdConfig, plan: FailurePlan) -> Vec<u64> {
+    let mut e = ColumnSgdEngine::new(ds, 4, cfg, NetworkModel::CLUSTER1, plan).expect("engine");
+    let out = e.train().expect("train");
+    clock_bits(e.load_report().sim_time_s, &out.clock)
+}
+
+fn row_run(ds: &columnsgd::data::Dataset, variant: RowSgdVariant, repartition: bool) -> Vec<u64> {
+    let cfg = RowSgdConfig::new(ModelSpec::Lr, variant)
+        .with_batch_size(50)
+        .with_iterations(4);
+    let net = NetworkModel::CLUSTER1;
+    let mut e = RowSgdEngine::with_repartition(ds, 4, cfg, net, repartition).expect("engine");
+    let load_s = e.load_report().sim_time_s;
+    if repartition {
+        return vec![load_s.to_bits()];
+    }
+    let out = e.train().expect("train");
+    clock_bits(load_s, &out.clock)
+}
+
+/// The priced seconds of every paradigm, faults included, are pinned bit
+/// for bit: refactoring how a price is computed must not move one. Only
+/// measured compute is left free.
+#[test]
+fn priced_seconds_are_pinned() {
+    use columnsgd::cluster::FailureEvent;
+
+    let ds = synth::small_test_dataset(400, 300, 9);
+    let cfg = ColumnSgdConfig::new(ModelSpec::Lr)
+        .with_batch_size(50)
+        .with_iterations(4)
+        .with_seed(3);
+    // Worker 1 dies at iteration 2: respawn, reload, and a parameter
+    // restore from its backup-group replica.
+    let crash = FailurePlan {
+        events: vec![FailureEvent::WorkerFailure {
+            iteration: 2,
+            worker: 1,
+        }],
+        ..FailurePlan::none()
+    };
+    // Two of three slots; the third joins at iteration 2 and is migrated
+    // a shard.
+    let join = ElasticConfig::new(cfg, 3, 2).with_schedule(vec![ElasticEvent {
+        iteration: 2,
+        worker: 2,
+        action: ElasticAction::Join,
+    }]);
+    let net = NetworkModel::CLUSTER1;
+    let mut elastic =
+        ElasticEngine::new(&ds, join, net, FailurePlan::none()).expect("elastic engine");
+    let out = elastic.train().expect("elastic train");
+    let elastic_bits = clock_bits(elastic.load_report().sim_time_s, &out.clock);
+
+    // The crash iteration's gather counts the respawned member's reply
+    // only if it lands before the barrier closes, which is a race: both
+    // prices are pinned, the rest of the run is pinned as a whole.
+    let mut crash_bits = column_run(&ds, cfg.with_backup(1), crash);
+    let crash_gather = crash_bits.remove(CRASH_GATHER_AT);
+    assert!(
+        CRASH_GATHER_PRICES.contains(&crash_gather),
+        "crash-iteration gather {crash_gather:#018x}"
+    );
+
+    let got: Vec<Priced> = vec![
+        ("columnsgd", column_run(&ds, cfg, FailurePlan::none())),
+        (
+            "backup_straggler",
+            column_run(
+                &ds,
+                cfg.with_backup(1),
+                FailurePlan::with_pinned_straggler(3.0, 2),
+            ),
+        ),
+        ("crash_restore", crash_bits),
+        ("elastic_join", elastic_bits),
+        ("mllib", row_run(&ds, RowSgdVariant::MLlib, false)),
+        (
+            "mllib_repartition",
+            row_run(&ds, RowSgdVariant::MLlib, true),
+        ),
+        ("mllib_star", row_run(&ds, RowSgdVariant::MLlibStar, false)),
+        ("ps_dense", row_run(&ds, RowSgdVariant::PsDense, false)),
+        ("ps_sparse", row_run(&ds, RowSgdVariant::PsSparse, false)),
+    ];
+    let pinned: Vec<Priced> = PINNED
+        .iter()
+        .map(|(name, bits)| (*name, bits.to_vec()))
+        .collect();
+    assert_eq!(got, pinned, "\n{}", render(&got));
+}
+
+fn render(runs: &[Priced]) -> String {
+    let mut s = String::from("const PINNED: &[(&str, &[u64])] = &[\n");
+    for (name, bits) in runs {
+        let hex: Vec<String> = bits.iter().map(|b| format!("{b:#018x}")).collect();
+        s.push_str(&format!("    (\"{name}\", &[{}]),\n", hex.join(", ")));
+    }
+    s + "];\n"
+}
+
+/// Where the crash run's racy gather sits among its bits (after the load,
+/// two entries and the recovery charge), and the two prices it can have:
+/// three or four of the four replies counted.
+const CRASH_GATHER_AT: usize = 7;
+const CRASH_GATHER_PRICES: [u64; 2] = [0x3f50ce483bc7c616, 0x3f50de2fdccdb20b];
+
+/// The bits of [`priced_seconds_are_pinned`]. A change that moves one is
+/// a pricing change, not a refactor.
+#[rustfmt::skip]
+const PINNED: &[(&str, &[u64])] = &[
+    ("columnsgd", &[0x3f57d0c5ef7cbedc, 0x3f50de2fdccdb20b, 0x3fa999999999999a, 0x3f50de2fdccdb20b, 0x3fa999999999999a, 0x3f50de2fdccdb20b, 0x3fa999999999999a, 0x3f50de2fdccdb20b, 0x3fa999999999999a]),
+    ("backup_straggler", &[0x3f5fd3dade0787b4, 0x3f50ce483bc7c616, 0x3fa999999999999a, 0x3f50ce483bc7c616, 0x3fa999999999999a, 0x3f50ce483bc7c616, 0x3fa999999999999a, 0x3f50ce483bc7c616, 0x3fa999999999999a]),
+    ("crash_restore", &[0x3f5fd3dade0787b4, 0x3f50de2fdccdb20b, 0x3fa999999999999a, 0x3f50de2fdccdb20b, 0x3fa999999999999a, 0x0000000000000000, 0x3f60e0e7a5afec30, 0x3fa999999999999a, 0x3f50de2fdccdb20b, 0x3fa999999999999a]),
+    ("elastic_join", &[0x3f4ee392587f1480, 0x3f50b1c2ca035d9c, 0x3fa999999999999a, 0x3f50b1c2ca035d9c, 0x3fa999999999999a, 0x0000000000000000, 0x3f495dfd94c958d8, 0x3f50c0d3ab7473ac, 0x3fa999999999999a, 0x3f50c0d3ab7473ac, 0x3fa999999999999a]),
+    ("mllib", &[0x3f655c2182cb65b3, 0x3f52f9123649a44a, 0x3fa999999999999a, 0x3f52f9123649a44a, 0x3fa999999999999a, 0x3f52f9123649a44a, 0x3fa999999999999a, 0x3f52f9123649a44a, 0x3fa999999999999a]),
+    ("mllib_repartition", &[0x3f73bc8f2bc6463a]),
+    ("mllib_star", &[0x3f655c2182cb65b3, 0x3f68cfda9e46a784, 0x3fa999999999999a, 0x3f68cfda9e46a784, 0x3fa999999999999a, 0x3f68cfda9e46a784, 0x3fa999999999999a, 0x3f68cfda9e46a784, 0x3fa999999999999a]),
+    ("ps_dense", &[0x3f655c2182cb65b3, 0x3f50d86a64cdb500, 0x3f747ae147ae147b, 0x3f50d4a85232ec80, 0x3f747ae147ae147b, 0x3f50da06b5eb78a4, 0x3f747ae147ae147b, 0x3f50d7e0f46e73c9, 0x3f747ae147ae147b]),
+    ("ps_sparse", &[0x3f655c2182cb65b3, 0x3f7ecfac83b4b385, 0x3f747ae147ae147b, 0x3f7bef52665cdedc, 0x3f747ae147ae147b, 0x3f8005a06cb65078, 0x3f747ae147ae147b, 0x3f7e667b11ccb9b5, 0x3f747ae147ae147b]),
+];
