@@ -23,8 +23,8 @@
 
 use columnsgd::cluster::{ChaosSpec, FailurePlan, Monitor, MonitorConfig, NetworkModel};
 use columnsgd::core::{
-    ColumnSgdConfig, ColumnSgdEngine, ElasticAction, ElasticConfig, ElasticEngine, ElasticEvent,
-    ElasticOutcome, ScalePolicy,
+    ColumnSgdConfig, ColumnSgdEngine, ElasticAction, ElasticConfig, ElasticEvent, ScalePolicy,
+    TrainOutcome,
 };
 use columnsgd::data::{Dataset, DatasetPreset};
 use columnsgd::ml::ModelSpec;
@@ -46,7 +46,7 @@ fn cfg() -> ColumnSgdConfig {
         .with_seed(87)
 }
 
-fn losses(out: &ElasticOutcome) -> Vec<f64> {
+fn losses(out: &TrainOutcome) -> Vec<f64> {
     out.curve.points.iter().map(|p| p.loss).collect()
 }
 
@@ -60,7 +60,7 @@ fn sensitive_monitor() -> Monitor {
 
 struct Row {
     scenario: &'static str,
-    out: ElasticOutcome,
+    out: TrainOutcome,
     baseline: usize, // row index whose mean time is the slowdown reference
 }
 
@@ -70,8 +70,8 @@ fn run(
     net: NetworkModel,
     plan: FailurePlan,
     monitor: Option<Monitor>,
-) -> ElasticOutcome {
-    let mut e = ElasticEngine::new(ds, ecfg, net, plan).expect("elastic engine");
+) -> TrainOutcome {
+    let mut e = ColumnSgdEngine::new_elastic(ds, ecfg, net, plan).expect("elastic engine");
     if let Some(m) = monitor {
         e.attach_monitor(m);
     }
@@ -273,6 +273,7 @@ pub fn sweep(scale: f64) -> Report {
     let mut rows_json = Vec::new();
     for (i, row) in rows.iter().enumerate() {
         let out = &row.out;
+        let ledger = out.elastic.as_ref().expect("an elastic run keeps a ledger");
         let mean_ms = means[i] * 1e3;
         let slowdown = means[i] / means[row.baseline];
         let net = if row.baseline == 0 {
@@ -285,10 +286,10 @@ pub fn sweep(scale: f64) -> Report {
         r.row(vec![
             row.scenario.to_string(),
             net.to_string(),
-            out.migrations.to_string(),
-            format!("{:.1}", out.migration_bytes as f64 / 1024.0),
+            ledger.migrations.to_string(),
+            format!("{:.1}", ledger.migration_bytes as f64 / 1024.0),
             out.recovery.len().to_string(),
-            format!("{}/{}", out.speculative_wins, out.speculative_losses),
+            format!("{}/{}", ledger.speculative_wins, ledger.speculative_losses),
             format!("{mean_ms:.1}"),
             format!("{slowdown:.2}x"),
             format!("{loss:.4}"),
@@ -297,16 +298,16 @@ pub fn sweep(scale: f64) -> Report {
         rows_json.push(json!({
             "scenario": row.scenario,
             "net": net,
-            "migrations": out.migrations,
-            "migration_bytes": out.migration_bytes,
+            "migrations": ledger.migrations,
+            "migration_bytes": ledger.migration_bytes,
             "faults": out.recovery.len(),
-            "speculative_wins": out.speculative_wins,
-            "speculative_losses": out.speculative_losses,
+            "speculative_wins": ledger.speculative_wins,
+            "speculative_losses": ledger.speculative_losses,
             "mean_iteration_s_tail": means[i],
             "slowdown": slowdown,
             "final_loss": loss,
             "bit_identical_to_static": losses(out) == canon,
-            "membership_log": out.membership_log.iter().map(|ev| json!({
+            "membership_log": ledger.membership_log.iter().map(|ev| json!({
                 "epoch": ev.epoch, "worker": ev.worker,
                 "action": ev.action, "moves": ev.moves,
             })).collect::<Vec<_>>(),

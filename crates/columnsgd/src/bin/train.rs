@@ -1,8 +1,14 @@
-//! `columnsgd-train` — train a model on a LIBSVM file with ColumnSGD.
+//! `columnsgd-train` — train a model on a LIBSVM file with ColumnSGD or
+//! one of the RowSGD baselines it is compared against, driven and
+//! observed the same way.
 //!
 //! ```text
 //! columnsgd-train <file.libsvm> [options]
 //!
+//!   --system columnsgd|mllib|mllib*|petuum|mxnet
+//!                                        system to train with    [columnsgd]
+//!                                        (also mllibstar, ps-dense,
+//!                                        ps-sparse)
 //!   --model lr|svm|lsq|fm:<F>|mlr:<C>   model to train          [lr]
 //!   --workers K                          simulated workers       [4]
 //!   --batch B                            mini-batch size         [1000]
@@ -12,7 +18,9 @@
 //!   --l2 LAMBDA                          L2 regularization       [0]
 //!   --seed S                             experiment seed         [42]
 //!   --transport inproc|tcp               transport backend       [inproc]
-//!   --worker-bin PATH                    columnsgd-worker binary (tcp)
+//!   --worker-bin PATH                    worker binary (tcp) [the
+//!                                        system's columnsgd-worker or
+//!                                        rowsgd-worker, next to this one]
 //!   --model-out PATH                     write weights as text
 //!   --trace-out PATH                     write telemetry JSONL trace
 //!   --metrics-out PATH                   stream monitor snapshots (JSONL)
@@ -25,9 +33,10 @@
 //!   --metrics-snapshot PATH              write the final Prometheus text
 //!                                        exposition to PATH
 //!
-//! Elastic mode (dynamic membership on the elastic engine):
+//! Elastic membership (ColumnSGD only; with a RowSGD system any of these
+//! is a usage error):
 //!
-//!   --elastic                            run on the elastic engine
+//!   --elastic                            workers may join, leave, crash
 //!   --elastic-initial N                  start with N of K slots    [K]
 //!   --join T:W / --leave T:W / --crash T:W
 //!                                        schedule worker W to join /
@@ -42,6 +51,7 @@
 //!
 //! ```text
 //! columnsgd-train data/a9a --model svm --workers 8 --iters 500 --eta 0.5
+//! columnsgd-train data/a9a --system mxnet --workers 8 --iters 500
 //! ```
 
 use std::fs::File;
@@ -54,8 +64,16 @@ use columnsgd::data::libsvm;
 use columnsgd::ml::serial;
 use columnsgd::prelude::*;
 
+/// The system a run trains with.
+#[derive(Clone, Copy)]
+enum System {
+    ColumnSgd,
+    Row(RowSgdVariant),
+}
+
 struct Args {
     path: String,
+    system: System,
     model: ModelSpec,
     workers: usize,
     batch: usize,
@@ -80,7 +98,8 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: columnsgd-train <file.libsvm> [--model lr|svm|lsq|fm:<F>|mlr:<C>] \
+        "usage: columnsgd-train <file.libsvm> \
+         [--system columnsgd|mllib|mllib*|petuum|mxnet] [--model lr|svm|lsq|fm:<F>|mlr:<C>] \
          [--workers K] [--batch B] [--iters T] [--eta E] \
          [--optimizer sgd|adagrad|adam] [--l2 LAMBDA] [--seed S] \
          [--transport inproc|tcp] [--worker-bin PATH] [--model-out PATH] \
@@ -90,6 +109,18 @@ fn usage() -> ! {
          [--replicate] [--speculate]"
     );
     exit(2)
+}
+
+fn parse_system(s: &str) -> Option<System> {
+    let variant = match s {
+        "columnsgd" => return Some(System::ColumnSgd),
+        "mllib" => RowSgdVariant::MLlib,
+        "mllib*" | "mllibstar" => RowSgdVariant::MLlibStar,
+        "petuum" | "ps-dense" => RowSgdVariant::PsDense,
+        "mxnet" | "ps-sparse" => RowSgdVariant::PsSparse,
+        _ => return None,
+    };
+    Some(System::Row(variant))
 }
 
 /// Parses an `iteration:worker` schedule entry such as `--join 10:3`.
@@ -122,6 +153,7 @@ fn parse_model(s: &str) -> Option<ModelSpec> {
 fn parse_args() -> Args {
     let mut args = Args {
         path: String::new(),
+        system: System::ColumnSgd,
         model: ModelSpec::Lr,
         workers: 4,
         batch: 1000,
@@ -152,6 +184,10 @@ fn parse_args() -> Args {
             })
         };
         match arg.as_str() {
+            "--system" => {
+                let v = value("--system");
+                args.system = parse_system(&v).unwrap_or_else(|| usage());
+            }
             "--model" => {
                 let v = value("--model");
                 args.model = parse_model(&v).unwrap_or_else(|| usage());
@@ -221,7 +257,38 @@ fn parse_args() -> Args {
     if args.path.is_empty() {
         usage();
     }
+    if let System::Row(variant) = args.system {
+        if args.elastic() {
+            eprintln!(
+                "elastic membership is ColumnSGD's; {} has none",
+                variant.label()
+            );
+            usage();
+        }
+    }
     args
+}
+
+impl Args {
+    /// Whether elastic membership is asked for: any elastic option
+    /// implies it.
+    fn elastic(&self) -> bool {
+        self.elastic
+            || self.elastic_initial.is_some()
+            || !self.schedule.is_empty()
+            || self.replicate
+            || self.speculate
+    }
+}
+
+/// Unwraps `result`, or reports `what` failed with the error's advice and
+/// exits with its code.
+fn or_exit<T>(what: &str, result: Result<T, TrainError>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{what} failed: {e}");
+        eprintln!("hint: {}", e.advice());
+        exit(e.exit_code())
+    })
 }
 
 fn main() {
@@ -256,17 +323,12 @@ fn main() {
     if args.l2 > 0.0 {
         update.regularizer = Regularizer::L2(args.l2);
     }
-    let mut config = ColumnSgdConfig::new(args.model)
-        .with_batch_size(args.batch.min(dataset.len() * 4))
-        .with_iterations(args.iters)
-        .with_seed(args.seed);
-    config.update = update;
-    config.optimizer = args.optimizer;
+    let batch = args.batch.min(dataset.len() * 4);
 
     if args.profile {
         // Enable the phase profiler in this process and export the opt-in
         // through the environment so spawned TCP worker processes inherit
-        // it (`columnsgd-worker` calls `profile::enable_from_env`).
+        // it (the shared worker host calls `profile::enable_from_env`).
         profile::set_enabled(true);
         std::env::set_var(profile::PROFILE_ENV, "1");
         if args.trace_out.is_none() {
@@ -315,111 +377,96 @@ fn main() {
             });
     }
 
-    // Any elastic option implies elastic mode.
-    let elastic = args.elastic
-        || args.elastic_initial.is_some()
-        || !args.schedule.is_empty()
-        || args.replicate
-        || args.speculate;
-    let (model, mean_s, run_hex, diagnostics) = if elastic {
-        let initial = args.elastic_initial.unwrap_or(args.workers);
-        let mut ecfg = ElasticConfig::new(config, args.workers, initial);
-        if args.replicate {
-            ecfg = ecfg.with_replication();
+    if args.cluster.transport == TransportKind::Tcp {
+        eprintln!("transport: loopback tcp, one worker process per worker");
+    }
+    let net = NetworkModel::CLUSTER1;
+    let (outcome, model) = match args.system {
+        System::ColumnSgd => {
+            let mut config = ColumnSgdConfig::new(args.model)
+                .with_batch_size(batch)
+                .with_iterations(args.iters)
+                .with_seed(args.seed);
+            config.update = update;
+            config.optimizer = args.optimizer;
+            let engine = if args.elastic() {
+                let initial = args.elastic_initial.unwrap_or(args.workers);
+                let mut ecfg = ElasticConfig::new(config, args.workers, initial)
+                    .with_schedule(args.schedule.clone());
+                if args.replicate {
+                    ecfg = ecfg.with_replication();
+                }
+                if args.speculate {
+                    ecfg = ecfg.with_speculation();
+                }
+                ColumnSgdEngine::new_elastic_clustered(
+                    &dataset,
+                    ecfg,
+                    net,
+                    FailurePlan::none(),
+                    recorder.clone(),
+                    &args.cluster,
+                )
+            } else {
+                ColumnSgdEngine::new_clustered(
+                    &dataset,
+                    args.workers,
+                    config,
+                    net,
+                    FailurePlan::none(),
+                    recorder.clone(),
+                    &args.cluster,
+                )
+            };
+            let mut engine = or_exit("engine setup", engine);
+            engine.attach_monitor(monitor);
+            if let Some(m) = &metrics {
+                engine.attach_metrics(m.clone());
+            }
+            let outcome = or_exit("training", engine.train());
+            (outcome, or_exit("model collection", engine.collect_model()))
         }
-        if args.speculate {
-            ecfg = ecfg.with_speculation();
+        System::Row(variant) => {
+            let mut config = RowSgdConfig::new(args.model, variant)
+                .with_batch_size(batch)
+                .with_iterations(args.iters)
+                .with_seed(args.seed);
+            config.update = update;
+            config.optimizer = args.optimizer;
+            let engine = RowSgdEngine::new_clustered(
+                &dataset,
+                args.workers,
+                config,
+                net,
+                recorder.clone(),
+                &args.cluster,
+            );
+            let mut engine = or_exit("engine setup", engine);
+            engine.attach_monitor(monitor);
+            if let Some(m) = &metrics {
+                engine.attach_metrics(m.clone());
+            }
+            let outcome = or_exit("training", engine.train());
+            (outcome, or_exit("model collection", engine.collect_model()))
         }
-        if !args.schedule.is_empty() {
-            ecfg = ecfg.with_schedule(args.schedule.clone());
-        }
-        let mut engine = ElasticEngine::new_clustered(
-            &dataset,
-            ecfg,
-            NetworkModel::CLUSTER1,
-            FailurePlan::none(),
-            recorder.clone(),
-            &args.cluster,
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("engine setup failed: {e}");
-            eprintln!("hint: {}", e.advice());
-            exit(e.exit_code())
-        });
-        engine.attach_monitor(monitor);
-        if let Some(m) = &metrics {
-            engine.attach_metrics(m.clone());
-        }
-        let outcome = engine.train().unwrap_or_else(|e| {
-            eprintln!("training failed: {e}");
-            eprintln!("hint: {}", e.advice());
-            exit(e.exit_code())
-        });
+    };
+    if let Some(ledger) = &outcome.elastic {
         println!(
             "membership: {} events, {} shard migrations ({:.1} KiB over the wire), \
              speculation {} wins / {} losses",
-            outcome.membership_log.len(),
-            outcome.migrations,
-            outcome.migration_bytes as f64 / 1024.0,
-            outcome.speculative_wins,
-            outcome.speculative_losses
+            ledger.membership_log.len(),
+            ledger.migrations,
+            ledger.migration_bytes as f64 / 1024.0,
+            ledger.speculative_wins,
+            ledger.speculative_losses
         );
-        for ev in &outcome.membership_log {
+        for ev in &ledger.membership_log {
             println!(
                 "  epoch {} worker {} {} ({} moves)",
                 ev.epoch, ev.worker, ev.action, ev.moves
             );
         }
-        let model = engine.collect_model().unwrap_or_else(|e| {
-            eprintln!("model collection failed: {e}");
-            eprintln!("hint: {}", e.advice());
-            exit(e.exit_code())
-        });
-        (
-            model,
-            outcome.mean_iteration_s(args.iters as usize),
-            outcome.run.run_id_hex(),
-            outcome.diagnostics,
-        )
-    } else {
-        if args.cluster.transport == TransportKind::Tcp {
-            eprintln!("transport: loopback tcp, one worker process per worker");
-        }
-        let mut engine = ColumnSgdEngine::new_clustered(
-            &dataset,
-            args.workers,
-            config,
-            NetworkModel::CLUSTER1,
-            FailurePlan::none(),
-            recorder.clone(),
-            &args.cluster,
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("engine setup failed: {e}");
-            eprintln!("hint: {}", e.advice());
-            exit(e.exit_code())
-        });
-        engine.attach_monitor(monitor);
-        if let Some(m) = &metrics {
-            engine.attach_metrics(m.clone());
-        }
-        let outcome = engine.train().unwrap_or_else(|e| {
-            eprintln!("training failed: {e}");
-            eprintln!("hint: {}", e.advice());
-            exit(e.exit_code())
-        });
-        let model = engine.collect_model().unwrap_or_else(|e| {
-            eprintln!("model collection failed: {e}");
-            eprintln!("hint: {}", e.advice());
-            exit(e.exit_code())
-        });
-        (
-            model,
-            outcome.mean_iteration_s(args.iters as usize),
-            outcome.run.run_id_hex(),
-            outcome.diagnostics,
-        )
-    };
+    }
 
     if let Some(path) = &args.metrics_out {
         eprintln!("metrics streamed to {path}");
@@ -439,19 +486,22 @@ fn main() {
                 eprintln!("cannot write trace {path}: {e}");
                 exit(1)
             });
-        eprintln!("trace written to {path} (run {run_hex})");
+        eprintln!("trace written to {path} (run {})", outcome.run.run_id_hex());
     }
 
     let rows: Vec<_> = dataset.iter().cloned().collect();
     let loss = serial::full_loss(args.model, &model, &rows);
     let acc = serial::full_accuracy(args.model, &model, &rows);
     println!(
-        "trained {:?} in {} iterations ({:.4} s/iter simulated on Cluster 1)",
-        args.model, args.iters, mean_s
+        "trained {:?} with {} in {} iterations ({:.4} s/iter simulated on Cluster 1)",
+        args.model,
+        outcome.curve.label,
+        args.iters,
+        outcome.mean_iteration_s(args.iters as usize)
     );
     println!("train loss {loss:.6} | train accuracy {:.2}%", acc * 100.0);
 
-    let diag = &diagnostics;
+    let diag = &outcome.diagnostics;
     if diag.total() > 0 || diag.halted.is_some() {
         println!(
             "diagnostics: {} alarms (straggler {}, divergence {}, nan {}, comm {}, skew {})",

@@ -47,7 +47,10 @@ pub use columnsgd_linalg as linalg;
 pub use columnsgd_ml as ml;
 pub use columnsgd_rowsgd as rowsgd;
 
-/// Commonly used items in one import.
+/// Commonly used items in one import: one ColumnSGD engine type
+/// (`ColumnSgdEngine`, over a fixed worker set or elastic membership),
+/// the RowSGD baselines (`RowSgdEngine`), and the one `TrainOutcome`
+/// both return.
 pub mod prelude {
     pub use columnsgd_cluster::{
         ChaosSpec, ClusterConfig, Diagnostics, FailurePlan, Monitor, MonitorConfig, NetworkModel,
@@ -55,7 +58,8 @@ pub mod prelude {
     };
     pub use columnsgd_core::{
         ColumnSgdConfig, ColumnSgdEngine, DetectionMethod, ElasticAction, ElasticConfig,
-        ElasticEngine, ElasticEvent, FaultKind, RecoveryEvent, ScalePolicy, TrainError,
+        ElasticEvent, ElasticLedger, FaultKind, RecoveryEvent, ScalePolicy, TrainError,
+        TrainOutcome,
     };
     pub use columnsgd_data::{ColumnPartitioner, Dataset, DatasetPreset, SynthConfig};
     pub use columnsgd_linalg::{CsrMatrix, DenseVector, SparseVector};

@@ -1,8 +1,8 @@
-//! The elastic ColumnSGD master: dynamic worker membership, live shard
-//! migration, and speculative backup execution.
+//! The elastic membership policy of [`ColumnSgdEngine`]: dynamic worker
+//! membership, live shard migration, and speculative backup execution.
 //!
-//! The static engine ([`crate::engine::ColumnSgdEngine`]) fixes the worker
-//! set at construction; this engine decouples the *logical* partitioning
+//! A fixed worker set is chosen at construction; elastic membership
+//! ([`ColumnSgdEngine::new_elastic`]) decouples the *logical* partitioning
 //! from the *physical* cluster. The feature space is split once into
 //! `max_workers` logical column partitions, and a master-side
 //! [`Membership`] state machine maps partitions onto whichever workers are
@@ -40,21 +40,22 @@
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
-use columnsgd_cluster::telemetry::{FaultRecord, MetricsRegistry, RunStamp};
+use columnsgd_cluster::telemetry::FaultRecord;
 use columnsgd_cluster::{
-    ClusterConfig, DiagnosticKind, Diagnostics, FailurePlan, LinkStats, Membership,
-    MembershipError, MembershipEvent, Monitor, NetworkModel, NodeId, RebalancePlan, Recorder,
-    ShardMove, ShardRole, SimClock, TrafficStats, TransportKind, WorkerState,
+    ClusterConfig, DiagnosticKind, FailurePlan, LinkStats, Membership, MembershipError,
+    MembershipEvent, NetworkModel, NodeId, RebalancePlan, Recorder, ShardMove, ShardRole,
+    TransportKind, WorkerState,
 };
 use columnsgd_data::block::Block;
 use columnsgd_data::workset::split_block;
 use columnsgd_data::{Dataset, Workset};
-use columnsgd_ml::metrics::Curve;
 use columnsgd_ml::spec::reduce_stats;
 use columnsgd_ml::ParamSet;
 
 use crate::config::ColumnSgdConfig;
-use crate::error::{FaultKind, RecoveryEvent, TrainError};
+#[cfg(doc)]
+use crate::engine::ColumnSgdEngine;
+use crate::error::{FaultKind, TrainError};
 use crate::master::{
     LoadReport, Lost, MasterCore, Placement, Reduced, Step, Straggler, Task, TaskReply,
 };
@@ -156,20 +157,10 @@ impl ElasticConfig {
     }
 }
 
-/// Result of an elastic training run: the static outcome fields plus the
-/// membership audit trail and migration/speculation accounting.
+/// What an elastic run adds to its [`crate::TrainOutcome`]: the
+/// membership audit trail and the migration and speculation accounting.
 #[derive(Debug, Clone)]
-pub struct ElasticOutcome {
-    /// Batch-loss convergence curve (iteration, simulated time, loss).
-    pub curve: Curve,
-    /// The simulated clock (per-iteration breakdown).
-    pub clock: SimClock,
-    /// Every fault the master detected and recovered from.
-    pub recovery: Vec<RecoveryEvent>,
-    /// The run's identity stamp.
-    pub run: RunStamp,
-    /// End-of-run diagnostics from the online monitor.
-    pub diagnostics: Diagnostics,
+pub struct ElasticLedger {
     /// The membership transition log (joins, leaves, deaths, epochs).
     pub membership_log: Vec<MembershipEvent>,
     /// Shard migrations executed (moves, not drops).
@@ -182,24 +173,9 @@ pub struct ElasticOutcome {
     pub speculative_losses: u64,
 }
 
-impl ElasticOutcome {
-    /// Mean per-iteration simulated time over the final `n` iterations.
-    pub fn mean_iteration_s(&self, n: usize) -> f64 {
-        self.clock.mean_iteration_s(n)
-    }
-}
-
-/// The elastic ColumnSGD driver: the master core plus the elastic
-/// placement policy it trains over.
-pub struct ElasticEngine {
-    core: MasterCore,
-    load_report: LoadReport,
-    placement: ElasticPlacement,
-}
-
 /// What dynamic membership adds to the shared superstep loop: the slot
 /// table, shard migration, speculation and the scale policy.
-struct ElasticPlacement {
+pub(crate) struct ElasticPlacement {
     cfg: ElasticConfig,
     membership: Membership,
     migrations: u64,
@@ -220,53 +196,76 @@ struct ElasticPlacement {
     /// speculative reply this superstep.
     raced: BTreeSet<usize>,
 }
-impl ElasticEngine {
-    /// Builds the elastic cluster in-process with telemetry off, runs the
-    /// initial shard placement, and waits for every shard (and replica) to
-    /// install.
-    ///
-    /// # Errors
-    /// [`TrainError::InvalidPlan`] for impossible shapes (zero workers,
-    /// `initial_workers > max_workers`, `backup_s != 0`, replication with
-    /// one worker, bad failure plans) and [`TrainError::LoadFailed`] for an
-    /// empty dataset or when the initial placement does not complete.
-    pub fn new(
-        dataset: &Dataset,
-        cfg: ElasticConfig,
-        net: NetworkModel,
-        plan: FailurePlan,
-    ) -> Result<Self, TrainError> {
-        Self::new_clustered(
-            dataset,
-            cfg,
-            net,
-            plan,
-            Recorder::disabled(),
-            &ClusterConfig::in_proc(),
-        )
-    }
 
-    /// [`ElasticEngine::new`] with a telemetry [`Recorder`] attached and an
-    /// explicit transport backend selection.
-    ///
-    /// The elastic runtime is in-process only for now. The shared worker
-    /// host no longer stands in the way — a slot is started at its `Join`
-    /// on either backend — but a `columnsgd-worker` process cannot yet be
-    /// booted without partitions, and no workload or test exercises
-    /// membership changes over sockets. Rejected loudly here rather than
-    /// failing deep inside a scale event.
-    ///
-    /// # Errors
-    /// [`TrainError::InvalidPlan`] when `cluster` selects the TCP
-    /// backend; otherwise the [`ElasticEngine::new`] contract.
-    pub fn new_clustered(
+/// Fresh model parameters for partition `pid` — identical to what a
+/// fixed worker set's workers initialize (same seed, same global index
+/// mapping), so elastic and fixed runs start from the same model.
+fn init_params_for(core: &MasterCore, pid: usize) -> ParamSet {
+    let part = core.partitioner();
+    let local_dim = part.local_dim(pid, core.dim);
+    core.cfg
+        .model
+        .init_params(local_dim, core.cfg.seed, |slot| {
+            part.global_index(pid, slot)
+        })
+}
+
+/// Rebuilds partition `pid`'s worksets from the master's block store
+/// (the "HDFS" source), in block order.
+fn shard_worksets(core: &MasterCore, pid: usize) -> Vec<Workset> {
+    let part = core.partitioner();
+    core.blocks
+        .iter()
+        .map(|b| {
+            let mut sets = split_block(b, &part);
+            sets.swap_remove(pid)
+        })
+        .collect()
+}
+
+/// Waits for `ShardInstalled {pid, epoch}` from `to`, buffering
+/// unrelated traffic. Returns `false` on timeout (caller falls back to
+/// the next source).
+fn await_install(
+    core: &mut MasterCore,
+    t: u64,
+    pid: usize,
+    epoch: u64,
+    to: usize,
+) -> Result<bool, TrainError> {
+    let wait = core.bulk_deadline();
+    let installed = |m: &ColMsg| {
+        matches!(m, ColMsg::ShardInstalled { pid: p, epoch: e, worker }
+            if (*p, *e, *worker) == (pid, epoch, to))
+    };
+    Ok(core.rt.await_reply(t, wait, installed)?.is_some())
+}
+
+/// Maps a membership-transition error onto the training vocabulary.
+fn membership_err(t: u64, w: usize, e: MembershipError) -> TrainError {
+    match e {
+        MembershipError::LastWorker { .. } => TrainError::WorkerLost {
+            worker: w,
+            iteration: t,
+            detail: "no other active worker can own its shards".to_string(),
+        },
+        other => TrainError::InvalidPlan(format!("membership: {other}")),
+    }
+}
+
+impl ElasticPlacement {
+    /// Brings an elastic cluster up: checks the shape, starts the initial
+    /// slots, runs the initial shard placement and arms chaos. Returns the
+    /// core, the placement's cost report and the policy
+    /// ([`ColumnSgdEngine::new_elastic_clustered`] documents the errors).
+    pub(crate) fn open(
         dataset: &Dataset,
         cfg: ElasticConfig,
         net: NetworkModel,
         plan: FailurePlan,
         recorder: Recorder,
         cluster: &ClusterConfig,
-    ) -> Result<Self, TrainError> {
+    ) -> Result<(MasterCore, LoadReport, Self), TrainError> {
         if cluster.transport != TransportKind::InProc {
             return Err(TrainError::InvalidPlan(format!(
                 "the elastic engine requires the in-process transport \
@@ -358,170 +357,9 @@ impl ElasticEngine {
         // Chaos applies from here on: the initial placement models the
         // HDFS read, outside the paper's fault model.
         core.rt.master.router().arm_chaos();
-        Ok(Self {
-            core,
-            load_report,
-            placement,
-        })
+        Ok((core, load_report, placement))
     }
 
-    /// Runs the elastic training loop.
-    ///
-    /// # Errors
-    /// The static engine's contract ([`TrainError`]), plus
-    /// [`TrainError::WorkerLost`] when the last active worker dies or a
-    /// shard migration fails from every source.
-    pub fn train(&mut self) -> Result<ElasticOutcome, TrainError> {
-        let out = self.core.train(&mut self.placement)?;
-        let p = &self.placement;
-        Ok(ElasticOutcome {
-            curve: out.curve,
-            clock: out.clock,
-            recovery: out.recovery,
-            run: out.run,
-            diagnostics: out.diagnostics,
-            membership_log: p.membership.log().to_vec(),
-            migrations: p.migrations,
-            migration_bytes: p.migration_bytes,
-            speculative_wins: p.spec_wins,
-            speculative_losses: p.spec_losses,
-        })
-    }
-
-    /// The run's identity stamp (`workers` counts registered slots).
-    pub fn run_stamp(&self) -> RunStamp {
-        self.core.run_stamp()
-    }
-
-    /// The attached telemetry recorder.
-    pub fn recorder(&self) -> &Recorder {
-        &self.core.rt.recorder
-    }
-
-    /// Attaches an online diagnostics [`Monitor`]; its straggler alarm is
-    /// also what arms speculative backup execution.
-    pub fn attach_monitor(&mut self, monitor: Monitor) {
-        self.core.rt.monitor = monitor;
-    }
-
-    /// The attached diagnostics monitor.
-    pub fn monitor(&self) -> &Monitor {
-        &self.core.rt.monitor
-    }
-
-    /// Attaches a [`MetricsRegistry`], fed once per superstep (see
-    /// [`crate::ColumnSgdEngine::attach_metrics`]; per-worker gauges are
-    /// per slot, idle slots reading 0).
-    pub fn attach_metrics(&mut self, metrics: MetricsRegistry) {
-        self.core.rt.attach_metrics(metrics);
-    }
-
-    /// The shared traffic meter.
-    pub fn traffic(&self) -> &TrafficStats {
-        &self.core.rt.traffic
-    }
-
-    /// The initial-placement cost report.
-    pub fn load_report(&self) -> LoadReport {
-        self.load_report
-    }
-
-    /// The membership state machine (read-only).
-    pub fn membership(&self) -> &Membership {
-        &self.placement.membership
-    }
-
-    /// The model dimension m.
-    pub fn dim(&self) -> u64 {
-        self.core.dim
-    }
-
-    /// Fetches every live shard copy as `(worker, pid, params)` — the
-    /// replica-consistency audit surface: after a clean run, all copies of
-    /// a partition must be bit-identical.
-    ///
-    /// # Errors
-    /// [`TrainError::Network`] when an active worker cannot answer within
-    /// the bulk deadline.
-    pub fn collect_replicas(&mut self) -> Result<Vec<(usize, usize, ParamSet)>, TrainError> {
-        let mut copies: Vec<(usize, usize, ParamSet)> = self
-            .core
-            .fetch_models(&self.placement.membership.active())?
-            .into_iter()
-            .flat_map(|(w, parts)| parts.into_iter().map(move |(pid, local)| (w, pid, local)))
-            .collect();
-        copies.sort_by_key(|&(w, pid, _)| (pid, w));
-        Ok(copies)
-    }
-
-    /// Gathers every partition from the active workers and reassembles
-    /// the full model (inspection path; reliable plane).
-    ///
-    /// # Errors
-    /// [`TrainError::Network`] when an active worker cannot answer within
-    /// the bulk deadline.
-    pub fn collect_model(&mut self) -> Result<ParamSet, TrainError> {
-        self.core.collect_model(&self.placement.membership.active())
-    }
-}
-
-/// Fresh model parameters for partition `pid` — identical to what the
-/// static engine's workers initialize (same seed, same global index
-/// mapping), so elastic and static runs start from the same model.
-fn init_params_for(core: &MasterCore, pid: usize) -> ParamSet {
-    let part = core.partitioner();
-    let local_dim = part.local_dim(pid, core.dim);
-    core.cfg
-        .model
-        .init_params(local_dim, core.cfg.seed, |slot| {
-            part.global_index(pid, slot)
-        })
-}
-
-/// Rebuilds partition `pid`'s worksets from the master's block store
-/// (the "HDFS" source), in block order.
-fn shard_worksets(core: &MasterCore, pid: usize) -> Vec<Workset> {
-    let part = core.partitioner();
-    core.blocks
-        .iter()
-        .map(|b| {
-            let mut sets = split_block(b, &part);
-            sets.swap_remove(pid)
-        })
-        .collect()
-}
-
-/// Waits for `ShardInstalled {pid, epoch}` from `to`, buffering
-/// unrelated traffic. Returns `false` on timeout (caller falls back to
-/// the next source).
-fn await_install(
-    core: &mut MasterCore,
-    t: u64,
-    pid: usize,
-    epoch: u64,
-    to: usize,
-) -> Result<bool, TrainError> {
-    let wait = core.bulk_deadline();
-    let installed = |m: &ColMsg| {
-        matches!(m, ColMsg::ShardInstalled { pid: p, epoch: e, worker }
-            if (*p, *e, *worker) == (pid, epoch, to))
-    };
-    Ok(core.rt.await_reply(t, wait, installed)?.is_some())
-}
-
-/// Maps a membership-transition error onto the training vocabulary.
-fn membership_err(t: u64, w: usize, e: MembershipError) -> TrainError {
-    match e {
-        MembershipError::LastWorker { .. } => TrainError::WorkerLost {
-            worker: w,
-            iteration: t,
-            detail: "no other active worker can own its shards".to_string(),
-        },
-        other => TrainError::InvalidPlan(format!("membership: {other}")),
-    }
-}
-
-impl ElasticPlacement {
     /// Initial shard placement: the master splits every block and ships
     /// each logical partition's shard (worksets + init parameters) to its
     /// primary — and, under replication, its backup — then barriers on the
@@ -802,7 +640,9 @@ impl ElasticPlacement {
 }
 
 impl Placement for ElasticPlacement {
-    const LABEL: &'static str = "ColumnSGD-elastic";
+    fn label(&self) -> &'static str {
+        "ColumnSGD-elastic"
+    }
 
     /// Membership transitions and policy hooks, then one task per
     /// partition, as Spark schedules one task per RDD partition.
@@ -916,8 +756,24 @@ impl Placement for ElasticPlacement {
         Ok(moved)
     }
 
+    /// Exactly the active members: `(0..slots).filter(in_service)` is
+    /// [`Membership::active`].
     fn in_service(&self, w: usize) -> bool {
         self.membership.state(w) == Some(WorkerState::Active)
+    }
+
+    fn membership(&self) -> Option<&Membership> {
+        Some(&self.membership)
+    }
+
+    fn ledger(&self) -> Option<ElasticLedger> {
+        Some(ElasticLedger {
+            membership_log: self.membership.log().to_vec(),
+            migrations: self.migrations,
+            migration_bytes: self.migration_bytes,
+            speculative_wins: self.spec_wins,
+            speculative_losses: self.spec_losses,
+        })
     }
 
     /// The speculation race and the canonical aggregation. Statistics
@@ -1077,18 +933,20 @@ mod tests {
             .with_iterations(2)
             .with_seed(3)
             .with_deadline_ms(DEADLINE_MS);
-        let mut engine = ElasticEngine::new(
+        let (mut core, _, mut placement) = ElasticPlacement::open(
             &ds,
             ElasticConfig::new(cfg, 3, 3).with_replication(),
             NetworkModel::INSTANT,
             FailurePlan::none(),
+            Recorder::disabled(),
+            &ClusterConfig::in_proc(),
         )
         .expect("elastic engine");
 
         // Kill worker 1 *silently*: swapping its mailbox disconnects the
         // running thread (it exits without a panic report) while the held
         // replacement keeps accepting sends that nobody will ever answer.
-        let router = engine.core.rt.master.router().clone();
+        let router = core.rt.master.router().clone();
         let _black_hole = router.reregister(NodeId::Worker(1), 0);
 
         // Stray control answers, four per detection window, for 20 windows
@@ -1114,7 +972,7 @@ mod tests {
                 }
             })
         };
-        let out = engine.train();
+        let out = core.train(&mut placement);
         stop.store(true, Ordering::Relaxed);
         trickle.join().expect("trickle thread");
 

@@ -1,7 +1,9 @@
-//! The static ColumnSGD engine: bring-up and bulk data loading, plus the
+//! The ColumnSGD engine, one type for both membership policies: its
+//! constructors, bring-up and bulk data loading, plus the
 //! fixed-worker-set policy (`FixedWorkers`) over the one superstep loop
 //! in `master.rs` — respawn and reload, S-backup groups, stale
-//! statistics.
+//! statistics. The elastic policy and its shard placement live in
+//! `elastic.rs`.
 //!
 //! # Reactive fault tolerance
 //!
@@ -24,8 +26,8 @@
 
 use columnsgd_cluster::telemetry::{MetricsRegistry, RunStamp};
 use columnsgd_cluster::{
-    metered_bytes, ClusterConfig, Diagnostics, Envelope, FailurePlan, LinkStats, Monitor, NetError,
-    NetworkModel, NodeId, Recorder, SimClock, TrafficStats,
+    metered_bytes, ClusterConfig, Diagnostics, Envelope, FailurePlan, LinkStats, Membership,
+    Monitor, NetError, NetworkModel, NodeId, Recorder, SimClock, TrafficStats,
 };
 use columnsgd_data::block::Block;
 use columnsgd_data::Dataset;
@@ -34,6 +36,7 @@ use columnsgd_ml::spec::reduce_stats;
 use columnsgd_ml::ParamSet;
 
 use crate::config::{ColumnSgdConfig, StaleStats};
+use crate::elastic::{ElasticConfig, ElasticLedger, ElasticPlacement};
 use crate::error::{FaultKind, RecoveryEvent, TrainError};
 use crate::master::{LoadReport, Lost, MasterCore, Placement, Reduced, Step, Straggler, Task};
 use crate::msg::ColMsg;
@@ -56,6 +59,9 @@ pub struct TrainOutcome {
     /// End-of-run diagnostics from the online [`Monitor`] (empty unless
     /// one was attached with [`ColumnSgdEngine::attach_monitor`]).
     pub diagnostics: Diagnostics,
+    /// The membership, migration and speculation ledger of an elastic
+    /// run; `None` for a fixed worker set and for the RowSGD baselines.
+    pub elastic: Option<ElasticLedger>,
 }
 
 impl TrainOutcome {
@@ -66,18 +72,26 @@ impl TrainOutcome {
     }
 }
 
-/// The ColumnSGD driver: one master endpoint plus K supervised workers —
+/// The ColumnSGD driver: one master endpoint plus supervised workers —
 /// guarded threads (in-process transport) or child processes (TCP
-/// transport), chosen by [`ClusterConfig`].
+/// transport), chosen by [`ClusterConfig`] — over one of two membership
+/// policies:
 ///
-/// What it shares with the elastic engine (the worker host, the
-/// superstep loop with its barriers, deadlines and probing, metrics, the
-/// model gather) lives in the master core; this file keeps what a *fixed*
-/// worker set adds: bulk loading, respawn + partition reload, S-backup
-/// groups, and stale statistics.
+/// * a **fixed** worker set ([`ColumnSgdEngine::new`] and its siblings):
+///   K workers for the whole run, bulk loading, respawn + partition
+///   reload, S-backup groups and stale statistics;
+/// * **elastic** membership ([`ColumnSgdEngine::new_elastic`]): workers
+///   join, leave and crash mid-run, shards migrate, and a straggler's
+///   partitions can be raced on their replicas.
+///
+/// Both run the same superstep loop, worker host, metrics and model
+/// gather; only the policy differs.
 pub struct ColumnSgdEngine {
     core: MasterCore,
     load_report: LoadReport,
+    /// The membership policy the superstep loop runs over. A trait object
+    /// rather than an enum: nothing here branches on which one it is.
+    policy: Box<dyn Placement + Send>,
 }
 
 impl ColumnSgdEngine {
@@ -186,7 +200,66 @@ impl ColumnSgdEngine {
         // Chaos only applies from here on: losing a load message would
         // model an HDFS failure, outside the paper's fault model.
         core.rt.master.router().arm_chaos();
-        Ok(Self { core, load_report })
+        Ok(Self {
+            core,
+            load_report,
+            policy: Box::new(FixedWorkers),
+        })
+    }
+
+    /// Builds an elastic engine in-process with telemetry off: runs the
+    /// initial shard placement and waits for every shard (and replica) to
+    /// install.
+    ///
+    /// # Errors
+    /// [`TrainError::InvalidPlan`] for impossible shapes (zero workers,
+    /// `initial_workers > max_workers`, `backup_s != 0`, replication with
+    /// one worker, bad failure plans) and [`TrainError::LoadFailed`] for an
+    /// empty dataset or when the initial placement does not complete.
+    pub fn new_elastic(
+        dataset: &Dataset,
+        cfg: ElasticConfig,
+        net: NetworkModel,
+        plan: FailurePlan,
+    ) -> Result<Self, TrainError> {
+        Self::new_elastic_clustered(
+            dataset,
+            cfg,
+            net,
+            plan,
+            Recorder::disabled(),
+            &ClusterConfig::in_proc(),
+        )
+    }
+
+    /// [`ColumnSgdEngine::new_elastic`] with a telemetry [`Recorder`]
+    /// attached and an explicit transport backend selection.
+    ///
+    /// Elastic membership is in-process only for now. The shared worker
+    /// host no longer stands in the way — a slot is started at its `Join`
+    /// on either backend — but a `columnsgd-worker` process cannot yet be
+    /// booted without partitions, and no workload or test exercises
+    /// membership changes over sockets. Rejected loudly here rather than
+    /// failing deep inside a scale event.
+    ///
+    /// # Errors
+    /// [`TrainError::InvalidPlan`] when `cluster` selects the TCP
+    /// backend; otherwise the [`ColumnSgdEngine::new_elastic`] contract.
+    pub fn new_elastic_clustered(
+        dataset: &Dataset,
+        cfg: ElasticConfig,
+        net: NetworkModel,
+        plan: FailurePlan,
+        recorder: Recorder,
+        cluster: &ClusterConfig,
+    ) -> Result<Self, TrainError> {
+        let (core, load_report, placement) =
+            ElasticPlacement::open(dataset, cfg, net, plan, recorder, cluster)?;
+        Ok(Self {
+            core,
+            load_report,
+            policy: Box::new(placement),
+        })
     }
 
     /// The loading cost report.
@@ -199,7 +272,7 @@ impl ColumnSgdEngine {
         &self.core.rt.traffic
     }
 
-    /// Number of workers.
+    /// Number of worker slots (K; `max_workers` when elastic).
     pub fn num_workers(&self) -> usize {
         self.core.slots
     }
@@ -209,14 +282,30 @@ impl ColumnSgdEngine {
     /// # Errors
     /// Returns [`TrainError::RetriesExhausted`] when one worker's task
     /// keeps failing past the retry budget, [`TrainError::WorkerLost`]
-    /// when a worker cannot be brought back, and [`TrainError::Network`]
-    /// if the master's own mailbox fails.
+    /// when a worker cannot be brought back (elastic: when the last active
+    /// worker dies or a shard migration fails from every source),
+    /// [`TrainError::Network`] if the master's own mailbox fails, and
+    /// [`TrainError::Diverged`] when the monitor's loss guard trips.
     pub fn train(&mut self) -> Result<TrainOutcome, TrainError> {
-        self.core.train(&mut FixedWorkers)
+        self.core.train(self.policy.as_mut())
+    }
+
+    /// The membership state machine of an elastic engine (read-only);
+    /// `None` for a fixed worker set.
+    pub fn membership(&self) -> Option<&Membership> {
+        self.policy.membership()
+    }
+
+    /// The slots the policy keeps in service: every slot of a fixed
+    /// worker set, the active members of an elastic one.
+    fn in_service(&self) -> Vec<usize> {
+        let slots = 0..self.core.slots;
+        slots.filter(|&w| self.policy.in_service(w)).collect()
     }
 
     /// The identity stamp describing this engine's run (also written on
-    /// every telemetry record when tracing is enabled).
+    /// every telemetry record when tracing is enabled; `workers` counts
+    /// registered slots).
     pub fn run_stamp(&self) -> RunStamp {
         self.core.run_stamp()
     }
@@ -230,7 +319,8 @@ impl ColumnSgdEngine {
     /// Attaches an online diagnostics [`Monitor`]: every superstep's
     /// post-barrier observations (per-worker compute, cumulative sent
     /// bytes, batch loss) are fed through its streaming detectors, and a
-    /// stop request becomes [`TrainError::Diverged`].
+    /// stop request becomes [`TrainError::Diverged`]. Under elastic
+    /// speculation its straggler alarm is also what arms a race.
     pub fn attach_monitor(&mut self, monitor: Monitor) {
         self.core.rt.monitor = monitor;
     }
@@ -244,23 +334,45 @@ impl ColumnSgdEngine {
     /// Attaches a [`MetricsRegistry`]: registers the engine's metric
     /// families and, from then on, exports one sample set per superstep
     /// from observations the engine already collects — the data plane is
-    /// never metered twice.
+    /// never metered twice. Per-worker gauges are per slot; an elastic
+    /// engine's idle slots read 0.
     pub fn attach_metrics(&mut self, metrics: MetricsRegistry) {
         self.core.rt.attach_metrics(metrics);
     }
 
-    /// Gathers every model partition and reassembles the full model —
-    /// an inspection path for tests/examples, not part of the paper's
-    /// training protocol (ColumnSGD never materializes the full model).
-    /// Runs on the reliable plane so chaos cannot wedge it.
+    /// Gathers every model partition from the in-service workers and
+    /// reassembles the full model — an inspection path for tests and
+    /// examples, not part of the paper's training protocol (ColumnSGD
+    /// never materializes the full model). Runs on the reliable plane so
+    /// chaos cannot wedge it.
     ///
     /// # Errors
     /// Returns [`TrainError::Network`] when a worker cannot answer within
-    /// the bulk deadline — after a successful `train()` every worker is
-    /// alive, so this only fires when the cluster is already broken.
+    /// the bulk deadline — after a successful `train()` every in-service
+    /// worker is alive, so this only fires when the cluster is already
+    /// broken.
     pub fn collect_model(&mut self) -> Result<ParamSet, TrainError> {
-        let workers: Vec<usize> = (0..self.core.slots).collect();
+        let workers = self.in_service();
         self.core.collect_model(&workers)
+    }
+
+    /// Fetches every live partition copy as `(worker, pid, params)`,
+    /// sorted by partition then worker — the replica-consistency audit
+    /// surface: after a run, all copies of a partition (S-backup group
+    /// members, or elastic primary and backup) must be bit-identical.
+    ///
+    /// # Errors
+    /// Same contract as [`ColumnSgdEngine::collect_model`].
+    pub fn collect_replicas(&mut self) -> Result<Vec<(usize, usize, ParamSet)>, TrainError> {
+        let workers = self.in_service();
+        let mut copies: Vec<(usize, usize, ParamSet)> = self
+            .core
+            .fetch_models(&workers)?
+            .into_iter()
+            .flat_map(|(w, parts)| parts.into_iter().map(move |(pid, local)| (w, pid, local)))
+            .collect();
+        copies.sort_by_key(|&(w, pid, _)| (pid, w));
+        Ok(copies)
     }
 
     /// The model dimension m.
@@ -313,7 +425,7 @@ fn load(core: &mut MasterCore) -> Result<LoadReport, TrainError> {
     Ok(core.price_load())
 }
 
-/// The static engine's [`Placement`]: a fixed worker set. Every slot
+/// The fixed-membership [`Placement`]: a fixed worker set. Every slot
 /// computes everything it holds; a lost worker is respawned (or reloaded in
 /// place) and rejoins the superstep; S-backup groups excuse a lost member
 /// from the gather, and stale-statistics mode abandons the straggler.
@@ -330,7 +442,9 @@ fn stale_victim(core: &MasterCore, straggler: Straggler) -> Option<(StaleStats, 
 }
 
 impl Placement for FixedWorkers {
-    const LABEL: &'static str = "ColumnSGD";
+    fn label(&self) -> &'static str {
+        "ColumnSGD"
+    }
 
     /// One whole-worker task per slot, so task `w` is worker `w`'s.
     fn place(&mut self, core: &mut MasterCore, step: &mut Step) -> Result<(), TrainError> {
@@ -364,8 +478,9 @@ impl Placement for FixedWorkers {
         // S-backup lets the master *excuse* a lost group member from the
         // gather barrier: a surviving replica's reply covers the whole
         // group (§IV-B), so the superstep completes without waiting for
-        // the respawned worker's redundant answer. The fresh task still
-        // runs so the worker can apply this iteration's update.
+        // the respawned worker's redundant answer, and never counts it.
+        // The fresh task still runs so the worker can apply this
+        // iteration's update.
         let r = core.cfg.backup_s + 1;
         let g = w / r;
         if (g * r..(g + 1) * r).any(|m| m != w && !step.tasks[m].excused) {
@@ -378,8 +493,8 @@ impl Placement for FixedWorkers {
     /// every group* has answered; slower replicas (stragglers) are killed
     /// (§IV-B). Replicas are bit-identical, so one representative per
     /// group is aggregated: the fastest member *that answered* (ties break
-    /// to the lowest id) — an excused crash has no partial and can never
-    /// represent its group.
+    /// to the lowest id). An excused crash never takes a reply, so it can
+    /// neither represent its group nor be priced in the gather.
     fn reduce(
         &mut self,
         core: &MasterCore,
@@ -413,7 +528,7 @@ impl Placement for FixedWorkers {
             stat_phase = stat_phase.max(reply.compute_s);
             reduce_stats(&mut agg, &reply.partial);
             // Everyone who is not a killed straggler transmits; an excused
-            // crash never answered, so it transmits nothing.
+            // crash takes no reply, so it is never counted as sending.
             let killed = |m: usize| r > 1 && straggler.is_some_and(|(v, _)| v == m) && m != fastest;
             let sent = members.filter(|&m| !killed(m)).filter_map(answered);
             gather = sent.fold(gather, |sum, reply| sum + LinkStats::message(reply.bytes));

@@ -21,12 +21,15 @@
 //! * [`worker`]: the worker node — workset storage, two-phase-index batch
 //!   sampling, statistics computation, local model updates, S-backup
 //!   replica groups,
-//! * [`engine`]: the master/driver — block-based column dispatch (§IV-A),
-//!   the BSP training loop, straggler recovery via backup computation
-//!   (§IV-B), and detection-based recovery from the failures of §X,
+//! * [`engine`]: the master/driver, [`ColumnSgdEngine`] — block-based
+//!   column dispatch (§IV-A), the BSP training loop, straggler recovery
+//!   via backup computation (§IV-B), and detection-based recovery from
+//!   the failures of §X, over a fixed worker set,
+//! * [`elastic`]: the same engine over elastic membership — workers join,
+//!   leave and crash mid-run, shards migrate, stragglers are raced,
 //! * [`error`]: typed training errors ([`TrainError`]) and the
 //!   recovery-event log ([`RecoveryEvent`]),
-//! * [`runtime`]: the message-generic master runtime the engines and the
+//! * [`runtime`]: the message-generic master runtime the engine and the
 //!   RowSGD baselines share — worker host, mailbox, slot barrier,
 //!   superstep tail.
 
@@ -61,9 +64,7 @@ pub mod runtime;
 pub mod worker;
 
 pub use config::{ColumnSgdConfig, PartitionScheme};
-pub use elastic::{
-    ElasticAction, ElasticConfig, ElasticEngine, ElasticEvent, ElasticOutcome, ScalePolicy,
-};
+pub use elastic::{ElasticAction, ElasticConfig, ElasticEvent, ElasticLedger, ScalePolicy};
 pub use engine::{ColumnSgdEngine, TrainOutcome};
 pub use error::{DetectionMethod, FaultKind, RecoveryEvent, TrainError};
 pub use master::LoadReport;

@@ -1,12 +1,12 @@
 //! The master core: Algorithm 3's superstep loop, written once, and
-//! everything else the static and the elastic engine do the same way.
+//! everything else a fixed and an elastic worker set do the same way.
 //!
-//! Both engines drive the same BSP superstep from one master endpoint —
-//! issue `computeStatistics`, gather, reduce, broadcast, `updateModel`,
-//! barrier — and differ only in a [`Placement`] policy: *who* computes
-//! which partitions and *what a missing worker means* (a fixed worker set
-//! with respawn, reload and S-backup groups, versus a membership state
-//! machine with shard migration and speculation). The loop
+//! Both membership policies drive the same BSP superstep from one master
+//! endpoint — issue `computeStatistics`, gather, reduce, broadcast,
+//! `updateModel`, barrier — and differ only in their [`Placement`]: *who*
+//! computes which partitions and *what a missing worker means* (a fixed
+//! worker set with respawn, reload and S-backup groups, versus a
+//! membership state machine with shard migration and speculation). The loop
 //! ([`MasterCore::train`]) lives here with what it needs: the [`Task`]
 //! table, the recovery-aware barrier with its absolute detection
 //! deadlines, the probe that classifies a silent worker, the retry budget,
@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use columnsgd_cluster::telemetry::{ProfScope, RunStamp};
 use columnsgd_cluster::{
     metered_bytes, spawn_guarded, ClusterConfig, Endpoint, Envelope, FailurePlan, Launcher,
-    LinkStats, NetError, NetworkModel, NodeId, Recorder, SimClock,
+    LinkStats, Membership, NetError, NetworkModel, NodeId, Recorder, SimClock,
 };
 use columnsgd_data::block::Block;
 use columnsgd_data::index::RowAddr;
@@ -35,6 +35,7 @@ use columnsgd_ml::metrics::Curve;
 use columnsgd_ml::ParamSet;
 
 use crate::config::ColumnSgdConfig;
+use crate::elastic::ElasticLedger;
 use crate::engine::TrainOutcome;
 use crate::error::{DetectionMethod, FaultKind, RecoveryEvent, TrainError};
 use crate::host::{BootSpec, ColBoot};
@@ -88,8 +89,10 @@ pub(crate) struct Task {
     pub duplicate_of: Option<usize>,
     pub reply: Option<TaskReply>,
     /// The gather barrier no longer waits for this task: its worker was
-    /// lost and somebody else covers the partitions. A reply that still
-    /// lands before the barrier closes folds like any other.
+    /// lost and somebody else covers the partitions. An excused task never
+    /// takes a reply — one that still lands before the barrier closes is
+    /// dropped, so the gather counts (and prices) the same replies on
+    /// every run. Its worker still computes, so it can apply the update.
     pub excused: bool,
 }
 
@@ -161,11 +164,12 @@ impl Step {
 
     /// The task a reply from `worker` covering `pids` answers, success or
     /// failure alike. Duplicates (chaos, redundant re-issues) find their
-    /// task already answered and match nothing.
+    /// task already answered, and an excused task's reply finds it
+    /// excused: both match nothing.
     fn awaiting(&self, worker: usize, pids: &[usize]) -> Option<usize> {
         self.tasks
             .iter()
-            .position(|task| task.worker == worker && task.reply.is_none() && task.pids == pids)
+            .position(|task| task.worker == worker && task.outstanding() && task.pids == pids)
     }
 
     /// Per-slot `(compute, sample)` seconds as billed to telemetry and the
@@ -222,11 +226,12 @@ pub(crate) struct Reduced {
 /// The straggler injected into a superstep: `(victim slot, factor)`.
 pub(crate) type Straggler = Option<(usize, f64)>;
 
-/// What differs between the engines that run [`MasterCore::train`]: who
-/// computes which partitions, and what a missing worker means.
+/// What differs between the membership policies [`MasterCore::train`]
+/// runs over: who computes which partitions, and what a missing worker
+/// means.
 pub(crate) trait Placement {
     /// Name of the convergence curve.
-    const LABEL: &'static str;
+    fn label(&self) -> &'static str;
 
     /// Applies whatever changes the worker set between supersteps and
     /// fills `step.tasks` with this superstep's statistics tasks.
@@ -247,6 +252,17 @@ pub(crate) trait Placement {
     /// Whether slot `w` is expected to answer at all.
     fn in_service(&self, _w: usize) -> bool {
         true
+    }
+
+    /// The membership state machine, for a policy that has one.
+    fn membership(&self) -> Option<&Membership> {
+        None
+    }
+
+    /// The membership, migration and speculation ledger the outcome
+    /// carries, for a policy that keeps one.
+    fn ledger(&self) -> Option<ElasticLedger> {
+        None
     }
 
     /// Reduces the gathered (straggler-inflated) replies.
@@ -343,11 +359,11 @@ impl Launcher<ColMsg> for ColLauncher {
     }
 }
 
-/// The state and plumbing of a ColumnSGD master that both engines share.
+/// The state and plumbing of a ColumnSGD master that both policies share.
 pub(crate) struct MasterCore {
     pub cfg: ColumnSgdConfig,
     /// Worker slots, which is also the number of logical column
-    /// partitions (K for the static engine, `max_workers` for the elastic).
+    /// partitions (K for a fixed worker set, `max_workers` for an elastic one).
     pub slots: usize,
     pub net: NetworkModel,
     pub plan: FailurePlan,
@@ -688,7 +704,7 @@ impl MasterCore {
     }
 }
 
-/// Algorithm 3, once: the superstep loop both engines run, over a
+/// Algorithm 3, once: the superstep loop both policies run, over a
 /// [`Placement`] policy.
 impl MasterCore {
     /// Runs the full training loop and returns the outcome.
@@ -699,14 +715,14 @@ impl MasterCore {
     /// policy cannot bring a worker back or re-own its partitions,
     /// [`TrainError::Network`] if the master's own mailbox fails, and
     /// [`TrainError::Diverged`] when the monitor's loss guard trips.
-    pub fn train<P: Placement>(&mut self, p: &mut P) -> Result<TrainOutcome, TrainError> {
+    pub fn train(&mut self, p: &mut dyn Placement) -> Result<TrainOutcome, TrainError> {
         let out = self.train_inner(p);
         self.rt.record_fatal(out)
     }
 
-    fn train_inner<P: Placement>(&mut self, p: &mut P) -> Result<TrainOutcome, TrainError> {
+    fn train_inner(&mut self, p: &mut dyn Placement) -> Result<TrainOutcome, TrainError> {
         let mut clock = SimClock::new();
-        let mut curve = Curve::new(P::LABEL);
+        let mut curve = Curve::new(p.label());
         let mut step = Step::new(self.slots);
 
         for t in 0..self.cfg.iterations {
@@ -821,6 +837,7 @@ impl MasterCore {
             recovery: step.recovery,
             run: self.run_stamp(),
             diagnostics: self.rt.monitor.report(),
+            elastic: p.ledger(),
         })
     }
 
@@ -850,9 +867,9 @@ impl MasterCore {
     /// Issues task `i`. A dead mailbox is a detected worker failure: the
     /// policy recovers and the task (or whatever replaced it) goes out
     /// again.
-    fn issue<P: Placement>(
+    fn issue(
         &mut self,
-        p: &mut P,
+        p: &mut dyn Placement,
         step: &mut Step,
         i: usize,
     ) -> Result<(), TrainError> {
@@ -869,9 +886,9 @@ impl MasterCore {
     /// the worker's ack was already counted, in which case the applied
     /// update died with it (exactly the §X data-loss semantics) and there
     /// is nothing to re-await.
-    fn worker_lost<P: Placement>(
+    fn worker_lost(
         &mut self,
-        p: &mut P,
+        p: &mut dyn Placement,
         step: &mut Step,
         w: usize,
         detection: DetectionMethod,
@@ -923,9 +940,9 @@ impl MasterCore {
     /// pids)`. A failed task (§X: "start a new task … no additional work on
     /// data loading is required") is logged and that task re-sent. Returns
     /// whether the reply answered anything.
-    fn fold_reply<P: Placement>(
+    fn fold_reply(
         &mut self,
-        p: &mut P,
+        p: &mut dyn Placement,
         step: &mut Step,
         worker: usize,
         pids: &[usize],
@@ -934,13 +951,20 @@ impl MasterCore {
     ) -> Result<bool, TrainError> {
         let Some(i) = step.awaiting(worker, pids) else {
             // A duplicate (chaos), or a partial cover from a raced
-            // migration: drop; the deadline path re-drives if needed.
-            eprintln!(
-                "master: dropping unmatched statistics from worker {worker} \
-                 ({} pids) at t={}",
-                pids.len(),
-                step.t
-            );
+            // migration: drop; the deadline path re-drives if needed. An
+            // excused task's answer is expected and dropped quietly.
+            let tasks = step.tasks.iter();
+            if !tasks
+                .filter(|task| task.excused)
+                .any(|task| task.worker == worker && task.pids == pids)
+            {
+                eprintln!(
+                    "master: dropping unmatched statistics from worker {worker} \
+                     ({} pids) at t={}",
+                    pids.len(),
+                    step.t
+                );
+            }
             return Ok(false);
         };
         if task_failed {
@@ -966,9 +990,9 @@ impl MasterCore {
     /// buffered evidence is probed: alive and loaded means a lost task or
     /// message (re-sent), anything else a lost worker.
     #[deny(clippy::wildcard_enum_match_arm)]
-    fn barrier<P: Placement>(
+    fn barrier(
         &mut self,
-        p: &mut P,
+        p: &mut dyn Placement,
         step: &mut Step,
         mut acks: Option<&mut Acks<'_>>,
     ) -> Result<f64, TrainError> {
@@ -1219,7 +1243,9 @@ mod tests {
     struct NoPlacement;
 
     impl Placement for NoPlacement {
-        const LABEL: &'static str = "test";
+        fn label(&self) -> &'static str {
+            "test"
+        }
         fn place(&mut self, _: &mut MasterCore, _: &mut Step) -> Result<(), TrainError> {
             unreachable!()
         }
@@ -1250,7 +1276,7 @@ mod tests {
         }
     }
 
-    /// A step over one whole-worker task per slot, as the static engine
+    /// A step over one whole-worker task per slot, as the fixed policy
     /// places them.
     fn whole_worker_step(slots: usize) -> Step {
         let mut step = Step::new(slots);
@@ -1319,8 +1345,27 @@ mod tests {
         assert_eq!(kept.partial, vec![7.0]);
     }
 
+    /// An excused task never takes a reply: the S-backup gather counts
+    /// the surviving replica alone, however early the respawned member's
+    /// redundant answer lands.
+    #[test]
+    fn excused_task_takes_no_reply() {
+        let mut core = idle_core(2);
+        let mut step = whole_worker_step(2);
+        let p = &mut NoPlacement;
+        step.tasks[1].excused = true;
+        let late = core.fold_reply(p, &mut step, 1, &[], reply(vec![5.0], 1.0, 0.5), false);
+        assert!(!late.expect("fold"));
+        assert!(step.tasks[1].reply.is_none());
+        assert_eq!(step.lane_times(2), (vec![0.0, 0.0], vec![0.0, 0.0]));
+        // Nor does a failed attempt of it count against the retry budget.
+        let failed = core.fold_reply(p, &mut step, 1, &[], reply(Vec::new(), 1.0, 0.5), true);
+        assert!(!failed.expect("fold"));
+        assert_eq!((step.recovery.len(), step.attempts[1]), (0, 0));
+    }
+
     /// A trace that disagrees with the meter ends the run with a typed
-    /// error — for both engines, since both close through here — never a
+    /// error — for every policy, since all close through here — never a
     /// panic.
     #[test]
     fn trace_meter_divergence_is_a_typed_error() {

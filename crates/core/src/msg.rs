@@ -146,7 +146,7 @@ pub enum ColMsg {
         parts: Vec<(usize, ParamSet)>,
     },
     /// Master → worker: run `computeStatistics` over an explicit partition
-    /// subset (elastic engine). The primary request names the worker's own
+    /// subset (elastic membership). The primary request names the worker's own
     /// primaries; a speculative duplicate names a straggler's primaries
     /// that this worker holds as backups.
     ComputeStatsFor {
@@ -160,7 +160,7 @@ pub enum ColMsg {
         pids: Vec<usize>,
     },
     /// Worker → master: partial statistics for an explicit partition set
-    /// (elastic engine; mirrors [`ColMsg::StatsReply`]).
+    /// (elastic membership; mirrors [`ColMsg::StatsReply`]).
     StatsReplyFor {
         /// Iteration these statistics belong to.
         iteration: u64,

@@ -102,7 +102,7 @@ struct Partition {
     stats: Vec<f64>,
     scratch: UpdateScratch,
     /// Membership epoch of the install that produced this partition copy
-    /// (always 0 in the static engine). A migration stamped with an older
+    /// (always 0 for a fixed worker set). A migration stamped with an older
     /// epoch can never overwrite a newer copy.
     epoch: u64,
     /// Set when the last `rebuild_batch` hit a missing block (kernels run
@@ -693,15 +693,16 @@ fn serve_stats(
     }
 }
 
-/// The worker mailbox loop — the one executor behind both engines. Runs
+/// The worker mailbox loop — the one executor behind both membership
+/// policies. Runs
 /// until [`ColMsg::Shutdown`] or the master disappears; panics (scripted,
 /// chaos, or genuine bugs) unwind out of here and are converted into
 /// [`ColMsg::WorkerPanic`] by the guarded spawn in the engine.
 ///
 /// The loop serves the whole worker-bound protocol: the bulk load/reload
-/// stream of the static engine (`held` names the partitions the worker
-/// owns from the start) *and* the shard-at-a-time traffic of the elastic
-/// engine (`held` empty; shards arrive as [`ColMsg::ShardData`], tasks name
+/// stream of a fixed worker set (`held` names the partitions the worker
+/// owns from the start) *and* the shard-at-a-time traffic of elastic
+/// membership (`held` empty; shards arrive as [`ColMsg::ShardData`], tasks name
 /// partition subsets, the held set changes over the worker's lifetime).
 ///
 /// `recorder` receives this worker's kernel and guard records: a clone of

@@ -11,7 +11,8 @@
 
 use columnsgd_cluster::{ChaosSpec, FailurePlan, NetworkModel, WorkerState};
 use columnsgd_core::{
-    ColumnSgdConfig, ElasticAction, ElasticConfig, ElasticEngine, ElasticEvent, ElasticOutcome,
+    ColumnSgdConfig, ColumnSgdEngine, ElasticAction, ElasticConfig, ElasticEvent, ElasticLedger,
+    TrainOutcome,
 };
 use columnsgd_data::{synth, Dataset};
 use columnsgd_ml::ModelSpec;
@@ -23,6 +24,11 @@ struct Cell {
     max_workers: usize,
     initial_workers: usize,
     replicate: bool,
+}
+
+/// The ledger every elastic run's outcome carries.
+fn ledger(out: &TrainOutcome) -> &ElasticLedger {
+    out.elastic.as_ref().expect("an elastic run keeps a ledger")
 }
 
 fn ev(iteration: u64, worker: usize, action: ElasticAction) -> ElasticEvent {
@@ -118,7 +124,7 @@ fn matrix() -> Vec<Cell> {
     ]
 }
 
-fn run_cell(ds: &Dataset, cell: &Cell) -> (ElasticOutcome, Vec<(u64, usize, String, usize)>) {
+fn run_cell(ds: &Dataset, cell: &Cell) -> (TrainOutcome, Vec<(u64, usize, String, usize)>) {
     // The deadline must be generous: a spurious wall-clock timeout under
     // parallel test load would take the (deterministic) source-fallback
     // path in one run but not the other and break the migration-bytes
@@ -139,12 +145,12 @@ fn run_cell(ds: &Dataset, cell: &Cell) -> (ElasticOutcome, Vec<(u64, usize, Stri
         chaos: Some(cell.chaos),
         ..FailurePlan::none()
     };
-    let mut engine = ElasticEngine::new(ds, ecfg, NetworkModel::INSTANT, plan)
+    let mut engine = ColumnSgdEngine::new_elastic(ds, ecfg, NetworkModel::INSTANT, plan)
         .unwrap_or_else(|e| panic!("{}: engine setup failed: {e}", cell.name));
     let out = engine
         .train()
         .unwrap_or_else(|e| panic!("{}: training failed: {e}", cell.name));
-    let log = out
+    let log = ledger(&out)
         .membership_log
         .iter()
         .map(|ev| (ev.epoch, ev.worker, ev.action.to_string(), ev.moves))
@@ -153,7 +159,10 @@ fn run_cell(ds: &Dataset, cell: &Cell) -> (ElasticOutcome, Vec<(u64, usize, Stri
     for ev in &cell.schedule {
         if ev.action == ElasticAction::Join {
             assert_ne!(
-                engine.membership().state(ev.worker),
+                engine
+                    .membership()
+                    .expect("elastic membership")
+                    .state(ev.worker),
                 Some(WorkerState::Dead),
                 "{}: joined worker {} died",
                 cell.name,
@@ -172,7 +181,7 @@ fn chaos_matrix_is_deterministic_across_two_runs() {
         let (a, log_a) = run_cell(&ds, &cell);
         let (b, log_b) = run_cell(&ds, &cell);
         let losses =
-            |o: &ElasticOutcome| -> Vec<f64> { o.curve.points.iter().map(|p| p.loss).collect() };
+            |o: &TrainOutcome| -> Vec<f64> { o.curve.points.iter().map(|p| p.loss).collect() };
         assert_eq!(
             losses(&a),
             losses(&b),
@@ -190,13 +199,14 @@ fn chaos_matrix_is_deterministic_across_two_runs() {
         // retransfer a shard (exact byte/trace reconciliation is asserted
         // inside every traced run and in elastic_tests).
         assert_eq!(
-            a.migrations, b.migrations,
+            ledger(&a).migrations,
+            ledger(&b).migrations,
             "{}: migration plans diverged between identical seeded runs",
             cell.name
         );
-        if a.migrations > 0 {
+        if ledger(&a).migrations > 0 {
             assert!(
-                a.migration_bytes > 0 && b.migration_bytes > 0,
+                ledger(&a).migration_bytes > 0 && ledger(&b).migration_bytes > 0,
                 "{}: migrations must be metered bytes",
                 cell.name
             );

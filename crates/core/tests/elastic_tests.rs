@@ -9,11 +9,16 @@ use columnsgd_cluster::{
     WorkerState,
 };
 use columnsgd_core::{
-    ColumnSgdConfig, ColumnSgdEngine, ElasticAction, ElasticConfig, ElasticEngine, ElasticEvent,
-    ElasticOutcome, ScalePolicy, TrainError,
+    ColumnSgdConfig, ColumnSgdEngine, ElasticAction, ElasticConfig, ElasticEvent, ElasticLedger,
+    ScalePolicy, TrainError, TrainOutcome,
 };
 use columnsgd_data::{synth, Dataset};
 use columnsgd_ml::ModelSpec;
+
+/// The ledger every elastic run's outcome carries.
+fn ledger(out: &TrainOutcome) -> &ElasticLedger {
+    out.elastic.as_ref().expect("an elastic run keeps a ledger")
+}
 
 fn dataset(rows: usize, dim: u64, seed: u64) -> Dataset {
     synth::small_test_dataset(rows, dim, seed)
@@ -27,13 +32,13 @@ fn base_cfg(model: ModelSpec) -> ColumnSgdConfig {
         .with_seed(11)
 }
 
-fn losses(out: &ElasticOutcome) -> Vec<f64> {
+fn losses(out: &TrainOutcome) -> Vec<f64> {
     out.curve.points.iter().map(|p| p.loss).collect()
 }
 
-fn run_elastic(ds: &Dataset, cfg: ElasticConfig, plan: FailurePlan) -> ElasticOutcome {
+fn run_elastic(ds: &Dataset, cfg: ElasticConfig, plan: FailurePlan) -> TrainOutcome {
     let mut engine =
-        ElasticEngine::new(ds, cfg, NetworkModel::INSTANT, plan).expect("elastic engine");
+        ColumnSgdEngine::new_elastic(ds, cfg, NetworkModel::INSTANT, plan).expect("elastic engine");
     engine.train().expect("elastic train")
 }
 
@@ -51,7 +56,7 @@ fn full_cluster_matches_static_engine_exactly() {
     let stat_out = stat.train().expect("static train");
     let stat_model = stat.collect_model().expect("static model");
 
-    let mut elast = ElasticEngine::new(
+    let mut elast = ColumnSgdEngine::new_elastic(
         &ds,
         ElasticConfig::new(cfg, 4, 4),
         NetworkModel::INSTANT,
@@ -103,7 +108,7 @@ fn crash_with_replication_is_bit_identical_to_failure_free() {
     );
     assert_eq!(crashed.recovery.len(), 1, "one detected worker failure");
     assert!(
-        crashed
+        ledger(&crashed)
             .membership_log
             .iter()
             .any(|ev| ev.action == "dead" && ev.worker == 1),
@@ -111,8 +116,14 @@ fn crash_with_replication_is_bit_identical_to_failure_free() {
     );
     // The replication repair re-established a backup for the promoted
     // partitions as metered migration traffic.
-    assert!(crashed.migrations >= 1, "repair migrations expected");
-    assert!(crashed.migration_bytes > 0, "migrations are metered bytes");
+    assert!(
+        ledger(&crashed).migrations >= 1,
+        "repair migrations expected"
+    );
+    assert!(
+        ledger(&crashed).migration_bytes > 0,
+        "migrations are metered bytes"
+    );
 }
 
 /// A scale-up join mid-run migrates shards to the new worker over the
@@ -124,7 +135,7 @@ fn late_join_levels_load_and_converges() {
     let cfg = base_cfg(ModelSpec::Lr);
 
     let recorder = Recorder::new();
-    let mut engine = ElasticEngine::new_clustered(
+    let mut engine = ColumnSgdEngine::new_elastic_clustered(
         &ds,
         ElasticConfig::new(cfg, 4, 3).with_schedule(vec![ElasticEvent {
             iteration: 5,
@@ -139,16 +150,24 @@ fn late_join_levels_load_and_converges() {
     .expect("elastic engine");
     let out = engine.train().expect("elastic train");
 
-    assert_eq!(engine.membership().state(3), Some(WorkerState::Active));
     assert_eq!(
-        engine.membership().primaries_of(3).len(),
+        engine.membership().expect("elastic membership").state(3),
+        Some(WorkerState::Active)
+    );
+    assert_eq!(
+        engine
+            .membership()
+            .expect("elastic membership")
+            .primaries_of(3)
+            .len(),
         1,
         "the joiner takes over exactly one donated partition"
     );
-    assert!(out.migrations >= 1);
-    assert!(out.migration_bytes > 0);
+    assert!(ledger(&out).migrations >= 1);
+    assert!(ledger(&out).migration_bytes > 0);
     assert!(
-        out.membership_log
+        ledger(&out)
+            .membership_log
             .iter()
             .any(|ev| ev.action == "join" && ev.worker == 3 && ev.moves > 0),
         "the join and its migration plan must be in the membership log"
@@ -200,9 +219,13 @@ fn graceful_leave_migrates_and_completes() {
         FailurePlan::none(),
     );
 
-    assert!(out.migrations >= 1, "the leaver's shard must migrate away");
     assert!(
-        out.membership_log
+        ledger(&out).migrations >= 1,
+        "the leaver's shard must migrate away"
+    );
+    assert!(
+        ledger(&out)
+            .membership_log
             .iter()
             .any(|ev| ev.action == "leave" && ev.worker == 2),
         "the leave must be in the membership log"
@@ -236,7 +259,7 @@ fn speculation_caps_straggler_penalty() {
     let slow = run_elastic(&ds, ElasticConfig::new(cfg, 4, 4).with_replication(), sl5());
 
     // Same straggler, speculation armed by the monitor's alarm.
-    let mut engine = ElasticEngine::new(
+    let mut engine = ColumnSgdEngine::new_elastic(
         &ds,
         ElasticConfig::new(cfg, 4, 4).with_speculation(),
         NetworkModel::INSTANT,
@@ -247,9 +270,9 @@ fn speculation_caps_straggler_penalty() {
     let spec = engine.train().expect("elastic train");
 
     assert!(
-        spec.speculative_wins >= 10,
+        ledger(&spec).speculative_wins >= 10,
         "the replica must win most races, got {}",
-        spec.speculative_wins
+        ledger(&spec).speculative_wins
     );
     let slow_s = slow.mean_iteration_s(20);
     let spec_s = spec.mean_iteration_s(20);
@@ -283,7 +306,7 @@ fn scale_policy_replaces_flagged_straggler() {
     // On Cluster 1 the straggler also pays (factor - 1) × the 50 ms
     // per-task overhead, so the monitor's alarm does not hang on timer
     // noise.
-    let mut engine = ElasticEngine::new_clustered(
+    let mut engine = ColumnSgdEngine::new_elastic_clustered(
         &ds,
         ecfg,
         NetworkModel::CLUSTER1,
@@ -300,17 +323,20 @@ fn scale_policy_replaces_flagged_straggler() {
     let out = engine.train().expect("elastic train");
 
     assert_eq!(
-        engine.membership().state(1),
+        engine.membership().expect("elastic membership").state(1),
         Some(WorkerState::Left),
         "the flagged straggler must be drained"
     );
     assert_eq!(
-        engine.membership().state(3),
+        engine.membership().expect("elastic membership").state(3),
         Some(WorkerState::Active),
         "the spare must be admitted in its place"
     );
     assert!(
-        out.membership_log.iter().any(|ev| ev.action == "join"),
+        ledger(&out)
+            .membership_log
+            .iter()
+            .any(|ev| ev.action == "join"),
         "scale-up must be logged"
     );
     let s = recorder.summary();
@@ -358,14 +384,18 @@ fn chaos_crash_and_join_is_deterministic_across_runs() {
     let b = run_elastic(&ds, ecfg(cfg), plan());
 
     assert_eq!(losses(&a), losses(&b), "same seeds, same bits");
-    let log = |o: &ElasticOutcome| {
-        o.membership_log
+    let log = |o: &TrainOutcome| {
+        ledger(o)
+            .membership_log
             .iter()
             .map(|ev| (ev.epoch, ev.worker, ev.action))
             .collect::<Vec<_>>()
     };
     assert_eq!(log(&a), log(&b), "same seeds, same membership history");
-    assert!(a.migrations >= 1, "join + repair must migrate shards");
+    assert!(
+        ledger(&a).migrations >= 1,
+        "join + repair must migrate shards"
+    );
     assert!(a.curve.final_loss().is_some(), "chaos run must stay finite");
 }
 
@@ -377,7 +407,7 @@ fn last_worker_crash_surfaces_worker_lost() {
     let cfg = base_cfg(ModelSpec::Lr)
         .with_iterations(10)
         .with_deadline_ms(300);
-    let mut engine = ElasticEngine::new(
+    let mut engine = ColumnSgdEngine::new_elastic(
         &ds,
         ElasticConfig::new(cfg, 2, 1).with_schedule(vec![ElasticEvent {
             iteration: 2,
@@ -406,13 +436,13 @@ fn impossible_elastic_shapes_are_rejected() {
 
     let grouped = ElasticConfig::new(cfg.with_backup(1), 4, 4);
     assert!(matches!(
-        ElasticEngine::new(&ds, grouped, NetworkModel::INSTANT, FailurePlan::none()),
+        ColumnSgdEngine::new_elastic(&ds, grouped, NetworkModel::INSTANT, FailurePlan::none()),
         Err(TrainError::InvalidPlan(_))
     ));
 
     let replicated_solo = ElasticConfig::new(cfg, 4, 1).with_replication();
     assert!(matches!(
-        ElasticEngine::new(
+        ColumnSgdEngine::new_elastic(
             &ds,
             replicated_solo,
             NetworkModel::INSTANT,
@@ -424,20 +454,20 @@ fn impossible_elastic_shapes_are_rejected() {
     let mut solo_spec = ElasticConfig::new(cfg, 4, 4);
     solo_spec.speculate = true; // bypass the builder's implied replication
     assert!(matches!(
-        ElasticEngine::new(&ds, solo_spec, NetworkModel::INSTANT, FailurePlan::none()),
+        ColumnSgdEngine::new_elastic(&ds, solo_spec, NetworkModel::INSTANT, FailurePlan::none()),
         Err(TrainError::InvalidPlan(_))
     ));
 
     let overfull = ElasticConfig::new(cfg, 2, 3);
     assert!(matches!(
-        ElasticEngine::new(&ds, overfull, NetworkModel::INSTANT, FailurePlan::none()),
+        ColumnSgdEngine::new_elastic(&ds, overfull, NetworkModel::INSTANT, FailurePlan::none()),
         Err(TrainError::InvalidPlan(_))
     ));
 }
 
 /// A traced elastic run on the full cluster, in-process.
-fn traced_elastic(ds: &Dataset, cfg: ColumnSgdConfig, recorder: &Recorder) -> ElasticEngine {
-    ElasticEngine::new_clustered(
+fn traced_elastic(ds: &Dataset, cfg: ColumnSgdConfig, recorder: &Recorder) -> ColumnSgdEngine {
+    ColumnSgdEngine::new_elastic_clustered(
         ds,
         ElasticConfig::new(cfg, 3, 3),
         NetworkModel::CLUSTER1,

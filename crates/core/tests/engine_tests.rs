@@ -6,12 +6,11 @@ use columnsgd_cluster::failure::FailureEvent;
 use columnsgd_cluster::{ChaosSpec, ClusterConfig, FailurePlan, NetworkModel, NodeId, Recorder};
 use columnsgd_core::config::PartitionScheme;
 use columnsgd_core::{
-    ColumnSgdConfig, ColumnSgdEngine, DetectionMethod, ElasticConfig, ElasticEngine, FaultKind,
-    TrainError,
+    ColumnSgdConfig, ColumnSgdEngine, DetectionMethod, ElasticConfig, FaultKind, TrainError,
 };
 use columnsgd_data::{synth, Dataset};
 use columnsgd_ml::serial::{self, SerialConfig};
-use columnsgd_ml::{ModelSpec, OptimizerKind, UpdateParams};
+use columnsgd_ml::{ModelSpec, OptimizerKind, ParamSet, UpdateParams};
 
 fn dataset(rows: usize, dim: u64, seed: u64) -> Dataset {
     synth::small_test_dataset(rows, dim, seed)
@@ -573,7 +572,7 @@ fn zero_workers_and_empty_dataset_are_typed_errors() {
         Err(TrainError::LoadFailed(msg)) => assert!(msg.contains("empty"), "{msg}"),
         other => panic!("empty dataset: expected LoadFailed, got {other:?}"),
     }
-    let elastic = ElasticEngine::new(
+    let elastic = ColumnSgdEngine::new_elastic(
         &empty,
         ElasticConfig::new(cfg, 2, 2),
         NetworkModel::INSTANT,
@@ -805,16 +804,35 @@ fn worker_refuses_mismatched_batch_size() {
 /// replica's reply covers the group, the superstep completes without ever
 /// reaching the deadline path, and the respawned worker rejoins with the
 /// group-current parameters — so the trajectory is bit-identical to the
-/// failure-free run.
+/// failure-free run, with every replica bit-identical to its partner.
 #[test]
 fn backup_crash_mid_gather_completes_from_surviving_replica() {
     let ds = dataset(600, 80, 13);
+    let bits = |p: &ParamSet| -> Vec<u64> {
+        let blocks = p.blocks.iter().flat_map(|b| b.as_slice());
+        blocks.map(|v| v.to_bits()).collect()
+    };
     let run = |plan: FailurePlan| {
         let cfg = base_cfg(ModelSpec::Lr).with_iterations(20).with_backup(1);
         let mut e = ColumnSgdEngine::new(&ds, 4, cfg, NetworkModel::INSTANT, plan).expect("engine");
         let out = e.train().expect("train");
         let losses: Vec<f64> = out.curve.points.iter().map(|p| p.loss).collect();
         let model = e.collect_model().expect("collect model");
+        // Both copies of every partition — `collect_model` keeps only the
+        // first — must agree bit for bit: the parameter restore installs
+        // the donor's copy on the respawned member.
+        let copies = e.collect_replicas().expect("collect replicas");
+        assert_eq!(copies.len(), 8, "4 partitions, 2 copies each");
+        for pair in copies.chunks(2) {
+            let ((wa, pa, a), (wb, pb, b)) = (&pair[0], &pair[1]);
+            assert_eq!((pa, wa / 2), (pb, wb / 2), "one partition, one group");
+            assert!(wa != wb, "two holders of partition {pa}");
+            assert_eq!(
+                bits(a),
+                bits(b),
+                "partition {pa}: workers {wa} and {wb} diverged"
+            );
+        }
         (out, losses, model)
     };
     let plan = FailurePlan {

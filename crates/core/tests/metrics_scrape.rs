@@ -9,7 +9,7 @@ use std::net::TcpStream;
 use columnsgd_cluster::telemetry::MetricsRegistry;
 use columnsgd_cluster::{ClusterConfig, FailurePlan, NetworkModel, Recorder};
 use columnsgd_core::{
-    ColumnSgdConfig, ColumnSgdEngine, ElasticAction, ElasticConfig, ElasticEngine, ElasticEvent,
+    ColumnSgdConfig, ColumnSgdEngine, ElasticAction, ElasticConfig, ElasticEvent,
 };
 use columnsgd_data::synth;
 use columnsgd_ml::ModelSpec;
@@ -123,7 +123,7 @@ fn snapshot_matches_render() {
 fn elastic_run_feeds_the_registry() {
     let ds = synth::small_test_dataset(240, 48, 9);
     let metrics = MetricsRegistry::new();
-    let mut engine = ElasticEngine::new_clustered(
+    let mut engine = ColumnSgdEngine::new_elastic_clustered(
         &ds,
         ElasticConfig::new(cfg(), 3, 2).with_schedule(vec![ElasticEvent {
             iteration: 3,

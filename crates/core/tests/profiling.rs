@@ -20,7 +20,7 @@ use std::time::Duration;
 
 use columnsgd_cluster::telemetry::{profile, Event};
 use columnsgd_cluster::{ClusterConfig, FailurePlan, NetworkModel, Recorder};
-use columnsgd_core::{ColumnSgdConfig, ColumnSgdEngine, ElasticConfig, ElasticEngine};
+use columnsgd_core::{ColumnSgdConfig, ColumnSgdEngine, ElasticConfig};
 use columnsgd_data::synth;
 use columnsgd_ml::ModelSpec;
 
@@ -150,7 +150,7 @@ fn elastic_run_folds_the_same_master_phases() {
     let cfg = profiled_cfg();
     let ds = synth::small_test_dataset(240, 48, 9);
     let recorder = Recorder::new();
-    let mut engine = ElasticEngine::new_clustered(
+    let mut engine = ColumnSgdEngine::new_elastic_clustered(
         &ds,
         ElasticConfig::new(cfg, 2, 2),
         NetworkModel::INSTANT,

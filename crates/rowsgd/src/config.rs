@@ -45,16 +45,6 @@ pub struct RowSgdConfig {
     pub seed: u64,
     /// Which RowSGD system to emulate.
     pub variant: RowSgdVariant,
-    /// Number of parameter servers P (the paper sets P = K, §V-A). Ignored
-    /// by MLlib/MLlib*.
-    pub servers: usize,
-    /// Per-round dispatch overhead of the PS engines, in seconds (they
-    /// schedule far more cheaply than Spark tasks).
-    pub ps_scheduling_s: f64,
-    /// Server-side processing cost per pulled/pushed key *per value
-    /// component*, in seconds — models the KVStore per-key overhead that
-    /// dominates MXNet's sparse pull on high-dimensional models.
-    pub ps_per_key_s: f64,
     /// Master receive deadline in wall-clock milliseconds. RowSGD is the
     /// baseline, not the subject of the fault-tolerance study, so it does
     /// not recover — but a silent worker must surface as a typed
@@ -74,9 +64,6 @@ impl RowSgdConfig {
             optimizer: OptimizerKind::Sgd,
             seed: 42,
             variant,
-            servers: 0, // 0 = "same as workers", resolved by the engine
-            ps_scheduling_s: 0.005,
-            ps_per_key_s: 50e-6,
             deadline_ms: 30_000,
         }
     }
@@ -117,15 +104,6 @@ impl RowSgdConfig {
     pub fn fingerprint(&self) -> u64 {
         columnsgd_cluster::telemetry::fnv::hash_bytes(format!("{self:?}").as_bytes())
     }
-
-    /// The number of servers resolved against the worker count.
-    pub fn num_servers(&self, k: usize) -> usize {
-        if self.servers == 0 {
-            k
-        } else {
-            self.servers
-        }
-    }
 }
 
 #[cfg(test)]
@@ -138,14 +116,5 @@ mod tests {
         assert_eq!(RowSgdVariant::MLlibStar.label(), "MLlib*");
         assert_eq!(RowSgdVariant::PsDense.label(), "Petuum");
         assert_eq!(RowSgdVariant::PsSparse.label(), "MXNet");
-    }
-
-    #[test]
-    fn servers_default_to_k() {
-        let cfg = RowSgdConfig::new(ModelSpec::Lr, RowSgdVariant::PsDense);
-        assert_eq!(cfg.num_servers(8), 8);
-        let mut cfg2 = cfg;
-        cfg2.servers = 4;
-        assert_eq!(cfg2.num_servers(8), 4);
     }
 }

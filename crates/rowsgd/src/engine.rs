@@ -12,7 +12,7 @@ use std::net::SocketAddr;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use columnsgd_cluster::telemetry::{ProfScope, RunStamp};
+use columnsgd_cluster::telemetry::{MetricsRegistry, ProfScope, RunStamp};
 use columnsgd_cluster::{
     ClusterConfig, Endpoint, Launcher, LinkStats, Monitor, NetError, NetworkModel, NodeId,
     Recorder, SimClock, TrafficStats, ENVELOPE_BYTES,
@@ -64,6 +64,15 @@ impl Launcher<RowMsg> for RowLauncher {
         boot.to_hex_line()
     }
 }
+
+/// Per-round dispatch overhead of the PS engines, in seconds (they
+/// schedule far more cheaply than Spark tasks).
+const PS_SCHEDULING_S: f64 = 0.005;
+
+/// Server-side processing cost per pulled/pushed key *per value
+/// component*, in seconds — models the KVStore per-key overhead that
+/// dominates MXNet's sparse pull on high-dimensional models.
+const PS_PER_KEY_S: f64 = 50e-6;
 
 /// What one step body measured and priced, for the superstep tail.
 struct Stepped {
@@ -199,7 +208,7 @@ impl RowSgdEngine {
         let mut engine = Self {
             cfg,
             k,
-            p: cfg.num_servers(k),
+            p: k, // the paper sets P = K (§V-A)
             net,
             rt,
             params,
@@ -392,6 +401,7 @@ impl RowSgdEngine {
             recovery: Vec::new(),
             run: self.run_stamp(),
             diagnostics: self.rt.monitor.report(),
+            elastic: None,
         })
     }
 
@@ -418,6 +428,13 @@ impl RowSgdEngine {
     /// [`RowSgdEngine::attach_monitor`] was called).
     pub fn monitor(&self) -> &Monitor {
         &self.rt.monitor
+    }
+
+    /// Attaches a [`MetricsRegistry`], fed once per superstep from the
+    /// same observations and under the same metric names as the ColumnSGD
+    /// engine's.
+    pub fn attach_metrics(&mut self, metrics: MetricsRegistry) {
+        self.rt.attach_metrics(metrics);
     }
 
     /// One MLlib iteration: broadcast the dense model, gather dense
@@ -674,7 +691,7 @@ impl RowSgdEngine {
                 .map(|p| {
                     (pull_keys_per_server[p] + push_keys_per_server[p]) as f64
                         * (unit as f64 / 8.0)
-                        * self.cfg.ps_per_key_s
+                        * PS_PER_KEY_S
                 })
                 .fold(0.0, f64::max)
         } else {
@@ -687,7 +704,7 @@ impl RowSgdEngine {
             update_s: server_compute,
             gather_s: push + per_key,
             bcast_s: pull_up + pull_down,
-            overhead_s: self.cfg.ps_scheduling_s,
+            overhead_s: PS_SCHEDULING_S,
             loss: mean(&losses),
         })
     }

@@ -36,7 +36,7 @@ fn read_variant(r: &mut WireReader<'_>) -> Result<RowSgdVariant, CodecError> {
 }
 
 impl BootJob for RowSgdConfig {
-    const VERSION: u8 = 1;
+    const VERSION: u8 = 2;
 
     /// Fields in declaration order.
     fn put(&self, out: &mut Vec<u8>) {
@@ -48,9 +48,6 @@ impl BootJob for RowSgdConfig {
         put_optimizer(out, &self.optimizer);
         out.put_u64(self.seed);
         put_variant(out, self.variant);
-        out.put_usize(self.servers);
-        out.put_f64(self.ps_scheduling_s);
-        out.put_f64(self.ps_per_key_s);
         out.put_u64(self.deadline_ms);
     }
 
@@ -66,9 +63,6 @@ impl BootJob for RowSgdConfig {
             optimizer: read_optimizer(r)?,
             seed: r.u64("seed")?,
             variant: read_variant(r)?,
-            servers: r.usize("servers")?,
-            ps_scheduling_s: r.f64("ps_scheduling_s")?,
-            ps_per_key_s: r.f64("ps_per_key_s")?,
             deadline_ms: r.u64("deadline_ms")?,
         })
     }
@@ -89,7 +83,6 @@ mod tests {
             .with_deadline_ms(1234);
         cfg.update.regularizer = Regularizer::L2(0.01);
         cfg.optimizer = OptimizerKind::AdaGrad { eps: 1e-8 };
-        cfg.servers = 2;
         let boot = RowBootSpec {
             addr: "127.0.0.1:40123".to_string(),
             worker: 1,

@@ -109,9 +109,6 @@ fn row_boot(seed: u64, x: f64) -> Boot<RowSgdConfig> {
         .with_deadline_ms(seed % 60_000);
     cfg.update = update(seed / 5, x);
     cfg.optimizer = optimizer(seed / 7, x);
-    cfg.servers = (seed % 9) as usize;
-    cfg.ps_scheduling_s = x * 1e-3;
-    cfg.ps_per_key_s = x * 1e-6;
     Boot {
         addr: format!("127.0.0.1:{}", 1024 + seed % 60_000),
         worker: (seed % 64) as usize,

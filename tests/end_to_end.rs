@@ -129,7 +129,7 @@ fn elastic_empty_schedule_matches_static() {
     let stat_out = stat.train().expect("static train");
     let stat_model = stat.collect_model().expect("static model");
 
-    let mut elastic = ElasticEngine::new(
+    let mut elastic = ColumnSgdEngine::new_elastic(
         &ds,
         ElasticConfig::new(config, 3, 3),
         net,
@@ -145,7 +145,7 @@ fn elastic_empty_schedule_matches_static() {
     assert_eq!(losses(&stat_out.curve), losses(&elastic_out.curve));
     assert_eq!(stat_model, elastic_model);
 
-    let mut joined = ElasticEngine::new(
+    let mut joined = ColumnSgdEngine::new_elastic(
         &ds,
         ElasticConfig::new(config, 3, 2).with_schedule(vec![ElasticEvent {
             iteration: 5,
@@ -158,7 +158,10 @@ fn elastic_empty_schedule_matches_static() {
     .expect("elastic engine");
     let out = joined.train().expect("train across a join");
     assert_eq!(out.curve.points.len(), 20);
-    assert!(out.migrations >= 1, "the joiner must receive a shard");
+    assert!(
+        out.elastic.expect("elastic ledger").migrations >= 1,
+        "the joiner must receive a shard"
+    );
 }
 
 /// The worker host's respawn path, in tier-1: a scripted crash kills a
@@ -217,8 +220,9 @@ fn elastic_crash_with_replication_matches_failure_free() {
         let cfg = ElasticConfig::new(config, 3, 3)
             .with_replication()
             .with_schedule(schedule);
-        let mut engine = ElasticEngine::new(&ds, cfg, NetworkModel::INSTANT, FailurePlan::none())
-            .expect("elastic engine");
+        let mut engine =
+            ColumnSgdEngine::new_elastic(&ds, cfg, NetworkModel::INSTANT, FailurePlan::none())
+                .expect("elastic engine");
         let out = engine.train().expect("elastic train");
         let losses: Vec<u64> = out.curve.points.iter().map(|p| p.loss.to_bits()).collect();
         (out, losses)
@@ -235,7 +239,10 @@ fn elastic_crash_with_replication_matches_failure_free() {
     let ev = crashed.recovery[0];
     assert_eq!((ev.iteration, ev.worker), (8, 1));
     assert_eq!(ev.fault, FaultKind::WorkerFailure);
-    assert!(crashed.migrations >= 1, "the lost replica must be repaired");
+    assert!(
+        crashed.elastic.expect("elastic ledger").migrations >= 1,
+        "the lost replica must be repaired"
+    );
 }
 
 #[test]
