@@ -30,7 +30,8 @@
 //! *transport* framing — the analogue of link-layer overhead the paper's
 //! byte accounting also ignores — and is not metered.
 
-use std::io::{self, Read, Write};
+use std::cell::RefCell;
+use std::io::{self, BufRead, BufReader, Read, Write};
 
 use columnsgd_data::block::Block;
 use columnsgd_data::Workset;
@@ -247,44 +248,137 @@ pub fn wire_size<M: WireCodec>(m: &M) -> Result<usize, CodecError> {
 // Reader
 // ---------------------------------------------------------------------------
 
-/// A cursor over a received frame body.
-#[derive(Debug)]
+/// A cursor over a received frame body: a byte slice, or the next
+/// `len` bytes of a buffered stream (see [`decode_body_from`]). Either
+/// way no read goes past the body: every value claims its bytes from
+/// [`WireReader::remaining`] first, and fails as truncated if they are
+/// not there.
 pub struct WireReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    src: Source<'a>,
+    /// Body bytes not yet consumed.
+    remaining: usize,
+}
+
+/// Where a [`WireReader`]'s bytes come from.
+enum Source<'a> {
+    /// The unconsumed rest of a slice (exactly `remaining` long).
+    Slice(&'a [u8]),
+    /// A stream positioned inside the body.
+    Stream(&'a mut dyn BufRead),
+}
+
+impl std::fmt::Debug for WireReader<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let src = match self.src {
+            Source::Slice(_) => "slice",
+            Source::Stream(_) => "stream",
+        };
+        f.debug_struct("WireReader")
+            .field("src", &src)
+            .field("remaining", &self.remaining)
+            .finish()
+    }
 }
 
 impl<'a> WireReader<'a> {
     /// Wraps a byte slice.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+        Self {
+            src: Source::Slice(buf),
+            remaining: buf.len(),
+        }
     }
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.remaining
     }
 
-    /// How many of `len` announced elements to reserve room for, when
-    /// each takes at least one byte on the wire: never more than the
-    /// bytes left, so a length header alone buys no large allocation.
-    pub fn capacity_hint(&self, len: usize) -> usize {
-        len.min(self.remaining())
+    /// An empty vector with room for some of `len` announced elements,
+    /// each of which takes at least one byte on the wire: never more than
+    /// the bytes left, and off a stream, whose bytes left are announced
+    /// but not yet in hand, never more than one window's worth. So a
+    /// length header alone buys no large allocation.
+    pub fn vec_for<T>(&self, len: usize) -> Vec<T> {
+        let room = match self.src {
+            Source::Slice(_) => self.remaining,
+            Source::Stream(_) => self.remaining.min(WINDOW / size_of::<T>().max(1)),
+        };
+        Vec::with_capacity(len.min(room))
     }
 
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], CodecError> {
-        if self.remaining() < n {
+    /// Claims `n` of the remaining body bytes, or fails as truncated.
+    fn claim(&mut self, n: usize, what: &'static str) -> Result<(), CodecError> {
+        if self.remaining < n {
             return Err(CodecError::Truncated { what });
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+        self.remaining -= n;
+        Ok(())
+    }
+
+    /// The next `N` bytes.
+    fn array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], CodecError> {
+        self.claim(N, what)?;
+        let mut out = [0u8; N];
+        match &mut self.src {
+            Source::Slice(buf) => {
+                let (head, rest) = buf.split_at(N);
+                out.copy_from_slice(head);
+                *buf = rest;
+            }
+            Source::Stream(r) => r
+                .read_exact(&mut out)
+                .map_err(|_| CodecError::Truncated { what })?,
+        }
+        Ok(out)
+    }
+
+    /// The next `n` bytes, copied out.
+    fn bytes(&mut self, n: usize, what: &'static str) -> Result<Vec<u8>, CodecError> {
+        self.claim(n, what)?;
+        match &mut self.src {
+            Source::Slice(buf) => {
+                let (head, rest) = buf.split_at(n);
+                *buf = rest;
+                Ok(head.to_vec())
+            }
+            Source::Stream(r) => {
+                let mut out = Vec::new();
+                read_to_len(r, n, &mut out).map_err(|_| CodecError::Truncated { what })?;
+                Ok(out)
+            }
+        }
+    }
+
+    /// The next `len` 8-byte words, each converted by `from_le`. The
+    /// allocation is claimed against the body first, so it never exceeds
+    /// the bytes the frame announced.
+    fn words<T>(
+        &mut self,
+        len: usize,
+        what: &'static str,
+        from_le: impl Fn([u8; 8]) -> T,
+    ) -> Result<Vec<T>, CodecError> {
+        self.claim(
+            len.checked_mul(8).ok_or(CodecError::Truncated { what })?,
+            what,
+        )?;
+        match &mut self.src {
+            Source::Slice(buf) => {
+                let (raw, rest) = buf.split_at(8 * len);
+                *buf = rest;
+                let (chunks, _) = raw.as_chunks::<8>();
+                Ok(chunks.iter().map(|&c| from_le(c)).collect())
+            }
+            Source::Stream(r) => {
+                read_words(&mut **r, len, from_le).map_err(|_| CodecError::Truncated { what })
+            }
+        }
     }
 
     /// Reads a `u64`.
     pub fn u64(&mut self, what: &'static str) -> Result<u64, CodecError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
+        Ok(u64::from_le_bytes(self.array(what)?))
     }
 
     /// Reads a `usize` from its pinned 8-byte `u64` encoding.
@@ -296,19 +390,17 @@ impl<'a> WireReader<'a> {
 
     /// Reads an `f64` (bit pattern preserved).
     pub fn f64(&mut self, what: &'static str) -> Result<f64, CodecError> {
-        let b = self.take(8, what)?;
-        Ok(f64::from_le_bytes(b.try_into().expect("8-byte slice")))
+        Ok(f64::from_le_bytes(self.array(what)?))
     }
 
     /// Reads a `u32`.
     pub fn u32(&mut self, what: &'static str) -> Result<u32, CodecError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4-byte slice")))
+        Ok(u32::from_le_bytes(self.array(what)?))
     }
 
     /// Reads one byte.
     pub fn u8(&mut self, what: &'static str) -> Result<u8, CodecError> {
-        Ok(self.take(1, what)?[0])
+        Ok(self.array::<1>(what)?[0])
     }
 
     /// Reads a `bool` (rejecting anything but 0/1).
@@ -323,8 +415,7 @@ impl<'a> WireReader<'a> {
     /// Reads a string (8-byte length + UTF-8).
     pub fn str(&mut self, what: &'static str) -> Result<String, CodecError> {
         let len = self.usize(what)?;
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec())
+        String::from_utf8(self.bytes(len, what)?)
             .map_err(|_| CodecError::Malformed(format!("{what}: invalid UTF-8")))
     }
 
@@ -336,12 +427,7 @@ impl<'a> WireReader<'a> {
 
     /// Reads exactly `len` `f64` values (no count header).
     pub fn f64s_exact(&mut self, len: usize, what: &'static str) -> Result<Vec<f64>, CodecError> {
-        let raw = self.take(
-            len.checked_mul(8).ok_or(CodecError::Truncated { what })?,
-            what,
-        )?;
-        let (chunks, _) = raw.as_chunks::<8>();
-        Ok(chunks.iter().map(|&c| f64::from_le_bytes(c)).collect())
+        self.words(len, what, f64::from_le_bytes)
     }
 
     /// Reads a `u64` vector (8-byte count + values).
@@ -352,25 +438,52 @@ impl<'a> WireReader<'a> {
 
     /// Reads exactly `len` `u64` values (no count header).
     pub fn u64s_exact(&mut self, len: usize, what: &'static str) -> Result<Vec<u64>, CodecError> {
-        let raw = self.take(
-            len.checked_mul(8).ok_or(CodecError::Truncated { what })?,
-            what,
-        )?;
-        let (chunks, _) = raw.as_chunks::<8>();
-        Ok(chunks.iter().map(|&c| u64::from_le_bytes(c)).collect())
+        self.words(len, what, u64::from_le_bytes)
     }
 
     /// Fails unless every byte was consumed — a decoded message shorter
     /// than its frame means the frame is malformed.
     pub fn finish(self, what: &'static str) -> Result<(), CodecError> {
-        if self.remaining() != 0 {
+        if self.remaining != 0 {
             return Err(CodecError::Malformed(format!(
                 "{what}: {} trailing bytes after decode",
-                self.remaining()
+                self.remaining
             )));
         }
         Ok(())
     }
+}
+
+/// Reads `len` 8-byte words straight out of `r`'s buffer, converting as
+/// they arrive: the bytes are copied once, from the stream's buffer into
+/// the values. A word split across two refills is read on its own.
+///
+/// `len` is only announced, so the vector starts at one window and grows
+/// [`GROWTH`]-fold each time it fills: never more than that multiple of
+/// the words received, and two reallocations for an 8 MB model.
+fn read_words<T>(
+    r: &mut dyn BufRead,
+    len: usize,
+    from_le: impl Fn([u8; 8]) -> T,
+) -> io::Result<Vec<T>> {
+    let mut out = Vec::with_capacity(len.min(WINDOW / 8));
+    while out.len() < len {
+        if out.len() == out.capacity() {
+            out.reserve_exact((GROWTH * out.len()).min(len) - out.len());
+        }
+        let (chunks, _) = r.fill_buf()?.as_chunks::<8>();
+        let n = chunks.len().min(out.capacity() - out.len());
+        if n == 0 {
+            // Fewer than 8 bytes buffered, or end of stream.
+            let mut word = [0u8; 8];
+            r.read_exact(&mut word)?;
+            out.push(from_le(word));
+            continue;
+        }
+        out.extend(chunks[..n].iter().map(|&c| from_le(c)));
+        r.consume(8 * n);
+    }
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -449,7 +562,7 @@ impl<T: WireCodec> WireCodec for Vec<T> {
     }
     fn decode_body(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
         let len = r.usize("Vec length")?;
-        let mut v = Vec::with_capacity(r.capacity_hint(len));
+        let mut v = r.vec_for(len);
         for _ in 0..len {
             v.push(T::decode_body(r)?);
         }
@@ -651,60 +764,20 @@ pub fn encode_envelope<M: WireCodec>(
     payload: &M,
     plane: Plane,
 ) -> Result<Vec<u8>, CodecError> {
-    let mut out = Vec::new();
-    put_envelope(&mut out, from, to, payload, wire_size(payload)?, plane)?;
+    let body_len = wire_size(payload)?;
+    let _prof = ProfScope::enter("codec_encode");
+    let mut out = Vec::with_capacity(body_len + ENVELOPE_BYTES);
+    put_header(&mut out, from, to, plane, body_len);
+    payload.encode_body(&mut out)?;
     Ok(out)
 }
 
-/// [`encode_envelope`] behind its 4-byte stream length prefix, into a
-/// buffer the caller keeps across frames. `out` ends up holding exactly
-/// the bytes `write_frame(encode_envelope(..))` puts on the stream, ready
-/// for one [`write_prefixed_frame`]. A buffer far larger than this frame
-/// and the one it still holds (more than 4× both, and over 64 KiB) is
-/// released first.
-pub fn encode_envelope_into<M: WireCodec>(
-    out: &mut Vec<u8>,
-    from: NodeId,
-    to: NodeId,
-    payload: &M,
-    plane: Plane,
-) -> Result<(), CodecError> {
-    let body_len = wire_size(payload)?;
-    let len = u32::try_from(body_len + ENVELOPE_BYTES)
-        .map_err(|_| CodecError::Unsupported("frame exceeds u32 length".to_string()))?;
-    recycle(out, 4 + len as usize);
-    out.extend_from_slice(&len.to_le_bytes());
-    put_envelope(out, from, to, payload, body_len, plane)
-}
-
-/// Readdresses a frame [`encode_envelope_into`] built to `to` by rewriting
-/// the header's 8-byte `to` field in place: the frame then equals
-/// `encode_envelope_into(.., to, ..)` byte for byte. One encode serves a
-/// broadcast to any number of destinations.
-///
-/// # Panics
-/// Panics if `prefixed` is shorter than its length prefix plus a header.
-pub fn readdress_prefixed_frame(prefixed: &mut [u8], to: NodeId) {
-    prefixed[4 + 8..4 + 16].copy_from_slice(&encode_node(to).to_le_bytes());
-}
-
-/// Appends the envelope of `payload`, whose [`wire_size`] is `body_len`,
-/// to `out`: the one encoder behind both public entry points.
-fn put_envelope<M: WireCodec>(
-    out: &mut Vec<u8>,
-    from: NodeId,
-    to: NodeId,
-    payload: &M,
-    body_len: usize,
-    plane: Plane,
-) -> Result<(), CodecError> {
-    let _prof = ProfScope::enter("codec_encode");
-    out.reserve(body_len + ENVELOPE_BYTES);
+/// The 32-byte envelope header of a message frame.
+fn put_header<S: Sink>(out: &mut S, from: NodeId, to: NodeId, plane: Plane, body_len: usize) {
     out.put_u64(encode_node(from));
     out.put_u64(encode_node(to));
     out.put_u64(u64::from(plane_byte(plane)));
     out.put_usize(body_len);
-    payload.encode_body(out)
 }
 
 /// Encodes the hello frame a worker process sends right after connecting
@@ -722,7 +795,14 @@ pub fn encode_hello(worker: NodeId) -> Vec<u8> {
 /// verifies the frame length invariant (`frame.len() == body_len +
 /// ENVELOPE_BYTES`).
 pub fn decode_envelope_header(frame: &[u8]) -> Result<EnvelopeHeader, CodecError> {
-    let mut r = WireReader::new(frame);
+    parse_header(frame, frame.len())
+}
+
+/// Decodes the envelope header at the front of `bytes`, for a frame
+/// `frame_len` bytes long (the slice's own length, or a stream's length
+/// prefix).
+fn parse_header(bytes: &[u8], frame_len: usize) -> Result<EnvelopeHeader, CodecError> {
+    let mut r = WireReader::new(bytes);
     let from = decode_node(r.u64("header.from")?)?;
     let to = decode_node(r.u64("header.to")?)?;
     let flags = r.u64("header.flags")?;
@@ -733,10 +813,10 @@ pub fn decode_envelope_header(frame: &[u8]) -> Result<EnvelopeHeader, CodecError
             "header.body_len: {body_len} overflows the frame size"
         ))
     })?;
-    if frame.len() != expected {
+    if frame_len != expected {
         return Err(CodecError::SizeMismatch {
             expected,
-            actual: frame.len(),
+            actual: frame_len,
         });
     }
     let kind = match (flags >> 8) & 0xFF {
@@ -769,11 +849,35 @@ pub fn decode_body_checked<M: WireCodec>(frame: &[u8]) -> Result<M, CodecError> 
     let mut r = WireReader::new(body(frame)?);
     let payload = M::decode_body(&mut r)?;
     r.finish(payload.kind())?;
+    sized(payload, frame.len())
+}
+
+/// [`decode_body_checked`] for a body that is still on its way: decodes
+/// the next `body_len` bytes of `r` as they arrive, with the same checks
+/// (every byte consumed, `wire_size` equal to `body_len`) and the same
+/// allocation bound (nothing larger than the bytes `body_len` announced).
+/// On an error the stream is left somewhere inside the body.
+pub fn decode_body_from<M: WireCodec, R: BufRead>(
+    r: &mut R,
+    body_len: usize,
+) -> Result<M, CodecError> {
+    let _prof = ProfScope::enter("codec_decode");
+    let mut reader = WireReader {
+        src: Source::Stream(r),
+        remaining: body_len,
+    };
+    let payload = M::decode_body(&mut reader)?;
+    reader.finish(payload.kind())?;
+    sized(payload, body_len.saturating_add(ENVELOPE_BYTES))
+}
+
+/// `payload`, if its [`wire_size`] plus the envelope is `frame_len`.
+fn sized<M: WireCodec>(payload: M, frame_len: usize) -> Result<M, CodecError> {
     let expected = wire_size(&payload)? + ENVELOPE_BYTES;
-    if frame.len() != expected {
+    if frame_len != expected {
         return Err(CodecError::SizeMismatch {
             expected,
-            actual: frame.len(),
+            actual: frame_len,
         });
     }
     Ok(payload)
@@ -783,12 +887,12 @@ pub fn decode_body_checked<M: WireCodec>(frame: &[u8]) -> Result<M, CodecError> 
 // Telemetry-plane frames
 // ---------------------------------------------------------------------------
 //
-// Telemetry frames reuse the 32-byte envelope header (so `read_frame_into`'s
+// Telemetry frames reuse the 32-byte envelope header (so the stream's
 // length bounds and the header length check hold unchanged) with frame-kind
 // byte 2, but their bodies are *not* protocol payloads: the hub intercepts
-// them before `decode_body_checked` / `Router::ingress`, so they are never
+// them before the body decode and `Router::ingress`, so they are never
 // metered and are not `WireCodec` payloads — `body_len` is simply the
-// actual body length.
+// actual body length. They are small, and read whole.
 
 /// The body of a [`FrameKind::Telemetry`] frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -1053,7 +1157,7 @@ pub fn decode_telemetry_body(frame: &[u8]) -> Result<TelemetryPayload, CodecErro
         },
         2 => {
             let count = r.usize("event-batch count")?;
-            let mut events = Vec::with_capacity(r.capacity_hint(count));
+            let mut events = r.vec_for(count);
             for _ in 0..count {
                 events.push(read_event(&mut r)?);
             }
@@ -1068,26 +1172,31 @@ pub fn decode_telemetry_body(frame: &[u8]) -> Result<TelemetryPayload, CodecErro
 // ---------------------------------------------------------------------------
 // Physical stream framing
 // ---------------------------------------------------------------------------
+//
+// On a stream, a frame is a 4-byte LE length prefix and the frame bytes.
+// The TCP backend moves every frame through one fixed window on each end:
+// a sender encodes into its window and writes each full window to all the
+// frame's destinations in turn ([`write_envelope_to`]); a receiver reads
+// through a window-sized buffer and decodes the body as it arrives
+// ([`FrameReader`]). Neither end holds a frame whole, so the transport's
+// memory per connection is one window, whatever the frame size.
 
 /// Largest accepted frame (1 GiB); a longer length prefix is corrupt.
 const MAX_FRAME: usize = 1 << 30;
 
-/// Frame buffers up to this capacity are always kept for the next frame;
-/// it is also the most a read reserves before body bytes arrive.
-const RETAIN_FLOOR: usize = 64 << 10;
+/// The window every streamed frame passes through, on both ends.
+const WINDOW: usize = 64 << 10;
 
-/// Empties a reused frame buffer for a frame of `len` bytes. A buffer
-/// larger than [`RETAIN_FLOOR`] and more than 4× both `len` and the frame
-/// it still holds is released instead: large frames that stop coming (the
-/// load-phase worksets) do not pin their buffer for the rest of the run,
-/// while a stream alternating large and small frames keeps the buffer its
-/// large frames need.
-fn recycle(buf: &mut Vec<u8>, len: usize) {
-    let keep_for = len.max(buf.len());
-    if buf.capacity() > keep_for.saturating_mul(4) && buf.capacity() > RETAIN_FLOOR {
-        *buf = Vec::new();
-    }
-    buf.clear();
+/// How many times over a streamed vector grows when full (see
+/// [`read_words`]).
+const GROWTH: usize = 16;
+
+/// Where the header's `to` field sits in a length-prefixed frame.
+const TO_FIELD: std::ops::Range<usize> = 4 + 8..4 + 16;
+
+thread_local! {
+    /// This thread's send window, allocated by its first streamed frame.
+    static SEND_WINDOW: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Writes one frame: 4-byte LE physical length prefix + frame bytes.
@@ -1099,32 +1208,175 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
-/// Writes a frame [`encode_envelope_into`] built, length prefix included,
-/// with one `write_all`: the bytes of [`write_frame`] without a separate
-/// 4-byte segment ahead of the body under `TCP_NODELAY`.
-pub fn write_prefixed_frame<W: Write>(w: &mut W, prefixed: &[u8]) -> io::Result<()> {
-    debug_assert!(
-        prefixed.len() >= 4 && prefixed[..4] == ((prefixed.len() - 4) as u32).to_le_bytes(),
-        "buffer does not start with its own length prefix"
-    );
-    w.write_all(prefixed)?;
-    w.flush()
+/// Streams `payload` to every `(to, writer)` of `dests` through this
+/// thread's window: each destination's stream receives exactly the bytes
+/// of `write_frame(encode_envelope(from, to, payload, plane))`, in
+/// ⌈frame / window⌉ `write_all` calls. The payload is encoded once,
+/// whatever the number of destinations: every full window goes to each
+/// destination in turn, and in the first window only the header's `to`
+/// field is rewritten between destinations.
+///
+/// Returns one result per destination, in `dests` order; a destination
+/// whose write fails is skipped for the rest of the frame and the others
+/// still receive all of it. [`wire_size`] runs first, so a payload that
+/// cannot be encoded fails before any byte is written. The caller holds
+/// every writer for the whole frame.
+pub fn write_envelope_to<M: WireCodec, W: Write>(
+    dests: &mut [(NodeId, W)],
+    from: NodeId,
+    payload: &M,
+    plane: Plane,
+) -> Result<Vec<io::Result<()>>, CodecError> {
+    let body_len = wire_size(payload)?;
+    let len = u32::try_from(body_len + ENVELOPE_BYTES)
+        .map_err(|_| CodecError::Unsupported("frame exceeds u32 length".to_string()))?;
+    let Some(&(first_to, _)) = dests.first() else {
+        return Ok(Vec::new());
+    };
+    let _prof = ProfScope::enter("codec_encode");
+    SEND_WINDOW.with_borrow_mut(|window| {
+        window.resize(WINDOW, 0);
+        let mut out = Windowed {
+            window,
+            fill: 0,
+            first: true,
+            results: dests.iter().map(|_| Ok(())).collect(),
+            dests,
+        };
+        out.put_u32(len);
+        put_header(&mut out, from, first_to, plane, body_len);
+        if payload.encode_body(&mut out).is_err() {
+            // The same encoder just succeeded under `wire_size`; one that
+            // fails now has left every destination inside a frame.
+            for r in &mut out.results {
+                *r = Err(io::Error::other("payload encoder failed in mid-frame"));
+            }
+            return Ok(out.results);
+        }
+        Ok(out.finish())
+    })
 }
 
-/// Reads one frame. `Ok(None)` means clean EOF at a frame boundary (the
-/// peer closed its socket).
+/// The [`Sink`] behind [`write_envelope_to`]: a window that is written to
+/// every live destination each time it fills.
+struct Windowed<'a, W> {
+    window: &'a mut [u8],
+    /// Bytes of the window filled so far.
+    fill: usize,
+    /// Whether the window holds the frame's header (its first window).
+    first: bool,
+    dests: &'a mut [(NodeId, W)],
+    results: Vec<io::Result<()>>,
+}
+
+impl<W: Write> Windowed<'_, W> {
+    /// Writes the filled part of the window to each destination that has
+    /// not failed, addressing the header to it in the first window.
+    fn drain(&mut self) {
+        let bytes = &mut self.window[..self.fill];
+        for ((to, w), result) in self.dests.iter_mut().zip(&mut self.results) {
+            if result.is_err() {
+                continue;
+            }
+            if self.first {
+                bytes[TO_FIELD].copy_from_slice(&encode_node(*to).to_le_bytes());
+            }
+            *result = w.write_all(bytes);
+        }
+        self.first = false;
+        self.fill = 0;
+    }
+
+    /// Writes what is left of the frame and flushes every destination.
+    fn finish(mut self) -> Vec<io::Result<()>> {
+        if self.fill > 0 {
+            self.drain();
+        }
+        for ((_, w), result) in self.dests.iter_mut().zip(&mut self.results) {
+            if result.is_ok() {
+                *result = w.flush();
+            }
+        }
+        self.results
+    }
+
+    /// Puts `xs` as 8-byte words: whole runs are converted straight into
+    /// the window, and the one word that straddles a window boundary goes
+    /// through [`Sink::put_bytes`].
+    fn put_words<T: Copy>(&mut self, mut xs: &[T], le: impl Fn(T) -> [u8; 8]) {
+        while let Some((&x, rest)) = xs.split_first() {
+            let room = (WINDOW - self.fill) / 8;
+            if room == 0 {
+                self.put_bytes(&le(x));
+                xs = rest;
+                continue;
+            }
+            let (run, rest) = xs.split_at(room.min(xs.len()));
+            let dst = &mut self.window[self.fill..self.fill + 8 * run.len()];
+            for (d, &x) in dst.as_chunks_mut::<8>().0.iter_mut().zip(run) {
+                *d = le(x);
+            }
+            self.fill += 8 * run.len();
+            if self.fill == WINDOW {
+                self.drain();
+            }
+            xs = rest;
+        }
+    }
+}
+
+impl<W: Write> Sink for Windowed<'_, W> {
+    #[inline]
+    fn put_u8(&mut self, x: u8) {
+        self.put_bytes(&[x]);
+    }
+    #[inline]
+    fn put_u32(&mut self, x: u32) {
+        self.put_bytes(&x.to_le_bytes());
+    }
+    #[inline]
+    fn put_u64(&mut self, x: u64) {
+        self.put_bytes(&x.to_le_bytes());
+    }
+    #[inline]
+    fn put_f64(&mut self, x: f64) {
+        self.put_bytes(&x.to_le_bytes());
+    }
+    fn put_bytes(&mut self, mut b: &[u8]) {
+        while !b.is_empty() {
+            let n = b.len().min(WINDOW - self.fill);
+            self.window[self.fill..self.fill + n].copy_from_slice(&b[..n]);
+            self.fill += n;
+            b = &b[n..];
+            if self.fill == WINDOW {
+                self.drain();
+            }
+        }
+    }
+    fn put_f64_slice(&mut self, xs: &[f64]) {
+        self.put_words(xs, f64::to_le_bytes);
+    }
+    fn put_u64_slice(&mut self, xs: &[u64]) {
+        self.put_words(xs, u64::to_le_bytes);
+    }
+}
+
+/// Reads one frame whole. `Ok(None)` means clean EOF at a frame boundary
+/// (the peer closed its socket). The frame grows with the bytes that
+/// arrive, never ahead of them: a length prefix alone reserves at most
+/// one window.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
+    let Some(len) = read_prefix(r)? else {
+        return Ok(None);
+    };
     let mut frame = Vec::new();
-    Ok(read_frame_into(r, &mut frame)?.map(|_| frame))
+    read_to_len(r, len, &mut frame)?;
+    Ok(Some(frame))
 }
 
-/// Reads one frame into `buf`, a buffer the reader keeps across frames,
-/// and returns its length `n`: the frame is `buf[..n]`, with no tail of an
-/// earlier, longer frame behind it. `Ok(None)` means clean EOF at a frame
-/// boundary. The buffer grows with the bytes that arrive, never ahead of
-/// them: a length prefix alone reserves at most 64 KiB. The buffer is
-/// released under the same rule as [`encode_envelope_into`]'s.
-pub fn read_frame_into<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> io::Result<Option<usize>> {
+/// The next frame's length prefix, bounds-checked; `Ok(None)` at a clean
+/// EOF.
+fn read_prefix<R: Read>(r: &mut R) -> io::Result<Option<usize>> {
     let mut len_buf = [0u8; 4];
     match r.read_exact(&mut len_buf) {
         Ok(()) => {}
@@ -1138,15 +1390,86 @@ pub fn read_frame_into<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> io::Result<Opti
             format!("bad frame length {len}"),
         ));
     }
-    recycle(buf, len);
-    buf.reserve(len.min(RETAIN_FLOOR));
-    if r.take(len as u64).read_to_end(buf)? < len {
+    Ok(Some(len))
+}
+
+/// Appends the next `len` bytes of `r` to `out`.
+fn read_to_len<R: Read>(r: &mut R, len: usize, out: &mut Vec<u8>) -> io::Result<()> {
+    out.reserve(len.min(WINDOW));
+    if r.take(len as u64).read_to_end(out)? < len {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             format!("stream ended inside a {len}-byte frame"),
         ));
     }
-    Ok(Some(len))
+    Ok(())
+}
+
+/// The receiving end of a framed stream: every frame passes through one
+/// window-sized buffer. [`FrameReader::next_header`] reads a frame's
+/// length prefix and envelope header; the body is then either decoded as
+/// it arrives ([`FrameReader::decode_body`], for protocol messages) or
+/// read whole ([`FrameReader::read_whole`], for the small hello and
+/// telemetry frames). One of the two must follow each header.
+pub struct FrameReader<R> {
+    inner: BufReader<R>,
+    /// The envelope header of the frame being read.
+    header: [u8; ENVELOPE_BYTES],
+}
+
+impl<R> std::fmt::Debug for FrameReader<R> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FrameReader")
+            .field("capacity", &self.inner.capacity())
+            .finish()
+    }
+}
+
+impl<R: Read> FrameReader<R> {
+    /// Reads frames from `r` through a one-window buffer.
+    pub fn new(r: R) -> Self {
+        Self {
+            inner: BufReader::with_capacity(WINDOW, r),
+            header: [0; ENVELOPE_BYTES],
+        }
+    }
+
+    /// The underlying stream.
+    pub fn get_ref(&self) -> &R {
+        self.inner.get_ref()
+    }
+
+    /// The read buffer's size: one window, whatever the frames.
+    pub fn capacity(&self) -> usize {
+        self.inner.capacity()
+    }
+
+    /// The next frame's envelope header, checked against its length
+    /// prefix. `Ok(None)` means clean EOF at a frame boundary; a header
+    /// that does not decode is an `InvalidData` error.
+    pub fn next_header(&mut self) -> io::Result<Option<EnvelopeHeader>> {
+        let Some(len) = read_prefix(&mut self.inner)? else {
+            return Ok(None);
+        };
+        self.inner.read_exact(&mut self.header)?;
+        parse_header(&self.header, len)
+            .map(Some)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    }
+
+    /// Decodes the body of the frame `header` opened, as it arrives (see
+    /// [`decode_body_from`]).
+    pub fn decode_body<M: WireCodec>(&mut self, header: &EnvelopeHeader) -> Result<M, CodecError> {
+        decode_body_from(&mut self.inner, header.body_len)
+    }
+
+    /// Reads the rest of the frame `header` opened and returns the whole
+    /// frame, header included, as [`read_frame`] would have.
+    pub fn read_whole(&mut self, header: &EnvelopeHeader) -> io::Result<Vec<u8>> {
+        let mut frame = self.header.to_vec();
+        read_to_len(&mut self.inner, header.body_len, &mut frame)?;
+        Ok(frame)
+    }
 }
 
 #[cfg(test)]
@@ -1272,6 +1595,26 @@ mod tests {
         puts(&mut bytes);
         puts(&mut n);
         assert_eq!(n.0, bytes.len());
+
+        // The streaming sink writes the same bytes, with every kind of put
+        // straddling a window boundary somewhere across 5 000 rounds.
+        let mut whole = Vec::new();
+        let mut window = vec![0u8; WINDOW];
+        let mut dests = [(NodeId::Master, Vec::new())];
+        let mut out = Windowed {
+            window: &mut window,
+            fill: 0,
+            first: false,
+            results: vec![Ok(())],
+            dests: &mut dests,
+        };
+        for _ in 0..5_000 {
+            puts(&mut whole);
+            puts(&mut out);
+        }
+        assert!(out.finish().iter().all(Result::is_ok));
+        assert!(whole.len() > 3 * WINDOW);
+        assert!(dests[0].1 == whole, "streamed bytes differ");
     }
 
     #[test]
@@ -1420,35 +1763,55 @@ mod tests {
 
     #[test]
     fn a_length_prefix_alone_buys_no_large_allocation() {
+        // A telemetry header announcing a body just short of 1 GiB, then
+        // ten bytes: reading it whole fails at the end of the stream, and
+        // the frame never reserved more than a window ahead of its bytes.
+        let mut header = encode_telemetry_events(NodeId::Worker(0), NodeId::Master, &[]);
+        header.truncate(ENVELOPE_BYTES);
+        header[24..32].copy_from_slice(&((MAX_FRAME - ENVELOPE_BYTES) as u64).to_le_bytes());
         let mut stream = (MAX_FRAME as u32).to_le_bytes().to_vec();
+        stream.extend_from_slice(&header);
         stream.extend_from_slice(&[7; 10]);
-        let mut buf = Vec::new();
-        let err = read_frame_into(&mut std::io::Cursor::new(stream), &mut buf).unwrap_err();
+        let mut r = FrameReader::new(std::io::Cursor::new(stream));
+        let h = r.next_header().unwrap().unwrap();
+        assert_eq!(h.body_len, MAX_FRAME - ENVELOPE_BYTES);
+        let err = r.read_whole(&h).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-        assert!(
-            buf.capacity() <= RETAIN_FLOOR,
-            "capacity {}",
-            buf.capacity()
-        );
+        let mut frame = Vec::new();
+        let err = read_to_len(&mut std::io::Cursor::new([7; 10]), MAX_FRAME, &mut frame);
+        assert_eq!(err.unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+        assert!(frame.capacity() <= WINDOW, "capacity {}", frame.capacity());
     }
 
     #[test]
-    fn alternating_large_and_small_frames_keep_one_buffer() {
+    fn streamed_frames_decode_like_whole_ones() {
         let big = vec![0.5f64; 30_000];
-        let big = encode_envelope(NodeId::Master, NodeId::Worker(0), &big, Plane::Data).unwrap();
-        let small = encode_envelope(NodeId::Master, NodeId::Worker(0), &7u64, Plane::Data).unwrap();
+        let frames = [
+            encode_envelope(NodeId::Master, NodeId::Worker(0), &big, Plane::Data).unwrap(),
+            encode_envelope(
+                NodeId::Master,
+                NodeId::Worker(0),
+                &vec![7.0f64],
+                Plane::Data,
+            )
+            .unwrap(),
+        ];
         let mut stream = Vec::new();
         for _ in 0..3 {
-            write_frame(&mut stream, &big).unwrap();
-            write_frame(&mut stream, &small).unwrap();
+            for f in &frames {
+                write_frame(&mut stream, f).unwrap();
+            }
         }
-        let mut r = std::io::Cursor::new(stream);
-        let mut buf = Vec::new();
-        read_frame_into(&mut r, &mut buf).unwrap();
-        let kept = (buf.as_ptr(), buf.capacity());
-        while read_frame_into(&mut r, &mut buf).unwrap().is_some() {
-            assert_eq!((buf.as_ptr(), buf.capacity()), kept, "buffer was replaced");
+        let mut r = FrameReader::new(std::io::Cursor::new(stream));
+        for _ in 0..3 {
+            for f in &frames {
+                let h = r.next_header().unwrap().unwrap();
+                let got: Vec<f64> = r.decode_body(&h).unwrap();
+                assert_eq!(got, decode_body_checked::<Vec<f64>>(f).unwrap());
+                assert_eq!(r.capacity(), WINDOW);
+            }
         }
+        assert!(r.next_header().unwrap().is_none(), "clean EOF");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * master-originated sends are metered in `Router::send` as always,
 //!   then framed and written by [`TcpHub`]'s `deliver`;
 //! * worker-originated frames are decoded by the hub's per-connection
-//!   reader thread (`decode_body_checked` checks each frame is exactly
+//!   reader thread (`decode_body_from` checks each frame is exactly
 //!   `wire_size() + ENVELOPE_BYTES` long) and admitted through
 //!   [`Router::ingress`], which calls the exact same
 //!   `send`/`send_reliable` paths in-process traffic takes — metering,
@@ -26,6 +26,23 @@
 //! sending thread), so seeded fault schedules are bit-identical across
 //! backends.
 //!
+//! ## One window per frame
+//!
+//! No frame is held whole on either end. A sender encodes into a fixed
+//! 64 KiB window and writes each full window to every destination of the
+//! send or broadcast in turn, holding all their writer locks (taken in
+//! `NodeId` order) for the whole frame: the frame is encoded once, and a
+//! broadcast reaches every worker window by window instead of worker
+//! after worker. A receiver reads through a 64 KiB buffer — length
+//! prefix, header, then the body, decoded as it arrives. The transport's
+//! memory per connection is one window, whatever the frame size. Each
+//! socket still carries exactly the bytes of
+//! `write_frame(encode_envelope(from, to, payload, plane))`, so metering,
+//! chaos schedules and traces do not depend on the window. One
+//! consequence for profiles: `codec_encode` now includes the socket
+//! writes of the frame, and `codec_decode` and `hub_switch` include the
+//! time its body takes to arrive.
+//!
 //! ## Death and respawn
 //!
 //! A worker process exiting closes its socket; the hub's reader thread
@@ -35,7 +52,6 @@
 //! process, calls [`TcpHub::disconnect`], spawns a fresh process, and
 //! [`TcpHub::await_workers`] for the new connection.
 
-use std::cell::RefCell;
 #[expect(clippy::disallowed_types, reason = "keyed lookups; no output order")]
 use std::collections::HashMap;
 use std::io;
@@ -49,9 +65,8 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 
 use crate::codec::{
-    decode_body_checked, decode_envelope_header, decode_telemetry_body, encode_clock_echo,
-    encode_clock_probe, encode_envelope_into, encode_hello, encode_telemetry_events,
-    read_frame_into, readdress_prefixed_frame, write_frame, write_prefixed_frame, FrameKind,
+    decode_telemetry_body, encode_clock_echo, encode_clock_probe, encode_hello,
+    encode_telemetry_events, write_envelope_to, write_frame, FrameKind, FrameReader,
     TelemetryPayload,
 };
 use crate::node::NodeId;
@@ -60,40 +75,6 @@ use crate::telemetry::{Plane, ProfScope, Recorder};
 use crate::traffic::TrafficStats;
 use crate::transport::{Reregistered, Transport};
 use crate::WireCodec;
-
-thread_local! {
-    /// The calling thread's outgoing frame buffer, reused across frames.
-    /// One per sending thread rather than per connection: the master
-    /// broadcasts to every worker from one thread, encoding the frame
-    /// once, and per-connection buffers would keep K copies of the
-    /// largest frame alive.
-    static FRAME_OUT: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Frames `env` into this thread's buffer, then writes it to `writer`
-/// with one `write_all`. Encoding happens before the lock is taken, so
-/// concurrent senders on one socket serialize only on the write.
-#[expect(clippy::disallowed_types, reason = "the metered socket layer")]
-fn write_envelope<M: WireCodec>(
-    writer: &Mutex<TcpStream>,
-    env: &Envelope<M>,
-    plane: Plane,
-) -> Result<(), NetError> {
-    FRAME_OUT.with_borrow_mut(|buf| {
-        encode_envelope_into(buf, env.from, env.to, &env.payload, plane)
-            .map_err(NetError::Unencodable)?;
-        write_locked(writer, buf, env.to)
-    })
-}
-
-/// Writes one prefixed frame bound for `to` under its connection's writer
-/// lock.
-#[expect(clippy::disallowed_types, reason = "the metered socket layer")]
-fn write_locked(writer: &Mutex<TcpStream>, prefixed: &[u8], to: NodeId) -> Result<(), NetError> {
-    let mut stream = writer.lock();
-    // lint: allow(blocking-under-lock) the writer mutex IS the write serialization point: concurrent senders (hub deliver()s, a worker's deliver and telemetry flush) must not interleave frame bytes
-    write_prefixed_frame(&mut *stream, prefixed).map_err(|_| NetError::NodeDown(to))
-}
 
 /// Where the hub hands a message for one destination.
 #[expect(clippy::disallowed_types, reason = "the metered socket layer")]
@@ -105,14 +86,16 @@ enum Route<M> {
 }
 
 impl<M: WireCodec> Route<M> {
-    /// Hands `env` to its mailbox, or frames and writes it.
+    /// Hands `env` to its mailbox, or streams it to its connection.
     fn deliver(self, env: Envelope<M>, plane: Plane) -> Result<(), NetError> {
         match self {
             Route::Local(tx) => {
                 let to = env.to;
                 tx.send(env).map_err(|_| NetError::NodeDown(to))
             }
-            Route::Remote(writer) => write_envelope(&writer, &env, plane),
+            Route::Remote(writer) => {
+                stream_frame(&[(env.to, writer)], env.from, &env.payload, plane).swap_remove(0)
+            }
         }
     }
 }
@@ -120,9 +103,10 @@ impl<M: WireCodec> Route<M> {
 /// Sends one borrowed `payload` to every node in `tos`, each resolved by
 /// `route`, and returns one result per destination in `tos` order. A
 /// local mailbox gets its own clone. The remote connections share one
-/// encode into this thread's frame buffer: before each write only the
-/// header's `to` field is rewritten, so each destination's bytes equal
-/// `encode_envelope(from, to, ..)`. A dead destination fails alone.
+/// encode, streamed to all of them at once (see [`stream_frame`]). A
+/// connection carries one frame at a time, so destinations that share one
+/// (every remote destination of a worker's client) take one encode each.
+/// A dead destination fails alone.
 fn deliver_to_all<M: WireCodec + Clone>(
     route: impl Fn(NodeId) -> Result<Route<M>, NetError>,
     from: NodeId,
@@ -140,28 +124,67 @@ fn deliver_to_all<M: WireCodec + Clone>(
                     .map_err(|_| NetError::NodeDown(to))
             }
             Ok(Route::Remote(writer)) => {
-                remote.push((i, writer));
+                remote.push((i, (to, writer)));
                 Ok(())
             }
             Err(e) => Err(e),
         });
     }
-    let Some(&(first, _)) = remote.first() else {
-        return results;
-    };
-    FRAME_OUT.with_borrow_mut(|buf| {
-        if let Err(e) = encode_envelope_into(buf, from, tos[first], payload, plane) {
-            for (i, _) in remote {
-                results[i] = Err(NetError::Unencodable(e.clone()));
+    // Writer locks are taken in `NodeId` order.
+    remote.sort_by_key(|(_, (to, _))| *to);
+    while !remote.is_empty() {
+        let (mut round, mut later) = (Vec::new(), Vec::new());
+        for (i, dest) in remote {
+            if round.iter().any(|(_, (_, w))| Arc::ptr_eq(w, &dest.1)) {
+                later.push((i, dest));
+            } else {
+                round.push((i, dest));
             }
-            return;
         }
-        for (i, writer) in remote {
-            readdress_prefixed_frame(buf, tos[i]);
-            results[i] = write_locked(&writer, buf, tos[i]);
+        let (index, dests): (Vec<usize>, Vec<_>) = round.into_iter().unzip();
+        for (i, sent) in index
+            .into_iter()
+            .zip(stream_frame(&dests, from, payload, plane))
+        {
+            results[i] = sent;
         }
-    });
+        remote = later;
+    }
     results
+}
+
+/// Streams one frame of `payload` to every `(to, connection)` of `dests`
+/// (distinct connections, in `NodeId` order) and returns one result per
+/// destination. Every writer lock is held for the whole frame, so no
+/// other frame interleaves with it on any of the sockets, and each window
+/// reaches every destination before the next is encoded: the last worker
+/// of a broadcast starts receiving with the first.
+#[expect(clippy::disallowed_types, reason = "the metered socket layer")]
+fn stream_frame<M: WireCodec>(
+    dests: &[(NodeId, Arc<Mutex<TcpStream>>)],
+    from: NodeId,
+    payload: &M,
+    plane: Plane,
+) -> Vec<Result<(), NetError>> {
+    // lint: allow(lock-order) several writer locks at once: taken in NodeId order by every sender and held for one frame, so two broadcasts cannot wait on each other
+    let mut guards: Vec<_> = dests.iter().map(|(_, writer)| writer.lock()).collect();
+    let mut streams: Vec<(NodeId, &mut TcpStream)> = dests
+        .iter()
+        .zip(&mut guards)
+        .map(|(&(to, _), guard)| (to, &mut **guard))
+        .collect();
+    // lint: allow(blocking-under-lock) the writer mutexes ARE the write serialization points: concurrent senders (hub deliver()s, a worker's deliver and telemetry flush) must not interleave frame bytes
+    match write_envelope_to(&mut streams, from, payload, plane) {
+        Ok(sent) => dests
+            .iter()
+            .zip(sent)
+            .map(|(&(to, _), r)| r.map_err(|_| NetError::NodeDown(to)))
+            .collect(),
+        Err(e) => dests
+            .iter()
+            .map(|_| Err(NetError::Unencodable(e.clone())))
+            .collect(),
+    }
 }
 
 /// A locally hosted mailbox (the master's, on the hub side).
@@ -323,20 +346,18 @@ impl<M: WireCodec + Clone + Send + 'static> TcpHub<M> {
     /// then the ingress read loop.
     #[deny(clippy::wildcard_enum_match_arm)]
     #[expect(clippy::disallowed_types, reason = "the metered socket layer")]
-    fn serve_conn(&self, mut stream: TcpStream) {
+    fn serve_conn(&self, stream: TcpStream) {
         let _ = stream.set_nodelay(true);
-        // This reader's frame buffer, reused for every frame of the
-        // connection.
-        let mut buf = Vec::new();
+        // Every frame of the connection passes through this one window.
+        let mut frames = FrameReader::new(stream);
         // Hello: the first frame names the connecting worker.
-        let n = match read_frame_into(&mut stream, &mut buf) {
-            Ok(Some(n)) => n,
-            _ => return,
-        };
-        let header = match decode_envelope_header(&buf[..n]) {
-            Ok(h) if h.kind == FrameKind::Hello => h,
+        let header = match frames.next_header() {
+            Ok(Some(h)) if h.kind == FrameKind::Hello => h,
             _ => return, // not a worker of ours; drop the connection
         };
+        if frames.read_whole(&header).is_err() {
+            return;
+        }
         let who = header.from;
         let (generation, writer) = {
             let mut conns = self.inner.conns.lock();
@@ -349,7 +370,7 @@ impl<M: WireCodec + Clone + Send + 'static> TcpHub<M> {
             conn.generation += 1;
             conn.alive = true;
             let writer = Arc::new(Mutex::new(
-                stream.try_clone().expect("clone hub-side stream"),
+                frames.get_ref().try_clone().expect("clone hub-side stream"),
             ));
             conn.writer = Some(Arc::clone(&writer));
             (conn.generation, writer)
@@ -373,23 +394,23 @@ impl<M: WireCodec + Clone + Send + 'static> TcpHub<M> {
         drop(writer);
         // Ingress loop: worker-originated frames enter the metering layer
         // here, through the exact same Router paths as in-process sends.
-        // EOF or a read error ends the loop: the worker process is gone.
-        while let Ok(Some(n)) = read_frame_into(&mut stream, &mut buf) {
-            let frame = &buf[..n];
-            // Per-frame switching cost (header decode, telemetry
-            // interception, body decode, ingress) under one profiler
-            // frame; the guard drops on every `continue`/`break` path.
+        // EOF, a read error or a corrupt header ends the loop: the worker
+        // process is gone (or speaks garbage, which is treated the same).
+        while let Ok(Some(header)) = frames.next_header() {
+            // Per-frame switching cost (telemetry interception, body
+            // arrival and decode, ingress) under one profiler frame; the
+            // guard drops on every `continue`/`break` path.
             let _prof = ProfScope::enter("hub_switch");
-            let Ok(header) = decode_envelope_header(frame) else {
-                break; // corrupt stream: treat as death
-            };
             let plane = match header.kind {
                 FrameKind::Message(plane) => plane,
                 // Telemetry frames are intercepted *before* the decode /
                 // `Router::ingress` path: they never touch `TrafficStats`,
                 // so trace shipping cannot skew trace↔meter reconciliation.
                 FrameKind::Telemetry => {
-                    match decode_telemetry_body(frame) {
+                    let Ok(frame) = frames.read_whole(&header) else {
+                        break;
+                    };
+                    match decode_telemetry_body(&frame) {
                         Ok(TelemetryPayload::ClockEcho {
                             master_nanos,
                             client_nanos,
@@ -412,9 +433,14 @@ impl<M: WireCodec + Clone + Send + 'static> TcpHub<M> {
                     }
                     continue;
                 }
-                FrameKind::Hello => continue,
+                FrameKind::Hello => {
+                    if frames.read_whole(&header).is_err() {
+                        break;
+                    }
+                    continue;
+                }
             };
-            let Ok(payload) = decode_body_checked::<M>(frame) else {
+            let Ok(payload) = frames.decode_body::<M>(&header) else {
                 break;
             };
             let env = Envelope {
@@ -627,10 +653,9 @@ impl<M: WireCodec + Clone + Send + 'static> Transport<M> for TcpHub<M> {
 struct ClientInner<M> {
     me: NodeId,
     /// Shared with [`TelemetryTx`] and the reader thread's echo path. A
-    /// message frame is one `write_all`, but that is several `write`s for
-    /// a frame larger than the socket buffer, and telemetry frames go out
+    /// message frame goes out one window at a time, and telemetry frames
     /// as prefix + body: every frame producer must serialize on this one
-    /// lock or frames interleave on the socket.
+    /// lock, held for the whole frame, or frames interleave on the socket.
     writer: Arc<Mutex<TcpStream>>,
     /// Loopback for self-sends (a worker dispatching a workset to itself
     /// crosses no wire, in either backend).
@@ -715,66 +740,60 @@ impl<M: WireCodec + Clone + Send + 'static> TcpClient<M> {
             Recorder::disabled(),
         );
         let endpoint = router.endpoint_from_parts(me, local_rx, 0);
-        let mut read_half = stream;
+        let mut frames = FrameReader::new(stream);
         let echo_writer = Arc::clone(&writer);
         std::thread::Builder::new()
             .name(format!("tcp-client-read-{me}"))
             .spawn(move || {
-                // Feed incoming frames into the local mailbox. Dropping
-                // `local_tx` on exit disconnects the mailbox. `buf` is this
-                // reader's frame buffer, reused for every frame.
-                let mut buf = Vec::new();
-                loop {
-                    match read_frame_into(&mut read_half, &mut buf) {
-                        Ok(Some(n)) => {
-                            let frame = &buf[..n];
-                            let Ok(header) = decode_envelope_header(frame) else {
+                // Feed incoming frames into the local mailbox, each
+                // decoded through this reader's one window as it arrives.
+                // Dropping `local_tx` on exit disconnects the mailbox.
+                while let Ok(Some(header)) = frames.next_header() {
+                    match header.kind {
+                        FrameKind::Message(_) => {}
+                        FrameKind::Telemetry => {
+                            let Ok(frame) = frames.read_whole(&header) else {
                                 return;
                             };
-                            let plane_ok = match header.kind {
-                                FrameKind::Message(_) => true,
-                                FrameKind::Telemetry => {
-                                    match decode_telemetry_body(frame) {
-                                        Ok(TelemetryPayload::ClockProbe { master_nanos }) => {
-                                            let client_nanos = origin.elapsed().as_nanos() as u64;
-                                            let echo = encode_clock_echo(
-                                                me,
-                                                NodeId::Master,
-                                                master_nanos,
-                                                client_nanos,
-                                            );
-                                            // lint: allow(blocking-under-lock) the writer mutex IS the write serialization point; echoes must not interleave with data frames
-                                            let _ = write_frame(&mut *echo_writer.lock(), &echo);
-                                        }
-                                        // Echoes and event batches flow
-                                        // worker → master; arriving here
-                                        // they are misdirected. Telemetry
-                                        // noise must not kill the data
-                                        // path — drop the frame.
-                                        Ok(TelemetryPayload::ClockEcho { .. })
-                                        | Ok(TelemetryPayload::Events(_))
-                                        | Err(_) => {}
-                                    }
-                                    false
+                            match decode_telemetry_body(&frame) {
+                                Ok(TelemetryPayload::ClockProbe { master_nanos }) => {
+                                    let client_nanos = origin.elapsed().as_nanos() as u64;
+                                    let echo = encode_clock_echo(
+                                        me,
+                                        NodeId::Master,
+                                        master_nanos,
+                                        client_nanos,
+                                    );
+                                    // lint: allow(blocking-under-lock) the writer mutex IS the write serialization point; echoes must not interleave with data frames
+                                    let _ = write_frame(&mut *echo_writer.lock(), &echo);
                                 }
-                                FrameKind::Hello => false,
-                            };
-                            if !plane_ok {
-                                continue;
+                                // Echoes and event batches flow worker →
+                                // master; arriving here they are
+                                // misdirected. Telemetry noise must not
+                                // kill the data path — drop the frame.
+                                Ok(TelemetryPayload::ClockEcho { .. })
+                                | Ok(TelemetryPayload::Events(_))
+                                | Err(_) => {}
                             }
-                            let Ok(payload) = decode_body_checked::<M>(frame) else {
-                                return;
-                            };
-                            let env = Envelope {
-                                from: header.from,
-                                to: header.to,
-                                payload,
-                            };
-                            if local_tx.send(env).is_err() {
-                                return;
-                            }
+                            continue;
                         }
-                        _ => return,
+                        FrameKind::Hello => {
+                            if frames.read_whole(&header).is_err() {
+                                return;
+                            }
+                            continue;
+                        }
+                    }
+                    let Ok(payload) = frames.decode_body::<M>(&header) else {
+                        return;
+                    };
+                    let env = Envelope {
+                        from: header.from,
+                        to: header.to,
+                        payload,
+                    };
+                    if local_tx.send(env).is_err() {
+                        return;
                     }
                 }
             })

@@ -7,6 +7,7 @@
 //! worker side holds the same: a `TcpClient` broadcast to `[Master]` is a
 //! `send` in frame bytes, meter, `CommRecord`s and mailbox, encoded once.
 
+use std::io::{self, Write};
 #[expect(clippy::disallowed_types, reason = "the test drives raw sockets")]
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -15,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use columnsgd_cluster::codec::{
     decode_body_checked, decode_envelope_header, encode_envelope, encode_hello, read_frame,
-    write_frame, FrameKind,
+    write_envelope_to, write_frame, FrameKind,
 };
 use columnsgd_cluster::telemetry::{profile, CommRecord, Event, Plane, ProfScope};
 use columnsgd_cluster::traffic::LinkStats;
@@ -357,6 +358,124 @@ fn dead_connection_fails_only_its_destination() {
                 model
             );
         }
+    }
+}
+
+/// A payload whose frame is three and a half windows of the transport:
+/// 4 + 32 + 8 + 8·n bytes ≈ 3.5 × 64 KiB.
+fn multi_window_payload() -> Payload {
+    payload((7 * (32 << 10) - 44) / 8, 5)
+}
+
+/// A broadcast of several windows to K = 3 raw workers: one encode, and
+/// every socket carries exactly `write_frame(encode_envelope(master, w,
+/// ..))` — the raw readers' frames are compared with each worker's own
+/// encoding in `tcp_run`'s way.
+#[test]
+fn multi_window_broadcast_is_one_encode_with_each_workers_bytes() {
+    let _profiler = PROFILER.lock().unwrap_or_else(PoisonError::into_inner);
+    let (k, model) = (3, multi_window_payload());
+    let rig = TcpRig::up(k, None);
+    let tos = workers(k);
+    profile::set_enabled(true);
+    let encodes = encodes_in(|| {
+        let sent = fan_out(&rig.router, NodeId::Master, Fanout::Broadcast, &tos, &model);
+        assert_eq!(sent, vec![Ok(()); k]);
+    });
+    profile::set_enabled(false);
+    assert_eq!(encodes, 1);
+    let (_, _, frames) = rig.down();
+    for (w, frames) in frames.iter().enumerate() {
+        let want = encode_envelope(NodeId::Master, NodeId::Worker(w), &model, Plane::Data)
+            .expect("encode");
+        assert!(want.len() > 3 * (64 << 10), "{} B", want.len());
+        assert_eq!(frames, &vec![want], "worker {w}");
+    }
+}
+
+/// A writer that accepts `limit` bytes and then fails, like a socket
+/// whose peer died in the middle of a frame.
+struct DiesAfter {
+    limit: usize,
+    written: usize,
+}
+
+impl Write for DiesAfter {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.written >= self.limit {
+            return Err(io::ErrorKind::BrokenPipe.into());
+        }
+        let n = buf.len().min(self.limit - self.written);
+        self.written += n;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A connection that dies in the middle of a multi-window frame fails
+/// only its own destination; the others receive the whole frame. At the
+/// codec, the death is placed exactly (after the first window); over
+/// real sockets, worker 1's connection is closed and the broadcast
+/// repeated until the hub reports it dead.
+#[test]
+#[expect(clippy::disallowed_methods, reason = "polls against a wall deadline")]
+fn connection_killed_in_mid_frame_fails_alone() {
+    let model = multi_window_payload();
+    let tos = workers(3);
+    let (mut out0, mut out2) = (Vec::new(), Vec::new());
+    let mut killed = DiesAfter {
+        limit: 70_000,
+        written: 0,
+    };
+    let mut dests: Vec<(NodeId, &mut dyn Write)> = vec![
+        (tos[0], &mut out0),
+        (tos[1], &mut killed),
+        (tos[2], &mut out2),
+    ];
+    let sent =
+        write_envelope_to(&mut dests, NodeId::Master, &model, Plane::Data).expect("encodable");
+    drop(dests);
+    assert!(
+        sent[0].is_ok() && sent[1].is_err() && sent[2].is_ok(),
+        "{sent:?}"
+    );
+    assert_eq!(
+        killed.written, 70_000,
+        "worker 1 died after the first window"
+    );
+    for (w, out) in [(0, &out0), (2, &out2)] {
+        let mut want = Vec::new();
+        let frame = encode_envelope(NodeId::Master, NodeId::Worker(w), &model, Plane::Data);
+        write_frame(&mut want, &frame.expect("encode")).expect("frame");
+        assert!(*out == want, "worker {w} got a different frame");
+    }
+
+    let mut rig = TcpRig::up(3, None);
+    let socket = rig.sockets.remove(1);
+    socket.shutdown(Shutdown::Both).expect("kill worker 1");
+    rig.readers.remove(1).join().expect("reader");
+    drop(socket);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut broadcasts = 0;
+    loop {
+        let results = rig.router.broadcast(NodeId::Master, &tos, &model);
+        broadcasts += 1;
+        assert!(results[0].is_ok() && results[2].is_ok(), "{results:?}");
+        if results[1] == Err(NetError::NodeDown(NodeId::Worker(1))) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the hub never saw worker 1 die");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let (_, _, frames) = rig.down();
+    for (frames, w) in frames.iter().zip([0, 2]) {
+        let want = encode_envelope(NodeId::Master, NodeId::Worker(w), &model, Plane::Data)
+            .expect("encode");
+        assert_eq!(frames.len(), broadcasts, "worker {w}");
+        assert!(frames.iter().all(|f| *f == want), "worker {w}");
     }
 }
 

@@ -1,55 +1,133 @@
-//! Stream framing through reused buffers: whatever bytes arrive, a reader
-//! that keeps one frame buffer never panics and holds no more memory than
-//! the bytes it has received justify; a reused buffer never hands back a
-//! stale tail of an earlier, larger frame; and a message frame leaves its
-//! writer in exactly one `write` call, byte-identical to the two-call
-//! `write_frame(encode_envelope(..))`. The header and telemetry decoders
-//! trust nothing either: any bytes give a header or a typed error.
+//! Stream framing through one fixed window. Whatever bytes arrive, a
+//! `FrameReader` never panics and its buffer stays one window; a body
+//! decoded as it arrives, in pieces of any size, equals the whole-frame
+//! decode, error for error. A streamed send leaves every destination
+//! exactly the bytes of `write_frame(encode_envelope(..))`, in one
+//! `write` per window, and neither end allocates in proportion to the
+//! frame beyond the decoded payload itself. The header and telemetry
+//! decoders trust nothing either: any bytes give a header or a typed
+//! error.
+//!
+//! The allocation probe is this binary's global allocator: it forwards
+//! to `System` and counts the bytes each thread requests.
 
-use std::io::{self, Cursor, Read, Write};
+#[expect(clippy::disallowed_types, reason = "the probe is the global allocator")]
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::io::{self, BufReader, Cursor, Read, Write};
 
 use columnsgd_cluster::codec::{
-    decode_body_checked, decode_envelope_header, decode_telemetry_body, encode_clock_echo,
-    encode_clock_probe, encode_envelope, encode_envelope_into, encode_hello,
-    encode_telemetry_events, read_frame, read_frame_into, write_frame, write_prefixed_frame,
-    CodecError, ENVELOPE_BYTES,
+    decode_body_checked, decode_body_from, decode_envelope_header, decode_telemetry_body,
+    encode_clock_echo, encode_clock_probe, encode_envelope, encode_hello, encode_telemetry_events,
+    write_envelope_to, write_frame, CodecError, FrameKind, FrameReader, WireCodec, ENVELOPE_BYTES,
 };
 use columnsgd_cluster::telemetry::Plane;
 use columnsgd_cluster::NodeId;
+use columnsgd_data::workset::split_block;
+use columnsgd_data::{Block, ColumnPartitioner};
+use columnsgd_linalg::{CsrMatrix, DenseVector, SparseVector};
 use proptest::prelude::*;
 
-/// The codec's retention floor: buffers up to this size are always kept,
-/// and a length prefix alone reserves no more.
-const RETAIN_FLOOR: usize = 64 << 10;
+thread_local! {
+    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+}
+
+/// `System`, counting the bytes each thread asks for.
+struct CountingAlloc;
+
+fn note(size: usize) {
+    // `try_with`: allocations also happen while thread locals are torn down.
+    let _ = ALLOCATED.try_with(|a| a.set(a.get() + size));
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; the bookkeeping
+// touches only a const-initialized thread local, which never allocates.
+#[expect(clippy::disallowed_methods, reason = "the probe forwards to System")]
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+// `#[global_allocator]` expands to allocator shims beside the static, so
+// the exemption sits on a module around it.
+#[expect(clippy::disallowed_methods, reason = "installs the allocation probe")]
+mod install {
+    #[global_allocator]
+    static ALLOCATOR: super::CountingAlloc = super::CountingAlloc;
+}
+
+/// `f`'s result and the bytes this thread allocated while it ran.
+fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATED.with(Cell::get);
+    let out = f();
+    (out, ALLOCATED.with(Cell::get) - before)
+}
+
+/// The codec's window: a `FrameReader`'s buffer size.
+fn window() -> usize {
+    FrameReader::new(io::empty()).capacity()
+}
 
 /// A reader that hands out at most `chunk` bytes per call (a socket
-/// delivering a frame in pieces) and counts what it delivered.
+/// delivering a frame in pieces).
 struct Trickle {
     inner: Cursor<Vec<u8>>,
     chunk: usize,
-    delivered: usize,
 }
 
 impl Read for Trickle {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         let n = buf.len().min(self.chunk);
-        let got = self.inner.read(&mut buf[..n])?;
-        self.delivered += got;
-        Ok(got)
+        self.inner.read(&mut buf[..n])
     }
 }
 
-/// A writer that counts `write` calls.
-#[derive(Default)]
-struct CountingWriter {
-    bytes: Vec<u8>,
+/// A writer that checks each byte against the frame it should receive
+/// without storing any, and counts its `write` calls.
+struct Expecting {
+    want: Vec<u8>,
+    at: usize,
     writes: usize,
+    largest: usize,
+    matches: bool,
 }
 
-impl Write for CountingWriter {
+impl Expecting {
+    fn new(want: Vec<u8>) -> Self {
+        Expecting {
+            want,
+            at: 0,
+            writes: 0,
+            largest: 0,
+            matches: true,
+        }
+    }
+
+    fn complete(&self) -> bool {
+        self.matches && self.at == self.want.len()
+    }
+}
+
+impl Write for Expecting {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         self.writes += 1;
-        self.bytes.extend_from_slice(buf);
+        self.largest = self.largest.max(buf.len());
+        let end = self.at + buf.len();
+        self.matches &= self.want.get(self.at..end) == Some(buf);
+        self.at = end;
         Ok(buf.len())
     }
 
@@ -79,8 +157,16 @@ fn payload(len: usize, seed: u64) -> Vec<f64> {
     (0..len).map(|i| (seed ^ i as u64) as f64 * 0.5).collect()
 }
 
+/// `write_frame(encode_envelope(..))`: what a stream must carry.
+fn prefixed<M: WireCodec>(from: NodeId, to: NodeId, m: &M, pl: Plane) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_frame(&mut out, &encode_envelope(from, to, m, pl).unwrap()).unwrap();
+    out
+}
+
 /// One piece of an arbitrary stream: a length prefix (plausible, at the
-/// envelope bound, oversized, or raw) followed by raw bytes.
+/// envelope bound, oversized, or raw), then a real header or raw bytes,
+/// then raw bytes.
 fn piece() -> impl Strategy<Value = Vec<u8>> {
     let prefix = prop_oneof![
         (0u32..400).prop_map(|n| n.to_le_bytes().to_vec()),
@@ -90,7 +176,23 @@ fn piece() -> impl Strategy<Value = Vec<u8>> {
         Just(u32::MAX.to_le_bytes().to_vec()),
         prop::collection::vec(0u8..=255, 0..4),
     ];
-    (prefix, prop::collection::vec(0u8..=255, 0..600)).prop_map(|(mut p, body)| {
+    let header = prop_oneof![
+        Just(Vec::new()),
+        Just(
+            encode_envelope(
+                NodeId::Master,
+                NodeId::Worker(0),
+                &payload(40, 3),
+                Plane::Data
+            )
+            .unwrap()[..ENVELOPE_BYTES]
+                .to_vec()
+        ),
+        Just(encode_clock_probe(NodeId::Master, NodeId::Worker(0), 7)[..ENVELOPE_BYTES].to_vec()),
+        Just(encode_hello(NodeId::Worker(0))),
+    ];
+    (prefix, header, prop::collection::vec(0u8..=255, 0..600)).prop_map(|(mut p, h, body)| {
+        p.extend_from_slice(&h);
         p.extend_from_slice(&body);
         p
     })
@@ -138,6 +240,54 @@ fn explained(e: &CodecError) -> bool {
     !e.to_string().is_empty()
 }
 
+/// Decodes the body of `frame` both ways — whole, and streamed through a
+/// `cap`-byte buffer over a reader handing out `chunk` bytes per call —
+/// and checks the two agree, error for error.
+fn both_ways<M: WireCodec + PartialEq + std::fmt::Debug>(
+    frame: &[u8],
+    cap: usize,
+    chunk: usize,
+) -> Result<(), String> {
+    let whole = decode_body_checked::<M>(frame);
+    let body = frame.get(ENVELOPE_BYTES..).unwrap_or_default().to_vec();
+    let body_len = body.len();
+    let mut r = BufReader::with_capacity(
+        cap,
+        Trickle {
+            inner: Cursor::new(body),
+            chunk,
+        },
+    );
+    let streamed = decode_body_from::<M, _>(&mut r, body_len);
+    if frame.len() >= ENVELOPE_BYTES {
+        prop_assert_eq!(streamed, whole);
+    }
+    Ok(())
+}
+
+/// One sample of every cluster-level payload type, from `seed`.
+fn samples(seed: u64) -> Vec<Vec<u8>> {
+    let rows: Vec<(f64, SparseVector)> = (0..2 + seed % 4)
+        .map(|r| {
+            let pairs = (0..1 + (seed + r) % 3).map(|j| (r * 5 + j * 3, 0.25 * j as f64 - 1.0));
+            (1.0, SparseVector::from_pairs(pairs.collect()))
+        })
+        .collect();
+    let block = Block::from_rows(seed, &rows);
+    let ws = split_block(&block, &ColumnPartitioner::round_robin(2));
+    let (m, w) = (NodeId::Master, NodeId::Worker(1));
+    vec![
+        encode_envelope(m, w, &payload(seed as usize % 50, seed), Plane::Data).unwrap(),
+        encode_envelope(m, w, &block, Plane::Data).unwrap(),
+        encode_envelope(m, w, &ws[0], Plane::Data).unwrap(),
+        encode_envelope(m, w, &CsrMatrix::from_rows(&rows), Plane::Data).unwrap(),
+        encode_envelope(m, w, &rows[0].1, Plane::Data).unwrap(),
+        encode_envelope(m, w, &DenseVector::from_vec(payload(5, seed)), Plane::Data).unwrap(),
+        encode_envelope(m, w, &format!("état {seed}"), Plane::Data).unwrap(),
+        encode_envelope(m, w, &vec![(seed, 3usize), (4, 5)], Plane::Data).unwrap(),
+    ]
+}
+
 proptest! {
     /// Any bytes into the header decoder: a header whose length invariant
     /// holds, or a typed error — never a panic or an overflow.
@@ -159,93 +309,139 @@ proptest! {
         }
     }
 
-    /// Arbitrary bytes through one reused buffer: every call returns (a
-    /// frame, clean EOF or an error) without panicking, and capacity stays
-    /// within 2 × bytes received + the retention floor.
+    /// Arbitrary bytes through one `FrameReader`: every header is read,
+    /// and every body decoded or read whole, without panicking, and the
+    /// reader's buffer stays one window throughout.
     #[test]
-    fn arbitrary_streams_never_panic_and_stay_bounded(
+    fn arbitrary_streams_never_panic_and_keep_one_window(
         pieces in prop::collection::vec(piece(), 1..12),
         chunk in 1usize..2048,
     ) {
-        let mut r = Trickle { inner: Cursor::new(pieces.concat()), chunk, delivered: 0 };
-        let mut buf = Vec::new();
-        loop {
-            let got = read_frame_into(&mut r, &mut buf);
-            prop_assert!(
-                buf.capacity() <= 2 * r.delivered + RETAIN_FLOOR,
-                "capacity {} after {} bytes received", buf.capacity(), r.delivered
-            );
-            match got {
-                Ok(Some(n)) => prop_assert!(n == buf.len() && n >= 32),
-                Ok(None) | Err(_) => break,
+        let window = window();
+        let mut r = FrameReader::new(Trickle { inner: Cursor::new(pieces.concat()), chunk });
+        while let Ok(Some(h)) = r.next_header() {
+            prop_assert_eq!(r.capacity(), window);
+            let ok = match h.kind {
+                FrameKind::Message(_) => r.decode_body::<Vec<f64>>(&h).is_ok(),
+                FrameKind::Hello | FrameKind::Telemetry => {
+                    r.read_whole(&h).is_ok_and(|f| f.len() == h.body_len + ENVELOPE_BYTES)
+                }
+            };
+            prop_assert_eq!(r.capacity(), window);
+            if !ok {
+                break;
             }
         }
     }
 
-    /// Valid frames, largest first, read through one reused buffer: each is
-    /// byte-identical to a fresh `read_frame` of the same stream and
-    /// decodes to its payload, and the buffer kept afterwards is at most
-    /// 4× the larger of this frame and the one before (or the retention
-    /// floor), so large frames that stop coming release their buffer.
+    /// A body decoded as it arrives, in pieces of any size and through a
+    /// buffer of any size, equals the whole-frame decode of every sample
+    /// payload and of mangled frames, error for error.
     #[test]
-    fn reused_read_buffer_never_decodes_a_stale_tail(
-        frames in prop::collection::vec((0usize..24_000, 0u64..1000, 0u8..=255), 1..8),
-        chunk in 512usize..65_536,
+    fn streamed_decode_equals_whole_frame_decode(
+        seed in 0u64..1_000,
+        frame in mangled_frame(),
+        cap in 1usize..64,
+        chunk in 1usize..512,
     ) {
-        let mut frames = frames;
-        frames.sort_by_key(|f| std::cmp::Reverse(f.0));
-        let mut stream = Vec::new();
-        let mut sent = Vec::new();
-        for &(len, seed, code) in &frames {
-            let p = payload(len, seed);
-            let f = encode_envelope(node(code), node(code / 3), &p, plane(code)).unwrap();
-            write_frame(&mut stream, &f).unwrap();
-            sent.push(p);
-        }
-        let mut reused = Trickle { inner: Cursor::new(stream.clone()), chunk, delivered: 0 };
-        let mut fresh = Cursor::new(stream);
-        let mut buf = Vec::new();
-        let mut prev = 0;
-        for p in &sent {
-            let n = read_frame_into(&mut reused, &mut buf).unwrap().unwrap();
-            let want = read_frame(&mut fresh).unwrap().unwrap();
-            prop_assert!(buf[..n] == want[..], "reused buffer differs from a fresh read");
-            prop_assert_eq!(&decode_body_checked::<Vec<f64>>(&buf[..n]).unwrap(), p);
-            prop_assert!(
-                buf.capacity() <= (4 * n.max(prev)).max(RETAIN_FLOOR),
-                "kept {} bytes for a {n}-byte frame after a {prev}-byte one", buf.capacity()
-            );
-            prev = n;
-        }
-        prop_assert!(read_frame_into(&mut reused, &mut buf).unwrap().is_none());
+        let frames = samples(seed);
+        both_ways::<Vec<f64>>(&frames[0], cap, chunk)?;
+        both_ways::<Block>(&frames[1], cap, chunk)?;
+        both_ways::<columnsgd_data::Workset>(&frames[2], cap, chunk)?;
+        both_ways::<CsrMatrix>(&frames[3], cap, chunk)?;
+        both_ways::<SparseVector>(&frames[4], cap, chunk)?;
+        both_ways::<DenseVector>(&frames[5], cap, chunk)?;
+        both_ways::<String>(&frames[6], cap, chunk)?;
+        both_ways::<Vec<(u64, usize)>>(&frames[7], cap, chunk)?;
+        both_ways::<Vec<f64>>(&frame, cap, chunk)?;
+        both_ways::<Block>(&frame, cap, chunk)?;
     }
 
-    /// Every message frame is one `write` call, and the bytes equal
-    /// `write_frame(encode_envelope(..))`, through one reused encode
-    /// buffer in any size order.
+    /// Valid frames of up to three windows, streamed to up to four
+    /// destinations: each destination receives exactly its own
+    /// `write_frame(encode_envelope(..))`, in ⌈n / window⌉ writes of at
+    /// most one window — a frame that fits the window is one write — and
+    /// a `FrameReader` decodes each back to its payload.
     #[test]
-    fn one_write_per_message_frame(
-        frames in prop::collection::vec((0usize..24_000, 0u64..1000, 0u8..=255), 1..8),
+    fn one_write_per_window_per_destination(
+        frames in prop::collection::vec((0usize..24_000, 0u64..1000, 0u8..=255), 1..6),
+        k in 1usize..5,
+        chunk in 512usize..65_536,
     ) {
-        let mut out = Vec::new();
-        let mut w = CountingWriter::default();
-        let mut prev = 0;
-        for (i, &(len, seed, code)) in frames.iter().enumerate() {
+        let window = window();
+        for &(len, seed, code) in &frames {
             let p = payload(len, seed);
-            let (from, to, pl) = (node(code), node(code / 3), plane(code));
-            encode_envelope_into(&mut out, from, to, &p, pl).unwrap();
-            let before = w.bytes.len();
-            write_prefixed_frame(&mut w, &out).unwrap();
-            prop_assert_eq!(w.writes, i + 1);
-            let mut want = Vec::new();
-            write_frame(&mut want, &encode_envelope(from, to, &p, pl).unwrap()).unwrap();
-            prop_assert!(w.bytes[before..] == want[..], "frame {i} bytes differ");
-            prop_assert!(
-                out.capacity() <= (4 * out.len().max(prev)).max(RETAIN_FLOOR),
-                "kept {} bytes for a {}-byte frame after a {prev}-byte one",
-                out.capacity(), out.len()
-            );
-            prev = out.len();
+            let (from, pl) = (node(code), plane(code));
+            let tos: Vec<NodeId> = (0..k).map(NodeId::Worker).collect();
+            let mut dests: Vec<(NodeId, Expecting)> = tos
+                .iter()
+                .map(|&to| (to, Expecting::new(prefixed(from, to, &p, pl))))
+                .collect();
+            let sent = write_envelope_to(&mut dests, from, &p, pl).unwrap();
+            prop_assert!(sent.iter().all(Result::is_ok));
+            let n = dests[0].1.want.len();
+            for (to, w) in &dests {
+                prop_assert!(w.complete(), "{to}'s bytes differ from its own frame");
+                prop_assert_eq!(w.writes, n.div_ceil(window), "{}-byte frame", n);
+                prop_assert!(w.largest <= window);
+            }
+            let stream = dests.swap_remove(0).1.want;
+            let mut r = FrameReader::new(Trickle { inner: Cursor::new(stream), chunk });
+            let h = r.next_header().unwrap().unwrap();
+            prop_assert_eq!(r.decode_body::<Vec<f64>>(&h).unwrap(), p);
+            prop_assert!(r.next_header().unwrap().is_none());
         }
+    }
+}
+
+/// Neither end's buffers grow with the frame: streaming a frame of any
+/// size to three destinations allocates nothing once the thread's window
+/// exists, and receiving one allocates the decoded payload, grown from
+/// one window as its bytes arrive, and no frame-sized buffer beside it,
+/// through a reader whose buffer stays one window.
+#[test]
+fn neither_end_buffers_grow_with_frame_size() {
+    let window = window();
+    let tos = [NodeId::Worker(0), NodeId::Worker(1), NodeId::Worker(2)];
+    for len in [10, 8_000, 100_000, 1_000_000] {
+        let p = payload(len, 3);
+        let mut dests: Vec<(NodeId, Expecting)> = tos
+            .iter()
+            .map(|&to| {
+                (
+                    to,
+                    Expecting::new(prefixed(NodeId::Master, to, &p, Plane::Data)),
+                )
+            })
+            .collect();
+        // The first frame on this thread may allocate its window.
+        write_envelope_to(&mut dests[..1], NodeId::Master, &7u64, Plane::Data).unwrap();
+        for (_, w) in &mut dests {
+            w.at = 0;
+            w.writes = 0;
+            w.matches = true;
+        }
+        let (sent, bytes) =
+            allocated_by(|| write_envelope_to(&mut dests, NodeId::Master, &p, Plane::Data));
+        assert!(sent.unwrap().iter().all(Result::is_ok));
+        assert!(dests.iter().all(|(_, w)| w.complete()));
+        assert!(bytes <= 1024, "sending {len} values allocated {bytes} B");
+
+        let stream = dests.swap_remove(0).1.want;
+        let mut r = FrameReader::new(Cursor::new(stream));
+        // Decoded the way the protocol's bulk runs are (`Vec<f64>` and
+        // `DenseVector` share their bytes).
+        let (got, bytes) = allocated_by(|| {
+            let h = r.next_header().unwrap().unwrap();
+            r.decode_body::<DenseVector>(&h).unwrap()
+        });
+        assert_eq!(got.as_slice(), &p[..]);
+        assert_eq!(r.capacity(), window);
+        // Growing the payload costs at most an eighth of it at these
+        // sizes; a second copy of the frame would cost all of it.
+        assert!(
+            bytes <= 8 * len + 8 * len / 4 + window + 1024,
+            "receiving {len} values allocated {bytes} B"
+        );
     }
 }

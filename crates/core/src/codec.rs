@@ -70,8 +70,8 @@ pub fn put_param_set<S: Sink>(out: &mut S, p: &ParamSet) -> Result<(), CodecErro
 /// Decodes a [`ParamSet`] encoded by [`put_param_set`].
 pub fn read_param_set(r: &mut WireReader<'_>) -> Result<ParamSet, CodecError> {
     let nblocks = r.usize("ParamSet nblocks")?;
-    let mut blocks = Vec::with_capacity(r.capacity_hint(nblocks));
-    let mut widths = Vec::with_capacity(r.capacity_hint(nblocks));
+    let mut blocks = r.vec_for(nblocks);
+    let mut widths = r.vec_for(nblocks);
     for _ in 0..nblocks {
         let header = r.u64("ParamSet block header")?;
         let len = (header & LEN_MASK) as usize;
@@ -173,7 +173,7 @@ fn put_parts<S: Sink>(out: &mut S, parts: &[(usize, ParamSet)]) -> Result<(), Co
 
 fn read_parts(r: &mut WireReader<'_>) -> Result<Vec<(usize, ParamSet)>, CodecError> {
     let len = r.usize("parts length")?;
-    let mut parts = Vec::with_capacity(r.capacity_hint(len));
+    let mut parts = r.vec_for(len);
     for _ in 0..len {
         let pid = r.usize("part pid")?;
         parts.push((pid, read_param_set(r)?));
@@ -496,7 +496,7 @@ impl WireCodec for ColMsg {
                 let pid = r.usize("ShardData pid")?;
                 let epoch = r.u64("ShardData epoch")?;
                 let n = r.usize("ShardData worksets length")?;
-                // No reservation: `capacity_hint` counts one wire byte
+                // No reservation: `vec_for` counts one wire byte
                 // per element, and a `Workset` is 104 B in memory, so it
                 // could reserve 104 × the frame. Grown by the worksets
                 // that decode (≥ 32 wire bytes each), it stays near 6 ×.

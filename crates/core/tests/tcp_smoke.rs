@@ -41,7 +41,17 @@ struct RunResult {
 }
 
 fn run_on(cluster: &ClusterConfig, cfg: ColumnSgdConfig, k: usize, plan: FailurePlan) -> RunResult {
-    let (blocks, dim) = blocks_for(&cfg, 240, 48, 9);
+    run_rows(cluster, cfg, k, plan, 240)
+}
+
+fn run_rows(
+    cluster: &ClusterConfig,
+    cfg: ColumnSgdConfig,
+    k: usize,
+    plan: FailurePlan,
+    rows: usize,
+) -> RunResult {
+    let (blocks, dim) = blocks_for(&cfg, rows, 48, 9);
     let recorder = Recorder::new();
     let mut engine = ColumnSgdEngine::from_blocks_clustered(
         blocks,
@@ -121,6 +131,35 @@ fn tcp_and_inproc_runs_are_bit_identical() {
         inproc.canonical, tcp.canonical,
         "canonical traces diverged across backends"
     );
+}
+
+/// Statistics frames wider than the transport's 64 KiB window: FM with 10
+/// factors at batch 1 024 ships 1 024 × 11 × 8 = 90 112 B of statistics
+/// in every reply and every update, so each of those frames is written
+/// and decoded across window boundaries on both ends. Loss curve, model,
+/// meter and canonical trace still match the in-process run.
+#[test]
+fn fm_frames_wider_than_the_window_are_bit_identical() {
+    let cfg = ColumnSgdConfig::new(ModelSpec::Fm { factors: 10 })
+        .with_batch_size(1024)
+        .with_iterations(4)
+        .with_learning_rate(0.1)
+        .with_seed(17);
+    assert!(cfg.batch_size * 11 * 8 > 64 << 10);
+    let plan = FailurePlan::none;
+    let inproc = run_rows(&ClusterConfig::in_proc(), cfg, 2, plan(), 2048);
+    let tcp = run_rows(
+        &ClusterConfig::tcp().with_worker_bin(worker_bin()),
+        cfg,
+        2,
+        plan(),
+        2048,
+    );
+    assert_eq!(inproc.losses, tcp.losses, "loss curves diverged");
+    assert_eq!(inproc.model, tcp.model, "final models diverged");
+    assert_eq!(inproc.traffic, tcp.traffic, "metered traffic diverged");
+    assert_eq!(tcp.comm, tcp.traffic);
+    assert_eq!(inproc.canonical, tcp.canonical, "canonical traces diverged");
 }
 
 /// A scripted worker crash on the TCP backend: the process dies, the

@@ -46,6 +46,7 @@ const BLOCKING_CALLS: &[&str] = &[
     "deliver",
     "write_frame",
     "write_prefixed_frame",
+    "write_envelope_to",
     "read_frame",
     "read_frame_into",
     "write_all",

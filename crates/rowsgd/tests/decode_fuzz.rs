@@ -4,7 +4,12 @@
 //! messages with bytes overwritten, a huge length planted at every
 //! offset, cut short or extended. Each decode must end in a message or a
 //! typed `CodecError`, never a panic, and must never ask the allocator
-//! for more than the frame can account for.
+//! for more than the frame can account for. Every input is decoded twice:
+//! as a whole frame, and streamed as it arrives in small pieces, the way
+//! the TCP transport decodes it. The two must agree, error for error, and
+//! a stream that ends before the length its header announced is a typed
+//! error whose allocations the bytes that arrived bound, however long the
+//! announced length: a header is not bytes in hand.
 //!
 //! The allocation probe is this binary's global allocator: it forwards
 //! to `System` and records the largest request of the current thread.
@@ -12,8 +17,14 @@
 #[expect(clippy::disallowed_types, reason = "the probe is the global allocator")]
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::io::{self, BufReader, Cursor, Read};
 
-use columnsgd_cluster::codec::{decode_body_checked, WireCodec, ENVELOPE_BYTES};
+use columnsgd_cluster::codec::{
+    decode_body_checked, decode_body_from, encode_envelope, CodecError, FrameReader, WireCodec,
+    ENVELOPE_BYTES,
+};
+use columnsgd_cluster::telemetry::Plane;
+use columnsgd_cluster::NodeId;
 use columnsgd_core::msg::ColMsg;
 use columnsgd_data::workset::split_block;
 use columnsgd_data::{Block, ColumnPartitioner};
@@ -70,8 +81,36 @@ fn allocation_bound(frame_len: usize) -> usize {
     64 * frame_len + (2 << 20)
 }
 
+/// A reader that hands out at most 7 bytes per call: a socket delivering
+/// a body in pieces that split every 8-byte word.
+struct Trickle(Cursor<Vec<u8>>);
+
+impl Read for Trickle {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = buf.len().min(7);
+        self.0.read(&mut buf[..n])
+    }
+}
+
+/// Decodes `body`, announced as `announced` bytes long, straight off a
+/// trickling stream, and returns the re-encoded message or the error,
+/// with the largest allocation the decode requested.
+fn decode_streamed<M: WireCodec>(
+    body: &[u8],
+    announced: usize,
+) -> (Result<Vec<u8>, CodecError>, usize) {
+    let mut r = BufReader::with_capacity(16, Trickle(Cursor::new(body.to_vec())));
+    LARGEST.with(|l| l.set(0));
+    let decoded = decode_body_from::<M, _>(&mut r, announced);
+    let largest = LARGEST.with(Cell::get);
+    (decoded.map(|m| body_of(&m)), largest)
+}
+
 /// Decodes `frame` as an `M`: a message or a typed error, never a panic,
-/// and no allocation beyond [`allocation_bound`].
+/// and no allocation beyond [`allocation_bound`]. Streamed, its body
+/// decodes to the same message or error; announced as longer than it is,
+/// up to about 1 GiB, it is an error, and its allocations stay within the
+/// bound of the bytes that arrived.
 fn decode_untrusted<M: WireCodec>(frame: &[u8]) -> Result<(), String> {
     LARGEST.with(|l| l.set(0));
     let decoded = decode_body_checked::<M>(frame);
@@ -85,6 +124,30 @@ fn decode_untrusted<M: WireCodec>(frame: &[u8]) -> Result<(), String> {
             Err(e) => e.to_string(),
         }
     );
+    let Some(body) = frame.get(ENVELOPE_BYTES..) else {
+        return Ok(());
+    };
+    let (streamed, largest) = decode_streamed::<M>(body, body.len());
+    prop_assert!(
+        largest <= allocation_bound(frame.len()),
+        "a streamed {}-byte frame asked for {largest} B",
+        frame.len()
+    );
+    prop_assert_eq!(
+        streamed,
+        decoded.map(|m| body_of(&m)),
+        "streamed decode differs"
+    );
+    for extra in [1, 8, 1 << 16, 1 << 29] {
+        let (cut, largest) = decode_streamed::<M>(body, body.len() + extra);
+        prop_assert!(cut.is_err(), "a body {extra} B short decoded");
+        prop_assert!(
+            largest <= allocation_bound(frame.len()),
+            "a {}-byte body announced as {} asked for {largest} B",
+            body.len(),
+            body.len() + extra
+        );
+    }
     Ok(())
 }
 
@@ -146,6 +209,7 @@ fn decode_damaged<M: WireCodec>(valid: &[Vec<u8>], d: &Damage) -> Result<(), Str
         decode_untrusted::<M>(&frame_of(&[&[tag], &d.noise[..]].concat()))?;
     }
     for body in valid {
+        decode_untrusted::<M>(&frame_of(body))?;
         let n = body.len();
         let mut edited = body.clone();
         for &(i, b) in &d.edits {
@@ -269,6 +333,70 @@ fn col_bodies(seed: u64) -> Vec<Vec<u8>> {
         },
     ];
     msgs.iter().map(body_of).collect()
+}
+
+/// The window the TCP transport reads every frame through.
+const WINDOW: usize = 64 << 10;
+
+/// Largest frame a length prefix may announce (1 GiB).
+const MAX_FRAME: usize = 1 << 30;
+
+/// A length prefix and envelope header announcing a 1 GiB frame, then a
+/// short body whose last 8 bytes, an element count, are set to `count`,
+/// and then the end of the stream: what any process that dials the hub
+/// can send. Read through the transport's own `FrameReader`, the decode
+/// fails typed, having asked for no more than one window at a time.
+fn announce_a_gibibyte<M: WireCodec>(msg: &M, count: u64) -> Result<(), String> {
+    let mut frame = encode_envelope(NodeId::Worker(0), NodeId::Master, msg, Plane::Data)
+        .map_err(|e| e.to_string())?;
+    let n = frame.len();
+    frame[n - 8..].copy_from_slice(&count.to_le_bytes());
+    frame[24..32].copy_from_slice(&((MAX_FRAME - ENVELOPE_BYTES) as u64).to_le_bytes());
+    let mut stream = (MAX_FRAME as u32).to_le_bytes().to_vec();
+    stream.extend_from_slice(&frame);
+    let mut r = FrameReader::new(Cursor::new(stream));
+    let header = r
+        .next_header()
+        .map_err(|e| e.to_string())?
+        .ok_or("no header")?;
+    LARGEST.with(|l| l.set(0));
+    let decoded = r.decode_body::<M>(&header);
+    let largest = LARGEST.with(Cell::get);
+    prop_assert!(
+        matches!(decoded, Err(CodecError::Truncated { .. })),
+        "count {count}: {:?}",
+        decoded.map(|m| m.kind())
+    );
+    prop_assert!(
+        largest <= WINDOW,
+        "count {count} behind a 1 GiB header asked for {largest} B"
+    );
+    Ok(())
+}
+
+#[test]
+fn a_header_announcing_a_gibibyte_buys_one_window() {
+    for count in [1 << 20, 1 << 26, 1 << 30, u64::from(u32::MAX)] {
+        // A `(usize, ParamSet)` sequence: 56 B per element in memory.
+        let parts = ColMsg::ModelReply {
+            worker: 0,
+            parts: Vec::new(),
+        };
+        // A string.
+        let info = ColMsg::WorkerPanic {
+            worker: 1,
+            info: String::new(),
+        };
+        // An `f64` run.
+        let data = RowMsg::RingChunk {
+            phase: 0,
+            step: 0,
+            data: Vec::new(),
+        };
+        announce_a_gibibyte(&parts, count).unwrap();
+        announce_a_gibibyte(&info, count).unwrap();
+        announce_a_gibibyte(&data, count).unwrap();
+    }
 }
 
 proptest! {

@@ -26,10 +26,16 @@ struct RunResult {
     model: Vec<f64>,
     traffic: (u64, u64),
     comm: (u64, u64),
+    /// Sorted canonical trace lines (measured wall-time stripped).
+    canonical: Vec<String>,
 }
 
 fn run_on(cluster: &ClusterConfig, variant: RowSgdVariant) -> RunResult {
-    let ds = synth::small_test_dataset(200, 40, 11);
+    run_dim(cluster, variant, 40)
+}
+
+fn run_dim(cluster: &ClusterConfig, variant: RowSgdVariant, dim: u64) -> RunResult {
+    let ds = synth::small_test_dataset(200, dim, 11);
     let cfg = RowSgdConfig::new(ModelSpec::Lr, variant)
         .with_batch_size(40)
         .with_iterations(6)
@@ -67,6 +73,7 @@ fn run_on(cluster: &ClusterConfig, variant: RowSgdVariant) -> RunResult {
             .collect(),
         traffic: (total.bytes, total.messages),
         comm: (s.comm_bytes, s.comm_messages),
+        canonical: recorder.canonical_lines(),
     }
 }
 
@@ -104,4 +111,28 @@ fn sparse_pull_ps_is_bit_identical_across_backends() {
 #[test]
 fn dense_pull_ps_is_bit_identical_across_backends() {
     assert_backends_agree(RowSgdVariant::PsDense);
+}
+
+/// MLlib at dimension 20 000: every model broadcast and dense gradient
+/// reply is a 160 KB frame, two and a half windows of the transport, so
+/// each is written and decoded across window boundaries on both ends.
+/// Loss curve, model, meter and canonical trace still match in-process.
+#[test]
+fn mllib_frames_wider_than_the_window_are_bit_identical() {
+    let dim = 20_000;
+    let inproc = run_dim(&ClusterConfig::in_proc(), RowSgdVariant::MLlib, dim);
+    let tcp = run_dim(
+        &ClusterConfig::tcp().with_worker_bin(worker_bin()),
+        RowSgdVariant::MLlib,
+        dim,
+    );
+    assert!(
+        inproc.model.len() * 8 > 2 * (64 << 10),
+        "frames span windows"
+    );
+    assert_eq!(inproc.losses, tcp.losses, "loss curves diverged");
+    assert_eq!(inproc.model, tcp.model, "final models diverged");
+    assert_eq!(inproc.traffic, tcp.traffic, "metered traffic diverged");
+    assert_eq!(tcp.comm, tcp.traffic);
+    assert_eq!(inproc.canonical, tcp.canonical, "canonical traces diverged");
 }
