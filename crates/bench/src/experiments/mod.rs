@@ -75,7 +75,7 @@ pub fn run(id: &str, scale: f64) -> Option<Vec<Report>> {
         "ext_partition" => vec![ext::partition_skew(scale)],
         "ext_optimizer" => vec![ext::optimizers(scale)],
         "ext_mlr" => vec![ext::mlr(scale)],
-        "ext_dnn" => vec![ext_dnn::run(scale)],
+        "ext_dnn" => vec![ext_dnn::run()],
         "ext_chaos" => vec![ext_chaos::run(scale)],
         "ext_elastic" => vec![ext_elastic::sweep(scale)],
         "trace" => vec![trace::run(scale)],

@@ -57,7 +57,6 @@ pub mod engine;
 pub mod error;
 pub mod host;
 mod master;
-pub mod mlp;
 pub mod msg;
 pub mod pool;
 pub mod runtime;

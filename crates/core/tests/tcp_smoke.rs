@@ -5,14 +5,43 @@
 //!
 //! The TCP backend spawns one `columnsgd-worker` OS process per worker
 //! (Cargo provides the binary path via `CARGO_BIN_EXE_columnsgd-worker`).
+//!
+//! Every case runs under [`bounded`]: a wire fault that leaves a wait
+//! blocked — a receive, or a shutdown waiting on a worker process that
+//! never exits — fails the case by name instead of hanging the suite.
 
 use std::path::PathBuf;
+use std::sync::mpsc::RecvTimeoutError;
+use std::time::Duration;
 
 use columnsgd_cluster::{ClusterConfig, FailureEvent, FailurePlan, NetworkModel, Recorder};
 use columnsgd_core::{ColumnSgdConfig, ColumnSgdEngine, FaultKind};
 use columnsgd_data::block::Block;
 use columnsgd_data::synth;
 use columnsgd_ml::ModelSpec;
+
+/// Far above a normal run of any case here (each takes well under 10 s).
+const CASE_BOUND: Duration = Duration::from_secs(180);
+
+/// Runs `case` on its own thread and fails by `name` if it is still
+/// running after [`CASE_BOUND`]; a panic inside it is re-raised here.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "carries the case's outcome to the test thread, not cluster traffic"
+)]
+fn bounded(name: &str, case: impl FnOnce() + Send + 'static) {
+    let (done, finished) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        case();
+        let _ = done.send(());
+    });
+    if let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(CASE_BOUND) {
+        panic!("{name}: still running after {CASE_BOUND:?}, a wait inside it never returned");
+    }
+    if let Err(panic) = handle.join() {
+        std::panic::resume_unwind(panic);
+    }
+}
 
 fn worker_bin() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_columnsgd-worker"))
@@ -99,38 +128,40 @@ fn smoke_cfg() -> ColumnSgdConfig {
 /// *each* backend the telemetry comm records reconcile with the meter.
 #[test]
 fn tcp_and_inproc_runs_are_bit_identical() {
-    let cfg = smoke_cfg();
-    let inproc = run_on(&ClusterConfig::in_proc(), cfg, 3, FailurePlan::none());
-    let tcp = run_on(
-        &ClusterConfig::tcp().with_worker_bin(worker_bin()),
-        cfg,
-        3,
-        FailurePlan::none(),
-    );
+    bounded("tcp_and_inproc_runs_are_bit_identical", || {
+        let cfg = smoke_cfg();
+        let inproc = run_on(&ClusterConfig::in_proc(), cfg, 3, FailurePlan::none());
+        let tcp = run_on(
+            &ClusterConfig::tcp().with_worker_bin(worker_bin()),
+            cfg,
+            3,
+            FailurePlan::none(),
+        );
 
-    assert_eq!(inproc.losses, tcp.losses, "loss curves diverged");
-    assert_eq!(inproc.model, tcp.model, "final models diverged");
-    assert_eq!(
-        inproc.traffic, tcp.traffic,
-        "metered traffic diverged across backends"
-    );
-    // Telemetry reconciles against the meter on both backends (the train
-    // loop also asserts this internally; restated here as the contract).
-    assert_eq!(inproc.comm, inproc.traffic);
-    assert_eq!(tcp.comm, tcp.traffic);
-    // Cross-backend trace equivalence: worker events shipped over
-    // telemetry frames merge into the *same* canonical trace the shared
-    // in-process recorder produces — measured wall-time fields are the
-    // only permitted difference, and canonical lines strip exactly those.
-    assert_eq!(
-        inproc.canonical.len(),
-        tcp.canonical.len(),
-        "event counts diverged across backends"
-    );
-    assert_eq!(
-        inproc.canonical, tcp.canonical,
-        "canonical traces diverged across backends"
-    );
+        assert_eq!(inproc.losses, tcp.losses, "loss curves diverged");
+        assert_eq!(inproc.model, tcp.model, "final models diverged");
+        assert_eq!(
+            inproc.traffic, tcp.traffic,
+            "metered traffic diverged across backends"
+        );
+        // Telemetry reconciles against the meter on both backends (the train
+        // loop also asserts this internally; restated here as the contract).
+        assert_eq!(inproc.comm, inproc.traffic);
+        assert_eq!(tcp.comm, tcp.traffic);
+        // Cross-backend trace equivalence: worker events shipped over
+        // telemetry frames merge into the *same* canonical trace the shared
+        // in-process recorder produces — measured wall-time fields are the
+        // only permitted difference, and canonical lines strip exactly those.
+        assert_eq!(
+            inproc.canonical.len(),
+            tcp.canonical.len(),
+            "event counts diverged across backends"
+        );
+        assert_eq!(
+            inproc.canonical, tcp.canonical,
+            "canonical traces diverged across backends"
+        );
+    });
 }
 
 /// Statistics frames wider than the transport's 64 KiB window: FM with 10
@@ -140,26 +171,28 @@ fn tcp_and_inproc_runs_are_bit_identical() {
 /// meter and canonical trace still match the in-process run.
 #[test]
 fn fm_frames_wider_than_the_window_are_bit_identical() {
-    let cfg = ColumnSgdConfig::new(ModelSpec::Fm { factors: 10 })
-        .with_batch_size(1024)
-        .with_iterations(4)
-        .with_learning_rate(0.1)
-        .with_seed(17);
-    assert!(cfg.batch_size * 11 * 8 > 64 << 10);
-    let plan = FailurePlan::none;
-    let inproc = run_rows(&ClusterConfig::in_proc(), cfg, 2, plan(), 2048);
-    let tcp = run_rows(
-        &ClusterConfig::tcp().with_worker_bin(worker_bin()),
-        cfg,
-        2,
-        plan(),
-        2048,
-    );
-    assert_eq!(inproc.losses, tcp.losses, "loss curves diverged");
-    assert_eq!(inproc.model, tcp.model, "final models diverged");
-    assert_eq!(inproc.traffic, tcp.traffic, "metered traffic diverged");
-    assert_eq!(tcp.comm, tcp.traffic);
-    assert_eq!(inproc.canonical, tcp.canonical, "canonical traces diverged");
+    bounded("fm_frames_wider_than_the_window_are_bit_identical", || {
+        let cfg = ColumnSgdConfig::new(ModelSpec::Fm { factors: 10 })
+            .with_batch_size(1024)
+            .with_iterations(4)
+            .with_learning_rate(0.1)
+            .with_seed(17);
+        assert!(cfg.batch_size * 11 * 8 > 64 << 10);
+        let plan = FailurePlan::none;
+        let inproc = run_rows(&ClusterConfig::in_proc(), cfg, 2, plan(), 2048);
+        let tcp = run_rows(
+            &ClusterConfig::tcp().with_worker_bin(worker_bin()),
+            cfg,
+            2,
+            plan(),
+            2048,
+        );
+        assert_eq!(inproc.losses, tcp.losses, "loss curves diverged");
+        assert_eq!(inproc.model, tcp.model, "final models diverged");
+        assert_eq!(inproc.traffic, tcp.traffic, "metered traffic diverged");
+        assert_eq!(tcp.comm, tcp.traffic);
+        assert_eq!(inproc.canonical, tcp.canonical, "canonical traces diverged");
+    });
 }
 
 /// A scripted worker crash on the TCP backend: the process dies, the
@@ -168,42 +201,46 @@ fn fm_frames_wider_than_the_window_are_bit_identical() {
 /// same trajectory as the in-process run of the identical plan.
 #[test]
 fn tcp_backend_survives_a_worker_crash() {
-    let cfg = smoke_cfg();
-    let plan = crash_plan(3, 1);
-    let inproc = run_on(&ClusterConfig::in_proc(), cfg, 2, plan.clone());
-    let tcp = run_on(
-        &ClusterConfig::tcp().with_worker_bin(worker_bin()),
-        cfg,
-        2,
-        plan,
-    );
-    assert_eq!(inproc.losses, tcp.losses, "recovery trajectories diverged");
-    assert_eq!(inproc.model, tcp.model, "post-recovery models diverged");
+    bounded("tcp_backend_survives_a_worker_crash", || {
+        let cfg = smoke_cfg();
+        let plan = crash_plan(3, 1);
+        let inproc = run_on(&ClusterConfig::in_proc(), cfg, 2, plan.clone());
+        let tcp = run_on(
+            &ClusterConfig::tcp().with_worker_bin(worker_bin()),
+            cfg,
+            2,
+            plan,
+        );
+        assert_eq!(inproc.losses, tcp.losses, "recovery trajectories diverged");
+        assert_eq!(inproc.model, tcp.model, "post-recovery models diverged");
+    });
 }
 
 /// The crash actually surfaces as a recovered worker failure on TCP.
 #[test]
 fn tcp_crash_is_detected_and_logged() {
-    let cfg = smoke_cfg();
-    let (blocks, dim) = blocks_for(&cfg, 240, 48, 9);
-    let cluster = ClusterConfig::tcp().with_worker_bin(worker_bin());
-    let mut engine = ColumnSgdEngine::from_blocks_clustered(
-        blocks,
-        dim,
-        2,
-        cfg,
-        NetworkModel::INSTANT,
-        crash_plan(2, 0),
-        Recorder::disabled(),
-        &cluster,
-    )
-    .expect("engine");
-    let out = engine.train().expect("train through the crash");
-    assert!(
-        out.recovery
-            .iter()
-            .any(|ev| ev.worker == 0 && ev.fault == FaultKind::WorkerFailure),
-        "expected a recovered worker failure, got {:?}",
-        out.recovery
-    );
+    bounded("tcp_crash_is_detected_and_logged", || {
+        let cfg = smoke_cfg();
+        let (blocks, dim) = blocks_for(&cfg, 240, 48, 9);
+        let cluster = ClusterConfig::tcp().with_worker_bin(worker_bin());
+        let mut engine = ColumnSgdEngine::from_blocks_clustered(
+            blocks,
+            dim,
+            2,
+            cfg,
+            NetworkModel::INSTANT,
+            crash_plan(2, 0),
+            Recorder::disabled(),
+            &cluster,
+        )
+        .expect("engine");
+        let out = engine.train().expect("train through the crash");
+        assert!(
+            out.recovery
+                .iter()
+                .any(|ev| ev.worker == 0 && ev.fault == FaultKind::WorkerFailure),
+            "expected a recovered worker failure, got {:?}",
+            out.recovery
+        );
+    });
 }

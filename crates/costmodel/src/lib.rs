@@ -16,6 +16,11 @@
 //! nonzero in a batch of B/K points) and `φ₂ = 1 − ρ^B`, `ρ` the data
 //! sparsity, `S = N + N·m·(1−ρ)` the training-data size, per §III-B1.
 //!
+//! For fully connected layers (§III-C), [`fc_layer_sync_floats`] lists the
+//! per-layer synchronisation rounds of one iteration: every layer's width
+//! takes the place of the GLM's statistics width of 1, so the volume is
+//! still free of m but grows with the hidden widths.
+//!
 //! These formulas are cross-validated against the *metered* traffic of the
 //! actual engines in the integration tests of the core and rowsgd crates.
 
@@ -141,6 +146,24 @@ pub fn rowsgd_dense_pull(w: &Workload) -> Overheads {
     }
 }
 
+/// Floats of each per-layer synchronisation round of one iteration of an
+/// MLP whose FC weight matrices are partitioned by input rows (§III-C),
+/// in the order they run: forward aggregates `B·h₁ … B·h_L` and `B·1` for
+/// the scalar output, then backward delta all-gathers `B·h_L … B·h₁`.
+///
+/// Each round is gathered at the master and broadcast back, so a worker
+/// ships `2·Σ` of these floats per iteration — independent of the input
+/// dimension m, proportional to the hidden widths: the paper's caveat that
+/// ColumnSGD is "not very beneficial" for narrow layers.
+pub fn fc_layer_sync_floats(batch: usize, hidden: &[usize]) -> Vec<u64> {
+    let forward = hidden.iter().chain(&[1]);
+    let backward = hidden.iter().rev();
+    forward
+        .chain(backward)
+        .map(|&width| (batch * width) as u64)
+        .collect()
+}
+
 /// The per-iteration communication ratio RowSGD/ColumnSGD at the master
 /// under the Table I (sparse-pull) idealization.
 pub fn master_comm_ratio(w: &Workload) -> f64 {
@@ -157,6 +180,7 @@ pub fn dense_pull_comm_ratio(w: &Workload) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn kdd12ish() -> Workload {
         // m = 54.7M, B = 1000, K = 8, ~11 nnz of 54.7M dims.
@@ -250,6 +274,45 @@ mod tests {
         let w = Workload::fm(54_686_452, 1000, 8, 0.999_999, 149_639_105, 50);
         let params_bytes = w.m * BYTES_PER_UNIT;
         assert!(params_bytes > 21e9, "model bytes {params_bytes}");
+    }
+
+    #[test]
+    fn fc_layer_rounds_in_run_order() {
+        // forward 64, 32, output 1; backward deltas 32, 64.
+        assert_eq!(fc_layer_sync_floats(1, &[64, 32]), vec![64, 32, 1, 32, 64]);
+        // Both directions of every round, per data point.
+        let per_point = |hidden: &[usize]| 2 * fc_layer_sync_floats(1, hidden).iter().sum::<u64>();
+        assert_eq!(per_point(&[16]), 66);
+        assert_eq!(per_point(&[64, 32]), 2 * (97 + 96));
+    }
+
+    #[test]
+    fn fc_layer_floats_grow_with_width() {
+        let total = |h: usize| fc_layer_sync_floats(32, &[h]).iter().sum::<u64>();
+        assert!(total(64) > 4 * total(8), "{} vs {}", total(8), total(64));
+    }
+
+    proptest! {
+        #[test]
+        fn fc_layer_floats_linear_in_batch_and_free_of_m(
+            b in 1usize..4096,
+            hidden in prop::collection::vec(1usize..2048, 1..5),
+            m in 1u64..1 << 40,
+            k in 1usize..64,
+        ) {
+            let unit = fc_layer_sync_floats(1, &hidden);
+            let rounds = fc_layer_sync_floats(b, &hidden);
+            let scaled: Vec<u64> = unit.iter().map(|f| f * b as u64).collect();
+            prop_assert_eq!(&rounds, &scaled);
+            // Table I with statistics width Σ widths: ColumnSGD's worker
+            // comm is the same 2·Σ rounds for every model dimension m.
+            let w = Workload {
+                stats_width: unit.iter().sum::<u64>() as f64,
+                ..Workload::glm(m, b, k, 0.5, 1_000)
+            };
+            let total = 2 * rounds.iter().sum::<u64>();
+            prop_assert_eq!(columnsgd(&w).worker_comm, total as f64);
+        }
     }
 
     #[test]

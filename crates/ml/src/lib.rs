@@ -28,7 +28,6 @@
 pub mod fm;
 pub mod glm;
 pub mod metrics;
-pub mod mlp;
 pub mod mlr;
 pub mod optimizer;
 pub mod params;

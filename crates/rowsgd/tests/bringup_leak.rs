@@ -11,6 +11,7 @@
 //! so no other engine may be running a hub beside it.
 
 use std::path::PathBuf;
+use std::time::Duration;
 
 use columnsgd_cluster::{ClusterConfig, FailurePlan, NetworkModel, Recorder};
 use columnsgd_core::{ColumnSgdConfig, ColumnSgdEngine, TrainError};
@@ -19,13 +20,27 @@ use columnsgd_ml::ModelSpec;
 use columnsgd_rowsgd::{RowSgdConfig, RowSgdEngine, RowSgdVariant};
 
 /// Names of this process's live hub threads (accept loop, connections).
+///
+/// A joined thread can stay listed in `/proc/self/task` for a moment (the
+/// kernel wakes the joiner before it removes the task), so the list is
+/// re-read until it is empty or 2 s have passed. A leaked thread stays.
 fn hub_threads() -> Vec<String> {
-    let tasks = std::fs::read_dir("/proc/self/task").expect("procfs");
-    tasks
-        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-        .map(|name| name.trim().to_string())
-        .filter(|name| name == "tcp-hub-accept" || name == "tcp-hub-conn")
-        .collect()
+    let read = || -> Vec<String> {
+        let tasks = std::fs::read_dir("/proc/self/task").expect("procfs");
+        tasks
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .map(|name| name.trim().to_string())
+            .filter(|name| name == "tcp-hub-accept" || name == "tcp-hub-conn")
+            .collect()
+    };
+    for _ in 0..200 {
+        let live = read();
+        if live.is_empty() {
+            return live;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    read()
 }
 
 /// Pids whose parent is this process, zombies included.
