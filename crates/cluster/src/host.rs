@@ -47,7 +47,7 @@ use std::path::{Path, PathBuf};
 use std::process::{exit, Child, Command, Stdio};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::codec::Sink;
 use crate::{
@@ -424,7 +424,8 @@ impl<M: WireCodec + Clone + Send + 'static> Host<M> {
     /// Tears the host down after the running workers were told to exit:
     /// joins threads, or severs the hub's connections (a child sees its
     /// shutdown message, then EOF; either ends its loop) and waits for
-    /// the children. Idempotent.
+    /// the children, killing any still running after `EXIT_GRACE`.
+    /// Idempotent.
     pub fn shutdown(&mut self) {
         if std::mem::replace(&mut self.down, true) {
             return;
@@ -437,11 +438,34 @@ impl<M: WireCodec + Clone + Send + 'static> Host<M> {
             }
             Backend::Processes { hub, children, .. } => {
                 hub.shutdown();
-                for mut c in children.iter_mut().filter_map(Option::take) {
-                    let _ = c.wait();
-                }
+                reap_within_grace(children.iter_mut().filter_map(Option::take));
             }
         }
+    }
+}
+
+/// How long worker processes get to exit once the hub severed their
+/// connections, before they are killed.
+const EXIT_GRACE: Duration = Duration::from_secs(5);
+
+/// Reaps `children`, killing any still running `EXIT_GRACE` after the
+/// call: a worker that misses its severed connection must not hang the
+/// master.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a teardown deadline, not training state"
+)]
+fn reap_within_grace(children: impl Iterator<Item = Child>) {
+    let deadline = Instant::now() + EXIT_GRACE;
+    for mut child in children {
+        while let Ok(None) = child.try_wait() {
+            if Instant::now() >= deadline {
+                let _ = child.kill();
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let _ = child.wait();
     }
 }
 

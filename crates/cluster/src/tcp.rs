@@ -658,8 +658,20 @@ struct ClientInner<M> {
     /// lock, held for the whole frame, or frames interleave on the socket.
     writer: Arc<Mutex<TcpStream>>,
     /// Loopback for self-sends (a worker dispatching a workset to itself
-    /// crosses no wire, in either backend).
-    local_tx: Sender<Envelope<M>>,
+    /// crosses no wire, in either backend). The reader thread takes it
+    /// when it exits, so the mailbox then has no sender left and the
+    /// worker's `recv` returns `Disconnected` instead of blocking.
+    local_tx: Mutex<Option<Sender<Envelope<M>>>>,
+}
+
+/// Closes a client's loopback when its reader thread ends, on every exit
+/// path (hub EOF, a frame that fails to decode, a panic).
+struct CloseLoopback<M>(Arc<ClientInner<M>>);
+
+impl<M> Drop for CloseLoopback<M> {
+    fn drop(&mut self) {
+        self.0.local_tx.lock().take();
+    }
 }
 
 /// The worker-side transport: one socket to the hub plus a local
@@ -684,9 +696,10 @@ impl<M: WireCodec + Clone + Send + 'static> TcpClient<M> {
     /// at the hub.
     ///
     /// The returned endpoint's mailbox is fed by a reader thread; when
-    /// the hub closes the connection the mailbox disconnects, which a
-    /// worker loop observes as `NetError::Disconnected` — the same way an
-    /// in-process worker observes the master dropping its channel.
+    /// that thread ends (the hub closed the connection, or a frame failed
+    /// to decode) the mailbox disconnects, which a worker loop observes
+    /// as `NetError::Disconnected` — the same way an in-process worker
+    /// observes the master dropping its channel.
     pub fn connect(
         addr: SocketAddr,
         me: NodeId,
@@ -724,9 +737,10 @@ impl<M: WireCodec + Clone + Send + 'static> TcpClient<M> {
             inner: Arc::new(ClientInner {
                 me,
                 writer: Arc::clone(&writer),
-                local_tx: local_tx.clone(),
+                local_tx: Mutex::new(Some(local_tx.clone())),
             }),
         };
+        let close_loopback = CloseLoopback(Arc::clone(&client.inner));
         let telemetry_tx = TelemetryTx {
             me,
             writer: Arc::clone(&writer),
@@ -747,7 +761,9 @@ impl<M: WireCodec + Clone + Send + 'static> TcpClient<M> {
             .spawn(move || {
                 // Feed incoming frames into the local mailbox, each
                 // decoded through this reader's one window as it arrives.
-                // Dropping `local_tx` on exit disconnects the mailbox.
+                // On exit, dropping `local_tx` and `close_loopback` drops
+                // the mailbox's last senders, which disconnects it.
+                let _close = close_loopback;
                 while let Ok(Some(header)) = frames.next_header() {
                     match header.kind {
                         FrameKind::Message(_) => {}
@@ -843,7 +859,8 @@ impl<M> TcpClient<M> {
     /// A self-send stays in this process; everything else goes to the hub.
     fn route(&self, to: NodeId) -> Result<Route<M>, NetError> {
         Ok(if to == self.inner.me {
-            Route::Local(self.inner.local_tx.clone())
+            let local = self.inner.local_tx.lock().clone();
+            Route::Local(local.ok_or(NetError::NodeDown(to))?)
         } else {
             Route::Remote(Arc::clone(&self.inner.writer))
         })
@@ -1040,5 +1057,35 @@ mod tests {
         assert_eq!(survived_tcp, survived_ref);
         assert_eq!(traffic.total().messages, 20, "drops are metered too");
         hub.shutdown();
+    }
+
+    /// A worker whose reader thread quits on a frame it cannot decode sees
+    /// its mailbox disconnect: `recv` fails instead of blocking for ever,
+    /// and a later self-send fails too. The socket stays open, so the
+    /// corrupt frame, not hub EOF, is what ends the reader.
+    #[test]
+    #[expect(clippy::disallowed_types, reason = "a raw socket plays the hub")]
+    fn corrupt_frame_disconnects_the_client_mailbox() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let ids = [NodeId::Master, NodeId::Worker(0)];
+        let (_router, ep) =
+            TcpClient::<u64>::connect(listener.local_addr().unwrap(), NodeId::Worker(0), &ids)
+                .unwrap();
+        let (mut hub_side, _) = listener.accept().unwrap();
+        // A well-formed message frame whose body is not a `u64`.
+        let payload = vec![1.0f64, 2.0];
+        let frame =
+            crate::codec::encode_envelope(NodeId::Master, NodeId::Worker(0), &payload, Plane::Data)
+                .unwrap();
+        write_frame(&mut hub_side, &frame).unwrap();
+        match ep.recv_timeout(Duration::from_secs(10)) {
+            Err(NetError::Disconnected) => {}
+            other => panic!("expected a disconnected mailbox, got {other:?}"),
+        }
+        assert!(matches!(
+            ep.send(NodeId::Worker(0), 7),
+            Err(NetError::NodeDown(NodeId::Worker(0)))
+        ));
+        drop(hub_side);
     }
 }

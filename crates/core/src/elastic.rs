@@ -274,8 +274,8 @@ impl ElasticPlacement {
                 cluster.transport
             )));
         }
-        let queue = dataset.into_block_queue(cfg.base.block_size);
-        let blocks: Vec<Block> = queue.iter().cloned().collect();
+        let mut queue = dataset.into_block_queue(cfg.base.block_size);
+        let blocks: Vec<Block> = std::iter::from_fn(|| queue.pop()).collect();
         let dim = dataset.dimension();
         let mut cfg = cfg;
         if cfg.base.backup_s != 0 {

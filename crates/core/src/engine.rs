@@ -147,8 +147,8 @@ impl ColumnSgdEngine {
         recorder: Recorder,
         cluster: &ClusterConfig,
     ) -> Result<Self, TrainError> {
-        let queue = dataset.into_block_queue(cfg.block_size);
-        let blocks: Vec<Block> = queue.iter().cloned().collect();
+        let mut queue = dataset.into_block_queue(cfg.block_size);
+        let blocks: Vec<Block> = std::iter::from_fn(|| queue.pop()).collect();
         Self::from_blocks_clustered(
             blocks,
             dataset.dimension(),

@@ -217,30 +217,35 @@ impl WorkerNode {
     }
 
     /// Splits a block and dispatches each workset to the replicas of its
-    /// partition (§IV-A step 3). Self-deliveries are inserted directly.
+    /// partition (§IV-A step 3), in replica order. The last replica gets
+    /// the workset itself; only the others (S-backup) get a clone.
     fn dispatch_block(&mut self, ep: &Endpoint<ColMsg>, block: &Block) {
         let worksets = split_block(block, &self.part);
         for (pid, ws) in worksets.into_iter().enumerate() {
-            for replica in self.cfg.replicas_of(pid) {
-                if replica == self.id {
-                    self.accept_workset(pid, ws.clone());
-                } else if let Err(e) = ep.send(
-                    NodeId::Worker(replica),
-                    ColMsg::Workset {
-                        pid,
-                        ws: ws.clone(),
-                    },
-                ) {
-                    // Undeliverable workset: the replica's master-side load
-                    // deadline will see the gap; dying here would turn one
-                    // lost peer into a second worker failure.
-                    eprintln!(
-                        "worker {}: workset for partition {pid} undeliverable to \
-                         worker {replica}: {e}",
-                        self.id
-                    );
+            let replicas = self.cfg.replicas_of(pid);
+            if let Some((&last, others)) = replicas.split_last() {
+                for &replica in others {
+                    self.deliver_workset(ep, replica, pid, ws.clone());
                 }
+                self.deliver_workset(ep, last, pid, ws);
             }
+        }
+    }
+
+    /// Hands one workset to `replica`: inserted directly when that is this
+    /// worker, sent otherwise.
+    fn deliver_workset(&mut self, ep: &Endpoint<ColMsg>, replica: usize, pid: usize, ws: Workset) {
+        if replica == self.id {
+            self.accept_workset(pid, ws);
+        } else if let Err(e) = ep.send(NodeId::Worker(replica), ColMsg::Workset { pid, ws }) {
+            // Undeliverable workset: the replica's master-side load
+            // deadline will see the gap; dying here would turn one
+            // lost peer into a second worker failure.
+            eprintln!(
+                "worker {}: workset for partition {pid} undeliverable to \
+                 worker {replica}: {e}",
+                self.id
+            );
         }
     }
 

@@ -65,6 +65,8 @@ struct RunResult {
     model: Vec<f64>,
     traffic: (u64, u64),
     comm: (u64, u64),
+    /// The load phase's metered `(objects, bytes)`.
+    load: (u64, u64),
     /// Sorted canonical trace lines (measured wall-time stripped).
     canonical: Vec<String>,
 }
@@ -93,6 +95,8 @@ fn run_rows(
         cluster,
     )
     .unwrap_or_else(|e| panic!("engine on {}: {e}", cluster.transport));
+    let load = engine.load_report();
+    let load = (load.objects, load.bytes);
     let out = engine
         .train()
         .unwrap_or_else(|e| panic!("train on {}: {e}", cluster.transport));
@@ -111,6 +115,7 @@ fn run_rows(
             .collect(),
         traffic: (total.bytes, total.messages),
         comm: (s.comm_bytes, s.comm_messages),
+        load,
         canonical: recorder.canonical_lines(),
     }
 }
@@ -143,6 +148,12 @@ fn tcp_and_inproc_runs_are_bit_identical() {
         assert_eq!(
             inproc.traffic, tcp.traffic,
             "metered traffic diverged across backends"
+        );
+        // A shared in-process block and one decoded from a frame load the
+        // same objects and bytes.
+        assert_eq!(
+            inproc.load, tcp.load,
+            "load report diverged across backends"
         );
         // Telemetry reconciles against the meter on both backends (the train
         // loop also asserts this internally; restated here as the contract).

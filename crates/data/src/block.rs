@@ -8,6 +8,7 @@
 //! row id (avoiding a full scan, §IV-A1 "Row Identification").
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use columnsgd_linalg::{CsrMatrix, SparseVector, Value};
 
@@ -15,24 +16,28 @@ use columnsgd_linalg::{CsrMatrix, SparseVector, Value};
 pub type BlockId = u64;
 
 /// A row-oriented block: a contiguous group of labelled rows in CSR form.
+///
+/// The rows are immutable and shared: a clone (the master's in-process
+/// `LoadBlock` or `ReloadBlock` send) costs one reference count, and every
+/// clone reads the same storage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     id: BlockId,
-    data: CsrMatrix,
+    data: Arc<CsrMatrix>,
 }
 
 impl Block {
     /// Builds a block from labelled sparse rows.
     pub fn from_rows(id: BlockId, rows: &[(Value, SparseVector)]) -> Self {
-        Self {
-            id,
-            data: CsrMatrix::from_rows(rows),
-        }
+        Self::from_csr(id, CsrMatrix::from_rows(rows))
     }
 
     /// Wraps an existing CSR matrix as a block.
     pub fn from_csr(id: BlockId, data: CsrMatrix) -> Self {
-        Self { id, data }
+        Self {
+            id,
+            data: Arc::new(data),
+        }
     }
 
     /// This block's ID.
@@ -118,6 +123,14 @@ mod tests {
             assert_eq!(*y, y2);
             assert_eq!(*x, x2);
         }
+    }
+
+    #[test]
+    fn clones_share_storage() {
+        let a = Block::from_rows(4, &rows(3));
+        let b = a.clone();
+        assert!(std::ptr::eq(a.csr(), b.csr()));
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -84,26 +84,24 @@ impl Dataset {
     }
 
     /// Splits the dataset into `k` contiguous horizontal (row) partitions,
-    /// as MLlib does when each worker loads one shard (Algorithm 2 line 10).
+    /// as MLlib does when each worker loads one shard (Algorithm 2 line 10),
+    /// borrowed in place: a caller copies each partition once, into
+    /// whatever form it ships.
     ///
-    /// Partition sizes differ by at most one row.
-    pub fn row_partitions(&self, k: usize) -> Vec<Dataset> {
+    /// Partition sizes differ by at most one row; the first `len % k`
+    /// partitions hold the extra rows.
+    pub fn row_slices(&self, k: usize) -> Vec<&[(Value, SparseVector)]> {
         assert!(k > 0, "need at least one partition");
         let n = self.rows.len();
-        let base = n / k;
-        let extra = n % k;
-        let mut out = Vec::with_capacity(k);
-        let mut start = 0;
-        for p in 0..k {
-            let len = base + usize::from(p < extra);
-            let rows = self.rows[start..start + len].to_vec();
-            start += len;
-            out.push(Dataset {
-                rows,
-                dim: self.dim,
-            });
-        }
-        out
+        let (base, extra) = (n / k, n % k);
+        let mut rest = self.rows.as_slice();
+        (0..k)
+            .map(|p| {
+                let (part, tail) = rest.split_at(base + usize::from(p < extra));
+                rest = tail;
+                part
+            })
+            .collect()
     }
 
     /// Organizes the rows into a [`BlockQueue`] of row blocks of
@@ -196,13 +194,14 @@ mod tests {
     #[test]
     fn row_partitions_balanced_and_complete() {
         let ds = toy(10);
-        let parts = ds.row_partitions(3);
+        let parts = ds.row_slices(3);
         let sizes: Vec<usize> = parts.iter().map(|p| p.len()).collect();
         assert_eq!(sizes, vec![4, 3, 3]);
-        let total: usize = sizes.iter().sum();
-        assert_eq!(total, 10);
-        // Every partition keeps the global dimension.
-        assert!(parts.iter().all(|p| p.dimension() == ds.dimension()));
+        // The partitions are the dataset's rows, in order, borrowed.
+        let rows: Vec<_> = ds.iter().collect();
+        let joined: Vec<_> = parts.iter().flat_map(|p| p.iter()).collect();
+        assert_eq!(joined, rows);
+        assert!(std::ptr::eq(parts[0].as_ptr(), rows[0]));
     }
 
     #[test]

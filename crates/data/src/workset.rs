@@ -39,26 +39,38 @@ impl Workset {
 /// Splits a block into one workset per worker (Algorithm 4, lines 2-6).
 ///
 /// Every output workset has the same number of rows as the block; global
-/// feature indices are remapped to the owner's local slots.
+/// feature indices are remapped to the owner's local slots. Each
+/// workset's CSR is sized once from a count of its nonzeros, and rows are
+/// assembled in per-worker scratch reused across the whole block.
 pub fn split_block(block: &Block, part: &ColumnPartitioner) -> Vec<Workset> {
     let k = part.num_workers();
-    let mut csrs: Vec<CsrMatrix> = vec![CsrMatrix::new(); k];
-    // Reusable per-row scratch, one (slots, values) pair list per worker.
-    let mut scratch: Vec<Vec<(FeatureIndex, Value)>> = vec![Vec::new(); k];
-    for (label, idx, val) in block.csr().iter_rows() {
-        for s in &mut scratch {
-            s.clear();
-        }
+    let src = block.csr();
+    let mut nnz = vec![0usize; k];
+    for &i in src.indices() {
+        nnz[part.owner(i)] += 1;
+    }
+    let mut csrs: Vec<CsrMatrix> = nnz
+        .iter()
+        .map(|&n| {
+            let mut m = CsrMatrix::new();
+            m.reserve(src.nrows(), n);
+            m
+        })
+        .collect();
+    let mut slots: Vec<Vec<FeatureIndex>> = vec![Vec::new(); k];
+    let mut vals: Vec<Vec<Value>> = vec![Vec::new(); k];
+    for (label, idx, val) in src.iter_rows() {
         for (&i, &v) in idx.iter().zip(val) {
             let w = part.owner(i);
-            scratch[w].push((part.local_slot(i) as FeatureIndex, v));
+            slots[w].push(part.local_slot(i) as FeatureIndex);
+            vals[w].push(v);
         }
-        for (w, s) in scratch.iter_mut().enumerate() {
-            // Local slots inherit the global ordering within one worker for
-            // both partitioner kinds, so each row's slots arrive sorted.
-            debug_assert!(s.windows(2).all(|p| p[0].0 < p[1].0));
-            let (is, vs): (Vec<_>, Vec<_>) = s.iter().copied().unzip();
-            csrs[w].push_raw_row(label, &is, &vs);
+        // Local slots inherit the global ordering within one worker for
+        // both partitioner kinds, so each row's slots arrive sorted.
+        for ((csr, s), v) in csrs.iter_mut().zip(&mut slots).zip(&mut vals) {
+            csr.push_raw_row(label, s, v);
+            s.clear();
+            v.clear();
         }
     }
     csrs.into_iter()

@@ -3,8 +3,8 @@
 
 use columnsgd_data::block::Block;
 use columnsgd_data::workset::split_block;
-use columnsgd_data::{libsvm, ColumnPartitioner, Dataset, TwoPhaseIndex};
-use columnsgd_linalg::SparseVector;
+use columnsgd_data::{libsvm, ColumnPartitioner, Dataset, TwoPhaseIndex, Workset};
+use columnsgd_linalg::{CsrMatrix, SparseVector};
 use proptest::prelude::*;
 
 fn arb_rows(max_rows: usize, dim: u64) -> impl Strategy<Value = Vec<(f64, SparseVector)>> {
@@ -83,6 +83,41 @@ proptest! {
         }
     }
 
+    /// `split_block` equals a row-by-row reference split for both
+    /// partitioners and K in 1..8. Rows carry 0–5 nonzeros over 60
+    /// features, so most rows (and some whole rows) have no nonzero in
+    /// some partition and must still appear there, empty.
+    #[test]
+    fn split_matches_row_by_row_reference(
+        rows in prop::collection::vec(
+            (prop::bool::ANY, prop::collection::vec((0u64..60, 0.1f64..10.0), 0..6)),
+            1..40,
+        ),
+        p in arb_partitioner(60),
+        id in 0u64..1000,
+    ) {
+        let rows: Vec<(f64, SparseVector)> = rows
+            .into_iter()
+            .map(|(pos, pairs)| (if pos { 1.0 } else { -1.0 }, SparseVector::from_pairs(pairs)))
+            .collect();
+        let block = Block::from_rows(id, &rows);
+        let reference: Vec<Workset> = (0..p.num_workers())
+            .map(|w| {
+                let mut data = CsrMatrix::new();
+                for (label, x) in &rows {
+                    let (slots, vals): (Vec<u64>, Vec<f64>) = x
+                        .iter()
+                        .filter(|&(i, _)| p.owner(i) == w)
+                        .map(|(i, v)| (p.local_slot(i) as u64, v))
+                        .unzip();
+                    data.push_raw_row(*label, &slots, &vals);
+                }
+                Workset { block_id: id, data }
+            })
+            .collect();
+        prop_assert_eq!(split_block(&block, &p), reference);
+    }
+
     /// The two-phase index always yields in-range addresses and identical
     /// batches across independently-built copies.
     #[test]
@@ -133,14 +168,15 @@ proptest! {
     #[test]
     fn row_partitions_cover(rows in arb_rows(40, 100), k in 1usize..6) {
         let ds = Dataset::from_rows(rows);
-        let parts = ds.row_partitions(k);
+        let parts = ds.row_slices(k);
         prop_assert_eq!(parts.len(), k);
         let sizes: Vec<usize> = parts.iter().map(|p| p.len()).collect();
         prop_assert_eq!(sizes.iter().sum::<usize>(), ds.len());
         let (mn, mx) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
         prop_assert!(mx - mn <= 1);
-        let recombined: Vec<_> = parts.iter().flat_map(|p| p.iter().cloned()).collect();
-        for (a, b) in ds.iter().zip(&recombined) {
+        let recombined: Vec<_> = parts.iter().flat_map(|p| p.iter()).collect();
+        prop_assert_eq!(recombined.len(), ds.len());
+        for (a, b) in ds.iter().zip(recombined) {
             prop_assert_eq!(a, b);
         }
     }

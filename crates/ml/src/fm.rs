@@ -30,14 +30,41 @@ use crate::spec::GradSink;
 /// `[-s, s]` with `s = 0.1/√F`, keyed by the *global* feature index so a
 /// column-partitioned model initializes identically to a serial one.
 pub fn init_v(seed: u64, global_feature: u64, factor: usize, num_factors: usize) -> f64 {
-    let mut z = seed
-        ^ global_feature.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (factor as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
+    init_draw(
+        feature_prefix(seed, global_feature),
+        factor,
+        init_scale(num_factors),
+    )
+}
+
+/// Fills one feature's factor row: `row[f] = init_v(seed, global_feature,
+/// f, row.len())` for every `f`, with the scale and the feature's hash
+/// prefix computed once per row instead of once per factor.
+pub fn init_v_row(seed: u64, global_feature: u64, row: &mut [f64]) {
+    let prefix = feature_prefix(seed, global_feature);
+    let scale = init_scale(row.len());
+    for (f, v) in row.iter_mut().enumerate() {
+        *v = init_draw(prefix, f, scale);
+    }
+}
+
+/// The half-width `0.1/√F` of [`init_v`]'s range.
+fn init_scale(num_factors: usize) -> f64 {
+    0.1 / (num_factors as f64).sqrt()
+}
+
+/// The part of [`init_v`]'s hash input shared by all factors of a feature.
+fn feature_prefix(seed: u64, global_feature: u64) -> u64 {
+    seed ^ global_feature.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// One factor's value from its feature's hash prefix.
+fn init_draw(prefix: u64, factor: usize, scale: f64) -> f64 {
+    let mut z = prefix ^ (factor as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^= z >> 31;
     let u = z as f64 / u64::MAX as f64; // [0, 1]
-    let scale = 0.1 / (num_factors as f64).sqrt();
     (2.0 * u - 1.0) * scale
 }
 

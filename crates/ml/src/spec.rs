@@ -110,8 +110,9 @@ impl ModelSpec {
     /// `global_of` maps a local slot to its global feature index; a full
     /// (RowSGD/serial) model passes the identity. Linear weights start at
     /// zero; FM factor matrices use the functional initializer
-    /// [`fm::init_v`] keyed by *global* index, so any column partitioning
-    /// of the model initializes identically to the serial model.
+    /// [`fm::init_v`] (filled a row at a time by [`fm::init_v_row`]) keyed
+    /// by *global* index, so any column partitioning of the model
+    /// initializes identically to the serial model.
     pub fn init_params<G: Fn(usize) -> u64>(
         &self,
         dim: usize,
@@ -120,12 +121,10 @@ impl ModelSpec {
     ) -> ParamSet {
         let mut params = ParamSet::zeros(dim, &self.widths());
         if let ModelSpec::Fm { factors } = *self {
-            let v = &mut params.blocks[1];
+            let v = params.blocks[1].as_mut_slice();
             for slot in 0..dim {
-                let j = global_of(slot);
-                for f in 0..factors {
-                    v[slot * factors + f] = fm::init_v(seed, j, f, factors);
-                }
+                let row = &mut v[slot * factors..(slot + 1) * factors];
+                fm::init_v_row(seed, global_of(slot), row);
             }
         }
         params
@@ -719,6 +718,25 @@ mod tests {
         check_grad_accum_contract(&[1]);
         check_grad_accum_contract(&[1, 1, 1]);
         check_grad_accum_contract(&[1, 4]);
+    }
+
+    #[test]
+    fn fm_init_fill_matches_init_v_for_every_coordinate() {
+        for factors in [1, 3, 10] {
+            let spec = ModelSpec::Fm { factors };
+            // Worker 1 of a 3-way round-robin split: global = 3·slot + 1.
+            let global_of = |slot: usize| 3 * slot as u64 + 1;
+            let p = spec.init_params(37, 11, global_of);
+            assert!(p.blocks[0].as_slice().iter().all(|&w| w == 0.0));
+            let v = p.blocks[1].as_slice();
+            assert_eq!(v.len(), 37 * factors);
+            for slot in 0..37 {
+                for f in 0..factors {
+                    let want = fm::init_v(11, global_of(slot), f, factors);
+                    assert_eq!(v[slot * factors + f].to_bits(), want.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

@@ -29,6 +29,13 @@ use crate::host::RowBootSpec;
 use crate::msg::RowMsg;
 use crate::worker::run_row_worker;
 
+/// Each worker's `LoadRows` matrix, built on demand: worker `w`'s
+/// contiguous row partition ([`Dataset::row_slices`]) copied once, from
+/// the borrowed rows, into CSR.
+fn partition_csrs(dataset: &Dataset, k: usize) -> impl Iterator<Item = CsrMatrix> + '_ {
+    dataset.row_slices(k).into_iter().map(CsrMatrix::from_rows)
+}
+
 /// How a RowSGD worker is launched on the shared host. The baseline
 /// detects faults but never recovers, so its threads are plain (a panic
 /// is not reported, the master's deadline finds out) and nothing is
@@ -266,12 +273,10 @@ impl RowSgdEngine {
         self.rt.traffic.reset();
         // Keep the trace reconciled with the meter across the reset.
         self.rt.recorder.clear_comm();
-        let parts = dataset.row_partitions(self.k);
         let mut part_rows = Vec::with_capacity(self.k);
-        for (w, part) in parts.iter().enumerate() {
-            let rows: Vec<_> = part.iter().cloned().collect();
-            part_rows.push(rows.len());
-            let load = RowMsg::LoadRows(CsrMatrix::from_rows(&rows));
+        for (w, csr) in partition_csrs(dataset, self.k).enumerate() {
+            part_rows.push(csr.nrows());
+            let load = RowMsg::LoadRows(csr);
             let sent = self.rt.master.send(NodeId::Worker(w), load);
             sent.map_err(|e| undeliverable(w, 0, "row partition", e))?;
         }
@@ -812,5 +817,40 @@ fn mean(xs: &[f64]) -> f64 {
         0.0
     } else {
         xs.iter().sum::<f64>() / xs.len() as f64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use columnsgd_linalg::SparseVector;
+
+    /// Each worker's `LoadRows` matrix equals the CSR of an owned copy of
+    /// its rows cut at the same boundaries: `len / k` rows each, one more
+    /// for the first `len % k` workers.
+    #[test]
+    fn load_rows_match_owned_row_partitions() {
+        let rows: Vec<_> = (0..23u64)
+            .map(|i| {
+                let y = if i % 3 == 0 { 1.0 } else { -1.0 };
+                let x = SparseVector::from_pairs(vec![(i % 7, 0.5), (i + 9, i as f64)]);
+                (y, x)
+            })
+            .collect();
+        let dataset = Dataset::from_rows(rows.clone());
+        for k in 1..=6 {
+            let (base, extra) = (rows.len() / k, rows.len() % k);
+            let mut start = 0;
+            let reference: Vec<CsrMatrix> = (0..k)
+                .map(|w| {
+                    let len = base + usize::from(w < extra);
+                    let part = rows[start..start + len].to_vec();
+                    start += len;
+                    CsrMatrix::from_rows(&part)
+                })
+                .collect();
+            let built: Vec<CsrMatrix> = partition_csrs(&dataset, k).collect();
+            assert_eq!(built, reference, "k = {k}");
+        }
     }
 }
