@@ -23,9 +23,10 @@
 //! # Envelope header (the metered `ENVELOPE_BYTES`)
 //!
 //! The 32 envelope bytes the meter charges per message are a real header
-//! here: `from: u64 | to: u64 | flags: u64 | body_len: u64`. `flags` low
-//! byte is the delivery plane (data/control/unmetered), byte 1
-//! distinguishes protocol messages from the connection hello. The 4-byte
+//! here: `from: u64 | to: u64 | flags: u64 | body_len: u64`. `flags` is
+//! the frame's [`FrameKind`]: low byte the delivery plane
+//! (data/control/unmetered), byte 1 protocol message (0), connection
+//! hello (1) or telemetry (2). The 4-byte
 //! physical length prefix used on the stream (see [`write_frame`]) is
 //! *transport* framing — the analogue of link-layer overhead the paper's
 //! byte accounting also ignores — and is not metered.
@@ -756,8 +757,8 @@ fn plane_from_byte(b: u8) -> Result<Plane, CodecError> {
     }
 }
 
-/// Encodes a full envelope (32-byte header + body) for `payload`: exactly
-/// `wire_size(payload) + ENVELOPE_BYTES` bytes.
+/// Encodes a full message envelope (32-byte header + body) for
+/// `payload`: exactly `wire_size(payload) + ENVELOPE_BYTES` bytes.
 pub fn encode_envelope<M: WireCodec>(
     from: NodeId,
     to: NodeId,
@@ -767,16 +768,21 @@ pub fn encode_envelope<M: WireCodec>(
     let body_len = wire_size(payload)?;
     let _prof = ProfScope::enter("codec_encode");
     let mut out = Vec::with_capacity(body_len + ENVELOPE_BYTES);
-    put_header(&mut out, from, to, plane, body_len);
+    put_header(&mut out, from, to, FrameKind::Message(plane), body_len);
     payload.encode_body(&mut out)?;
     Ok(out)
 }
 
-/// The 32-byte envelope header of a message frame.
-fn put_header<S: Sink>(out: &mut S, from: NodeId, to: NodeId, plane: Plane, body_len: usize) {
+/// The 32-byte envelope header of a frame.
+fn put_header<S: Sink>(out: &mut S, from: NodeId, to: NodeId, kind: FrameKind, body_len: usize) {
     out.put_u64(encode_node(from));
     out.put_u64(encode_node(to));
-    out.put_u64(u64::from(plane_byte(plane)));
+    out.put_u64(match kind {
+        FrameKind::Message(plane) => u64::from(plane_byte(plane)),
+        FrameKind::Hello => 1 << 8,
+        // The plane byte says Virtual: telemetry touches no metered plane.
+        FrameKind::Telemetry => 2 << 8 | u64::from(plane_byte(Plane::Virtual)),
+    });
     out.put_usize(body_len);
 }
 
@@ -784,10 +790,7 @@ fn put_header<S: Sink>(out: &mut S, from: NodeId, to: NodeId, plane: Plane, body
 /// (header-only; `ENVELOPE_BYTES` long, unmetered control handshake).
 pub fn encode_hello(worker: NodeId) -> Vec<u8> {
     let mut out = Vec::with_capacity(ENVELOPE_BYTES);
-    out.put_u64(encode_node(worker));
-    out.put_u64(encode_node(NodeId::Master));
-    out.put_u64(1 << 8); // flags byte 1: hello
-    out.put_u64(0);
+    put_header(&mut out, worker, NodeId::Master, FrameKind::Hello, 0);
     out
 }
 
@@ -833,20 +836,20 @@ fn parse_header(bytes: &[u8], frame_len: usize) -> Result<EnvelopeHeader, CodecE
     })
 }
 
-/// Everything after the envelope header of `frame`.
-fn body(frame: &[u8]) -> Result<&[u8], CodecError> {
-    frame.get(ENVELOPE_BYTES..).ok_or(CodecError::Truncated {
-        what: "envelope header",
-    })
-}
-
-/// Decodes the body of a message frame (everything after the header),
+/// Decodes the body of a whole frame (everything after the header),
 /// checking the frame is exactly as long as the decoded payload's
 /// [`wire_size`] plus the envelope: the one size check of a received
-/// frame.
+/// frame. Unlike the streamed [`decode_body_from`], which every protocol
+/// message takes, it opens no `codec_decode` profiler frame: the TCP
+/// backend decodes only telemetry frames whole, and those carry the
+/// profile rather than appear in it.
 pub fn decode_body_checked<M: WireCodec>(frame: &[u8]) -> Result<M, CodecError> {
-    let _prof = ProfScope::enter("codec_decode");
-    let mut r = WireReader::new(body(frame)?);
+    let what = "envelope header";
+    let mut r = WireReader::new(
+        frame
+            .get(ENVELOPE_BYTES..)
+            .ok_or(CodecError::Truncated { what })?,
+    );
     let payload = M::decode_body(&mut r)?;
     r.finish(payload.kind())?;
     sized(payload, frame.len())
@@ -887,12 +890,12 @@ fn sized<M: WireCodec>(payload: M, frame_len: usize) -> Result<M, CodecError> {
 // Telemetry-plane frames
 // ---------------------------------------------------------------------------
 //
-// Telemetry frames reuse the 32-byte envelope header (so the stream's
-// length bounds and the header length check hold unchanged) with frame-kind
-// byte 2, but their bodies are *not* protocol payloads: the hub intercepts
-// them before the body decode and `Router::ingress`, so they are never
-// metered and are not `WireCodec` payloads — `body_len` is simply the
-// actual body length. They are small, and read whole.
+// A telemetry frame is an ordinary envelope of a [`TelemetryPayload`] with
+// frame kind [`FrameKind::Telemetry`]: it is written by the same
+// [`write_envelope_to`] and decoded by the same [`decode_body_checked`] as
+// any payload. The receiving end diverts it on the header's kind, before
+// `Router::ingress`, so it is never metered; it is small and read whole,
+// so one that fails to decode is skipped without losing the stream.
 
 /// The body of a [`FrameKind::Telemetry`] frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -916,8 +919,60 @@ pub enum TelemetryPayload {
     Events(Vec<Event>),
 }
 
-/// Stable `u64` encoding of a telemetry [`NodeRef`] (same tagging scheme
-/// as [`encode_node`]).
+impl WireCodec for TelemetryPayload {
+    fn encode_body<S: Sink>(&self, out: &mut S) -> Result<(), CodecError> {
+        match self {
+            TelemetryPayload::ClockProbe { master_nanos } => {
+                out.put_u8(0);
+                out.put_u64(*master_nanos);
+            }
+            TelemetryPayload::ClockEcho {
+                master_nanos,
+                client_nanos,
+            } => {
+                out.put_u8(1);
+                out.put_u64(*master_nanos);
+                out.put_u64(*client_nanos);
+            }
+            TelemetryPayload::Events(events) => {
+                out.put_u8(2);
+                out.put_usize(events.len());
+                for e in events {
+                    put_event(out, e);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn decode_body(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
+        Ok(match r.u8("telemetry sub-tag")? {
+            0 => TelemetryPayload::ClockProbe {
+                master_nanos: r.u64("probe master_nanos")?,
+            },
+            1 => TelemetryPayload::ClockEcho {
+                master_nanos: r.u64("echo master_nanos")?,
+                client_nanos: r.u64("echo client_nanos")?,
+            },
+            2 => {
+                let count = r.usize("event-batch count")?;
+                let mut events = r.vec_for(count);
+                for _ in 0..count {
+                    events.push(read_event(r)?);
+                }
+                TelemetryPayload::Events(events)
+            }
+            t => return Err(CodecError::Malformed(format!("bad telemetry sub-tag {t}"))),
+        })
+    }
+
+    fn kind(&self) -> &'static str {
+        "telemetry"
+    }
+}
+
+/// Stable `u64` encoding of a telemetry [`NodeRef`]: [`encode_node`]'s,
+/// so [`decode_node`] reads it back.
 fn encode_noderef(n: NodeRef) -> u64 {
     match n {
         NodeRef::Master => 0,
@@ -926,20 +981,7 @@ fn encode_noderef(n: NodeRef) -> u64 {
     }
 }
 
-/// Inverse of [`encode_noderef`].
-fn decode_noderef(x: u64) -> Result<NodeRef, CodecError> {
-    let idx = (x & 0xFFFF_FFFF) as u32;
-    match x >> 32 {
-        0 if idx == 0 => Ok(NodeRef::Master),
-        1 => Ok(NodeRef::Worker(idx)),
-        2 => Ok(NodeRef::Server(idx)),
-        _ => Err(CodecError::Malformed(format!(
-            "bad noderef encoding {x:#x}"
-        ))),
-    }
-}
-
-fn put_phase(out: &mut Vec<u8>, p: Phase) {
+fn put_phase<S: Sink>(out: &mut S, p: Phase) {
     let idx = Phase::ALL
         .iter()
         .position(|q| *q == p)
@@ -955,7 +997,7 @@ fn read_phase(r: &mut WireReader<'_>) -> Result<Phase, CodecError> {
         .ok_or_else(|| CodecError::Malformed(format!("bad phase byte {b}")))
 }
 
-fn put_comm_fault(out: &mut Vec<u8>, f: Option<CommFault>) {
+fn put_comm_fault<S: Sink>(out: &mut S, f: Option<CommFault>) {
     out.put_u8(match f {
         None => 0,
         Some(CommFault::Dropped) => 1,
@@ -974,7 +1016,7 @@ fn read_comm_fault(r: &mut WireReader<'_>) -> Result<Option<CommFault>, CodecErr
     })
 }
 
-fn put_event(out: &mut Vec<u8>, e: &Event) {
+fn put_event<S: Sink>(out: &mut S, e: &Event) {
     match e {
         Event::Superstep(s) => {
             out.put_u8(0);
@@ -1050,8 +1092,8 @@ fn read_event(r: &mut WireReader<'_>) -> Result<Event, CodecError> {
         }),
         1 => Event::Comm(CommRecord {
             kind: r.str("comm kind")?,
-            src: decode_noderef(r.u64("comm src")?)?,
-            dst: decode_noderef(r.u64("comm dst")?)?,
+            src: decode_node(r.u64("comm src")?)?.into(),
+            dst: decode_node(r.u64("comm dst")?)?.into(),
             wire_bytes: r.u64("comm bytes")?,
             modeled_s: r.f64("comm modeled_s")?,
             plane: plane_from_byte(r.u8("comm plane")?)?,
@@ -1096,79 +1138,6 @@ fn read_event(r: &mut WireReader<'_>) -> Result<Event, CodecError> {
     })
 }
 
-/// Frames a telemetry body: envelope header with frame-kind byte 2 and
-/// `body_len` set to the actual body length.
-fn encode_telemetry_frame(from: NodeId, to: NodeId, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(ENVELOPE_BYTES + body.len());
-    out.put_u64(encode_node(from));
-    out.put_u64(encode_node(to));
-    // Frame-kind byte 2; the plane byte carries Virtual for documentation
-    // (telemetry never touches a metered plane).
-    out.put_u64(2 << 8 | u64::from(plane_byte(Plane::Virtual)));
-    out.put_u64(body.len() as u64);
-    out.extend_from_slice(body);
-    out
-}
-
-/// Encodes a master → worker clock probe.
-pub fn encode_clock_probe(from: NodeId, to: NodeId, master_nanos: u64) -> Vec<u8> {
-    let mut body = Vec::with_capacity(9);
-    body.put_u8(0);
-    body.put_u64(master_nanos);
-    encode_telemetry_frame(from, to, &body)
-}
-
-/// Encodes a worker → master clock echo.
-pub fn encode_clock_echo(
-    from: NodeId,
-    to: NodeId,
-    master_nanos: u64,
-    client_nanos: u64,
-) -> Vec<u8> {
-    let mut body = Vec::with_capacity(17);
-    body.put_u8(1);
-    body.put_u64(master_nanos);
-    body.put_u64(client_nanos);
-    encode_telemetry_frame(from, to, &body)
-}
-
-/// Encodes a worker → master telemetry event batch.
-pub fn encode_telemetry_events(from: NodeId, to: NodeId, events: &[Event]) -> Vec<u8> {
-    let mut body = Vec::new();
-    body.put_u8(2);
-    body.put_usize(events.len());
-    for e in events {
-        put_event(&mut body, e);
-    }
-    encode_telemetry_frame(from, to, &body)
-}
-
-/// Decodes the body of a [`FrameKind::Telemetry`] frame (the header must
-/// already have identified the kind).
-pub fn decode_telemetry_body(frame: &[u8]) -> Result<TelemetryPayload, CodecError> {
-    let mut r = WireReader::new(body(frame)?);
-    let payload = match r.u8("telemetry sub-tag")? {
-        0 => TelemetryPayload::ClockProbe {
-            master_nanos: r.u64("probe master_nanos")?,
-        },
-        1 => TelemetryPayload::ClockEcho {
-            master_nanos: r.u64("echo master_nanos")?,
-            client_nanos: r.u64("echo client_nanos")?,
-        },
-        2 => {
-            let count = r.usize("event-batch count")?;
-            let mut events = r.vec_for(count);
-            for _ in 0..count {
-                events.push(read_event(&mut r)?);
-            }
-            TelemetryPayload::Events(events)
-        }
-        t => return Err(CodecError::Malformed(format!("bad telemetry sub-tag {t}"))),
-    };
-    r.finish("telemetry body")?;
-    Ok(payload)
-}
-
 // ---------------------------------------------------------------------------
 // Physical stream framing
 // ---------------------------------------------------------------------------
@@ -1208,8 +1177,9 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
-/// Streams `payload` to every `(to, writer)` of `dests` through this
-/// thread's window: each destination's stream receives exactly the bytes
+/// Streams `payload` in a frame of `kind` to every `(to, writer)` of
+/// `dests` through this thread's window: each destination's stream
+/// receives exactly the length-prefixed frame, for a message the bytes
 /// of `write_frame(encode_envelope(from, to, payload, plane))`, in
 /// ⌈frame / window⌉ `write_all` calls. The payload is encoded once,
 /// whatever the number of destinations: every full window goes to each
@@ -1220,12 +1190,13 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &[u8]) -> io::Result<()> {
 /// whose write fails is skipped for the rest of the frame and the others
 /// still receive all of it. [`wire_size`] runs first, so a payload that
 /// cannot be encoded fails before any byte is written. The caller holds
-/// every writer for the whole frame.
+/// every writer for the whole frame. Only a message frame opens a
+/// `codec_encode` profiler frame: telemetry carries the profile.
 pub fn write_envelope_to<M: WireCodec, W: Write>(
     dests: &mut [(NodeId, W)],
     from: NodeId,
     payload: &M,
-    plane: Plane,
+    kind: FrameKind,
 ) -> Result<Vec<io::Result<()>>, CodecError> {
     let body_len = wire_size(payload)?;
     let len = u32::try_from(body_len + ENVELOPE_BYTES)
@@ -1233,7 +1204,7 @@ pub fn write_envelope_to<M: WireCodec, W: Write>(
     let Some(&(first_to, _)) = dests.first() else {
         return Ok(Vec::new());
     };
-    let _prof = ProfScope::enter("codec_encode");
+    let _prof = matches!(kind, FrameKind::Message(_)).then(|| ProfScope::enter("codec_encode"));
     SEND_WINDOW.with_borrow_mut(|window| {
         window.resize(WINDOW, 0);
         let mut out = Windowed {
@@ -1244,7 +1215,7 @@ pub fn write_envelope_to<M: WireCodec, W: Write>(
             dests,
         };
         out.put_u32(len);
-        put_header(&mut out, from, first_to, plane, body_len);
+        put_header(&mut out, from, first_to, kind, body_len);
         if payload.encode_body(&mut out).is_err() {
             // The same encoder just succeeded under `wire_size`; one that
             // fails now has left every destination inside a frame.
@@ -1630,6 +1601,19 @@ mod tests {
         assert!(decode_node(9 << 32).is_err());
     }
 
+    /// A whole frame of `kind`, as [`write_envelope_to`] streams it, less
+    /// its length prefix.
+    fn frame_of<M: WireCodec>(from: NodeId, to: NodeId, payload: &M, kind: FrameKind) -> Vec<u8> {
+        let mut dests = [(to, Vec::new())];
+        assert!(write_envelope_to(&mut dests, from, payload, kind).unwrap()[0].is_ok());
+        let [(_, stream)] = dests;
+        stream[4..].to_vec()
+    }
+
+    fn telemetry_frame(from: NodeId, to: NodeId, payload: TelemetryPayload) -> Vec<u8> {
+        frame_of(from, to, &payload, FrameKind::Telemetry)
+    }
+
     #[test]
     fn hello_frame_shape() {
         let h = encode_hello(NodeId::Worker(4));
@@ -1689,19 +1673,27 @@ mod tests {
     #[test]
     fn telemetry_event_batches_roundtrip() {
         let events = sample_telemetry_events();
-        let frame = encode_telemetry_events(NodeId::Worker(1), NodeId::Master, &events);
+        let frame = telemetry_frame(
+            NodeId::Worker(1),
+            NodeId::Master,
+            TelemetryPayload::Events(events.clone()),
+        );
         let h = decode_envelope_header(&frame).unwrap();
         assert_eq!(h.kind, FrameKind::Telemetry);
         assert_eq!(h.from, NodeId::Worker(1));
         assert_eq!(h.to, NodeId::Master);
         assert_eq!(h.body_len, frame.len() - ENVELOPE_BYTES);
-        match decode_telemetry_body(&frame).unwrap() {
+        match decode_body_checked(&frame).unwrap() {
             TelemetryPayload::Events(back) => assert_eq!(back, events),
             other => panic!("expected Events, got {other:?}"),
         }
         // Empty batches are legal (a flush with nothing new).
-        let empty = encode_telemetry_events(NodeId::Worker(0), NodeId::Master, &[]);
-        match decode_telemetry_body(&empty).unwrap() {
+        let empty = telemetry_frame(
+            NodeId::Worker(0),
+            NodeId::Master,
+            TelemetryPayload::Events(Vec::new()),
+        );
+        match decode_body_checked(&empty).unwrap() {
             TelemetryPayload::Events(back) => assert!(back.is_empty()),
             other => panic!("expected Events, got {other:?}"),
         }
@@ -1709,33 +1701,35 @@ mod tests {
 
     #[test]
     fn clock_probe_and_echo_roundtrip() {
-        let probe = encode_clock_probe(NodeId::Master, NodeId::Worker(2), 123_456_789);
+        let probe = TelemetryPayload::ClockProbe {
+            master_nanos: 123_456_789,
+        };
+        let frame = telemetry_frame(NodeId::Master, NodeId::Worker(2), probe.clone());
         assert_eq!(
-            decode_envelope_header(&probe).unwrap().kind,
+            decode_envelope_header(&frame).unwrap().kind,
             FrameKind::Telemetry
         );
         assert_eq!(
-            decode_telemetry_body(&probe).unwrap(),
-            TelemetryPayload::ClockProbe {
-                master_nanos: 123_456_789
-            }
+            decode_body_checked::<TelemetryPayload>(&frame).unwrap(),
+            probe
         );
-        let echo = encode_clock_echo(NodeId::Worker(2), NodeId::Master, 123_456_789, 987);
+        let echo = TelemetryPayload::ClockEcho {
+            master_nanos: 123_456_789,
+            client_nanos: 987,
+        };
+        let frame = telemetry_frame(NodeId::Worker(2), NodeId::Master, echo.clone());
         assert_eq!(
-            decode_telemetry_body(&echo).unwrap(),
-            TelemetryPayload::ClockEcho {
-                master_nanos: 123_456_789,
-                client_nanos: 987
-            }
+            decode_body_checked::<TelemetryPayload>(&frame).unwrap(),
+            echo
         );
     }
 
     #[test]
     fn telemetry_frames_are_not_protocol_messages() {
-        let frame = encode_telemetry_events(
+        let frame = telemetry_frame(
             NodeId::Worker(0),
             NodeId::Master,
-            &sample_telemetry_events(),
+            TelemetryPayload::Events(sample_telemetry_events()),
         );
         // A telemetry frame must never decode as a protocol body — the
         // hub's dispatch keys on the header kind, and a mixed-up frame
@@ -1766,7 +1760,11 @@ mod tests {
         // A telemetry header announcing a body just short of 1 GiB, then
         // ten bytes: reading it whole fails at the end of the stream, and
         // the frame never reserved more than a window ahead of its bytes.
-        let mut header = encode_telemetry_events(NodeId::Worker(0), NodeId::Master, &[]);
+        let mut header = telemetry_frame(
+            NodeId::Worker(0),
+            NodeId::Master,
+            TelemetryPayload::Events(Vec::new()),
+        );
         header.truncate(ENVELOPE_BYTES);
         header[24..32].copy_from_slice(&((MAX_FRAME - ENVELOPE_BYTES) as u64).to_le_bytes());
         let mut stream = (MAX_FRAME as u32).to_le_bytes().to_vec();
@@ -1847,9 +1845,16 @@ mod tests {
         let frames = [
             encode_envelope(m, w, &7u64, Plane::Data).unwrap(),
             encode_hello(w),
-            encode_clock_probe(m, w, 5),
-            encode_clock_echo(w, m, 5, 9),
-            encode_telemetry_events(w, m, &sample_telemetry_events()),
+            telemetry_frame(m, w, TelemetryPayload::ClockProbe { master_nanos: 5 }),
+            telemetry_frame(
+                w,
+                m,
+                TelemetryPayload::ClockEcho {
+                    master_nanos: 5,
+                    client_nanos: 9,
+                },
+            ),
+            telemetry_frame(w, m, TelemetryPayload::Events(sample_telemetry_events())),
         ];
         let mut kinds = std::collections::BTreeSet::new();
         let mut payloads = std::collections::BTreeSet::new();
@@ -1864,7 +1869,7 @@ mod tests {
             kinds.insert(i);
             kind_count = n;
             if kind == FrameKind::Telemetry {
-                let payload = decode_telemetry_body(frame).unwrap();
+                let payload: TelemetryPayload = decode_body_checked(frame).unwrap();
                 let (i, n) = crate::variant_index!(payload;
                     TelemetryPayload::ClockProbe { .. },
                     TelemetryPayload::ClockEcho { .. },

@@ -116,7 +116,7 @@ pub struct Router<M> {
 impl<M> std::fmt::Debug for Router<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Router")
-            .field("transport", &self.transport.label())
+            .field("serializes", &self.transport.serializes())
             .field("nodes", &self.ids.len())
             .field("chaos", &self.chaos.as_ref().map(|c| c.spec))
             .finish()
@@ -257,11 +257,6 @@ impl<M: WireCodec> Router<M> {
         if let Some(c) = &self.chaos {
             c.armed.store(true, Ordering::Release);
         }
-    }
-
-    /// The chaos spec, if this router injects faults.
-    pub fn chaos_spec(&self) -> Option<ChaosSpec> {
-        self.chaos.as_ref().map(|c| c.spec)
     }
 
     /// Replaces `id`'s mailbox for a respawn and returns the new
@@ -571,12 +566,6 @@ impl<M: WireCodec> Router<M> {
         let mut v: Vec<NodeId> = self.ids.as_ref().clone();
         v.sort();
         v
-    }
-
-    /// The backend label of the underlying transport (`"inproc"`,
-    /// `"tcp-hub"`, `"tcp-client"`).
-    pub fn transport_label(&self) -> &'static str {
-        self.transport.label()
     }
 
     /// Whether the transport ships messages as encoded frames

@@ -3,8 +3,22 @@
 //! Topology is hub-and-spoke. The master process runs a [`TcpHub`]: it
 //! hosts the master's mailbox locally, accepts one TCP connection per
 //! worker process, and switches worker↔worker traffic. Each worker
-//! process runs a [`TcpClient`]: a single connection to the hub, a local
-//! loopback mailbox, and a reader thread feeding it.
+//! process runs a [`TcpClient`]: a single connection to the hub, its own
+//! mailbox, and a reader thread feeding it.
+//!
+//! ## One mailbox type, one frame path
+//!
+//! Both ends are a [`ChannelTransport`] for the nodes their process hosts
+//! (the master's mailbox at the hub, a worker's own mailbox at a client)
+//! plus connections for every other node: a destination the local
+//! transport does not host goes to a socket. Every frame on a socket is
+//! an envelope streamed by `codec::write_envelope_to`: protocol messages,
+//! and the telemetry frames (clock probe, clock echo, event batches),
+//! which are ordinary [`TelemetryPayload`] envelopes with frame kind
+//! [`FrameKind::Telemetry`]. Only the hello is written whole. Hub and
+//! client read with one loop ([`read_frames`]): a message body is decoded
+//! as it arrives and handed on; a telemetry frame is read whole, decoded,
+//! and skipped if corrupt, so telemetry noise cannot end the data path.
 //!
 //! ## Where metering happens
 //!
@@ -17,7 +31,8 @@
 //!   `wire_size() + ENVELOPE_BYTES` long) and admitted through
 //!   [`Router::ingress`], which calls the exact same
 //!   `send`/`send_reliable` paths in-process traffic takes — metering,
-//!   chaos injection, and telemetry included.
+//!   chaos injection, and telemetry included. Telemetry frames are
+//!   diverted on their header's kind before ingress: never metered.
 //!
 //! Worker-side routers carry a private meter and no chaos; their numbers
 //! are never read. Chaos therefore fires exactly once per message, at the
@@ -41,7 +56,8 @@
 //! chaos schedules and traces do not depend on the window. One
 //! consequence for profiles: `codec_encode` now includes the socket
 //! writes of the frame, and `codec_decode` and `hub_switch` include the
-//! time its body takes to arrive.
+//! time its body takes to arrive. Telemetry frames open no `codec_*`
+//! frame: they carry the profile.
 //!
 //! ## Death and respawn
 //!
@@ -54,48 +70,70 @@
 
 #[expect(clippy::disallowed_types, reason = "keyed lookups; no output order")]
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Read};
 #[expect(clippy::disallowed_types, reason = "the metered socket layer")]
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Mutex, RwLock};
+use crossbeam::channel::Sender;
+use parking_lot::Mutex;
 
 use crate::codec::{
-    decode_telemetry_body, encode_clock_echo, encode_clock_probe, encode_hello,
-    encode_telemetry_events, write_envelope_to, write_frame, FrameKind, FrameReader,
-    TelemetryPayload,
+    decode_body_checked, encode_hello, write_envelope_to, write_frame, EnvelopeHeader, FrameKind,
+    FrameReader, TelemetryPayload,
 };
 use crate::node::NodeId;
 use crate::router::{Endpoint, Envelope, NetError, Router};
 use crate::telemetry::{Plane, ProfScope, Recorder};
 use crate::traffic::TrafficStats;
-use crate::transport::{Reregistered, Transport};
+use crate::transport::{ChannelTransport, Mailboxes, Reregistered, Transport};
 use crate::WireCodec;
 
-/// Where the hub hands a message for one destination.
+/// A connection's writing half, shared by every thread that frames onto it.
 #[expect(clippy::disallowed_types, reason = "the metered socket layer")]
+type Writer = Arc<Mutex<TcpStream>>;
+
+/// Where a message for one destination goes.
 enum Route<M> {
-    /// A locally hosted mailbox (the master's).
+    /// A mailbox of this process.
     Local(Sender<Envelope<M>>),
-    /// A worker process's connection.
-    Remote(Arc<Mutex<TcpStream>>),
+    /// Another process's connection.
+    Remote(Writer),
 }
 
-impl<M: WireCodec> Route<M> {
+impl<M> Route<M> {
+    /// `to`'s mailbox if `local` hosts it, and otherwise the connection
+    /// `remote` finds for it.
+    fn resolve(
+        local: &ChannelTransport<M>,
+        to: NodeId,
+        remote: impl FnOnce() -> Result<Writer, NetError>,
+    ) -> Result<Self, NetError> {
+        match local.sender(to) {
+            Err(NetError::UnknownNode(_)) => remote().map(Route::Remote),
+            hosted => hosted.map(Route::Local),
+        }
+    }
+
     /// Hands `env` to its mailbox, or streams it to its connection.
-    fn deliver(self, env: Envelope<M>, plane: Plane) -> Result<(), NetError> {
+    fn deliver(self, env: Envelope<M>, plane: Plane) -> Result<(), NetError>
+    where
+        M: WireCodec,
+    {
         match self {
             Route::Local(tx) => {
                 let to = env.to;
                 tx.send(env).map_err(|_| NetError::NodeDown(to))
             }
-            Route::Remote(writer) => {
-                stream_frame(&[(env.to, writer)], env.from, &env.payload, plane).swap_remove(0)
-            }
+            Route::Remote(writer) => stream_frame(
+                &[(env.to, writer)],
+                env.from,
+                &env.payload,
+                FrameKind::Message(plane),
+            )
+            .swap_remove(0),
         }
     }
 }
@@ -142,10 +180,8 @@ fn deliver_to_all<M: WireCodec + Clone>(
             }
         }
         let (index, dests): (Vec<usize>, Vec<_>) = round.into_iter().unzip();
-        for (i, sent) in index
-            .into_iter()
-            .zip(stream_frame(&dests, from, payload, plane))
-        {
+        let sent = stream_frame(&dests, from, payload, FrameKind::Message(plane));
+        for (i, sent) in index.into_iter().zip(sent) {
             results[i] = sent;
         }
         remote = later;
@@ -161,10 +197,10 @@ fn deliver_to_all<M: WireCodec + Clone>(
 /// of a broadcast starts receiving with the first.
 #[expect(clippy::disallowed_types, reason = "the metered socket layer")]
 fn stream_frame<M: WireCodec>(
-    dests: &[(NodeId, Arc<Mutex<TcpStream>>)],
+    dests: &[(NodeId, Writer)],
     from: NodeId,
     payload: &M,
-    plane: Plane,
+    kind: FrameKind,
 ) -> Vec<Result<(), NetError>> {
     // lint: allow(lock-order) several writer locks at once: taken in NodeId order by every sender and held for one frame, so two broadcasts cannot wait on each other
     let mut guards: Vec<_> = dests.iter().map(|(_, writer)| writer.lock()).collect();
@@ -173,8 +209,8 @@ fn stream_frame<M: WireCodec>(
         .zip(&mut guards)
         .map(|(&(to, _), guard)| (to, &mut **guard))
         .collect();
-    // lint: allow(blocking-under-lock) the writer mutexes ARE the write serialization points: concurrent senders (hub deliver()s, a worker's deliver and telemetry flush) must not interleave frame bytes
-    match write_envelope_to(&mut streams, from, payload, plane) {
+    // lint: allow(blocking-under-lock) the writer mutexes ARE the write serialization points: concurrent senders (hub deliver()s, a worker's deliver, echo and telemetry flush) must not interleave frame bytes
+    match write_envelope_to(&mut streams, from, payload, kind) {
         Ok(sent) => dests
             .iter()
             .zip(sent)
@@ -187,29 +223,66 @@ fn stream_frame<M: WireCodec>(
     }
 }
 
-/// A locally hosted mailbox (the master's, on the hub side).
-struct LocalSlot<M> {
-    tx: Sender<Envelope<M>>,
-    drain: Receiver<Envelope<M>>,
-    alive: bool,
-    generation: u64,
+/// The read loop of both ends of a connection, until EOF, a read error
+/// or a header that does not decode. A message frame goes to
+/// `on_message`, which decodes its body off `frames` as it arrives and
+/// hands it on, or returns `false` to end the loop. A telemetry frame is
+/// read whole and decoded, and `on_telemetry` gets the payload; a corrupt
+/// one is skipped, so telemetry noise cannot end the data path. A stray
+/// hello is read and dropped.
+#[deny(clippy::wildcard_enum_match_arm)]
+fn read_frames<R: Read>(
+    frames: &mut FrameReader<R>,
+    mut on_message: impl FnMut(&mut FrameReader<R>, &EnvelopeHeader, Plane) -> bool,
+    mut on_telemetry: impl FnMut(TelemetryPayload),
+) {
+    while let Ok(Some(header)) = frames.next_header() {
+        let go_on = match header.kind {
+            FrameKind::Message(plane) => on_message(frames, &header, plane),
+            FrameKind::Telemetry => {
+                let Ok(frame) = frames.read_whole(&header) else {
+                    return;
+                };
+                if let Ok(telemetry) = decode_body_checked(&frame) {
+                    on_telemetry(telemetry);
+                }
+                true
+            }
+            FrameKind::Hello => frames.read_whole(&header).is_ok(),
+        };
+        if !go_on {
+            return;
+        }
+    }
 }
 
 /// One worker process's connection state.
-#[expect(clippy::disallowed_types, reason = "the metered socket layer")]
+#[derive(Default)]
 struct Conn {
-    /// The writing half (reads happen on the per-connection thread).
-    /// `None` until the worker's hello arrives, and after disconnect.
-    writer: Option<Arc<Mutex<TcpStream>>>,
-    alive: bool,
+    /// The writing half (reads happen on the per-connection thread):
+    /// `None`, and the worker down, until its hello arrives and after a
+    /// disconnect.
+    writer: Option<Writer>,
     generation: u64,
+}
+
+impl Conn {
+    /// Marks the connection dead and shuts its socket down.
+    fn sever(&mut self) {
+        if let Some(w) = self.writer.take() {
+            let _ = w.lock().shutdown(Shutdown::Both);
+        }
+    }
 }
 
 #[expect(clippy::disallowed_types, reason = "metered sockets; keyed lookups")]
 struct HubInner<M> {
     listener: TcpListener,
     addr: SocketAddr,
-    local: RwLock<HashMap<NodeId, LocalSlot<M>>>,
+    /// The mailboxes this process hosts (the master's).
+    local: ChannelTransport<M>,
+    /// Their receivers, for [`TcpHub::local_endpoint`].
+    mailboxes: Mailboxes<M>,
     conns: Mutex<HashMap<NodeId, Conn>>,
     /// Router used by reader threads to admit worker-originated frames.
     router: Mutex<Option<Router<M>>>,
@@ -254,40 +327,19 @@ impl<M: WireCodec + Clone + Send + 'static> TcpHub<M> {
     #[expect(
         clippy::disallowed_methods,
         clippy::disallowed_types,
-        reason = "the metered transport's socket, mailbox and clock origin"
+        reason = "the metered transport's socket and clock origin"
     )]
     pub fn bind(local_ids: &[NodeId], remote_ids: &[NodeId]) -> io::Result<TcpHub<M>> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
-        let mut local = HashMap::new();
-        for &id in local_ids {
-            let (tx, rx) = unbounded();
-            local.insert(
-                id,
-                LocalSlot {
-                    tx,
-                    drain: rx.clone(),
-                    alive: true,
-                    generation: 0,
-                },
-            );
-        }
-        let mut conns = HashMap::new();
-        for &id in remote_ids {
-            conns.insert(
-                id,
-                Conn {
-                    writer: None,
-                    alive: false,
-                    generation: 0,
-                },
-            );
-        }
+        let (local, mailboxes) = ChannelTransport::new(local_ids);
+        let conns = remote_ids.iter().map(|&id| (id, Conn::default())).collect();
         Ok(TcpHub {
             inner: Arc::new(HubInner {
                 listener,
                 addr,
-                local: RwLock::new(local),
+                local,
+                mailboxes,
                 conns: Mutex::new(conns),
                 router: Mutex::new(None),
                 origin: Instant::now(),
@@ -305,11 +357,13 @@ impl<M: WireCodec + Clone + Send + 'static> TcpHub<M> {
     /// Takes the mailbox receiver of a locally hosted node (the master)
     /// as an [`Endpoint`] on `router`.
     pub fn local_endpoint(&self, id: NodeId, router: &Router<M>) -> Endpoint<M> {
-        let local = self.inner.local.read();
-        let slot = local
-            .get(&id)
+        let (_, rx, generation) = self
+            .inner
+            .mailboxes
+            .iter()
+            .find(|(hosted, ..)| *hosted == id)
             .unwrap_or_else(|| panic!("node {id} is not hub-local"));
-        router.endpoint_from_parts(id, slot.drain.clone(), slot.generation)
+        router.endpoint_from_parts(id, rx.clone(), *generation)
     }
 
     /// Installs the router reader threads dispatch into and starts the
@@ -364,11 +418,8 @@ impl<M: WireCodec + Clone + Send + 'static> TcpHub<M> {
             let Some(conn) = conns.get_mut(&who) else {
                 return; // unknown worker id
             };
-            if let Some(old) = conn.writer.take() {
-                let _ = old.lock().shutdown(Shutdown::Both);
-            }
+            conn.sever();
             conn.generation += 1;
-            conn.alive = true;
             let writer = Arc::new(Mutex::new(
                 frames.get_ref().try_clone().expect("clone hub-side stream"),
             ));
@@ -385,94 +436,71 @@ impl<M: WireCodec + Clone + Send + 'static> TcpHub<M> {
         // monotonic timeline; the worker echoes with its own clock and the
         // offset estimate lands in the recorder (telemetry plane — never
         // metered).
-        {
-            let master_nanos = self.inner.origin.elapsed().as_nanos() as u64;
-            let probe = encode_clock_probe(NodeId::Master, who, master_nanos);
-            // lint: allow(blocking-under-lock) the writer mutex IS the per-connection write serialization point; frames must not interleave
-            let _ = write_frame(&mut *writer.lock(), &probe);
-        }
-        drop(writer);
+        let probe = TelemetryPayload::ClockProbe {
+            master_nanos: self.inner.origin.elapsed().as_nanos() as u64,
+        };
+        let _ = stream_frame(
+            &[(who, writer)],
+            NodeId::Master,
+            &probe,
+            FrameKind::Telemetry,
+        );
         // Ingress loop: worker-originated frames enter the metering layer
         // here, through the exact same Router paths as in-process sends.
-        // EOF, a read error or a corrupt header ends the loop: the worker
-        // process is gone (or speaks garbage, which is treated the same).
-        while let Ok(Some(header)) = frames.next_header() {
-            // Per-frame switching cost (telemetry interception, body
-            // arrival and decode, ingress) under one profiler frame; the
-            // guard drops on every `continue`/`break` path.
-            let _prof = ProfScope::enter("hub_switch");
-            let plane = match header.kind {
-                FrameKind::Message(plane) => plane,
-                // Telemetry frames are intercepted *before* the decode /
-                // `Router::ingress` path: they never touch `TrafficStats`,
-                // so trace shipping cannot skew trace↔meter reconciliation.
-                FrameKind::Telemetry => {
-                    let Ok(frame) = frames.read_whole(&header) else {
-                        break;
-                    };
-                    match decode_telemetry_body(&frame) {
-                        Ok(TelemetryPayload::ClockEcho {
-                            master_nanos,
-                            client_nanos,
-                        }) => {
-                            let now = self.inner.origin.elapsed().as_nanos() as u64;
-                            let rtt = now.saturating_sub(master_nanos);
-                            let midpoint = master_nanos + rtt / 2;
-                            let offset_s = (client_nanos as f64 - midpoint as f64) / 1e9;
-                            if let NodeId::Worker(w) = who {
-                                router.recorder().set_clock_offset(w as u64, offset_s);
-                            }
+        // The loop ends when the worker process is gone (or speaks
+        // garbage, which is treated the same).
+        read_frames(
+            &mut frames,
+            |frames, header, plane| {
+                // Per-frame switching cost (body arrival and decode) under
+                // one profiler frame, closed *before* ingress: the hand-off
+                // unblocks the master, which may immediately drain the
+                // profiler (end of training) — charging this frame's sample
+                // after ingress would race that drain and make the folded
+                // calls nondeterministic for the run's final ack.
+                let prof = ProfScope::enter("hub_switch");
+                let Ok(payload) = frames.decode_body::<M>(header) else {
+                    return false;
+                };
+                drop(prof);
+                let env = Envelope {
+                    from: header.from,
+                    to: header.to,
+                    payload,
+                };
+                // A NodeDown/UnknownNode here mirrors the error the
+                // sending worker would have seen in-process; over a
+                // socket the sender is remote, so the hub absorbs it
+                // (the loss is detected by deadlines, like any drop).
+                let _ = router.ingress(env, plane);
+                true
+            },
+            |telemetry| {
+                // Telemetry never reaches `Router::ingress`: it touches no
+                // `TrafficStats`, so trace shipping cannot skew trace↔meter
+                // reconciliation.
+                let _prof = ProfScope::enter("hub_switch");
+                match telemetry {
+                    TelemetryPayload::ClockEcho {
+                        master_nanos,
+                        client_nanos,
+                    } => {
+                        let now = self.inner.origin.elapsed().as_nanos() as u64;
+                        let rtt = now.saturating_sub(master_nanos);
+                        let midpoint = master_nanos + rtt / 2;
+                        let offset_s = (client_nanos as f64 - midpoint as f64) / 1e9;
+                        if let NodeId::Worker(w) = who {
+                            router.recorder().set_clock_offset(w as u64, offset_s);
                         }
-                        Ok(TelemetryPayload::Events(events)) => {
-                            router.recorder().ingest(events);
-                        }
-                        // A probe is master → worker; arriving here it is
-                        // misdirected. Corrupt telemetry must not kill the
-                        // data path — skip the frame.
-                        Ok(TelemetryPayload::ClockProbe { .. }) | Err(_) => {}
                     }
-                    continue;
+                    TelemetryPayload::Events(events) => router.recorder().ingest(events),
+                    // A probe is master → worker; arriving here it is
+                    // misdirected, and dropped.
+                    TelemetryPayload::ClockProbe { .. } => {}
                 }
-                FrameKind::Hello => {
-                    if frames.read_whole(&header).is_err() {
-                        break;
-                    }
-                    continue;
-                }
-            };
-            let Ok(payload) = frames.decode_body::<M>(&header) else {
-                break;
-            };
-            let env = Envelope {
-                from: header.from,
-                to: header.to,
-                payload,
-            };
-            // Close the switching frame *before* ingress: the hand-off
-            // unblocks the master, which may immediately drain the
-            // profiler (end of training) — charging this frame's sample
-            // after ingress would race that drain and make the folded
-            // calls nondeterministic for the run's final ack.
-            drop(_prof);
-            // A NodeDown/UnknownNode here mirrors the error the
-            // sending worker would have seen in-process; over a
-            // socket the sender is remote, so the hub absorbs it
-            // (the loss is detected by deadlines, like any drop).
-            let _ = router.ingress(env, plane);
-        }
+            },
+        );
         self.mark_conn_dead(who, generation);
-    }
-
-    fn mark_conn_dead(&self, id: NodeId, generation: u64) {
-        let mut conns = self.inner.conns.lock();
-        if let Some(conn) = conns.get_mut(&id) {
-            if conn.generation == generation {
-                conn.alive = false;
-                if let Some(w) = conn.writer.take() {
-                    let _ = w.lock().shutdown(Shutdown::Both);
-                }
-            }
-        }
     }
 
     /// Blocks until every worker in `ids` has completed its hello
@@ -485,7 +513,7 @@ impl<M: WireCodec + Clone + Send + 'static> TcpHub<M> {
             let missing: Vec<NodeId> = {
                 let conns = self.inner.conns.lock();
                 ids.iter()
-                    .filter(|id| !conns.get(id).is_some_and(|c| c.alive))
+                    .filter(|id| conns.get(id).is_none_or(|c| c.writer.is_none()))
                     .copied()
                     .collect()
             };
@@ -501,18 +529,6 @@ impl<M: WireCodec + Clone + Send + 'static> TcpHub<M> {
         }
     }
 
-    /// Severs a worker's connection (respawn path): the old socket is
-    /// shut down and the slot marked dead until a new hello arrives.
-    pub fn disconnect(&self, id: NodeId) {
-        let mut conns = self.inner.conns.lock();
-        if let Some(conn) = conns.get_mut(&id) {
-            conn.alive = false;
-            if let Some(w) = conn.writer.take() {
-                let _ = w.lock().shutdown(Shutdown::Both);
-            }
-        }
-    }
-
     /// Stops accepting new connections, severs all workers, and joins
     /// every hub thread: when this returns, no hub thread is switching
     /// frames any more, so recorder ingests and profiler samples have
@@ -520,10 +536,7 @@ impl<M: WireCodec + Clone + Send + 'static> TcpHub<M> {
     #[expect(clippy::disallowed_types, reason = "the metered socket layer")]
     pub fn shutdown(&self) {
         self.inner.shutting_down.store(true, Ordering::Release);
-        let ids: Vec<NodeId> = self.inner.conns.lock().keys().copied().collect();
-        for id in ids {
-            self.disconnect(id);
-        }
+        self.inner.conns.lock().values_mut().for_each(Conn::sever);
         // Unblock the accept loop with a dummy connection.
         let _ = TcpStream::connect(self.inner.addr);
         // Joining the accept thread guarantees no further connection
@@ -542,26 +555,31 @@ impl<M: WireCodec + Clone + Send + 'static> TcpHub<M> {
 }
 
 impl<M> TcpHub<M> {
-    /// Resolves `to` to its mailbox sender or connection writer. Both are
-    /// cloned out of their maps so no guard is held while sending — a
-    /// send under `local` would serialize every local deliver against
-    /// `reregister`'s write lock.
+    /// Severs a worker's connection (respawn path): the old socket is
+    /// shut down and the slot marked dead until a new hello arrives.
+    pub fn disconnect(&self, id: NodeId) {
+        if let Some(conn) = self.inner.conns.lock().get_mut(&id) {
+            conn.sever();
+        }
+    }
+
+    /// Severs `id`'s connection if it is still the `generation` that
+    /// ended.
+    fn mark_conn_dead(&self, id: NodeId, generation: u64) {
+        let mut conns = self.inner.conns.lock();
+        if let Some(conn) = conns.get_mut(&id).filter(|c| c.generation == generation) {
+            conn.sever();
+        }
+    }
+
+    /// Resolves `to` to its mailbox sender or connection writer, cloned
+    /// out of its map so no guard is held while sending.
     fn route(&self, to: NodeId) -> Result<Route<M>, NetError> {
-        if let Some(slot) = self.inner.local.read().get(&to) {
-            if !slot.alive {
-                return Err(NetError::NodeDown(to));
-            }
-            return Ok(Route::Local(slot.tx.clone()));
-        }
-        let conns = self.inner.conns.lock();
-        let conn = conns.get(&to).ok_or(NetError::UnknownNode(to))?;
-        if !conn.alive {
-            return Err(NetError::NodeDown(to));
-        }
-        conn.writer
-            .clone()
-            .map(Route::Remote)
-            .ok_or(NetError::NodeDown(to))
+        Route::resolve(&self.inner.local, to, || {
+            let conns = self.inner.conns.lock();
+            let conn = conns.get(&to).ok_or(NetError::UnknownNode(to))?;
+            conn.writer.clone().ok_or(NetError::NodeDown(to))
+        })
     }
 }
 
@@ -583,39 +601,17 @@ impl<M: WireCodec + Clone + Send + 'static> Transport<M> for TcpHub<M> {
         deliver_to_all(|to| self.route(to), from, tos, payload, plane)
     }
 
-    #[expect(clippy::disallowed_methods, reason = "fresh mailbox behind the Router")]
+    /// A hub-local mailbox is replaced as in-process. A remote worker's
+    /// mailbox lives in its (dead) process, so there is nothing to drain
+    /// on this side: the connection is severed until the respawned
+    /// process's hello.
     fn reregister(&self, id: NodeId) -> Reregistered<M> {
-        // Local slot: same semantics as the in-process transport.
-        {
-            let mut local = self.inner.local.write();
-            if let Some(slot) = local.get_mut(&id) {
-                let mut dead_letters = Vec::new();
-                while let Ok(env) = slot.drain.try_recv() {
-                    dead_letters.push(env);
-                }
-                let (tx, rx) = unbounded();
-                slot.tx = tx;
-                slot.drain = rx.clone();
-                slot.alive = true;
-                slot.generation += 1;
-                return Reregistered {
-                    rx: Some(rx),
-                    generation: slot.generation,
-                    dead_letters,
-                };
-            }
-        }
-        // Remote worker: the mailbox lives in the (dead) worker process;
-        // there is nothing to drain on this side. Sever the connection
-        // and wait for the respawned process's hello.
         let mut conns = self.inner.conns.lock();
-        let conn = conns
-            .get_mut(&id)
-            .unwrap_or_else(|| panic!("cannot reregister unknown node {id}"));
-        conn.alive = false;
-        if let Some(w) = conn.writer.take() {
-            let _ = w.lock().shutdown(Shutdown::Both);
-        }
+        let Some(conn) = conns.get_mut(&id) else {
+            drop(conns);
+            return self.inner.local.reregister(id);
+        };
+        conn.sever();
         Reregistered {
             rx: None,
             generation: conn.generation,
@@ -624,20 +620,9 @@ impl<M: WireCodec + Clone + Send + 'static> Transport<M> for TcpHub<M> {
     }
 
     fn mark_dead(&self, id: NodeId, generation: u64) {
-        {
-            let mut local = self.inner.local.write();
-            if let Some(slot) = local.get_mut(&id) {
-                if slot.generation == generation {
-                    slot.alive = false;
-                }
-                return;
-            }
-        }
+        // Each of the two ignores an id it does not host.
+        self.inner.local.mark_dead(id, generation);
         self.mark_conn_dead(id, generation);
-    }
-
-    fn label(&self) -> &'static str {
-        "tcp-hub"
     }
 
     fn serializes(&self) -> bool {
@@ -649,33 +634,36 @@ impl<M: WireCodec + Clone + Send + 'static> Transport<M> for TcpHub<M> {
 // Worker-process side
 // ---------------------------------------------------------------------------
 
-#[expect(clippy::disallowed_types, reason = "the metered socket layer")]
 struct ClientInner<M> {
     me: NodeId,
     /// Shared with [`TelemetryTx`] and the reader thread's echo path. A
-    /// message frame goes out one window at a time, and telemetry frames
-    /// as prefix + body: every frame producer must serialize on this one
-    /// lock, held for the whole frame, or frames interleave on the socket.
-    writer: Arc<Mutex<TcpStream>>,
-    /// Loopback for self-sends (a worker dispatching a workset to itself
-    /// crosses no wire, in either backend). The reader thread takes it
-    /// when it exits, so the mailbox then has no sender left and the
-    /// worker's `recv` returns `Disconnected` instead of blocking.
-    local_tx: Mutex<Option<Sender<Envelope<M>>>>,
+    /// frame goes out one window at a time: every frame producer must
+    /// serialize on this one lock, held for the whole frame, or frames
+    /// interleave on the socket.
+    writer: Writer,
+    /// This process's own mailbox, fed by the reader thread. A self-send
+    /// (a worker dispatching a workset to itself) is delivered here and
+    /// crosses no wire, in either backend.
+    local: ChannelTransport<M>,
 }
 
-/// Closes a client's loopback when its reader thread ends, on every exit
-/// path (hub EOF, a frame that fails to decode, a panic).
-struct CloseLoopback<M>(Arc<ClientInner<M>>);
+/// Marks a client's mailbox dead when its reader thread ends, on every
+/// exit path (hub EOF, a frame that fails to decode, a panic): with no
+/// sender left, the worker's `recv` returns `Disconnected` instead of
+/// blocking.
+struct CloseMailbox<M: Send> {
+    inner: Arc<ClientInner<M>>,
+    generation: u64,
+}
 
-impl<M> Drop for CloseLoopback<M> {
+impl<M: Send> Drop for CloseMailbox<M> {
     fn drop(&mut self) {
-        self.0.local_tx.lock().take();
+        self.inner.local.mark_dead(self.inner.me, self.generation);
     }
 }
 
-/// The worker-side transport: one socket to the hub plus a local
-/// loopback mailbox.
+/// The worker-side transport: one socket to the hub plus this process's
+/// own mailbox.
 pub struct TcpClient<M> {
     inner: Arc<ClientInner<M>>,
 }
@@ -717,7 +705,7 @@ impl<M: WireCodec + Clone + Send + 'static> TcpClient<M> {
     #[expect(
         clippy::disallowed_methods,
         clippy::disallowed_types,
-        reason = "the metered transport's socket, mailbox and clock origin"
+        reason = "the metered transport's socket and clock origin"
     )]
     pub fn connect_traced(
         addr: SocketAddr,
@@ -732,86 +720,61 @@ impl<M: WireCodec + Clone + Send + 'static> TcpClient<M> {
         let writer = Arc::new(Mutex::new(stream.try_clone()?));
         // lint: allow(blocking-under-lock) hello precedes the reader thread and any sharing of `writer`; the lock is uncontended by construction
         write_frame(&mut *writer.lock(), &encode_hello(me))?;
-        let (local_tx, local_rx) = unbounded();
-        let client = TcpClient {
-            inner: Arc::new(ClientInner {
-                me,
-                writer: Arc::clone(&writer),
-                local_tx: Mutex::new(Some(local_tx.clone())),
-            }),
-        };
-        let close_loopback = CloseLoopback(Arc::clone(&client.inner));
-        let telemetry_tx = TelemetryTx {
+        let (local, mut mailboxes) = ChannelTransport::new(&[me]);
+        let (_, rx, generation) = mailboxes.pop().expect("one mailbox per client");
+        let inner = Arc::new(ClientInner {
             me,
             writer: Arc::clone(&writer),
+            local,
+        });
+        let telemetry_tx = TelemetryTx {
+            me,
+            writer,
             cursor: Arc::new(Mutex::new(0)),
         };
         let router = Router::with_transport(
-            Arc::new(client),
+            Arc::new(TcpClient {
+                inner: Arc::clone(&inner),
+            }),
             ids,
             TrafficStats::new(),
             None,
             Recorder::disabled(),
         );
-        let endpoint = router.endpoint_from_parts(me, local_rx, 0);
+        let endpoint = router.endpoint_from_parts(me, rx, generation);
         let mut frames = FrameReader::new(stream);
-        let echo_writer = Arc::clone(&writer);
+        let close = CloseMailbox { inner, generation };
         std::thread::Builder::new()
             .name(format!("tcp-client-read-{me}"))
             .spawn(move || {
-                // Feed incoming frames into the local mailbox, each
-                // decoded through this reader's one window as it arrives.
-                // On exit, dropping `local_tx` and `close_loopback` drops
-                // the mailbox's last senders, which disconnects it.
-                let _close = close_loopback;
-                while let Ok(Some(header)) = frames.next_header() {
-                    match header.kind {
-                        FrameKind::Message(_) => {}
-                        FrameKind::Telemetry => {
-                            let Ok(frame) = frames.read_whole(&header) else {
-                                return;
+                let inner = &close.inner;
+                read_frames(
+                    &mut frames,
+                    |frames, header, plane| {
+                        let Ok(payload) = frames.decode_body::<M>(header) else {
+                            return false;
+                        };
+                        let env = Envelope {
+                            from: header.from,
+                            to: header.to,
+                            payload,
+                        };
+                        inner.local.deliver(env, plane).is_ok()
+                    },
+                    |telemetry| match telemetry {
+                        TelemetryPayload::ClockProbe { master_nanos } => {
+                            let echo = TelemetryPayload::ClockEcho {
+                                master_nanos,
+                                client_nanos: origin.elapsed().as_nanos() as u64,
                             };
-                            match decode_telemetry_body(&frame) {
-                                Ok(TelemetryPayload::ClockProbe { master_nanos }) => {
-                                    let client_nanos = origin.elapsed().as_nanos() as u64;
-                                    let echo = encode_clock_echo(
-                                        me,
-                                        NodeId::Master,
-                                        master_nanos,
-                                        client_nanos,
-                                    );
-                                    // lint: allow(blocking-under-lock) the writer mutex IS the write serialization point; echoes must not interleave with data frames
-                                    let _ = write_frame(&mut *echo_writer.lock(), &echo);
-                                }
-                                // Echoes and event batches flow worker →
-                                // master; arriving here they are
-                                // misdirected. Telemetry noise must not
-                                // kill the data path — drop the frame.
-                                Ok(TelemetryPayload::ClockEcho { .. })
-                                | Ok(TelemetryPayload::Events(_))
-                                | Err(_) => {}
-                            }
-                            continue;
+                            let to_hub = [(NodeId::Master, Arc::clone(&inner.writer))];
+                            let _ = stream_frame(&to_hub, me, &echo, FrameKind::Telemetry);
                         }
-                        FrameKind::Hello => {
-                            if frames.read_whole(&header).is_err() {
-                                return;
-                            }
-                            continue;
-                        }
-                    }
-                    let Ok(payload) = frames.decode_body::<M>(&header) else {
-                        return;
-                    };
-                    let env = Envelope {
-                        from: header.from,
-                        to: header.to,
-                        payload,
-                    };
-                    if local_tx.send(env).is_err() {
-                        return;
-                    }
-                }
+                        // Echoes and event batches flow worker → master;
+                        // arriving here they are misdirected, and dropped.
+                        TelemetryPayload::ClockEcho { .. } | TelemetryPayload::Events(_) => {}
+                    },
+                );
             })
             .expect("spawn client reader thread");
         Ok((router, endpoint, telemetry_tx))
@@ -823,10 +786,9 @@ impl<M: WireCodec + Clone + Send + 'static> TcpClient<M> {
 /// path flushes from a clone); clones share the send cursor, so each event
 /// ships at most once.
 #[derive(Clone)]
-#[expect(clippy::disallowed_types, reason = "the metered socket layer")]
 pub struct TelemetryTx {
     me: NodeId,
-    writer: Arc<Mutex<TcpStream>>,
+    writer: Writer,
     /// How many recorder events have been shipped already.
     cursor: Arc<Mutex<usize>>,
 }
@@ -843,27 +805,24 @@ impl TelemetryTx {
     /// a send failure is ignored (the hub is gone — the run is over and
     /// the loss is visible as missing worker records, not a hang).
     pub fn flush(&self, recorder: &Recorder) {
-        let events = recorder.events();
+        let mut events = recorder.events();
         let mut cursor = self.cursor.lock();
-        if *cursor >= events.len() {
+        let recorded = events.len();
+        if *cursor >= recorded {
             return;
         }
-        let frame = encode_telemetry_events(self.me, NodeId::Master, &events[*cursor..]);
+        let batch = TelemetryPayload::Events(events.split_off(*cursor));
+        let to_hub = [(NodeId::Master, Arc::clone(&self.writer))];
         // lint: allow(blocking-under-lock) cursor must stay locked across the write so clones cannot double-ship a batch; writer is the write serialization point
-        let _ = write_frame(&mut *self.writer.lock(), &frame);
-        *cursor = events.len();
+        let _ = stream_frame(&to_hub, self.me, &batch, FrameKind::Telemetry);
+        *cursor = recorded;
     }
 }
 
 impl<M> TcpClient<M> {
     /// A self-send stays in this process; everything else goes to the hub.
     fn route(&self, to: NodeId) -> Result<Route<M>, NetError> {
-        Ok(if to == self.inner.me {
-            let local = self.inner.local_tx.lock().clone();
-            Route::Local(local.ok_or(NetError::NodeDown(to))?)
-        } else {
-            Route::Remote(Arc::clone(&self.inner.writer))
-        })
+        Route::resolve(&self.inner.local, to, || Ok(Arc::clone(&self.inner.writer)))
     }
 }
 
@@ -889,13 +848,10 @@ impl<M: WireCodec + Clone + Send + 'static> Transport<M> for TcpClient<M> {
         panic!("cannot reregister {id} on a worker-side transport");
     }
 
-    fn mark_dead(&self, _id: NodeId, _generation: u64) {
-        // A worker endpoint dropping means this process is exiting; the
-        // socket closing tells the hub.
-    }
-
-    fn label(&self) -> &'static str {
-        "tcp-client"
+    /// The worker's endpoint is gone: so is its mailbox. The socket
+    /// closing tells the hub.
+    fn mark_dead(&self, id: NodeId, generation: u64) {
+        self.inner.local.mark_dead(id, generation);
     }
 
     fn serializes(&self) -> bool {
@@ -906,7 +862,7 @@ impl<M: WireCodec + Clone + Send + 'static> Transport<M> for TcpClient<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::ENVELOPE_BYTES;
+    use crate::codec::{encode_envelope, read_frame, ENVELOPE_BYTES};
 
     /// Spins a 2-worker hub + clients in one process (threads standing in
     /// for worker processes) and checks delivery, metering parity, and
@@ -1087,5 +1043,92 @@ mod tests {
             Err(NetError::NodeDown(NodeId::Worker(0)))
         ));
         drop(hub_side);
+    }
+
+    /// Two telemetry frames whose headers are sound and whose bodies are
+    /// not: an unknown sub-tag, and a probe whose body decodes 3 bytes
+    /// short of its `body_len`.
+    fn corrupt_telemetry(from: NodeId, to: NodeId) -> [Vec<u8>; 2] {
+        let probe = TelemetryPayload::ClockProbe { master_nanos: 5 };
+        let mut stream = [(to, Vec::new())];
+        write_envelope_to(&mut stream, from, &probe, FrameKind::Telemetry).unwrap();
+        let probe = stream[0].1.split_off(4);
+        let mut bad_tag = probe.clone();
+        bad_tag[ENVELOPE_BYTES] = 9;
+        let mut short = probe;
+        short.extend_from_slice(&[0; 3]);
+        short[24..32].copy_from_slice(&(9u64 + 3).to_le_bytes());
+        for frame in [&bad_tag, &short] {
+            let kind = crate::codec::decode_envelope_header(frame).unwrap().kind;
+            assert_eq!(kind, FrameKind::Telemetry);
+            assert!(decode_body_checked::<TelemetryPayload>(frame).is_err());
+        }
+        [bad_tag, short]
+    }
+
+    /// Corrupt telemetry must not kill the data path, at the hub: a
+    /// message that follows two corrupt telemetry frames on a worker's
+    /// connection still reaches the master.
+    #[test]
+    #[expect(clippy::disallowed_types, reason = "a raw socket plays the worker")]
+    fn corrupt_telemetry_leaves_the_hub_reading() {
+        let ids = [NodeId::Master, NodeId::Worker(0)];
+        let hub: TcpHub<u64> = TcpHub::bind(&[NodeId::Master], &[NodeId::Worker(0)]).unwrap();
+        let router = Router::with_transport(
+            Arc::new(hub.clone()),
+            &ids,
+            TrafficStats::new(),
+            None,
+            Recorder::disabled(),
+        );
+        let master = hub.local_endpoint(NodeId::Master, &router);
+        hub.start(router);
+        let mut worker = TcpStream::connect(hub.addr()).unwrap();
+        write_frame(&mut worker, &encode_hello(NodeId::Worker(0))).unwrap();
+        for frame in corrupt_telemetry(NodeId::Worker(0), NodeId::Master) {
+            write_frame(&mut worker, &frame).unwrap();
+        }
+        let msg = encode_envelope(NodeId::Worker(0), NodeId::Master, &7u64, Plane::Data).unwrap();
+        write_frame(&mut worker, &msg).unwrap();
+        let env = master.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!((env.from, env.payload), (NodeId::Worker(0), 7));
+        hub.shutdown();
+    }
+
+    /// The same on a worker's client: after two corrupt telemetry frames
+    /// from the hub, a clock probe is still echoed and a message still
+    /// reaches the worker's mailbox.
+    #[test]
+    #[expect(clippy::disallowed_types, reason = "a raw socket plays the hub")]
+    fn corrupt_telemetry_leaves_the_client_reading() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let ids = [NodeId::Master, NodeId::Worker(0)];
+        let (_router, ep) =
+            TcpClient::<u64>::connect(listener.local_addr().unwrap(), NodeId::Worker(0), &ids)
+                .unwrap();
+        let (mut hub_side, _) = listener.accept().unwrap();
+        hub_side
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let hello = read_frame(&mut hub_side).unwrap().unwrap();
+        assert_eq!(hello, encode_hello(NodeId::Worker(0)));
+        for frame in corrupt_telemetry(NodeId::Master, NodeId::Worker(0)) {
+            write_frame(&mut hub_side, &frame).unwrap();
+        }
+        let probe = TelemetryPayload::ClockProbe { master_nanos: 77 };
+        let mut to_worker = [(NodeId::Worker(0), &mut hub_side)];
+        write_envelope_to(&mut to_worker, NodeId::Master, &probe, FrameKind::Telemetry).unwrap();
+        let echo = read_frame(&mut hub_side).unwrap().unwrap();
+        assert!(matches!(
+            decode_body_checked(&echo),
+            Ok(TelemetryPayload::ClockEcho {
+                master_nanos: 77,
+                ..
+            })
+        ));
+        let msg = encode_envelope(NodeId::Master, NodeId::Worker(0), &7u64, Plane::Data).unwrap();
+        write_frame(&mut hub_side, &msg).unwrap();
+        let env = ep.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!((env.from, env.payload), (NodeId::Master, 7));
     }
 }

@@ -12,7 +12,8 @@
 //!   — the multi-process backend: each worker is an OS process holding
 //!   one TCP connection to the master, envelopes travel as real
 //!   length-prefixed frames (`codec`), and the master hub switches
-//!   worker↔worker traffic.
+//!   worker↔worker traffic. Each end keeps the mailboxes its own process
+//!   hosts in a `ChannelTransport` and sends everything else to a socket.
 //!
 //! Because the router performs metering *before* calling
 //! [`Transport::deliver`] (or [`Transport::deliver_all`] for a
@@ -96,9 +97,6 @@ pub trait Transport<M>: Send + Sync {
     /// sending to a process that exited.
     fn mark_dead(&self, id: NodeId, generation: u64);
 
-    /// Stable backend label (`"inproc"`, `"tcp-hub"`, `"tcp-client"`).
-    fn label(&self) -> &'static str;
-
     /// Whether messages to another process leave as encoded frames, so
     /// [`Transport::deliver_all`] sends them from the borrowed payload.
     /// When not (the default), every destination needs an owned copy,
@@ -110,13 +108,13 @@ pub trait Transport<M>: Send + Sync {
 }
 
 struct Slot<M> {
-    tx: Sender<Envelope<M>>,
+    /// `None` once the node is marked dead. Dropping the slot's sender
+    /// lets the mailbox's receivers see it disconnected once it is empty
+    /// and the last in-flight clone is gone.
+    tx: Option<Sender<Envelope<M>>>,
     /// A cloned receiver retained so the mailbox can be drained on
-    /// reregistration. Holding it means crossbeam never reports the
-    /// channel disconnected, so liveness is tracked explicitly in
-    /// `alive` instead.
+    /// reregistration.
     drain: Receiver<Envelope<M>>,
-    alive: bool,
     generation: u64,
 }
 
@@ -147,9 +145,8 @@ impl<M> ChannelTransport<M> {
         for &id in ids {
             let (tx, rx) = unbounded();
             let slot = Slot {
-                tx,
+                tx: Some(tx),
                 drain: rx.clone(),
-                alive: true,
                 generation: 0,
             };
             assert!(slots.insert(id, slot).is_none(), "duplicate node id {id}");
@@ -162,24 +159,24 @@ impl<M> ChannelTransport<M> {
             receivers,
         )
     }
+
+    /// A sender into `id`'s mailbox: `UnknownNode` if this transport does
+    /// not host `id`, `NodeDown` once it is marked dead. The slot map is
+    /// released before the caller sends: a send while holding it would
+    /// couple every deliver to the write path (`reregister`).
+    pub(crate) fn sender(&self, id: NodeId) -> Result<Sender<Envelope<M>>, NetError> {
+        let slots = self.slots.read();
+        let slot = slots.get(&id).ok_or(NetError::UnknownNode(id))?;
+        slot.tx.clone().ok_or(NetError::NodeDown(id))
+    }
 }
 
 impl<M: Send> Transport<M> for ChannelTransport<M> {
     fn deliver(&self, env: Envelope<M>, _plane: Plane) -> Result<(), NetError> {
-        // Clone the sender and release the slot map before sending: the
-        // channels are unbounded so `send` does not block today, but a
-        // send while holding `slots` would couple every deliver to the
-        // write path (`reregister`) if that ever changed.
-        let tx = {
-            let slots = self.slots.read();
-            let slot = slots.get(&env.to).ok_or(NetError::UnknownNode(env.to))?;
-            if !slot.alive {
-                return Err(NetError::NodeDown(env.to));
-            }
-            slot.tx.clone()
-        };
         let to = env.to;
-        tx.send(env).map_err(|_| NetError::NodeDown(to))
+        self.sender(to)?
+            .send(env)
+            .map_err(|_| NetError::NodeDown(to))
     }
 
     #[expect(clippy::disallowed_methods, reason = "fresh mailbox behind the Router")]
@@ -195,9 +192,8 @@ impl<M: Send> Transport<M> for ChannelTransport<M> {
         let (tx, rx) = unbounded();
         let generation = slot.generation + 1;
         *slot = Slot {
-            tx,
+            tx: Some(tx),
             drain: rx.clone(),
-            alive: true,
             generation,
         };
         Reregistered {
@@ -211,13 +207,9 @@ impl<M: Send> Transport<M> for ChannelTransport<M> {
         let mut slots = self.slots.write();
         if let Some(slot) = slots.get_mut(&id) {
             if slot.generation == generation {
-                slot.alive = false;
+                slot.tx = None;
             }
         }
-    }
-
-    fn label(&self) -> &'static str {
-        "inproc"
     }
 }
 

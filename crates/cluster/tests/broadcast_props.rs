@@ -435,8 +435,13 @@ fn connection_killed_in_mid_frame_fails_alone() {
         (tos[1], &mut killed),
         (tos[2], &mut out2),
     ];
-    let sent =
-        write_envelope_to(&mut dests, NodeId::Master, &model, Plane::Data).expect("encodable");
+    let sent = write_envelope_to(
+        &mut dests,
+        NodeId::Master,
+        &model,
+        FrameKind::Message(Plane::Data),
+    )
+    .expect("encodable");
     drop(dests);
     assert!(
         sent[0].is_ok() && sent[1].is_err() && sent[2].is_ok(),

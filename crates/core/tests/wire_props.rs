@@ -7,8 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use columnsgd_cluster::codec::{
-    decode_body_checked, decode_envelope_header, decode_telemetry_body, encode_telemetry_events,
-    FrameKind, WireCodec,
+    decode_body_checked, decode_envelope_header, write_envelope_to, FrameKind, WireCodec,
 };
 use columnsgd_cluster::telemetry::{Event, FaultRecord, KernelRecord, Plane, Recorder};
 use columnsgd_cluster::TelemetryPayload;
@@ -304,13 +303,16 @@ fn sample_telemetry_events() -> Vec<Event> {
 #[test]
 fn telemetry_event_batch_roundtrips_through_the_frame_codec() {
     let events = sample_telemetry_events();
-    let frame = encode_telemetry_events(NodeId::Worker(1), NodeId::Master, &events);
-    let header = decode_envelope_header(&frame).expect("telemetry header");
+    let mut stream = [(NodeId::Master, Vec::new())];
+    let batch = TelemetryPayload::Events(events.clone());
+    write_envelope_to(&mut stream, NodeId::Worker(1), &batch, FrameKind::Telemetry)
+        .expect("encodable batch");
+    let frame = &stream[0].1[4..];
+    let header = decode_envelope_header(frame).expect("telemetry header");
     assert_eq!(header.kind, FrameKind::Telemetry);
     assert_eq!(header.from, NodeId::Worker(1));
     assert_eq!(header.body_len, frame.len() - ENVELOPE_BYTES);
-    let TelemetryPayload::Events(back) = decode_telemetry_body(&frame).expect("telemetry body")
-    else {
+    let TelemetryPayload::Events(back) = decode_body_checked(frame).expect("telemetry body") else {
         panic!("event batch decoded as a clock frame");
     };
     let render = |evs: &[Event]| -> Vec<_> { evs.iter().map(|e| e.to_value("x")).collect() };
